@@ -8,8 +8,10 @@ oracle-compare, run.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -55,7 +57,10 @@ def _parse_profile(text: str) -> CurvatureProfile:
 
 def _parse_z(text: str) -> complex:
     re, im = text.split(",")
-    return complex(float(re), float(im))
+    z = complex(float(re), float(im))
+    if not cmath.isfinite(z):
+        raise ConfigError(f"complex number {text!r} is not finite")
+    return z
 
 
 def _parse_eps_grid(text: str) -> tuple[float, ...]:
@@ -67,12 +72,11 @@ def _parse_eps_grid(text: str) -> tuple[float, ...]:
 
 def _parse_delta_rule(text: str) -> tuple[str, float]:
     kind, _, value = text.partition(":")
-    if kind == "fixed-ratio":
-        return ("ratio", float(value))
-    if kind == "power":
-        return ("power", float(value))
+    rule = {"fixed-ratio": "ratio", "power": "power"}.get(kind)
+    if rule is not None and math.isfinite(float(value)):
+        return (rule, float(value))
     raise ConfigError(f"cannot parse delta rule {text!r} "
-                      "(use fixed-ratio:R | power:A)")
+                      "(use fixed-ratio:R | power:A with finite R, A)")
 
 
 def _parse_edge_fn(text: str | None):

@@ -10,6 +10,7 @@ so outputs are self-describing and bitwise reproducible.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 import math
@@ -114,14 +115,20 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.metric not in ("coupling", "residual", "graph-limit"):
             raise ConfigError(f"unknown metric {self.metric!r}")
+        if not cmath.isfinite(self.z):
+            raise ConfigError(f"z = {self.z} is not finite")
+        if self.p is not None and not all(cmath.isfinite(c) for c in self.p):
+            raise ConfigError(f"p = {self.p} is not finite")
         if not self.eps_grid:
             raise ConfigError("eps_grid must be nonempty")
         eps = np.asarray(self.eps_grid, dtype=float)
-        if np.any(eps <= 0) or np.any(eps > 1):
+        if not np.all((eps > 0) & (eps <= 1)):
             raise ConfigError("eps values must lie in (0, 1]")
         if np.any(np.diff(eps) >= 0):
             raise ConfigError("eps_grid must be strictly decreasing")
         kind, value = self.delta_rule
+        if not math.isfinite(value):
+            raise ConfigError(f"delta rule value {value} is not finite")
         if kind == "power":
             if value < 1.0:
                 raise ConfigError("power rule needs exponent >= 1 (delta <= eps)")

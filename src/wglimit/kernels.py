@@ -27,18 +27,20 @@ functional reduces analytically to
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh
 from scipy.special import roots_legendre
 
 from .profile import CurvatureProfile
-from .vertex_spectrum import ShootingSolution, shoot
+from .vertex_spectrum import (
+    ShootingSolution,
+    _free_mode_values,
+    _galerkin_eigenpairs,
+    shoot,
+)
 
 __all__ = [
     "ExpDecay",
@@ -99,49 +101,6 @@ def neumann_free_kernel(z: complex, s: float, sp: float) -> complex:
 
 
 # ----------------------------------------------------------------------
-# Cosine-Galerkin eigexpansion (series route, independent of shooting)
-# ----------------------------------------------------------------------
-
-def _free_mode_values(s: np.ndarray, n_basis: int) -> np.ndarray:
-    """Matrix of the Neumann cosine modes, shape (len(s), n_basis)."""
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty((s.size, n_basis))
-    out[:, 0] = 1.0 / math.sqrt(2.0)
-    for k in range(2, n_basis + 1):
-        out[:, k - 1] = np.cos((k - 1) * np.pi * (s + 1.0) / 2.0)
-    return out
-
-
-@lru_cache(maxsize=8)
-def _galerkin_eigenpairs(profile: CurvatureProfile, n_modes: int):
-    """Eigenpairs of the vertex Hamiltonian in the cosine basis."""
-    n_basis = n_modes + 60
-    nodes, weights = roots_legendre(10)
-    n_panels = 200
-    edges = np.linspace(-1.0, 1.0, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    wts = (half[:, None] * weights[None, :]).ravel()
-    basis = _free_mode_values(pts, n_basis)
-    v = -0.25 * profile.gamma(pts) ** 2
-    ham = basis.T @ (basis * (wts * v)[:, None])
-    mu = np.array([((k - 1) * np.pi / 2.0) ** 2 for k in range(1, n_basis + 1)])
-    ham[np.diag_indices_from(ham)] += mu
-    lams, coef = eigh(ham)
-    # Align eigenvector signs with the free modes they perturb.
-    for n in range(n_basis):
-        if coef[n, n] < 0:
-            coef[:, n] = -coef[:, n]
-    return lams[:n_modes], coef[:, :n_modes], n_basis, mu
-
-
-def _series_mode_values(profile: CurvatureProfile, n_modes: int, s) -> np.ndarray:
-    lams, coef, n_basis, _ = _galerkin_eigenpairs(profile, n_modes)
-    return _free_mode_values(np.asarray(s, dtype=float), n_basis) @ coef
-
-
-# ----------------------------------------------------------------------
 # Vertex kernel
 # ----------------------------------------------------------------------
 
@@ -187,12 +146,11 @@ class VertexKernel:
 
     def _series_value(self, s, sp):
         lams, coef, n_basis, mu = _galerkin_eigenpairs(self.profile, self.n_terms)
-        ys = _series_mode_values(self.profile, self.n_terms, s)
-        ysp = _series_mode_values(self.profile, self.n_terms, sp)
-        cs = _free_mode_values(np.asarray(s, dtype=float), self.n_terms)
-        csp = _free_mode_values(np.asarray(sp, dtype=float), self.n_terms)
-        pert = (ys / (lams - self.z)[None, :] * ysp).sum(axis=1)
-        free = (cs / (mu[: self.n_terms] - self.z)[None, :] * csp).sum(axis=1)
+        cs = _free_mode_values(s, n_basis)
+        csp = _free_mode_values(sp, n_basis)
+        pert = ((cs @ coef) / (lams - self.z)[None, :] * (csp @ coef)).sum(axis=1)
+        n = self.n_terms
+        free = (cs[:, :n] / (mu[:n] - self.z)[None, :] * csp[:, :n]).sum(axis=1)
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         sp_arr = np.atleast_1d(np.asarray(sp, dtype=float))
         base = np.array([

@@ -46,6 +46,11 @@ AMPLITUDE_CAP = 0.999
 # Resonance tuning needs amplitudes ~6; geometry is then restricted to
 # rho < 1/amplitude instead of the uniform rho <= 1.
 TUNED_AMPLITUDE_CAP = 8.0
+# Newton steps allowed when polishing a tuned amplitude on the shooting
+# eigenvalue, and the |lambda| at which it stops: the bracket tolerance of
+# the shooting root itself.  From the Galerkin root it takes one or two.
+_NEWTON_STEPS = 4
+_RESONANCE_FLOOR = 1e-13
 
 
 class ProfileError(ValueError):
@@ -295,39 +300,61 @@ def check_potential_identity(
     return float(np.max(defect))
 
 
+def _amplitude_slope(profile: CurvatureProfile) -> float:
+    """Hellmann-Feynman slope d(lambda_K)/dA of a tuned bump, K = target_index.
+
+    With gamma = A b the potential -A^2 b^2/4 scales as A^2, so
+
+        d lambda/dA = -(A/2) Integral b^2 y^2 ds = 2 <y, V y> / A,
+
+    and in the cosine-Galerkin basis <y, V y> = lambda - sum_k mu_k c_k^2
+    for the normalised eigenvector c of y.
+    """
+    from . import vertex_spectrum as vs
+
+    k = profile.target_index
+    lams, coef, _, mu = vs._galerkin_eigenpairs(profile, k + 1)
+    c = coef[:, k - 1]
+    return 2.0 * float(lams[k - 1] - mu @ (c * c)) / profile.amplitude
+
+
 @lru_cache(maxsize=16)
 def _tuned_amplitude(target_index: int) -> float:
-    """Root of lambda_{target_index}(amplitude) = 0 over the bump family."""
+    """Root of lambda_{target_index}(amplitude) = 0 over the bump family.
+
+    brentq on the cosine-Galerkin eigenvalue, bracketed on a 16-point
+    amplitude grid, gives the root to ~1e-12; Newton steps on the
+    shooting eigenvalue with the Hellmann-Feynman slope then polish it,
+    so the tuned eigenvalue is a shooting root at the returned amplitude.
+    """
+    from scipy.optimize import brentq
+
     # Lazy import: the eigenvalue solver depends on this module.
     from . import vertex_spectrum as vs
 
-    def lam_k(amp: float) -> float:
+    def galerkin_lam(amp: float) -> float:
         prof = CurvatureProfile("tuned_bump", amp, target_index)
-        return vs.eigenvalue_by_index(prof, target_index)
+        lams = vs._galerkin_eigenpairs(prof, target_index + 1)[0]
+        return float(lams[target_index - 1])
 
-    lo, flo = None, None
-    for amp in np.linspace(0.5, TUNED_AMPLITUDE_CAP, 16):
-        val = lam_k(float(amp))
-        if flo is not None and flo * val <= 0.0:
-            lo = (prev, float(amp))
-            break
-        prev, flo = float(amp), val
-    if lo is None:
+    grid = np.linspace(0.5, TUNED_AMPLITUDE_CAP, 16)
+    vals = [galerkin_lam(float(amp)) for amp in grid]
+    k = next((k for k in range(len(grid) - 1) if vals[k] * vals[k + 1] <= 0.0), None)
+    if k is None:
         raise ProfileError(
             f"no amplitude in (0, {TUNED_AMPLITUDE_CAP}] brackets a zero of "
             f"eigenvalue {target_index}"
         )
-    from scipy.optimize import brentq
-
-    a_star = brentq(lam_k, lo[0], lo[1], xtol=1e-13, rtol=8.9e-16)
-    # Secant polish straight on the shooting eigenvalue.
-    f0 = lam_k(a_star)
-    if abs(f0) > 1e-12:
-        a1 = a_star * (1 + 1e-8)
-        f1 = lam_k(a1)
-        if f1 != f0:
-            a_star = a_star - f0 * (a1 - a_star) / (f1 - f0)
-    return float(a_star)
+    amp = brentq(galerkin_lam, grid[k], grid[k + 1], xtol=1e-13, rtol=8.9e-16)
+    for _ in range(_NEWTON_STEPS):
+        prof = CurvatureProfile("tuned_bump", amp, target_index)
+        lam = vs.eigenvalue_by_index(prof, target_index)
+        amp -= lam / _amplitude_slope(prof)
+        if abs(lam) <= _RESONANCE_FLOOR:
+            return float(amp)
+    raise vs.SpectrumError(
+        f"Newton polish of the eigenvalue {target_index} amplitude did not "
+        f"converge (last eigenvalue {lam:.3e})")
 
 
 def tune_to_resonance(base: CurvatureProfile, target_index: int) -> CurvatureProfile:

@@ -8,9 +8,15 @@ ends.  Two shooting solutions are integrated,
 
 whose s-independent Wronskian  Wv = eta*zeta' - zeta*eta'  vanishes
 exactly at the eigenvalues.  With these initial conditions Wv equals
-zeta'(+1), which is the classical shooting function; eigenvalues are
-bracketed by a vectorised fixed-step scan and refined with brentq on an
-adaptive high-order integration.
+zeta'(+1), which is the classical shooting function.
+
+Eigenvalues are located by a cosine-Galerkin diagonalisation of h (the
+same eigendata the series kernel uses) and polished on the shooting
+function: each Galerkin value, accurate to ~1e-11, is bracketed by a
+sign change of the adaptive high-order Wronskian within half the gap to
+its neighbours, and the root is taken inside that bracket.  Reported
+eigenvalues are therefore shooting roots, and the Galerkin count fixes
+their order.
 
 Eigenfunctions are the normalised zeta at the root; their boundary
 values alpha1 = y(-1), alpha2 = y(+1) feed the weighted Kirchhoff
@@ -19,12 +25,15 @@ projector when zero is (numerically) an eigenvalue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
+from scipy.linalg import eigh
 from scipy.optimize import brentq
+from scipy.special import roots_legendre
 
 from .profile import CurvatureProfile
 
@@ -48,8 +57,9 @@ _SHOOT_RTOL = 1e-10
 _SHOOT_ATOL = 1e-13
 _REFINE_RTOL = 1e-12
 _REFINE_ATOL = 1e-14
-_SCAN_POINTS_PER_BRACKET = 400
-_SCAN_STEPS = 2500
+# Initial relative half-width of the shooting bracket around a Galerkin
+# eigenvalue; the two agree to ~1e-11.
+_POLISH_START = 1e-9
 
 
 class IntegrationError(RuntimeError):
@@ -120,31 +130,51 @@ def wronskian_values(solution: ShootingSolution, s) -> np.ndarray:
     return et[0] * zl[1] - zl[0] * et[1]
 
 
-def _wronskian_scan(profile: CurvatureProfile, lams: np.ndarray,
-                    n_steps: int = _SCAN_STEPS) -> np.ndarray:
-    """zeta'(+1) for a batch of real spectral parameters (fixed-step RK4)."""
-    lams = np.asarray(lams, dtype=float)
-    h = 2.0 / n_steps
-    nodes = -1.0 + h * np.arange(n_steps + 1)
-    half = nodes[:-1] + 0.5 * h
-    v_nodes = -0.25 * profile.gamma(nodes) ** 2
-    v_half = -0.25 * profile.gamma(half) ** 2
-    y = np.ones_like(lams)
-    dy = np.zeros_like(lams)
-    for k in range(n_steps):
-        c0 = v_nodes[k] - lams
-        ch = v_half[k] - lams
-        c1 = v_nodes[k + 1] - lams
-        k1y, k1d = dy, c0 * y
-        y2 = y + 0.5 * h * k1y
-        k2y, k2d = dy + 0.5 * h * k1d, ch * y2
-        y3 = y + 0.5 * h * k2y
-        k3y, k3d = dy + 0.5 * h * k2d, ch * y3
-        y4 = y + h * k3y
-        k4y, k4d = dy + h * k3d, c1 * y4
-        y = y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
-        dy = dy + (h / 6.0) * (k1d + 2 * k2d + 2 * k3d + k4d)
-    return dy
+def _free_eigenvalue(n):
+    """Neumann eigenvalue ((n-1) pi / 2)^2 of the zero-potential problem."""
+    return ((n - 1) * np.pi / 2.0) ** 2
+
+
+def _free_mode_values(s: np.ndarray, n_basis: int) -> np.ndarray:
+    """Matrix of the Neumann cosine modes, shape (len(s), n_basis)."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    out = np.empty((s.size, n_basis))
+    out[:, 0] = 1.0 / math.sqrt(2.0)
+    for k in range(2, n_basis + 1):
+        out[:, k - 1] = np.cos((k - 1) * np.pi * (s + 1.0) / 2.0)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _galerkin_eigenpairs(profile: CurvatureProfile, n_modes: int):
+    """Lowest ``n_modes`` eigenpairs of the vertex Hamiltonian in the cosine basis.
+
+    Returns read-only (lams, coef, n_basis, mu): the eigenvalues, their
+    coefficient columns in the orthonormal cosine basis of size n_basis,
+    and the free Neumann eigenvalues mu of that basis.
+    """
+    n_basis = n_modes + 60
+    nodes, weights = roots_legendre(10)
+    n_panels = 200
+    edges = np.linspace(-1.0, 1.0, n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    wts = (half[:, None] * weights[None, :]).ravel()
+    basis = _free_mode_values(pts, n_basis)
+    v = -0.25 * profile.gamma(pts) ** 2
+    ham = basis.T @ (basis * (wts * v)[:, None])
+    mu = _free_eigenvalue(np.arange(1, n_basis + 1))
+    ham[np.diag_indices_from(ham)] += mu
+    lams, coef = eigh(ham)
+    # Align eigenvector signs with the free modes they perturb.
+    for n in range(n_basis):
+        if coef[n, n] < 0:
+            coef[:, n] = -coef[:, n]
+    out = (lams[:n_modes], coef[:, :n_modes], mu)
+    for arr in out:
+        arr.setflags(write=False)
+    return out[0], out[1], n_basis, out[2]
 
 
 def _wronskian_accurate(profile: CurvatureProfile, lam: float) -> float:
@@ -152,60 +182,42 @@ def _wronskian_accurate(profile: CurvatureProfile, lam: float) -> float:
     return float(sol.y[1, -1].real)
 
 
-def _refine_root(profile: CurvatureProfile, a: float, b: float,
-                 step: float) -> float | None:
-    """brentq on the accurate shooting function, widening the bracket once
-    if the coarse scan's endpoint signs disagree with it."""
-    fn = lambda lam: _wronskian_accurate(profile, lam)  # noqa: E731
-    fa, fb = fn(a), fn(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        a, b = a - step, b + step
-        fa, fb = fn(a), fn(b)
-        if fa * fb > 0.0:
-            return None
-    return float(brentq(fn, a, b, xtol=1e-13, rtol=8.9e-16))
+def _polish(profile: CurvatureProfile, galerkin: np.ndarray, k: int) -> float:
+    """Shooting root next to the Galerkin eigenvalue ``galerkin[k]``.
 
-
-def _scan_roots(profile: CurvatureProfile, lo: float, hi: float,
-                n_points: int) -> list[float]:
-    grid = np.linspace(lo, hi, n_points)
-    step = float(grid[1] - grid[0])
-    w = _wronskian_scan(profile, grid)
-    roots: list[float] = []
-    for k in range(len(grid) - 1):
-        a, b = w[k], w[k + 1]
-        if a == 0.0 or a * b < 0.0:
-            r = _refine_root(profile, float(grid[k]), float(grid[k + 1]), step)
-            if r is not None:
-                roots.append(r)
-    # Deduplicate near-coincident detections.
-    out: list[float] = []
-    for r in sorted(roots):
-        if not out or abs(r - out[-1]) > 1e-10 * max(1.0, abs(r)):
-            out.append(r)
-    return out
-
-
-def _free_eigenvalue(n: int) -> float:
-    """Neumann eigenvalue ((n-1) pi / 2)^2 of the zero-potential problem."""
-    return ((n - 1) * np.pi / 2.0) ** 2
+    A bracket of relative half-width _POLISH_START around it widens
+    tenfold until the Wronskian changes sign, never past the midpoint to
+    a neighbouring Galerkin eigenvalue (the lowest one borrows the gap
+    above it).  Across the first bracket the Wronskian is linear up to
+    O(width^2), far below the integrator noise, so one secant step gives
+    the root; a widened bracket is refined by brentq.
+    """
+    g = float(galerkin[k])
+    upper = 0.5 * float(galerkin[k + 1] - g)
+    lower = 0.5 * float(g - galerkin[k - 1]) if k > 0 else upper
+    start = step = _POLISH_START * max(1.0, abs(g))
+    while True:
+        a, b = g - min(step, lower), g + min(step, upper)
+        fa, fb = _wronskian_accurate(profile, a), _wronskian_accurate(profile, b)
+        if fa * fb <= 0.0:
+            break
+        if step >= max(lower, upper):
+            raise SpectrumError(
+                f"no shooting root within the Galerkin gap around "
+                f"eigenvalue {k + 1} ({g:.6g})")
+        step *= 10.0
+    if step == start and fa != fb:
+        return b - fb * (b - a) / (fb - fa)
+    return float(brentq(lambda lam: _wronskian_accurate(profile, lam), a, b,
+                        xtol=1e-13, rtol=8.9e-16))
 
 
 def eigenvalue_by_index(profile: CurvatureProfile, index: int) -> float:
     """The index-th eigenvalue alone (1-based); used by resonance tuning."""
-    sup_v = profile.sup_gamma**2 / 4.0
-    lo = -sup_v - 0.5
-    hi = _free_eigenvalue(index) + 0.5
-    n_points = max(800, _SCAN_POINTS_PER_BRACKET * index)
-    roots = _scan_roots(profile, lo, hi, n_points)
-    if len(roots) < index:
-        raise SpectrumError(
-            f"found only {len(roots)} eigenvalues below {hi}, need {index}")
-    return roots[index - 1]
+    if index < 1:
+        raise SpectrumError("index must be >= 1")
+    galerkin = _galerkin_eigenpairs(profile, index + 1)[0]
+    return _polish(profile, galerkin, index - 1)
 
 
 @dataclass(frozen=True)
@@ -285,22 +297,8 @@ def eigenvalues(profile: CurvatureProfile, count: int,
 @lru_cache(maxsize=64)
 def _eigenvalues_cached(profile: CurvatureProfile, count: int,
                         zero_tolerance: float) -> VertexSpectrum:
-    sup_v = profile.sup_gamma**2 / 4.0
-    lo = -sup_v - 0.5
-    hi = _free_eigenvalue(count) + 0.5
-    n_points = max(800, _SCAN_POINTS_PER_BRACKET * (count + 1))
-    roots = _scan_roots(profile, lo, hi, n_points)
-    extensions = 0
-    while len(roots) < count and extensions < 2:
-        extensions += 1
-        new_lo = hi
-        hi = hi + (_free_eigenvalue(count + 2 * extensions) - _free_eigenvalue(count)) + 1.0
-        roots += _scan_roots(profile, new_lo, hi, n_points)
-        roots = sorted(roots)
-    if len(roots) < count:
-        raise SpectrumError(
-            f"found {len(roots)} eigenvalues in [{lo}, {hi}], need {count}")
-    lams = np.array(roots[:count])
+    galerkin = _galerkin_eigenpairs(profile, count + 1)[0]
+    lams = np.array([_polish(profile, galerkin, n) for n in range(count)])
     lams.setflags(write=False)
     funcs = tuple(_build_eigenfunction(profile, n + 1, lams[n]) for n in range(count))
     n_star = None

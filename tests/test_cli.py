@@ -84,6 +84,18 @@ class TestSweepCommands:
         assert main(["coupling", "--profile", "zero",
                      "--eps-grid", "0.1,0.2", "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--profile", "bump:0.5", "--z=nan,1"],
+        ["kernel", "--profile", "zero", "--z=1,inf"],
+        ["coupling", "--profile", "zero", "--p1=nan,0"],
+        ["coupling", "--profile", "zero", "--eps-grid", "0.1,nan"],
+        ["coupling", "--profile", "zero", "--delta-rule", "power:nan"],
+        ["coupling", "--profile", "zero", "--delta-rule", "power:inf"],
+        ["residual-sweep", "--profile", "zero", "--delta-rule", "fixed-ratio:nan"],
+    ])
+    def test_non_finite_exit_code(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+
     def test_run_from_config(self, tmp_path):
         cfg = {
             "profile": {"kind": "zero", "amplitude": 0.0},

@@ -66,6 +66,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(profile=ZERO, metric="residual").validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("z", complex(float("nan"), 1.0)),
+        ("z", complex(1.0, float("inf"))),
+        ("p", (complex(float("nan"), 0.0), 0j)),
+        ("eps_grid", (0.25, float("nan"), 0.0625)),
+        ("delta_rule", ("power", float("nan"))),
+        ("delta_rule", ("power", float("inf"))),
+        ("delta_rule", ("ratio", float("nan"))),
+    ])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(profile=ZERO, **{field: value}).validate()
+
+    def test_non_finite_json_rejected(self):
+        d = ExperimentConfig(profile=ZERO).to_json_dict()
+        d["eps_grid"][1] = float("nan")
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json_dict(json.loads(json.dumps(d)))
+
     def test_delta_rules(self):
         assert delta_for(("power", 1.5), 0.25) == 0.25**1.5
         assert delta_for(("ratio", 0.1), 0.25) == 0.025

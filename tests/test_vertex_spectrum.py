@@ -1,16 +1,22 @@
 from __future__ import annotations
 
 import cmath
+import time
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson, solve_ivp
 
 from wglimit import CurvatureProfile, classify_case, eigenvalues, shoot
+from wglimit.cli import main
+from wglimit.profile import _amplitude_slope
 from wglimit.vertex_spectrum import (
     CaseLabel,
     SpectrumError,
     VertexSpectrum,
+    _galerkin_eigenpairs,
+    _polish,
+    eigenvalue_by_index,
     wronskian_values,
 )
 
@@ -180,3 +186,74 @@ class TestClassifyCase:
     def test_label_name(self):
         assert CaseLabel(False).name == "case1"
         assert CaseLabel(True, 1, 1.0, 1.0).name == "case2"
+
+
+def sign_changes(values: np.ndarray) -> int:
+    """Sign changes of sampled values, ignoring samples at the noise floor."""
+    v = values[np.abs(values) > 1e-8 * np.max(np.abs(values))]
+    return int(np.count_nonzero(np.signbit(v[1:]) != np.signbit(v[:-1])))
+
+
+@pytest.fixture(params=["zero", "bump:0.9", "bump:-0.9", "tuned2"])
+def any_profile(request):
+    if request.param == "tuned2":
+        return request.getfixturevalue("tuned2")
+    if request.param == "zero":
+        return CurvatureProfile.zero()
+    return CurvatureProfile.bump(float(request.param.split(":")[1]))
+
+
+class TestGalerkinPolish:
+    def test_nth_eigenfunction_has_n_minus_1_nodes(self, any_profile):
+        spec = eigenvalues(any_profile, 6)
+        grid = np.linspace(-1, 1, 4001)
+        for n, fn in enumerate(spec.functions, start=1):
+            assert sign_changes(fn.value(grid)) == n - 1
+
+    def test_roots_within_galerkin_half_gap(self, any_profile):
+        lams = eigenvalues(any_profile, 6).eigenvalues
+        galerkin = _galerkin_eigenpairs(any_profile, 7)[0]
+        gaps = np.diff(galerkin)
+        below = np.concatenate([gaps[:1], gaps[:-1]])
+        for k in range(6):
+            dev = lams[k] - galerkin[k]
+            assert -below[k] / 2 <= dev <= gaps[k] / 2
+            # the two routes agree far inside the half-gap
+            assert abs(dev) < 1e-9 * max(1.0, abs(galerkin[k]))
+
+    def test_widened_bracket_finds_root(self, zero_profile):
+        # a Galerkin value 1e-6 off: the bracket widens, brentq finds the root
+        galerkin = np.array([0.0, np.pi**2 / 4 + 1e-6, np.pi**2])
+        assert _polish(zero_profile, galerkin, 1) == pytest.approx(np.pi**2 / 4,
+                                                                   abs=1e-12)
+
+    def test_no_root_in_gap_raises(self, zero_profile):
+        # a fake Galerkin value at 1.0 between the Neumann eigenvalues 0
+        # and pi^2/4: the Wronskian keeps its sign across the half-gap
+        with pytest.raises(SpectrumError):
+            _polish(zero_profile, np.array([1.0, 2.0]), 0)
+
+    def test_galerkin_arrays_read_only(self, bump05):
+        lams, coef, _, mu = _galerkin_eigenpairs(bump05, 4)
+        for arr in (lams, coef, mu):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("amp", [3.0, None])
+    def test_hellmann_feynman_slope(self, tuned2, amp):
+        amp = tuned2.amplitude if amp is None else amp
+        h = 1e-4
+
+        def lam2(a):
+            return eigenvalue_by_index(CurvatureProfile("tuned_bump", a, 2), 2)
+
+        central = (lam2(amp + h) - lam2(amp - h)) / (2 * h)
+        slope = _amplitude_slope(CurvatureProfile("tuned_bump", amp, 2))
+        assert slope == pytest.approx(central, rel=1e-6)
+
+    def test_untunable_index_fails_fast(self, tmp_path):
+        # no amplitude <= 8 zeroes lambda_3 (Galerkin lambda_3(8) = 4.40)
+        start = time.perf_counter()
+        assert main(["spectrum", "--profile", "tuned:3",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert time.perf_counter() - start < 5.0

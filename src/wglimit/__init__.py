@@ -32,7 +32,6 @@ from .kernels import (
     boundary_derivative,
     half_line_apply,
     neumann_free_kernel,
-    vertex_kernel,
     vertex_kernel_at,
 )
 from .coupling import (
@@ -40,7 +39,6 @@ from .coupling import (
     KirchhoffProjector,
     SingularSystemError,
     asymptotic_deviation,
-    build_lambda_eps,
     kirchhoff_projector,
     resonant_projector,
     solve_coupling,
@@ -74,5 +72,6 @@ from .experiments import (
     ExperimentConfig,
     SweepResult,
     fit_slope,
+    oracle_report,
     run_sweep,
 )

@@ -1,8 +1,12 @@
 """Command-line interface.
 
 Subcommands: spectrum, kernel, coupling, residual-sweep, graph-limit,
-oracle-compare, run.  Exit codes: 0 success, 2 validation error,
-3 numerical failure.  WGL_THREADS caps the sweep worker pool.
+oracle-compare, run.  Each parses its flags and calls one library
+function: the sweeps build an ``ExperimentConfig`` for ``run_sweep``,
+and oracle-compare writes the dict of ``oracle_report``.  Exit codes:
+0 success, 2 validation error (z on [0, inf) included for sweeps and
+oracle-compare), 3 numerical failure.  WGL_THREADS caps the sweep
+worker pool.
 """
 
 from __future__ import annotations
@@ -17,23 +21,18 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coupling import SingularSystemError, kirchhoff_projector
+from .coupling import SingularSystemError
 from .experiments import (
     ConfigError,
     ExperimentConfig,
     FitError,
     edge_function_from_spec,
+    oracle_report,
     run_sweep,
 )
-from .fd_oracle import OracleError, WaveguideGrid, fd_resolvent
-from .graph_limit import (
-    apply_resolvent_grid,
-    decoupled_resolvent,
-    kirchhoff_resolvent,
-)
+from .fd_oracle import OracleError
 from .kernels import KernelError, NearEigenvalueError, vertex_kernel_at
 from .profile import CurvatureProfile, ProfileError, tune_to_resonance
-from .residual import assemble, data_norm
 from .vertex_spectrum import IntegrationError, SpectrumError, eigenvalues
 
 VALIDATION_ERRORS = (ConfigError, ProfileError, FitError, ValueError)
@@ -131,11 +130,12 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
-def _build_config(args, metric: str) -> ExperimentConfig:
+def _build_config(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             cfg = ExperimentConfig.from_json_dict(json.load(fh))
         return cfg
+    metric = args.metric
     kwargs = dict(
         profile=_parse_profile(args.profile),
         metric=metric,
@@ -158,8 +158,10 @@ def _build_config(args, metric: str) -> ExperimentConfig:
     return cfg
 
 
-def _run_and_persist(cfg: ExperimentConfig, out: str) -> int:
-    result = run_sweep(cfg)
+def _cmd_sweep(args) -> int:
+    """coupling, residual-sweep, graph-limit, and run (whose --config wins)."""
+    out = args.out
+    result = run_sweep(_build_config(args))
     result.to_csv(out)
     json_path = out + ".json" if not out.endswith(".json") else out
     result.to_json(json_path)
@@ -172,81 +174,14 @@ def _run_and_persist(cfg: ExperimentConfig, out: str) -> int:
     return 0
 
 
-def _cmd_coupling(args) -> int:
-    return _run_and_persist(_build_config(args, "coupling"), args.out)
-
-
-def _cmd_residual_sweep(args) -> int:
-    return _run_and_persist(_build_config(args, "residual"), args.out)
-
-
-def _cmd_graph_limit(args) -> int:
-    return _run_and_persist(_build_config(args, "graph-limit"), args.out)
-
-
-def _cmd_run(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = ExperimentConfig.from_json_dict(json.load(fh))
-    return _run_and_persist(cfg, args.out)
-
-
 def _cmd_oracle_compare(args) -> int:
-    profile = _parse_profile(args.profile)
-    z = _parse_z(args.z)
-    f1 = edge_function_from_spec(_parse_edge_fn(args.f1))
-    f2 = edge_function_from_spec(_parse_edge_fn(args.f2))
     eps = args.epsilon
-    delta = args.delta if args.delta is not None else eps**args.delta_power
-    grid = WaveguideGrid.build(eps, delta, z, h_u=args.h_u, h_s=args.h_s)
-    sol = assemble(profile, args.n, z, eps, delta, f1, f2)
-    if sol.case.resonant:
-        res = kirchhoff_resolvent(z, kirchhoff_projector(sol.case.alpha1,
-                                                         sol.case.alpha2))
-    else:
-        res = decoupled_resolvent(z)
-    fd = fd_resolvent(grid, profile, args.n, z, f1, f2)
-    s_nodes = grid.edge_s
-    he = grid.h_edge
-
-    def edge_l2_sq(values: np.ndarray) -> float:
-        w = np.full(len(values), he)
-        w[0] = w[-1] = he / 2.0
-        return float(np.sum(w * np.abs(values) ** 2))
-
-    fnorm = data_norm(f1, f2)
-    mismatch_sq = 0.0
-    hat_sq = 0.0
-    for edge, f in ((1, f1), (2, f2)):
-        proj = fd.edge_projection(edge)
-        graph_vals = apply_resolvent_grid(res, f1, f2, s_nodes, edge)
-        hat_vals = sol.edge_profile(edge, s_nodes)
-        mismatch_sq += edge_l2_sq(proj - graph_vals)
-        hat_sq += edge_l2_sq(proj - hat_vals)
-    report = {
-        "schema_version": 1,
-        "grid": {
-            "h_u": grid.h_u, "h_s": grid.h_edge, "s_max": grid.s_max,
-            "unknowns": grid.n_unknowns,
-        },
-        "tolerances": {"solve_residual": fd.solve_residual,
-                       "truncation": 1e-8},
-        "norms": {"data": fnorm, "fd_energy": fd.energy_norm()},
-        "mismatch": float(np.sqrt(mismatch_sq)) / fnorm,
-        "hat_vs_discrete": float(np.sqrt(hat_sq)),
-        "case": "2" if sol.case.resonant else "1",
-        "refinement_factor": None,
-    }
-    if args.refine:
-        fine = grid.refined(s_factor=2)
-        fd2 = fd_resolvent(fine, profile, args.n, z, f1, f2)
-        hat2_sq = 0.0
-        for edge in (1, 2):
-            proj = fd2.edge_projection(edge)
-            hat_vals = sol.edge_profile(edge, fine.edge_s)
-            w = np.full(len(proj), fine.h_edge)
-            w[0] = w[-1] = fine.h_edge / 2.0
-            hat2_sq += float(np.sum(w * np.abs(proj - hat_vals) ** 2))
-        report["refinement_factor"] = float(np.sqrt(hat_sq / hat2_sq))
+    report = oracle_report(
+        _parse_profile(args.profile), _parse_z(args.z), eps,
+        args.delta if args.delta is not None else eps**args.delta_power,
+        edge_function_from_spec(_parse_edge_fn(args.f1)),
+        edge_function_from_spec(_parse_edge_fn(args.f2)),
+        n=args.n, h_u=args.h_u, h_s=args.h_s, refine=args.refine)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     print(f"mismatch={report['mismatch']:.4f} "
@@ -264,8 +199,6 @@ def _add_sweep_flags(sub, coupling: bool) -> None:
     sub.add_argument("--window-policy", default="drop:2")
     sub.add_argument("--out", required=True)
     if coupling:
-        sub.add_argument("--case", default="auto", choices=["auto"],
-                         help="case detection (always auto)")
         sub.add_argument("--p1", default="1,0")
         sub.add_argument("--p2", default="0,0")
     else:
@@ -298,15 +231,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = subs.add_parser("coupling", help="coupling deviation sweep")
     _add_sweep_flags(cp, coupling=True)
-    cp.set_defaults(func=_cmd_coupling)
+    cp.set_defaults(func=_cmd_sweep, metric="coupling")
 
     rp = subs.add_parser("residual-sweep", help="residual norm sweep")
     _add_sweep_flags(rp, coupling=False)
-    rp.set_defaults(func=_cmd_residual_sweep)
+    rp.set_defaults(func=_cmd_sweep, metric="residual")
 
     gp = subs.add_parser("graph-limit", help="graph resolvent comparison sweep")
     _add_sweep_flags(gp, coupling=False)
-    gp.set_defaults(func=_cmd_graph_limit)
+    gp.set_defaults(func=_cmd_sweep, metric="graph-limit")
 
     op = subs.add_parser("oracle-compare", help="FD oracle vs graph limit")
     op.add_argument("--profile", default="zero")
@@ -326,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     rn = subs.add_parser("run", help="run a sweep from a JSON config")
     rn.add_argument("--config", required=True)
     rn.add_argument("--out", required=True)
-    rn.set_defaults(func=_cmd_run)
+    rn.set_defaults(func=_cmd_sweep)
     return ap
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "KirchhoffProjector",
     "SingularSystemError",
     "asymptotic_deviation",
-    "build_lambda_eps",
     "kirchhoff_projector",
     "regular_corner_part",
     "resonant_projector",
@@ -146,11 +145,6 @@ class CouplingCoefficients:
     back_residual: float
 
 
-def build_lambda_eps(kernel: VertexKernel) -> np.ndarray:
-    """Corner values of the vertex kernel, arranged with row = left/right."""
-    return kernel.corners()
-
-
 def _solve_2x2(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if abs(det) < DET_GUARD:
@@ -166,7 +160,7 @@ def solve_coupling_from_kernel(kernel: VertexKernel, z: complex, epsilon: float,
     """Solve the coupling system given a kernel already placed at eps^2 z."""
     p = np.asarray(p, dtype=complex)
     sq = sqrt_upper(z)
-    lam = build_lambda_eps(kernel)
+    lam = kernel.corners()
     m = np.eye(2) - 1j * epsilon * sq * lam
     rhs = epsilon * (lam @ p)
     q = _solve_2x2(m, rhs)

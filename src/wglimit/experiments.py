@@ -1,11 +1,14 @@
-"""Parameter sweeps, slope fitting and result persistence.
+"""Parameter sweeps, slope fitting, result persistence and the FD oracle report.
 
 A sweep walks eps down a strictly decreasing grid, pairs it with a width
 delta through a rule (fixed ratio delta = r*eps or power delta = eps^a),
-evaluates one of the registered metrics per point, and fits log-log
-slopes on a stabilised window.  Results persist as CSV (rows plus a
-trailing slope summary) and JSON; both embed the fully resolved config
-so outputs are self-describing and bitwise reproducible.
+evaluates one ``METRICS`` point function per point on a ``SweepContext``
+that holds everything eps-independent (built once, pickled to the
+WGL_THREADS pool), and fits log-log slopes on a stabilised window.
+Results persist as CSV (rows plus a trailing slope summary) and JSON;
+both embed the fully resolved config so outputs are self-describing and
+bitwise reproducible.  ``oracle_report`` is the oracle-compare report.
+Sweeps and the report reject z on [0, inf).
 """
 
 from __future__ import annotations
@@ -17,22 +20,25 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .coupling import (
+    KirchhoffProjector,
     SingularSystemError,
     asymptotic_deviation,
-    kirchhoff_projector,
     resonant_projector,
-    solve_coupling,
+    solve_coupling_from_kernel,
 )
+from .fd_oracle import TRUNCATION_TOL, WaveguideGrid, fd_resolvent, trapezoid_weights
 from .graph_limit import (
+    GraphResolvent,
+    apply_resolvent_grid,
     boundary_limits,
-    decoupled_resolvent,
-    kirchhoff_resolvent,
     limit_comparison,
+    limit_resolvent,
 )
 from .kernels import (
     ExpDecay,
@@ -41,11 +47,12 @@ from .kernels import (
     Indicator,
     KernelError,
     NearEigenvalueError,
-    boundary_derivative,
+    boundary_derivatives,
+    vertex_kernel_at,
 )
 from .profile import CurvatureProfile, ProfileError
-from .residual import assemble, residual_norms
-from .vertex_spectrum import IntegrationError, SpectrumError
+from .residual import assemble, data_norm, residual_norms
+from .vertex_spectrum import CaseLabel, IntegrationError, SpectrumError, classify
 
 __all__ = [
     "ConfigError",
@@ -58,6 +65,7 @@ __all__ = [
     "delta_for",
     "edge_function_from_spec",
     "fit_slope",
+    "oracle_report",
     "run_sweep",
 ]
 
@@ -72,6 +80,14 @@ class ConfigError(ValueError):
 
 class FitError(ValueError):
     pass
+
+
+def _check_z(z: complex) -> None:
+    """z must be finite and off [0, inf), where the edge resolvent is undefined."""
+    if not cmath.isfinite(z):
+        raise ConfigError(f"z = {z} is not finite")
+    if z.imag == 0.0 and z.real >= 0.0:
+        raise ConfigError(f"z = {z} lies on [0, inf), the spectrum of the edges")
 
 
 def default_eps_grid(k_min: int = 6, k_max: int = 14) -> tuple[float, ...]:
@@ -110,13 +126,11 @@ class ExperimentConfig:
     quadrature_order: int = 8
     zero_tolerance: float = 1e-9
     window_policy: str = "drop:2"
-    seed: int = 0
 
     def validate(self) -> None:
-        if self.metric not in ("coupling", "residual", "graph-limit"):
+        if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")
-        if not cmath.isfinite(self.z):
-            raise ConfigError(f"z = {self.z} is not finite")
+        _check_z(self.z)
         if self.p is not None and not all(cmath.isfinite(c) for c in self.p):
             raise ConfigError(f"p = {self.p} is not finite")
         if not self.eps_grid:
@@ -160,7 +174,6 @@ class ExperimentConfig:
             "quadrature_order": self.quadrature_order,
             "zero_tolerance": self.zero_tolerance,
             "window_policy": self.window_policy,
-            "seed": self.seed,
         }
 
     @staticmethod
@@ -185,7 +198,6 @@ class ExperimentConfig:
                 quadrature_order=int(d.get("quadrature_order", 8)),
                 zero_tolerance=float(d.get("zero_tolerance", 1e-9)),
                 window_policy=d.get("window_policy", "drop:2"),
-                seed=int(d.get("seed", 0)),
             )
         except (KeyError, TypeError, ValueError, ProfileError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
@@ -256,64 +268,94 @@ def fit_slope(eps, values, window_policy: str = "stabilize",
     return best
 
 
-def _edge_data(config: ExperimentConfig):
-    return edge_function_from_spec(config.f1), edge_function_from_spec(config.f2)
+@dataclass(frozen=True)
+class SweepContext:
+    """The eps-independent data of a sweep, built once and pickled to workers."""
+
+    config: ExperimentConfig
+    case: CaseLabel
+    f1: object
+    f2: object
+    p: np.ndarray
+    projector: KirchhoffProjector | None = None  # coupling metric, resonant case
+    limit: GraphResolvent | None = None  # graph-limit metric
+
+    @staticmethod
+    def build(config: ExperimentConfig) -> "SweepContext":
+        f1 = edge_function_from_spec(config.f1)
+        f2 = edge_function_from_spec(config.f2)
+        case = classify(config.profile, config.zero_tolerance)
+        if config.metric == "coupling" and config.p is not None:
+            p = np.asarray(config.p, dtype=complex)
+        else:
+            p = boundary_derivatives(HalfLineResolvent(config.z), f1, f2)
+        projector = limit = None
+        if config.metric == "coupling" and case.resonant:
+            # depends on (profile, z, tolerance) only, so one per sweep is exact
+            projector = resonant_projector(config.profile, config.z,
+                                           config.zero_tolerance)
+        if config.metric == "graph-limit":
+            limit = limit_resolvent(case, config.z)
+        return SweepContext(config, case, f1, f2, p, projector, limit)
 
 
-def _coupling_p(config: ExperimentConfig) -> np.ndarray:
-    if config.p is not None:
-        return np.asarray(config.p, dtype=complex)
-    f1, f2 = _edge_data(config)
-    r0 = HalfLineResolvent(config.z)
-    return np.array([
-        0.0 if f1 is None else boundary_derivative(r0, f1),
-        0.0 if f2 is None else boundary_derivative(r0, f2),
-    ], dtype=complex)
+def _coupling_point(ctx: SweepContext, eps: float, delta: float) -> dict:
+    cfg = ctx.config
+    kernel = vertex_kernel_at(cfg.profile, eps**2 * cfg.z)
+    coeffs = solve_coupling_from_kernel(kernel, cfg.z, eps, ctx.p, ctx.case)
+    dev = asymptotic_deviation(coeffs, ctx.projector)
+    row = {"dev_q": dev.dev_q, "dev_xi": dev.dev_xi}
+    if dev.dev_xi_naive is not None:
+        row["dev_xi_naive"] = dev.dev_xi_naive
+    return row
 
 
-def _point_row(config: ExperimentConfig, eps: float) -> dict:
-    delta = delta_for(config.delta_rule, eps)
-    row: dict = {"epsilon": eps, "delta": delta}
-    if config.metric == "coupling":
-        p = _coupling_p(config)
-        coeffs = solve_coupling(config.profile, config.z, eps, p,
-                                config.zero_tolerance)
-        proj = None
-        if coeffs.case.resonant:
-            proj = resonant_projector(config.profile, config.z, config.zero_tolerance)
-        dev = asymptotic_deviation(coeffs, proj)
-        row["dev_q"] = dev.dev_q
-        row["dev_xi"] = dev.dev_xi
-        if dev.dev_xi_naive is not None:
-            row["dev_xi_naive"] = dev.dev_xi_naive
-        return row
-    f1, f2 = _edge_data(config)
-    sol = assemble(config.profile, config.n, config.z, eps, delta, f1, f2,
-                   config.zero_tolerance)
-    if config.metric == "residual":
-        rep = residual_norms(sol, config.quadrature_order, config.quadrature_panels)
-        bound = rep.bound_case2 if sol.case.resonant else rep.bound_case1
-        row["residual_Hnorm"] = rep.residual_Hnorm
-        row["residual_l2_V"] = rep.residual_l2_V
-        row["xi_norm"] = rep.xi_norms[0] + rep.xi_norms[1]
-        row["data_norm"] = rep.data_norm
-        row["bound_ratio"] = rep.residual_l2_V / bound if bound > 0 else float("nan")
-        return row
-    # graph-limit
-    if sol.case.resonant:
-        res = kirchhoff_resolvent(config.z, kirchhoff_projector(
-            sol.case.alpha1, sol.case.alpha2))
-    else:
-        res = decoupled_resolvent(config.z)
-    row["comparison_norm"] = limit_comparison(sol, res)
+def _assemble(ctx: SweepContext, eps: float, delta: float):
+    cfg = ctx.config
+    return assemble(cfg.profile, cfg.n, cfg.z, eps, delta, ctx.f1, ctx.f2,
+                    p=ctx.p, case=ctx.case)
+
+
+def _residual_point(ctx: SweepContext, eps: float, delta: float) -> dict:
+    rep = residual_norms(_assemble(ctx, eps, delta), ctx.config.quadrature_order,
+                         ctx.config.quadrature_panels)
+    bound = rep.bound_case2 if ctx.case.resonant else rep.bound_case1
+    return {
+        "residual_Hnorm": rep.residual_Hnorm,
+        "residual_l2_V": rep.residual_l2_V,
+        "xi_norm": rep.xi_norms[0] + rep.xi_norms[1],
+        "data_norm": rep.data_norm,
+        "bound_ratio": rep.residual_l2_V / bound if bound > 0 else float("nan"),
+    }
+
+
+def _graph_limit_point(ctx: SweepContext, eps: float, delta: float) -> dict:
+    sol = _assemble(ctx, eps, delta)
+    row = {"comparison_norm": limit_comparison(sol, ctx.limit)}
     lims = boundary_limits(sol)
-    if sol.case.resonant:
-        row["kirchhoff_value_defect"] = lims["kirchhoff_value_defect"]
-        row["kirchhoff_flux_defect"] = lims["kirchhoff_flux_defect"]
+    if ctx.case.resonant:
+        row.update(lims)  # kirchhoff_value_defect, kirchhoff_flux_defect
     else:
         row["value_defect_1"], row["value_defect_2"] = lims["value_defects"]
         row["deriv_defect_1"], row["deriv_defect_2"] = lims["derivative_defects"]
     return row
+
+
+METRICS = {
+    "coupling": _coupling_point,
+    "residual": _residual_point,
+    "graph-limit": _graph_limit_point,
+}
+
+
+def _point(ctx: SweepContext, eps: float) -> tuple[float, dict | None, str | None]:
+    """(eps, row, None), or (eps, None, message) after a numerical failure."""
+    delta = delta_for(ctx.config.delta_rule, eps)
+    try:
+        row = METRICS[ctx.config.metric](ctx, eps, delta)
+    except POINT_ERRORS as exc:
+        return eps, None, str(exc)
+    return eps, {"epsilon": eps, "delta": delta, **row}, None
 
 
 @dataclass(frozen=True)
@@ -391,24 +433,13 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     they do not abort the sweep.
     """
     config.validate()
-    eps_list = list(config.eps_grid)
-    workers = _workers(len(eps_list))
-    results: list[tuple[float, dict | None, str | None]] = []
+    workers = _workers(len(config.eps_grid))
+    point = partial(_point, SweepContext.build(config))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [(eps, pool.submit(_point_row, config, eps)) for eps in eps_list]
-            for eps, fut in futs:
-                try:
-                    results.append((eps, fut.result(), None))
-                except POINT_ERRORS as exc:
-                    results.append((eps, None, str(exc)))
+            results = list(pool.map(point, config.eps_grid))
     else:
-        for eps in eps_list:
-            try:
-                results.append((eps, _point_row(config, eps), None))
-            except POINT_ERRORS as exc:
-                results.append((eps, None, str(exc)))
-    results.sort(key=lambda t: -t[0])
+        results = list(map(point, config.eps_grid))
     rows = tuple(r for _, r, err in results if err is None)
     failures = tuple({"epsilon": eps, "error": err}
                      for eps, _, err in results if err is not None)
@@ -424,3 +455,50 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             except FitError:
                 continue
     return SweepResult(config, rows, slopes, failures)
+
+
+def oracle_report(profile: CurvatureProfile, z: complex, epsilon: float,
+                  delta: float, f1, f2, n: int = 1, h_u: float = 1.0 / 32,
+                  h_s: float = 1.0 / 64, refine: bool = False) -> dict:
+    """The oracle-compare report at one (eps, delta).
+
+    The FD solution's edge projections are compared, in the trapezoid L2
+    norm over both edges, with the limit resolvent (``mismatch``, relative
+    to the data norm) and the trial field (``hat_vs_discrete``); ``refine``
+    halves the s-step once for the trial-field ``refinement_factor``.
+    """
+    z = complex(z)
+    _check_z(z)
+    grid = WaveguideGrid.build(epsilon, delta, z, h_u=h_u, h_s=h_s)
+    sol = assemble(profile, n, z, epsilon, delta, f1, f2)
+    res = limit_resolvent(sol.case, z)
+    fd = fd_resolvent(grid, profile, n, z, f1, f2)
+
+    def edge_l2_sq(fd_sol, other) -> float:
+        """Squared distance of the FD edge projections from other(edge, s)."""
+        s = fd_sol.grid.edge_s
+        w = trapezoid_weights(len(s), fd_sol.grid.h_edge)
+        return sum(float(np.sum(w * np.abs(fd_sol.edge_projection(e) - other(e, s)) ** 2))
+                   for e in (1, 2))
+
+    fnorm = data_norm(f1, f2)
+    mismatch_sq = edge_l2_sq(fd, lambda e, s: apply_resolvent_grid(res, f1, f2, s, e))
+    hat_sq = edge_l2_sq(fd, sol.edge_profile)
+    report = {
+        "schema_version": 1,
+        "grid": {
+            "h_u": grid.h_u, "h_s": grid.h_edge, "s_max": grid.s_max,
+            "unknowns": grid.n_unknowns,
+        },
+        "tolerances": {"solve_residual": fd.solve_residual,
+                       "truncation": TRUNCATION_TOL},
+        "norms": {"data": fnorm, "fd_energy": fd.energy_norm()},
+        "mismatch": float(np.sqrt(mismatch_sq)) / fnorm,
+        "hat_vs_discrete": float(np.sqrt(hat_sq)),
+        "case": "2" if sol.case.resonant else "1",
+        "refinement_factor": None,
+    }
+    if refine:
+        fine = fd_resolvent(grid.refined(s_factor=2), profile, n, z, f1, f2)
+        report["refinement_factor"] = float(np.sqrt(hat_sq / edge_l2_sq(fine, sol.edge_profile)))
+    return report

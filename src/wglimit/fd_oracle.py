@@ -40,6 +40,7 @@ __all__ = [
     "fd_resolvent",
     "fd_vertex_eigen",
     "suggest_edge_length",
+    "trapezoid_weights",
     "unitary_map_check",
 ]
 
@@ -327,14 +328,16 @@ class FDSolution:
         chi = chi_mode(n, self.grid.u_nodes)
         return self.grid.h_u * (values @ chi)
 
-    def vertex_projection(self, n: int | None = None) -> np.ndarray:
-        n = self.n if n is None else n
-        chi = chi_mode(n, self.grid.u_nodes)
-        return self.grid.h_u * (self.field.vertex @ chi)
-
     def energy_norm(self) -> float:
         """Discrete norm of the flat-measure energy space."""
         return _energy_norm(self.grid, self.field)
+
+
+def trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
+    """Composite trapezoid weights on ``n_nodes`` uniform nodes of spacing h."""
+    w = np.full(n_nodes, h)
+    w[0] = w[-1] = h / 2.0
+    return w
 
 
 def _line_weights(grid: WaveguideGrid) -> np.ndarray:
@@ -401,13 +404,6 @@ def fd_resolvent(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
                       resid, transverse_shift)
 
 
-def assemble_operator(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
-                      z: complex, transverse_shift: str = "discrete"):
-    """The scaled system matrix alone (symmetry diagnostics)."""
-    a, _ = _assemble(grid, profile, n, z, None, None, transverse_shift)
-    return a
-
-
 def unitary_map_check(grid: WaveguideGrid, profile: CurvatureProfile,
                       field: WaveguideField) -> dict:
     """Round-trip and norm-preservation defects of the metric flattening map.
@@ -439,32 +435,23 @@ def unitary_map_check(grid: WaveguideGrid, profile: CurvatureProfile,
         float(np.max(np.abs(back.vertex - field.vertex))) if field.vertex.size else 0.0,
     )
 
-    he, hv, hu = grid.h_edge, grid.h_vertex, grid.h_u
+    hu = grid.h_u
 
-    def _edge_cells(values: np.ndarray) -> np.ndarray:
-        w = np.full(values.shape[0], he)
-        w[0] = he / 2.0
-        w[-1] = he / 2.0
-        return w
-
-    def _vertex_cells(values: np.ndarray) -> np.ndarray:
-        w = np.full(values.shape[0], hv)
-        w[0] = hv / 2.0
-        w[-1] = hv / 2.0
-        return w
+    def cells(values: np.ndarray, h: float) -> np.ndarray:
+        return trapezoid_weights(values.shape[0], h)[:, None]
 
     # Physical norm of the original field.
     phys_sq = 0.0
     for e in (field.edge1, field.edge2):
-        phys_sq += grid.delta * hu * float(np.sum(_edge_cells(e)[:, None] * np.abs(e) ** 2))
-    phys_sq += grid.delta * grid.epsilon * hu * float(
-        np.sum(_vertex_cells(field.vertex)[:, None] * np.sqrt(g) * np.abs(field.vertex) ** 2))
+        phys_sq += grid.delta * hu * float(np.sum(cells(e, grid.h_edge) * np.abs(e) ** 2))
+    phys_sq += grid.delta * grid.epsilon * hu * float(np.sum(
+        cells(field.vertex, grid.h_vertex) * np.sqrt(g) * np.abs(field.vertex) ** 2))
 
     flat_sq = 0.0
     for e in (mapped.edge1, mapped.edge2):
-        flat_sq += hu * float(np.sum(_edge_cells(e)[:, None] * np.abs(e) ** 2))
-    flat_sq += grid.epsilon * hu * float(
-        np.sum(_vertex_cells(mapped.vertex)[:, None] * np.abs(mapped.vertex) ** 2))
+        flat_sq += hu * float(np.sum(cells(e, grid.h_edge) * np.abs(e) ** 2))
+    flat_sq += grid.epsilon * hu * float(np.sum(
+        cells(mapped.vertex, grid.h_vertex) * np.abs(mapped.vertex) ** 2))
 
     return {
         "round_trip": round_trip,

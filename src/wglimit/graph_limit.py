@@ -20,9 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import KirchhoffProjector
-from .kernels import HalfLineResolvent, boundary_derivative, half_line_apply, half_line_apply_grid
-from .residual import ApproxSolution, chi_mode
+from .coupling import KirchhoffProjector, kirchhoff_projector
+from .kernels import (
+    HalfLineResolvent,
+    boundary_derivatives,
+    half_line_apply,
+    half_line_apply_grid,
+)
+from .residual import ApproxSolution
+from .vertex_spectrum import CaseLabel
 
 __all__ = [
     "GraphResolvent",
@@ -34,8 +40,8 @@ __all__ = [
     "graph_q",
     "kirchhoff_resolvent",
     "limit_comparison",
+    "limit_resolvent",
     "pi_theta_projector",
-    "transverse_projection",
 ]
 
 
@@ -68,15 +74,19 @@ def kirchhoff_resolvent(z: complex, projector: KirchhoffProjector) -> GraphResol
     return GraphResolvent("kirchhoff", complex(z), projector)
 
 
+def limit_resolvent(case: CaseLabel, z: complex) -> GraphResolvent:
+    """The limit operator's resolvent for a case: weighted Kirchhoff or decoupled."""
+    if case.resonant:
+        return kirchhoff_resolvent(z, kirchhoff_projector(case.alpha1, case.alpha2))
+    return decoupled_resolvent(z)
+
+
 def graph_q(res: GraphResolvent, f1, f2) -> np.ndarray:
     """Outgoing amplitudes of the graph resolvent: 0 or (i/sqrt(z)) P0 p."""
     if res.kind == "decoupled":
         return np.zeros(2, dtype=complex)
     r0 = HalfLineResolvent(res.z)
-    p = np.array([
-        0.0 if f1 is None else boundary_derivative(r0, f1),
-        0.0 if f2 is None else boundary_derivative(r0, f2),
-    ], dtype=complex)
+    p = boundary_derivatives(r0, f1, f2)
     return (1j / r0.sqrt_z) * (res.projector.lambda0 @ p)
 
 
@@ -167,14 +177,3 @@ def pi_theta_projector(alphas) -> np.ndarray:
         raise ValueError("weight vector must be nonzero")
     n = a.size
     return np.eye(n, dtype=complex) - np.outer(a, np.conj(a)) / nsq
-
-
-def transverse_projection(values: np.ndarray, u_nodes: np.ndarray, n: int,
-                          h_u: float) -> np.ndarray:
-    """(chi_n, psi)_{L2(0,1)} per s-line for a field sampled on interior u nodes.
-
-    With uniform interior nodes and Dirichlet walls this midpoint sum is
-    exactly the discrete-sine expansion coefficient.
-    """
-    chi = chi_mode(n, u_nodes)
-    return h_u * (values @ chi)

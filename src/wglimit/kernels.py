@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 from scipy.special import roots_legendre
 
 from .profile import CurvatureProfile
@@ -50,15 +49,13 @@ __all__ = [
     "KernelError",
     "NearEigenvalueError",
     "QuadratureError",
-    "TabulatedFunction",
     "VertexKernel",
     "boundary_derivative",
+    "boundary_derivatives",
     "half_line_apply",
     "half_line_apply_grid",
-    "kernel_s_derivative",
     "neumann_free_kernel",
     "sqrt_upper",
-    "vertex_kernel",
     "vertex_kernel_at",
 ]
 
@@ -191,14 +188,6 @@ def vertex_kernel_at(profile: CurvatureProfile, z: complex,
     return VertexKernel(profile, complex(z), shoot(profile, z), mode, n_terms)
 
 
-def vertex_kernel(kernel: VertexKernel, s: float, sp: float) -> complex:
-    return kernel.value(s, sp)
-
-
-def kernel_s_derivative(kernel: VertexKernel, s: float, endpoint: int) -> complex:
-    return kernel.s_derivative(s, endpoint)
-
-
 # ----------------------------------------------------------------------
 # Edge data records
 # ----------------------------------------------------------------------
@@ -259,25 +248,6 @@ class Indicator:
 
     def effective_cutoff(self) -> float:
         return self.hi
-
-
-class TabulatedFunction:
-    """Cubic-spline samples with a declared cutoff beyond which f = 0."""
-
-    def __init__(self, nodes, values, cutoff: float):
-        nodes = np.asarray(nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
-        self.cutoff = float(cutoff)
-        self._spline = CubicSpline(nodes, values, extrapolate=False)
-
-    def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.nan_to_num(self._spline(np.clip(s, None, self.cutoff)), nan=0.0)
-        out = np.where(s > self.cutoff, 0.0, out)
-        return float(out) if out.ndim == 0 else out
-
-    def effective_cutoff(self) -> float:
-        return self.cutoff
 
 
 def _cutoff_of(f) -> float:
@@ -345,6 +315,12 @@ def boundary_derivative(res: HalfLineResolvent, f) -> complex:
     cut = getattr(f, "cutoff", None)
     upper = float(cut) if cut is not None else np.inf
     return _complex_quad(lambda t: np.exp(1j * k * t) * f(t), 0.0, upper)
+
+
+def boundary_derivatives(res: HalfLineResolvent, f1, f2) -> np.ndarray:
+    """The data vector p = (p1, p2); an edge without data contributes 0."""
+    return np.array([0.0 if f is None else boundary_derivative(res, f)
+                     for f in (f1, f2)], dtype=complex)
 
 
 def _panel_grid(cutoff: float, k_abs: float, breakpoints=()):

@@ -103,13 +103,6 @@ class CurvatureProfile:
         """Peak of |gamma|; the bump attains |amplitude| at s = 0."""
         return abs(self.amplitude)
 
-    @property
-    def max_ratio(self) -> float:
-        """Largest aspect ratio rho = delta/eps with 1 + u*rho*gamma > 0."""
-        if self.sup_gamma < 1.0:
-            return 1.0
-        return 1.0 / self.sup_gamma
-
     def gamma(self, s, order: int = 0):
         """gamma and its first two derivatives, vectorised over s."""
         if order not in (0, 1, 2):

@@ -27,19 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad, simpson
-from scipy.special import roots_legendre
 
 from .coupling import CouplingCoefficients, solve_coupling_from_kernel
 from .kernels import (
     HalfLineResolvent,
     VertexKernel,
-    boundary_derivative,
+    boundary_derivatives,
     half_line_apply,
     half_line_apply_grid,
     vertex_kernel_at,
 )
 from .profile import CurvatureProfile, geometry_residual_fields
-from .vertex_spectrum import VertexSpectrum, classify_case, spectrum_for_case
+from .vertex_spectrum import CaseLabel, VertexSpectrum, _panel_nodes, spectrum_for_case
 
 __all__ = [
     "ApproxSolution",
@@ -140,23 +139,34 @@ class ApproxSolution:
 
 
 def assemble(profile: CurvatureProfile, n: int, z: complex, epsilon: float,
-             delta: float, f1, f2, zero_tolerance: float = 1e-9) -> ApproxSolution:
-    """Build the trial field for edge data (f1 chi_n, f2 chi_n, 0)."""
+             delta: float, f1, f2, zero_tolerance: float = 1e-9, *,
+             p: np.ndarray | None = None,
+             case: CaseLabel | None = None) -> ApproxSolution:
+    """Build the trial field for edge data (f1 chi_n, f2 chi_n, 0); p and
+    case, which do not depend on epsilon, are computed unless given."""
     if not 0.0 < delta <= epsilon <= 1.0:
         raise ValueError(f"need 0 < delta <= epsilon <= 1, got {delta}, {epsilon}")
     if n < 1:
         raise ValueError("transverse index n must be >= 1")
     res0 = HalfLineResolvent(complex(z))
-    p = np.array([
-        0.0 if f1 is None else boundary_derivative(res0, f1),
-        0.0 if f2 is None else boundary_derivative(res0, f2),
-    ], dtype=complex)
-    spec = spectrum_for_case(profile, zero_tolerance)
-    case = classify_case(spec)
+    if p is None:
+        p = boundary_derivatives(res0, f1, f2)
+    if case is None:
+        case = spectrum_for_case(profile, zero_tolerance).case
     kernel = vertex_kernel_at(profile, epsilon**2 * z)
     coeffs = solve_coupling_from_kernel(kernel, z, epsilon, p, case)
     return ApproxSolution(profile, n, complex(z), float(epsilon), float(delta),
                           f1, f2, coeffs, kernel, res0)
+
+
+def _bulk(sol: ApproxSolution, fields: dict, phi, dphi):
+    """The residual divided by chi_n(u), from the geometry fields and phi."""
+    w = sol.epsilon**2 * sol.z
+    return (
+        fields["inv_g_minus_1"] * (0.25 * fields["gamma_sq"] + w) * phi
+        + fields["w_plus_quarter_gamma_sq"] * phi
+        - fields["ds_inv_g"] * dphi
+    )
 
 
 def residual_field(sol: ApproxSolution, s, u):
@@ -164,25 +174,7 @@ def residual_field(sol: ApproxSolution, s, u):
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
     fields = geometry_residual_fields(sol.profile, s, u, sol.ratio)
-    phi = sol.phi(s)
-    dphi = sol.phi_prime(s)
-    w = sol.epsilon**2 * sol.z
-    bulk = (
-        fields["inv_g_minus_1"] * (0.25 * fields["gamma_sq"] + w) * phi
-        + fields["w_plus_quarter_gamma_sq"] * phi
-        - fields["ds_inv_g"] * dphi
-    )
-    return bulk * chi_mode(sol.n, u)
-
-
-def _panel_nodes(a: float, b: float, panels: int, order: int):
-    nodes, weights = roots_legendre(order)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    wts = (half[:, None] * weights[None, :]).ravel()
-    return pts, wts
+    return _bulk(sol, fields, sol.phi(s), sol.phi_prime(s)) * chi_mode(sol.n, u)
 
 
 def _star_data(sol: ApproxSolution) -> tuple:
@@ -221,14 +213,7 @@ def residual_norms(sol: ApproxSolution, quadrature_order: int = 8,
 
     fields = geometry_residual_fields(sol.profile, s_pts[:, None], u_pts[None, :],
                                       sol.ratio)
-    phi = sol.phi(s_pts)[:, None]
-    dphi = sol.phi_prime(s_pts)[:, None]
-    w = sol.epsilon**2 * sol.z
-    bulk = (
-        fields["inv_g_minus_1"] * (0.25 * fields["gamma_sq"] + w) * phi
-        + fields["w_plus_quarter_gamma_sq"] * phi
-        - fields["ds_inv_g"] * dphi
-    )
+    bulk = _bulk(sol, fields, sol.phi(s_pts)[:, None], sol.phi_prime(s_pts)[:, None])
     chi_sq = chi_mode(sol.n, u_pts) ** 2
     integrand = (np.abs(bulk) ** 2) * chi_sq[None, :]
     l2_sq = float(np.einsum("i,ij,j->", s_wts, integrand, u_wts))

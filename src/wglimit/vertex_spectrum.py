@@ -145,6 +145,17 @@ def _free_mode_values(s: np.ndarray, n_basis: int) -> np.ndarray:
     return out
 
 
+def _panel_nodes(a: float, b: float, panels: int, order: int):
+    """Composite Gauss-Legendre nodes and weights on [a, b]."""
+    nodes, weights = roots_legendre(order)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    wts = (half[:, None] * weights[None, :]).ravel()
+    return pts, wts
+
+
 @lru_cache(maxsize=8)
 def _galerkin_eigenpairs(profile: CurvatureProfile, n_modes: int):
     """Lowest ``n_modes`` eigenpairs of the vertex Hamiltonian in the cosine basis.
@@ -154,13 +165,7 @@ def _galerkin_eigenpairs(profile: CurvatureProfile, n_modes: int):
     and the free Neumann eigenvalues mu of that basis.
     """
     n_basis = n_modes + 60
-    nodes, weights = roots_legendre(10)
-    n_panels = 200
-    edges = np.linspace(-1.0, 1.0, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    wts = (half[:, None] * weights[None, :]).ravel()
+    pts, wts = _panel_nodes(-1.0, 1.0, 200, 10)
     basis = _free_mode_values(pts, n_basis)
     v = -0.25 * profile.gamma(pts) ** 2
     ham = basis.T @ (basis * (wts * v)[:, None])
@@ -245,6 +250,16 @@ class EigenFunction:
 
 
 @dataclass(frozen=True)
+class CaseLabel:
+    """Generic (decoupling) vs resonant (weighted Kirchhoff) label."""
+
+    resonant: bool
+    n_star: int | None = None  # 1-based index of the zero eigenvalue
+    alpha1: float | None = None
+    alpha2: float | None = None
+
+
+@dataclass(frozen=True)
 class VertexSpectrum:
     """Eigenvalues, eigenfunctions and the resonance classification."""
 
@@ -252,22 +267,20 @@ class VertexSpectrum:
     eigenvalues: np.ndarray
     functions: tuple[EigenFunction, ...]
     zero_tolerance: float
-    n_star: int | None  # 1-based index of the zero eigenvalue, if any
-    alpha1: float | None
-    alpha2: float | None
+    case: CaseLabel
 
     @property
     def resonant(self) -> bool:
-        return self.n_star is not None
+        return self.case.resonant
 
     def eigenfunction(self, n: int) -> EigenFunction:
         return self.functions[n - 1]
 
     @property
     def star_function(self) -> EigenFunction:
-        if self.n_star is None:
+        if not self.case.resonant:
             raise SpectrumError("generic spectrum has no zero-mode")
-        return self.functions[self.n_star - 1]
+        return self.functions[self.case.n_star - 1]
 
 
 def _build_eigenfunction(profile: CurvatureProfile, n: int, lam: float) -> EigenFunction:
@@ -301,38 +314,17 @@ def _eigenvalues_cached(profile: CurvatureProfile, count: int,
     lams = np.array([_polish(profile, galerkin, n) for n in range(count)])
     lams.setflags(write=False)
     funcs = tuple(_build_eigenfunction(profile, n + 1, lams[n]) for n in range(count))
-    n_star = None
-    alpha1 = alpha2 = None
+    # Strict threshold: resonant only if the smallest |lambda| is within tolerance.
     k = int(np.argmin(np.abs(lams)))
+    case = CaseLabel(False)
     if abs(lams[k]) <= zero_tolerance:
-        n_star = k + 1
-        alpha1 = funcs[k].at_minus1
-        alpha2 = funcs[k].at_plus1
-    return VertexSpectrum(profile, lams, funcs, zero_tolerance, n_star, alpha1, alpha2)
-
-
-@dataclass(frozen=True)
-class CaseLabel:
-    """Generic (decoupling) vs resonant (weighted Kirchhoff) label."""
-
-    resonant: bool
-    n_star: int | None = None
-    alpha1: float | None = None
-    alpha2: float | None = None
-
-    @property
-    def name(self) -> str:
-        return "case2" if self.resonant else "case1"
+        case = CaseLabel(True, k + 1, funcs[k].at_minus1, funcs[k].at_plus1)
+    return VertexSpectrum(profile, lams, funcs, zero_tolerance, case)
 
 
 def classify_case(spectrum: VertexSpectrum) -> CaseLabel:
-    """Strict-threshold classification from a computed spectrum."""
-    lams = spectrum.eigenvalues
-    k = int(np.argmin(np.abs(lams)))
-    if abs(lams[k]) <= spectrum.zero_tolerance:
-        f = spectrum.functions[k]
-        return CaseLabel(True, k + 1, f.at_minus1, f.at_plus1)
-    return CaseLabel(False)
+    """The classification stored on a computed spectrum."""
+    return spectrum.case
 
 
 def _count_for_classification(profile: CurvatureProfile) -> int:
@@ -347,8 +339,7 @@ def _count_for_classification(profile: CurvatureProfile) -> int:
 def classify(profile: CurvatureProfile,
              zero_tolerance: float = DEFAULT_ZERO_TOLERANCE) -> CaseLabel:
     """Classification with an automatically sufficient eigenvalue count."""
-    spec = eigenvalues(profile, _count_for_classification(profile), zero_tolerance)
-    return classify_case(spec)
+    return spectrum_for_case(profile, zero_tolerance).case
 
 
 def spectrum_for_case(profile: CurvatureProfile,

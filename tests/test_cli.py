@@ -96,6 +96,24 @@ class TestSweepCommands:
     def test_non_finite_exit_code(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["coupling", "--profile", "zero", "--z", "4,0"],
+        ["coupling", "--profile", "zero", "--z", "0,0"],
+        ["graph-limit", "--profile", "zero", "--z", "4,0"],
+        ["oracle-compare", "--profile", "zero", "--z", "4,0"],
+    ])
+    def test_z_on_edge_spectrum_exit_code(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_real_p_accepted(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert main(["coupling", "--profile", "zero", "--eps-grid", "2^-6..2^-9",
+                     "--p1", "4,0", "--p2", "0,0", "--out", str(out)]) == 0
+
+    def test_no_case_flag(self, tmp_path):
+        assert main(["coupling", "--case", "auto",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+
     def test_run_from_config(self, tmp_path):
         cfg = {
             "profile": {"kind": "zero", "amplitude": 0.0},

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from wglimit import (
     SingularSystemError,
     asymptotic_deviation,
-    build_lambda_eps,
     kirchhoff_projector,
     resonant_projector,
     solve_coupling,
@@ -35,7 +34,7 @@ class TestLambdaEps:
     def test_zero_profile_closed_corners(self, zero_profile):
         eps = 0.05
         w = eps**2 * Z
-        lam = build_lambda_eps(vertex_kernel_at(zero_profile, w))
+        lam = vertex_kernel_at(zero_profile, w).corners()
         sq = cmath.sqrt(w)
         diag = -cmath.cos(2 * sq) / (sq * cmath.sin(2 * sq))
         off = -1.0 / (sq * cmath.sin(2 * sq))
@@ -43,13 +42,13 @@ class TestLambdaEps:
         assert np.max(np.abs(lam - expect)) < 1e-8 * abs(diag)
 
     def test_symmetry(self, bump05):
-        lam = build_lambda_eps(vertex_kernel_at(bump05, 0.04j))
+        lam = vertex_kernel_at(bump05, 0.04j).corners()
         assert abs(lam[0, 1] - lam[1, 0]) < 1e-9
 
     def test_series_corners_agree(self, bump05):
         w = 0.04j
-        lam_w = build_lambda_eps(vertex_kernel_at(bump05, w))
-        lam_s = build_lambda_eps(vertex_kernel_at(bump05, w, mode="series"))
+        lam_w = vertex_kernel_at(bump05, w).corners()
+        lam_s = vertex_kernel_at(bump05, w, mode="series").corners()
         assert np.max(np.abs(lam_w - lam_s)) < 1e-6
 
 
@@ -165,7 +164,7 @@ class TestAsymptoticDeviation:
         coefs = []
         for e in eps:
             kernel = vertex_kernel_at(zero_profile, e**2 * Z)
-            lam = build_lambda_eps(kernel)
+            lam = kernel.corners()
             m = np.linalg.solve(np.eye(2) - 1j * e * SQ * lam, e * lam)
             coefs.append((m - 1j * proj.lambda0 / SQ) / e)
         fitted = np.mean(coefs[-3:], axis=0)
@@ -182,8 +181,8 @@ class TestAsymptoticDeviation:
         from wglimit.vertex_spectrum import spectrum_for_case
 
         spec = spectrum_for_case(zero_profile)
-        p1 = kirchhoff_projector(spec.alpha1, spec.alpha2)
-        p2 = kirchhoff_projector(-spec.alpha1, -spec.alpha2)
+        p1 = kirchhoff_projector(spec.case.alpha1, spec.case.alpha2)
+        p2 = kirchhoff_projector(-spec.case.alpha1, -spec.case.alpha2)
         assert np.max(np.abs(p1.lambda0 - p2.lambda0)) < 1e-15
 
 

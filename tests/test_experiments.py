@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import wglimit.experiments as experiments
 from wglimit import CurvatureProfile, ExperimentConfig, fit_slope, run_sweep
 from wglimit.experiments import (
     ConfigError,
@@ -12,6 +13,7 @@ from wglimit.experiments import (
     default_eps_grid,
     delta_for,
     edge_function_from_spec,
+    oracle_report,
 )
 
 ZERO = CurvatureProfile.zero()
@@ -79,6 +81,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(profile=ZERO, **{field: value}).validate()
 
+    @pytest.mark.parametrize("z", [4.0 + 0j, 0j, complex(4.0, -0.0)])
+    def test_z_on_edge_spectrum_rejected(self, z):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(profile=ZERO, z=z).validate()
+        with pytest.raises(ConfigError):
+            oracle_report(ZERO, z, 0.25, 0.25**3, edge_function_from_spec(
+                {"type": "gaussian"}), None)
+
+    def test_z_off_edge_spectrum_accepted(self):
+        for z in (-1.0 + 0j, 4.0 + 1e-3j, 4.0 - 1e-3j):
+            ExperimentConfig(profile=ZERO, z=z).validate()
+
     def test_non_finite_json_rejected(self):
         d = ExperimentConfig(profile=ZERO).to_json_dict()
         d["eps_grid"][1] = float("nan")
@@ -98,6 +112,13 @@ class TestConfig:
         back = ExperimentConfig.from_json_dict(
             json.loads(json.dumps(cfg.to_json_dict())))
         assert back == cfg
+
+    def test_old_config_with_seed_loads(self):
+        cfg = ExperimentConfig(profile=ZERO, eps_grid=default_eps_grid(6, 10))
+        d = cfg.to_json_dict()
+        assert "seed" not in d
+        d["seed"] = 7
+        assert ExperimentConfig.from_json_dict(json.loads(json.dumps(d))) == cfg
 
     def test_edge_function_specs(self):
         assert edge_function_from_spec(None) is None
@@ -161,15 +182,35 @@ class TestRunSweep:
         assert "comparison_norm" in payload["slopes"]
         assert len(payload["rows"]) == 6
 
-    def test_worker_pool_matches_serial(self, monkeypatch):
-        cfg = ExperimentConfig(profile=ZERO, metric="coupling", z=1j,
-                               eps_grid=default_eps_grid(6, 10),
-                               window_policy="drop:0")
-        serial = run_sweep(cfg)
-        monkeypatch.setenv("WGL_THREADS", "2")
-        pooled = run_sweep(cfg)
-        assert pooled.rows == serial.rows
-        assert pooled.slopes["dev_q"].slope == serial.slopes["dev_q"].slope
+    def test_worker_pool_matches_serial(self, monkeypatch, tuned2):
+        # both profiles are resonant, so the workers receive the projector
+        # in the pickled sweep context
+        for profile in (ZERO, tuned2):
+            cfg = ExperimentConfig(profile=profile, metric="coupling", z=1j,
+                                   eps_grid=default_eps_grid(6, 10),
+                                   window_policy="drop:0")
+            monkeypatch.delenv("WGL_THREADS", raising=False)
+            serial = run_sweep(cfg)
+            monkeypatch.setenv("WGL_THREADS", "2")
+            pooled = run_sweep(cfg)
+            assert pooled.rows == serial.rows
+            assert pooled.slopes["dev_q"].slope == serial.slopes["dev_q"].slope
+            assert "dev_xi_naive" in pooled.rows[0]
+
+    def test_resonant_projector_once_per_sweep(self, monkeypatch, tuned2):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return projector(*args, **kwargs)
+
+        projector = experiments.resonant_projector
+        monkeypatch.setattr(experiments, "resonant_projector", counted)
+        cfg = ExperimentConfig(profile=tuned2, metric="coupling", z=1j,
+                               eps_grid=default_eps_grid(6, 12))
+        result = run_sweep(cfg)
+        assert len(result.rows) == 7 and not result.failures
+        assert len(calls) == 1
 
     def test_bad_threads_env(self, monkeypatch):
         monkeypatch.setenv("WGL_THREADS", "many")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from wglimit import (
+    CurvatureProfile,
     GaussianPulse,
     WaveguideGrid,
     assemble,
@@ -12,12 +13,13 @@ from wglimit import (
     unitary_map_check,
 )
 from wglimit.fd_oracle import (
+    FDSolution,
     OracleError,
     WaveguideField,
-    assemble_operator,
+    _assemble,
     suggest_edge_length,
 )
-from wglimit.residual import data_norm
+from wglimit.residual import chi_mode, data_norm
 
 Z4 = 4j  # faster decay -> short truncated edges for module-level tests
 F_G = GaussianPulse(center=2.0, width=0.4)
@@ -93,7 +95,7 @@ class TestFDResolvent:
             fd_resolvent(grid, bump05, 1, Z4, F_G, None)
 
     def test_scaled_operator_symmetry(self, bump05):
-        a = assemble_operator(small_grid(), bump05, 1, Z4)
+        a = _assemble(small_grid(), bump05, 1, Z4, None, None, "discrete")[0]
         assert abs(a - a.T).max() <= 1e-12
 
     def test_resolvent_bound(self, bump05):
@@ -184,3 +186,36 @@ class TestUnitaryMap:
         )
         out = unitary_map_check(grid, bump05, zeros)
         assert out["round_trip"] == 0.0 and out["norm_defect"] == 0.0
+
+
+def hand_solution(grid: WaveguideGrid, edge1, edge2, n: int) -> FDSolution:
+    """An FDSolution wrapping given edge fields (zero vertex field)."""
+    vertex = np.zeros((grid.n_vertex + 1, grid.n_u))
+    field = WaveguideField(grid, edge1, edge2, vertex)
+    return FDSolution(grid, CurvatureProfile.zero(), n, 1j, field, 0.0, "discrete")
+
+
+class TestEdgeProjection:
+    def test_adjoint(self):
+        # ((g1,g2), P psi)_G == (P* (g1,g2), psi) with shared quadrature
+        grid = WaveguideGrid(1.0, 1.0, 5.0, 0.05, 0.05, 1.0 / 64)
+        h_u, u, s = grid.h_u, grid.u_nodes, grid.edge_s
+        n = 2
+        psi = [np.outer(np.exp(-s) * np.cos(3 * s), np.sin(np.pi * u))
+               + 0.5 * np.outer(np.exp(-0.5 * s), np.sin(2 * np.pi * u))
+               for _ in range(2)]
+        g = [np.exp(-s), np.cos(s) * np.exp(-s)]
+        sol = hand_solution(grid, psi[0], psi[1], n)
+        lhs = sum(np.trapezoid(g[j] * sol.edge_projection(j + 1), s) for j in range(2))
+        chi = chi_mode(n, u)
+        rhs = sum(np.trapezoid((g[j][:, None] * chi[None, :] * psi[j]).sum(axis=1) * h_u, s)
+                  for j in range(2))
+        assert lhs == pytest.approx(rhs, abs=1e-8)
+
+    def test_discrete_orthonormality(self):
+        grid = WaveguideGrid(1.0, 1.0, 2.0, 1.0, 1.0, 1.0 / 32)
+        field = np.outer(np.ones(3), chi_mode(2, grid.u_nodes))
+        sol = hand_solution(grid, field, field, 2)
+        assert np.allclose(sol.edge_projection(1), 1.0, atol=1e-12)
+        assert np.allclose(sol.edge_projection(2), 1.0, atol=1e-12)
+        assert np.allclose(sol.edge_projection(1, n=1), 0.0, atol=1e-12)

@@ -17,9 +17,9 @@ from wglimit import (
 from wglimit.graph_limit import (
     KindMismatchError,
     apply_resolvent_grid,
-    transverse_projection,
+    limit_resolvent,
 )
-from wglimit.residual import chi_mode
+from wglimit.vertex_spectrum import CaseLabel, classify
 
 from conftest import log_slope
 
@@ -181,28 +181,13 @@ class TestProjections:
         with pytest.raises(ValueError):
             pi_theta_projector(np.zeros(2))
 
-    def test_transverse_projection_adjoint(self, rng):
-        # ((g1,g2), P psi)_G == (P* (g1,g2), psi) with shared quadrature
-        m = 63
-        h_u = 1.0 / (m + 1)
-        u = (np.arange(m) + 1) * h_u
-        s = np.linspace(0.0, 5.0, 101)
-        n = 2
-        psi = [np.outer(np.exp(-s) * np.cos(3 * s), np.sin(np.pi * u))
-               + 0.5 * np.outer(np.exp(-0.5 * s), np.sin(2 * np.pi * u))
-               for _ in range(2)]
-        g = [np.exp(-s), np.cos(s) * np.exp(-s)]
-        lhs = sum(np.trapezoid(g[j] * transverse_projection(psi[j], u, n, h_u), s)
-                  for j in range(2))
-        chi = chi_mode(n, u)
-        rhs = sum(np.trapezoid((g[j][:, None] * chi[None, :] * psi[j]).sum(axis=1) * h_u, s)
-                  for j in range(2))
-        assert lhs == pytest.approx(rhs, abs=1e-8)
 
-    def test_transverse_projection_discrete_orthonormality(self):
-        m = 31
-        h_u = 1.0 / (m + 1)
-        u = (np.arange(m) + 1) * h_u
-        field = np.outer(np.ones(3), chi_mode(2, u))
-        assert np.allclose(transverse_projection(field, u, 2, h_u), 1.0, atol=1e-12)
-        assert np.allclose(transverse_projection(field, u, 1, h_u), 0.0, atol=1e-12)
+class TestLimitResolvent:
+    def test_generic_case_decouples(self):
+        res = limit_resolvent(CaseLabel(False), Z)
+        assert res.kind == "decoupled" and res.projector is None
+
+    def test_resonant_case_uses_weights(self, zero_profile):
+        res = limit_resolvent(classify(zero_profile), Z)
+        assert res.kind == "kirchhoff" and res.z == Z
+        assert np.allclose(res.projector.lambda0, SYM.lambda0, atol=1e-9)

@@ -19,7 +19,7 @@ from wglimit import (
 )
 from wglimit.kernels import (
     KernelError,
-    TabulatedFunction,
+    boundary_derivatives,
     half_line_apply_grid,
     sqrt_upper,
 )
@@ -177,7 +177,7 @@ class TestKernelDerivative:
         ystar = spec.star_function
         grid = np.linspace(-1, 1, 2001)
         dstar = ystar.derivative(grid)
-        for endpoint, alpha in ((-1, spec.alpha1), (1, spec.alpha2)):
+        for endpoint, alpha in ((-1, spec.case.alpha1), (1, spec.case.alpha2)):
             norms = []
             for k in range(3, 8):
                 w = (2.0**-k) ** 2 * 1j
@@ -226,19 +226,17 @@ class TestHalfLine:
         for sv, gv in zip(s, grid_vals):
             assert abs(gv - half_line_apply(res, f, float(sv))) < 1e-9
 
-    def test_tabulated_function(self):
-        nodes = np.linspace(0, 5, 201)
-        tab = TabulatedFunction(nodes, np.exp(-nodes), cutoff=5.0)
-        assert tab(6.0) == 0.0
-        res = HalfLineResolvent(1j)
-        exact = half_line_apply(res, ExpDecay(cutoff=5.0), 1.0)
-        assert abs(half_line_apply(res, tab, 1.0) - exact) < 1e-6
-
 
 class TestBoundaryDerivative:
     def test_zero_data(self):
         res = HalfLineResolvent(1j)
         assert boundary_derivative(res, Indicator(0.0, 0.0)) == pytest.approx(0.0)
+
+    def test_data_vector(self):
+        res = HalfLineResolvent(1j)
+        p = boundary_derivatives(res, None, ExpDecay())
+        assert p.dtype == complex
+        assert p[0] == 0.0 and p[1] == boundary_derivative(res, ExpDecay())
 
     def test_exp_closed_form(self):
         # p = int exp(i sqrt(i) s) exp(-s) ds = 1/(1 - i e^{i pi/4});

@@ -11,9 +11,7 @@ from wglimit import CurvatureProfile, classify_case, eigenvalues, shoot
 from wglimit.cli import main
 from wglimit.profile import _amplitude_slope
 from wglimit.vertex_spectrum import (
-    CaseLabel,
     SpectrumError,
-    VertexSpectrum,
     _galerkin_eigenpairs,
     _polish,
     eigenvalue_by_index,
@@ -78,9 +76,9 @@ class TestEigenvalues:
     def test_neumann_spectrum(self, zero_profile):
         spec = eigenvalues(zero_profile, 4, 1e-9)
         assert np.max(np.abs(spec.eigenvalues - NEUMANN)) < 1e-9
-        assert spec.resonant and spec.n_star == 1
-        assert spec.alpha1 == pytest.approx(1 / np.sqrt(2), abs=1e-9)
-        assert spec.alpha2 == pytest.approx(1 / np.sqrt(2), abs=1e-9)
+        assert spec.resonant and spec.case.n_star == 1
+        assert spec.case.alpha1 == pytest.approx(1 / np.sqrt(2), abs=1e-9)
+        assert spec.case.alpha2 == pytest.approx(1 / np.sqrt(2), abs=1e-9)
         grid = np.linspace(-1, 1, 17)
         assert np.allclose(spec.star_function.value(grid), 1 / np.sqrt(2), atol=1e-9)
 
@@ -164,28 +162,19 @@ class TestClassifyCase:
         case = classify_case(eigenvalues(bump05, 4, 1e-9))
         assert not case.resonant
 
-    def test_strict_threshold(self, zero_profile):
-        # |lambda| exactly twice the tolerance stays generic
-        base = eigenvalues(zero_profile, 2, 1e-9)
-        tol = 1e-9
-        synthetic = VertexSpectrum(
-            profile=zero_profile,
-            eigenvalues=np.array([2 * tol, base.eigenvalues[1]]),
-            functions=base.functions,
-            zero_tolerance=tol,
-            n_star=None, alpha1=None, alpha2=None,
-        )
-        assert not classify_case(synthetic).resonant
+    def test_strict_threshold(self, bump05):
+        # resonant exactly when the smallest |lambda| is within the tolerance
+        lam = float(np.min(np.abs(eigenvalues(bump05, 2, 1e-9).eigenvalues)))
+        assert not classify_case(eigenvalues(bump05, 2, 0.5 * lam)).resonant
+        case = classify_case(eigenvalues(bump05, 2, 2.0 * lam))
+        assert case.resonant and case.n_star == 1
 
     def test_tuned_case2(self, tuned2):
         spec = eigenvalues(tuned2, 4, 1e-9)
         case = classify_case(spec)
         assert case.resonant and case.n_star == 2
         assert case.alpha1 * case.alpha2 < 0
-
-    def test_label_name(self):
-        assert CaseLabel(False).name == "case1"
-        assert CaseLabel(True, 1, 1.0, 1.0).name == "case2"
+        assert spec.case is case
 
 
 def sign_changes(values: np.ndarray) -> int:

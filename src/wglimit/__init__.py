@@ -9,7 +9,6 @@ from .profile import (
     GeometryAt,
     ProfileError,
     check_potential_identity,
-    eval_gamma,
     eval_geometry,
     tune_to_resonance,
 )

@@ -30,10 +30,10 @@ from .experiments import (
     oracle_report,
     run_sweep,
 )
-from .fd_oracle import OracleError
-from .kernels import KernelError, NearEigenvalueError, vertex_kernel_at
+from .fd_oracle import H_S, H_U, OracleError
+from .kernels import SERIES_DEFAULT_TERMS, KernelError, NearEigenvalueError, vertex_kernel_at
 from .profile import CurvatureProfile, ProfileError, tune_to_resonance
-from .vertex_spectrum import IntegrationError, SpectrumError, eigenvalues
+from .vertex_spectrum import DEFAULT_ZERO_TOLERANCE, IntegrationError, SpectrumError, eigenvalues
 
 VALIDATION_ERRORS = (ConfigError, ProfileError, FitError, ValueError)
 NUMERICAL_ERRORS = (NearEigenvalueError, SingularSystemError, IntegrationError,
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("spectrum", help="vertex eigenvalues to CSV")
     sp.add_argument("--profile", default="zero")
     sp.add_argument("--count", type=int, default=6)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=float, default=DEFAULT_ZERO_TOLERANCE)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_spectrum)
 
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     kp.add_argument("--z", default="0,1")
     kp.add_argument("--grid", type=int, default=21)
     kp.add_argument("--mode", default="wronskian", choices=["wronskian", "series"])
-    kp.add_argument("--n-terms", type=int, default=200)
+    kp.add_argument("--n-terms", type=int, default=SERIES_DEFAULT_TERMS)
     kp.add_argument("--out", required=True)
     kp.set_defaults(func=_cmd_kernel)
 
@@ -247,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--epsilon", type=float, default=0.3)
     op.add_argument("--delta", type=float, default=None)
     op.add_argument("--delta-power", type=float, default=3.0)
-    op.add_argument("--h-u", type=float, default=1.0 / 32)
-    op.add_argument("--h-s", type=float, default=1.0 / 64)
+    op.add_argument("--h-u", type=float, default=H_U)
+    op.add_argument("--h-s", type=float, default=H_S,
+                    help="one s-step for both edges and the vertex strip")
     op.add_argument("--n", type=int, default=1)
     op.add_argument("--f1", default="gaussian:3,0.5")
     op.add_argument("--f2", default="none")

@@ -24,14 +24,13 @@ first-order term so the remainder is genuinely second order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import VertexKernel, sqrt_upper, vertex_kernel_at
 from .profile import CurvatureProfile
-from .vertex_spectrum import CaseLabel, classify
+from .vertex_spectrum import DEFAULT_ZERO_TOLERANCE, CaseLabel, classify
 
 __all__ = [
     "CouplingCoefficients",
@@ -44,23 +43,15 @@ __all__ = [
     "resonant_projector",
     "solve_coupling",
     "solve_coupling_from_kernel",
-    "two_norm_2x2",
 ]
 
 DET_GUARD = 1e-12
+# Pole distance |w| of the Richardson pair in regular_corner_part.
+CORNER_W_SCALE = 1e-3
 
 
 class SingularSystemError(RuntimeError):
     """The 2x2 coupling system is numerically singular."""
-
-
-def two_norm_2x2(m: np.ndarray) -> float:
-    """Induced 2-norm from the explicit singular values of a 2x2 matrix."""
-    m = np.asarray(m)
-    fro2 = float(np.sum(np.abs(m) ** 2))
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    disc = max(fro2 * fro2 - 4.0 * abs(det) ** 2, 0.0)
-    return math.sqrt(0.5 * (fro2 + math.sqrt(disc)))
 
 
 @dataclass(frozen=True)
@@ -97,8 +88,7 @@ def kirchhoff_projector(alpha1: float, alpha2: float) -> KirchhoffProjector:
 
 
 def regular_corner_part(profile: CurvatureProfile, projector: KirchhoffProjector,
-                        z_direction: complex = 1j,
-                        w_scale: float = 1e-3) -> np.ndarray:
+                        z_direction: complex = 1j) -> np.ndarray:
     """Regular part R0 of the kernel corners at a resonance.
 
     The corner matrix behaves as -(a1^2+a2^2)/w * P0 + R0 + O(w) near
@@ -112,12 +102,12 @@ def regular_corner_part(profile: CurvatureProfile, projector: KirchhoffProjector
         k = vertex_kernel_at(profile, wv)
         return k.corners() + (c / wv) * projector.lambda0
 
-    w1 = w_scale * zhat
+    w1 = CORNER_W_SCALE * zhat
     return 2.0 * regular(w1) - regular(2.0 * w1)
 
 
 def resonant_projector(profile: CurvatureProfile, z: complex,
-                       zero_tolerance: float = 1e-9) -> KirchhoffProjector:
+                       zero_tolerance: float = DEFAULT_ZERO_TOLERANCE) -> KirchhoffProjector:
     """Kirchhoff projector of a resonant profile, with the perpendicular
     first-order correction attached."""
     case = classify(profile, zero_tolerance)
@@ -140,7 +130,6 @@ class CouplingCoefficients:
     p: np.ndarray
     q: np.ndarray
     xi: np.ndarray
-    lambda_eps: np.ndarray
     case: CaseLabel
     back_residual: float
 
@@ -170,11 +159,11 @@ def solve_coupling_from_kernel(kernel: VertexKernel, z: complex, epsilon: float,
     q = q + _solve_2x2(m, rhs - m @ q)
     xi = p + 1j * sq * q
     back = float(np.linalg.norm(m @ q - rhs))
-    return CouplingCoefficients(complex(z), float(epsilon), p, q, xi, lam, case, back)
+    return CouplingCoefficients(complex(z), float(epsilon), p, q, xi, case, back)
 
 
 def solve_coupling(profile: CurvatureProfile, z: complex, epsilon: float, p,
-                   zero_tolerance: float = 1e-9) -> CouplingCoefficients:
+                   zero_tolerance: float = DEFAULT_ZERO_TOLERANCE) -> CouplingCoefficients:
     """Boundary constants (q, xi) for data derivatives p at the vertex."""
     case = classify(profile, zero_tolerance)
     kernel = vertex_kernel_at(profile, epsilon**2 * z)

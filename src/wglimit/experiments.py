@@ -19,7 +19,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -32,7 +32,7 @@ from .coupling import (
     resonant_projector,
     solve_coupling_from_kernel,
 )
-from .fd_oracle import TRUNCATION_TOL, WaveguideGrid, fd_resolvent, trapezoid_weights
+from .fd_oracle import H_S, H_U, TRUNCATION_TOL, WaveguideGrid, fd_resolvent, trapezoid_weights
 from .graph_limit import (
     GraphResolvent,
     apply_resolvent_grid,
@@ -51,8 +51,10 @@ from .kernels import (
     vertex_kernel_at,
 )
 from .profile import CurvatureProfile, ProfileError
-from .residual import assemble, data_norm, residual_norms
-from .vertex_spectrum import CaseLabel, IntegrationError, SpectrumError, classify
+from .residual import (MIN_QUADRATURE_ORDER, QUADRATURE_ORDER, QUADRATURE_PANELS, assemble,
+                       data_norm, residual_norms)
+from .vertex_spectrum import (DEFAULT_ZERO_TOLERANCE, CaseLabel, IntegrationError,
+                              SpectrumError, classify)
 
 __all__ = [
     "ConfigError",
@@ -61,7 +63,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "SlopeFit",
     "SweepResult",
-    "default_eps_grid",
     "delta_for",
     "edge_function_from_spec",
     "fit_slope",
@@ -70,6 +71,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+MIN_FIT_POINTS = 4
+DEFAULT_EPS_GRID = tuple(2.0**-k for k in range(6, 15))  # 2^-6 .. 2^-14
 POINT_ERRORS = (NearEigenvalueError, SingularSystemError, IntegrationError,
                 SpectrumError, KernelError, ProfileError, OverflowError)
 
@@ -90,23 +93,33 @@ def _check_z(z: complex) -> None:
         raise ConfigError(f"z = {z} lies on [0, inf), the spectrum of the edges")
 
 
-def default_eps_grid(k_min: int = 6, k_max: int = 14) -> tuple[float, ...]:
-    return tuple(2.0**-k for k in range(k_min, k_max + 1))
-
-
 def edge_function_from_spec(spec: dict | None):
-    """Build an edge data record from its JSON descriptor."""
+    """Build an edge data record from its JSON descriptor, checking its values."""
     if spec is None:
         return None
     kind = spec.get("type")
     if kind == "exp":
-        return ExpDecay(rate=float(spec.get("rate", 1.0)))
-    if kind == "gaussian":
-        return GaussianPulse(center=float(spec.get("center", 3.0)),
-                             width=float(spec.get("width", 0.5)))
-    if kind == "indicator":
-        return Indicator(lo=float(spec.get("lo", 0.0)), hi=float(spec.get("hi", 1.0)))
-    raise ConfigError(f"unknown edge function spec {spec!r}")
+        f = ExpDecay(rate=float(spec.get("rate", 1.0)))
+        ok = f.rate > 0.0
+    elif kind == "gaussian":
+        f = GaussianPulse(center=float(spec.get("center", 3.0)),
+                          width=float(spec.get("width", 0.5)))
+        ok = f.width > 0.0
+    elif kind == "indicator":
+        f = Indicator(lo=float(spec.get("lo", 0.0)), hi=float(spec.get("hi", 1.0)))
+        ok = f.lo < f.hi
+    else:
+        raise ConfigError(f"unknown edge function spec {spec!r}")
+    if not (ok and all(math.isfinite(v) for v in vars(f).values())):
+        raise ConfigError(f"edge function {spec!r} needs finite values, "
+                          "rate > 0, width > 0 and lo < hi")
+    return f
+
+
+# Optional JSON keys and their value conversions; a missing key takes the default.
+_OPTIONAL_KEYS = (("metric", None), ("n", int), ("f1", None), ("f2", None),
+                  ("quadrature_panels", tuple), ("quadrature_order", int),
+                  ("zero_tolerance", float), ("window_policy", None))
 
 
 @dataclass(frozen=True)
@@ -117,14 +130,14 @@ class ExperimentConfig:
     metric: str = "coupling"
     z: complex = 1j
     n: int = 1
-    eps_grid: tuple[float, ...] = field(default_factory=default_eps_grid)
+    eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID
     delta_rule: tuple[str, float] = ("power", 1.5)
     p: tuple[complex, complex] | None = (1.0 + 0j, 0.0 + 0j)
     f1: dict | None = None
     f2: dict | None = None
-    quadrature_panels: tuple[int, int] = (64, 16)
-    quadrature_order: int = 8
-    zero_tolerance: float = 1e-9
+    quadrature_panels: tuple[int, int] = QUADRATURE_PANELS
+    quadrature_order: int = QUADRATURE_ORDER
+    zero_tolerance: float = DEFAULT_ZERO_TOLERANCE
     window_policy: str = "drop:2"
 
     def validate(self) -> None:
@@ -153,10 +166,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown delta rule {kind!r}")
         if self.metric in ("residual", "graph-limit") and self.f1 is None and self.f2 is None:
             raise ConfigError(f"metric {self.metric!r} needs edge data f1/f2")
+        for spec in (self.f1, self.f2):
+            edge_function_from_spec(spec)
         if self.n < 1:
             raise ConfigError("transverse index n must be >= 1")
-        if self.quadrature_order < 4:
-            raise ConfigError("quadrature order must be >= 4")
+        if self.quadrature_order < MIN_QUADRATURE_ORDER:
+            raise ConfigError(f"quadrature order must be >= {MIN_QUADRATURE_ORDER}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,27 +196,22 @@ class ExperimentConfig:
         try:
             profile = CurvatureProfile.from_json_fragment(d["profile"])
             z = complex(d["z"][0], d["z"][1])
-            p = d.get("p")
+            p = d.get("p")  # a missing p means: take p from the edge data
             if p is not None:
                 p = (complex(p[0][0], p[0][1]), complex(p[1][0], p[1][1]))
+            optional = {key: d[key] if convert is None else convert(d[key])
+                        for key, convert in _OPTIONAL_KEYS if key in d}
             cfg = ExperimentConfig(
                 profile=profile,
-                metric=d.get("metric", "coupling"),
                 z=z,
-                n=int(d.get("n", 1)),
                 eps_grid=tuple(float(e) for e in d["eps_grid"]),
                 delta_rule=(d["delta_rule"][0], float(d["delta_rule"][1])),
                 p=p,
-                f1=d.get("f1"),
-                f2=d.get("f2"),
-                quadrature_panels=tuple(d.get("quadrature_panels", (64, 16))),
-                quadrature_order=int(d.get("quadrature_order", 8)),
-                zero_tolerance=float(d.get("zero_tolerance", 1e-9)),
-                window_policy=d.get("window_policy", "drop:2"),
+                **optional,
             )
-        except (KeyError, TypeError, ValueError, ProfileError) as exc:
+            cfg.validate()  # inside: a malformed edge-data spec fails here
+        except (AttributeError, KeyError, TypeError, ValueError, ProfileError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
-        cfg.validate()
         return cfg
 
 
@@ -233,8 +243,7 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, 2.0 * se
 
 
-def fit_slope(eps, values, window_policy: str = "stabilize",
-              min_points: int = 4) -> SlopeFit:
+def fit_slope(eps, values, window_policy: str = "stabilize") -> SlopeFit:
     """Log-log OLS slope of values against eps on a stabilised window.
 
     Rows must be ordered by decreasing eps.  Policy ``drop:k`` discards
@@ -245,13 +254,13 @@ def fit_slope(eps, values, window_policy: str = "stabilize",
     values = np.asarray(values, dtype=float)
     good = np.isfinite(values) & (values > 0.0) & np.isfinite(eps)
     eps, values = eps[good], values[good]
-    if len(eps) < min_points:
-        raise FitError(f"need at least {min_points} usable points, have {len(eps)}")
+    if len(eps) < MIN_FIT_POINTS:
+        raise FitError(f"need at least {MIN_FIT_POINTS} usable points, have {len(eps)}")
     x = np.log(eps)
     y = np.log(values)
     if window_policy.startswith("drop:"):
         k = int(window_policy.split(":", 1)[1])
-        if len(x) - k < min_points:
+        if len(x) - k < MIN_FIT_POINTS:
             raise FitError("window policy drops too many points")
         slope, hw = _ols(x[k:], y[k:])
         return SlopeFit(slope, hw, k, len(x) - k)
@@ -259,7 +268,7 @@ def fit_slope(eps, values, window_policy: str = "stabilize",
         raise FitError(f"unknown window policy {window_policy!r}")
     prev = None
     best = None
-    for k in range(0, len(x) - min_points + 1):
+    for k in range(0, len(x) - MIN_FIT_POINTS + 1):
         slope, hw = _ols(x[k:], y[k:])
         if prev is not None and abs(prev[0] - slope) < 0.02:
             return SlopeFit(prev[0], prev[1], k - 1, len(x) - (k - 1))
@@ -364,8 +373,6 @@ class SweepResult:
     rows: tuple[dict, ...]
     slopes: dict
     failures: tuple[dict, ...]
-    schema_version: int = SCHEMA_VERSION
-    version: str = __version__
 
     def columns(self) -> list[str]:
         cols: list[str] = []
@@ -378,8 +385,8 @@ class SweepResult:
     def to_csv(self, path) -> None:
         cols = self.columns()
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# wglimit sweep schema_version={self.schema_version} "
-                     f"version={self.version}\n")
+            fh.write(f"# wglimit sweep schema_version={SCHEMA_VERSION} "
+                     f"version={__version__}\n")
             fh.write("# config: " + json.dumps(self.config.to_json_dict(),
                                                sort_keys=True) + "\n")
             writer = csv.writer(fh)
@@ -400,8 +407,8 @@ class SweepResult:
 
     def to_json(self, path) -> None:
         payload = {
-            "schema_version": self.schema_version,
-            "version": self.version,
+            "schema_version": SCHEMA_VERSION,
+            "version": __version__,
             "config": self.config.to_json_dict(),
             "rows": list(self.rows),
             "slopes": {
@@ -458,8 +465,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
 
 def oracle_report(profile: CurvatureProfile, z: complex, epsilon: float,
-                  delta: float, f1, f2, n: int = 1, h_u: float = 1.0 / 32,
-                  h_s: float = 1.0 / 64, refine: bool = False) -> dict:
+                  delta: float, f1, f2, n: int = 1, h_u: float = H_U,
+                  h_s: float = H_S, refine: bool = False) -> dict:
     """The oracle-compare report at one (eps, delta).
 
     The FD solution's edge projections are compared, in the trapezoid L2
@@ -469,6 +476,8 @@ def oracle_report(profile: CurvatureProfile, z: complex, epsilon: float,
     """
     z = complex(z)
     _check_z(z)
+    if f1 is None and f2 is None:
+        raise ConfigError("the oracle report needs edge data f1/f2")
     grid = WaveguideGrid.build(epsilon, delta, z, h_u=h_u, h_s=h_s)
     sol = assemble(profile, n, z, epsilon, delta, f1, f2)
     res = limit_resolvent(sol.case, z)
@@ -477,7 +486,7 @@ def oracle_report(profile: CurvatureProfile, z: complex, epsilon: float,
     def edge_l2_sq(fd_sol, other) -> float:
         """Squared distance of the FD edge projections from other(edge, s)."""
         s = fd_sol.grid.edge_s
-        w = trapezoid_weights(len(s), fd_sol.grid.h_edge)
+        w = trapezoid_weights(len(s), fd_sol.grid.h_s)
         return sum(float(np.sum(w * np.abs(fd_sol.edge_projection(e) - other(e, s)) ** 2))
                    for e in (1, 2))
 
@@ -487,18 +496,18 @@ def oracle_report(profile: CurvatureProfile, z: complex, epsilon: float,
     report = {
         "schema_version": 1,
         "grid": {
-            "h_u": grid.h_u, "h_s": grid.h_edge, "s_max": grid.s_max,
+            "h_u": grid.h_u, "h_s": grid.h_s, "s_max": grid.s_max,
             "unknowns": grid.n_unknowns,
         },
         "tolerances": {"solve_residual": fd.solve_residual,
                        "truncation": TRUNCATION_TOL},
-        "norms": {"data": fnorm, "fd_energy": fd.energy_norm()},
+        "norms": {"data": fnorm, "fd_energy": fd.energy_norm},
         "mismatch": float(np.sqrt(mismatch_sq)) / fnorm,
         "hat_vs_discrete": float(np.sqrt(hat_sq)),
         "case": "2" if sol.case.resonant else "1",
         "refinement_factor": None,
     }
     if refine:
-        fine = fd_resolvent(grid.refined(s_factor=2), profile, n, z, f1, f2)
+        fine = fd_resolvent(grid.refined(), profile, n, z, f1, f2)
         report["refinement_factor"] = float(np.sqrt(hat_sq / edge_l2_sq(fine, sol.edge_profile)))
     return report

@@ -13,8 +13,8 @@ Two brute-force cross-checks validate the semi-analytic machinery:
     eps-scaled derivative matching, which keeps the scaled system
     complex symmetric.  The transverse shift is taken discretely
     ((4/h_u^2) sin^2(n pi h_u / 2) / delta^2) so the comparison is not
-    polluted by the O(h_u^2)/delta^2 eigenvalue defect of the u-stencil;
-    the continuum shift n^2 pi^2 / delta^2 remains available.
+    polluted by the O(h_u^2)/delta^2 eigenvalue defect of the u-stencil.
+    One s-step h_s serves both edges and the vertex strip.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ __all__ = [
 
 TRUNCATION_TOL = 1e-8
 SOLVE_RESIDUAL_TOL = 1e-10
+# Default transverse and longitudinal steps of the 2-D oracle grid.
+H_U = 1.0 / 32
+H_S = 1.0 / 64
 
 
 class OracleError(RuntimeError):
@@ -116,13 +119,13 @@ def fd_vertex_eigen(profile: CurvatureProfile, n_points: int, count: int) -> FDE
 # 2-D waveguide grid and resolvent
 # ----------------------------------------------------------------------
 
-def suggest_edge_length(z: complex, tol: float = TRUNCATION_TOL) -> float:
-    """Edge truncation length with exp(-Im sqrt(z) * S) <= tol."""
+def suggest_edge_length(z: complex) -> float:
+    """Edge truncation length with exp(-Im sqrt(z) * S) <= TRUNCATION_TOL."""
     sq = np.lib.scimath.sqrt(complex(z))
     imk = abs(sq.imag)
     if imk <= 0.0:
         raise OracleError("z must have Im sqrt(z) != 0 for truncation")
-    return -math.log(tol) / imk
+    return -math.log(TRUNCATION_TOL) / imk
 
 
 @dataclass(frozen=True)
@@ -132,8 +135,7 @@ class WaveguideGrid:
     epsilon: float
     delta: float
     s_max: float
-    h_edge: float
-    h_vertex: float
+    h_s: float
     h_u: float
     n_u: int = field(init=False)
     n_edge: int = field(init=False)
@@ -141,32 +143,32 @@ class WaveguideGrid:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta <= self.epsilon <= 1.0:
-            raise OracleError("need 0 < delta <= epsilon <= 1")
+            raise ValueError("need 0 < delta <= epsilon <= 1")
         m = round(1.0 / self.h_u) - 1
         if m < 2 or abs((m + 1) * self.h_u - 1.0) > 1e-12:
-            raise OracleError("h_u must divide 1")
-        k = round(self.s_max / self.h_edge)
-        if abs(k * self.h_edge - self.s_max) > 1e-9:
-            raise OracleError("h_edge must divide s_max")
-        j = round(2.0 / self.h_vertex)
-        if abs(j * self.h_vertex - 2.0) > 1e-12:
-            raise OracleError("h_vertex must divide 2")
+            raise ValueError("h_u must divide 1")
+        k = round(self.s_max / self.h_s)
+        if abs(k * self.h_s - self.s_max) > 1e-9:
+            raise ValueError("h_s must divide s_max")
+        j = round(2.0 / self.h_s)
+        if abs(j * self.h_s - 2.0) > 1e-12:
+            raise ValueError("h_s must divide 2")
         object.__setattr__(self, "n_u", m)
         object.__setattr__(self, "n_edge", k)
         object.__setattr__(self, "n_vertex", j)
 
     @staticmethod
-    def build(epsilon: float, delta: float, z: complex, h_u: float = 1.0 / 32,
-              h_s: float = 1.0 / 64, s_max: float | None = None) -> "WaveguideGrid":
-        if s_max is None:
-            s_max = suggest_edge_length(z)
-            s_max = math.ceil(s_max / h_s) * h_s
-        return WaveguideGrid(epsilon, delta, s_max, h_s, h_s, h_u)
+    def build(epsilon: float, delta: float, z: complex, h_u: float = H_U,
+              h_s: float = H_S) -> "WaveguideGrid":
+        if not (h_u > 0.0 and h_s > 0.0):
+            raise ValueError("grid steps must be positive")
+        s_max = math.ceil(suggest_edge_length(z) / h_s) * h_s
+        return WaveguideGrid(epsilon, delta, s_max, h_s, h_u)
 
-    def refined(self, s_factor: int = 2, u_factor: int = 1) -> "WaveguideGrid":
-        return WaveguideGrid(self.epsilon, self.delta, self.s_max,
-                             self.h_edge / s_factor, self.h_vertex / s_factor,
-                             self.h_u / u_factor)
+    def refined(self) -> "WaveguideGrid":
+        """The same grid with the s-step halved."""
+        return WaveguideGrid(self.epsilon, self.delta, self.s_max, self.h_s / 2,
+                             self.h_u)
 
     @property
     def u_nodes(self) -> np.ndarray:
@@ -174,11 +176,11 @@ class WaveguideGrid:
 
     @property
     def edge_s(self) -> np.ndarray:
-        return np.arange(self.n_edge + 1) * self.h_edge
+        return np.arange(self.n_edge + 1) * self.h_s
 
     @property
     def vertex_s(self) -> np.ndarray:
-        return -1.0 + np.arange(self.n_vertex + 1) * self.h_vertex
+        return -1.0 + np.arange(self.n_vertex + 1) * self.h_s
 
     @property
     def n_lines(self) -> int:
@@ -199,22 +201,14 @@ class WaveguideField:
     vertex: np.ndarray  # (n_vertex + 1, n_u)
 
 
-def transverse_eigenvalue(n: int, h_u: float, discrete: bool) -> float:
-    if discrete:
-        return (2.0 / h_u * math.sin(n * math.pi * h_u / 2.0)) ** 2
-    return (n * math.pi) ** 2
-
-
 def _assemble(grid: WaveguideGrid, profile: CurvatureProfile, n: int, z: complex,
-              f1, f2, transverse_shift: str):
+              f1, f2):
     eps, delta = grid.epsilon, grid.delta
-    he, hv, hu = grid.h_edge, grid.h_vertex, grid.h_u
+    he, hv, hu = grid.h_s, grid.h_s, grid.h_u
     K, J, M = grid.n_edge, grid.n_vertex, grid.n_u
     u = grid.u_nodes
     ratio = delta / eps
-    if transverse_shift not in ("discrete", "continuum"):
-        raise OracleError(f"unknown transverse shift {transverse_shift!r}")
-    lam_u = transverse_eigenvalue(n, hu, transverse_shift == "discrete")
+    lam_u = (2.0 / hu * math.sin(n * math.pi * hu / 2.0)) ** 2
     shift = lam_u / delta**2 + z
 
     sigma = grid.vertex_s
@@ -319,7 +313,7 @@ class FDSolution:
     z: complex
     field: WaveguideField
     solve_residual: float
-    transverse_shift: str
+    energy_norm: float  # discrete norm of the flat-measure energy space
 
     def edge_projection(self, edge: int, n: int | None = None) -> np.ndarray:
         """(chi_n, psi_edge) per s node, by midpoint u-quadrature."""
@@ -327,10 +321,6 @@ class FDSolution:
         values = self.field.edge1 if edge == 1 else self.field.edge2
         chi = chi_mode(n, self.grid.u_nodes)
         return self.grid.h_u * (values @ chi)
-
-    def energy_norm(self) -> float:
-        """Discrete norm of the flat-measure energy space."""
-        return _energy_norm(self.grid, self.field)
 
 
 def trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
@@ -340,25 +330,16 @@ def trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
     return w
 
 
-def _line_weights(grid: WaveguideGrid) -> np.ndarray:
+def _energy_norm(grid: WaveguideGrid, psi: np.ndarray) -> float:
+    """Energy norm of a chain vector: line weights times the u-step."""
     w = np.empty(grid.n_lines)
     K, J = grid.n_edge, grid.n_vertex
-    w[: K - 1] = grid.h_edge
-    w[K + J:] = grid.h_edge
-    w[K: K + J - 1] = grid.epsilon * grid.h_vertex
-    w[[K - 1, K + J - 1]] = 0.5 * (grid.h_edge + grid.epsilon * grid.h_vertex)
-    return w
-
-
-def _flatten(grid: WaveguideGrid, field: WaveguideField) -> np.ndarray:
-    K, J, M = grid.n_edge, grid.n_vertex, grid.n_u
-    psi = np.zeros(grid.n_unknowns, dtype=complex)
-    lines_e1 = K - 1 - np.arange(K)
-    psi = psi.reshape(grid.n_lines, M)
-    psi[lines_e1, :] = field.edge1[: K, :]
-    psi[K - 1 + np.arange(J + 1), :] = field.vertex
-    psi[K + J - 1 + np.arange(K), :] = field.edge2[: K, :]
-    return psi.ravel()
+    w[: K - 1] = grid.h_s
+    w[K + J:] = grid.h_s
+    w[K: K + J - 1] = grid.epsilon * grid.h_s
+    w[[K - 1, K + J - 1]] = 0.5 * (grid.h_s + grid.epsilon * grid.h_s)
+    lines = psi.reshape(grid.n_lines, grid.n_u)
+    return float(np.sqrt(grid.h_u * np.sum(w[:, None] * np.abs(lines) ** 2)))
 
 
 def _unflatten(grid: WaveguideGrid, psi: np.ndarray) -> WaveguideField:
@@ -372,15 +353,8 @@ def _unflatten(grid: WaveguideGrid, psi: np.ndarray) -> WaveguideField:
     return WaveguideField(grid, edge1, edge2, vertex)
 
 
-def _energy_norm(grid: WaveguideGrid, field: WaveguideField) -> float:
-    psi = _flatten(grid, field).reshape(grid.n_lines, grid.n_u)
-    w = _line_weights(grid)
-    return float(np.sqrt(grid.h_u * np.sum(w[:, None] * np.abs(psi) ** 2)))
-
-
 def fd_resolvent(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
-                 z: complex, f1, f2,
-                 transverse_shift: str = "discrete") -> FDSolution:
+                 z: complex, f1, f2) -> FDSolution:
     """Solve the discrete shifted resolvent equation with data (f1, f2)."""
     if complex(z).imag == 0.0:
         raise OracleError("z must have nonzero imaginary part")
@@ -389,7 +363,7 @@ def fd_resolvent(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
     if trunc > 10.0 * TRUNCATION_TOL:
         raise OracleError(
             f"edge truncation error {trunc:.2e} exceeds bound; increase s_max")
-    a, b = _assemble(grid, profile, n, z, f1, f2, transverse_shift)
+    a, b = _assemble(grid, profile, n, z, f1, f2)
     lu = spla.splu(a)
     psi = lu.solve(b)
     psi += lu.solve(b - a @ psi)  # one step of iterative refinement
@@ -401,7 +375,7 @@ def fd_resolvent(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
     if resid > SOLVE_RESIDUAL_TOL:
         raise OracleError(f"sparse solve backward error {resid:.2e} above tolerance")
     return FDSolution(grid, profile, n, complex(z), _unflatten(grid, psi),
-                      resid, transverse_shift)
+                      resid, _energy_norm(grid, psi))
 
 
 def unitary_map_check(grid: WaveguideGrid, profile: CurvatureProfile,
@@ -443,15 +417,15 @@ def unitary_map_check(grid: WaveguideGrid, profile: CurvatureProfile,
     # Physical norm of the original field.
     phys_sq = 0.0
     for e in (field.edge1, field.edge2):
-        phys_sq += grid.delta * hu * float(np.sum(cells(e, grid.h_edge) * np.abs(e) ** 2))
+        phys_sq += grid.delta * hu * float(np.sum(cells(e, grid.h_s) * np.abs(e) ** 2))
     phys_sq += grid.delta * grid.epsilon * hu * float(np.sum(
-        cells(field.vertex, grid.h_vertex) * np.sqrt(g) * np.abs(field.vertex) ** 2))
+        cells(field.vertex, grid.h_s) * np.sqrt(g) * np.abs(field.vertex) ** 2))
 
     flat_sq = 0.0
     for e in (mapped.edge1, mapped.edge2):
-        flat_sq += hu * float(np.sum(cells(e, grid.h_edge) * np.abs(e) ** 2))
+        flat_sq += hu * float(np.sum(cells(e, grid.h_s) * np.abs(e) ** 2))
     flat_sq += grid.epsilon * hu * float(np.sum(
-        cells(mapped.vertex, grid.h_vertex) * np.abs(mapped.vertex) ** 2))
+        cells(mapped.vertex, grid.h_s) * np.abs(mapped.vertex) ** 2))
 
     return {
         "round_trip": round_trip,

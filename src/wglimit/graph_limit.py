@@ -26,6 +26,7 @@ from .kernels import (
     boundary_derivatives,
     half_line_apply,
     half_line_apply_grid,
+    sqrt_upper,
 )
 from .residual import ApproxSolution
 from .vertex_spectrum import CaseLabel
@@ -81,13 +82,11 @@ def limit_resolvent(case: CaseLabel, z: complex) -> GraphResolvent:
     return decoupled_resolvent(z)
 
 
-def graph_q(res: GraphResolvent, f1, f2) -> np.ndarray:
-    """Outgoing amplitudes of the graph resolvent: 0 or (i/sqrt(z)) P0 p."""
+def graph_q(res: GraphResolvent, p) -> np.ndarray:
+    """Outgoing amplitudes of the graph resolvent for data p: 0 or (i/sqrt(z)) P0 p."""
     if res.kind == "decoupled":
         return np.zeros(2, dtype=complex)
-    r0 = HalfLineResolvent(res.z)
-    p = boundary_derivatives(r0, f1, f2)
-    return (1j / r0.sqrt_z) * (res.projector.lambda0 @ p)
+    return (1j / sqrt_upper(res.z)) * (res.projector.lambda0 @ p)
 
 
 def apply_resolvent(res: GraphResolvent, f1, f2, s: float, edge: int) -> complex:
@@ -99,7 +98,7 @@ def apply_resolvent(res: GraphResolvent, f1, f2, s: float, edge: int) -> complex
     base = 0.0 if f is None else half_line_apply(r0, f, s)
     if res.kind == "decoupled":
         return complex(base)
-    q = graph_q(res, f1, f2)
+    q = graph_q(res, boundary_derivatives(r0, f1, f2))
     return complex(base + q[edge - 1] * np.exp(1j * r0.sqrt_z * s))
 
 
@@ -113,7 +112,7 @@ def apply_resolvent_grid(res: GraphResolvent, f1, f2, s: np.ndarray,
         half_line_apply_grid(r0, f, s)
     if res.kind == "decoupled":
         return base
-    q = graph_q(res, f1, f2)
+    q = graph_q(res, boundary_derivatives(r0, f1, f2))
     return base + q[edge - 1] * np.exp(1j * r0.sqrt_z * s)
 
 
@@ -135,7 +134,7 @@ def limit_comparison(sol: ApproxSolution, res: GraphResolvent) -> float:
     outgoing tails:  ||(q_eps - q) exp(i sqrt(z) .)||  per edge.
     """
     _check_kinds(sol, res)
-    q_g = graph_q(res, sol.f1, sol.f2)
+    q_g = graph_q(res, sol.coeffs.p)
     sq = sol.resolvent0.sqrt_z
     tail_sq = 1.0 / (2.0 * sq.imag)
     diff = sol.coeffs.q - q_g

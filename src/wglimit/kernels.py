@@ -198,7 +198,6 @@ class ExpDecay:
 
     rate: float = 1.0
     coefficient: float = 1.0
-    cutoff: float | None = None
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -206,7 +205,7 @@ class ExpDecay:
         return float(out) if out.ndim == 0 else out
 
     def effective_cutoff(self) -> float:
-        return self.cutoff if self.cutoff is not None else 40.0 / self.rate
+        return 40.0 / self.rate
 
 
 @dataclass(frozen=True)
@@ -215,7 +214,6 @@ class GaussianPulse:
 
     center: float = 3.0
     width: float = 0.5
-    cutoff: float | None = None
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -223,7 +221,7 @@ class GaussianPulse:
         return float(out) if out.ndim == 0 else out
 
     def effective_cutoff(self) -> float:
-        return self.cutoff if self.cutoff is not None else self.center + 7.0 * self.width
+        return self.center + 7.0 * self.width
 
 
 @dataclass(frozen=True)
@@ -250,16 +248,6 @@ class Indicator:
         return self.hi
 
 
-def _cutoff_of(f) -> float:
-    eff = getattr(f, "effective_cutoff", None)
-    if eff is not None:
-        return float(eff())
-    cut = getattr(f, "cutoff", None)
-    if cut is None:
-        raise KernelError("edge data needs a cutoff or effective_cutoff()")
-    return float(cut)
-
-
 # ----------------------------------------------------------------------
 # Half-line Dirichlet resolvent
 # ----------------------------------------------------------------------
@@ -278,9 +266,11 @@ class HalfLineResolvent:
         object.__setattr__(self, "sqrt_z", sq)
 
 
-def _complex_quad(fn, a, b, points=None, rel=1e-10) -> complex:
-    kw = {"epsabs": 1e-13, "epsrel": rel, "limit": 200}
-    if points is not None and b != np.inf:
+def _complex_quad(fn, a, b, points=None) -> complex:
+    if points and b == np.inf:  # QUADPACK takes no breakpoints on an infinite range
+        return _complex_quad(fn, a, points[-1], points[:-1]) + _complex_quad(fn, points[-1], b)
+    kw = {"epsabs": 1e-13, "epsrel": 1e-10, "limit": 200}
+    if points:
         kw["points"] = points
     re, re_err = quad(lambda t: fn(t).real, a, b, **kw)
     im, im_err = quad(lambda t: fn(t).imag, a, b, **kw)
@@ -306,7 +296,7 @@ def half_line_apply(res: HalfLineResolvent, f, s: float) -> complex:
     # split at the kernel kink and at any discontinuities of the data
     points = sorted({p for p in (s, *getattr(f, "breakpoints", ()))
                      if 0.0 < p < upper})
-    return _complex_quad(integrand, 0.0, upper, points=points or None)
+    return _complex_quad(integrand, 0.0, upper, points=points)
 
 
 def boundary_derivative(res: HalfLineResolvent, f) -> complex:
@@ -342,7 +332,7 @@ def half_line_apply_grid(res: HalfLineResolvent, f, s: np.ndarray) -> np.ndarray
     """
     k = res.sqrt_z
     s = np.asarray(s, dtype=float)
-    cutoff = _cutoff_of(f)
+    cutoff = f.effective_cutoff()
     edges, nodes, weights = _panel_grid(cutoff, abs(k),
                                         getattr(f, "breakpoints", ()))
     mid = 0.5 * (edges[1:] + edges[:-1])

@@ -34,7 +34,6 @@ __all__ = [
     "GeometryAt",
     "ProfileError",
     "check_potential_identity",
-    "eval_gamma",
     "eval_geometry",
     "geometry_fields",
     "geometry_residual_fields",
@@ -157,11 +156,6 @@ class GeometryAt:
     inv_g: float
     ds_inv_g: float
     W: float
-
-
-def eval_gamma(profile: CurvatureProfile, s: float, order: int = 0) -> float:
-    """gamma, gamma' or gamma'' at s (zero outside (-1, 1))."""
-    return profile.gamma(s, order)
 
 
 def _check_ratio(profile: CurvatureProfile, ratio: float) -> None:

@@ -38,7 +38,8 @@ from .kernels import (
     vertex_kernel_at,
 )
 from .profile import CurvatureProfile, geometry_residual_fields
-from .vertex_spectrum import CaseLabel, VertexSpectrum, _panel_nodes, spectrum_for_case
+from .vertex_spectrum import (DEFAULT_ZERO_TOLERANCE, VERTEX_GRID_POINTS, CaseLabel,
+                              _panel_nodes, spectrum_for_case)
 
 __all__ = [
     "ApproxSolution",
@@ -52,6 +53,9 @@ __all__ = [
 ]
 
 MIN_QUADRATURE_ORDER = 4
+# Default tensor Gauss-Legendre rule of residual_norms: (s, u) panels x order.
+QUADRATURE_PANELS = (64, 16)
+QUADRATURE_ORDER = 8
 
 
 def chi_mode(n: int, u):
@@ -139,7 +143,7 @@ class ApproxSolution:
 
 
 def assemble(profile: CurvatureProfile, n: int, z: complex, epsilon: float,
-             delta: float, f1, f2, zero_tolerance: float = 1e-9, *,
+             delta: float, f1, f2, zero_tolerance: float = DEFAULT_ZERO_TOLERANCE, *,
              p: np.ndarray | None = None,
              case: CaseLabel | None = None) -> ApproxSolution:
     """Build the trial field for edge data (f1 chi_n, f2 chi_n, 0); p and
@@ -179,10 +183,10 @@ def residual_field(sol: ApproxSolution, s, u):
 
 def _star_data(sol: ApproxSolution) -> tuple:
     """(y*, alpha contraction, ||y*'||) for the resonant case."""
-    spec: VertexSpectrum = spectrum_for_case(sol.profile)
-    ystar = spec.star_function
+    # eigenfunctions do not depend on the zero tolerance; the case fixes the index
+    ystar = spectrum_for_case(sol.profile).eigenfunction(sol.case.n_star)
     contraction = sol.coeffs.xi[0] * sol.case.alpha1 + sol.coeffs.xi[1] * sol.case.alpha2
-    grid = np.linspace(-1.0, 1.0, 4001)
+    grid = np.linspace(-1.0, 1.0, VERTEX_GRID_POINTS)
     dv = ystar.derivative(grid)
     dnorm = float(np.sqrt(simpson(dv * dv, x=grid)))
     return ystar, contraction, dnorm
@@ -203,8 +207,8 @@ class ResidualReport:
     delta: float
 
 
-def residual_norms(sol: ApproxSolution, quadrature_order: int = 8,
-                   panels: tuple[int, int] = (64, 16)) -> ResidualReport:
+def residual_norms(sol: ApproxSolution, quadrature_order: int = QUADRATURE_ORDER,
+                   panels: tuple[int, int] = QUADRATURE_PANELS) -> ResidualReport:
     """Tensor Gauss-Legendre norm of the residual over the vertex strip."""
     if quadrature_order < MIN_QUADRATURE_ORDER:
         raise ValueError(f"quadrature order must be >= {MIN_QUADRATURE_ORDER}")
@@ -245,7 +249,7 @@ def residual_norms(sol: ApproxSolution, quadrature_order: int = 8,
     )
 
 
-def vertex_subtracted_norms(sol: ApproxSolution, n_points: int = 4001) -> dict:
+def vertex_subtracted_norms(sol: ApproxSolution) -> dict:
     """Norms of the vertex profile minus its resonant principal part.
 
     The principal part is  -(1/eps)(y*(s)/z)(xi . alpha) chi_n(u); the
@@ -255,7 +259,7 @@ def vertex_subtracted_norms(sol: ApproxSolution, n_points: int = 4001) -> dict:
     if not sol.case.resonant:
         raise ValueError("subtracted norms are defined for the resonant case only")
     ystar, contraction, _ = _star_data(sol)
-    grid = np.linspace(-1.0, 1.0, n_points)
+    grid = np.linspace(-1.0, 1.0, VERTEX_GRID_POINTS)
     diff = sol.phi(grid) + (contraction / (sol.epsilon * sol.z)) * ystar.value(grid)
     ddiff = sol.phi_prime(grid) + (contraction / (sol.epsilon * sol.z)) * ystar.derivative(grid)
     norm = float(np.sqrt(simpson(np.abs(diff) ** 2, x=grid)))

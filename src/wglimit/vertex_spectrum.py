@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 DEFAULT_ZERO_TOLERANCE = 1e-9
+# Points of the uniform Simpson grid on [-1, 1] for eigenfunction norms.
+VERTEX_GRID_POINTS = 4001
 _SHOOT_RTOL = 1e-10
 _SHOOT_ATOL = 1e-13
 _REFINE_RTOL = 1e-12
@@ -220,7 +222,7 @@ def _polish(profile: CurvatureProfile, galerkin: np.ndarray, k: int) -> float:
 def eigenvalue_by_index(profile: CurvatureProfile, index: int) -> float:
     """The index-th eigenvalue alone (1-based); used by resonance tuning."""
     if index < 1:
-        raise SpectrumError("index must be >= 1")
+        raise ValueError("index must be >= 1")
     galerkin = _galerkin_eigenpairs(profile, index + 1)[0]
     return _polish(profile, galerkin, index - 1)
 
@@ -285,7 +287,7 @@ class VertexSpectrum:
 
 def _build_eigenfunction(profile: CurvatureProfile, n: int, lam: float) -> EigenFunction:
     sol = _integrate(profile, lam, -1.0, 1.0, _REFINE_RTOL, _REFINE_ATOL, dense=True)
-    grid = np.linspace(-1.0, 1.0, 4001)
+    grid = np.linspace(-1.0, 1.0, VERTEX_GRID_POINTS)
     vals = sol.sol(grid)[0].real
     norm = float(np.sqrt(simpson(vals * vals, x=grid)))
     # Sign convention: positive at s=-1 when the boundary value is
@@ -303,7 +305,7 @@ def eigenvalues(profile: CurvatureProfile, count: int,
                 zero_tolerance: float = DEFAULT_ZERO_TOLERANCE) -> VertexSpectrum:
     """First ``count`` eigenpairs, ordered, with resonance classification."""
     if count < 1:
-        raise SpectrumError("count must be >= 1")
+        raise ValueError("count must be >= 1")
     return _eigenvalues_cached(profile, count, zero_tolerance)
 
 

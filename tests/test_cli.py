@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from wglimit.cli import main
 
@@ -105,6 +109,26 @@ class TestSweepCommands:
     def test_z_on_edge_spectrum_exit_code(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--count", "0"],
+        ["oracle-compare", "--h-u", "0.3"],
+        ["oracle-compare", "--h-s", "0.3"],
+        ["oracle-compare", "--epsilon", "0.3", "--delta", "0.5"],
+        ["residual-sweep", "--eps-grid", "2^-3..2^-6", "--f1", "exp:-1"],
+        ["graph-limit", "--eps-grid", "2^-3..2^-6", "--f1", "gaussian:3,0"],
+        ["graph-limit", "--eps-grid", "2^-3..2^-6", "--f1", "indicator:2,1"],
+        ["oracle-compare", "--f1", "exp:-1"],
+        ["oracle-compare", "--f1", "none"],
+        ["oracle-compare", "--h-s", "0"],
+    ])
+    def test_input_error_exit_code(self, tmp_path, argv):
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_negative_real_z_oracle_exit_code(self, tmp_path):
+        # documented: the FD oracle needs Im z != 0, a numerical failure
+        assert main(["oracle-compare", "--z=-1,0",
+                     "--out", str(tmp_path / "x.json")]) == 3
+
     def test_real_p_accepted(self, tmp_path):
         out = tmp_path / "p.csv"
         assert main(["coupling", "--profile", "zero", "--eps-grid", "2^-6..2^-9",
@@ -148,3 +172,65 @@ class TestOracleCompare:
         assert report["case"] == "2"
         assert report["mismatch"] < 0.2
         assert report["grid"]["unknowns"] > 0
+
+
+# A bounded CLI input space: small counts and grids, <= 4-point eps grids and
+# tuned:K with K <= 3.  Each flag is rarely invalid, so about half of the
+# examples run to the end and the rest probe the checks.
+def choice(valid, invalid):
+    return st.sampled_from(valid * 8 + invalid)
+
+
+PROFILES = choice(["zero", "bump:0.5", "bump:-0.8", "tuned:2"],
+                  ["bump:1.5", "bump:nan", "tuned:1", "tuned:3", "wiggle:1"])
+ZS = choice(["0,1", "1,1", "-1,0.5"], ["-1,0", "4,0", "0,0", "nan,1", "1"])
+EPS_GRIDS = choice(["2^-3..2^-6", "2^-5..2^-8", "0.25,0.125,0.0625", "0.5"],
+                   ["2^-4..2^-2", "0.1,0.2", "0.5,0", "2", "nan"])
+DELTA_RULES = choice(["power:1.5", "fixed-ratio:0.1"],
+                     ["fixed-ratio:2", "power:0.5", "power:inf", "ratio:0.1"])
+WINDOWS = choice(["drop:2", "drop:0", "stabilize"], ["drop:x", "drop:9"])
+EDGES = choice(["exp:1", "gaussian:3,0.5", "indicator:0,1", "none"],
+               ["exp:-1", "exp:0", "gaussian:3,0", "gaussian:nan,1", "indicator:2,1",
+                "sinc:1"])
+STEPS = choice(["0.25", "0.125"], ["0.3", "0.5", "0"])
+
+
+def _sweep_argv(command):
+    common = st.tuples(PROFILES, ZS, EPS_GRIDS, DELTA_RULES, WINDOWS)
+    if command == "coupling":
+        extra = st.tuples(ZS, ZS).map(lambda p: ["--p1", p[0], "--p2", p[1]])
+    else:
+        extra = st.tuples(choice(["1", "2"], ["0"]), EDGES, EDGES).map(
+            lambda a: ["--n", a[0], "--f1", a[1], "--f2", a[2]])
+    return st.tuples(common, extra).map(lambda a: [
+        command, f"--profile={a[0][0]}", f"--z={a[0][1]}", "--eps-grid", a[0][2],
+        "--delta-rule", a[0][3], "--window-policy", a[0][4], *a[1]])
+
+
+ARGVS = st.one_of(
+    st.tuples(PROFILES, st.integers(-1, 4)).map(
+        lambda a: ["spectrum", f"--profile={a[0]}", "--count", str(a[1])]),
+    st.tuples(PROFILES, ZS, st.integers(-1, 4), st.sampled_from(["wronskian", "series"]),
+              st.integers(1, 40)).map(
+        lambda a: ["kernel", f"--profile={a[0]}", f"--z={a[1]}", "--grid", str(a[2]),
+                   "--mode", a[3], "--n-terms", str(a[4])]),
+    _sweep_argv("coupling"), _sweep_argv("residual-sweep"), _sweep_argv("graph-limit"),
+    st.tuples(PROFILES, ZS, choice(["0.5", "0.3"], ["1.5", "0"]),
+              choice([[], ["--delta", "0.05"]], [["--delta", "0.6"]]),
+              STEPS, STEPS, EDGES, st.booleans()).map(
+        lambda a: ["oracle-compare", f"--profile={a[0]}", f"--z={a[1]}", "--epsilon", a[2],
+                   *a[3], "--h-u", a[4], "--h-s", a[5], "--f1", a[6],
+                   *(["--refine"] if a[7] else [])]),
+)
+
+
+class TestExitCodeProperty:
+    @given(argv=ARGVS)
+    @settings(max_examples=60, deadline=timedelta(seconds=20), derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_code_is_0_2_or_3(self, tmp_path, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main([*argv, "--out", str(tmp_path / "out.csv")])
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 2, 3)

@@ -18,7 +18,6 @@ from wglimit import (
 from wglimit.coupling import (
     regular_corner_part,
     solve_coupling_from_kernel,
-    two_norm_2x2,
 )
 from wglimit.kernels import sqrt_upper
 from wglimit.vertex_spectrum import CaseLabel
@@ -187,12 +186,6 @@ class TestAsymptoticDeviation:
 
 
 class TestHelpers:
-    def test_two_norm_matches_svd(self, rng):
-        for _ in range(20):
-            m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            assert two_norm_2x2(m) == pytest.approx(
-                np.linalg.norm(m, ord=2), rel=1e-12)
-
     def test_regular_corner_part_zero_profile(self, zero_profile):
         # closed form: parallel eigenvalue 1/3, perpendicular eigenvalue 1
         proj = kirchhoff_projector(1 / np.sqrt(2), 1 / np.sqrt(2))

@@ -10,13 +10,17 @@ from wglimit import CurvatureProfile, ExperimentConfig, fit_slope, run_sweep
 from wglimit.experiments import (
     ConfigError,
     FitError,
-    default_eps_grid,
     delta_for,
     edge_function_from_spec,
     oracle_report,
 )
 
 ZERO = CurvatureProfile.zero()
+
+
+def dyadic(lo: int, hi: int) -> tuple[float, ...]:
+    """The eps grid 2^-lo .. 2^-hi."""
+    return tuple(2.0**-k for k in range(lo, hi + 1))
 
 
 class TestFitSlope:
@@ -114,7 +118,7 @@ class TestConfig:
         assert back == cfg
 
     def test_old_config_with_seed_loads(self):
-        cfg = ExperimentConfig(profile=ZERO, eps_grid=default_eps_grid(6, 10))
+        cfg = ExperimentConfig(profile=ZERO, eps_grid=dyadic(6, 10))
         d = cfg.to_json_dict()
         assert "seed" not in d
         d["seed"] = 7
@@ -127,11 +131,41 @@ class TestConfig:
         with pytest.raises(ConfigError):
             edge_function_from_spec({"type": "sinc"})
 
+    @pytest.mark.parametrize("spec", [
+        {"type": "exp", "rate": -1.0},
+        {"type": "exp", "rate": 0.0},
+        {"type": "exp", "rate": float("inf")},
+        {"type": "gaussian", "center": 3.0, "width": 0.0},
+        {"type": "gaussian", "center": float("nan"), "width": 0.5},
+        {"type": "indicator", "lo": 2.0, "hi": 1.0},
+        {"type": "indicator", "lo": 0.0, "hi": float("inf")},
+    ])
+    def test_bad_edge_data_rejected(self, spec):
+        with pytest.raises(ConfigError):
+            edge_function_from_spec(spec)
+        with pytest.raises(ConfigError):
+            ExperimentConfig(profile=ZERO, metric="graph-limit", f1=spec, p=None).validate()
+
+    @pytest.mark.parametrize("f1", ["exp", {"type": "exp", "rate": None},
+                                    {"type": "gaussian", "width": [1]}])
+    def test_malformed_edge_data_json_rejected(self, f1):
+        d = ExperimentConfig(profile=ZERO, metric="graph-limit", p=None,
+                             f1={"type": "exp"}).to_json_dict()
+        d["f1"] = f1
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json_dict(json.loads(json.dumps(d)))
+
+    def test_missing_optional_keys_take_defaults(self):
+        d = {"profile": {"kind": "zero"}, "z": [0.0, 1.0],
+             "eps_grid": [0.25, 0.125, 0.0625, 0.03125], "delta_rule": ["power", 1.5]}
+        assert ExperimentConfig.from_json_dict(d) == ExperimentConfig(
+            profile=ZERO, eps_grid=(0.25, 0.125, 0.0625, 0.03125), p=None)
+
 
 class TestRunSweep:
     def test_coupling_slopes(self):
         cfg = ExperimentConfig(profile=ZERO, metric="coupling", z=1j,
-                               eps_grid=default_eps_grid(6, 14))
+                               eps_grid=dyadic(6, 14))
         res = run_sweep(cfg)
         assert abs(res.slopes["dev_q"].slope - 1.0) < 0.15
         assert abs(res.slopes["dev_xi"].slope - 2.0) < 0.2
@@ -150,7 +184,7 @@ class TestRunSweep:
 
     def test_reproducible_csv(self, tmp_path):
         cfg = ExperimentConfig(profile=ZERO, metric="coupling", z=1j,
-                               eps_grid=default_eps_grid(6, 12))
+                               eps_grid=dyadic(6, 12))
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
         run_sweep(cfg).to_csv(p1)
@@ -159,7 +193,7 @@ class TestRunSweep:
 
     def test_csv_embeds_config_and_slopes(self, tmp_path):
         cfg = ExperimentConfig(profile=ZERO, metric="coupling", z=1j,
-                               eps_grid=default_eps_grid(6, 12))
+                               eps_grid=dyadic(6, 12))
         path = tmp_path / "sweep.csv"
         run_sweep(cfg).to_csv(path)
         lines = path.read_text().splitlines()
@@ -172,7 +206,7 @@ class TestRunSweep:
 
     def test_json_output(self, tmp_path):
         cfg = ExperimentConfig(profile=ZERO, metric="graph-limit", z=1j,
-                               eps_grid=default_eps_grid(5, 10),
+                               eps_grid=dyadic(5, 10),
                                f1={"type": "exp", "rate": 1.0}, p=None)
         path = tmp_path / "sweep.json"
         run_sweep(cfg).to_json(path)
@@ -187,7 +221,7 @@ class TestRunSweep:
         # in the pickled sweep context
         for profile in (ZERO, tuned2):
             cfg = ExperimentConfig(profile=profile, metric="coupling", z=1j,
-                                   eps_grid=default_eps_grid(6, 10),
+                                   eps_grid=dyadic(6, 10),
                                    window_policy="drop:0")
             monkeypatch.delenv("WGL_THREADS", raising=False)
             serial = run_sweep(cfg)
@@ -207,10 +241,23 @@ class TestRunSweep:
         projector = experiments.resonant_projector
         monkeypatch.setattr(experiments, "resonant_projector", counted)
         cfg = ExperimentConfig(profile=tuned2, metric="coupling", z=1j,
-                               eps_grid=default_eps_grid(6, 12))
+                               eps_grid=dyadic(6, 12))
         result = run_sweep(cfg)
         assert len(result.rows) == 7 and not result.failures
         assert len(calls) == 1
+
+    def test_residual_sweep_uses_config_tolerance(self, tuned2):
+        # lambda_2 = -5.75e-6: resonant at zero_tolerance 1e-3, generic at
+        # the default 1e-9; every residual point must use the config's case
+        near = CurvatureProfile("tuned_bump", tuned2.amplitude * (1 + 1e-6), 2)
+        cfg = ExperimentConfig(profile=near, metric="residual", z=1j,
+                               eps_grid=dyadic(4, 7), delta_rule=("ratio", 0.1),
+                               f1={"type": "exp", "rate": 1.0}, p=None,
+                               zero_tolerance=1e-3)
+        result = run_sweep(cfg)
+        assert not result.failures
+        assert len(result.rows) == 4
+        assert all(np.isfinite(r["bound_ratio"]) for r in result.rows)
 
     def test_bad_threads_env(self, monkeypatch):
         monkeypatch.setenv("WGL_THREADS", "many")

@@ -18,6 +18,7 @@ from wglimit.fd_oracle import (
     WaveguideField,
     _assemble,
     suggest_edge_length,
+    trapezoid_weights,
 )
 from wglimit.residual import chi_mode, data_norm
 
@@ -62,12 +63,12 @@ class TestVertexEigen:
 
 class TestGridValidation:
     def test_h_u_must_divide(self):
-        with pytest.raises(OracleError):
-            WaveguideGrid(0.25, 0.01, 10.0, 1 / 16, 1 / 16, 0.3)
+        with pytest.raises(ValueError):
+            WaveguideGrid(0.25, 0.01, 10.0, 1 / 16, 0.3)
 
     def test_delta_le_eps(self):
-        with pytest.raises(OracleError):
-            WaveguideGrid(0.1, 0.2, 10.0, 1 / 16, 1 / 16, 1 / 16)
+        with pytest.raises(ValueError):
+            WaveguideGrid(0.1, 0.2, 10.0, 1 / 16, 1 / 16)
 
     def test_suggest_edge_length(self):
         s = suggest_edge_length(1j)
@@ -90,19 +91,32 @@ class TestFDResolvent:
             fd_resolvent(small_grid(), bump05, 1, 4.0, F_G, None)
 
     def test_truncation_guard(self, bump05):
-        grid = WaveguideGrid(0.25, 0.25**3, 2.0, 1 / 16, 1 / 16, 1 / 16)
+        grid = WaveguideGrid(0.25, 0.25**3, 2.0, 1 / 16, 1 / 16)
         with pytest.raises(OracleError):
             fd_resolvent(grid, bump05, 1, Z4, F_G, None)
 
     def test_scaled_operator_symmetry(self, bump05):
-        a = _assemble(small_grid(), bump05, 1, Z4, None, None, "discrete")[0]
+        a = _assemble(small_grid(), bump05, 1, Z4, None, None)[0]
         assert abs(a - a.T).max() <= 1e-12
 
     def test_resolvent_bound(self, bump05):
         grid = small_grid()
         fd = fd_resolvent(grid, bump05, 1, Z4, F_G, None)
         xi_norm = data_norm(F_G, None)  # transverse mode is normalised
-        assert fd.energy_norm() <= xi_norm / abs(Z4.imag) * 1.05
+        assert fd.energy_norm <= xi_norm / abs(Z4.imag) * 1.05
+
+    def test_energy_norm_matches_field_trapezoid(self, bump05):
+        # the chain-vector norm equals trapezoid sums over the stored field:
+        # each interface line gets h_s/2 from its edge and eps*h_s/2 from the vertex
+        grid = small_grid()
+        fd = fd_resolvent(grid, bump05, 1, Z4, F_G, None)
+        f = fd.field
+        w_edge = trapezoid_weights(grid.n_edge + 1, grid.h_s)[:, None]
+        w_vert = grid.epsilon * trapezoid_weights(grid.n_vertex + 1, grid.h_s)[:, None]
+        sq = grid.h_u * (np.sum(w_edge * np.abs(f.edge1) ** 2)
+                         + np.sum(w_edge * np.abs(f.edge2) ** 2)
+                         + np.sum(w_vert * np.abs(f.vertex) ** 2))
+        assert fd.energy_norm == pytest.approx(np.sqrt(sq), rel=1e-12)
 
     def test_interface_continuity_encoded(self, bump05):
         fd = fd_resolvent(small_grid(), bump05, 1, Z4, F_G, None)
@@ -117,8 +131,8 @@ class TestFDResolvent:
         fd = fd_resolvent(grid, zero_profile, 1, 1j, F_G, None)
         sol = assemble(zero_profile, 1, 1j, eps, delta, F_G, None)
         s = grid.edge_s
-        w = np.full(len(s), grid.h_edge)
-        w[0] = w[-1] = grid.h_edge / 2
+        w = np.full(len(s), grid.h_s)
+        w[0] = w[-1] = grid.h_s / 2
         err_sq = ref_sq = 0.0
         for edge in (1, 2):
             diff = fd.edge_projection(edge) - sol.edge_profile(edge, s)
@@ -192,13 +206,13 @@ def hand_solution(grid: WaveguideGrid, edge1, edge2, n: int) -> FDSolution:
     """An FDSolution wrapping given edge fields (zero vertex field)."""
     vertex = np.zeros((grid.n_vertex + 1, grid.n_u))
     field = WaveguideField(grid, edge1, edge2, vertex)
-    return FDSolution(grid, CurvatureProfile.zero(), n, 1j, field, 0.0, "discrete")
+    return FDSolution(grid, CurvatureProfile.zero(), n, 1j, field, 0.0, 0.0)
 
 
 class TestEdgeProjection:
     def test_adjoint(self):
         # ((g1,g2), P psi)_G == (P* (g1,g2), psi) with shared quadrature
-        grid = WaveguideGrid(1.0, 1.0, 5.0, 0.05, 0.05, 1.0 / 64)
+        grid = WaveguideGrid(1.0, 1.0, 5.0, 0.05, 1.0 / 64)
         h_u, u, s = grid.h_u, grid.u_nodes, grid.edge_s
         n = 2
         psi = [np.outer(np.exp(-s) * np.cos(3 * s), np.sin(np.pi * u))
@@ -213,7 +227,7 @@ class TestEdgeProjection:
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_discrete_orthonormality(self):
-        grid = WaveguideGrid(1.0, 1.0, 2.0, 1.0, 1.0, 1.0 / 32)
+        grid = WaveguideGrid(1.0, 1.0, 2.0, 1.0, 1.0 / 32)
         field = np.outer(np.ones(3), chi_mode(2, grid.u_nodes))
         sol = hand_solution(grid, field, field, 2)
         assert np.allclose(sol.edge_projection(1), 1.0, atol=1e-12)

@@ -226,6 +226,16 @@ class TestHalfLine:
         for sv, gv in zip(s, grid_vals):
             assert abs(gv - half_line_apply(res, f, float(sv))) < 1e-9
 
+    @pytest.mark.parametrize("f", [GaussianPulse(center=2.0, width=0.4), ExpDecay()])
+    def test_scalar_splits_at_kink_on_infinite_range(self, f):
+        # data without a cutoff integrate to infinity; the kernel kink at
+        # t = s must still split the range, or quad loses ~1e-8
+        res = HalfLineResolvent(1 + 1j)
+        s = np.linspace(0.25, 7.75, 31)
+        grid_vals = half_line_apply_grid(res, f, s)
+        for sv, gv in zip(s, grid_vals):
+            assert abs(gv - half_line_apply(res, f, float(sv))) < 1e-12
+
 
 class TestBoundaryDerivative:
     def test_zero_data(self):

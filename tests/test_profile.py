@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wglimit import CurvatureProfile, ProfileError, eval_gamma, eval_geometry
+from wglimit import CurvatureProfile, ProfileError, eval_geometry
 from wglimit.profile import (
     check_potential_identity,
     geometry_fields,
@@ -24,33 +24,33 @@ def central_diff(f, s, h=1e-5):
 
 class TestEvalGamma:
     def test_zero_profile_is_zero(self, zero_profile):
-        assert eval_gamma(zero_profile, 0.3, 0) == 0.0
+        assert zero_profile.gamma(0.3, 0) == 0.0
 
     def test_bump_peak_equals_amplitude(self, bump05):
-        assert eval_gamma(bump05, 0.0, 0) == pytest.approx(0.5, abs=1e-15)
+        assert bump05.gamma(0.0, 0) == pytest.approx(0.5, abs=1e-15)
 
     def test_vanishes_outside_support(self, bump05):
         for s in (-1.0, 1.0, -1.5, 2.0):
             for order in (0, 1, 2):
-                assert eval_gamma(bump05, s, order) == 0.0
+                assert bump05.gamma(s, order) == 0.0
 
     def test_first_derivative_matches_finite_difference(self, bump05):
-        fd = central_diff(lambda s: eval_gamma(bump05, s, 0), 0.5)
-        assert abs(eval_gamma(bump05, 0.5, 1) - fd) < 1e-8
+        fd = central_diff(lambda s: bump05.gamma(s, 0), 0.5)
+        assert abs(bump05.gamma(0.5, 1) - fd) < 1e-8
 
     def test_second_derivative_matches_finite_difference(self, bump05):
         for s in (-0.7, -0.2, 0.1, 0.6):
-            fd = central_diff(lambda t: eval_gamma(bump05, t, 1), s)
-            assert abs(eval_gamma(bump05, s, 2) - fd) < 1e-6
+            fd = central_diff(lambda t: bump05.gamma(t, 1), s)
+            assert abs(bump05.gamma(s, 2) - fd) < 1e-6
 
     def test_smooth_decay_near_support_edge(self, bump05):
         # gamma and two derivatives all collapse approaching +-1
         for order in (0, 1, 2):
-            assert abs(eval_gamma(bump05, 0.999, order)) < 1e-100
+            assert abs(bump05.gamma(0.999, order)) < 1e-100
 
     def test_rejects_bad_order(self, bump05):
         with pytest.raises(ProfileError):
-            eval_gamma(bump05, 0.0, 3)
+            bump05.gamma(0.0, 3)
 
 
 class TestConstruction:
@@ -89,15 +89,15 @@ class TestEvalGeometry:
         geo = eval_geometry(bump05, s, u, rho)
 
         def g_of(sv):
-            return (1.0 + u * rho * eval_gamma(bump05, sv, 0)) ** 2
+            return (1.0 + u * rho * bump05.gamma(sv, 0)) ** 2
 
         assert geo.g == pytest.approx(g_of(s), abs=1e-14)
         assert geo.inv_g == pytest.approx(1.0 / g_of(s), abs=1e-14)
         fd = central_diff(lambda sv: 1.0 / g_of(sv), s)
         assert geo.ds_inv_g == pytest.approx(fd, abs=1e-7)
-        gam = eval_gamma(bump05, s, 0)
-        gam1_fd = central_diff(lambda sv: eval_gamma(bump05, sv, 0), s)
-        gam2_fd = (eval_gamma(bump05, s + 1e-4, 1) - eval_gamma(bump05, s - 1e-4, 1)) / 2e-4
+        gam = bump05.gamma(s, 0)
+        gam1_fd = central_diff(lambda sv: bump05.gamma(sv, 0), s)
+        gam2_fd = (bump05.gamma(s + 1e-4, 1) - bump05.gamma(s - 1e-4, 1)) / 2e-4
         a = 1.0 + u * rho * gam
         w_oracle = (-0.25 * gam**2 / a**2 + 0.5 * u * rho * gam2_fd / a**3
                     - 1.25 * (u * rho * gam1_fd) ** 2 / a**4)

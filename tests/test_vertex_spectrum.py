@@ -148,7 +148,7 @@ class TestEigenvalues:
         assert max(sups) < 3.0
 
     def test_count_guard(self, zero_profile):
-        with pytest.raises(SpectrumError):
+        with pytest.raises(ValueError):
             eigenvalues(zero_profile, 0, 1e-9)
 
 

@@ -65,7 +65,6 @@ from .fd_oracle import (
     WaveguideGrid,
     fd_resolvent,
     fd_vertex_eigen,
-    unitary_map_check,
 )
 from .experiments import (
     ExperimentConfig,

@@ -116,6 +116,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
+    if args.grid < 1:
+        raise ConfigError(f"--grid must be >= 1, got {args.grid}")
     profile = _parse_profile(args.profile)
     kernel = vertex_kernel_at(profile, _parse_z(args.z), mode=args.mode,
                               n_terms=args.n_terms)

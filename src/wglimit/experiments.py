@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -33,13 +34,7 @@ from .coupling import (
     solve_coupling_from_kernel,
 )
 from .fd_oracle import H_S, H_U, TRUNCATION_TOL, WaveguideGrid, fd_resolvent, trapezoid_weights
-from .graph_limit import (
-    GraphResolvent,
-    apply_resolvent_grid,
-    boundary_limits,
-    limit_comparison,
-    limit_resolvent,
-)
+from .graph_limit import apply_resolvent_grid, boundary_limits, limit_comparison, limit_resolvent
 from .kernels import (
     ExpDecay,
     GaussianPulse,
@@ -172,6 +167,10 @@ class ExperimentConfig:
             raise ConfigError("transverse index n must be >= 1")
         if self.quadrature_order < MIN_QUADRATURE_ORDER:
             raise ConfigError(f"quadrature order must be >= {MIN_QUADRATURE_ORDER}")
+        panels = self.quadrature_panels
+        if len(panels) != 2 or not all(isinstance(k, int) and k >= 1 for k in panels):
+            raise ConfigError(f"quadrature_panels {panels!r} must be two positive integers")
+        _drop_count(self.window_policy)
 
     def to_json_dict(self) -> dict:
         return {
@@ -243,6 +242,17 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, 2.0 * se
 
 
+def _drop_count(window_policy) -> int | None:
+    """K of a ``drop:K`` window policy, None for ``stabilize``, else a ConfigError."""
+    if window_policy == "stabilize":
+        return None
+    match = isinstance(window_policy, str) and re.fullmatch("drop:([0-9]+)", window_policy)
+    if not match:
+        raise ConfigError(f"window policy {window_policy!r} is neither 'stabilize' "
+                          "nor 'drop:K' with an integer K >= 0")
+    return int(match.group(1))
+
+
 def fit_slope(eps, values, window_policy: str = "stabilize") -> SlopeFit:
     """Log-log OLS slope of values against eps on a stabilised window.
 
@@ -250,6 +260,7 @@ def fit_slope(eps, values, window_policy: str = "stabilize") -> SlopeFit:
     the k largest-eps points; ``stabilize`` drops leading points until
     the slope moves by less than 0.02 between successive windows.
     """
+    drop = _drop_count(window_policy)
     eps = np.asarray(eps, dtype=float)
     values = np.asarray(values, dtype=float)
     good = np.isfinite(values) & (values > 0.0) & np.isfinite(eps)
@@ -258,14 +269,11 @@ def fit_slope(eps, values, window_policy: str = "stabilize") -> SlopeFit:
         raise FitError(f"need at least {MIN_FIT_POINTS} usable points, have {len(eps)}")
     x = np.log(eps)
     y = np.log(values)
-    if window_policy.startswith("drop:"):
-        k = int(window_policy.split(":", 1)[1])
-        if len(x) - k < MIN_FIT_POINTS:
+    if drop is not None:
+        if len(x) - drop < MIN_FIT_POINTS:
             raise FitError("window policy drops too many points")
-        slope, hw = _ols(x[k:], y[k:])
-        return SlopeFit(slope, hw, k, len(x) - k)
-    if window_policy != "stabilize":
-        raise FitError(f"unknown window policy {window_policy!r}")
+        slope, hw = _ols(x[drop:], y[drop:])
+        return SlopeFit(slope, hw, drop, len(x) - drop)
     prev = None
     best = None
     for k in range(0, len(x) - MIN_FIT_POINTS + 1):
@@ -287,7 +295,6 @@ class SweepContext:
     f2: object
     p: np.ndarray
     projector: KirchhoffProjector | None = None  # coupling metric, resonant case
-    limit: GraphResolvent | None = None  # graph-limit metric
 
     @staticmethod
     def build(config: ExperimentConfig) -> "SweepContext":
@@ -298,14 +305,12 @@ class SweepContext:
             p = np.asarray(config.p, dtype=complex)
         else:
             p = boundary_derivatives(HalfLineResolvent(config.z), f1, f2)
-        projector = limit = None
+        projector = None
         if config.metric == "coupling" and case.resonant:
             # depends on (profile, z, tolerance) only, so one per sweep is exact
             projector = resonant_projector(config.profile, config.z,
                                            config.zero_tolerance)
-        if config.metric == "graph-limit":
-            limit = limit_resolvent(case, config.z)
-        return SweepContext(config, case, f1, f2, p, projector, limit)
+        return SweepContext(config, case, f1, f2, p, projector)
 
 
 def _coupling_point(ctx: SweepContext, eps: float, delta: float) -> dict:
@@ -340,7 +345,7 @@ def _residual_point(ctx: SweepContext, eps: float, delta: float) -> dict:
 
 def _graph_limit_point(ctx: SweepContext, eps: float, delta: float) -> dict:
     sol = _assemble(ctx, eps, delta)
-    row = {"comparison_norm": limit_comparison(sol, ctx.limit)}
+    row = {"comparison_norm": limit_comparison(sol)}
     lims = boundary_limits(sol)
     if ctx.case.resonant:
         row.update(lims)  # kirchhoff_value_defect, kirchhoff_flux_defect

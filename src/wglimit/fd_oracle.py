@@ -41,7 +41,6 @@ __all__ = [
     "fd_vertex_eigen",
     "suggest_edge_length",
     "trapezoid_weights",
-    "unitary_map_check",
 ]
 
 TRUNCATION_TOL = 1e-8
@@ -201,6 +200,16 @@ class WaveguideField:
     vertex: np.ndarray  # (n_vertex + 1, n_u)
 
 
+def _line_weights(grid: WaveguideGrid) -> np.ndarray:
+    """s-weight of each chain line: h_s on edge lines, eps*h_s on vertex
+    lines and their mean on the two interface lines."""
+    K, J = grid.n_edge, grid.n_vertex
+    w = np.full(grid.n_lines, grid.h_s)
+    w[K: K + J - 1] = grid.epsilon * grid.h_s
+    w[[K - 1, K + J - 1]] = 0.5 * (grid.h_s + grid.epsilon * grid.h_s)
+    return w
+
+
 def _assemble(grid: WaveguideGrid, profile: CurvatureProfile, n: int, z: complex,
               f1, f2):
     eps, delta = grid.epsilon, grid.delta
@@ -268,14 +277,7 @@ def _assemble(grid: WaveguideGrid, profile: CurvatureProfile, n: int, z: complex
     add(right, left, coup)
 
     # u-coupling within each line.
-    w_edge = -he / (delta**2 * hu)
-    w_vert = -eps * hv / (delta**2 * hu)
-    w_ifc = -c_cell / (delta**2 * hu)
-    line_wu = np.empty(n_lines)
-    line_wu[edge1_lines] = w_edge
-    line_wu[edge2_lines] = w_edge
-    line_wu[vertex_lines] = w_vert
-    line_wu[[iface1, iface2]] = w_ifc
+    line_wu = -_line_weights(grid) / (delta**2 * hu)
     all_lines = np.arange(n_lines)
     lo = all_lines[:, None] * M + m_idx[None, :-1]
     hi = lo + 1
@@ -332,13 +334,8 @@ def trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
 
 def _energy_norm(grid: WaveguideGrid, psi: np.ndarray) -> float:
     """Energy norm of a chain vector: line weights times the u-step."""
-    w = np.empty(grid.n_lines)
-    K, J = grid.n_edge, grid.n_vertex
-    w[: K - 1] = grid.h_s
-    w[K + J:] = grid.h_s
-    w[K: K + J - 1] = grid.epsilon * grid.h_s
-    w[[K - 1, K + J - 1]] = 0.5 * (grid.h_s + grid.epsilon * grid.h_s)
     lines = psi.reshape(grid.n_lines, grid.n_u)
+    w = _line_weights(grid)
     return float(np.sqrt(grid.h_u * np.sum(w[:, None] * np.abs(lines) ** 2)))
 
 
@@ -376,58 +373,3 @@ def fd_resolvent(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
         raise OracleError(f"sparse solve backward error {resid:.2e} above tolerance")
     return FDSolution(grid, profile, n, complex(z), _unflatten(grid, psi),
                       resid, _energy_norm(grid, psi))
-
-
-def unitary_map_check(grid: WaveguideGrid, profile: CurvatureProfile,
-                      field: WaveguideField) -> dict:
-    """Round-trip and norm-preservation defects of the metric flattening map.
-
-    Forward map: edges scale by delta^(1/2), the vertex by
-    delta^(1/2) g^(1/4); the physical norm carries the metric weights
-    (delta on edges, delta*eps*g^(1/2) in the vertex).
-    """
-    ratio = grid.delta / grid.epsilon
-    g = geometry_fields(profile, grid.vertex_s[:, None], grid.u_nodes[None, :],
-                        ratio)["g"]
-    root_delta = math.sqrt(grid.delta)
-    g4 = g**0.25
-    mapped = WaveguideField(
-        grid,
-        root_delta * field.edge1,
-        root_delta * field.edge2,
-        root_delta * g4 * field.vertex,
-    )
-    back = WaveguideField(
-        grid,
-        mapped.edge1 / root_delta,
-        mapped.edge2 / root_delta,
-        mapped.vertex / (root_delta * g4),
-    )
-    round_trip = max(
-        float(np.max(np.abs(back.edge1 - field.edge1))) if field.edge1.size else 0.0,
-        float(np.max(np.abs(back.edge2 - field.edge2))) if field.edge2.size else 0.0,
-        float(np.max(np.abs(back.vertex - field.vertex))) if field.vertex.size else 0.0,
-    )
-
-    hu = grid.h_u
-
-    def cells(values: np.ndarray, h: float) -> np.ndarray:
-        return trapezoid_weights(values.shape[0], h)[:, None]
-
-    # Physical norm of the original field.
-    phys_sq = 0.0
-    for e in (field.edge1, field.edge2):
-        phys_sq += grid.delta * hu * float(np.sum(cells(e, grid.h_s) * np.abs(e) ** 2))
-    phys_sq += grid.delta * grid.epsilon * hu * float(np.sum(
-        cells(field.vertex, grid.h_s) * np.sqrt(g) * np.abs(field.vertex) ** 2))
-
-    flat_sq = 0.0
-    for e in (mapped.edge1, mapped.edge2):
-        flat_sq += hu * float(np.sum(cells(e, grid.h_s) * np.abs(e) ** 2))
-    flat_sq += grid.epsilon * hu * float(np.sum(
-        cells(mapped.vertex, grid.h_s) * np.abs(mapped.vertex) ** 2))
-
-    return {
-        "round_trip": round_trip,
-        "norm_defect": abs(math.sqrt(flat_sq) - math.sqrt(phys_sq)),
-    }

@@ -9,7 +9,9 @@ vertex appear as collapse limits:
     P0 x'(0) = 0, resolvent  r0(z) f_j + q_j exp(i sqrt(z) s)  with
     q = (i/sqrt(z)) P0 p  and  p_j = (r0(z) f_j)'(0).
 
-The comparison against an assembled trial field reduces analytically:
+The limit a trial field is compared with is read from the field's own
+case label (``limit_resolvent(sol.case, sol.z)``), so a solution cannot
+be paired with the wrong limit.  The comparison reduces analytically:
 the r0 parts cancel edgewise, leaving pure outgoing tails whose L2 norm
 is |q_eps - q| / sqrt(2 Im sqrt(z)) per edge.
 """
@@ -33,7 +35,6 @@ from .vertex_spectrum import CaseLabel
 
 __all__ = [
     "GraphResolvent",
-    "KindMismatchError",
     "apply_resolvent",
     "apply_resolvent_grid",
     "boundary_limits",
@@ -46,33 +47,21 @@ __all__ = [
 ]
 
 
-class KindMismatchError(ValueError):
-    """A generic solution was compared against the resonant limit or vice versa."""
-
-
 @dataclass(frozen=True)
 class GraphResolvent:
-    """Resolvent of one of the two limit operators at z."""
+    """Resolvent of a limit operator at z: weighted Kirchhoff with its
+    projector, or decoupled when there is none."""
 
-    kind: str  # "decoupled" | "kirchhoff"
     z: complex
     projector: KirchhoffProjector | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("decoupled", "kirchhoff"):
-            raise ValueError(f"unknown graph operator kind {self.kind!r}")
-        if self.kind == "kirchhoff" and self.projector is None:
-            raise ValueError("weighted Kirchhoff resolvent needs a projector")
-        if self.kind == "decoupled" and self.projector is not None:
-            raise ValueError("decoupled resolvent takes no projector")
-
 
 def decoupled_resolvent(z: complex) -> GraphResolvent:
-    return GraphResolvent("decoupled", complex(z))
+    return GraphResolvent(complex(z))
 
 
 def kirchhoff_resolvent(z: complex, projector: KirchhoffProjector) -> GraphResolvent:
-    return GraphResolvent("kirchhoff", complex(z), projector)
+    return GraphResolvent(complex(z), projector)
 
 
 def limit_resolvent(case: CaseLabel, z: complex) -> GraphResolvent:
@@ -84,7 +73,7 @@ def limit_resolvent(case: CaseLabel, z: complex) -> GraphResolvent:
 
 def graph_q(res: GraphResolvent, p) -> np.ndarray:
     """Outgoing amplitudes of the graph resolvent for data p: 0 or (i/sqrt(z)) P0 p."""
-    if res.kind == "decoupled":
+    if res.projector is None:
         return np.zeros(2, dtype=complex)
     return (1j / sqrt_upper(res.z)) * (res.projector.lambda0 @ p)
 
@@ -96,7 +85,7 @@ def apply_resolvent(res: GraphResolvent, f1, f2, s: float, edge: int) -> complex
     r0 = HalfLineResolvent(res.z)
     f = f1 if edge == 1 else f2
     base = 0.0 if f is None else half_line_apply(r0, f, s)
-    if res.kind == "decoupled":
+    if res.projector is None:
         return complex(base)
     q = graph_q(res, boundary_derivatives(r0, f1, f2))
     return complex(base + q[edge - 1] * np.exp(1j * r0.sqrt_z * s))
@@ -110,31 +99,20 @@ def apply_resolvent_grid(res: GraphResolvent, f1, f2, s: np.ndarray,
     s = np.asarray(s, dtype=float)
     base = np.zeros(s.shape, dtype=complex) if f is None else \
         half_line_apply_grid(r0, f, s)
-    if res.kind == "decoupled":
+    if res.projector is None:
         return base
     q = graph_q(res, boundary_derivatives(r0, f1, f2))
     return base + q[edge - 1] * np.exp(1j * r0.sqrt_z * s)
 
 
-def _check_kinds(sol: ApproxSolution, res: GraphResolvent) -> None:
-    if sol.case.resonant and res.kind != "kirchhoff":
-        raise KindMismatchError("resonant solution must be compared to the "
-                                "weighted Kirchhoff limit")
-    if not sol.case.resonant and res.kind != "decoupled":
-        raise KindMismatchError("generic solution must be compared to the "
-                                "decoupled limit")
-    if res.z != sol.z:
-        raise KindMismatchError("solution and resolvent must share z")
+def limit_comparison(sol: ApproxSolution) -> float:
+    """L2 distance (both edges) between the trial and the limit edge profiles.
 
-
-def limit_comparison(sol: ApproxSolution, res: GraphResolvent) -> float:
-    """L2 distance (both edges) between trial and graph edge profiles.
-
-    The r0 parts agree identically, so the distance is carried by the
-    outgoing tails:  ||(q_eps - q) exp(i sqrt(z) .)||  per edge.
+    The limit is the one of the solution's case.  The r0 parts agree
+    identically, so the distance is carried by the outgoing tails:
+    ||(q_eps - q) exp(i sqrt(z) .)||  per edge.
     """
-    _check_kinds(sol, res)
-    q_g = graph_q(res, sol.coeffs.p)
+    q_g = graph_q(limit_resolvent(sol.case, sol.z), sol.coeffs.p)
     sq = sol.resolvent0.sqrt_z
     tail_sq = 1.0 / (2.0 * sq.imag)
     diff = sol.coeffs.q - q_g

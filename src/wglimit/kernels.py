@@ -121,6 +121,8 @@ class VertexKernel:
     def __post_init__(self) -> None:
         if self.mode not in ("wronskian", "series"):
             raise KernelError(f"unknown kernel mode {self.mode!r}")
+        if self.n_terms < 1:
+            raise ValueError(f"n_terms must be >= 1, got {self.n_terms}")
 
     def _guard(self) -> complex:
         w = self.shooting.wronskian

@@ -301,21 +301,25 @@ def _build_eigenfunction(profile: CurvatureProfile, n: int, lam: float) -> Eigen
     return EigenFunction(n, lam, sol.sol, sign / norm)
 
 
-def eigenvalues(profile: CurvatureProfile, count: int,
-                zero_tolerance: float = DEFAULT_ZERO_TOLERANCE) -> VertexSpectrum:
-    """First ``count`` eigenpairs, ordered, with resonance classification."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return _eigenvalues_cached(profile, count, zero_tolerance)
-
-
 @lru_cache(maxsize=64)
-def _eigenvalues_cached(profile: CurvatureProfile, count: int,
-                        zero_tolerance: float) -> VertexSpectrum:
+def _shooting_eigenpairs(profile: CurvatureProfile, count: int):
+    """The first ``count`` shooting eigenvalues (read-only) and eigenfunctions."""
     galerkin = _galerkin_eigenpairs(profile, count + 1)[0]
     lams = np.array([_polish(profile, galerkin, n) for n in range(count)])
     lams.setflags(write=False)
-    funcs = tuple(_build_eigenfunction(profile, n + 1, lams[n]) for n in range(count))
+    return lams, tuple(_build_eigenfunction(profile, n + 1, lams[n]) for n in range(count))
+
+
+def eigenvalues(profile: CurvatureProfile, count: int,
+                zero_tolerance: float = DEFAULT_ZERO_TOLERANCE) -> VertexSpectrum:
+    """First ``count`` eigenpairs, ordered, with resonance classification.
+
+    The eigenpairs are solved once per (profile, count); the tolerance
+    only thresholds them.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    lams, funcs = _shooting_eigenpairs(profile, count)
     # Strict threshold: resonant only if the smallest |lambda| is within tolerance.
     k = int(np.argmin(np.abs(lams)))
     case = CaseLabel(False)

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import shlex
 import warnings
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from wglimit.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def read_csv(path):
@@ -120,6 +124,11 @@ class TestSweepCommands:
         ["oracle-compare", "--f1", "exp:-1"],
         ["oracle-compare", "--f1", "none"],
         ["oracle-compare", "--h-s", "0"],
+        ["kernel", "--mode", "series", "--n-terms", "0"],
+        ["kernel", "--mode", "series", "--n-terms", "-5"],
+        ["kernel", "--grid", "0"],
+        ["coupling", "--window-policy", "bogus"],
+        ["coupling", "--window-policy", "drop:-1"],
     ])
     def test_input_error_exit_code(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
@@ -154,11 +163,65 @@ class TestSweepCommands:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("key, value", [("window_policy", 5),
+                                            ("quadrature_panels", [64])])
+    def test_run_bad_residual_setting_exit_code(self, tmp_path, key, value):
+        cfg = {
+            "profile": {"kind": "bump", "amplitude": 0.5},
+            "metric": "residual",
+            "z": [0.0, 1.0],
+            "eps_grid": [0.25, 0.125, 0.0625, 0.03125],
+            "delta_rule": ["ratio", 0.1],
+            "f1": {"type": "exp", "rate": 1.0},
+            key: value,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+
     def test_run_malformed_config(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"metric": "coupling"}))
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+
+def readme_examples() -> list[list[str]]:
+    """The ``wglimit`` commands of the README's CLI section, as argv lists."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("wglimit ")]
+
+
+class TestReadmeExamples:
+    """The README's CLI examples are the end-to-end contract: each one runs."""
+
+    EXAMPLES = readme_examples()
+    # the config file the ``run`` example reads: a small coupling sweep
+    CONFIG = {
+        "profile": {"kind": "zero", "amplitude": 0.0},
+        "metric": "coupling",
+        "z": [0.0, 1.0],
+        "eps_grid": [2.0**-k for k in range(6, 10)],
+        "delta_rule": ["power", 1.5],
+    }
+
+    def test_every_subcommand_has_an_example(self):
+        assert sorted(argv[0] for argv in self.EXAMPLES) == sorted(
+            ["spectrum", "kernel", "coupling", "residual-sweep", "graph-limit",
+             "oracle-compare", "run"])
+
+    @pytest.mark.parametrize("argv", EXAMPLES, ids=lambda argv: argv[0])
+    def test_example_runs(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps(self.CONFIG))
+        assert main(argv) == 0
+        out = tmp_path / argv[argv.index("--out") + 1]
+        assert out.exists()
+        if argv[0] not in ("spectrum", "kernel", "oracle-compare"):
+            assert out.with_name(out.name + ".json").exists()
 
 
 class TestOracleCompare:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import wglimit.experiments as experiments
+import wglimit.vertex_spectrum as vertex_spectrum
 from wglimit import CurvatureProfile, ExperimentConfig, fit_slope, run_sweep
 from wglimit.experiments import (
     ConfigError,
@@ -48,6 +49,12 @@ class TestFitSlope:
         eps = np.array([0.5, 0.25, 0.125, 0.0625, 0.03125])
         with pytest.raises(FitError):
             fit_slope(eps, eps, window_policy="drop:3")
+
+    @pytest.mark.parametrize("policy", ["bogus", "drop:-1", "drop:1.5", "drop:", 5])
+    def test_bad_window_policy_rejected(self, policy):
+        eps = np.array([2.0**-k for k in range(3, 10)])
+        with pytest.raises(ConfigError):
+            fit_slope(eps, eps, window_policy=policy)
 
     def test_nonpositive_values_excluded(self):
         eps = np.array([2.0**-k for k in range(3, 10)])
@@ -106,6 +113,16 @@ class TestConfig:
     def test_delta_rules(self):
         assert delta_for(("power", 1.5), 0.25) == 0.25**1.5
         assert delta_for(("ratio", 0.1), 0.25) == 0.025
+
+    @pytest.mark.parametrize("policy", ["bogus", "drop:-1", "drop:1.5", "drop:", 5])
+    def test_bad_window_policy_config_rejected(self, policy):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(profile=ZERO, window_policy=policy).validate()
+
+    @pytest.mark.parametrize("panels", [(64,), (64, 16, 4), (0, 16), (64, -1), (64.5, 16)])
+    def test_bad_quadrature_panels_rejected(self, panels):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(profile=ZERO, quadrature_panels=panels).validate()
 
     def test_json_round_trip(self):
         cfg = ExperimentConfig(profile=CurvatureProfile.bump(0.4),
@@ -258,6 +275,25 @@ class TestRunSweep:
         assert not result.failures
         assert len(result.rows) == 4
         assert all(np.isfinite(r["bound_ratio"]) for r in result.rows)
+
+    def test_resonant_residual_sweep_solves_spectrum_once(self, monkeypatch, tuned2):
+        # the sweep classifies at zero_tolerance 1e-3 and the resonant bound
+        # reads the zero-mode at the default tolerance; both threshold one
+        # cached solve, so each of the 4 eigenvalues is polished once
+        monkeypatch.delenv("WGL_THREADS", raising=False)
+        calls = []
+        polish = vertex_spectrum._polish
+        monkeypatch.setattr(vertex_spectrum, "_polish",
+                            lambda *args: calls.append(args[2]) or polish(*args))
+        near = CurvatureProfile("tuned_bump", tuned2.amplitude * (1 + 2e-6), 2)
+        cfg = ExperimentConfig(profile=near, metric="residual", z=1j,
+                               eps_grid=dyadic(4, 7), delta_rule=("ratio", 0.1),
+                               f1={"type": "exp", "rate": 1.0}, p=None,
+                               zero_tolerance=1e-3)
+        result = run_sweep(cfg)
+        assert len(result.rows) == 4 and not result.failures
+        assert vertex_spectrum.classify(near, 1e-3).resonant
+        assert sorted(calls) == [0, 1, 2, 3]
 
     def test_bad_threads_env(self, monkeypatch):
         monkeypatch.setenv("WGL_THREADS", "many")

@@ -10,7 +10,6 @@ from wglimit import (
     assemble,
     fd_resolvent,
     fd_vertex_eigen,
-    unitary_map_check,
 )
 from wglimit.fd_oracle import (
     FDSolution,
@@ -163,43 +162,6 @@ class TestFDResolvent:
         other = fd.edge_projection(1, n=1)
         driven = fd.edge_projection(1, n=2)
         assert np.max(np.abs(other)) < 1e-12 * max(np.max(np.abs(driven)), 1e-30)
-
-
-class TestUnitaryMap:
-    def _random_field(self, grid, rng):
-        def smooth(shape, xs, us):
-            return (np.outer(np.exp(-0.3 * xs) * np.cos(xs), np.sin(np.pi * us))
-                    + 0.3 * np.outer(np.exp(-xs), np.sin(2 * np.pi * us)))
-
-        e = smooth(None, grid.edge_s, grid.u_nodes)
-        v = smooth(None, grid.vertex_s + 1.0, grid.u_nodes)
-        return WaveguideField(grid, e.astype(complex), e.astype(complex),
-                              v.astype(complex))
-
-    def test_zero_profile_exact(self, zero_profile, rng):
-        grid = small_grid()
-        field = self._random_field(grid, rng)
-        out = unitary_map_check(grid, zero_profile, field)
-        assert out["round_trip"] == 0.0
-        assert out["norm_defect"] <= 1e-12
-
-    def test_bump_profile(self, bump05, rng):
-        grid = small_grid()
-        field = self._random_field(grid, rng)
-        out = unitary_map_check(grid, bump05, field)
-        assert out["round_trip"] <= 1e-12
-        assert out["norm_defect"] <= 1e-8
-
-    def test_zero_field(self, bump05):
-        grid = small_grid()
-        zeros = WaveguideField(
-            grid,
-            np.zeros((grid.n_edge + 1, grid.n_u), dtype=complex),
-            np.zeros((grid.n_edge + 1, grid.n_u), dtype=complex),
-            np.zeros((grid.n_vertex + 1, grid.n_u), dtype=complex),
-        )
-        out = unitary_map_check(grid, bump05, zeros)
-        assert out["round_trip"] == 0.0 and out["norm_defect"] == 0.0
 
 
 def hand_solution(grid: WaveguideGrid, edge1, edge2, n: int) -> FDSolution:

@@ -103,6 +103,12 @@ class TestVertexKernel:
         with pytest.raises(KernelError):
             vertex_kernel_at(zero_profile, 1j, mode="spectral")
 
+    @pytest.mark.parametrize("n_terms", [0, -5])
+    def test_term_count_below_one_rejected(self, bump05, n_terms):
+        # 0 used to give the free Neumann kernel and -5 silently 55 modes
+        with pytest.raises(ValueError):
+            vertex_kernel_at(bump05, 1 + 1j, mode="series", n_terms=n_terms)
+
     def test_resolvent_identity(self, bump05, rng):
         # r = r0 - r0 (-gamma^2/4) r at scattered points, by quadrature
         z = 1 + 1j

@@ -27,7 +27,6 @@ from .kernels import (
     HalfLineResolvent,
     Indicator,
     NearEigenvalueError,
-    VertexKernel,
     boundary_derivative,
     half_line_apply,
     neumann_free_kernel,

@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -26,18 +27,20 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     FitError,
+    csv_cell,
     edge_function_from_spec,
     oracle_report,
     run_sweep,
 )
 from .fd_oracle import H_S, H_U, OracleError
-from .kernels import SERIES_DEFAULT_TERMS, KernelError, NearEigenvalueError, vertex_kernel_at
+from .kernels import (SERIES_DEFAULT_TERMS, KernelError, NearEigenvalueError, series_kernel,
+                      vertex_kernel_at)
 from .profile import CurvatureProfile, ProfileError, tune_to_resonance
 from .vertex_spectrum import DEFAULT_ZERO_TOLERANCE, IntegrationError, SpectrumError, eigenvalues
 
 VALIDATION_ERRORS = (ConfigError, ProfileError, FitError, ValueError)
 NUMERICAL_ERRORS = (NearEigenvalueError, SingularSystemError, IntegrationError,
-                    SpectrumError, KernelError, OracleError)
+                    SpectrumError, KernelError, OracleError, OverflowError)
 
 
 def _parse_profile(text: str) -> CurvatureProfile:
@@ -98,7 +101,7 @@ def _write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([csv_cell(v) for v in row])
 
 
 def _cmd_spectrum(args) -> int:
@@ -118,13 +121,18 @@ def _cmd_spectrum(args) -> int:
 def _cmd_kernel(args) -> int:
     if args.grid < 1:
         raise ConfigError(f"--grid must be >= 1, got {args.grid}")
+    if args.n_terms < 1:
+        raise ConfigError(f"--n-terms must be >= 1, got {args.n_terms}")
     profile = _parse_profile(args.profile)
-    kernel = vertex_kernel_at(profile, _parse_z(args.z), mode=args.mode,
-                              n_terms=args.n_terms)
+    z = _parse_z(args.z)
+    if args.mode == "series":
+        kernel = partial(series_kernel, profile, z, n_terms=args.n_terms)
+    else:
+        kernel = vertex_kernel_at(profile, z).value
     grid = np.linspace(-1.0, 1.0, args.grid)
     rows = []
     for s in grid:
-        vals = kernel.value(np.full(args.grid, s), grid)
+        vals = kernel(np.full(args.grid, s), grid)
         for sp, v in zip(grid, np.atleast_1d(vals)):
             rows.append((float(s), float(sp), v.real, v.imag))
     _write_csv(args.out, ["s", "s_prime", "re", "im"], rows)
@@ -133,10 +141,9 @@ def _cmd_kernel(args) -> int:
 
 
 def _build_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
+    if args.command == "run":
         with open(args.config, encoding="utf-8") as fh:
-            cfg = ExperimentConfig.from_json_dict(json.load(fh))
-        return cfg
+            return ExperimentConfig.from_json_dict(json.load(fh))
     metric = args.metric
     kwargs = dict(
         profile=_parse_profile(args.profile),
@@ -161,7 +168,7 @@ def _build_config(args) -> ExperimentConfig:
 
 
 def _cmd_sweep(args) -> int:
-    """coupling, residual-sweep, graph-limit, and run (whose --config wins)."""
+    """coupling, residual-sweep, graph-limit, and run (from its --config)."""
     out = args.out
     result = run_sweep(_build_config(args))
     result.to_csv(out)
@@ -193,7 +200,6 @@ def _cmd_oracle_compare(args) -> int:
 
 
 def _add_sweep_flags(sub, coupling: bool) -> None:
-    sub.add_argument("--config", help="JSON config file (overrides flags)")
     sub.add_argument("--profile", default="zero")
     sub.add_argument("--z", default="0,1", help="RE,IM")
     sub.add_argument("--eps-grid", default="2^-6..2^-14")

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import VertexKernel, sqrt_upper, vertex_kernel_at
+from .kernels import sqrt_upper, vertex_kernel_at
 from .profile import CurvatureProfile
-from .vertex_spectrum import DEFAULT_ZERO_TOLERANCE, CaseLabel, classify
+from .vertex_spectrum import DEFAULT_ZERO_TOLERANCE, CaseLabel, ShootingSolution, classify
 
 __all__ = [
     "CouplingCoefficients",
@@ -99,8 +99,7 @@ def regular_corner_part(profile: CurvatureProfile, projector: KirchhoffProjector
     c = projector.weight_norm_sq
 
     def regular(wv: complex) -> np.ndarray:
-        k = vertex_kernel_at(profile, wv)
-        return k.corners() + (c / wv) * projector.lambda0
+        return vertex_kernel_at(profile, wv).corners() + (c / wv) * projector.lambda0
 
     w1 = CORNER_W_SCALE * zhat
     return 2.0 * regular(w1) - regular(2.0 * w1)
@@ -144,7 +143,7 @@ def _solve_2x2(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ])
 
 
-def solve_coupling_from_kernel(kernel: VertexKernel, z: complex, epsilon: float,
+def solve_coupling_from_kernel(kernel: ShootingSolution, z: complex, epsilon: float,
                                p, case: CaseLabel) -> CouplingCoefficients:
     """Solve the coupling system given a kernel already placed at eps^2 z."""
     p = np.asarray(p, dtype=complex)

@@ -112,9 +112,19 @@ def edge_function_from_spec(spec: dict | None):
 
 
 # Optional JSON keys and their value conversions; a missing key takes the default.
-_OPTIONAL_KEYS = (("metric", None), ("n", int), ("f1", None), ("f2", None),
-                  ("quadrature_panels", tuple), ("quadrature_order", int),
+_OPTIONAL_KEYS = (("metric", None), ("n", None), ("f1", None), ("f2", None),
+                  ("quadrature_panels", tuple), ("quadrature_order", None),
                   ("zero_tolerance", float), ("window_policy", None))
+
+
+def _is_int(value) -> bool:
+    """A plain integer: JSON's 1.7 and true are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def csv_cell(value):
+    """A CSV cell; floats, numpy's included, as repr(float), which float() reads."""
+    return repr(float(value)) if isinstance(value, float) else value
 
 
 @dataclass(frozen=True)
@@ -163,12 +173,13 @@ class ExperimentConfig:
             raise ConfigError(f"metric {self.metric!r} needs edge data f1/f2")
         for spec in (self.f1, self.f2):
             edge_function_from_spec(spec)
-        if self.n < 1:
-            raise ConfigError("transverse index n must be >= 1")
-        if self.quadrature_order < MIN_QUADRATURE_ORDER:
-            raise ConfigError(f"quadrature order must be >= {MIN_QUADRATURE_ORDER}")
+        if not _is_int(self.n) or self.n < 1:
+            raise ConfigError(f"transverse index n must be an integer >= 1, got {self.n!r}")
+        if not _is_int(self.quadrature_order) or self.quadrature_order < MIN_QUADRATURE_ORDER:
+            raise ConfigError(f"quadrature order must be an integer >= {MIN_QUADRATURE_ORDER}, "
+                              f"got {self.quadrature_order!r}")
         panels = self.quadrature_panels
-        if len(panels) != 2 or not all(isinstance(k, int) and k >= 1 for k in panels):
+        if len(panels) != 2 or not all(_is_int(k) and k >= 1 for k in panels):
             raise ConfigError(f"quadrature_panels {panels!r} must be two positive integers")
         _drop_count(self.window_policy)
 
@@ -397,18 +408,11 @@ class SweepResult:
             writer = csv.writer(fh)
             writer.writerow(cols)
             for row in self.rows:
-                writer.writerow([repr(row.get(c, "")) if isinstance(row.get(c), float)
-                                 else row.get(c, "") for c in cols])
-            slope_row = ["slope"] + [
-                repr(self.slopes[c].slope) if c in self.slopes else ""
-                for c in cols[1:]
-            ]
-            writer.writerow(slope_row)
-            hw_row = ["slope_half_width"] + [
-                repr(self.slopes[c].half_width) if c in self.slopes else ""
-                for c in cols[1:]
-            ]
-            writer.writerow(hw_row)
+                writer.writerow([csv_cell(row.get(c, "")) for c in cols])
+            for label, attr in (("slope", "slope"), ("slope_half_width", "half_width")):
+                writer.writerow([label] + [
+                    csv_cell(getattr(self.slopes[c], attr)) if c in self.slopes else ""
+                    for c in cols[1:]])
 
     def to_json(self, path) -> None:
         payload = {

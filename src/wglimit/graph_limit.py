@@ -26,8 +26,8 @@ from .coupling import KirchhoffProjector, kirchhoff_projector
 from .kernels import (
     HalfLineResolvent,
     boundary_derivatives,
+    edge_field,
     half_line_apply,
-    half_line_apply_grid,
     sqrt_upper,
 )
 from .residual import ApproxSolution
@@ -95,14 +95,9 @@ def apply_resolvent_grid(res: GraphResolvent, f1, f2, s: np.ndarray,
                          edge: int) -> np.ndarray:
     """Vectorised edge values on a grid of points."""
     r0 = HalfLineResolvent(res.z)
-    f = f1 if edge == 1 else f2
-    s = np.asarray(s, dtype=float)
-    base = np.zeros(s.shape, dtype=complex) if f is None else \
-        half_line_apply_grid(r0, f, s)
-    if res.projector is None:
-        return base
-    q = graph_q(res, boundary_derivatives(r0, f1, f2))
-    return base + q[edge - 1] * np.exp(1j * r0.sqrt_z * s)
+    q = 0.0 if res.projector is None else \
+        graph_q(res, boundary_derivatives(r0, f1, f2))[edge - 1]
+    return edge_field(r0, f1 if edge == 1 else f2, q, s)
 
 
 def limit_comparison(sol: ApproxSolution) -> float:

@@ -6,11 +6,12 @@ problem and their Wronskian Wv,
 
     r(z; s, s') = zeta(z; min) * eta(z; max) / Wv(z),
 
-valid for z away from the eigenvalues.  A second, independent route
-evaluates the eigenfunction expansion sum y_n(s) y_n(s') / (lambda_n - z)
-from a cosine-Galerkin diagonalisation; its slowly convergent free part
-is resummed in closed form so finite truncations are accurate at the
-corners as well.
+valid for z away from the eigenvalues; ``vertex_kernel_at`` returns the
+shooting solution, which evaluates it.  A second, independent route,
+``series_kernel``, evaluates the eigenfunction expansion
+sum y_n(s) y_n(s') / (lambda_n - z) from a cosine-Galerkin
+diagonalisation; its slowly convergent free part is resummed in closed
+form so finite truncations are accurate at the corners as well.
 
 Half line.  For Im sqrt(z) > 0 the Dirichlet resolvent on (0, inf) has
 the method-of-images kernel
@@ -49,12 +50,13 @@ __all__ = [
     "KernelError",
     "NearEigenvalueError",
     "QuadratureError",
-    "VertexKernel",
     "boundary_derivative",
     "boundary_derivatives",
+    "edge_field",
     "half_line_apply",
     "half_line_apply_grid",
     "neumann_free_kernel",
+    "series_kernel",
     "sqrt_upper",
     "vertex_kernel_at",
 ]
@@ -101,93 +103,43 @@ def neumann_free_kernel(z: complex, s: float, sp: float) -> complex:
 # Vertex kernel
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VertexKernel:
-    """Immutable kernel snapshot at one spectral parameter.
+def vertex_kernel_at(profile: CurvatureProfile, z: complex) -> ShootingSolution:
+    """Shoot once at z; the solution is the vertex kernel there.
 
-    mode ``wronskian`` evaluates the shooting-based Green's function;
-    mode ``series`` evaluates the eigenfunction expansion truncated at
-    ``n_terms`` with the free part resummed through the closed-form
-    Neumann kernel (plain truncation leaves an O(1/n_terms) tail at the
-    corners, far above the accuracy the expansion route is used for).
+    Raises NearEigenvalueError when |Wv| is below WRONSKIAN_FLOOR.
     """
-
-    profile: CurvatureProfile
-    z: complex
-    shooting: ShootingSolution
-    mode: str = "wronskian"
-    n_terms: int = SERIES_DEFAULT_TERMS
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("wronskian", "series"):
-            raise KernelError(f"unknown kernel mode {self.mode!r}")
-        if self.n_terms < 1:
-            raise ValueError(f"n_terms must be >= 1, got {self.n_terms}")
-
-    def _guard(self) -> complex:
-        w = self.shooting.wronskian
-        if abs(w) < WRONSKIAN_FLOOR:
-            raise NearEigenvalueError(
-                f"|Wronskian|={abs(w):.2e} at z={self.z}; kernel undefined")
-        return w
-
-    def value(self, s, sp):
-        if self.mode == "series":
-            return self._series_value(s, sp)
-        w = self._guard()
-        s = np.asarray(s, dtype=float)
-        sp = np.asarray(sp, dtype=float)
-        lo, hi = np.broadcast_arrays(np.minimum(s, sp), np.maximum(s, sp))
-        shape = lo.shape
-        out = (self.shooting.zeta(lo.ravel()) * self.shooting.eta(hi.ravel()) / w)
-        out = np.asarray(out).reshape(shape)
-        return complex(out) if out.ndim == 0 else out
-
-    def _series_value(self, s, sp):
-        lams, coef, n_basis, mu = _galerkin_eigenpairs(self.profile, self.n_terms)
-        cs = _free_mode_values(s, n_basis)
-        csp = _free_mode_values(sp, n_basis)
-        pert = ((cs @ coef) / (lams - self.z)[None, :] * (csp @ coef)).sum(axis=1)
-        n = self.n_terms
-        free = (cs[:, :n] / (mu[:n] - self.z)[None, :] * csp[:, :n]).sum(axis=1)
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        sp_arr = np.atleast_1d(np.asarray(sp, dtype=float))
-        base = np.array([
-            neumann_free_kernel(self.z, float(a), float(b))
-            for a, b in zip(np.broadcast_to(s_arr, pert.shape),
-                            np.broadcast_to(sp_arr, pert.shape))
-        ])
-        out = base + pert - free
-        return complex(out[0]) if np.isscalar(s) or np.ndim(s) == 0 else out
-
-    def s_derivative(self, s, endpoint: int):
-        """d/ds r(z; s, endpoint) from the stored shooting derivatives."""
-        if endpoint not in (-1, 1):
-            raise KernelError("endpoint must be -1 or +1")
-        w = self._guard()
-        s = np.asarray(s, dtype=float)
-        shape = s.shape
-        if endpoint == 1:
-            out = self.shooting.zeta_prime(s.ravel()) / w
-        else:
-            out = self.shooting.eta_prime(s.ravel()) / w
-        out = np.asarray(out).reshape(shape)
-        return complex(out) if out.ndim == 0 else out
-
-    def corners(self) -> np.ndarray:
-        """The 2x2 matrix of kernel values at the four endpoint pairs."""
-        self._guard()
-        return np.array([
-            [self.value(-1.0, -1.0), self.value(-1.0, 1.0)],
-            [self.value(1.0, -1.0), self.value(1.0, 1.0)],
-        ])
+    sol = shoot(profile, z)
+    if abs(sol.wronskian) < WRONSKIAN_FLOOR:
+        raise NearEigenvalueError(
+            f"|Wronskian|={abs(sol.wronskian):.2e} at z={sol.z}; kernel undefined")
+    return sol
 
 
-def vertex_kernel_at(profile: CurvatureProfile, z: complex,
-                     mode: str = "wronskian",
-                     n_terms: int = SERIES_DEFAULT_TERMS) -> VertexKernel:
-    """Shoot once at z and wrap the dense output as a kernel."""
-    return VertexKernel(profile, complex(z), shoot(profile, z), mode, n_terms)
+def series_kernel(profile: CurvatureProfile, z: complex, s, sp,
+                  n_terms: int = SERIES_DEFAULT_TERMS):
+    """r(z; s, s') from the eigenfunction expansion truncated at n_terms.
+
+    The free part is resummed through the closed-form Neumann kernel
+    (plain truncation leaves an O(1/n_terms) tail at the corners, far
+    above the accuracy this independent route is used for).
+    """
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    z = complex(z)
+    lams, coef, n_basis, mu = _galerkin_eigenpairs(profile, n_terms)
+    cs = _free_mode_values(s, n_basis)
+    csp = _free_mode_values(sp, n_basis)
+    pert = ((cs @ coef) / (lams - z)[None, :] * (csp @ coef)).sum(axis=1)
+    free = (cs[:, :n_terms] / (mu[:n_terms] - z)[None, :] * csp[:, :n_terms]).sum(axis=1)
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    sp_arr = np.atleast_1d(np.asarray(sp, dtype=float))
+    base = np.array([
+        neumann_free_kernel(z, float(a), float(b))
+        for a, b in zip(np.broadcast_to(s_arr, pert.shape),
+                        np.broadcast_to(sp_arr, pert.shape))
+    ])
+    out = base + pert - free
+    return complex(out[0]) if np.isscalar(s) or np.ndim(s) == 0 else out
 
 
 # ----------------------------------------------------------------------
@@ -364,3 +316,11 @@ def half_line_apply_grid(res: HalfLineResolvent, f, s: np.ndarray) -> np.ndarray
                         + np.exp(-1j * k * s) * b_plus
                         - np.exp(1j * k * s) * f_plus)
     return out
+
+
+def edge_field(res: HalfLineResolvent, f, q: complex, s) -> np.ndarray:
+    """r0(z) f + q exp(i sqrt(z) s) on a grid of edge points; f may be None."""
+    s = np.asarray(s, dtype=float)
+    base = np.zeros(s.shape, dtype=complex) if f is None else \
+        half_line_apply_grid(res, f, s)
+    return base + q * np.exp(1j * res.sqrt_z * s)

@@ -31,15 +31,14 @@ from scipy.integrate import quad, simpson
 from .coupling import CouplingCoefficients, solve_coupling_from_kernel
 from .kernels import (
     HalfLineResolvent,
-    VertexKernel,
     boundary_derivatives,
+    edge_field,
     half_line_apply,
-    half_line_apply_grid,
     vertex_kernel_at,
 )
 from .profile import CurvatureProfile, geometry_residual_fields
 from .vertex_spectrum import (DEFAULT_ZERO_TOLERANCE, VERTEX_GRID_POINTS, CaseLabel,
-                              _panel_nodes, spectrum_for_case)
+                              ShootingSolution, _panel_nodes, spectrum_for_case)
 
 __all__ = [
     "ApproxSolution",
@@ -91,7 +90,7 @@ class ApproxSolution:
     f1: object
     f2: object
     coeffs: CouplingCoefficients
-    kernel: VertexKernel
+    kernel: ShootingSolution
     resolvent0: HalfLineResolvent
 
     @property
@@ -104,25 +103,17 @@ class ApproxSolution:
 
     def phi(self, s):
         """Vertex s-profile eps [xi1 r(.; s, -1) + xi2 r(.; s, +1)]."""
-        sh = self.kernel.shooting
-        xi = self.coeffs.xi
-        w = sh.wronskian
-        return self.epsilon * (xi[0] * sh.eta(s) + xi[1] * sh.zeta(s)) / w
+        k, xi = self.kernel, self.coeffs.xi
+        return self.epsilon * (xi[0] * k.eta(s) + xi[1] * k.zeta(s)) / k.wronskian
 
     def phi_prime(self, s):
-        sh = self.kernel.shooting
-        xi = self.coeffs.xi
-        w = sh.wronskian
-        return self.epsilon * (xi[0] * sh.eta_prime(s) + xi[1] * sh.zeta_prime(s)) / w
+        k, xi = self.kernel, self.coeffs.xi
+        return self.epsilon * (xi[0] * k.eta_prime(s) + xi[1] * k.zeta_prime(s)) / k.wronskian
 
     def edge_profile(self, edge: int, s):
         """x_j(s) on a grid of edge coordinates."""
-        f = self.f1 if edge == 1 else self.f2
-        q = self.coeffs.q[edge - 1]
-        s = np.asarray(s, dtype=float)
-        base = np.zeros(s.shape, dtype=complex) if f is None else \
-            half_line_apply_grid(self.resolvent0, f, s)
-        return base + q * np.exp(1j * self.resolvent0.sqrt_z * s)
+        return edge_field(self.resolvent0, self.f1 if edge == 1 else self.f2,
+                          self.coeffs.q[edge - 1], s)
 
     def edge_value(self, edge: int, s: float) -> complex:
         f = self.f1 if edge == 1 else self.f2

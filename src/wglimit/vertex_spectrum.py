@@ -59,6 +59,11 @@ _SHOOT_RTOL = 1e-10
 _SHOOT_ATOL = 1e-13
 _REFINE_RTOL = 1e-12
 _REFINE_ATOL = 1e-14
+# Right-hand-side evaluations allowed per integration.  The work grows like
+# sqrt(|z|); the largest solve of the test suite and the README examples
+# takes under 2000.  The cap admits |z| up to about 1.1e6 at _SHOOT_RTOL and
+# eigenvalues up to about 5.6e5 (the first 477) at _REFINE_RTOL.
+MAX_SHOOT_NFEV = 100_000
 # Initial relative half-width of the shooting bracket around a Galerkin
 # eigenvalue; the two agree to ~1e-11.
 _POLISH_START = 1e-9
@@ -74,9 +79,12 @@ class SpectrumError(RuntimeError):
 
 @dataclass(frozen=True)
 class ShootingSolution:
-    """Dense shooting output at one complex spectral parameter."""
+    """Dense shooting output at one complex spectral parameter.
 
-    profile: CurvatureProfile
+    Away from the eigenvalues it is the vertex kernel
+    r(z; s, s') = zeta(min(s, s')) eta(max(s, s')) / Wv.
+    """
+
     z: complex
     zeta_sol: object  # scipy OdeSolution for (zeta, zeta')
     eta_sol: object
@@ -96,12 +104,42 @@ class ShootingSolution:
     def eta_prime(self, s):
         return self.eta_sol(np.asarray(s))[1]
 
+    def value(self, s, sp):
+        """The kernel r(z; s, s') (vectorised over broadcast s, s')."""
+        s = np.asarray(s, dtype=float)
+        sp = np.asarray(sp, dtype=float)
+        lo, hi = np.broadcast_arrays(np.minimum(s, sp), np.maximum(s, sp))
+        out = self.zeta(lo.ravel()) * self.eta(hi.ravel()) / self.wronskian
+        out = np.asarray(out).reshape(lo.shape)
+        return complex(out) if out.ndim == 0 else out
+
+    def s_derivative(self, s, endpoint: int):
+        """d/ds r(z; s, endpoint) from the stored shooting derivatives."""
+        if endpoint not in (-1, 1):
+            raise ValueError("endpoint must be -1 or +1")
+        s = np.asarray(s, dtype=float)
+        prime = self.zeta_prime if endpoint == 1 else self.eta_prime
+        out = np.asarray(prime(s.ravel()) / self.wronskian).reshape(s.shape)
+        return complex(out) if out.ndim == 0 else out
+
+    def corners(self) -> np.ndarray:
+        """The 2x2 matrix r(z; +-1, +-1).  The dense output returns the
+        initial values at the first node, so zeta(-1) = eta(+1) = 1 exactly."""
+        return np.array([[self.eta(-1.0), 1.0], [1.0, self.zeta(1.0)]]) / self.wronskian
+
 
 def _integrate(profile: CurvatureProfile, z: complex, s0: float, s1: float,
                rtol: float, atol: float, dense: bool):
-    """Integrate  w'' = (-gamma^2/4 - z) w  from s0 to s1 with w(s0)=1, w'(s0)=0."""
+    """Integrate  w'' = (-gamma^2/4 - z) w  from s0 to s1 with w(s0)=1, w'(s0)=0,
+    in at most MAX_SHOOT_NFEV right-hand-side evaluations."""
+    nfev = 0
 
     def rhs(s, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > MAX_SHOOT_NFEV:
+            raise IntegrationError(f"shooting at z={z} needs more than "
+                                   f"{MAX_SHOOT_NFEV} right-hand-side evaluations")
         v = -0.25 * profile.gamma(s) ** 2
         return [y[1], (v - z) * y[0]]
 
@@ -121,7 +159,7 @@ def shoot(profile: CurvatureProfile, z: complex,
     # At s = +1 the right solution is exactly (1, 0), so Wv = zeta'(+1).
     wr = complex(left.y[1, -1])
     mesh = np.union1d(left.t, right.t[::-1])
-    return ShootingSolution(profile, complex(z), left.sol, right.sol, wr, mesh)
+    return ShootingSolution(complex(z), left.sol, right.sol, wr, mesh)
 
 
 def wronskian_values(solution: ShootingSolution, s) -> np.ndarray:
@@ -265,10 +303,8 @@ class CaseLabel:
 class VertexSpectrum:
     """Eigenvalues, eigenfunctions and the resonance classification."""
 
-    profile: CurvatureProfile
     eigenvalues: np.ndarray
     functions: tuple[EigenFunction, ...]
-    zero_tolerance: float
     case: CaseLabel
 
     @property
@@ -325,7 +361,7 @@ def eigenvalues(profile: CurvatureProfile, count: int,
     case = CaseLabel(False)
     if abs(lams[k]) <= zero_tolerance:
         case = CaseLabel(True, k + 1, funcs[k].at_minus1, funcs[k].at_plus1)
-    return VertexSpectrum(profile, lams, funcs, zero_tolerance, case)
+    return VertexSpectrum(lams, funcs, case)
 
 
 def classify_case(spectrum: VertexSpectrum) -> CaseLabel:

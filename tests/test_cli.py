@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import shlex
+import time
 import warnings
 from datetime import timedelta
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from wglimit import vertex_spectrum
 from wglimit.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -53,6 +55,42 @@ class TestKernelCommand:
         out = tmp_path / "kernel.csv"
         assert main(["kernel", "--profile", "zero", "--z", "0,0",
                      "--out", str(out)]) == 3
+
+    def test_series_mode_does_not_shoot(self, tmp_path, monkeypatch):
+        def no_shooting(*args, **kwargs):
+            raise AssertionError("the series route must not integrate")
+
+        monkeypatch.setattr(vertex_spectrum, "solve_ivp", no_shooting)
+        assert main(["kernel", "--profile", "bump:0.5", "--z", "1,1", "--grid", "3",
+                     "--mode", "series", "--out", str(tmp_path / "k.csv")]) == 0
+
+    def test_series_mode_overflow_exit_code(self, tmp_path):
+        # the free Neumann kernel overflows in cmath; a discarded shoot used to fail first
+        assert main(["kernel", "--profile", "zero", "--z=-1e6,1", "--mode", "series",
+                     "--out", str(tmp_path / "k.csv")]) == 3
+
+    def test_shooting_cap_exit_code(self, tmp_path):
+        # about 1e9 right-hand-side evaluations uncapped; the cap stops it
+        start = time.perf_counter()
+        assert main(["kernel", "--profile", "zero", "--z=1e16,1",
+                     "--out", str(tmp_path / "k.csv")]) == 3
+        assert time.perf_counter() - start < 15.0
+
+    def test_csv_cells_read_back(self, tmp_path):
+        # numpy 2 floats used to be written as np.float64(...)
+        kernel = tmp_path / "k.csv"
+        assert main(["kernel", "--profile", "bump:0.5", "--z", "1,1", "--grid", "3",
+                     "--out", str(kernel)]) == 0
+        residual = tmp_path / "r.csv"
+        assert main(["residual-sweep", "--profile", "zero", "--z", "0,1",
+                     "--eps-grid", "2^-3..2^-6", "--f1", "exp:1",
+                     "--out", str(residual)]) == 0
+        rows = read_csv(residual)
+        assert "bound_ratio" in rows[2]
+        for row in read_csv(kernel)[1:] + rows[3:]:
+            for cell in row:
+                if cell not in ("", "slope", "slope_half_width"):
+                    float(cell)
 
 
 class TestSweepCommands:
@@ -138,6 +176,14 @@ class TestSweepCommands:
         assert main(["oracle-compare", "--z=-1,0",
                      "--out", str(tmp_path / "x.json")]) == 3
 
+    def test_shooting_cap_is_a_point_failure(self, tmp_path):
+        out = tmp_path / "cap.csv"
+        assert main(["coupling", "--profile", "bump:0.5", "--z=1e16,1",
+                     "--eps-grid", "0.5,0.25", "--out", str(out)]) == 0
+        failures = json.loads((tmp_path / "cap.csv.json").read_text())["failures"]
+        assert len(failures) == 2
+        assert all("right-hand-side evaluations" in f["error"] for f in failures)
+
     def test_real_p_accepted(self, tmp_path):
         out = tmp_path / "p.csv"
         assert main(["coupling", "--profile", "zero", "--eps-grid", "2^-6..2^-9",
@@ -178,6 +224,16 @@ class TestSweepCommands:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("command", ["coupling", "residual-sweep", "graph-limit"])
+    def test_sweep_takes_no_config(self, tmp_path, command):
+        # only ``run`` reads a config; ``coupling --config`` ran whatever it held
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"profile": {"kind": "zero", "amplitude": 0.0},
+                                        "z": [0.0, 1.0], "eps_grid": [0.5, 0.25],
+                                        "delta_rule": ["power", 1.5]}))
+        assert main([command, "--config", str(cfg_path),
                      "--out", str(tmp_path / "o.csv")]) == 2
 
     def test_run_malformed_config(self, tmp_path):

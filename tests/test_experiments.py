@@ -119,10 +119,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(profile=ZERO, window_policy=policy).validate()
 
-    @pytest.mark.parametrize("panels", [(64,), (64, 16, 4), (0, 16), (64, -1), (64.5, 16)])
+    @pytest.mark.parametrize("panels", [(64,), (64, 16, 4), (0, 16), (64, -1), (64.5, 16),
+                                        (True, 16)])
     def test_bad_quadrature_panels_rejected(self, panels):
         with pytest.raises(ConfigError):
             ExperimentConfig(profile=ZERO, quadrature_panels=panels).validate()
+
+    @pytest.mark.parametrize("key, value", [("quadrature_order", 8.9), ("n", 1.7),
+                                            ("n", True)])
+    def test_non_integer_json_value_rejected(self, key, value):
+        # int() used to truncate these to 8, 1 and 1, and the echoed config showed that
+        d = ExperimentConfig(profile=ZERO, metric="residual", p=None,
+                             f1={"type": "exp", "rate": 1.0}).to_json_dict()
+        d[key] = value
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_json_dict(d)
 
     def test_json_round_trip(self):
         cfg = ExperimentConfig(profile=CurvatureProfile.bump(0.4),

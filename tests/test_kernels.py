@@ -21,6 +21,7 @@ from wglimit.kernels import (
     KernelError,
     boundary_derivatives,
     half_line_apply_grid,
+    series_kernel,
     sqrt_upper,
 )
 
@@ -87,27 +88,31 @@ class TestVertexKernel:
     def test_series_agrees_with_wronskian(self, profile_name, request, rng):
         profile = request.getfixturevalue(profile_name)
         z = 1 + 1j
-        kw = vertex_kernel_at(profile, z, mode="wronskian")
-        ks = vertex_kernel_at(profile, z, mode="series", n_terms=200)
+        kw = vertex_kernel_at(profile, z)
         pts = rng.uniform(-1, 1, size=(10, 2))
         for s, sp in pts:
-            assert abs(kw.value(s, sp) - ks.value(s, sp)) < 1e-6
-        assert np.max(np.abs(kw.corners() - ks.corners())) < 1e-6
+            assert abs(kw.value(s, sp) - series_kernel(profile, z, s, sp, n_terms=200)) < 1e-6
+        ks_corners = np.array([[series_kernel(profile, z, a, b, n_terms=200)
+                                for b in (-1.0, 1.0)] for a in (-1.0, 1.0)])
+        assert np.max(np.abs(kw.corners() - ks_corners)) < 1e-6
 
     def test_near_eigenvalue_guard(self, zero_profile):
-        kernel = vertex_kernel_at(zero_profile, 0.0)
         with pytest.raises(NearEigenvalueError):
-            kernel.value(0.1, 0.2)
-
-    def test_bad_mode_rejected(self, zero_profile):
-        with pytest.raises(KernelError):
-            vertex_kernel_at(zero_profile, 1j, mode="spectral")
+            vertex_kernel_at(zero_profile, 0.0)
 
     @pytest.mark.parametrize("n_terms", [0, -5])
     def test_term_count_below_one_rejected(self, bump05, n_terms):
         # 0 used to give the free Neumann kernel and -5 silently 55 modes
         with pytest.raises(ValueError):
-            vertex_kernel_at(bump05, 1 + 1j, mode="series", n_terms=n_terms)
+            series_kernel(bump05, 1 + 1j, 0.0, 0.0, n_terms=n_terms)
+
+    @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05", "tuned2"])
+    @pytest.mark.parametrize("z", [1j, 1 + 1j, -2 + 0.5j, 30 - 4j, 1e-6j, 1e-3 - 1e-8j])
+    def test_corners_are_the_endpoint_values(self, profile_name, z, request):
+        # corners() reads eta(-1) and zeta(+1) only; zeta(-1) = eta(+1) = 1 exactly
+        kernel = vertex_kernel_at(request.getfixturevalue(profile_name), z)
+        four = np.array([[kernel.value(a, b) for b in (-1.0, 1.0)] for a in (-1.0, 1.0)])
+        assert kernel.corners().tobytes() == four.tobytes()
 
     def test_resolvent_identity(self, bump05, rng):
         # r = r0 - r0 (-gamma^2/4) r at scattered points, by quadrature

@@ -5,8 +5,7 @@ oracle-compare, run.  Each parses its flags and calls one library
 function: the sweeps build an ``ExperimentConfig`` for ``run_sweep``,
 and oracle-compare writes the dict of ``oracle_report``.  Exit codes:
 0 success, 2 validation error (z on [0, inf) included for sweeps and
-oracle-compare), 3 numerical failure.  WGL_THREADS caps the sweep
-worker pool.
+oracle-compare), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -41,6 +40,9 @@ from .vertex_spectrum import DEFAULT_ZERO_TOLERANCE, IntegrationError, SpectrumE
 VALIDATION_ERRORS = (ConfigError, ProfileError, FitError, ValueError)
 NUMERICAL_ERRORS = (NearEigenvalueError, SingularSystemError, IntegrationError,
                     SpectrumError, KernelError, OracleError, OverflowError)
+# Largest `kernel --grid` (grid^2 CSV rows) and `kernel --n-terms`.
+MAX_KERNEL_GRID = 1001
+MAX_SERIES_TERMS = 2000
 
 
 def _parse_profile(text: str) -> CurvatureProfile:
@@ -119,10 +121,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    if args.grid < 1:
-        raise ConfigError(f"--grid must be >= 1, got {args.grid}")
-    if args.n_terms < 1:
-        raise ConfigError(f"--n-terms must be >= 1, got {args.n_terms}")
+    if not 1 <= args.grid <= MAX_KERNEL_GRID:
+        raise ConfigError(f"--grid must lie in [1, {MAX_KERNEL_GRID}], got {args.grid}")
+    if not 1 <= args.n_terms <= MAX_SERIES_TERMS:
+        raise ConfigError(f"--n-terms must lie in [1, {MAX_SERIES_TERMS}], got {args.n_terms}")
     profile = _parse_profile(args.profile)
     z = _parse_z(args.z)
     if args.mode == "series":

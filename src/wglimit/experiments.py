@@ -3,8 +3,8 @@
 A sweep walks eps down a strictly decreasing grid, pairs it with a width
 delta through a rule (fixed ratio delta = r*eps or power delta = eps^a),
 evaluates one ``METRICS`` point function per point on a ``SweepContext``
-that holds everything eps-independent (built once, pickled to the
-WGL_THREADS pool), and fits log-log slopes on a stabilised window.
+that holds everything eps-independent (built once per sweep), and fits
+log-log slopes on a stabilised window.
 Results persist as CSV (rows plus a trailing slope summary) and JSON;
 both embed the fully resolved config so outputs are self-describing and
 bitwise reproducible.  ``oracle_report`` is the oracle-compare report.
@@ -17,11 +17,8 @@ import cmath
 import csv
 import json
 import math
-import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -46,8 +43,8 @@ from .kernels import (
     vertex_kernel_at,
 )
 from .profile import CurvatureProfile, ProfileError
-from .residual import (MIN_QUADRATURE_ORDER, QUADRATURE_ORDER, QUADRATURE_PANELS, assemble,
-                       data_norm, residual_norms)
+from .residual import (MAX_QUADRATURE_NODES, MIN_QUADRATURE_ORDER, QUADRATURE_ORDER,
+                       QUADRATURE_PANELS, assemble, data_norm, residual_norms)
 from .vertex_spectrum import (DEFAULT_ZERO_TOLERANCE, CaseLabel, IntegrationError,
                               SpectrumError, classify)
 
@@ -181,6 +178,9 @@ class ExperimentConfig:
         panels = self.quadrature_panels
         if len(panels) != 2 or not all(_is_int(k) and k >= 1 for k in panels):
             raise ConfigError(f"quadrature_panels {panels!r} must be two positive integers")
+        nodes = panels[0] * panels[1] * self.quadrature_order**2
+        if nodes > MAX_QUADRATURE_NODES:
+            raise ConfigError(f"quadrature of {nodes} nodes exceeds {MAX_QUADRATURE_NODES}")
         _drop_count(self.window_policy)
 
     def to_json_dict(self) -> dict:
@@ -298,7 +298,7 @@ def fit_slope(eps, values, window_policy: str = "stabilize") -> SlopeFit:
 
 @dataclass(frozen=True)
 class SweepContext:
-    """The eps-independent data of a sweep, built once and pickled to workers."""
+    """The eps-independent data of a sweep, built once per sweep."""
 
     config: ExperimentConfig
     case: CaseLabel
@@ -373,16 +373,6 @@ METRICS = {
 }
 
 
-def _point(ctx: SweepContext, eps: float) -> tuple[float, dict | None, str | None]:
-    """(eps, row, None), or (eps, None, message) after a numerical failure."""
-    delta = delta_for(ctx.config.delta_rule, eps)
-    try:
-        row = METRICS[ctx.config.metric](ctx, eps, delta)
-    except POINT_ERRORS as exc:
-        return eps, None, str(exc)
-    return eps, {"epsilon": eps, "delta": delta, **row}, None
-
-
 @dataclass(frozen=True)
 class SweepResult:
     config: ExperimentConfig
@@ -431,17 +421,6 @@ class SweepResult:
             json.dump(payload, fh, indent=2, sort_keys=True)
 
 
-def _workers(n_points: int) -> int:
-    env = os.environ.get("WGL_THREADS")
-    if env is None:
-        return 1
-    try:
-        cap = int(env)
-    except ValueError as exc:
-        raise ConfigError(f"WGL_THREADS must be an integer, got {env!r}") from exc
-    return max(1, min(cap, n_points))
-
-
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Evaluate the configured metric over the eps grid and fit slopes.
 
@@ -449,16 +428,17 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     they do not abort the sweep.
     """
     config.validate()
-    workers = _workers(len(config.eps_grid))
-    point = partial(_point, SweepContext.build(config))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, config.eps_grid))
-    else:
-        results = list(map(point, config.eps_grid))
-    rows = tuple(r for _, r, err in results if err is None)
-    failures = tuple({"epsilon": eps, "error": err}
-                     for eps, _, err in results if err is not None)
+    ctx = SweepContext.build(config)
+    rows: list[dict] = []
+    failures: list[dict] = []
+    for eps in config.eps_grid:
+        delta = delta_for(config.delta_rule, eps)
+        try:
+            row = METRICS[config.metric](ctx, eps, delta)
+        except POINT_ERRORS as exc:
+            failures.append({"epsilon": eps, "error": str(exc)})
+            continue
+        rows.append({"epsilon": eps, "delta": delta, **row})
     slopes: dict = {}
     if rows:
         eps_arr = np.array([r["epsilon"] for r in rows])
@@ -470,7 +450,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 slopes[col] = fit_slope(eps_arr, vals, config.window_policy)
             except FitError:
                 continue
-    return SweepResult(config, rows, slopes, failures)
+    return SweepResult(config, tuple(rows), slopes, tuple(failures))
 
 
 def oracle_report(profile: CurvatureProfile, z: complex, epsilon: float,
@@ -488,6 +468,7 @@ def oracle_report(profile: CurvatureProfile, z: complex, epsilon: float,
     if f1 is None and f2 is None:
         raise ConfigError("the oracle report needs edge data f1/f2")
     grid = WaveguideGrid.build(epsilon, delta, z, h_u=h_u, h_s=h_s)
+    fine_grid = grid.refined() if refine else None  # bounded before any solve
     sol = assemble(profile, n, z, epsilon, delta, f1, f2)
     res = limit_resolvent(sol.case, z)
     fd = fd_resolvent(grid, profile, n, z, f1, f2)
@@ -517,6 +498,6 @@ def oracle_report(profile: CurvatureProfile, z: complex, epsilon: float,
         "refinement_factor": None,
     }
     if refine:
-        fine = fd_resolvent(grid.refined(), profile, n, z, f1, f2)
+        fine = fd_resolvent(fine_grid, profile, n, z, f1, f2)
         report["refinement_factor"] = float(np.sqrt(hat_sq / edge_l2_sq(fine, sol.edge_profile)))
     return report

@@ -48,6 +48,9 @@ SOLVE_RESIDUAL_TOL = 1e-10
 # Default transverse and longitudinal steps of the 2-D oracle grid.
 H_U = 1.0 / 32
 H_S = 1.0 / 64
+# Largest 2-D grid, 2.2 times the benchmark's refined bump grid (437,661); the
+# edge length -ln(tol)/Im sqrt(z), and so the grid, grows without bound.
+MAX_FD_UNKNOWNS = 1_000_000
 
 
 class OracleError(RuntimeError):
@@ -155,6 +158,8 @@ class WaveguideGrid:
         object.__setattr__(self, "n_u", m)
         object.__setattr__(self, "n_edge", k)
         object.__setattr__(self, "n_vertex", j)
+        if self.n_unknowns > MAX_FD_UNKNOWNS:
+            raise ValueError(f"grid of {self.n_unknowns:.3g} unknowns exceeds {MAX_FD_UNKNOWNS}")
 
     @staticmethod
     def build(epsilon: float, delta: float, z: complex, h_u: float = H_U,

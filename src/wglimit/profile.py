@@ -319,6 +319,11 @@ def _tuned_amplitude(target_index: int) -> float:
     # Lazy import: the eigenvalue solver depends on this module.
     from . import vertex_spectrum as vs
 
+    # min-max: lambda_K >= ((K-1) pi/2)^2 - sup(gamma^2)/4 > 0 for K >= 4
+    if vs._free_eigenvalue(target_index) > TUNED_AMPLITUDE_CAP**2 / 4.0:
+        raise ProfileError(f"eigenvalue {target_index} stays positive for every "
+                           f"amplitude in (0, {TUNED_AMPLITUDE_CAP}]")
+
     def galerkin_lam(amp: float) -> float:
         prof = CurvatureProfile("tuned_bump", amp, target_index)
         lams = vs._galerkin_eigenpairs(prof, target_index + 1)[0]

@@ -33,7 +33,6 @@ from .kernels import (
     HalfLineResolvent,
     boundary_derivatives,
     edge_field,
-    half_line_apply,
     vertex_kernel_at,
 )
 from .profile import CurvatureProfile, geometry_residual_fields
@@ -55,6 +54,9 @@ MIN_QUADRATURE_ORDER = 4
 # Default tensor Gauss-Legendre rule of residual_norms: (s, u) panels x order.
 QUADRATURE_PANELS = (64, 16)
 QUADRATURE_ORDER = 8
+# Largest rule a sweep config may ask for: 16 times the default's nodes.
+MAX_QUADRATURE_NODES = 16 * (QUADRATURE_PANELS[0] * QUADRATURE_ORDER
+                             * QUADRATURE_PANELS[1] * QUADRATURE_ORDER)
 
 
 def chi_mode(n: int, u):
@@ -115,19 +117,13 @@ class ApproxSolution:
         return edge_field(self.resolvent0, self.f1 if edge == 1 else self.f2,
                           self.coeffs.q[edge - 1], s)
 
-    def edge_value(self, edge: int, s: float) -> complex:
-        f = self.f1 if edge == 1 else self.f2
-        q = self.coeffs.q[edge - 1]
-        base = 0.0 if f is None else half_line_apply(self.resolvent0, f, s)
-        return base + q * np.exp(1j * self.resolvent0.sqrt_z * s)
-
     def interface_defects(self) -> dict:
         """Value and scaled-derivative matching errors at both interfaces."""
-        q = self.coeffs.q
+        q = self.coeffs.q  # the edge fields at s = 0, where r0 f vanishes
         xi = self.coeffs.xi
         scale = max(1.0, float(np.max(np.abs(xi))), float(np.max(np.abs(q))))
-        val1 = abs(self.edge_value(1, 0.0) - self.phi(-1.0)) / scale
-        val2 = abs(self.edge_value(2, 0.0) - self.phi(1.0)) / scale
+        val1 = abs(q[0] - self.phi(-1.0)) / scale
+        val2 = abs(q[1] - self.phi(1.0)) / scale
         der1 = abs(xi[0] + self.phi_prime(-1.0) / self.epsilon) / scale
         der2 = abs(xi[1] - self.phi_prime(1.0) / self.epsilon) / scale
         return {"value": (val1, val2), "derivative": (der1, der2)}

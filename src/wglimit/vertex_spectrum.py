@@ -64,6 +64,9 @@ _REFINE_ATOL = 1e-14
 # takes under 2000.  The cap admits |z| up to about 1.1e6 at _SHOOT_RTOL and
 # eigenvalues up to about 5.6e5 (the first 477) at _REFINE_RTOL.
 MAX_SHOOT_NFEV = 100_000
+# Largest eigenvalues() count.  The work per eigenvalue grows like its index:
+# 50 on bump:0.5 takes about 12 s on a 2-core VM; the shooting cap admits 477.
+MAX_EIGENVALUE_COUNT = 50
 # Initial relative half-width of the shooting bracket around a Galerkin
 # eigenvalue; the two agree to ~1e-11.
 _POLISH_START = 1e-9
@@ -353,8 +356,8 @@ def eigenvalues(profile: CurvatureProfile, count: int,
     The eigenpairs are solved once per (profile, count); the tolerance
     only thresholds them.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if not 1 <= count <= MAX_EIGENVALUE_COUNT:
+        raise ValueError(f"count must lie in [1, {MAX_EIGENVALUE_COUNT}], got {count}")
     lams, funcs = _shooting_eigenpairs(profile, count)
     # Strict threshold: resonant only if the smallest |lambda| is within tolerance.
     k = int(np.argmin(np.abs(lams)))

@@ -171,6 +171,23 @@ class TestSweepCommands:
     def test_input_error_exit_code(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle-compare", "--z=1,1e-12"],
+        ["oracle-compare", "--h-u", "0.001", "--h-s", "0.001", "--refine"],
+        ["oracle-compare", "--h-s", "0.001953125", "--refine"],  # only the refined grid
+        ["spectrum", "--profile", "bump:0.5", "--count", "51"],
+        ["spectrum", "--profile", "bump:0.5", "--count", "477"],
+        ["coupling", "--profile", "tuned:4"],
+        ["coupling", "--profile", "tuned:1000000000"],
+        ["kernel", "--grid", "1002"],
+        ["kernel", "--mode", "series", "--n-terms", "2001"],
+    ])
+    def test_size_over_bound_exit_code(self, tmp_path, argv):
+        # each is rejected before any eigensolve, FD assembly or large array
+        start = time.perf_counter()
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        assert time.perf_counter() - start < 1.0
+
     def test_negative_real_z_oracle_exit_code(self, tmp_path):
         # documented: the FD oracle needs Im z != 0, a numerical failure
         assert main(["oracle-compare", "--z=-1,0",
@@ -210,7 +227,9 @@ class TestSweepCommands:
         assert out.exists()
 
     @pytest.mark.parametrize("key, value", [("window_policy", 5),
-                                            ("quadrature_panels", [64])])
+                                            ("quadrature_panels", [64]),
+                                            ("quadrature_panels", [257, 64]),
+                                            ("quadrature_order", 33)])
     def test_run_bad_residual_setting_exit_code(self, tmp_path, key, value):
         cfg = {
             "profile": {"kind": "bump", "amplitude": 0.5},

@@ -120,7 +120,7 @@ class TestConfig:
             ExperimentConfig(profile=ZERO, window_policy=policy).validate()
 
     @pytest.mark.parametrize("panels", [(64,), (64, 16, 4), (0, 16), (64, -1), (64.5, 16),
-                                        (True, 16)])
+                                        (True, 16), (257, 64)])
     def test_bad_quadrature_panels_rejected(self, panels):
         with pytest.raises(ConfigError):
             ExperimentConfig(profile=ZERO, quadrature_panels=panels).validate()
@@ -244,21 +244,6 @@ class TestRunSweep:
         assert "comparison_norm" in payload["slopes"]
         assert len(payload["rows"]) == 6
 
-    def test_worker_pool_matches_serial(self, monkeypatch, tuned2):
-        # both profiles are resonant, so the workers receive the projector
-        # in the pickled sweep context
-        for profile in (ZERO, tuned2):
-            cfg = ExperimentConfig(profile=profile, metric="coupling", z=1j,
-                                   eps_grid=dyadic(6, 10),
-                                   window_policy="drop:0")
-            monkeypatch.delenv("WGL_THREADS", raising=False)
-            serial = run_sweep(cfg)
-            monkeypatch.setenv("WGL_THREADS", "2")
-            pooled = run_sweep(cfg)
-            assert pooled.rows == serial.rows
-            assert pooled.slopes["dev_q"].slope == serial.slopes["dev_q"].slope
-            assert "dev_xi_naive" in pooled.rows[0]
-
     def test_resonant_projector_once_per_sweep(self, monkeypatch, tuned2):
         calls = []
 
@@ -291,7 +276,6 @@ class TestRunSweep:
         # the sweep classifies at zero_tolerance 1e-3 and the resonant bound
         # reads the zero-mode at the default tolerance; both threshold one
         # cached solve, so each of the 4 eigenvalues is polished once
-        monkeypatch.delenv("WGL_THREADS", raising=False)
         calls = []
         polish = vertex_spectrum._polish
         monkeypatch.setattr(vertex_spectrum, "_polish",
@@ -305,9 +289,3 @@ class TestRunSweep:
         assert len(result.rows) == 4 and not result.failures
         assert vertex_spectrum.classify(near, 1e-3).resonant
         assert sorted(calls) == [0, 1, 2, 3]
-
-    def test_bad_threads_env(self, monkeypatch):
-        monkeypatch.setenv("WGL_THREADS", "many")
-        cfg = ExperimentConfig(profile=ZERO, metric="coupling", z=1j)
-        with pytest.raises(ConfigError):
-            run_sweep(cfg)

@@ -12,6 +12,7 @@ from wglimit import (
     fd_vertex_eigen,
 )
 from wglimit.fd_oracle import (
+    MAX_FD_UNKNOWNS,
     FDSolution,
     OracleError,
     WaveguideField,
@@ -68,6 +69,15 @@ class TestGridValidation:
     def test_delta_le_eps(self):
         with pytest.raises(ValueError):
             WaveguideGrid(0.1, 0.2, 10.0, 1 / 16, 1 / 16)
+
+    def test_unknowns_bounded(self):
+        # the edge length grows like 1/Im sqrt(z): 1.46e17 unknowns here
+        with pytest.raises(ValueError, match="unknowns exceeds"):
+            WaveguideGrid.build(0.3, 0.027, 1 + 1e-12j)
+        grid = WaveguideGrid.build(0.3, 0.027, 1j, h_s=1 / 512)
+        assert grid.n_unknowns <= MAX_FD_UNKNOWNS
+        with pytest.raises(ValueError, match="unknowns exceeds"):
+            grid.refined()
 
     def test_suggest_edge_length(self):
         s = suggest_edge_length(1j)

@@ -192,6 +192,12 @@ class TestTuneToResonance:
         with pytest.raises(ProfileError):
             tune_to_resonance(bump05, 1)
 
+    @pytest.mark.parametrize("index", [4, 10**9])
+    def test_index_above_three_rejected(self, bump05, index):
+        # lambda_4 >= (3 pi/2)^2 - 8^2/4 > 0 at every amplitude up to the cap
+        with pytest.raises(ProfileError, match="stays positive"):
+            tune_to_resonance(bump05, index)
+
     def test_tuned_eigenvalue_is_zero(self, tuned2):
         from wglimit.vertex_spectrum import eigenvalue_by_index
 

@@ -39,7 +39,7 @@ class TestAssemble:
 
     def test_edge_value_at_origin_is_q(self, zero_profile):
         sol = assemble(zero_profile, 1, Z, 0.1, 0.01, F1, None)
-        assert sol.edge_value(1, 0.0) == pytest.approx(sol.coeffs.q[0], abs=1e-14)
+        assert sol.edge_profile(1, [0.0])[0] == pytest.approx(sol.coeffs.q[0], abs=1e-14)
 
     @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05"])
     def test_interface_matching(self, profile_name, request):
@@ -84,7 +84,7 @@ class TestResidualField:
         sol = assemble(zero_profile, 1, Z, 0.1, 0.01, F1, None)
         h = 3e-2  # balances stencil truncation against quadrature noise
         for s0 in (0.5, 1.5, 3.0):
-            vals = np.array([sol.edge_value(1, s0 + k * h) for k in (-2, -1, 0, 1, 2)])
+            vals = sol.edge_profile(1, s0 + h * np.arange(-2, 3))
             d2 = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3]
                   - vals[4]) / (12 * h**2)
             assert abs(-d2 - Z * vals[2] - F1(s0)) < 1e-6

@@ -11,6 +11,7 @@ from wglimit import CurvatureProfile, classify_case, eigenvalues, shoot
 from wglimit.cli import main
 from wglimit.profile import _amplitude_slope
 from wglimit.vertex_spectrum import (
+    MAX_EIGENVALUE_COUNT,
     SpectrumError,
     _galerkin_eigenpairs,
     _polish,
@@ -150,6 +151,8 @@ class TestEigenvalues:
     def test_count_guard(self, zero_profile):
         with pytest.raises(ValueError):
             eigenvalues(zero_profile, 0, 1e-9)
+        with pytest.raises(ValueError):
+            eigenvalues(zero_profile, MAX_EIGENVALUE_COUNT + 1, 1e-9)
 
 
 class TestClassifyCase:

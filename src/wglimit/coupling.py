@@ -30,7 +30,8 @@ import numpy as np
 
 from .kernels import sqrt_upper, vertex_kernel_at
 from .profile import CurvatureProfile
-from .vertex_spectrum import DEFAULT_ZERO_TOLERANCE, CaseLabel, ShootingSolution, classify
+from .vertex_spectrum import (DEFAULT_ZERO_TOLERANCE, CaseLabel, ShootingSolution, classify,
+                              taylor_shooting)
 
 __all__ = [
     "CouplingCoefficients",
@@ -39,15 +40,12 @@ __all__ = [
     "SingularSystemError",
     "asymptotic_deviation",
     "kirchhoff_projector",
-    "regular_corner_part",
     "resonant_projector",
     "solve_coupling",
     "solve_coupling_from_kernel",
 ]
 
 DET_GUARD = 1e-12
-# Pole distance |w| of the Richardson pair in regular_corner_part.
-CORNER_W_SCALE = 1e-3
 
 
 class SingularSystemError(RuntimeError):
@@ -87,33 +85,17 @@ def kirchhoff_projector(alpha1: float, alpha2: float) -> KirchhoffProjector:
     return KirchhoffProjector(alpha1, alpha2, lam0, perp)
 
 
-def regular_corner_part(profile: CurvatureProfile, projector: KirchhoffProjector,
-                        z_direction: complex = 1j) -> np.ndarray:
-    """Regular part R0 of the kernel corners at a resonance.
-
-    The corner matrix behaves as -(a1^2+a2^2)/w * P0 + R0 + O(w) near
-    w = 0; subtracting the pole and extrapolating two small w values
-    (Richardson) isolates R0 to O(w^2).
-    """
-    zhat = z_direction / abs(z_direction)
-    c = projector.weight_norm_sq
-
-    def regular(wv: complex) -> np.ndarray:
-        return vertex_kernel_at(profile, wv).corners() + (c / wv) * projector.lambda0
-
-    w1 = CORNER_W_SCALE * zhat
-    return 2.0 * regular(w1) - regular(2.0 * w1)
-
-
-def resonant_projector(profile: CurvatureProfile, z: complex,
+def resonant_projector(profile: CurvatureProfile,
                        zero_tolerance: float = DEFAULT_ZERO_TOLERANCE) -> KirchhoffProjector:
     """Kirchhoff projector of a resonant profile, with the perpendicular
-    first-order correction attached."""
+    first-order correction P0perp R0 P0perp attached; R0 is the regular
+    part of the corner matrix at the pole, in closed form from the
+    profile's Taylor coefficients."""
     case = classify(profile, zero_tolerance)
     if not case.resonant:
         raise ValueError("profile is not resonant at this tolerance")
     proj = kirchhoff_projector(case.alpha1, case.alpha2)
-    r0 = regular_corner_part(profile, proj, z_direction=z)
+    r0 = taylor_shooting(profile).pole_parts()[1]
     perp = proj.lambda0_perp @ r0 @ proj.lambda0_perp
     perp.setflags(write=False)
     return KirchhoffProjector(proj.alpha1, proj.alpha2, proj.lambda0,

@@ -318,9 +318,8 @@ class SweepContext:
             p = boundary_derivatives(HalfLineResolvent(config.z), f1, f2)
         projector = None
         if config.metric == "coupling" and case.resonant:
-            # depends on (profile, z, tolerance) only, so one per sweep is exact
-            projector = resonant_projector(config.profile, config.z,
-                                           config.zero_tolerance)
+            # depends on (profile, tolerance) only, so one per sweep is exact
+            projector = resonant_projector(config.profile, config.zero_tolerance)
         return SweepContext(config, case, f1, f2, p, projector)
 
 

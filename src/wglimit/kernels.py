@@ -7,7 +7,9 @@ problem and their Wronskian Wv,
     r(z; s, s') = zeta(z; min) * eta(z; max) / Wv(z),
 
 valid for z away from the eigenvalues; ``vertex_kernel_at`` returns the
-shooting solution, which evaluates it.  A second, independent route,
+shooting solution, which evaluates it.  For |z| <= SERIES_RADIUS the
+solution is the profile's cached Taylor series in z; farther out it is
+shot at z.  A second, independent route,
 ``series_kernel``, evaluates the eigenfunction expansion
 sum y_n(s) y_n(s') / (lambda_n - z) from a cosine-Galerkin
 diagonalisation; its slowly convergent free part is resummed in closed
@@ -36,10 +38,12 @@ from scipy.special import roots_legendre
 
 from .profile import CurvatureProfile
 from .vertex_spectrum import (
+    SERIES_RADIUS,
     ShootingSolution,
     _free_mode_values,
     _galerkin_eigenpairs,
     shoot,
+    taylor_shooting,
 )
 
 __all__ = [
@@ -104,11 +108,12 @@ def neumann_free_kernel(z: complex, s: float, sp: float) -> complex:
 # ----------------------------------------------------------------------
 
 def vertex_kernel_at(profile: CurvatureProfile, z: complex) -> ShootingSolution:
-    """Shoot once at z; the solution is the vertex kernel there.
+    """The shooting solution at z, which is the vertex kernel there: from
+    the Taylor series in z when |z| <= SERIES_RADIUS, else shot at z.
 
     Raises NearEigenvalueError when |Wv| is below WRONSKIAN_FLOOR.
     """
-    sol = shoot(profile, z)
+    sol = taylor_shooting(profile).at(z) if abs(z) <= SERIES_RADIUS else shoot(profile, z)
     if abs(sol.wronskian) < WRONSKIAN_FLOOR:
         raise NearEigenvalueError(
             f"|Wronskian|={abs(sol.wronskian):.2e} at z={sol.z}; kernel undefined")
@@ -282,10 +287,11 @@ def half_line_apply_grid(res: HalfLineResolvent, f, s: np.ndarray) -> np.ndarray
     """(r0(z) f) on an array of points via cumulative panel quadrature.
 
     Equivalent to half_line_apply but O(panels + targets); used for
-    edge-profile comparisons on dense grids.
+    edge-profile comparisons on dense grids.  The result has the shape of s.
     """
     k = res.sqrt_z
-    s = np.asarray(s, dtype=float)
+    shape = np.shape(s)
+    s = np.asarray(s, dtype=float).ravel()
     cutoff = f.effective_cutoff()
     edges, nodes, weights = _panel_grid(cutoff, abs(k),
                                         getattr(f, "breakpoints", ()))
@@ -315,12 +321,14 @@ def half_line_apply_grid(res: HalfLineResolvent, f, s: np.ndarray) -> np.ndarray
     out = (0.5j / k) * (np.exp(1j * k * s) * a_minus
                         + np.exp(-1j * k * s) * b_plus
                         - np.exp(1j * k * s) * f_plus)
-    return out
+    return out.reshape(shape)
 
 
-def edge_field(res: HalfLineResolvent, f, q: complex, s) -> np.ndarray:
-    """r0(z) f + q exp(i sqrt(z) s) on a grid of edge points; f may be None."""
+def edge_field(res: HalfLineResolvent, f, q: complex, s):
+    """r0(z) f + q exp(i sqrt(z) s) at edge points s (a complex for a
+    scalar s); f may be None."""
     s = np.asarray(s, dtype=float)
     base = np.zeros(s.shape, dtype=complex) if f is None else \
         half_line_apply_grid(res, f, s)
-    return base + q * np.exp(1j * res.sqrt_z * s)
+    out = base + q * np.exp(1j * res.sqrt_z * s)
+    return complex(out) if out.ndim == 0 else out

@@ -103,17 +103,21 @@ class ApproxSolution:
     def case(self):
         return self.coeffs.case
 
-    def phi(self, s):
-        """Vertex s-profile eps [xi1 r(.; s, -1) + xi2 r(.; s, +1)]."""
+    def vertex_profile(self, s):
+        """(phi, phi') at s, phi = eps [xi1 r(.; s, -1) + xi2 r(.; s, +1)],
+        from one dense evaluation of each shooting solution."""
         k, xi = self.kernel, self.coeffs.xi
-        return self.epsilon * (xi[0] * k.eta(s) + xi[1] * k.zeta(s)) / k.wronskian
+        s = np.asarray(s)
+        return self.epsilon * (xi[0] * k.eta_sol(s) + xi[1] * k.zeta_sol(s)) / k.wronskian
+
+    def phi(self, s):
+        return self.vertex_profile(s)[0]
 
     def phi_prime(self, s):
-        k, xi = self.kernel, self.coeffs.xi
-        return self.epsilon * (xi[0] * k.eta_prime(s) + xi[1] * k.zeta_prime(s)) / k.wronskian
+        return self.vertex_profile(s)[1]
 
     def edge_profile(self, edge: int, s):
-        """x_j(s) on a grid of edge coordinates."""
+        """x_j(s) at edge coordinates s (a complex for a scalar s)."""
         return edge_field(self.resolvent0, self.f1 if edge == 1 else self.f2,
                           self.coeffs.q[edge - 1], s)
 
@@ -165,7 +169,8 @@ def residual_field(sol: ApproxSolution, s, u):
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
     fields = geometry_residual_fields(sol.profile, s, u, sol.ratio)
-    return _bulk(sol, fields, sol.phi(s), sol.phi_prime(s)) * chi_mode(sol.n, u)
+    phi, dphi = sol.vertex_profile(s)
+    return _bulk(sol, fields, phi, dphi) * chi_mode(sol.n, u)
 
 
 def _star_data(sol: ApproxSolution) -> tuple:
@@ -204,7 +209,8 @@ def residual_norms(sol: ApproxSolution, quadrature_order: int = QUADRATURE_ORDER
 
     fields = geometry_residual_fields(sol.profile, s_pts[:, None], u_pts[None, :],
                                       sol.ratio)
-    bulk = _bulk(sol, fields, sol.phi(s_pts)[:, None], sol.phi_prime(s_pts)[:, None])
+    phi, dphi = sol.vertex_profile(s_pts)
+    bulk = _bulk(sol, fields, phi[:, None], dphi[:, None])
     chi_sq = chi_mode(sol.n, u_pts) ** 2
     integrand = (np.abs(bulk) ** 2) * chi_sq[None, :]
     l2_sq = float(np.einsum("i,ij,j->", s_wts, integrand, u_wts))
@@ -247,8 +253,9 @@ def vertex_subtracted_norms(sol: ApproxSolution) -> dict:
         raise ValueError("subtracted norms are defined for the resonant case only")
     ystar, contraction, _ = _star_data(sol)
     grid = np.linspace(-1.0, 1.0, VERTEX_GRID_POINTS)
-    diff = sol.phi(grid) + (contraction / (sol.epsilon * sol.z)) * ystar.value(grid)
-    ddiff = sol.phi_prime(grid) + (contraction / (sol.epsilon * sol.z)) * ystar.derivative(grid)
+    phi, dphi = sol.vertex_profile(grid)
+    diff = phi + (contraction / (sol.epsilon * sol.z)) * ystar.value(grid)
+    ddiff = dphi + (contraction / (sol.epsilon * sol.z)) * ystar.derivative(grid)
     norm = float(np.sqrt(simpson(np.abs(diff) ** 2, x=grid)))
     dnorm = float(np.sqrt(simpson(np.abs(ddiff) ** 2, x=grid)))
     xi_sum = float(abs(sol.coeffs.xi[0]) + abs(sol.coeffs.xi[1]))

@@ -21,6 +21,16 @@ their order.
 Eigenfunctions are the normalised zeta at the root; their boundary
 values alpha1 = y(-1), alpha2 = y(+1) feed the weighted Kirchhoff
 projector when zero is (numerically) an eigenvalue.
+
+Both shooting solutions are entire in the spectral parameter w
+(J. D. Pryce, Numerical Solution of Sturm-Liouville Problems, 1993):
+
+    zeta(w; s) = sum_k w^k zeta_k(s),  zeta_0'' = V zeta_0,
+    zeta_k'' = V zeta_k - zeta_{k-1},  V = -gamma^2/4,
+
+with zeta_k (k >= 1) starting from zero data, and eta likewise from
+s = +1.  ``taylor_shooting`` integrates the real coefficients once per
+profile; near w = 0 every shooting solution is then a polynomial in w.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ __all__ = [
     "IntegrationError",
     "SpectrumError",
     "ShootingSolution",
+    "TaylorShooting",
     "VertexSpectrum",
     "CaseLabel",
     "classify",
@@ -49,6 +60,7 @@ __all__ = [
     "eigenvalue_by_index",
     "eigenvalues",
     "shoot",
+    "taylor_shooting",
     "wronskian_values",
 ]
 
@@ -70,6 +82,14 @@ MAX_EIGENVALUE_COUNT = 50
 # Initial relative half-width of the shooting bracket around a Galerkin
 # eigenvalue; the two agree to ~1e-11.
 _POLISH_START = 1e-9
+# Taylor coefficients w^0 .. w^(SERIES_TERMS-1) of the shooting solutions,
+# used for |w| <= SERIES_RADIUS.  For gamma = 0 the tail after K terms is
+# about (4|w|)^K / (2K)!: 2e-24 at the radius, and on every profile class
+# it stays below 1e-16 relative out to twice the radius.
+SERIES_TERMS = 12
+SERIES_RADIUS = 0.25
+_SERIES_RTOL = 1e-13
+_SERIES_ATOL = 1e-16
 
 
 class IntegrationError(RuntimeError):
@@ -89,7 +109,7 @@ class ShootingSolution:
     """
 
     z: complex
-    zeta_sol: object  # scipy OdeSolution for (zeta, zeta')
+    zeta_sol: object  # callable: s -> (zeta, zeta') at s
     eta_sol: object
     wronskian: complex
     mesh: np.ndarray
@@ -131,38 +151,125 @@ class ShootingSolution:
         return np.array([[self.eta(-1.0), 1.0], [1.0, self.zeta(1.0)]]) / self.wronskian
 
 
-def _integrate(profile: CurvatureProfile, z: complex, s0: float, s1: float,
-               rtol: float, atol: float, dense: bool):
-    """Integrate  w'' = (-gamma^2/4 - z) w  from s0 to s1 with w(s0)=1, w'(s0)=0,
-    in at most MAX_SHOOT_NFEV right-hand-side evaluations."""
+def _integrate(rhs, y0: np.ndarray, s0: float, s1: float, rtol: float, atol: float,
+               dense: bool, what: str):
+    """Integrate y' = rhs(s, y) from s0 to s1 with y(s0) = y0, in at most
+    MAX_SHOOT_NFEV right-hand-side evaluations."""
     nfev = 0
 
-    def rhs(s, y):
+    def capped(s, y):
         nonlocal nfev
         nfev += 1
         if nfev > MAX_SHOOT_NFEV:
-            raise IntegrationError(f"shooting at z={z} needs more than "
+            raise IntegrationError(f"{what} needs more than "
                                    f"{MAX_SHOOT_NFEV} right-hand-side evaluations")
+        return rhs(s, y)
+
+    sol = solve_ivp(capped, (s0, s1), y0, method="DOP853", rtol=rtol, atol=atol,
+                    dense_output=dense)
+    if not sol.success:
+        raise IntegrationError(f"{what} failed: {sol.message}")
+    return sol
+
+
+def _shoot_ivp(profile: CurvatureProfile, z: complex, s0: float, s1: float,
+               rtol: float, atol: float, dense: bool):
+    """w'' = (-gamma^2/4 - z) w from s0 to s1 with w(s0) = 1, w'(s0) = 0."""
+    def rhs(s, y):
         v = -0.25 * profile.gamma(s) ** 2
         return [y[1], (v - z) * y[0]]
 
     y0 = np.array([1.0 + 0.0j, 0.0 + 0.0j])
-    sol = solve_ivp(rhs, (s0, s1), y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=dense)
-    if not sol.success:
-        raise IntegrationError(f"shooting failed at z={z}: {sol.message}")
-    return sol
+    return _integrate(rhs, y0, s0, s1, rtol, atol, dense, f"shooting at z={z}")
 
 
 def shoot(profile: CurvatureProfile, z: complex,
           rtol: float = _SHOOT_RTOL, atol: float = _SHOOT_ATOL) -> ShootingSolution:
     """Both shooting solutions with dense output over [-1, 1]."""
-    left = _integrate(profile, z, -1.0, 1.0, rtol, atol, dense=True)
-    right = _integrate(profile, z, 1.0, -1.0, rtol, atol, dense=True)
+    left = _shoot_ivp(profile, z, -1.0, 1.0, rtol, atol, dense=True)
+    right = _shoot_ivp(profile, z, 1.0, -1.0, rtol, atol, dense=True)
     # At s = +1 the right solution is exactly (1, 0), so Wv = zeta'(+1).
     wr = complex(left.y[1, -1])
     mesh = np.union1d(left.t, right.t[::-1])
     return ShootingSolution(complex(z), left.sol, right.sol, wr, mesh)
+
+
+@dataclass(frozen=True)
+class _TaylorSide:
+    """One shooting solution at a fixed w: s -> (y, y') from the dense
+    coefficients (y_0..y_{K-1}, y_0'..y_{K-1}') and the powers of w."""
+
+    coefficients: object  # scipy OdeSolution
+    powers: np.ndarray
+
+    def __call__(self, s):
+        y = self.coefficients(s)
+        y = y.reshape(2, SERIES_TERMS, *y.shape[1:])
+        return np.tensordot(self.powers, y, axes=(0, 1))
+
+
+@dataclass(frozen=True)
+class TaylorShooting:
+    """The Taylor coefficients in w of both shooting solutions of a profile.
+
+    ``left`` and ``right`` are the dense solutions of the real coefficient
+    systems of zeta and eta; ``eta_start``, ``zeta_end`` and ``wronskian``
+    hold eta_k(-1), zeta_k(+1) and W_k = zeta_k'(+1), k < SERIES_TERMS.
+    """
+
+    left: object
+    right: object
+    eta_start: np.ndarray
+    zeta_end: np.ndarray
+    wronskian: np.ndarray
+    mesh: np.ndarray
+
+    def at(self, w: complex) -> ShootingSolution:
+        """Both shooting solutions at w as polynomials in w."""
+        powers = complex(w) ** np.arange(SERIES_TERMS)
+        return ShootingSolution(complex(w), _TaylorSide(self.left, powers),
+                                _TaylorSide(self.right, powers),
+                                complex(powers @ self.wronskian), self.mesh)
+
+    def pole_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Residue and regular part of the corner matrix at a pole at w = 0.
+
+        The corners are N(w)/W(w) with N_k = [[eta_k(-1), [k=0]], [[k=0],
+        zeta_k(+1)]].  Taking W_0 = 0, they are N_0/(W_1 w) + R0 + O(w) with
+        R0 = N_1/W_1 - N_0 W_2/W_1^2.
+        """
+        n0 = np.array([[self.eta_start[0], 1.0], [1.0, self.zeta_end[0]]])
+        n1 = np.diag([self.eta_start[1], self.zeta_end[1]])
+        w1, w2 = self.wronskian[1], self.wronskian[2]
+        return n0 / w1, n1 / w1 - n0 * (w2 / w1**2)
+
+
+def _taylor_ivp(profile: CurvatureProfile, s0: float, s1: float):
+    """The coefficient system y_k'' = V y_k - y_{k-1} from s0 to s1, with
+    y_0(s0) = 1 and all other start data zero, at dense output."""
+    def rhs(s, y):
+        u = y[:SERIES_TERMS]
+        upp = -0.25 * profile.gamma(s) ** 2 * u
+        upp[1:] -= u[:-1]
+        return np.concatenate([y[SERIES_TERMS:], upp])
+
+    y0 = np.zeros(2 * SERIES_TERMS)
+    y0[0] = 1.0
+    return _integrate(rhs, y0, s0, s1, _SERIES_RTOL, _SERIES_ATOL, True,
+                      "the Taylor coefficient solve")
+
+
+@lru_cache(maxsize=8)
+def taylor_shooting(profile: CurvatureProfile) -> TaylorShooting:
+    """The Taylor coefficients of both shooting solutions (cached)."""
+    left = _taylor_ivp(profile, -1.0, 1.0)
+    right = _taylor_ivp(profile, 1.0, -1.0)
+    end = left.sol(1.0)
+    arrays = (right.sol(-1.0)[:SERIES_TERMS], end[:SERIES_TERMS], end[SERIES_TERMS:],
+              np.union1d(left.t, right.t[::-1]))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return TaylorShooting(left.sol, right.sol, *arrays)
 
 
 def wronskian_values(solution: ShootingSolution, s) -> np.ndarray:
@@ -226,7 +333,7 @@ def _galerkin_eigenpairs(profile: CurvatureProfile, n_modes: int):
 
 
 def _wronskian_accurate(profile: CurvatureProfile, lam: float) -> float:
-    sol = _integrate(profile, lam, -1.0, 1.0, _REFINE_RTOL, _REFINE_ATOL, dense=False)
+    sol = _shoot_ivp(profile, lam, -1.0, 1.0, _REFINE_RTOL, _REFINE_ATOL, dense=False)
     return float(sol.y[1, -1].real)
 
 
@@ -325,7 +432,7 @@ class VertexSpectrum:
 
 
 def _build_eigenfunction(profile: CurvatureProfile, n: int, lam: float) -> EigenFunction:
-    sol = _integrate(profile, lam, -1.0, 1.0, _REFINE_RTOL, _REFINE_ATOL, dense=True)
+    sol = _shoot_ivp(profile, lam, -1.0, 1.0, _REFINE_RTOL, _REFINE_ATOL, dense=True)
     grid = np.linspace(-1.0, 1.0, VERTEX_GRID_POINTS)
     vals = sol.sol(grid)[0].real
     norm = float(np.sqrt(simpson(vals * vals, x=grid)))

@@ -88,19 +88,20 @@ def test_criterion_2_kernel_dual_representation(bump05, tuned2, rng):
     assert budget.elapsed < 10.0
 
 
-def test_criterion_3_coupling_asymptotics(zero_profile, bump05):
+def test_criterion_3_coupling_asymptotics(zero_profile, bump05, tuned2):
     with _Budget("criterion 3: coupling coefficient rates", 30.0) as budget:
         eps = [2.0**-k for k in range(6, 15)]
         p = np.array([1.0, 0.0], dtype=complex)
 
-        proj = resonant_projector(zero_profile, Z)
-        dq, dxi = [], []
-        for e in eps:
-            dev = asymptotic_deviation(solve_coupling(zero_profile, Z, e, p), proj)
-            dq.append(dev.dev_q)
-            dxi.append(dev.dev_xi)
-        assert abs(log_slope(eps[2:], dq[2:]) - 1.0) <= 0.15
-        assert abs(log_slope(eps[2:], dxi[2:]) - 2.0) <= 0.2
+        for profile in (zero_profile, tuned2):
+            proj = resonant_projector(profile)
+            dq, dxi = [], []
+            for e in eps:
+                dev = asymptotic_deviation(solve_coupling(profile, Z, e, p), proj)
+                dq.append(dev.dev_q)
+                dxi.append(dev.dev_xi)
+            assert abs(log_slope(eps[2:], dq[2:]) - 1.0) <= 0.15
+            assert abs(log_slope(eps[2:], dxi[2:]) - 2.0) <= 0.2
 
         qn = [float(np.linalg.norm(solve_coupling(bump05, Z, e, p).q)) for e in eps]
         assert abs(log_slope(eps[2:], qn[2:]) - 1.0) <= 0.15

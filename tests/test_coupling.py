@@ -15,12 +15,9 @@ from wglimit import (
     solve_coupling,
     vertex_kernel_at,
 )
-from wglimit.coupling import (
-    regular_corner_part,
-    solve_coupling_from_kernel,
-)
+from wglimit.coupling import solve_coupling_from_kernel
 from wglimit.kernels import series_kernel, sqrt_upper
-from wglimit.vertex_spectrum import CaseLabel
+from wglimit.vertex_spectrum import CaseLabel, spectrum_for_case, taylor_shooting
 
 from conftest import log_slope
 
@@ -138,7 +135,7 @@ class TestAsymptoticDeviation:
         assert dev.dev_q == 0.0 and dev.dev_xi == 0.0
 
     def test_case2_slopes(self, zero_profile):
-        proj = resonant_projector(zero_profile, Z)
+        proj = resonant_projector(zero_profile)
         eps = [2.0**-k for k in range(6, 15)]
         dq, dxi, naive = [], [], []
         for e in eps:
@@ -158,7 +155,7 @@ class TestAsymptoticDeviation:
 
     def test_expansion_coefficient(self, zero_profile):
         # entrywise epsilon-coefficient of the q-map along the sweep
-        proj = resonant_projector(zero_profile, Z)
+        proj = resonant_projector(zero_profile)
         nsq = proj.weight_norm_sq
         eps = np.array([2.0**-k for k in range(8, 15)])
         coefs = []
@@ -188,12 +185,23 @@ class TestAsymptoticDeviation:
 
 class TestHelpers:
     def test_regular_corner_part_zero_profile(self, zero_profile):
-        # closed form: parallel eigenvalue 1/3, perpendicular eigenvalue 1
-        proj = kirchhoff_projector(1 / np.sqrt(2), 1 / np.sqrt(2))
-        r0 = regular_corner_part(zero_profile, proj)
+        # closed form: parallel eigenvalue 1/3, perpendicular eigenvalue 1;
+        # W_0 = 0 exactly for the zero profile
+        taylor = taylor_shooting(zero_profile)
+        assert taylor.wronskian[0] == 0.0
+        r0 = taylor.pole_parts()[1]
         expect = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
-        assert np.max(np.abs(r0 - expect)) < 1e-5
+        assert np.max(np.abs(r0 - expect)) < 1e-10
+
+    @pytest.mark.parametrize("profile_name", ["zero_profile", "tuned2"])
+    def test_residue_is_the_weighted_projector(self, profile_name, request):
+        # N_0 / W_1 = -(alpha1^2 + alpha2^2) P0 at a resonance
+        profile = request.getfixturevalue(profile_name)
+        case = spectrum_for_case(profile).case
+        proj = kirchhoff_projector(case.alpha1, case.alpha2)
+        residue = taylor_shooting(profile).pole_parts()[0]
+        assert np.max(np.abs(residue + proj.weight_norm_sq * proj.lambda0)) < 1e-10
 
     def test_resonant_projector_rejects_generic(self, bump05):
         with pytest.raises(ValueError):
-            resonant_projector(bump05, Z)
+            resonant_projector(bump05)

@@ -17,6 +17,7 @@ from wglimit import (
     neumann_free_kernel,
     vertex_kernel_at,
 )
+from wglimit import kernels
 from wglimit.kernels import (
     KernelError,
     boundary_derivatives,
@@ -24,6 +25,7 @@ from wglimit.kernels import (
     series_kernel,
     sqrt_upper,
 )
+from wglimit.vertex_spectrum import SERIES_RADIUS, SERIES_TERMS, shoot, taylor_shooting
 
 
 def panel_quad(fn, a, b, breakpoints=(), panels=64, order=8):
@@ -153,6 +155,50 @@ class TestVertexKernel:
                                 np.ones_like(grid)[:, None] * grid[None, :])
             sups.append(np.max(np.abs(vals + ystar * ystar / w)))
         assert max(sups) <= 2.0 * sups[0]
+
+
+class TestTaylorRoute:
+    @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05", "tuned2"])
+    @pytest.mark.parametrize("radius", [SERIES_RADIUS, SERIES_RADIUS / 4, 1e-6, 1e-12])
+    def test_corners_match_shooting(self, profile_name, radius, request):
+        profile = request.getfixturevalue(profile_name)
+        for arg in (0.5, 1.3, 2.9):
+            w = radius * cmath.exp(1j * arg)
+            taylor = vertex_kernel_at(profile, w)
+            ref = shoot(profile, w, rtol=1e-13, atol=1e-16)
+            # corners * Wv is the numerator N(w) = [[eta(-1), 1], [1, zeta(+1)]]
+            num, ref_num = taylor.corners() * taylor.wronskian, ref.corners() * ref.wronskian
+            scale = np.max(np.abs(ref_num))
+            assert np.max(np.abs(num - ref_num)) <= 1e-12 * scale
+            assert abs(taylor.wronskian - ref.wronskian) <= 1e-12 * scale
+            if profile_name == "tuned2" and radius < SERIES_RADIUS / 4:
+                # at the pole both routes carry ~1e-13 absolute noise in
+                # Wv ~ 1.37 w, so the corners themselves are ill-conditioned
+                continue
+            err = np.max(np.abs(taylor.corners() - ref.corners()))
+            assert err <= 1e-12 * np.max(np.abs(ref.corners()))
+
+    def test_shoots_only_outside_the_radius(self, bump05, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return shoot(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "shoot", counted)
+        vertex_kernel_at(bump05, SERIES_RADIUS * 1j)
+        vertex_kernel_at(bump05, -SERIES_RADIUS)
+        assert calls == []
+        vertex_kernel_at(bump05, SERIES_RADIUS * (1 + 1e-9) * 1j)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05", "tuned2"])
+    def test_terms_cover_twice_the_radius(self, profile_name, request):
+        # the last term kept is below 1e-16 of the leading one at 2 * radius
+        taylor = taylor_shooting(request.getfixturevalue(profile_name))
+        for coef in (taylor.eta_start, taylor.zeta_end, taylor.wronskian):
+            last = abs(coef[-1]) * (2 * SERIES_RADIUS) ** (SERIES_TERMS - 1)
+            assert last <= 1e-16 * np.max(np.abs(coef[:2]))
 
 
 class TestKernelDerivative:

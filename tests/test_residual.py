@@ -41,6 +41,14 @@ class TestAssemble:
         sol = assemble(zero_profile, 1, Z, 0.1, 0.01, F1, None)
         assert sol.edge_profile(1, [0.0])[0] == pytest.approx(sol.coeffs.q[0], abs=1e-14)
 
+    def test_scalar_edge_coordinate(self, zero_profile):
+        # edge 1 carries data, edge 2 does not; a scalar s is a one-point grid
+        sol = assemble(zero_profile, 1, Z, 0.1, 0.01, GaussianPulse(3.0, 0.5), None)
+        for edge, s in ((1, 0.0), (1, 3.0), (2, 0.5)):
+            value = sol.edge_profile(edge, s)
+            assert isinstance(value, complex)
+            assert value == sol.edge_profile(edge, [s])[0]
+
     @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05"])
     def test_interface_matching(self, profile_name, request):
         profile = request.getfixturevalue(profile_name)

@@ -1,6 +1,7 @@
 """Write every README example and benchmark step output of one checkout.
 
-Usage: ``python3 tools/compare_outputs.py CHECKOUT OUTDIR [--seeds 1 2]``.
+Usage: ``python3 tools/compare_outputs.py CHECKOUT OUTDIR [--seeds 1 2]``,
+or ``python3 tools/compare_outputs.py --diff OUTDIR_A OUTDIR_B``.
 
 The steps run in this one interpreter through ``CHECKOUT``'s
 ``wglimit.cli.main`` (``CHECKOUT/src`` goes first on ``sys.path``):
@@ -16,6 +17,12 @@ Each step writes its output files under a relative ``--out`` and its
 captured stdout and exit code to ``<label>.stdout``.  Comparing two
 checkouts is then ``diff -r OUTDIR_A OUTDIR_B``.  ``perfbench`` is only
 imported, never written to.
+
+``--diff`` compares two such directories file by file where outputs are
+not byte-identical: each file whose text matches once every number is
+masked gets the largest relative change |a - b| / max(|a|, |b|) over its
+numbers, with the line it sits on; any other difference is reported as
+such.
 """
 
 from __future__ import annotations
@@ -24,7 +31,9 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -63,12 +72,61 @@ def run_step(main, outdir: Path, label: str, argv: list[str]) -> int:
     return code
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
+
+
+def numeric_change(old: str, new: str) -> tuple[float, int] | None:
+    """Largest relative change between the numbers of two texts and its
+    1-based line, or None when they differ other than in their numbers."""
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return None
+    worst, line = 0.0, 0
+    for a, b in zip(NUMBER.finditer(old), NUMBER.finditer(new)):
+        x, y = float(a.group()), float(b.group())
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        finite = math.isfinite(x) and math.isfinite(y)
+        rel = abs(x - y) / max(abs(x), abs(y)) if finite else math.inf
+        if rel > worst:
+            worst, line = rel, old.count("\n", 0, a.start()) + 1
+    return worst, line
+
+
+def diff_outputs(dir_a: Path, dir_b: Path) -> int:
+    """Print one line per file of two output directories; 1 if any differs
+    other than in its numbers or exists on one side only."""
+    names_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
+    names_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
+    status = 0
+    for name in sorted(names_a | names_b):
+        if name not in names_a or name not in names_b:
+            print(f"only in {dir_a if name in names_a else dir_b}: {name}")
+            status = 1
+            continue
+        old = (dir_a / name).read_text(encoding="utf-8")
+        new = (dir_b / name).read_text(encoding="utf-8")
+        if old == new:
+            print(f"identical  {name}")
+            continue
+        change = numeric_change(old, new)
+        if change is None:
+            print(f"text differs  {name}")
+            status = 1
+        else:
+            print(f"max rel {change[0]:.2e} (line {change[1]})  {name}")
+    return status
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("checkout", type=Path)
     ap.add_argument("outdir", type=Path)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    ap.add_argument("--diff", action="store_true",
+                    help="compare two output directories instead of writing one")
     args = ap.parse_args(argv)
+    if args.diff:
+        return diff_outputs(args.checkout, args.outdir)
     checkout = args.checkout.resolve()
     sys.path[:0] = [str(checkout / "src"), str(checkout)]
     from wglimit.cli import main as cli_main

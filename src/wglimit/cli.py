@@ -174,7 +174,7 @@ def _cmd_sweep(args) -> int:
     out = args.out
     result = run_sweep(_build_config(args))
     result.to_csv(out)
-    json_path = out + ".json" if not out.endswith(".json") else out
+    json_path = out + ".json"
     result.to_json(json_path)
     for col, fit in sorted(result.slopes.items()):
         print(f"{col}: slope={fit.slope:.4f} +- {fit.half_width:.4f} "

@@ -46,7 +46,7 @@ from .profile import CurvatureProfile, ProfileError
 from .residual import (MAX_QUADRATURE_NODES, MIN_QUADRATURE_ORDER, QUADRATURE_ORDER,
                        QUADRATURE_PANELS, assemble, data_norm, residual_norms)
 from .vertex_spectrum import (DEFAULT_ZERO_TOLERANCE, CaseLabel, IntegrationError,
-                              SpectrumError, classify)
+                              SpectrumError, check_zero_tolerance, classify)
 
 __all__ = [
     "ConfigError",
@@ -166,8 +166,8 @@ class ExperimentConfig:
                 raise ConfigError("ratio rule needs 0 < r <= 1")
         else:
             raise ConfigError(f"unknown delta rule {kind!r}")
-        if self.metric in ("residual", "graph-limit") and self.f1 is None and self.f2 is None:
-            raise ConfigError(f"metric {self.metric!r} needs edge data f1/f2")
+        if self.f1 is None and self.f2 is None and (self.metric != "coupling" or self.p is None):
+            raise ConfigError(f"metric {self.metric!r} needs edge data f1/f2 (or, for coupling, p)")
         for spec in (self.f1, self.f2):
             edge_function_from_spec(spec)
         if not _is_int(self.n) or self.n < 1:
@@ -182,6 +182,7 @@ class ExperimentConfig:
         if nodes > MAX_QUADRATURE_NODES:
             raise ConfigError(f"quadrature of {nodes} nodes exceeds {MAX_QUADRATURE_NODES}")
         _drop_count(self.window_policy)
+        check_zero_tolerance(self.zero_tolerance, ConfigError)
 
     def to_json_dict(self) -> dict:
         return {

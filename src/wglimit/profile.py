@@ -45,9 +45,9 @@ AMPLITUDE_CAP = 0.999
 # Resonance tuning needs amplitudes ~6; geometry is then restricted to
 # rho < 1/amplitude instead of the uniform rho <= 1.
 TUNED_AMPLITUDE_CAP = 8.0
-# Newton steps allowed when polishing a tuned amplitude on the shooting
-# eigenvalue, and the |lambda| at which it stops: the bracket tolerance of
-# the shooting root itself.  From the Galerkin root it takes one or two.
+# Newton steps allowed when polishing a tuned amplitude on the Taylor
+# Wronskian at w = 0, and the |lambda| = |W_0/W_1| at which it stops.
+# From the Galerkin root it takes one or two.
 _NEWTON_STEPS = 4
 _RESONANCE_FLOOR = 1e-13
 
@@ -310,9 +310,12 @@ def _tuned_amplitude(target_index: int) -> float:
     """Root of lambda_{target_index}(amplitude) = 0 over the bump family.
 
     brentq on the cosine-Galerkin eigenvalue, bracketed on a 16-point
-    amplitude grid, gives the root to ~1e-12; Newton steps on the
-    shooting eigenvalue with the Hellmann-Feynman slope then polish it,
-    so the tuned eigenvalue is a shooting root at the returned amplitude.
+    amplitude grid, gives the root to ~1e-12.  Newton steps with the
+    Hellmann-Feynman slope then polish it on lambda = -W_0/W_1 from the
+    Taylor coefficients of the Wronskian at w = 0, the cached solve the
+    vertex kernel reads, and the amplitude they return is the one whose
+    |lambda| they checked: the kernel's pole sits at w = 0 to the tuning
+    residue.
     """
     from scipy.optimize import brentq
 
@@ -339,11 +342,12 @@ def _tuned_amplitude(target_index: int) -> float:
         )
     amp = brentq(galerkin_lam, grid[k], grid[k + 1], xtol=1e-13, rtol=8.9e-16)
     for _ in range(_NEWTON_STEPS):
-        prof = CurvatureProfile("tuned_bump", amp, target_index)
-        lam = vs.eigenvalue_by_index(prof, target_index)
-        amp -= lam / _amplitude_slope(prof)
+        prof = CurvatureProfile("tuned_bump", float(amp), target_index)
+        wr = vs.taylor_shooting(prof).wronskian
+        lam = -wr[0] / wr[1]
         if abs(lam) <= _RESONANCE_FLOOR:
-            return float(amp)
+            return prof.amplitude
+        amp -= lam / _amplitude_slope(prof)
     raise vs.SpectrumError(
         f"Newton polish of the eigenvalue {target_index} amplitude did not "
         f"converge (last eigenvalue {lam:.3e})")

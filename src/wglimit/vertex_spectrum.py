@@ -10,27 +10,22 @@ whose s-independent Wronskian  Wv = eta*zeta' - zeta*eta'  vanishes
 exactly at the eigenvalues.  With these initial conditions Wv equals
 zeta'(+1), which is the classical shooting function.
 
-Eigenvalues are located by a cosine-Galerkin diagonalisation of h (the
-same eigendata the series kernel uses) and polished on the shooting
-function: each Galerkin value, accurate to ~1e-11, is bracketed by a
-sign change of the adaptive high-order Wronskian within half the gap to
-its neighbours, and the root is taken inside that bracket.  Reported
-eigenvalues are therefore shooting roots, and the Galerkin count fixes
-their order.
+Both are entire in the spectral parameter (J. D. Pryce, Numerical
+Solution of Sturm-Liouville Problems, 1993).  About a centre c,
 
-Eigenfunctions are the normalised zeta at the root; their boundary
-values alpha1 = y(-1), alpha2 = y(+1) feed the weighted Kirchhoff
-projector when zero is (numerically) an eigenvalue.
-
-Both shooting solutions are entire in the spectral parameter w
-(J. D. Pryce, Numerical Solution of Sturm-Liouville Problems, 1993):
-
-    zeta(w; s) = sum_k w^k zeta_k(s),  zeta_0'' = V zeta_0,
-    zeta_k'' = V zeta_k - zeta_{k-1},  V = -gamma^2/4,
+    zeta(c + d; s) = sum_k d^k zeta_k(s),  V = -gamma^2/4,
+    zeta_0'' = (V - c) zeta_0,  zeta_k'' = (V - c) zeta_k - zeta_{k-1},
 
 with zeta_k (k >= 1) starting from zero data, and eta likewise from
-s = +1.  ``taylor_shooting`` integrates the real coefficients once per
-profile; near w = 0 every shooting solution is then a polynomial in w.
+s = +1.  This coefficient system is the one shooting equation here:
+``shoot`` is its 1-term solve about z, ``taylor_shooting`` its 12-term
+solve about 0 (near w = 0 every shooting solution is then a polynomial
+in w), and each eigenpair a 4-term solve about its cosine-Galerkin
+eigenvalue (the eigendata the series kernel uses).  The eigenvalue is
+the root of that Wronskian polynomial within half the Galerkin gap, so
+the Galerkin count fixes the order; the eigenfunction is zeta there,
+from the same solve.  Its end values alpha1 = y(-1), alpha2 = y(+1) feed
+the weighted Kirchhoff projector when zero is (numerically) an eigenvalue.
 """
 
 from __future__ import annotations
@@ -40,9 +35,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import simpson, solve_ivp
 from scipy.linalg import eigh
-from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
 from .profile import CurvatureProfile
@@ -55,6 +50,7 @@ __all__ = [
     "TaylorShooting",
     "VertexSpectrum",
     "CaseLabel",
+    "check_zero_tolerance",
     "classify",
     "classify_case",
     "eigenvalue_by_index",
@@ -69,27 +65,30 @@ DEFAULT_ZERO_TOLERANCE = 1e-9
 VERTEX_GRID_POINTS = 4001
 _SHOOT_RTOL = 1e-10
 _SHOOT_ATOL = 1e-13
-_REFINE_RTOL = 1e-12
-_REFINE_ATOL = 1e-14
-# Right-hand-side evaluations allowed per integration.  The work grows like
-# sqrt(|z|); the largest solve of the test suite and the README examples
-# takes under 2000.  The cap admits |z| up to about 1.1e6 at _SHOOT_RTOL and
-# eigenvalues up to about 5.6e5 (the first 477) at _REFINE_RTOL.
-MAX_SHOOT_NFEV = 100_000
-# Largest eigenvalues() count.  The work per eigenvalue grows like its index:
-# 50 on bump:0.5 takes about 12 s on a 2-core VM; the shooting cap admits 477.
-MAX_EIGENVALUE_COUNT = 50
-# Initial relative half-width of the shooting bracket around a Galerkin
-# eigenvalue; the two agree to ~1e-11.
-_POLISH_START = 1e-9
 # Taylor coefficients w^0 .. w^(SERIES_TERMS-1) of the shooting solutions,
 # used for |w| <= SERIES_RADIUS.  For gamma = 0 the tail after K terms is
 # about (4|w|)^K / (2K)!: 2e-24 at the radius, and on every profile class
 # it stays below 1e-16 relative out to twice the radius.
 SERIES_TERMS = 12
 SERIES_RADIUS = 0.25
+# The solve about each Galerkin eigenvalue g: coefficients d^0 .. d^3 in
+# d = lambda - g, where |d| ~ 1e-11 |g| leaves d^4 far below rounding.
+# Newton steps on the root of its Wronskian polynomial stop once a step is
+# below _NEWTON_TOL max(1, |g|), one or two steps from the Galerkin value.
+_EIGEN_TERMS = 4
+_NEWTON_STEPS = 8
+_NEWTON_TOL = 1e-14
+# Tolerances of both coefficient solves (about w = 0 and about each g).
 _SERIES_RTOL = 1e-13
 _SERIES_ATOL = 1e-16
+# Right-hand-side evaluations allowed per integration.  The work grows like
+# sqrt(|z|); the largest solve of the test suite and the README examples
+# takes under 2000.  The cap admits |z| up to about 1.1e6 at _SHOOT_RTOL and
+# eigenvalue solves up to about 2.2e5 (the first 300) at _SERIES_RTOL.
+MAX_SHOOT_NFEV = 100_000
+# Largest eigenvalues() count.  The work per eigenvalue grows like its index:
+# 50 on bump:0.5 takes about 15 s on a 2-core VM; the shooting cap admits 300.
+MAX_EIGENVALUE_COUNT = 50
 
 
 class IntegrationError(RuntimeError):
@@ -151,60 +150,65 @@ class ShootingSolution:
         return np.array([[self.eta(-1.0), 1.0], [1.0, self.zeta(1.0)]]) / self.wronskian
 
 
-def _integrate(rhs, y0: np.ndarray, s0: float, s1: float, rtol: float, atol: float,
-               dense: bool, what: str):
-    """Integrate y' = rhs(s, y) from s0 to s1 with y(s0) = y0, in at most
-    MAX_SHOOT_NFEV right-hand-side evaluations."""
+def _coefficient_ivp(profile: CurvatureProfile, centre, terms: int, s0: float, s1: float,
+                     rtol: float, atol: float, what: str):
+    """The shooting equation as Taylor coefficients about a centre c,
+
+        y_k'' = (V - c) y_k - y_{k-1},  k < terms,  V = -gamma^2/4,
+
+    from s0 to s1 with y_0(s0) = 1 and all other start data zero, at dense
+    output and in at most MAX_SHOOT_NFEV right-hand-side evaluations.  The
+    shooting solution at c + d is sum_k d^k y_k; a complex c gives a
+    complex solve.
+    """
     nfev = 0
 
-    def capped(s, y):
+    def rhs(s, y):
         nonlocal nfev
         nfev += 1
         if nfev > MAX_SHOOT_NFEV:
             raise IntegrationError(f"{what} needs more than "
                                    f"{MAX_SHOOT_NFEV} right-hand-side evaluations")
-        return rhs(s, y)
+        # Python scalars: faster than array operations at these sizes, and
+        # numpy's complex array loops round differently from scalar products.
+        y = y.tolist()
+        shift = -0.25 * profile.gamma(s) ** 2 - centre
+        return y[terms:] + [shift * y[0]] + [shift * y[k] - y[k - 1] for k in range(1, terms)]
 
-    sol = solve_ivp(capped, (s0, s1), y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=dense)
+    y0 = np.zeros(2 * terms, dtype=type(centre))
+    y0[0] = 1.0
+    sol = solve_ivp(rhs, (s0, s1), y0, method="DOP853", rtol=rtol, atol=atol,
+                    dense_output=True)
     if not sol.success:
         raise IntegrationError(f"{what} failed: {sol.message}")
     return sol
 
 
-def _shoot_ivp(profile: CurvatureProfile, z: complex, s0: float, s1: float,
-               rtol: float, atol: float, dense: bool):
-    """w'' = (-gamma^2/4 - z) w from s0 to s1 with w(s0) = 1, w'(s0) = 0."""
-    def rhs(s, y):
-        v = -0.25 * profile.gamma(s) ** 2
-        return [y[1], (v - z) * y[0]]
-
-    y0 = np.array([1.0 + 0.0j, 0.0 + 0.0j])
-    return _integrate(rhs, y0, s0, s1, rtol, atol, dense, f"shooting at z={z}")
-
-
 def shoot(profile: CurvatureProfile, z: complex,
           rtol: float = _SHOOT_RTOL, atol: float = _SHOOT_ATOL) -> ShootingSolution:
-    """Both shooting solutions with dense output over [-1, 1]."""
-    left = _shoot_ivp(profile, z, -1.0, 1.0, rtol, atol, dense=True)
-    right = _shoot_ivp(profile, z, 1.0, -1.0, rtol, atol, dense=True)
+    """Both shooting solutions with dense output over [-1, 1]: the 1-term
+    coefficient solves about z."""
+    z = complex(z)
+    left, right = (_coefficient_ivp(profile, z, 1, s0, -s0, rtol, atol, f"shooting at z={z}")
+                   for s0 in (-1.0, 1.0))
     # At s = +1 the right solution is exactly (1, 0), so Wv = zeta'(+1).
     wr = complex(left.y[1, -1])
     mesh = np.union1d(left.t, right.t[::-1])
-    return ShootingSolution(complex(z), left.sol, right.sol, wr, mesh)
+    return ShootingSolution(z, left.sol, right.sol, wr, mesh)
 
 
 @dataclass(frozen=True)
 class _TaylorSide:
-    """One shooting solution at a fixed w: s -> (y, y') from the dense
-    coefficients (y_0..y_{K-1}, y_0'..y_{K-1}') and the powers of w."""
+    """One shooting solution at c + d: s -> (y, y') from the dense
+    coefficients (y_0..y_{K-1}, y_0'..y_{K-1}') about c and the powers
+    d^0..d^(K-1)."""
 
     coefficients: object  # scipy OdeSolution
     powers: np.ndarray
 
     def __call__(self, s):
         y = self.coefficients(s)
-        y = y.reshape(2, SERIES_TERMS, *y.shape[1:])
+        y = y.reshape(2, len(self.powers), *y.shape[1:])
         return np.tensordot(self.powers, y, axes=(0, 1))
 
 
@@ -244,26 +248,12 @@ class TaylorShooting:
         return n0 / w1, n1 / w1 - n0 * (w2 / w1**2)
 
 
-def _taylor_ivp(profile: CurvatureProfile, s0: float, s1: float):
-    """The coefficient system y_k'' = V y_k - y_{k-1} from s0 to s1, with
-    y_0(s0) = 1 and all other start data zero, at dense output."""
-    def rhs(s, y):
-        u = y[:SERIES_TERMS]
-        upp = -0.25 * profile.gamma(s) ** 2 * u
-        upp[1:] -= u[:-1]
-        return np.concatenate([y[SERIES_TERMS:], upp])
-
-    y0 = np.zeros(2 * SERIES_TERMS)
-    y0[0] = 1.0
-    return _integrate(rhs, y0, s0, s1, _SERIES_RTOL, _SERIES_ATOL, True,
-                      "the Taylor coefficient solve")
-
-
 @lru_cache(maxsize=8)
 def taylor_shooting(profile: CurvatureProfile) -> TaylorShooting:
     """The Taylor coefficients of both shooting solutions (cached)."""
-    left = _taylor_ivp(profile, -1.0, 1.0)
-    right = _taylor_ivp(profile, 1.0, -1.0)
+    left, right = (_coefficient_ivp(profile, 0.0, SERIES_TERMS, s0, -s0, _SERIES_RTOL,
+                                    _SERIES_ATOL, "the Taylor coefficient solve")
+                   for s0 in (-1.0, 1.0))
     end = left.sol(1.0)
     arrays = (right.sol(-1.0)[:SERIES_TERMS], end[:SERIES_TERMS], end[SERIES_TERMS:],
               np.union1d(left.t, right.t[::-1]))
@@ -332,63 +322,20 @@ def _galerkin_eigenpairs(profile: CurvatureProfile, n_modes: int):
     return out[0], out[1], n_basis, out[2]
 
 
-def _wronskian_accurate(profile: CurvatureProfile, lam: float) -> float:
-    sol = _shoot_ivp(profile, lam, -1.0, 1.0, _REFINE_RTOL, _REFINE_ATOL, dense=False)
-    return float(sol.y[1, -1].real)
-
-
-def _polish(profile: CurvatureProfile, galerkin: np.ndarray, k: int) -> float:
-    """Shooting root next to the Galerkin eigenvalue ``galerkin[k]``.
-
-    A bracket of relative half-width _POLISH_START around it widens
-    tenfold until the Wronskian changes sign, never past the midpoint to
-    a neighbouring Galerkin eigenvalue (the lowest one borrows the gap
-    above it).  Across the first bracket the Wronskian is linear up to
-    O(width^2), far below the integrator noise, so one secant step gives
-    the root; a widened bracket is refined by brentq.
-    """
-    g = float(galerkin[k])
-    upper = 0.5 * float(galerkin[k + 1] - g)
-    lower = 0.5 * float(g - galerkin[k - 1]) if k > 0 else upper
-    start = step = _POLISH_START * max(1.0, abs(g))
-    while True:
-        a, b = g - min(step, lower), g + min(step, upper)
-        fa, fb = _wronskian_accurate(profile, a), _wronskian_accurate(profile, b)
-        if fa * fb <= 0.0:
-            break
-        if step >= max(lower, upper):
-            raise SpectrumError(
-                f"no shooting root within the Galerkin gap around "
-                f"eigenvalue {k + 1} ({g:.6g})")
-        step *= 10.0
-    if step == start and fa != fb:
-        return b - fb * (b - a) / (fb - fa)
-    return float(brentq(lambda lam: _wronskian_accurate(profile, lam), a, b,
-                        xtol=1e-13, rtol=8.9e-16))
-
-
-def eigenvalue_by_index(profile: CurvatureProfile, index: int) -> float:
-    """The index-th eigenvalue alone (1-based); used by resonance tuning."""
-    if index < 1:
-        raise ValueError("index must be >= 1")
-    galerkin = _galerkin_eigenpairs(profile, index + 1)[0]
-    return _polish(profile, galerkin, index - 1)
-
-
 @dataclass(frozen=True)
 class EigenFunction:
-    """Normalised eigenfunction built from the left shooting solution."""
+    """Normalised eigenfunction: the left shooting solution at its eigenvalue."""
 
     n: int
     lam: float
-    _sol: object
+    _sol: object  # callable: s -> (zeta, zeta') at s
     scale: float  # sign/norm applied to zeta
 
     def value(self, s):
-        return self._sol(np.asarray(s))[0].real * self.scale
+        return self._sol(np.asarray(s))[0] * self.scale
 
     def derivative(self, s):
-        return self._sol(np.asarray(s))[1].real * self.scale
+        return self._sol(np.asarray(s))[1] * self.scale
 
     @property
     def at_minus1(self) -> float:
@@ -397,6 +344,54 @@ class EigenFunction:
     @property
     def at_plus1(self) -> float:
         return float(self.value(1.0))
+
+
+def _eigenfunction(n: int, lam: float, side: _TaylorSide) -> EigenFunction:
+    """Normalise zeta, signed positive at s = -1 when that value is
+    resolvable, else at the first resolvable grid point."""
+    grid = np.linspace(-1.0, 1.0, VERTEX_GRID_POINTS)
+    vals = side(grid)[0]
+    norm = float(np.sqrt(simpson(vals * vals, x=grid)))
+    anchor = vals[np.argmax(np.abs(vals) > 1e-8 * float(np.max(np.abs(vals))))]
+    return EigenFunction(n, lam, side, math.copysign(1.0 / norm, anchor))
+
+
+def _eigenpair(profile: CurvatureProfile, galerkin: np.ndarray, k: int) -> EigenFunction:
+    """Eigenpair next to the Galerkin eigenvalue g = ``galerkin[k]``.
+
+    One dense solve of _EIGEN_TERMS coefficients about g gives the
+    Wronskian W(g + d) = sum_j W_j d^j, W_j = zeta_j'(+1).  Newton steps
+    from d = 0 take its root, and every step must stay within half the
+    gap to a neighbouring Galerkin eigenvalue (the lowest one borrows the
+    gap above it).  The eigenfunction is sum_j d^j zeta_j from the same
+    solve.
+    """
+    g = float(galerkin[k])
+    upper = 0.5 * float(galerkin[k + 1] - g)
+    lower = 0.5 * float(g - galerkin[k - 1]) if k > 0 else upper
+    sol = _coefficient_ivp(profile, g, _EIGEN_TERMS, -1.0, 1.0, _SERIES_RTOL, _SERIES_ATOL,
+                           f"the eigenvalue {k + 1} solve")
+    wr = sol.y[_EIGEN_TERMS:, -1]
+    slope = wr[1:] * np.arange(1, _EIGEN_TERMS)
+    d = 0.0
+    for _ in range(_NEWTON_STEPS):
+        step = polyval(d, wr) / polyval(d, slope)
+        d -= step
+        if not -lower <= d <= upper:
+            break
+        if abs(step) <= _NEWTON_TOL * max(1.0, abs(g)):
+            return _eigenfunction(k + 1, g + d,
+                                  _TaylorSide(sol.sol, d ** np.arange(_EIGEN_TERMS)))
+    raise SpectrumError(f"no shooting root within the Galerkin gap around "
+                        f"eigenvalue {k + 1} ({g:.6g})")
+
+
+def eigenvalue_by_index(profile: CurvatureProfile, index: int) -> float:
+    """The index-th eigenvalue alone (1-based)."""
+    if index < 1:
+        raise ValueError("index must be >= 1")
+    galerkin = _galerkin_eigenpairs(profile, index + 1)[0]
+    return _eigenpair(profile, galerkin, index - 1).lam
 
 
 @dataclass(frozen=True)
@@ -431,29 +426,21 @@ class VertexSpectrum:
         return self.functions[self.case.n_star - 1]
 
 
-def _build_eigenfunction(profile: CurvatureProfile, n: int, lam: float) -> EigenFunction:
-    sol = _shoot_ivp(profile, lam, -1.0, 1.0, _REFINE_RTOL, _REFINE_ATOL, dense=True)
-    grid = np.linspace(-1.0, 1.0, VERTEX_GRID_POINTS)
-    vals = sol.sol(grid)[0].real
-    norm = float(np.sqrt(simpson(vals * vals, x=grid)))
-    # Sign convention: positive at s=-1 when the boundary value is
-    # resolvable, else positive at the first resolvable mesh point.
-    thresh = 1e-8 * float(np.max(np.abs(vals)))
-    anchor = vals[0]
-    if abs(anchor) <= thresh:
-        idx = np.argmax(np.abs(vals) > thresh)
-        anchor = vals[idx]
-    sign = 1.0 if anchor > 0 else -1.0
-    return EigenFunction(n, lam, sol.sol, sign / norm)
-
-
 @lru_cache(maxsize=64)
 def _shooting_eigenpairs(profile: CurvatureProfile, count: int):
     """The first ``count`` shooting eigenvalues (read-only) and eigenfunctions."""
     galerkin = _galerkin_eigenpairs(profile, count + 1)[0]
-    lams = np.array([_polish(profile, galerkin, n) for n in range(count)])
+    funcs = tuple(_eigenpair(profile, galerkin, k) for k in range(count))
+    lams = np.array([fn.lam for fn in funcs])
     lams.setflags(write=False)
-    return lams, tuple(_build_eigenfunction(profile, n + 1, lams[n]) for n in range(count))
+    return lams, funcs
+
+
+def check_zero_tolerance(zero_tolerance: float, error: type = ValueError) -> None:
+    """Raise ``error`` unless the tolerance is finite and >= 0: a negative or
+    NaN one calls every spectrum generic, an infinite one every resonant."""
+    if not 0.0 <= zero_tolerance < math.inf:
+        raise error(f"zero tolerance must be finite and >= 0, got {zero_tolerance}")
 
 
 def eigenvalues(profile: CurvatureProfile, count: int,
@@ -465,6 +452,7 @@ def eigenvalues(profile: CurvatureProfile, count: int,
     """
     if not 1 <= count <= MAX_EIGENVALUE_COUNT:
         raise ValueError(f"count must lie in [1, {MAX_EIGENVALUE_COUNT}], got {count}")
+    check_zero_tolerance(zero_tolerance)
     lams, funcs = _shooting_eigenpairs(profile, count)
     # Strict threshold: resonant only if the smallest |lambda| is within tolerance.
     k = int(np.argmin(np.abs(lams)))

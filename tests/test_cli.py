@@ -107,6 +107,16 @@ class TestSweepCommands:
         assert abs(slope - 1.0) < 0.15
         assert (tmp_path / "coupling.csv.json").exists()
 
+    def test_json_out_keeps_the_csv(self, tmp_path):
+        # the JSON twin used to overwrite an --out that ends in .json
+        out = tmp_path / "sw.json"
+        assert main(["coupling", "--profile", "zero", "--z=0,1",
+                     "--eps-grid", "2^-6..2^-10", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert rows[2][:2] == ["epsilon", "delta"] and rows[-2][0] == "slope"
+        assert len([float(cell) for row in rows[3:-2] for cell in row]) == 5 * 5
+        assert json.loads((tmp_path / "sw.json.json").read_text())["rows"]
+
     def test_residual_sweep(self, tmp_path):
         out = tmp_path / "res.csv"
         assert main(["residual-sweep", "--profile", "bump:0.5", "--z", "0,1",
@@ -167,6 +177,9 @@ class TestSweepCommands:
         ["kernel", "--grid", "0"],
         ["coupling", "--window-policy", "bogus"],
         ["coupling", "--window-policy", "drop:-1"],
+        ["spectrum", "--profile", "zero", "--tol=-1"],
+        ["spectrum", "--profile", "zero", "--tol=nan"],
+        ["spectrum", "--profile", "bump:0.5", "--tol=inf"],
     ])
     def test_input_error_exit_code(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
@@ -229,7 +242,8 @@ class TestSweepCommands:
     @pytest.mark.parametrize("key, value", [("window_policy", 5),
                                             ("quadrature_panels", [64]),
                                             ("quadrature_panels", [257, 64]),
-                                            ("quadrature_order", 33)])
+                                            ("quadrature_order", 33),
+                                            ("zero_tolerance", -1)])
     def test_run_bad_residual_setting_exit_code(self, tmp_path, key, value):
         cfg = {
             "profile": {"kind": "bump", "amplitude": 0.5},
@@ -281,6 +295,7 @@ class TestReadmeExamples:
         "z": [0.0, 1.0],
         "eps_grid": [2.0**-k for k in range(6, 10)],
         "delta_rule": ["power", 1.5],
+        "p": [[1.0, 0.0], [0.0, 0.0]],
     }
 
     def test_every_subcommand_has_an_example(self):

@@ -78,6 +78,8 @@ class TestConfig:
             ExperimentConfig(profile=ZERO, metric="unknown").validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(profile=ZERO, metric="residual").validate()
+        with pytest.raises(ConfigError):  # p = 0 would make every row 0.0
+            ExperimentConfig(profile=ZERO, p=None).validate()
 
     @pytest.mark.parametrize("field, value", [
         ("z", complex(float("nan"), 1.0)),
@@ -87,6 +89,9 @@ class TestConfig:
         ("delta_rule", ("power", float("nan"))),
         ("delta_rule", ("power", float("inf"))),
         ("delta_rule", ("ratio", float("nan"))),
+        ("zero_tolerance", float("nan")),
+        ("zero_tolerance", float("inf")),
+        ("zero_tolerance", -1.0),
     ])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ConfigError):
@@ -184,10 +189,12 @@ class TestConfig:
             ExperimentConfig.from_json_dict(json.loads(json.dumps(d)))
 
     def test_missing_optional_keys_take_defaults(self):
-        d = {"profile": {"kind": "zero"}, "z": [0.0, 1.0],
+        # edge data is required (p is not given); every other key is optional
+        d = {"profile": {"kind": "zero"}, "z": [0.0, 1.0], "f1": {"type": "exp"},
              "eps_grid": [0.25, 0.125, 0.0625, 0.03125], "delta_rule": ["power", 1.5]}
         assert ExperimentConfig.from_json_dict(d) == ExperimentConfig(
-            profile=ZERO, eps_grid=(0.25, 0.125, 0.0625, 0.03125), p=None)
+            profile=ZERO, eps_grid=(0.25, 0.125, 0.0625, 0.03125), p=None,
+            f1={"type": "exp"})
 
 
 class TestRunSweep:
@@ -275,11 +282,11 @@ class TestRunSweep:
     def test_resonant_residual_sweep_solves_spectrum_once(self, monkeypatch, tuned2):
         # the sweep classifies at zero_tolerance 1e-3 and the resonant bound
         # reads the zero-mode at the default tolerance; both threshold one
-        # cached solve, so each of the 4 eigenvalues is polished once
+        # cached solve, so each of the 4 eigenpairs is solved once
         calls = []
-        polish = vertex_spectrum._polish
-        monkeypatch.setattr(vertex_spectrum, "_polish",
-                            lambda *args: calls.append(args[2]) or polish(*args))
+        eigenpair = vertex_spectrum._eigenpair
+        monkeypatch.setattr(vertex_spectrum, "_eigenpair",
+                            lambda *args: calls.append(args[2]) or eigenpair(*args))
         near = CurvatureProfile("tuned_bump", tuned2.amplitude * (1 + 2e-6), 2)
         cfg = ExperimentConfig(profile=near, metric="residual", z=1j,
                                eps_grid=dyadic(4, 7), delta_rule=("ratio", 0.1),

@@ -203,6 +203,13 @@ class TestTuneToResonance:
 
         assert abs(eigenvalue_by_index(tuned2, 2)) < 1e-10
 
+    def test_kernel_pole_sits_at_zero(self, tuned2):
+        # tuning roots the Taylor Wronskian the vertex kernel reads
+        from wglimit.vertex_spectrum import taylor_shooting
+
+        wr = taylor_shooting(tuned2).wronskian
+        assert abs(wr[0] / wr[1]) <= 1e-13
+
     def test_classifies_as_resonant(self, tuned2):
         from wglimit.vertex_spectrum import classify
 

@@ -8,13 +8,14 @@ import pytest
 from scipy.integrate import simpson, solve_ivp
 
 from wglimit import CurvatureProfile, classify_case, eigenvalues, shoot
+from wglimit import vertex_spectrum
 from wglimit.cli import main
 from wglimit.profile import _amplitude_slope
 from wglimit.vertex_spectrum import (
     MAX_EIGENVALUE_COUNT,
     SpectrumError,
     _galerkin_eigenpairs,
-    _polish,
+    _eigenpair,
     eigenvalue_by_index,
     wronskian_values,
 )
@@ -148,6 +149,15 @@ class TestEigenvalues:
         sups = [np.max(np.abs(fn.value(grid))) for fn in spec.functions]
         assert max(sups) < 3.0
 
+    def test_one_solve_per_eigenpair(self, monkeypatch):
+        vertex_spectrum._shooting_eigenpairs.cache_clear()
+        calls = []
+        ivp = vertex_spectrum.solve_ivp
+        monkeypatch.setattr(vertex_spectrum, "solve_ivp",
+                            lambda *args, **kw: calls.append(1) or ivp(*args, **kw))
+        eigenvalues(CurvatureProfile.bump(0.4321), 5)
+        assert len(calls) == 5
+
     def test_count_guard(self, zero_profile):
         with pytest.raises(ValueError):
             eigenvalues(zero_profile, 0, 1e-9)
@@ -214,16 +224,16 @@ class TestGalerkinPolish:
             assert abs(dev) < 1e-9 * max(1.0, abs(galerkin[k]))
 
     def test_widened_bracket_finds_root(self, zero_profile):
-        # a Galerkin value 1e-6 off: the bracket widens, brentq finds the root
+        # a Galerkin value 1e-6 off: Newton steps from it still find the root
         galerkin = np.array([0.0, np.pi**2 / 4 + 1e-6, np.pi**2])
-        assert _polish(zero_profile, galerkin, 1) == pytest.approx(np.pi**2 / 4,
-                                                                   abs=1e-12)
+        assert _eigenpair(zero_profile, galerkin, 1).lam == pytest.approx(np.pi**2 / 4,
+                                                                          abs=1e-12)
 
     def test_no_root_in_gap_raises(self, zero_profile):
         # a fake Galerkin value at 1.0 between the Neumann eigenvalues 0
-        # and pi^2/4: the Wronskian keeps its sign across the half-gap
+        # and pi^2/4: the Wronskian has no root within the half-gap
         with pytest.raises(SpectrumError):
-            _polish(zero_profile, np.array([1.0, 2.0]), 0)
+            _eigenpair(zero_profile, np.array([1.0, 2.0]), 0)
 
     def test_galerkin_arrays_read_only(self, bump05):
         lams, coef, _, mu = _galerkin_eigenpairs(bump05, 4)

@@ -45,6 +45,7 @@ README_RUN_CONFIG = {
     "z": [0.0, 1.0],
     "eps_grid": [2.0**-k for k in range(6, 10)],
     "delta_rule": ["power", 1.5],
+    "p": [[1.0, 0.0], [0.0, 0.0]],
 }
 
 

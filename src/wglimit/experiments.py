@@ -469,6 +469,10 @@ def oracle_report(profile: CurvatureProfile, z: complex, epsilon: float,
         raise ConfigError("the oracle report needs edge data f1/f2")
     grid = WaveguideGrid.build(epsilon, delta, z, h_u=h_u, h_s=h_s)
     fine_grid = grid.refined() if refine else None  # bounded before any solve
+    if n > grid.n_u:
+        # sampled on the u-nodes, chi_n vanishes (n = n_u + 1) or aliases
+        raise ConfigError(f"transverse index n = {n} exceeds the {grid.n_u} modes "
+                          f"of the u-grid with h_u = {grid.h_u}")
     sol = assemble(profile, n, z, epsilon, delta, f1, f2)
     res = limit_resolvent(sol.case, z)
     fd = fd_resolvent(grid, profile, n, z, f1, f2)

@@ -15,6 +15,19 @@ Two brute-force cross-checks validate the semi-analytic machinery:
     ((4/h_u^2) sin^2(n pi h_u / 2) / delta^2) so the comparison is not
     polluted by the O(h_u^2)/delta^2 eigenvalue defect of the u-stencil.
     One s-step h_s serves both edges and the vertex strip.
+
+The 2-D system is solved by exact block elimination of the edge lines.
+Every edge line has the constant u-stencil diag*I + w_u*tridiag(1, 0, 1)
+with Dirichlet ends, which the orthonormal sine matrix
+S_jk = sqrt(2/(M+1)) sin(jk pi/(M+1)) (S = S^T = S^-1) diagonalises, so
+in the sine basis each edge is M independent scalar tridiagonal chains
+(diagonal diag + 2 w_u cos(j pi/(M+1)), off-diagonal w_s).  One banded
+LU with partial pivoting solves every chain for the data and for a unit
+at its interface end (the chain's response g); the interface lines then
+take the dense Schur block -w_s^2 S diag(g_near) S, sparse LU factors
+only the (J+1)*M interface and vertex unknowns, and the edge lines are
+recovered mode by mode.  One step of iterative refinement and the
+normwise backward error are taken against the full assembled matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .profile import CurvatureProfile, geometry_fields
 from .residual import chi_mode
@@ -49,7 +62,9 @@ SOLVE_RESIDUAL_TOL = 1e-10
 H_U = 1.0 / 32
 H_S = 1.0 / 64
 # Largest 2-D grid, 2.2 times the benchmark's refined bump grid (437,661); the
-# edge length -ln(tol)/Im sqrt(z), and so the grid, grows without bound.
+# edge length -ln(tol)/Im sqrt(z), and so the grid, grows without bound.  The
+# solve's memory is linear in the unknowns (the assembled matrix and the banded
+# edge chains, about 0.4 kB each), so the bound holds it near 400 MB.
 MAX_FD_UNKNOWNS = 1_000_000
 
 
@@ -215,6 +230,21 @@ def _line_weights(grid: WaveguideGrid) -> np.ndarray:
     return w
 
 
+def _shift(grid: WaveguideGrid, n: int, z: complex) -> complex:
+    """z plus the discrete transverse eigenvalue of mode n over delta^2."""
+    hu = grid.h_u
+    lam_u = (2.0 / hu * math.sin(n * math.pi * hu / 2.0)) ** 2
+    return lam_u / grid.delta**2 + z
+
+
+def _edge_stencil(grid: WaveguideGrid, shift: complex) -> tuple[complex, float, float]:
+    """(diag, w_u, w_s) of an edge line: diag*I + w_u*tridiag(1, 0, 1) in u and
+    w_s to each s-neighbour line."""
+    he, hu, delta = grid.h_s, grid.h_u, grid.delta
+    diag = he * hu * (2.0 / he**2 + 2.0 / (delta**2 * hu**2) - shift)
+    return diag, -he / (delta**2 * hu), -hu / he
+
+
 def _assemble(grid: WaveguideGrid, profile: CurvatureProfile, n: int, z: complex,
               f1, f2):
     eps, delta = grid.epsilon, grid.delta
@@ -222,8 +252,8 @@ def _assemble(grid: WaveguideGrid, profile: CurvatureProfile, n: int, z: complex
     K, J, M = grid.n_edge, grid.n_vertex, grid.n_u
     u = grid.u_nodes
     ratio = delta / eps
-    lam_u = (2.0 / hu * math.sin(n * math.pi * hu / 2.0)) ** 2
-    shift = lam_u / delta**2 + z
+    shift = _shift(grid, n, z)
+    diag_edge, wu_edge, ws_edge = _edge_stencil(grid, shift)
 
     sigma = grid.vertex_s
     mid = sigma[:-1] + 0.5 * hv
@@ -250,7 +280,6 @@ def _assemble(grid: WaveguideGrid, profile: CurvatureProfile, n: int, z: complex
     m_idx = np.arange(M)
 
     # Diagonals.
-    diag_edge = he * hu * (2.0 / he**2 + 2.0 / (delta**2 * hu**2) - shift)
     for lines in (edge1_lines, edge2_lines):
         r = (lines[:, None] * M + m_idx[None, :])
         add(r, r, np.full(r.shape, diag_edge))
@@ -275,14 +304,15 @@ def _assemble(grid: WaveguideGrid, profile: CurvatureProfile, n: int, z: complex
     left = pair_l[:, None] * M + m_idx[None, :]
     right = (pair_l[:, None] + 1) * M + m_idx[None, :]
     coup = np.empty((n_lines - 1, M), dtype=complex)
-    coup[: K - 1, :] = -hu / he
+    coup[: K - 1, :] = ws_edge
     coup[K - 1: K + J - 1, :] = -hu * amid / (eps * hv)
-    coup[K + J - 1:, :] = -hu / he
+    coup[K + J - 1:, :] = ws_edge
     add(left, right, coup)
     add(right, left, coup)
 
     # u-coupling within each line.
     line_wu = -_line_weights(grid) / (delta**2 * hu)
+    line_wu[np.r_[edge1_lines, edge2_lines]] = wu_edge
     all_lines = np.arange(n_lines)
     lo = all_lines[:, None] * M + m_idx[None, :-1]
     hi = lo + 1
@@ -355,6 +385,68 @@ def _unflatten(grid: WaveguideGrid, psi: np.ndarray) -> WaveguideField:
     return WaveguideField(grid, edge1, edge2, vertex)
 
 
+def _block_solve(grid: WaveguideGrid, a, b: np.ndarray, stencil):
+    """A^-1 b by exact elimination of the edge lines, and the solver for
+    further right-hand sides.
+
+    Each edge's L = n_edge - 1 lines, ordered outward from its interface
+    line, are in the sine basis S (row and column k are sqrt(h_u) chi_k on
+    the u-nodes) M chains of length L, stored one after another in one
+    banded system.  A chain's solution is p - w_s g (S x_iface)_k, where p
+    solves it for the data and g for a unit at its interface end; so the
+    interface line's Schur complement adds -w_s^2 S diag(g_near) S.
+    """
+    K, J, M = grid.n_edge, grid.n_vertex, grid.n_u
+    L = K - 1
+    strip = slice(L * M, (K + J) * M)  # the interface and vertex lines
+    a_strip = a[strip, strip]
+    if L == 0:
+        lu = spla.splu(a_strip)
+        return lu.solve(b), lu.solve
+    diag, w_u, w_s = stencil
+    k = np.arange(1, M + 1)
+    sine = math.sqrt(grid.h_u) * chi_mode(k[:, None], grid.u_nodes[None, :])
+    lam = diag + 2.0 * w_u * np.cos(k * (math.pi / (M + 1)))
+    edge_lines = np.array([np.arange(L - 1, -1, -1), K + J + np.arange(L)])
+    off = np.full((2, M, L), w_s)
+    off[..., -1] = 0.0  # a chain ends at its Dirichlet line
+    bands = np.zeros((3, 2 * M * L), dtype=complex)
+    bands[0, 1:] = bands[2, :-1] = off.ravel()[:-1]
+    bands[1] = np.broadcast_to(lam[:, None], (2, M, L)).ravel()
+
+    def chains(columns):
+        return solve_banded((1, 1), bands, columns, check_finite=False)
+
+    def modes(r):
+        """The edge lines of r in the sine basis, one chain after another."""
+        return (r.reshape(-1, M)[edge_lines] @ sine).transpose(0, 2, 1).ravel()
+
+    unit = np.zeros((2, M, L))
+    unit[..., 0] = 1.0
+    first = chains(np.column_stack((modes(b), unit.ravel())))
+    g = first[:, 1].reshape(2, M, L)
+    blocks = -w_s**2 * (sine[None, :, :] * g[:, None, :, 0]) @ sine
+    iface = np.array([0, J])[:, None] * M + np.arange(M)  # strip rows
+    schur = sp.csc_matrix(
+        (blocks.ravel(), (np.repeat(iface, M, axis=1).ravel(), np.tile(iface, M).ravel())),
+        shape=a_strip.shape)
+    lu = spla.splu(a_strip + schur)
+
+    def finish(r, p):
+        p = p.reshape(2, M, L)
+        rhs = r[strip].copy()
+        rhs[iface] -= w_s * (p[..., 0] @ sine)
+        x = lu.solve(rhs)
+        psi = np.empty_like(r)
+        lines = psi.reshape(-1, M)
+        lines[L: K + J] = x.reshape(J + 1, M)
+        y = p - w_s * g * (x[iface] @ sine)[:, :, None]
+        lines[edge_lines] = y.transpose(0, 2, 1) @ sine
+        return psi
+
+    return finish(b, first[:, 0]), lambda r: finish(r, chains(modes(r)))
+
+
 def fd_resolvent(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
                  z: complex, f1, f2) -> FDSolution:
     """Solve the discrete shifted resolvent equation with data (f1, f2)."""
@@ -366,9 +458,8 @@ def fd_resolvent(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
         raise OracleError(
             f"edge truncation error {trunc:.2e} exceeds bound; increase s_max")
     a, b = _assemble(grid, profile, n, z, f1, f2)
-    lu = spla.splu(a)
-    psi = lu.solve(b)
-    psi += lu.solve(b - a @ psi)  # one step of iterative refinement
+    psi, solve = _block_solve(grid, a, b, _edge_stencil(grid, _shift(grid, n, z)))
+    psi += solve(b - a @ psi)  # one step of iterative refinement
     # Normwise backward error; the raw residual-to-|b| ratio saturates at
     # eps * ||A|| ||psi|| / ||b|| ~ 1e-9 because of the 1/delta^2 scale.
     a_norm = float(np.max(np.abs(a).sum(axis=0)))

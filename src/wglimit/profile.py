@@ -106,6 +106,14 @@ class CurvatureProfile:
         """gamma and its first two derivatives, vectorised over s."""
         if order not in (0, 1, 2):
             raise ProfileError("order must be 0, 1 or 2")
+        if order == 0 and isinstance(s, float):
+            # The shooting right-hand side calls this once per evaluation;
+            # np.exp keeps it bitwise equal to the array path below.
+            if self.kind == "zero":
+                return 0.0
+            if abs(s) < 1.0:
+                return self.amplitude * float(np.exp(1.0 - 1.0 / (1.0 - s * s)))
+            return 0.0 * self.amplitude
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
         if self.kind == "zero":

@@ -135,7 +135,7 @@ def test_criterion_4_residual_rate_shapes(bump05, tuned2):
     assert budget.elapsed < 120.0
 
 
-def test_criterion_5_fd_oracle_graph_limit(zero_profile, bump05):
+def test_criterion_5_fd_oracle_graph_limit(zero_profile, bump05, tuned2):
     with _Budget("criterion 5: discrete resolvent vs graph limit", 600.0) as budget:
         eps, delta = 0.3, 0.3**3
         f1 = GaussianPulse(center=3.0, width=0.5)
@@ -150,6 +150,11 @@ def test_criterion_5_fd_oracle_graph_limit(zero_profile, bump05):
         # generic bump: decoupled limit
         report = oracle_report(bump05, Z, eps, delta, f1, None, h_u=1 / 32, h_s=1 / 64)
         assert report["case"] == "1"
+        assert report["mismatch"] <= 0.10
+
+        # tuned bump: weighted Kirchhoff limit with a curved vertex
+        report = oracle_report(tuned2, Z, eps, delta, f1, None, h_u=1 / 32, h_s=1 / 64)
+        assert report["case"] == "2"
         assert report["mismatch"] <= 0.10
     assert budget.elapsed < 600.0
 

@@ -172,6 +172,8 @@ class TestSweepCommands:
         ["oracle-compare", "--f1", "exp:-1"],
         ["oracle-compare", "--f1", "none"],
         ["oracle-compare", "--h-s", "0"],
+        ["oracle-compare", "--h-u", "0.03125", "--n", "32"],  # chi_32 vanishes on the nodes
+        ["oracle-compare", "--h-u", "0.03125", "--n", "40"],  # aliases to mode 24
         ["kernel", "--mode", "series", "--n-terms", "0"],
         ["kernel", "--mode", "series", "--n-terms", "-5"],
         ["kernel", "--grid", "0"],

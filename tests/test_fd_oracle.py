@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from wglimit import (
     CurvatureProfile,
@@ -13,10 +14,12 @@ from wglimit import (
 )
 from wglimit.fd_oracle import (
     MAX_FD_UNKNOWNS,
+    SOLVE_RESIDUAL_TOL,
     FDSolution,
     OracleError,
     WaveguideField,
     _assemble,
+    _unflatten,
     suggest_edge_length,
     trapezoid_weights,
 )
@@ -24,6 +27,7 @@ from wglimit.residual import chi_mode, data_norm
 
 Z4 = 4j  # faster decay -> short truncated edges for module-level tests
 F_G = GaussianPulse(center=2.0, width=0.4)
+F_G2 = GaussianPulse(center=1.5, width=0.3)
 
 
 def small_grid(eps=0.25, delta=0.25**3, h=1.0 / 16) -> WaveguideGrid:
@@ -172,6 +176,52 @@ class TestFDResolvent:
         other = fd.edge_projection(1, n=1)
         driven = fd.edge_projection(1, n=2)
         assert np.max(np.abs(other)) < 1e-12 * max(np.max(np.abs(driven)), 1e-30)
+
+
+def assert_matches_direct_solve(fd: FDSolution, profile, f1, f2, rel: float) -> None:
+    """fd's field equals spsolve of the assembled system, line block by line block."""
+    grid = fd.grid
+    a, b = _assemble(grid, profile, fd.n, fd.z, f1, f2)
+    ref = _unflatten(grid, spla.spsolve(a, b))
+    for name in ("edge1", "vertex", "edge2"):
+        got, want = getattr(fd.field, name), getattr(ref, name)
+        assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want), name
+    assert fd.solve_residual <= SOLVE_RESIDUAL_TOL
+
+
+class TestEdgeElimination:
+    @pytest.mark.parametrize("profile", ["zero_profile", "bump05", "tuned2"])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_matches_direct_solve(self, request, profile, n):
+        profile = request.getfixturevalue(profile)
+        fd = fd_resolvent(small_grid(), profile, n, Z4, F_G, F_G2)
+        assert_matches_direct_solve(fd, profile, F_G, F_G2, rel=1e-9)
+
+    @pytest.mark.parametrize("n_edge", [1, 2])
+    def test_one_edge_line_or_none(self, bump05, n_edge):
+        # Im sqrt(z) ~ 89 and 141 keep the truncation guard quiet on s_max = h, 2h
+        h = 1 / 8
+        z = -8000.0 + 1j if n_edge == 2 else -2e4 + 1j
+        grid = WaveguideGrid(0.5, 0.5**3, n_edge * h, h, h)
+        assert grid.n_edge == n_edge
+        f1 = GaussianPulse(center=0.1, width=0.5)
+        fd = fd_resolvent(grid, bump05, 1, z, f1, F_G2)
+        assert np.max(np.abs(fd.field.edge1[: n_edge])) > 0.0
+        assert_matches_direct_solve(fd, bump05, f1, F_G2, rel=1e-12)
+
+    def test_lu_sees_only_the_vertex_strip(self, bump05, monkeypatch):
+        rows = []
+        splu = spla.splu
+
+        def counting_splu(a, *args, **kwargs):
+            rows.append(a.shape[0])
+            return splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting_splu)
+        grid = small_grid()
+        fd_resolvent(grid, bump05, 1, Z4, F_G, F_G2)
+        assert rows == [(grid.n_vertex + 1) * grid.n_u]
+        assert rows[0] < grid.n_unknowns / 10
 
 
 def hand_solution(grid: WaveguideGrid, edge1, edge2, n: int) -> FDSolution:

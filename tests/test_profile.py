@@ -52,6 +52,18 @@ class TestEvalGamma:
         with pytest.raises(ProfileError):
             bump05.gamma(0.0, 3)
 
+    @pytest.mark.parametrize("profile", [
+        CurvatureProfile.zero(), CurvatureProfile.bump(0.5), CurvatureProfile.bump(-0.7),
+        CurvatureProfile("tuned_bump", 6.104017588677615, 2),
+        CurvatureProfile("tuned_bump", -6.1, 2),
+    ])
+    def test_scalar_path_is_bitwise_the_array_path(self, profile, rng):
+        s = np.concatenate([[-1.0, 1.0, 0.0, -0.0, 1.0 - 1e-16, -1.5],
+                            rng.uniform(-1.2, 1.2, 2000)])
+        scalar = np.array([profile.gamma(float(v)) for v in s])
+        # compared as bit patterns, so the -0.0 of a negative amplitude counts
+        assert np.array_equal(scalar.view(np.int64), profile.gamma(s).view(np.int64))
+
 
 class TestConstruction:
     def test_amplitude_cap(self):

@@ -43,6 +43,8 @@ NUMERICAL_ERRORS = (NearEigenvalueError, SingularSystemError, IntegrationError,
 # Largest `kernel --grid` (grid^2 CSV rows) and `kernel --n-terms`.
 MAX_KERNEL_GRID = 1001
 MAX_SERIES_TERMS = 2000
+# Largest B of `--eps-grid 2^-A..2^-B`: 2^-1075 rounds to 0.
+MAX_EPS_EXPONENT = 1074
 
 
 def _parse_profile(text: str) -> CurvatureProfile:
@@ -69,8 +71,10 @@ def _parse_z(text: str) -> complex:
 
 def _parse_eps_grid(text: str) -> tuple[float, ...]:
     if text.startswith("2^-") and ".." in text:
-        lo, hi = text[3:].split("..2^-")
-        return tuple(2.0**-k for k in range(int(lo), int(hi) + 1))
+        lo, hi = (int(k) for k in text[3:].split("..2^-"))
+        if lo < 0 or hi > MAX_EPS_EXPONENT:  # before the range is built
+            raise ConfigError(f"--eps-grid {text!r} needs 0 <= A and B <= {MAX_EPS_EXPONENT}")
+        return tuple(2.0**-k for k in range(lo, hi + 1))
     return tuple(float(v) for v in text.split(","))
 
 

@@ -8,7 +8,8 @@ log-log slopes on a stabilised window.
 Results persist as CSV (rows plus a trailing slope summary) and JSON;
 both embed the fully resolved config so outputs are self-describing and
 bitwise reproducible.  ``oracle_report`` is the oracle-compare report.
-Sweeps and the report reject z on [0, inf).
+Sweeps and the report reject z on [0, inf), and the residual sweep and the
+report reject edge data of norm 0.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from .kernels import (
 )
 from .profile import CurvatureProfile, ProfileError
 from .residual import (MAX_QUADRATURE_NODES, MIN_QUADRATURE_ORDER, QUADRATURE_ORDER,
-                       QUADRATURE_PANELS, assemble, data_norm, residual_norms)
+                       QUADRATURE_PANELS, ResidualQuadrature, assemble, data_norm,
+                       residual_norms)
 from .vertex_spectrum import (DEFAULT_ZERO_TOLERANCE, CaseLabel, IntegrationError,
                               SpectrumError, check_zero_tolerance, classify)
 
@@ -75,6 +77,13 @@ class ConfigError(ValueError):
 
 class FitError(ValueError):
     pass
+
+
+def _check_data_norm(norm: float) -> None:
+    """Both reports are relative to the data norm, so it must not vanish."""
+    if norm == 0.0:
+        raise ConfigError("the edge data have norm 0 to quadrature accuracy "
+                          "(a narrower pulse than the quadrature resolves, or none)")
 
 
 def _check_z(z: complex) -> None:
@@ -307,6 +316,7 @@ class SweepContext:
     f2: object
     p: np.ndarray
     projector: KirchhoffProjector | None = None  # coupling metric, resonant case
+    residual: ResidualQuadrature | None = None  # residual metric
 
     @staticmethod
     def build(config: ExperimentConfig) -> "SweepContext":
@@ -321,7 +331,13 @@ class SweepContext:
         if config.metric == "coupling" and case.resonant:
             # depends on (profile, tolerance) only, so one per sweep is exact
             projector = resonant_projector(config.profile, config.zero_tolerance)
-        return SweepContext(config, case, f1, f2, p, projector)
+        residual = None
+        if config.metric == "residual":
+            residual = ResidualQuadrature.build(config.profile, config.n, f1, f2, case,
+                                                config.quadrature_order,
+                                                config.quadrature_panels)
+            _check_data_norm(residual.data_norm)
+        return SweepContext(config, case, f1, f2, p, projector, residual)
 
 
 def _coupling_point(ctx: SweepContext, eps: float, delta: float) -> dict:
@@ -343,7 +359,7 @@ def _assemble(ctx: SweepContext, eps: float, delta: float):
 
 def _residual_point(ctx: SweepContext, eps: float, delta: float) -> dict:
     rep = residual_norms(_assemble(ctx, eps, delta), ctx.config.quadrature_order,
-                         ctx.config.quadrature_panels)
+                         ctx.config.quadrature_panels, table=ctx.residual)
     bound = rep.bound_case2 if ctx.case.resonant else rep.bound_case1
     return {
         "residual_Hnorm": rep.residual_Hnorm,
@@ -473,6 +489,8 @@ def oracle_report(profile: CurvatureProfile, z: complex, epsilon: float,
         # sampled on the u-nodes, chi_n vanishes (n = n_u + 1) or aliases
         raise ConfigError(f"transverse index n = {n} exceeds the {grid.n_u} modes "
                           f"of the u-grid with h_u = {grid.h_u}")
+    fnorm = data_norm(f1, f2)
+    _check_data_norm(fnorm)
     sol = assemble(profile, n, z, epsilon, delta, f1, f2)
     res = limit_resolvent(sol.case, z)
     fd = fd_resolvent(grid, profile, n, z, f1, f2)
@@ -484,7 +502,6 @@ def oracle_report(profile: CurvatureProfile, z: complex, epsilon: float,
         return sum(float(np.sum(w * np.abs(fd_sol.edge_projection(e) - other(e, s)) ** 2))
                    for e in (1, 2))
 
-    fnorm = data_norm(f1, f2)
     mismatch_sq = edge_l2_sq(fd, lambda e, s: apply_resolvent_grid(res, f1, f2, s, e))
     hat_sq = edge_l2_sq(fd, sol.edge_profile)
     report = {

@@ -240,30 +240,37 @@ def _complex_quad(fn, a, b, points=None) -> complex:
     return complex(re, im)
 
 
+def _data_range(f, *kinks) -> tuple[float, list[float]]:
+    """The range (0, upper) of edge data f and the sorted points inside it
+    where an integrand over f may jump or kink: f's breakpoints and
+    ``kinks``.  Adaptive quadrature that is not told of them can step
+    over narrow data entirely."""
+    cut = getattr(f, "cutoff", None)
+    upper = float(cut) if cut is not None else np.inf
+    return upper, sorted({p for p in (*kinks, *getattr(f, "breakpoints", ()))
+                          if 0.0 < p < upper})
+
+
 def half_line_apply(res: HalfLineResolvent, f, s: float) -> complex:
     """(r0(z) f)(s) by adaptive quadrature; identically 0 at s = 0."""
     if s == 0.0:
         return 0.0 + 0.0j
     k = res.sqrt_z
-    cut = getattr(f, "cutoff", None)
-    upper = float(cut) if cut is not None else np.inf
 
     def integrand(t):
         return (0.5j / k) * (np.exp(1j * k * abs(s - t))
                              - np.exp(1j * k * (s + t))) * f(t)
 
     # split at the kernel kink and at any discontinuities of the data
-    points = sorted({p for p in (s, *getattr(f, "breakpoints", ()))
-                     if 0.0 < p < upper})
+    upper, points = _data_range(f, s)
     return _complex_quad(integrand, 0.0, upper, points=points)
 
 
 def boundary_derivative(res: HalfLineResolvent, f) -> complex:
     """p = (r0(z) f)'(0) = Integral exp(i sqrt(z) t) f(t) dt."""
     k = res.sqrt_z
-    cut = getattr(f, "cutoff", None)
-    upper = float(cut) if cut is not None else np.inf
-    return _complex_quad(lambda t: np.exp(1j * k * t) * f(t), 0.0, upper)
+    upper, points = _data_range(f)
+    return _complex_quad(lambda t: np.exp(1j * k * t) * f(t), 0.0, upper, points=points)
 
 
 def boundary_derivatives(res: HalfLineResolvent, f1, f2) -> np.ndarray:

@@ -23,7 +23,7 @@ and the energy-space residual norm is eps^(-3/2) ||R||_{L2(V)}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad, simpson
@@ -31,16 +31,19 @@ from scipy.integrate import quad, simpson
 from .coupling import CouplingCoefficients, solve_coupling_from_kernel
 from .kernels import (
     HalfLineResolvent,
+    _data_range,
     boundary_derivatives,
     edge_field,
     vertex_kernel_at,
 )
 from .profile import CurvatureProfile, geometry_residual_fields
 from .vertex_spectrum import (DEFAULT_ZERO_TOLERANCE, VERTEX_GRID_POINTS, CaseLabel,
-                              ShootingSolution, _panel_nodes, spectrum_for_case)
+                              EigenFunction, ShootingSolution, _panel_nodes, _TaylorSide,
+                              spectrum_for_case)
 
 __all__ = [
     "ApproxSolution",
+    "ResidualQuadrature",
     "ResidualReport",
     "assemble",
     "chi_mode",
@@ -72,10 +75,9 @@ def data_norm(f1, f2) -> float:
     for f in (f1, f2):
         if f is None:
             continue
-        cut = getattr(f, "cutoff", None)
-        upper = float(cut) if cut is not None else np.inf
+        upper, points = _data_range(f)
         val, _ = quad(lambda t: abs(f(t)) ** 2, 0.0, upper,
-                      epsabs=1e-14, epsrel=1e-12, limit=200)
+                      epsabs=1e-14, epsrel=1e-12, limit=200, points=points or None)
         total += val
     return float(np.sqrt(total))
 
@@ -106,9 +108,14 @@ class ApproxSolution:
     def vertex_profile(self, s):
         """(phi, phi') at s, phi = eps [xi1 r(.; s, -1) + xi2 r(.; s, +1)],
         from one dense evaluation of each shooting solution."""
-        k, xi = self.kernel, self.coeffs.xi
+        k = self.kernel
         s = np.asarray(s)
-        return self.epsilon * (xi[0] * k.eta_sol(s) + xi[1] * k.zeta_sol(s)) / k.wronskian
+        return self._vertex_profile_from(k.eta_sol(s), k.zeta_sol(s))
+
+    def _vertex_profile_from(self, eta, zeta):
+        """(phi, phi') from (eta, eta') and (zeta, zeta') at the same points."""
+        xi = self.coeffs.xi
+        return self.epsilon * (xi[0] * eta + xi[1] * zeta) / self.kernel.wronskian
 
     def phi(self, s):
         return self.vertex_profile(s)[0]
@@ -173,15 +180,89 @@ def residual_field(sol: ApproxSolution, s, u):
     return _bulk(sol, fields, phi, dphi) * chi_mode(sol.n, u)
 
 
-def _star_data(sol: ApproxSolution) -> tuple:
-    """(y*, alpha contraction, ||y*'||) for the resonant case."""
+def _star_function(profile: CurvatureProfile, case: CaseLabel) -> EigenFunction:
+    """y*, the zero-mode of a resonant case."""
     # eigenfunctions do not depend on the zero tolerance; the case fixes the index
-    ystar = spectrum_for_case(sol.profile).eigenfunction(sol.case.n_star)
-    contraction = sol.coeffs.xi[0] * sol.case.alpha1 + sol.coeffs.xi[1] * sol.case.alpha2
-    grid = np.linspace(-1.0, 1.0, VERTEX_GRID_POINTS)
-    dv = ystar.derivative(grid)
-    dnorm = float(np.sqrt(simpson(dv * dv, x=grid)))
-    return ystar, contraction, dnorm
+    return spectrum_for_case(profile).eigenfunction(case.n_star)
+
+
+def _contraction(sol: ApproxSolution) -> complex:
+    """xi . alpha, the amplitude of the resonant principal part."""
+    return sol.coeffs.xi[0] * sol.case.alpha1 + sol.coeffs.xi[1] * sol.case.alpha2
+
+
+@dataclass(eq=False)
+class ResidualQuadrature:
+    """What ``residual_norms`` reads that does not depend on eps, for one
+    profile, transverse index, edge data, case and quadrature rule; a
+    sweep builds one for all its points.
+
+    Nodes, weights, chi_n^2, the data norm and, in the resonant case,
+    ||y*'|| are fixed at build.  Two tables are memoised on their input:
+    the Taylor coefficients at the s-nodes on the coefficient solutions
+    they come from (a shot kernel is evaluated at the nodes instead), and
+    the geometry fields on the exact float ratio delta/eps of the last
+    point, so a power-rule sweep recomputes them at every point.
+    """
+
+    profile: CurvatureProfile
+    n: int
+    f1: object
+    f2: object
+    case: CaseLabel
+    quadrature_order: int
+    panels: tuple[int, int]
+    s_pts: np.ndarray
+    s_wts: np.ndarray
+    u_pts: np.ndarray
+    u_wts: np.ndarray
+    chi_sq: np.ndarray
+    data_norm: float
+    star_derivative_norm: float | None
+    # memos: (ratio, its geometry fields) and (left, right, their node values)
+    _fields: tuple = field(default=(None, None), init=False, repr=False)
+    _sides: tuple = field(default=(None,) * 4, init=False, repr=False)
+
+    @staticmethod
+    def build(profile: CurvatureProfile, n: int, f1, f2, case: CaseLabel,
+              quadrature_order: int = QUADRATURE_ORDER,
+              panels: tuple[int, int] = QUADRATURE_PANELS) -> "ResidualQuadrature":
+        if quadrature_order < MIN_QUADRATURE_ORDER:
+            raise ValueError(f"quadrature order must be >= {MIN_QUADRATURE_ORDER}")
+        s_pts, s_wts = _panel_nodes(-1.0, 1.0, panels[0], quadrature_order)
+        u_pts, u_wts = _panel_nodes(0.0, 1.0, panels[1], quadrature_order)
+        dnorm = None
+        if case.resonant:
+            grid = np.linspace(-1.0, 1.0, VERTEX_GRID_POINTS)
+            dv = _star_function(profile, case).derivative(grid)
+            dnorm = float(np.sqrt(simpson(dv * dv, x=grid)))
+        return ResidualQuadrature(profile, n, f1, f2, case, quadrature_order, tuple(panels),
+                                  s_pts, s_wts, u_pts, u_wts, chi_mode(n, u_pts) ** 2,
+                                  data_norm(f1, f2), dnorm)
+
+    def serves(self, sol: ApproxSolution, quadrature_order: int, panels) -> bool:
+        """Whether this table was built for sol and this rule."""
+        return ((self.profile, self.n, self.f1, self.f2, self.case)
+                == (sol.profile, sol.n, sol.f1, sol.f2, sol.case)
+                and (self.quadrature_order, self.panels) == (quadrature_order, tuple(panels)))
+
+    def fields(self, ratio: float) -> dict:
+        """The geometry fields on the node grid at this ratio."""
+        if self._fields[0] != ratio:
+            self._fields = (ratio, geometry_residual_fields(
+                self.profile, self.s_pts[:, None], self.u_pts[None, :], ratio))
+        return self._fields[1]
+
+    def vertex_profile(self, sol: ApproxSolution):
+        """(phi, phi') of sol at the s-nodes, bit for bit its own values."""
+        k = sol.kernel
+        if not isinstance(k.zeta_sol, _TaylorSide):  # shot at eps^2 z
+            return sol.vertex_profile(self.s_pts)
+        left, right = k.zeta_sol.coefficients, k.eta_sol.coefficients
+        if self._sides[0] is not left or self._sides[1] is not right:
+            self._sides = (left, right, left(self.s_pts), right(self.s_pts))
+        return sol._vertex_profile_from(k.eta_sol.combine(self._sides[3]),
+                                        k.zeta_sol.combine(self._sides[2]))
 
 
 @dataclass(frozen=True)
@@ -200,20 +281,23 @@ class ResidualReport:
 
 
 def residual_norms(sol: ApproxSolution, quadrature_order: int = QUADRATURE_ORDER,
-                   panels: tuple[int, int] = QUADRATURE_PANELS) -> ResidualReport:
-    """Tensor Gauss-Legendre norm of the residual over the vertex strip."""
-    if quadrature_order < MIN_QUADRATURE_ORDER:
-        raise ValueError(f"quadrature order must be >= {MIN_QUADRATURE_ORDER}")
-    s_pts, s_wts = _panel_nodes(-1.0, 1.0, panels[0], quadrature_order)
-    u_pts, u_wts = _panel_nodes(0.0, 1.0, panels[1], quadrature_order)
+                   panels: tuple[int, int] = QUADRATURE_PANELS, *,
+                   table: ResidualQuadrature | None = None) -> ResidualReport:
+    """Tensor Gauss-Legendre norm of the residual over the vertex strip.
 
-    fields = geometry_residual_fields(sol.profile, s_pts[:, None], u_pts[None, :],
-                                      sol.ratio)
-    phi, dphi = sol.vertex_profile(s_pts)
+    ``table`` holds the eps-independent work; a sweep passes the one it
+    built for all its points, and without it a fresh one is built.
+    """
+    if table is None:
+        table = ResidualQuadrature.build(sol.profile, sol.n, sol.f1, sol.f2, sol.case,
+                                         quadrature_order, panels)
+    elif not table.serves(sol, quadrature_order, panels):
+        raise ValueError("the quadrature table was built for another solution or rule")
+    fields = table.fields(sol.ratio)
+    phi, dphi = table.vertex_profile(sol)
     bulk = _bulk(sol, fields, phi[:, None], dphi[:, None])
-    chi_sq = chi_mode(sol.n, u_pts) ** 2
-    integrand = (np.abs(bulk) ** 2) * chi_sq[None, :]
-    l2_sq = float(np.einsum("i,ij,j->", s_wts, integrand, u_wts))
+    integrand = (np.abs(bulk) ** 2) * table.chi_sq[None, :]
+    l2_sq = float(np.einsum("i,ij,j->", table.s_wts, integrand, table.u_wts))
     l2 = float(np.sqrt(max(l2_sq, 0.0)))
     hnorm = sol.epsilon ** (-1.5) * l2
 
@@ -224,9 +308,8 @@ def residual_norms(sol: ApproxSolution, quadrature_order: int = QUADRATURE_ORDER
     psi_star = None
     bound2 = None
     if sol.case.resonant:
-        _, contraction, dnorm = _star_data(sol)
-        amp = abs(contraction) / (sol.epsilon * abs(sol.z))
-        psi_star = (amp, amp * dnorm)
+        amp = abs(_contraction(sol)) / (sol.epsilon * abs(sol.z))
+        psi_star = (amp, amp * table.star_derivative_norm)
         bound2 = bound1 + sol.ratio * (psi_star[0] + psi_star[1])
 
     return ResidualReport(
@@ -236,7 +319,7 @@ def residual_norms(sol: ApproxSolution, quadrature_order: int = QUADRATURE_ORDER
         psi_star_norms=psi_star,
         bound_case1=bound1,
         bound_case2=bound2,
-        data_norm=data_norm(sol.f1, sol.f2),
+        data_norm=table.data_norm,
         epsilon=sol.epsilon,
         delta=sol.delta,
     )
@@ -251,7 +334,7 @@ def vertex_subtracted_norms(sol: ApproxSolution) -> dict:
     """
     if not sol.case.resonant:
         raise ValueError("subtracted norms are defined for the resonant case only")
-    ystar, contraction, _ = _star_data(sol)
+    ystar, contraction = _star_function(sol.profile, sol.case), _contraction(sol)
     grid = np.linspace(-1.0, 1.0, VERTEX_GRID_POINTS)
     phi, dphi = sol.vertex_profile(grid)
     diff = phi + (contraction / (sol.epsilon * sol.z)) * ystar.value(grid)

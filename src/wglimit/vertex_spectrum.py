@@ -207,7 +207,11 @@ class _TaylorSide:
     powers: np.ndarray
 
     def __call__(self, s):
-        y = self.coefficients(s)
+        return self.combine(self.coefficients(s))
+
+    def combine(self, y):
+        """(y, y') from the coefficient values ``self.coefficients(s)``, so a
+        caller that holds them for fixed s pays only the sum over powers."""
         y = y.reshape(2, len(self.powers), *y.shape[1:])
         return np.tensordot(self.powers, y, axes=(0, 1))
 

@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from wglimit import vertex_spectrum
-from wglimit.cli import main
+from wglimit.cli import _parse_eps_grid, main
+from wglimit.experiments import ConfigError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -126,6 +127,22 @@ class TestSweepCommands:
         rows = read_csv(out)
         assert "residual_Hnorm" in rows[2]
 
+    def test_residual_sweep_narrow_indicator(self, tmp_path):
+        out = tmp_path / "res.csv"
+        assert main(["residual-sweep", "--profile", "bump:0.5", "--z", "0,1",
+                     "--eps-grid", "2^-3..2^-6", "--f1", "indicator:5,5.01",
+                     "--out", str(out)]) == 0
+        header, first = read_csv(out)[2:4]
+        point = dict(zip(header, first))
+        assert float(point["data_norm"]) == pytest.approx(0.1, rel=1e-12)
+        assert float(point["residual_Hnorm"]) > 0.0
+
+    def test_eps_grid_exponent_bound(self):
+        assert len(_parse_eps_grid("2^-3..2^-1074")) == 1072
+        assert _parse_eps_grid("2^-1074..2^-1074") == (5e-324,)
+        with pytest.raises(ConfigError):
+            _parse_eps_grid("2^-3..2^-1075")
+
     def test_graph_limit(self, tmp_path):
         out = tmp_path / "gl.csv"
         assert main(["graph-limit", "--profile", "zero", "--z", "0,1",
@@ -171,6 +188,9 @@ class TestSweepCommands:
         ["graph-limit", "--eps-grid", "2^-3..2^-6", "--f1", "indicator:2,1"],
         ["oracle-compare", "--f1", "exp:-1"],
         ["oracle-compare", "--f1", "none"],
+        # narrower than the adaptive quadrature resolves: data norm 0
+        ["oracle-compare", "--f1", "gaussian:3,1e-9"],
+        ["residual-sweep", "--eps-grid", "2^-3..2^-6", "--f1", "gaussian:3,1e-9"],
         ["oracle-compare", "--h-s", "0"],
         ["oracle-compare", "--h-u", "0.03125", "--n", "32"],  # chi_32 vanishes on the nodes
         ["oracle-compare", "--h-u", "0.03125", "--n", "40"],  # aliases to mode 24
@@ -196,6 +216,7 @@ class TestSweepCommands:
         ["coupling", "--profile", "tuned:1000000000"],
         ["kernel", "--grid", "1002"],
         ["kernel", "--mode", "series", "--n-terms", "2001"],
+        ["coupling", "--eps-grid", "2^-3..2^-1075"],  # 2^-1075 rounds to 0
     ])
     def test_size_over_bound_exit_code(self, tmp_path, argv):
         # each is rejected before any eigensolve, FD assembly or large array

@@ -319,6 +319,14 @@ class TestBoundaryDerivative:
         got = boundary_derivative(res, Indicator(0.0, 1.0))
         assert got == pytest.approx(expect, abs=1e-10)
 
+    def test_narrow_indicator_closed_form(self):
+        # the quadrature is split at the jump at 5, so the 0.01-wide step is seen
+        res = HalfLineResolvent(1j)
+        k = res.sqrt_z
+        expect = (cmath.exp(5.01j * k) - cmath.exp(5j * k)) / (1j * k)
+        got = boundary_derivative(res, Indicator(5.0, 5.01))
+        assert got == pytest.approx(expect, rel=1e-10)
+
     def test_matches_derivative_of_apply(self):
         # second-order one-sided stencil at the boundary; r0 f vanishes at 0
         res = HalfLineResolvent(1j)

@@ -1,18 +1,28 @@
 from __future__ import annotations
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
+from scipy.integrate import OdeSolution
 
+import wglimit.residual as residual
 from wglimit import (
+    ExperimentConfig,
     ExpDecay,
     GaussianPulse,
+    Indicator,
     assemble,
     residual_field,
     residual_norms,
+    run_sweep,
     vertex_subtracted_norms,
 )
+from wglimit.experiments import SweepContext, _assemble, delta_for
 from wglimit.profile import geometry_fields
-from wglimit.residual import chi_mode, data_norm
+from wglimit.residual import ResidualQuadrature, chi_mode, data_norm
+from wglimit.vertex_spectrum import taylor_shooting
 
 from conftest import log_slope
 
@@ -180,3 +190,102 @@ def test_data_norm_closed_form():
     g = GaussianPulse(center=3.0, width=0.5)
     expect = np.sqrt(0.5 * np.sqrt(np.pi / 2))
     assert data_norm(g, None) == pytest.approx(expect, rel=1e-10)
+
+
+def test_data_norm_sees_narrow_indicator():
+    # the quadrature is split at the jump at 5, so the 0.01-wide step is seen
+    assert data_norm(Indicator(5.0, 5.01), None) == pytest.approx(np.sqrt(0.01), rel=1e-12)
+    assert data_norm(Indicator(0.0, 2.0), Indicator(1.0, 1.5)) == pytest.approx(
+        np.sqrt(2.5), rel=1e-12)
+
+
+def _bits(report) -> list:
+    """Every float of a ResidualReport as its IEEE bit pattern."""
+    out = []
+    for value in dataclasses.astuple(report):
+        for x in value if isinstance(value, tuple) else (value,):
+            out.append(None if x is None else struct.pack("<d", x))
+    return out
+
+
+def _residual_config(profile, eps_grid, delta_rule) -> ExperimentConfig:
+    return ExperimentConfig(profile=profile, metric="residual", z=1j, eps_grid=eps_grid,
+                            delta_rule=delta_rule, p=None,
+                            f1={"type": "exp", "rate": 1.0})
+
+
+class TestQuadratureTable:
+    # (eps grid, delta rule): a power-of-two grid at a fixed ratio, where the
+    # geometry fields are built once; a power rule, where the ratio changes
+    # at every point; a grid where r*eps/eps != r at 0.2 and 0.1; and eps = 0.9,
+    # where |eps^2 z| = 0.81 > 0.25 and the kernel is shot, not a polynomial.
+    SWEEPS = [
+        (tuple(2.0**-k for k in range(3, 8)), ("ratio", 0.1)),
+        (tuple(2.0**-k for k in range(3, 8)), ("power", 2.0)),
+        ((0.9, 0.3, 0.2, 0.1, 0.07), ("ratio", 0.1)),
+    ]
+
+    @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05", "tuned2"])
+    @pytest.mark.parametrize("eps_grid, delta_rule", SWEEPS)
+    def test_table_matches_direct_call_bit_for_bit(self, profile_name, eps_grid,
+                                                   delta_rule, request):
+        profile = request.getfixturevalue(profile_name)
+        cfg = _residual_config(profile, eps_grid, delta_rule)
+        ctx = SweepContext.build(cfg)
+        for eps in eps_grid:
+            sol = _assemble(ctx, eps, delta_for(delta_rule, eps))
+            via_table = residual_norms(sol, cfg.quadrature_order, cfg.quadrature_panels,
+                                       table=ctx.residual)
+            direct = residual_norms(sol, cfg.quadrature_order, cfg.quadrature_panels)
+            assert _bits(via_table) == _bits(direct)
+
+    def test_third_grid_moves_the_ratio(self):
+        grid, (_, r) = self.SWEEPS[2]
+        assert any(r * e / e != r for e in grid)
+
+    def test_table_of_another_rule_rejected(self, bump05):
+        sol = assemble(bump05, 1, Z, 0.2, 0.02, F1, None)
+        table = ResidualQuadrature.build(bump05, 1, F1, None, sol.case, 6)
+        with pytest.raises(ValueError):
+            residual_norms(sol, table=table)
+        with pytest.raises(ValueError):
+            residual_norms(assemble(bump05, 2, Z, 0.2, 0.02, F1, None), 6, table=table)
+        assert residual_norms(sol, 6, table=table) == residual_norms(sol, 6)
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls to the geometry fields, the data norm and each dense
+        coefficient solution at the s-nodes, made through wglimit.residual."""
+        counts = {"geometry": 0, "data_norm": 0, "dense": []}
+        for name, key in (("geometry_residual_fields", "geometry"), ("data_norm", "data_norm")):
+            def counted(*args, _fn=getattr(residual, name), _key=key, **kwargs):
+                counts[_key] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(residual, name, counted)
+        n_nodes = residual.QUADRATURE_PANELS[0] * residual.QUADRATURE_ORDER
+        call = OdeSolution.__call__
+
+        def dense(self, t):
+            if np.size(t) == n_nodes:
+                counts["dense"].append(self)
+            return call(self, t)
+
+        monkeypatch.setattr(OdeSolution, "__call__", dense)
+        return counts
+
+    def test_fixed_ratio_sweep_builds_the_tables_once(self, bump05, counts):
+        grid = tuple(2.0**-k for k in range(3, 9))
+        result = run_sweep(_residual_config(bump05, grid, ("ratio", 0.1)))
+        assert len(result.rows) == len(grid)
+        taylor = taylor_shooting(bump05)
+        assert counts["geometry"] == 1
+        assert counts["data_norm"] == 1
+        for side in (taylor.left, taylor.right):
+            assert sum(sol is side for sol in counts["dense"]) == 1
+
+    def test_power_rule_sweep_recomputes_the_geometry(self, bump05, counts):
+        grid = tuple(2.0**-k for k in range(3, 9))
+        run_sweep(_residual_config(bump05, grid, ("power", 1.5)))
+        assert counts["geometry"] == len(grid)
+        assert counts["data_norm"] == 1
+

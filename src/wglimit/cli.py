@@ -5,7 +5,8 @@ oracle-compare, run.  Each parses its flags and calls one library
 function: the sweeps build an ``ExperimentConfig`` for ``run_sweep``,
 and oracle-compare writes the dict of ``oracle_report``.  Exit codes:
 0 success, 2 validation error (z on [0, inf) included for sweeps and
-oracle-compare), 3 numerical failure.
+oracle-compare, and a --config that cannot be read or an --out whose
+directory does not exist, both found before any work), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import cmath
 import csv
 import json
 import math
+import os
 import sys
 from functools import partial
 
@@ -37,7 +39,7 @@ from .kernels import (SERIES_DEFAULT_TERMS, KernelError, NearEigenvalueError, se
 from .profile import CurvatureProfile, ProfileError, tune_to_resonance
 from .vertex_spectrum import DEFAULT_ZERO_TOLERANCE, IntegrationError, SpectrumError, eigenvalues
 
-VALIDATION_ERRORS = (ConfigError, ProfileError, FitError, ValueError)
+VALIDATION_ERRORS = (ConfigError, ProfileError, FitError, ValueError, OSError)
 NUMERICAL_ERRORS = (NearEigenvalueError, SingularSystemError, IntegrationError,
                     SpectrumError, KernelError, OracleError, OverflowError)
 # Largest `kernel --grid` (grid^2 CSV rows) and `kernel --n-terms`.
@@ -100,6 +102,12 @@ def _parse_edge_fn(text: str | None):
         lo, hi = (rest or "0,1").split(",")
         return {"type": "indicator", "lo": float(lo), "hi": float(hi)}
     raise ConfigError(f"cannot parse edge function {text!r}")
+
+
+def _check_out(path: str) -> None:
+    """--out must name a file in an existing directory, checked before any work."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write --out {path!r}: not a file in an existing directory")
 
 
 def _write_csv(path, header, rows) -> None:
@@ -286,6 +294,7 @@ def main(argv=None) -> int:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)
     try:
+        _check_out(args.out)
         return args.func(args)
     except VALIDATION_ERRORS as exc:
         print(f"validation error: {exc}", file=sys.stderr)

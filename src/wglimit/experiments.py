@@ -8,8 +8,8 @@ log-log slopes on a stabilised window.
 Results persist as CSV (rows plus a trailing slope summary) and JSON;
 both embed the fully resolved config so outputs are self-describing and
 bitwise reproducible.  ``oracle_report`` is the oracle-compare report.
-Sweeps and the report reject z on [0, inf), and the residual sweep and the
-report reject edge data of norm 0.
+Sweeps and the report reject z on [0, inf), and every metric that reads
+the edge data, like the report, rejects data of norm 0.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ class FitError(ValueError):
 
 
 def _check_data_norm(norm: float) -> None:
-    """Both reports are relative to the data norm, so it must not vanish."""
+    """Data of norm 0 give a zero field: rows of exact zeros, or a report
+    relative to 0.  Narrow or far pulses read 0 to quadrature accuracy."""
     if norm == 0.0:
         raise ConfigError("the edge data have norm 0 to quadrature accuracy "
                           "(a narrower pulse than the quadrature resolves, or none)")
@@ -336,7 +337,8 @@ class SweepContext:
             residual = ResidualQuadrature.build(config.profile, config.n, f1, f2, case,
                                                 config.quadrature_order,
                                                 config.quadrature_panels)
-            _check_data_norm(residual.data_norm)
+        if config.metric != "coupling" or config.p is None:  # the metric reads f1, f2
+            _check_data_norm(data_norm(f1, f2) if residual is None else residual.data_norm)
         return SweepContext(config, case, f1, f2, p, projector, residual)
 
 
@@ -493,17 +495,20 @@ def oracle_report(profile: CurvatureProfile, z: complex, epsilon: float,
     _check_data_norm(fnorm)
     sol = assemble(profile, n, z, epsilon, delta, f1, f2)
     res = limit_resolvent(sol.case, z)
+    # the limit's edge values before any solve: their half-line panel bound,
+    # the same for the trial field's, is checked here
+    limit = [apply_resolvent_grid(res, f1, f2, grid.edge_s, e) for e in (1, 2)]
     fd = fd_resolvent(grid, profile, n, z, f1, f2)
+    trial = [sol.edge_profile(e, grid.edge_s) for e in (1, 2)]
 
-    def edge_l2_sq(fd_sol, other) -> float:
-        """Squared distance of the FD edge projections from other(edge, s)."""
-        s = fd_sol.grid.edge_s
-        w = trapezoid_weights(len(s), fd_sol.grid.h_s)
-        return sum(float(np.sum(w * np.abs(fd_sol.edge_projection(e) - other(e, s)) ** 2))
-                   for e in (1, 2))
+    def edge_l2_sq(fd_sol, values) -> float:
+        """Squared distance of the FD edge projections from values per edge."""
+        w = trapezoid_weights(len(fd_sol.grid.edge_s), fd_sol.grid.h_s)
+        return sum(float(np.sum(w * np.abs(fd_sol.edge_projection(e) - v) ** 2))
+                   for e, v in zip((1, 2), values))
 
-    mismatch_sq = edge_l2_sq(fd, lambda e, s: apply_resolvent_grid(res, f1, f2, s, e))
-    hat_sq = edge_l2_sq(fd, sol.edge_profile)
+    mismatch_sq = edge_l2_sq(fd, limit)
+    hat_sq = edge_l2_sq(fd, trial)
     report = {
         "schema_version": 1,
         "grid": {
@@ -520,5 +525,6 @@ def oracle_report(profile: CurvatureProfile, z: complex, epsilon: float,
     }
     if refine:
         fine = fd_resolvent(fine_grid, profile, n, z, f1, f2)
-        report["refinement_factor"] = float(np.sqrt(hat_sq / edge_l2_sq(fine, sol.edge_profile)))
+        fine_trial = [sol.edge_profile(e, fine_grid.edge_s) for e in (1, 2)]
+        report["refinement_factor"] = float(np.sqrt(hat_sq / edge_l2_sq(fine, fine_trial)))
     return report

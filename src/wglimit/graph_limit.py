@@ -27,7 +27,6 @@ from .kernels import (
     HalfLineResolvent,
     boundary_derivatives,
     edge_field,
-    half_line_apply,
     sqrt_upper,
 )
 from .residual import ApproxSolution
@@ -35,7 +34,6 @@ from .vertex_spectrum import CaseLabel
 
 __all__ = [
     "GraphResolvent",
-    "apply_resolvent",
     "apply_resolvent_grid",
     "boundary_limits",
     "decoupled_resolvent",
@@ -79,21 +77,15 @@ def graph_q(res: GraphResolvent, p) -> np.ndarray:
 
 
 def apply_resolvent(res: GraphResolvent, f1, f2, s: float, edge: int) -> complex:
-    """Edge value of the graph resolvent applied to (f1, f2)."""
+    """Edge value at one point; a view of apply_resolvent_grid."""
+    return complex(apply_resolvent_grid(res, f1, f2, s, edge))
+
+
+def apply_resolvent_grid(res: GraphResolvent, f1, f2, s, edge: int):
+    """Edge values of the graph resolvent applied to (f1, f2) at the points
+    s of edge 1 or 2 (a complex for a scalar s)."""
     if edge not in (1, 2):
-        raise ValueError("edge must be 1 or 2")
-    r0 = HalfLineResolvent(res.z)
-    f = f1 if edge == 1 else f2
-    base = 0.0 if f is None else half_line_apply(r0, f, s)
-    if res.projector is None:
-        return complex(base)
-    q = graph_q(res, boundary_derivatives(r0, f1, f2))
-    return complex(base + q[edge - 1] * np.exp(1j * r0.sqrt_z * s))
-
-
-def apply_resolvent_grid(res: GraphResolvent, f1, f2, s: np.ndarray,
-                         edge: int) -> np.ndarray:
-    """Vectorised edge values on a grid of points."""
+        raise ValueError(f"edge must be 1 or 2, got {edge!r}")
     r0 = HalfLineResolvent(res.z)
     q = 0.0 if res.projector is None else \
         graph_q(res, boundary_derivatives(r0, f1, f2))[edge - 1]

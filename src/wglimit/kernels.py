@@ -25,6 +25,11 @@ which fixes the sign of the prefactor), and its boundary derivative
 functional reduces analytically to
 
     p = (r0(z) f)'(0) = Integral_0^inf exp(i k t) f(t) dt.
+
+r0(z) f is evaluated by one route, ``half_line_apply_grid``: Gauss-Legendre
+panels over the data's range, cumulated once for every target point.  The
+scalar integrals p and ||f|| go through adaptive quadrature told of the
+data's jumps.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ __all__ = [
     "boundary_derivative",
     "boundary_derivatives",
     "edge_field",
-    "half_line_apply",
     "half_line_apply_grid",
     "neumann_free_kernel",
     "series_kernel",
@@ -67,6 +71,10 @@ __all__ = [
 
 WRONSKIAN_FLOOR = 1e-13
 SERIES_DEFAULT_TERMS = 200
+# Most Gauss-Legendre panels half_line_apply_grid lays over the data's range
+# (8 nodes each; its arrays peak near 60 MB at the cap).
+# The range grows as 1/rate for exp data: exp:1e-6 would ask for 1.6e8 panels.
+MAX_HALF_LINE_PANELS = 100_000
 
 
 class KernelError(RuntimeError):
@@ -150,6 +158,9 @@ def series_kernel(profile: CurvatureProfile, z: complex, s, sp,
 # ----------------------------------------------------------------------
 # Edge data records
 # ----------------------------------------------------------------------
+# The scalar quadratures (p and ||f||) call a record once per node with a
+# float: that path skips the 0-d array and does the same operations on
+# scalars, so it is bitwise the 0-d array path (np.float64 ** 2 is C pow).
 
 @dataclass(frozen=True)
 class ExpDecay:
@@ -159,6 +170,8 @@ class ExpDecay:
     coefficient: float = 1.0
 
     def __call__(self, s):
+        if isinstance(s, float):
+            return float(self.coefficient * np.exp(-self.rate * s))
         s = np.asarray(s, dtype=float)
         out = self.coefficient * np.exp(-self.rate * s)
         return float(out) if out.ndim == 0 else out
@@ -175,6 +188,8 @@ class GaussianPulse:
     width: float = 0.5
 
     def __call__(self, s):
+        if isinstance(s, float):
+            return float(np.exp(-(np.float64((s - self.center) / self.width) ** 2)))
         s = np.asarray(s, dtype=float)
         out = np.exp(-(((s - self.center) / self.width) ** 2))
         return float(out) if out.ndim == 0 else out
@@ -191,6 +206,8 @@ class Indicator:
     hi: float = 1.0
 
     def __call__(self, s):
+        if isinstance(s, float):
+            return 1.0 if self.lo <= s <= self.hi else 0.0
         s = np.asarray(s, dtype=float)
         out = np.where((s >= self.lo) & (s <= self.hi), 1.0, 0.0)
         return float(out) if out.ndim == 0 else out
@@ -226,8 +243,6 @@ class HalfLineResolvent:
 
 
 def _complex_quad(fn, a, b, points=None) -> complex:
-    if points and b == np.inf:  # QUADPACK takes no breakpoints on an infinite range
-        return _complex_quad(fn, a, points[-1], points[:-1]) + _complex_quad(fn, points[-1], b)
     kw = {"epsabs": 1e-13, "epsrel": 1e-10, "limit": 200}
     if points:
         kw["points"] = points
@@ -240,30 +255,19 @@ def _complex_quad(fn, a, b, points=None) -> complex:
     return complex(re, im)
 
 
-def _data_range(f, *kinks) -> tuple[float, list[float]]:
-    """The range (0, upper) of edge data f and the sorted points inside it
-    where an integrand over f may jump or kink: f's breakpoints and
-    ``kinks``.  Adaptive quadrature that is not told of them can step
-    over narrow data entirely."""
+def _data_range(f) -> tuple[float, list[float]]:
+    """The range (0, upper) of edge data f and the sorted breakpoints of f
+    inside it, where an integrand over f may jump.  Adaptive quadrature
+    that is not told of them can step over narrow data entirely.  Only
+    data with a cutoff have breakpoints, so the range is then finite."""
     cut = getattr(f, "cutoff", None)
     upper = float(cut) if cut is not None else np.inf
-    return upper, sorted({p for p in (*kinks, *getattr(f, "breakpoints", ()))
-                          if 0.0 < p < upper})
+    return upper, sorted({p for p in getattr(f, "breakpoints", ()) if 0.0 < p < upper})
 
 
 def half_line_apply(res: HalfLineResolvent, f, s: float) -> complex:
-    """(r0(z) f)(s) by adaptive quadrature; identically 0 at s = 0."""
-    if s == 0.0:
-        return 0.0 + 0.0j
-    k = res.sqrt_z
-
-    def integrand(t):
-        return (0.5j / k) * (np.exp(1j * k * abs(s - t))
-                             - np.exp(1j * k * (s + t))) * f(t)
-
-    # split at the kernel kink and at any discontinuities of the data
-    upper, points = _data_range(f, s)
-    return _complex_quad(integrand, 0.0, upper, points=points)
+    """(r0(z) f)(s) at one point; a view of half_line_apply_grid."""
+    return complex(half_line_apply_grid(res, f, s))
 
 
 def boundary_derivative(res: HalfLineResolvent, f) -> complex:
@@ -281,7 +285,11 @@ def boundary_derivatives(res: HalfLineResolvent, f1, f2) -> np.ndarray:
 
 def _panel_grid(cutoff: float, k_abs: float, breakpoints=()):
     width = min(0.25, 1.5 / max(k_abs, 1e-6))
-    n_panels = max(8, int(np.ceil(cutoff / width)))
+    n_panels = cutoff / width
+    if not n_panels <= MAX_HALF_LINE_PANELS:
+        raise ValueError(f"the half-line resolvent needs {n_panels:.3g} panels over the "
+                         f"data's range (0, {cutoff:.3g}); at most {MAX_HALF_LINE_PANELS}")
+    n_panels = max(8, int(np.ceil(n_panels)))
     edges = np.linspace(0.0, cutoff, n_panels + 1)
     inner = [p for p in breakpoints if 0.0 < p < cutoff]
     if inner:
@@ -291,10 +299,14 @@ def _panel_grid(cutoff: float, k_abs: float, breakpoints=()):
 
 
 def half_line_apply_grid(res: HalfLineResolvent, f, s: np.ndarray) -> np.ndarray:
-    """(r0(z) f) on an array of points via cumulative panel quadrature.
+    """(r0(z) f) at the points s via cumulative panel quadrature.
 
-    Equivalent to half_line_apply but O(panels + targets); used for
-    edge-profile comparisons on dense grids.  The result has the shape of s.
+    Panels of width min(0.25, 1.5/|sqrt(z)|) up to f's effective cutoff,
+    split at its breakpoints, are summed once; each target adds its own
+    partial panel, so the cost is O(panels + targets) and the kernel kink
+    at t = s is a panel end.  The result has the shape of s (a 0-d array
+    for a scalar s), and it vanishes at s = 0.  More panels than
+    MAX_HALF_LINE_PANELS raise ValueError.
     """
     k = res.sqrt_z
     shape = np.shape(s)

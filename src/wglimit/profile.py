@@ -17,6 +17,10 @@ normalised so the peak value equals ``amplitude``.  Plain bumps respect
 the standing geometric bound sup|gamma| < 1.  Resonance-tuned bumps
 (``tuned_bump``) carry larger amplitudes and are therefore only valid
 for aspect ratios rho < 1/sup|gamma|; evaluation enforces this.
+
+The fields have one formula, ``geometry_residual_fields``, which carries
+the O(rho) parts 1/g - 1 and W + gamma^2/4 without cancellation;
+``geometry_fields`` (the FD oracle's 1/g and W) reads them from it.
 """
 
 from __future__ import annotations
@@ -60,9 +64,9 @@ class ProfileError(ValueError):
 class CurvatureProfile:
     """Curvature function gamma with exact derivatives.
 
-    kind is one of ``zero``, ``bump``, ``tuned_bump``.  ``target_index``
-    is only meaningful for tuned bumps and records which eigenvalue of
-    the vertex Hamiltonian was driven to zero.
+    kind is one of ``zero``, ``bump``, ``tuned_bump``.  ``target_index``,
+    an integer >= 2 given for tuned bumps only, records which eigenvalue
+    of the vertex Hamiltonian was driven to zero.
     """
 
     kind: str
@@ -72,6 +76,8 @@ class CurvatureProfile:
     def __post_init__(self) -> None:
         if self.kind not in ("zero", "bump", "tuned_bump"):
             raise ProfileError(f"unknown profile kind {self.kind!r}")
+        if self.kind != "tuned_bump" and self.target_index is not None:
+            raise ProfileError(f"a {self.kind} profile takes no target_index")
         if self.kind == "zero":
             if self.amplitude != 0.0:
                 raise ProfileError("zero profile has no amplitude")
@@ -86,8 +92,10 @@ class CurvatureProfile:
                     f"tuned bump amplitude {self.amplitude} outside "
                     f"(0, {TUNED_AMPLITUDE_CAP}]"
                 )
-            if self.target_index is None or self.target_index < 2:
-                raise ProfileError("tuned bump requires target_index >= 2")
+            k = self.target_index
+            if not (isinstance(k, int) and not isinstance(k, bool) and k >= 2):
+                raise ProfileError(f"tuned bump requires an integer target_index >= 2, "
+                                   f"got {k!r}")
 
     @staticmethod
     def zero() -> "CurvatureProfile":
@@ -176,31 +184,6 @@ def _check_ratio(profile: CurvatureProfile, ratio: float) -> None:
         )
 
 
-def geometry_fields(profile: CurvatureProfile, s, u, ratio: float) -> dict:
-    """Vectorised g, 1/g, d/ds(1/g) and W on broadcastable arrays s, u.
-
-    W carries the three closed-form terms (gamma^2, gamma'' and gamma'^2
-    contributions with their powers of a = 1 + u*rho*gamma).
-    """
-    _check_ratio(profile, ratio)
-    s = np.asarray(s, dtype=float)
-    u = np.asarray(u, dtype=float)
-    gam = profile.gamma(s, 0)
-    gam1 = profile.gamma(s, 1)
-    gam2 = profile.gamma(s, 2)
-    a = 1.0 + u * ratio * gam
-    g = a * a
-    inv_g = 1.0 / g
-    ds_inv_g = -2.0 * u * ratio * gam1 / a**3
-    urg1 = u * ratio * gam1
-    W = (
-        -0.25 * gam * gam / g
-        + 0.5 * (u * ratio * gam2) / a**3
-        - 1.25 * urg1 * urg1 / a**4
-    )
-    return {"g": g, "inv_g": inv_g, "ds_inv_g": ds_inv_g, "W": W, "a": a}
-
-
 def geometry_residual_fields(profile: CurvatureProfile, s, u, ratio: float) -> dict:
     """1/g - 1, W + gamma^2/4 and d/ds(1/g), free of small-ratio cancellation.
 
@@ -230,6 +213,16 @@ def geometry_residual_fields(profile: CurvatureProfile, s, u, ratio: float) -> d
         "ds_inv_g": ds_inv_g,
         "gamma_sq": gam * gam,
     }
+
+
+def geometry_fields(profile: CurvatureProfile, s, u, ratio: float) -> dict:
+    """g, 1/g, d/ds(1/g) and W on broadcastable arrays s, u, read from
+    ``geometry_residual_fields``: 1/g = 1 + (1/g - 1) and
+    W = (W + gamma^2/4) - gamma^2/4."""
+    f = geometry_residual_fields(profile, s, u, ratio)
+    inv_g = 1.0 + f["inv_g_minus_1"]
+    return {"g": 1.0 / inv_g, "inv_g": inv_g, "ds_inv_g": f["ds_inv_g"],
+            "W": f["w_plus_quarter_gamma_sq"] - 0.25 * f["gamma_sq"]}
 
 
 def eval_geometry(profile: CurvatureProfile, s: float, u: float, ratio: float) -> GeometryAt:

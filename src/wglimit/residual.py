@@ -124,7 +124,10 @@ class ApproxSolution:
         return self.vertex_profile(s)[1]
 
     def edge_profile(self, edge: int, s):
-        """x_j(s) at edge coordinates s (a complex for a scalar s)."""
+        """x_j(s) at edge coordinates s of edge j = 1 or 2 (a complex for a
+        scalar s)."""
+        if edge not in (1, 2):
+            raise ValueError(f"edge must be 1 or 2, got {edge!r}")
         return edge_field(self.resolvent0, self.f1 if edge == 1 else self.f2,
                           self.coeffs.q[edge - 1], s)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from wglimit import vertex_spectrum
+from wglimit import cli, experiments, vertex_spectrum
 from wglimit.cli import _parse_eps_grid, main
 from wglimit.experiments import ConfigError
 
@@ -202,6 +202,15 @@ class TestSweepCommands:
         ["spectrum", "--profile", "zero", "--tol=-1"],
         ["spectrum", "--profile", "zero", "--tol=nan"],
         ["spectrum", "--profile", "bump:0.5", "--tol=inf"],
+        # data norm 0 (too narrow, or too far out) once wrote rows of zeros
+        ["graph-limit", "--eps-grid", "2^-3..2^-6", "--f1", "gaussian:3,0.001"],
+        ["graph-limit", "--eps-grid", "2^-3..2^-6", "--f1", "gaussian:1e300,1"],
+        # target_index: an integer >= 2, on tuned_bump only
+        ["coupling", "--profile",
+         '{"kind": "tuned_bump", "amplitude": 6.1, "target_index": "2"}'],
+        ["coupling", "--profile",
+         '{"kind": "tuned_bump", "amplitude": 6.1, "target_index": 2.5}'],
+        ["coupling", "--profile", '{"kind": "bump", "amplitude": 0.5, "target_index": 2}'],
     ])
     def test_input_error_exit_code(self, tmp_path, argv):
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
@@ -292,6 +301,24 @@ class TestSweepCommands:
         assert main([command, "--config", str(cfg_path),
                      "--out", str(tmp_path / "o.csv")]) == 2
 
+    def test_run_missing_config_exit_code(self, tmp_path):
+        assert main(["run", "--config", str(tmp_path / "none.json"),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("argv", [["spectrum"], ["coupling"], ["oracle-compare"],
+                                      ["run", "--config", "config.json"]])
+    def test_out_in_missing_directory_exit_code(self, tmp_path, monkeypatch, argv):
+        # found before any work: no eigensolve, sweep or FD solve starts
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("eigenvalues", "run_sweep", "oracle_report"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps(TestReadmeExamples.CONFIG))
+        assert main([*argv, "--out", str(tmp_path / "missing" / "x.csv")]) == 2
+        assert main([*argv, "--out", str(tmp_path)]) == 2  # a directory, not a file
+
     def test_run_malformed_config(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"metric": "coupling"}))
@@ -348,6 +375,18 @@ class TestOracleCompare:
         assert report["case"] == "2"
         assert report["mismatch"] < 0.2
         assert report["grid"]["unknowns"] > 0
+
+    def test_half_line_panel_bound_before_fd_solve(self, tmp_path, monkeypatch):
+        # exp:1e-6 reaches to 40/rate = 4e7: 1.6e8 panels, which once ran out
+        # of memory after the FD solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("FD solve started")
+
+        monkeypatch.setattr(experiments, "fd_resolvent", no_solve)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the data norm's quadrature warns
+            assert main(["oracle-compare", "--f1", "exp:1e-6",
+                         "--out", str(tmp_path / "o.json")]) == 2
 
 
 # A bounded CLI input space: small counts and grids, <= 4-point eps grids and

@@ -7,15 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wglimit import (
+from wglimit import kirchhoff_projector, resonant_projector, solve_coupling, vertex_kernel_at
+from wglimit.coupling import (
     SingularSystemError,
     asymptotic_deviation,
-    kirchhoff_projector,
-    resonant_projector,
-    solve_coupling,
-    vertex_kernel_at,
+    solve_coupling_from_kernel,
 )
-from wglimit.coupling import solve_coupling_from_kernel
 from wglimit.kernels import series_kernel, sqrt_upper
 from wglimit.vertex_spectrum import CaseLabel, spectrum_for_case, taylor_shooting
 

@@ -7,12 +7,13 @@ import pytest
 
 import wglimit.experiments as experiments
 import wglimit.vertex_spectrum as vertex_spectrum
-from wglimit import CurvatureProfile, ExperimentConfig, fit_slope, run_sweep
+from wglimit import CurvatureProfile, ExperimentConfig, run_sweep
 from wglimit.experiments import (
     ConfigError,
     FitError,
     delta_for,
     edge_function_from_spec,
+    fit_slope,
     oracle_report,
 )
 

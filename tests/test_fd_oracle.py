@@ -4,22 +4,17 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from wglimit import (
-    CurvatureProfile,
-    GaussianPulse,
-    WaveguideGrid,
-    assemble,
-    fd_resolvent,
-    fd_vertex_eigen,
-)
+from wglimit import CurvatureProfile, GaussianPulse, assemble, fd_vertex_eigen
 from wglimit.fd_oracle import (
     MAX_FD_UNKNOWNS,
     SOLVE_RESIDUAL_TOL,
     FDSolution,
     OracleError,
     WaveguideField,
+    WaveguideGrid,
     _assemble,
     _unflatten,
+    fd_resolvent,
     suggest_edge_length,
     trapezoid_weights,
 )

@@ -3,18 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wglimit import (
-    ExpDecay,
-    apply_resolvent,
-    assemble,
+from wglimit import ExpDecay, assemble, kirchhoff_projector, pi_theta_projector
+from wglimit.graph_limit import (
+    apply_resolvent_grid,
     boundary_limits,
     decoupled_resolvent,
-    kirchhoff_projector,
     kirchhoff_resolvent,
     limit_comparison,
-    pi_theta_projector,
+    limit_resolvent,
 )
-from wglimit.graph_limit import apply_resolvent_grid, limit_resolvent
 from wglimit.vertex_spectrum import CaseLabel, classify
 
 from conftest import log_slope
@@ -25,25 +22,23 @@ SYM = kirchhoff_projector(1 / np.sqrt(2), 1 / np.sqrt(2))
 
 
 def one_sided_derivative(res, f1, f2, edge, h=1e-4):
-    x1 = apply_resolvent(res, f1, f2, h, edge)
-    x2 = apply_resolvent(res, f1, f2, 2 * h, edge)
-    x0 = apply_resolvent(res, f1, f2, 0.0, edge)
+    x0, x1, x2 = apply_resolvent_grid(res, f1, f2, np.array([0.0, h, 2 * h]), edge)
     return (-3 * x0 + 4 * x1 - x2) / (2 * h)
 
 
 class TestApplyResolvent:
     def test_decoupled_dirichlet(self):
         res = decoupled_resolvent(Z)
-        assert apply_resolvent(res, F1, None, 0.0, 1) == 0.0
-        assert apply_resolvent(res, F1, None, 0.0, 2) == 0.0
+        assert apply_resolvent_grid(res, F1, None, 0.0, 1) == 0.0
+        assert apply_resolvent_grid(res, F1, None, 0.0, 2) == 0.0
 
     def test_symmetric_kirchhoff(self):
         # equal weights, equal data: profiles coincide and the common
         # boundary derivative vanishes
         res = kirchhoff_resolvent(Z, SYM)
         for s in (0.0, 0.7, 2.3):
-            x1 = apply_resolvent(res, F1, F1, s, 1)
-            x2 = apply_resolvent(res, F1, F1, s, 2)
+            x1 = apply_resolvent_grid(res, F1, F1, s, 1)
+            x2 = apply_resolvent_grid(res, F1, F1, s, 2)
             assert x1 == pytest.approx(x2, abs=1e-12)
         d1 = one_sided_derivative(res, F1, F1, 1)
         assert abs(d1) < 1e-6
@@ -51,7 +46,7 @@ class TestApplyResolvent:
     def test_boundary_conditions(self):
         # Lam0perp x(0) = 0 and Lam0 x'(0) = 0 for mixed data
         res = kirchhoff_resolvent(Z, SYM)
-        x0 = np.array([apply_resolvent(res, F1, None, 0.0, e) for e in (1, 2)])
+        x0 = np.array([apply_resolvent_grid(res, F1, None, 0.0, e) for e in (1, 2)])
         assert np.max(np.abs(SYM.lambda0_perp @ x0)) < 1e-9
         dx0 = np.array([one_sided_derivative(res, F1, None, e, h=1e-5) for e in (1, 2)])
         assert np.max(np.abs(SYM.lambda0 @ dx0)) < 1e-6
@@ -60,22 +55,32 @@ class TestApplyResolvent:
         h = 5e-3
         for res in (decoupled_resolvent(Z), kirchhoff_resolvent(Z, SYM)):
             for s0 in (0.8, 2.0):
-                vals = np.array([apply_resolvent(res, F1, None, s0 + k * h, 1)
-                                 for k in (-2, -1, 0, 1, 2)])
+                vals = apply_resolvent_grid(res, F1, None, s0 + h * np.arange(-2, 3), 1)
                 d2 = (-vals[0] + 16 * vals[1] - 30 * vals[2] + 16 * vals[3]
                       - vals[4]) / (12 * h**2)
                 assert abs(-d2 - Z * vals[2] - F1(s0)) < 1e-6
 
-    def test_grid_matches_scalar(self):
+    def test_grid_against_closed_form(self):
+        # r0 f1 = (e^{iks} - e^{-s})/(1 + z) on edge 1, plus the tails
+        # q e^{iks} with p1 = Int e^{ikt} e^{-t} dt = 1/(1 - ik), q = (i/k) Lam0 p
         res = kirchhoff_resolvent(Z, SYM)
+        k = np.sqrt(Z)
         s = np.array([0.0, 0.4, 1.7, 5.0])
-        grid_vals = apply_resolvent_grid(res, F1, None, s, 1)
-        for sv, gv in zip(s, grid_vals):
-            assert abs(gv - apply_resolvent(res, F1, None, float(sv), 1)) < 1e-9
+        q = (1j / k) * (SYM.lambda0 @ np.array([1.0 / (1.0 - 1j * k), 0.0]))
+        r0f = (np.exp(1j * k * s) - np.exp(-s)) / (1.0 + Z)
+        for edge, base in ((1, r0f), (2, 0.0)):
+            expect = base + q[edge - 1] * np.exp(1j * k * s)
+            assert np.max(np.abs(apply_resolvent_grid(res, F1, None, s, edge) - expect)) < 1e-9
 
-    def test_edge_index_guard(self):
-        with pytest.raises(ValueError):
-            apply_resolvent(decoupled_resolvent(Z), F1, None, 0.0, 3)
+    def test_edge_index_guard(self, zero_profile):
+        # edges are 1 and 2; 3 once read edge 2 (decoupled) or hit IndexError
+        sol = assemble(zero_profile, 1, Z, 0.1, 0.01, F1, None)
+        for edge in (0, 3):
+            for res in (decoupled_resolvent(Z), kirchhoff_resolvent(Z, SYM)):
+                with pytest.raises(ValueError):
+                    apply_resolvent_grid(res, F1, None, 0.0, edge)
+            with pytest.raises(ValueError):
+                sol.edge_profile(edge, 0.5)
 
 
 class TestLimitComparison:

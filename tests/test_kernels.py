@@ -4,22 +4,15 @@ import cmath
 
 import numpy as np
 import pytest
-from scipy.special import roots_legendre
+from scipy.special import erf, erfc, roots_legendre
 
-from wglimit import (
-    ExpDecay,
-    GaussianPulse,
-    HalfLineResolvent,
-    Indicator,
-    NearEigenvalueError,
-    boundary_derivative,
-    half_line_apply,
-    neumann_free_kernel,
-    vertex_kernel_at,
-)
+from wglimit import ExpDecay, GaussianPulse, Indicator, neumann_free_kernel, vertex_kernel_at
 from wglimit import kernels
 from wglimit.kernels import (
+    HalfLineResolvent,
     KernelError,
+    NearEigenvalueError,
+    boundary_derivative,
     boundary_derivatives,
     half_line_apply_grid,
     series_kernel,
@@ -38,6 +31,38 @@ def panel_quad(fn, a, b, breakpoints=(), panels=64, order=8):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         total += half * np.sum(weights * fn(mid + half * nodes))
     return total
+
+
+def gaussian_moment(beta, g, a, b=None):
+    """Integral_a^b exp(beta t) g(t) dt for g = GaussianPulse, b = None for
+    infinity, by completing the square (test oracle)."""
+    c, w = g.center, g.width
+    shift = c + beta * w**2 / 2
+    lo = (a - shift) / w
+    diff = erfc(lo) if b is None else erf((b - shift) / w) - erf(lo)
+    return 0.5 * w * np.sqrt(np.pi) * np.exp(beta * c + (beta * w) ** 2 / 4) * diff
+
+
+def r0_closed_form(k, f, s):
+    """(r0 f)(s) in closed form for the edge data records (test oracle).
+
+    ExpDecay: c (e^{iks} - e^{-as}) / (a^2 + k^2).  Otherwise
+    (i/2k) [e^{iks} A(s) + e^{-iks} B(s) - e^{iks} B(0)] with the
+    antiderivatives A(s) = Int_0^s e^{-ikt} f dt and B(s) = Int_s^inf e^{ikt} f dt.
+    """
+    s = np.asarray(s, dtype=float)
+    if isinstance(f, ExpDecay):
+        return f.coefficient * (np.exp(1j * k * s) - np.exp(-f.rate * s)) / (f.rate**2 + k**2)
+    if isinstance(f, Indicator):
+        m = np.clip(s, f.lo, f.hi)
+        a_s = (np.exp(-1j * k * f.lo) - np.exp(-1j * k * m)) / (1j * k)
+        b_s = (np.exp(1j * k * f.hi) - np.exp(1j * k * m)) / (1j * k)
+        b_0 = (np.exp(1j * k * f.hi) - np.exp(1j * k * f.lo)) / (1j * k)
+    else:
+        a_s = gaussian_moment(-1j * k, f, 0.0, s)
+        b_s = gaussian_moment(1j * k, f, s)
+        b_0 = gaussian_moment(1j * k, f, 0.0)
+    return (0.5j / k) * (np.exp(1j * k * s) * (a_s - b_0) + np.exp(-1j * k * s) * b_s)
 
 
 class TestSqrtBranch:
@@ -251,7 +276,7 @@ class TestHalfLine:
 
     def test_dirichlet_at_origin(self):
         res = HalfLineResolvent(1j)
-        assert half_line_apply(res, ExpDecay(), 0.0) == 0.0
+        assert half_line_apply_grid(res, ExpDecay(), 0.0) == 0.0
 
     def test_exp_against_trapezoid_oracle(self):
         res = HalfLineResolvent(1j)
@@ -261,7 +286,7 @@ class TestHalfLine:
         integrand = (0.5j / k) * (np.exp(1j * k * np.abs(s - t))
                                   - np.exp(1j * k * (s + t))) * np.exp(-t)
         oracle = np.trapezoid(integrand, t)
-        assert abs(half_line_apply(res, ExpDecay(), s) - oracle) < 1e-7
+        assert abs(half_line_apply_grid(res, ExpDecay(), s) - oracle) < 1e-7
 
     def test_indicator_against_antiderivative(self):
         z, s = 2j, 0.5
@@ -271,27 +296,30 @@ class TestHalfLine:
                 + (np.exp(1j * k * (1 - s)) - 1) / (1j * k))
         image = np.exp(1j * k * s) * (np.exp(1j * k) - 1) / (1j * k)
         expect = (0.5j / k) * (part - image)
-        got = half_line_apply(res, Indicator(0.0, 1.0), s)
+        got = half_line_apply_grid(res, Indicator(0.0, 1.0), s)
         assert abs(got - expect) < 1e-9
 
     @pytest.mark.parametrize("f", [GaussianPulse(center=2.0, width=0.4),
                                    Indicator(2.0, 3.0)])
-    def test_grid_agrees_with_scalar(self, rng, f):
+    def test_grid_against_closed_form(self, rng, f):
         res = HalfLineResolvent(1 + 1j)
         s = np.sort(rng.uniform(0.0, 8.0, size=9))
         grid_vals = half_line_apply_grid(res, f, s)
-        for sv, gv in zip(s, grid_vals):
-            assert abs(gv - half_line_apply(res, f, float(sv))) < 1e-9
+        assert np.max(np.abs(grid_vals - r0_closed_form(res.sqrt_z, f, s))) < 1e-9
+
+    @pytest.mark.parametrize("rate", [1e-6, 1e-320])
+    def test_panel_bound(self, rate):
+        # the range 40/rate, 4e7 or inf, needs more panels than the bound
+        with pytest.raises(ValueError, match="panels"):
+            half_line_apply_grid(HalfLineResolvent(1j), ExpDecay(rate=rate), 1.0)
 
     @pytest.mark.parametrize("f", [GaussianPulse(center=2.0, width=0.4), ExpDecay()])
-    def test_scalar_splits_at_kink_on_infinite_range(self, f):
-        # data without a cutoff integrate to infinity; the kernel kink at
-        # t = s must still split the range, or quad loses ~1e-8
+    def test_grid_across_kink_against_closed_form(self, f):
+        # data without a cutoff: the kernel kink at t = s is a panel end
         res = HalfLineResolvent(1 + 1j)
         s = np.linspace(0.25, 7.75, 31)
         grid_vals = half_line_apply_grid(res, f, s)
-        for sv, gv in zip(s, grid_vals):
-            assert abs(gv - half_line_apply(res, f, float(sv))) < 1e-12
+        assert np.max(np.abs(grid_vals - r0_closed_form(res.sqrt_z, f, s))) < 1e-12
 
 
 class TestBoundaryDerivative:
@@ -332,7 +360,21 @@ class TestBoundaryDerivative:
         res = HalfLineResolvent(1j)
         h = 1e-5
         for f in (ExpDecay(), Indicator(0.0, 1.0)):
-            x1 = half_line_apply(res, f, h)
-            x2 = half_line_apply(res, f, 2 * h)
+            x1, x2 = half_line_apply_grid(res, f, np.array([h, 2 * h]))
             fd = (4 * x1 - x2) / (2 * h)
             assert abs(boundary_derivative(res, f) - fd) < 1e-6
+
+
+class TestEdgeData:
+    @pytest.mark.parametrize("f", [ExpDecay(rate=1.3, coefficient=0.7),
+                                   GaussianPulse(center=3.4831, width=0.4528),
+                                   Indicator(0.5, 2.0)])
+    def test_float_path_is_bitwise_the_0d_array_path(self, rng, f):
+        # the scalar quadratures take the float path, one call per node
+        s = np.concatenate([[0.0, -0.0, 0.5, 2.0, 3.4831, np.nan],
+                            rng.uniform(-2.0, 12.0, 4000), 50.0 * rng.standard_cauchy(1000)])
+        with np.errstate(over="ignore"):
+            scalar = np.array([f(float(v)) for v in s])
+            zero_d = np.array([f(np.asarray(v)) for v in s])
+        assert all(isinstance(f(float(v)), float) for v in s[:6])
+        assert np.array_equal(scalar.view(np.int64), zero_d.view(np.int64))

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wglimit import CurvatureProfile, ProfileError, eval_geometry
+from wglimit import CurvatureProfile
 from wglimit.profile import (
+    ProfileError,
     check_potential_identity,
+    eval_geometry,
     geometry_fields,
     geometry_residual_fields,
     tune_to_resonance,
@@ -77,6 +79,18 @@ class TestConstruction:
     def test_tuned_requires_target(self):
         with pytest.raises(ProfileError):
             CurvatureProfile("tuned_bump", 5.0, None)
+
+    @pytest.mark.parametrize("frag", [
+        {"kind": "tuned_bump", "amplitude": 6.1, "target_index": "2"},
+        {"kind": "tuned_bump", "amplitude": 6.1, "target_index": 2.5},
+        {"kind": "tuned_bump", "amplitude": 6.1, "target_index": True},
+        {"kind": "tuned_bump", "amplitude": 6.1, "target_index": 1},
+        {"kind": "bump", "amplitude": 0.5, "target_index": 2},
+        {"kind": "zero", "target_index": 2},
+    ])
+    def test_target_index_is_an_integer_on_tuned_bumps_only(self, frag):
+        with pytest.raises(ProfileError):
+            CurvatureProfile.from_json_fragment(frag)
 
     def test_json_round_trip(self, bump05, tuned2):
         for prof in (CurvatureProfile.zero(), bump05, tuned2):

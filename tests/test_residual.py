@@ -14,14 +14,18 @@ from wglimit import (
     GaussianPulse,
     Indicator,
     assemble,
-    residual_field,
     residual_norms,
     run_sweep,
-    vertex_subtracted_norms,
 )
 from wglimit.experiments import SweepContext, _assemble, delta_for
 from wglimit.profile import geometry_fields
-from wglimit.residual import ResidualQuadrature, chi_mode, data_norm
+from wglimit.residual import (
+    ResidualQuadrature,
+    chi_mode,
+    data_norm,
+    residual_field,
+    vertex_subtracted_norms,
+)
 from wglimit.vertex_spectrum import taylor_shooting
 
 from conftest import log_slope

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson, solve_ivp
 
-from wglimit import CurvatureProfile, classify_case, eigenvalues, shoot
+from wglimit import CurvatureProfile, eigenvalues, shoot
 from wglimit import vertex_spectrum
 from wglimit.cli import main
 from wglimit.profile import _amplitude_slope
@@ -16,6 +16,7 @@ from wglimit.vertex_spectrum import (
     SpectrumError,
     _galerkin_eigenpairs,
     _eigenpair,
+    classify_case,
     eigenvalue_by_index,
     wronskian_values,
 )

@@ -39,7 +39,7 @@ from .kernels import (SERIES_DEFAULT_TERMS, KernelError, NearEigenvalueError, se
 from .profile import CurvatureProfile, ProfileError, tune_to_resonance
 from .vertex_spectrum import DEFAULT_ZERO_TOLERANCE, IntegrationError, SpectrumError, eigenvalues
 
-VALIDATION_ERRORS = (ConfigError, ProfileError, FitError, ValueError, OSError)
+VALIDATION_ERRORS = (ConfigError, ProfileError, FitError, ValueError)
 NUMERICAL_ERRORS = (NearEigenvalueError, SingularSystemError, IntegrationError,
                     SpectrumError, KernelError, OracleError, OverflowError)
 # Largest `kernel --grid` (grid^2 CSV rows) and `kernel --n-terms`.
@@ -156,8 +156,12 @@ def _cmd_kernel(args) -> int:
 
 def _build_config(args) -> ExperimentConfig:
     if args.command == "run":
-        with open(args.config, encoding="utf-8") as fh:
-            return ExperimentConfig.from_json_dict(json.load(fh))
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read --config {args.config!r}: {exc.strerror}") from exc
+        return ExperimentConfig.from_json_dict(data)
     metric = args.metric
     kwargs = dict(
         profile=_parse_profile(args.profile),

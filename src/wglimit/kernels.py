@@ -158,9 +158,6 @@ def series_kernel(profile: CurvatureProfile, z: complex, s, sp,
 # ----------------------------------------------------------------------
 # Edge data records
 # ----------------------------------------------------------------------
-# The scalar quadratures (p and ||f||) call a record once per node with a
-# float: that path skips the 0-d array and does the same operations on
-# scalars, so it is bitwise the 0-d array path (np.float64 ** 2 is C pow).
 
 @dataclass(frozen=True)
 class ExpDecay:
@@ -170,8 +167,6 @@ class ExpDecay:
     coefficient: float = 1.0
 
     def __call__(self, s):
-        if isinstance(s, float):
-            return float(self.coefficient * np.exp(-self.rate * s))
         s = np.asarray(s, dtype=float)
         out = self.coefficient * np.exp(-self.rate * s)
         return float(out) if out.ndim == 0 else out
@@ -188,8 +183,6 @@ class GaussianPulse:
     width: float = 0.5
 
     def __call__(self, s):
-        if isinstance(s, float):
-            return float(np.exp(-(np.float64((s - self.center) / self.width) ** 2)))
         s = np.asarray(s, dtype=float)
         out = np.exp(-(((s - self.center) / self.width) ** 2))
         return float(out) if out.ndim == 0 else out
@@ -206,8 +199,6 @@ class Indicator:
     hi: float = 1.0
 
     def __call__(self, s):
-        if isinstance(s, float):
-            return 1.0 if self.lo <= s <= self.hi else 0.0
         s = np.asarray(s, dtype=float)
         out = np.where((s >= self.lo) & (s <= self.hi), 1.0, 0.0)
         return float(out) if out.ndim == 0 else out

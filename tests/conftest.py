@@ -31,3 +31,17 @@ def log_slope(x, y):
     x = np.log(np.asarray(x, dtype=float))
     y = np.log(np.asarray(y, dtype=float))
     return float(np.polyfit(x, y, 1)[0])
+
+
+def plain_geometry(profile, s, u, ratio):
+    """1/g, d/ds(1/g) and W straight from a = 1 + u*rho*gamma, g = a^2
+    (test-side oracle for the library's cancellation-free assembly)."""
+    gam, gam1, gam2 = (profile.gamma(np.asarray(s, dtype=float), k) for k in range(3))
+    a = 1.0 + u * ratio * gam
+    urg1 = u * ratio * gam1
+    return {
+        "inv_g": 1.0 / (a * a),
+        "ds_inv_g": -2.0 * urg1 / a**3,
+        "W": (-0.25 * gam * gam / (a * a) + 0.5 * u * ratio * gam2 / a**3
+              - 1.25 * urg1 * urg1 / a**4),
+    }

@@ -304,6 +304,19 @@ class TestSweepCommands:
     def test_run_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "o.csv")]) == 2
+        assert main(["run", "--config", str(tmp_path),  # a directory
+                     "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_io_failure_after_the_checks_is_not_a_validation_error(self, tmp_path,
+                                                                    monkeypatch):
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "run_sweep", disk_full)
+        (tmp_path / "config.json").write_text(json.dumps(TestReadmeExamples.CONFIG))
+        with pytest.raises(OSError):
+            main(["run", "--config", str(tmp_path / "config.json"),
+                  "--out", str(tmp_path / "o.csv")])
 
     @pytest.mark.parametrize("argv", [["spectrum"], ["coupling"], ["oracle-compare"],
                                       ["run", "--config", "config.json"]])

@@ -364,17 +364,3 @@ class TestBoundaryDerivative:
             fd = (4 * x1 - x2) / (2 * h)
             assert abs(boundary_derivative(res, f) - fd) < 1e-6
 
-
-class TestEdgeData:
-    @pytest.mark.parametrize("f", [ExpDecay(rate=1.3, coefficient=0.7),
-                                   GaussianPulse(center=3.4831, width=0.4528),
-                                   Indicator(0.5, 2.0)])
-    def test_float_path_is_bitwise_the_0d_array_path(self, rng, f):
-        # the scalar quadratures take the float path, one call per node
-        s = np.concatenate([[0.0, -0.0, 0.5, 2.0, 3.4831, np.nan],
-                            rng.uniform(-2.0, 12.0, 4000), 50.0 * rng.standard_cauchy(1000)])
-        with np.errstate(over="ignore"):
-            scalar = np.array([f(float(v)) for v in s])
-            zero_d = np.array([f(np.asarray(v)) for v in s])
-        assert all(isinstance(f(float(v)), float) for v in s[:6])
-        assert np.array_equal(scalar.view(np.int64), zero_d.view(np.int64))

@@ -17,7 +17,7 @@ from wglimit.profile import (
     tune_to_resonance,
 )
 
-from conftest import log_slope
+from conftest import log_slope, plain_geometry
 
 
 def central_diff(f, s, h=1e-5):
@@ -195,11 +195,15 @@ class TestResidualFields:
         rho = 0.25
         f = geometry_residual_fields(bump05, s[:, None], u[None, :], rho)
         g = geometry_fields(bump05, s[:, None], u[None, :], rho)
+        plain = plain_geometry(bump05, s[:, None], u[None, :], rho)
         gam = bump05.gamma(s)[:, None]
-        assert np.allclose(f["inv_g_minus_1"], g["inv_g"] - 1.0, atol=1e-14)
-        assert np.allclose(f["w_plus_quarter_gamma_sq"], g["W"] + 0.25 * gam**2,
+        assert np.allclose(f["inv_g_minus_1"], plain["inv_g"] - 1.0, atol=1e-14)
+        assert np.allclose(f["w_plus_quarter_gamma_sq"], plain["W"] + 0.25 * gam**2,
                            atol=1e-14)
-        assert np.allclose(f["ds_inv_g"], g["ds_inv_g"], atol=1e-14)
+        assert np.allclose(f["ds_inv_g"], plain["ds_inv_g"], atol=1e-14)
+        for key in ("inv_g", "ds_inv_g", "W"):
+            assert np.allclose(g[key], plain[key], atol=1e-14)
+        assert np.allclose(g["g"] * plain["inv_g"], 1.0, atol=1e-14)
 
     def test_accurate_at_tiny_ratio(self, bump05):
         # the dedicated assembly stays O(ratio) where naive differencing

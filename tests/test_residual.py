@@ -18,7 +18,6 @@ from wglimit import (
     run_sweep,
 )
 from wglimit.experiments import SweepContext, _assemble, delta_for
-from wglimit.profile import geometry_fields
 from wglimit.residual import (
     ResidualQuadrature,
     chi_mode,
@@ -28,7 +27,7 @@ from wglimit.residual import (
 )
 from wglimit.vertex_spectrum import taylor_shooting
 
-from conftest import log_slope
+from conftest import log_slope, plain_geometry
 
 Z = 1j
 F1 = ExpDecay(rate=1.0)
@@ -95,7 +94,7 @@ class TestResidualField:
             d1 = (phis[0] - 8 * phis[1] + 8 * phis[3] - phis[4]) / (12 * h)
             d2 = (-phis[0] + 16 * phis[1] - 30 * phis[2] + 16 * phis[3]
                   - phis[4]) / (12 * h**2)
-            g = geometry_fields(bump05, s0, u0, rho)
+            g = plain_geometry(bump05, s0, u0, rho)
             direct = (-g["inv_g"] * d2 - g["ds_inv_g"] * d1
                       + (g["W"] - w) * phis[2]) * chi_mode(1, u0)
             lib = residual_field(sol, s0, u0)

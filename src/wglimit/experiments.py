@@ -81,10 +81,9 @@ class FitError(ValueError):
 
 def _check_data_norm(norm: float) -> None:
     """Data of norm 0 give a zero field: rows of exact zeros, or a report
-    relative to 0.  Narrow or far pulses read 0 to quadrature accuracy."""
-    if norm == 0.0:
-        raise ConfigError("the edge data have norm 0 to quadrature accuracy "
-                          "(a narrower pulse than the quadrature resolves, or none)")
+    relative to 0; a norm that is not finite gives rows of NaN."""
+    if not 0.0 < norm < math.inf:
+        raise ConfigError(f"the edge data have norm {norm}; it must be positive and finite")
 
 
 def _check_z(z: complex) -> None:

@@ -26,10 +26,13 @@ functional reduces analytically to
 
     p = (r0(z) f)'(0) = Integral_0^inf exp(i k t) f(t) dt.
 
-r0(z) f is evaluated by one route, ``half_line_apply_grid``: Gauss-Legendre
-panels over the data's range, cumulated once for every target point.  The
-scalar integrals p and ||f|| go through adaptive quadrature told of the
-data's jumps.
+r0(z) f, p and the data norm ||f|| (``residual.data_norm``) are three
+integrals of the same record over (0, inf), and all three read one table,
+``_data_panels``: 8-point Gauss-Legendre panels up to the record's
+effective cutoff, split at its jumps, no wider than 0.25, 1.5/|sqrt(z)|
+(dropped for the norm, which takes no z) and the record's own length
+scale.  ``half_line_apply_grid`` sums the table once forwards and once
+backwards for all target points; p is the backward total.
 """
 
 from __future__ import annotations
@@ -38,8 +41,7 @@ import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import roots_legendre
+from scipy.integrate import quad  # noqa: F401  only perfbench/spans.py TARGETS names it
 
 from .profile import CurvatureProfile
 from .vertex_spectrum import (
@@ -47,6 +49,7 @@ from .vertex_spectrum import (
     ShootingSolution,
     _free_mode_values,
     _galerkin_eigenpairs,
+    _gauss_panels,
     shoot,
     taylor_shooting,
 )
@@ -58,7 +61,6 @@ __all__ = [
     "Indicator",
     "KernelError",
     "NearEigenvalueError",
-    "QuadratureError",
     "boundary_derivative",
     "boundary_derivatives",
     "edge_field",
@@ -71,10 +73,11 @@ __all__ = [
 
 WRONSKIAN_FLOOR = 1e-13
 SERIES_DEFAULT_TERMS = 200
-# Most Gauss-Legendre panels half_line_apply_grid lays over the data's range
-# (8 nodes each; its arrays peak near 60 MB at the cap).
+# Most Gauss-Legendre panels an edge data table lays over the data's range
+# (8 nodes each; half_line_apply_grid's arrays peak near 60 MB at the cap).
 # The range grows as 1/rate for exp data: exp:1e-6 would ask for 1.6e8 panels.
 MAX_HALF_LINE_PANELS = 100_000
+PANEL_ORDER = 8
 
 
 class KernelError(RuntimeError):
@@ -83,10 +86,6 @@ class KernelError(RuntimeError):
 
 class NearEigenvalueError(KernelError):
     """Spectral parameter too close to an eigenvalue for kernel evaluation."""
-
-
-class QuadratureError(KernelError):
-    """Adaptive quadrature failed to reach the requested accuracy."""
 
 
 def sqrt_upper(z: complex) -> complex:
@@ -174,6 +173,10 @@ class ExpDecay:
     def effective_cutoff(self) -> float:
         return 40.0 / self.rate
 
+    @property
+    def length_scale(self) -> float:
+        return 0.25 / self.rate
+
 
 @dataclass(frozen=True)
 class GaussianPulse:
@@ -190,6 +193,10 @@ class GaussianPulse:
     def effective_cutoff(self) -> float:
         return self.center + 7.0 * self.width
 
+    @property
+    def length_scale(self) -> float:
+        return 0.5 * self.width
+
 
 @dataclass(frozen=True)
 class Indicator:
@@ -202,10 +209,6 @@ class Indicator:
         s = np.asarray(s, dtype=float)
         out = np.where((s >= self.lo) & (s <= self.hi), 1.0, 0.0)
         return float(out) if out.ndim == 0 else out
-
-    @property
-    def cutoff(self) -> float:
-        return self.hi
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -233,27 +236,26 @@ class HalfLineResolvent:
         object.__setattr__(self, "sqrt_z", sq)
 
 
-def _complex_quad(fn, a, b, points=None) -> complex:
-    kw = {"epsabs": 1e-13, "epsrel": 1e-10, "limit": 200}
-    if points:
-        kw["points"] = points
-    re, re_err = quad(lambda t: fn(t).real, a, b, **kw)
-    im, im_err = quad(lambda t: fn(t).imag, a, b, **kw)
-    scale = max(1.0, abs(re) + abs(im))
-    if max(re_err, im_err) > 1e-6 * scale:
-        raise QuadratureError(
-            f"half-line quadrature error {max(re_err, im_err):.2e} too large")
-    return complex(re, im)
+def _data_panels(f, k_abs: float = 0.0):
+    """The panel table of edge data f: panel ends over (0, f's effective
+    cutoff), split at its breakpoints, and the Gauss-Legendre nodes and
+    weights of each panel, shape (panels, PANEL_ORDER).
 
-
-def _data_range(f) -> tuple[float, list[float]]:
-    """The range (0, upper) of edge data f and the sorted breakpoints of f
-    inside it, where an integrand over f may jump.  Adaptive quadrature
-    that is not told of them can step over narrow data entirely.  Only
-    data with a cutoff have breakpoints, so the range is then finite."""
-    cut = getattr(f, "cutoff", None)
-    upper = float(cut) if cut is not None else np.inf
-    return upper, sorted({p for p in getattr(f, "breakpoints", ()) if 0.0 < p < upper})
+    Panels are at most min(0.25, 1.5/k_abs, f.length_scale) wide; a record
+    without a length scale (an indicator) is constant between its
+    breakpoints.  More panels than MAX_HALF_LINE_PANELS raise ValueError.
+    """
+    cutoff = max(f.effective_cutoff(), 0.0)
+    width = min(0.25, 1.5 / max(k_abs, 1e-6), getattr(f, "length_scale", np.inf))
+    n_panels = cutoff / width
+    if not n_panels <= MAX_HALF_LINE_PANELS:
+        raise ValueError(f"the edge data need {n_panels:.3g} quadrature panels over their "
+                         f"range (0, {cutoff:.3g}); at most {MAX_HALF_LINE_PANELS}")
+    edges = np.linspace(0.0, cutoff, max(8, int(np.ceil(n_panels))) + 1)
+    inner = [p for p in getattr(f, "breakpoints", ()) if 0.0 < p < cutoff]
+    if inner:
+        edges = np.unique(np.concatenate([edges, inner]))
+    return (edges, *_gauss_panels(edges[:-1], edges[1:], PANEL_ORDER))
 
 
 def half_line_apply(res: HalfLineResolvent, f, s: float) -> complex:
@@ -262,10 +264,11 @@ def half_line_apply(res: HalfLineResolvent, f, s: float) -> complex:
 
 
 def boundary_derivative(res: HalfLineResolvent, f) -> complex:
-    """p = (r0(z) f)'(0) = Integral exp(i sqrt(z) t) f(t) dt."""
+    """p = (r0(z) f)'(0) = Integral exp(i sqrt(z) t) f(t) dt, the total of
+    f's panel table."""
     k = res.sqrt_z
-    upper, points = _data_range(f)
-    return _complex_quad(lambda t: np.exp(1j * k * t) * f(t), 0.0, upper, points=points)
+    _, pts, wts = _data_panels(f, abs(k))
+    return complex(np.sum(np.exp(1j * k * pts) * f(pts) * wts))
 
 
 def boundary_derivatives(res: HalfLineResolvent, f1, f2) -> np.ndarray:
@@ -274,64 +277,35 @@ def boundary_derivatives(res: HalfLineResolvent, f1, f2) -> np.ndarray:
                      for f in (f1, f2)], dtype=complex)
 
 
-def _panel_grid(cutoff: float, k_abs: float, breakpoints=()):
-    width = min(0.25, 1.5 / max(k_abs, 1e-6))
-    n_panels = cutoff / width
-    if not n_panels <= MAX_HALF_LINE_PANELS:
-        raise ValueError(f"the half-line resolvent needs {n_panels:.3g} panels over the "
-                         f"data's range (0, {cutoff:.3g}); at most {MAX_HALF_LINE_PANELS}")
-    n_panels = max(8, int(np.ceil(n_panels)))
-    edges = np.linspace(0.0, cutoff, n_panels + 1)
-    inner = [p for p in breakpoints if 0.0 < p < cutoff]
-    if inner:
-        edges = np.unique(np.concatenate([edges, inner]))
-    nodes, weights = roots_legendre(8)
-    return edges, nodes, weights
-
-
 def half_line_apply_grid(res: HalfLineResolvent, f, s: np.ndarray) -> np.ndarray:
-    """(r0(z) f) at the points s via cumulative panel quadrature.
+    """(r0(z) f) at the points s via cumulative panel quadrature of
 
-    Panels of width min(0.25, 1.5/|sqrt(z)|) up to f's effective cutoff,
-    split at its breakpoints, are summed once; each target adds its own
-    partial panel, so the cost is O(panels + targets) and the kernel kink
-    at t = s is a panel end.  The result has the shape of s (a 0-d array
-    for a scalar s), and it vanishes at s = 0.  More panels than
+        (r0 f)(s) = [exp(iks) A(s) + sin(ks) B(s)] / k,
+        A(s) = Integral_0^s sin(kt) f dt,  B(s) = Integral_s^inf exp(ikt) f dt,
+
+    the kernel written as sin(k min(s,t)) exp(ik max(s,t)) / k, which
+    subtracts no two integrals over (0, inf).  f's panel table is summed
+    once, forward for A and backward for B (so B(0) = p); each target adds
+    its own partial panel, so the cost is O(panels + targets) and the
+    kernel kink at t = s is a panel end.  The result has the shape of s (a
+    0-d array for a scalar s), and it vanishes at s = 0.  More panels than
     MAX_HALF_LINE_PANELS raise ValueError.
     """
     k = res.sqrt_z
     shape = np.shape(s)
     s = np.asarray(s, dtype=float).ravel()
-    cutoff = f.effective_cutoff()
-    edges, nodes, weights = _panel_grid(cutoff, abs(k),
-                                        getattr(f, "breakpoints", ()))
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    pts = mid[:, None] + half[:, None] * nodes[None, :]
-    wts = half[:, None] * weights[None, :]
-    fv = f(pts)
-    ep = np.exp(1j * k * pts) * fv * wts
-    em = np.exp(-1j * k * pts) * fv * wts
-    cum_plus = np.concatenate([[0.0], np.cumsum(ep.sum(axis=1))])
-    cum_minus = np.concatenate([[0.0], np.cumsum(em.sum(axis=1))])
-    f_plus = cum_plus[-1]
+    edges, pts, wts = _data_panels(f, abs(k))
+    fw = f(pts) * wts
+    a_cum = np.concatenate([[0.0], np.cumsum((np.sin(k * pts) * fw).sum(axis=1))])
+    b_tail = np.cumsum((np.exp(1j * k * pts) * fw).sum(axis=1)[::-1])[::-1]
 
-    s_in = np.clip(s, 0.0, cutoff)
+    s_in = np.clip(s, 0.0, edges[-1])
     idx = np.clip(np.searchsorted(edges, s_in, side="right") - 1, 0, len(edges) - 2)
-    lo = edges[idx]
-    phalf = 0.5 * (s_in - lo)
-    pmid = lo + phalf
-    ppts = pmid[:, None] + phalf[:, None] * nodes[None, :]
-    pwts = phalf[:, None] * weights[None, :]
-    pfv = f(ppts)
-    a_plus = cum_plus[idx] + (np.exp(1j * k * ppts) * pfv * pwts).sum(axis=1)
-    a_minus = cum_minus[idx] + (np.exp(-1j * k * ppts) * pfv * pwts).sum(axis=1)
-
-    b_plus = f_plus - a_plus
-    out = (0.5j / k) * (np.exp(1j * k * s) * a_minus
-                        + np.exp(-1j * k * s) * b_plus
-                        - np.exp(1j * k * s) * f_plus)
-    return out.reshape(shape)
+    ppts, pwts = _gauss_panels(edges[idx], s_in, PANEL_ORDER)
+    pfw = f(ppts) * pwts
+    a = a_cum[idx] + (np.sin(k * ppts) * pfw).sum(axis=1)
+    b = b_tail[idx] - (np.exp(1j * k * ppts) * pfw).sum(axis=1)
+    return ((np.exp(1j * k * s) * a + np.sin(k * s) * b) / k).reshape(shape)
 
 
 def edge_field(res: HalfLineResolvent, f, q: complex, s):

@@ -26,12 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, simpson
+from scipy.integrate import simpson
 
 from .coupling import CouplingCoefficients, solve_coupling_from_kernel
 from .kernels import (
     HalfLineResolvent,
-    _data_range,
+    _data_panels,
     boundary_derivatives,
     edge_field,
     vertex_kernel_at,
@@ -70,15 +70,13 @@ def chi_mode(n: int, u):
 
 
 def data_norm(f1, f2) -> float:
-    """sqrt(||f1||^2 + ||f2||^2) over (0, inf)."""
+    """sqrt(||f1||^2 + ||f2||^2) over (0, inf), on each record's panel table
+    (``kernels._data_panels``, without a z)."""
     total = 0.0
     for f in (f1, f2):
-        if f is None:
-            continue
-        upper, points = _data_range(f)
-        val, _ = quad(lambda t: abs(f(t)) ** 2, 0.0, upper,
-                      epsabs=1e-14, epsrel=1e-12, limit=200, points=points or None)
-        total += val
+        if f is not None:
+            _, pts, wts = _data_panels(f)
+            total += float(np.sum(np.abs(f(pts)) ** 2 * wts))
     return float(np.sqrt(total))
 
 

@@ -289,15 +289,20 @@ def _free_mode_values(s: np.ndarray, n_basis: int) -> np.ndarray:
     return out
 
 
-def _panel_nodes(a: float, b: float, panels: int, order: int):
-    """Composite Gauss-Legendre nodes and weights on [a, b]."""
+def _gauss_panels(lo: np.ndarray, hi: np.ndarray, order: int):
+    """Gauss-Legendre nodes and weights of the given order on each panel
+    [lo_i, hi_i], as two arrays of shape (panels, order)."""
     nodes, weights = roots_legendre(order)
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    return mid[:, None] + half[:, None] * nodes[None, :], half[:, None] * weights[None, :]
+
+
+def _panel_nodes(a: float, b: float, panels: int, order: int):
+    """Composite Gauss-Legendre nodes and weights on [a, b], flattened."""
     edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    wts = (half[:, None] * weights[None, :]).ravel()
-    return pts, wts
+    pts, wts = _gauss_panels(edges[:-1], edges[1:], order)
+    return pts.ravel(), wts.ravel()
 
 
 @lru_cache(maxsize=8)

@@ -137,6 +137,19 @@ class TestSweepCommands:
         assert float(point["data_norm"]) == pytest.approx(0.1, rel=1e-12)
         assert float(point["residual_Hnorm"]) > 0.0
 
+    def test_narrow_gaussian_data(self, tmp_path):
+        # panels of half the pulse width resolve it: 6014 panels at width 0.001
+        out = tmp_path / "x.csv"
+        assert main(["graph-limit", "--eps-grid", "2^-3..2^-6", "--f1", "gaussian:3,0.001",
+                     "--out", str(out)]) == 0
+        assert all(float(row[2]) > 0.0 for row in read_csv(out)[3:7])
+        for width in (0.01, 0.001):
+            assert main(["residual-sweep", "--eps-grid", "2^-3..2^-6",
+                         "--f1", f"gaussian:3,{width}", "--out", str(out)]) == 0
+            header, first = read_csv(out)[2:4]
+            norm = float(dict(zip(header, first))["data_norm"])
+            assert norm == pytest.approx(np.sqrt(width * np.sqrt(np.pi / 2)), rel=1e-12)
+
     def test_eps_grid_exponent_bound(self):
         assert len(_parse_eps_grid("2^-3..2^-1074")) == 1072
         assert _parse_eps_grid("2^-1074..2^-1074") == (5e-324,)
@@ -188,7 +201,7 @@ class TestSweepCommands:
         ["graph-limit", "--eps-grid", "2^-3..2^-6", "--f1", "indicator:2,1"],
         ["oracle-compare", "--f1", "exp:-1"],
         ["oracle-compare", "--f1", "none"],
-        # narrower than the adaptive quadrature resolves: data norm 0
+        # panels of half the pulse width: 6e9 of them, over the panel bound
         ["oracle-compare", "--f1", "gaussian:3,1e-9"],
         ["residual-sweep", "--eps-grid", "2^-3..2^-6", "--f1", "gaussian:3,1e-9"],
         ["oracle-compare", "--h-s", "0"],
@@ -202,9 +215,11 @@ class TestSweepCommands:
         ["spectrum", "--profile", "zero", "--tol=-1"],
         ["spectrum", "--profile", "zero", "--tol=nan"],
         ["spectrum", "--profile", "bump:0.5", "--tol=inf"],
-        # data norm 0 (too narrow, or too far out) once wrote rows of zeros
-        ["graph-limit", "--eps-grid", "2^-3..2^-6", "--f1", "gaussian:3,0.001"],
+        # a range of 1e300, over the panel bound
         ["graph-limit", "--eps-grid", "2^-3..2^-6", "--f1", "gaussian:1e300,1"],
+        # a range of 4e7, over the panel bound
+        ["residual-sweep", "--eps-grid", "2^-3..2^-6", "--f1", "exp:1e-6"],
+        ["graph-limit", "--eps-grid", "2^-3..2^-6", "--f1", "exp:1e-6"],
         # target_index: an integer >= 2, on tuned_bump only
         ["coupling", "--profile",
          '{"kind": "tuned_bump", "amplitude": 6.1, "target_index": "2"}'],

@@ -300,12 +300,14 @@ class TestHalfLine:
         assert abs(got - expect) < 1e-9
 
     @pytest.mark.parametrize("f", [GaussianPulse(center=2.0, width=0.4),
-                                   Indicator(2.0, 3.0)])
+                                   Indicator(2.0, 3.0), GaussianPulse(center=3.0, width=0.05),
+                                   GaussianPulse(center=3.0, width=0.01)])
     def test_grid_against_closed_form(self, rng, f):
         res = HalfLineResolvent(1 + 1j)
         s = np.sort(rng.uniform(0.0, 8.0, size=9))
+        expect = r0_closed_form(res.sqrt_z, f, s)
         grid_vals = half_line_apply_grid(res, f, s)
-        assert np.max(np.abs(grid_vals - r0_closed_form(res.sqrt_z, f, s))) < 1e-9
+        assert np.max(np.abs(grid_vals - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("rate", [1e-6, 1e-320])
     def test_panel_bound(self, rate):
@@ -315,11 +317,14 @@ class TestHalfLine:
 
     @pytest.mark.parametrize("f", [GaussianPulse(center=2.0, width=0.4), ExpDecay()])
     def test_grid_across_kink_against_closed_form(self, f):
-        # data without a cutoff: the kernel kink at t = s is a panel end
-        res = HalfLineResolvent(1 + 1j)
+        # data without breakpoints: the kernel kink at t = s is a panel end;
+        # at z = -4 + 0.1i, Im sqrt(z) = 2 and a tail integral taken as a
+        # difference of two over (0, inf) loses 1e-10 of |r0 f|
         s = np.linspace(0.25, 7.75, 31)
-        grid_vals = half_line_apply_grid(res, f, s)
-        assert np.max(np.abs(grid_vals - r0_closed_form(res.sqrt_z, f, s))) < 1e-12
+        for z in (1 + 1j, -4 + 0.1j):
+            res = HalfLineResolvent(z)
+            grid_vals = half_line_apply_grid(res, f, s)
+            assert np.max(np.abs(grid_vals - r0_closed_form(res.sqrt_z, f, s))) < 1e-12
 
 
 class TestBoundaryDerivative:
@@ -339,6 +344,17 @@ class TestBoundaryDerivative:
         res = HalfLineResolvent(1j)
         expect = 1.0 / (1.0 - 1j * cmath.exp(1j * cmath.pi / 4))
         assert boundary_derivative(res, ExpDecay()) == pytest.approx(expect, abs=1e-10)
+        # a decay length of 1e-4: panels of a quarter of it
+        expect = 1.0 / (1e4 - 1j * res.sqrt_z)
+        assert boundary_derivative(res, ExpDecay(1e4)) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("width", [0.5, 0.01])
+    def test_gaussian_closed_form(self, width):
+        # panels of half the pulse width
+        res = HalfLineResolvent(1j)
+        g = GaussianPulse(3.0, width)
+        expect = gaussian_moment(1j * res.sqrt_z, g, 0.0)
+        assert boundary_derivative(res, g) == pytest.approx(expect, rel=1e-12)
 
     def test_indicator_closed_form(self):
         res = HalfLineResolvent(1j)

@@ -193,6 +193,10 @@ def test_data_norm_closed_form():
     g = GaussianPulse(center=3.0, width=0.5)
     expect = np.sqrt(0.5 * np.sqrt(np.pi / 2))
     assert data_norm(g, None) == pytest.approx(expect, rel=1e-10)
+    # narrow data: panels of a quarter decay length, or half the pulse width
+    assert data_norm(ExpDecay(1e4), None) == pytest.approx(np.sqrt(0.5e-4), rel=1e-12)
+    expect = np.sqrt(0.01 * np.sqrt(np.pi / 2))
+    assert data_norm(GaussianPulse(3.0, 0.01), None) == pytest.approx(expect, rel=1e-12)
 
 
 def test_data_norm_sees_narrow_indicator():

@@ -31,8 +31,9 @@ integrals of the same record over (0, inf), and all three read one table,
 ``_data_panels``: 8-point Gauss-Legendre panels up to the record's
 effective cutoff, split at its jumps, no wider than 0.25, 1.5/|sqrt(z)|
 (dropped for the norm, which takes no z) and the record's own length
-scale.  ``half_line_apply_grid`` sums the table once forwards and once
-backwards for all target points; p is the backward total.
+scale.  ``half_line_apply_grid`` carries bounded sums over the table's
+panel ends once forwards and once backwards for all target points; p is
+the backward end value.
 """
 
 from __future__ import annotations
@@ -278,17 +279,18 @@ def boundary_derivatives(res: HalfLineResolvent, f1, f2) -> np.ndarray:
 
 
 def half_line_apply_grid(res: HalfLineResolvent, f, s: np.ndarray) -> np.ndarray:
-    """(r0(z) f) at the points s via cumulative panel quadrature of
+    """(r0(z) f) at the points s via panel quadrature of
 
-        (r0 f)(s) = [exp(iks) A(s) + sin(ks) B(s)] / k,
-        A(s) = Integral_0^s sin(kt) f dt,  B(s) = Integral_s^inf exp(ikt) f dt,
+        (r0 f)(s) = [A(s) + h(s) B(s)] / k,   h(t) = sin(kt) exp(ikt),
+        A(s) = Integral_0^s exp(ik(s-t)) h(t) f dt,
+        B(s) = Integral_s^inf exp(ik(t-s)) f dt,
 
-    the kernel written as sin(k min(s,t)) exp(ik max(s,t)) / k, which
-    subtracts no two integrals over (0, inf).  f's panel table is summed
-    once, forward for A and backward for B (so B(0) = p); each target adds
-    its own partial panel, so the cost is O(panels + targets) and the
-    kernel kink at t = s is a panel end.  The result has the shape of s (a
-    0-d array for a scalar s), and it vanishes at s = 0.  More panels than
+    the kernel sin(k min(s,t)) exp(ik max(s,t)) / k in factors of modulus at
+    most 1, so nothing overflows at any Im k * s.  A and B at f's panel ends
+    come from one forward and one backward recurrence (B(0) = p); each
+    target adds its own partial panel, so the cost is O(panels + targets)
+    and the kernel kink t = s is a panel end.  The result has the shape of s
+    (0-d for a scalar s) and vanishes at s = 0.  More panels than
     MAX_HALF_LINE_PANELS raise ValueError.
     """
     k = res.sqrt_z
@@ -296,16 +298,31 @@ def half_line_apply_grid(res: HalfLineResolvent, f, s: np.ndarray) -> np.ndarray
     s = np.asarray(s, dtype=float).ravel()
     edges, pts, wts = _data_panels(f, abs(k))
     fw = f(pts) * wts
-    a_cum = np.concatenate([[0.0], np.cumsum((np.sin(k * pts) * fw).sum(axis=1))])
-    b_tail = np.cumsum((np.exp(1j * k * pts) * fw).sum(axis=1)[::-1])[::-1]
+    a_panel = (np.exp(1j * k * (edges[1:, None] - pts)) * _h(k, pts) * fw).sum(axis=1)
+    b_panel = (np.exp(1j * k * (pts - edges[:-1, None])) * fw).sum(axis=1)
+    carry = np.exp(1j * k * np.diff(edges)).tolist()
+    a_end, b_end = [0j], [0j]
+    for c, a_j in zip(carry, a_panel.tolist()):
+        a_end.append(c * a_end[-1] + a_j)
+    for c, b_j in zip(carry[::-1], b_panel.tolist()[::-1]):
+        b_end.append(c * b_end[-1] + b_j)
+    a_end, b_end = np.array(a_end), np.array(b_end[::-1])
 
     s_in = np.clip(s, 0.0, edges[-1])
     idx = np.clip(np.searchsorted(edges, s_in, side="right") - 1, 0, len(edges) - 2)
-    ppts, pwts = _gauss_panels(edges[idx], s_in, PANEL_ORDER)
+    start = edges[idx]
+    ppts, pwts = _gauss_panels(start, s_in, PANEL_ORDER)
     pfw = f(ppts) * pwts
-    a = a_cum[idx] + (np.sin(k * ppts) * pfw).sum(axis=1)
-    b = b_tail[idx] - (np.exp(1j * k * ppts) * pfw).sum(axis=1)
-    return ((np.exp(1j * k * s) * a + np.sin(k * s) * b) / k).reshape(shape)
+    a = np.exp(1j * k * (s - start)) * a_end[idx] \
+        + (np.exp(1j * k * (s[:, None] - ppts)) * _h(k, ppts) * pfw).sum(axis=1)
+    b = np.exp(1j * k * (start - s_in)) \
+        * (b_end[idx] - (np.exp(1j * k * (ppts - start[:, None])) * pfw).sum(axis=1))
+    return ((a + _h(k, s) * b) / k).reshape(shape)
+
+
+def _h(k: complex, t):
+    """sin(kt) exp(ikt) = -(i/2) expm1(2ikt), of modulus at most 1 for t >= 0."""
+    return -0.5j * np.expm1(2j * k * t)
 
 
 def edge_field(res: HalfLineResolvent, f, q: complex, s):

@@ -234,6 +234,7 @@ class TestSweepCommands:
         ["oracle-compare", "--z=1,1e-12"],
         ["oracle-compare", "--h-u", "0.001", "--h-s", "0.001", "--refine"],
         ["oracle-compare", "--h-s", "0.001953125", "--refine"],  # only the refined grid
+        ["oracle-compare", "--h-u", "0.001953125", "--h-s", "0.0625"],  # strip blocks
         ["spectrum", "--profile", "bump:0.5", "--count", "51"],
         ["spectrum", "--profile", "bump:0.5", "--count", "477"],
         ["coupling", "--profile", "tuned:4"],

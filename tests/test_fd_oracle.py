@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from wglimit import CurvatureProfile, GaussianPulse, assemble, fd_vertex_eigen
+from wglimit import CurvatureProfile, GaussianPulse, assemble, fd_vertex_eigen, oracle_report
+from wglimit.cli import main
 from wglimit.fd_oracle import (
     MAX_FD_UNKNOWNS,
     SOLVE_RESIDUAL_TOL,
@@ -12,12 +16,13 @@ from wglimit.fd_oracle import (
     OracleError,
     WaveguideField,
     WaveguideGrid,
-    _assemble,
+    _sine_system,
     _unflatten,
     fd_resolvent,
     suggest_edge_length,
     trapezoid_weights,
 )
+from wglimit.profile import geometry_fields
 from wglimit.residual import chi_mode, data_norm
 
 Z4 = 4j  # faster decay -> short truncated edges for module-level tests
@@ -77,6 +82,9 @@ class TestGridValidation:
         assert grid.n_unknowns <= MAX_FD_UNKNOWNS
         with pytest.raises(ValueError, match="unknowns exceeds"):
             grid.refined()
+        # 441k unknowns, but the strip's dense 511 x 511 blocks hold 2.5e7 entries
+        with pytest.raises(ValueError, match="block entries exceeds"):
+            WaveguideGrid(0.3, 0.027, 26.0, 1 / 16, 1 / 512)
 
     def test_suggest_edge_length(self):
         s = suggest_edge_length(1j)
@@ -104,8 +112,9 @@ class TestFDResolvent:
             fd_resolvent(grid, bump05, 1, Z4, F_G, None)
 
     def test_scaled_operator_symmetry(self, bump05):
-        a = _assemble(small_grid(), bump05, 1, Z4, None, None)[0]
-        assert abs(a - a.T).max() <= 1e-12
+        # the strip's blocks are symmetric; its mode diagonal is a diagonal
+        strip = _sine_system(small_grid(), bump05, 1, Z4).strip
+        assert abs(strip - strip.T).max() <= 1e-14 * abs(strip).max()
 
     def test_resolvent_bound(self, bump05):
         grid = small_grid()
@@ -173,10 +182,90 @@ class TestFDResolvent:
         assert np.max(np.abs(other)) < 1e-12 * max(np.max(np.abs(driven)), 1e-30)
 
 
+def assemble_physical(grid: WaveguideGrid, profile, n: int, z: complex, f1, f2):
+    """The 2-D system in the physical basis (u-node values line by line), the
+    independent reference for the sine-basis solve: second-order stencils
+    with the discrete transverse shift subtracted on every diagonal."""
+    eps, delta = grid.epsilon, grid.delta
+    he, hv, hu = grid.h_s, grid.h_s, grid.h_u
+    K, J, M = grid.n_edge, grid.n_vertex, grid.n_u
+    u = grid.u_nodes
+    ratio = delta / eps
+    shift = (2.0 / hu * math.sin(n * math.pi * hu / 2.0)) ** 2 / delta**2 + z
+    diag_edge = he * hu * (2.0 / he**2 + 2.0 / (delta**2 * hu**2) - shift)
+    wu_edge, ws_edge = -he / (delta**2 * hu), -hu / he
+
+    sigma = grid.vertex_s
+    mid = sigma[:-1] + 0.5 * hv
+    amid = geometry_fields(profile, mid[:, None], u[None, :], ratio)["inv_g"]
+    w_pot = geometry_fields(profile, sigma[1:-1, None], u[None, :], ratio)["W"]
+    c_cell = 0.5 * (he + eps * hv)
+
+    n_lines = grid.n_lines
+    iface1, iface2 = K - 1, K + J - 1
+    vertex_lines = np.arange(K, K + J - 1)
+    edge1_lines = np.arange(0, K - 1)
+    edge2_lines = np.arange(K + J, n_lines)
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(np.asarray(r, dtype=np.int64).ravel())
+        cols.append(np.asarray(c, dtype=np.int64).ravel())
+        vals.append(np.asarray(v, dtype=complex).ravel())
+
+    m_idx = np.arange(M)
+    for lines in (edge1_lines, edge2_lines):
+        r = lines[:, None] * M + m_idx[None, :]
+        add(r, r, np.full(r.shape, diag_edge))
+    r = vertex_lines[:, None] * M + m_idx[None, :]
+    add(r, r, eps * hv * hu * ((amid[:-1, :] + amid[1:, :]) / (eps**2 * hv**2)
+                               + w_pot / eps**2 + 2.0 / (delta**2 * hu**2) - shift))
+    for iface, a_edge in ((iface1, amid[0, :]), (iface2, amid[-1, :])):
+        r = iface * M + m_idx
+        add(r, r, hu * (1.0 / he + a_edge / (eps * hv)
+                        + 2.0 * c_cell / (delta**2 * hu**2) - c_cell * shift))
+
+    # s-coupling between adjacent lines
+    pair_l = np.arange(n_lines - 1)
+    left = pair_l[:, None] * M + m_idx[None, :]
+    right = (pair_l[:, None] + 1) * M + m_idx[None, :]
+    coup = np.empty((n_lines - 1, M), dtype=complex)
+    coup[: K - 1, :] = ws_edge
+    coup[K - 1: K + J - 1, :] = -hu * amid / (eps * hv)
+    coup[K + J - 1:, :] = ws_edge
+    add(left, right, coup)
+    add(right, left, coup)
+
+    # u-coupling within each line, by its s-weight
+    weight = np.full(n_lines, he)
+    weight[K: K + J - 1] = eps * hv
+    weight[[iface1, iface2]] = c_cell
+    line_wu = -weight / (delta**2 * hu)
+    line_wu[np.r_[edge1_lines, edge2_lines]] = wu_edge
+    lo = np.arange(n_lines)[:, None] * M + m_idx[None, :-1]
+    wv = np.broadcast_to(line_wu[:, None], lo.shape)
+    add(lo, lo + 1, wv)
+    add(lo + 1, lo, wv)
+    a = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(grid.n_unknowns, grid.n_unknowns)).tocsc()
+
+    # edge data f_j chi_n
+    chi = chi_mode(n, u)
+    b = np.zeros(grid.n_unknowns, dtype=complex)
+    for lines, f, iface in ((edge1_lines, f1, iface1), (edge2_lines, f2, iface2)):
+        if f is None:
+            continue
+        fv = np.asarray(f(np.abs(lines - iface) * he), dtype=float)
+        b[(lines[:, None] * M + m_idx[None, :]).ravel()] = \
+            (he * hu * fv[:, None] * chi[None, :]).ravel()
+        b[iface * M + m_idx] = hu * (he / 2.0) * float(f(0.0)) * chi
+    return a, b
+
+
 def assert_matches_direct_solve(fd: FDSolution, profile, f1, f2, rel: float) -> None:
-    """fd's field equals spsolve of the assembled system, line block by line block."""
+    """fd's field equals spsolve of the physical-basis system, line block by line block."""
     grid = fd.grid
-    a, b = _assemble(grid, profile, fd.n, fd.z, f1, f2)
+    a, b = assemble_physical(grid, profile, fd.n, fd.z, f1, f2)
     ref = _unflatten(grid, spla.spsolve(a, b))
     for name in ("edge1", "vertex", "edge2"):
         got, want = getattr(fd.field, name), getattr(ref, name)
@@ -217,6 +306,31 @@ class TestEdgeElimination:
         fd_resolvent(grid, bump05, 1, Z4, F_G, F_G2)
         assert rows == [(grid.n_vertex + 1) * grid.n_u]
         assert rows[0] < grid.n_unknowns / 10
+
+
+class TestThinGuide:
+    """delta = eps^3 puts 1/delta^2 near 1e12 at eps = 0.0094; the mode-n
+    resolvent must keep the h_s floor it has at eps = 0.3."""
+
+    @pytest.mark.parametrize("profile", ["zero_profile", "bump05"])
+    def test_trial_field_distance_holds_at_small_delta(self, request, profile):
+        profile = request.getfixturevalue(profile)
+        f1 = GaussianPulse(3.0, 0.5)
+        hat = {eps: oracle_report(profile, 1j, eps, eps**3, f1, None)["hat_vs_discrete"]
+               for eps in (0.3, 0.0094)}
+        assert hat[0.0094] <= 2.0 * hat[0.3]
+
+    def test_backward_error_gate_fires(self, bump05, monkeypatch, tmp_path):
+        # a strip LU of 1.01 A leaves, after the one refinement step, a
+        # backward error far above the tolerance (a constant factor over the
+        # whole solve would be cancelled by the refinement)
+        splu = spla.splu
+        monkeypatch.setattr(spla, "splu", lambda a, *args, **kw: splu(1.01 * a, *args, **kw))
+        with pytest.raises(OracleError, match="backward error"):
+            fd_resolvent(small_grid(), bump05, 1, Z4, F_G, None)
+        argv = ["oracle-compare", "--profile", "bump:0.5", "--z", "0,1", "--epsilon", "0.3",
+                "--f1", "gaussian:3,0.5", "--out", str(tmp_path / "o.json")]
+        assert main(argv) == 3
 
 
 def hand_solution(grid: WaveguideGrid, edge1, edge2, n: int) -> FDSolution:

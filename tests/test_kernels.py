@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import erf, erfc, roots_legendre
+from scipy.special import roots_legendre, wofz
 
 from wglimit import ExpDecay, GaussianPulse, Indicator, neumann_free_kernel, vertex_kernel_at
 from wglimit import kernels
@@ -35,12 +36,31 @@ def panel_quad(fn, a, b, breakpoints=(), panels=64, order=8):
 
 def gaussian_moment(beta, g, a, b=None):
     """Integral_a^b exp(beta t) g(t) dt for g = GaussianPulse, b = None for
-    infinity, by completing the square (test oracle)."""
+    infinity, by completing the square (test oracle).
+
+    A tail Integral_x^inf (side 1) or Integral_-inf^x (side -1) is
+    exp(beta x) g(x) (w sqrt(pi)/2) wofz(side i (x - m)/w), m = c + beta w^2/2,
+    whose Faddeeva factor is bounded for x on that side of Re m.  The range
+    is split at Re m, so each piece is a difference of two such tails, the
+    larger of which is the piece itself: nothing cancels or overflows at any
+    |beta|.
+    """
     c, w = g.center, g.width
-    shift = c + beta * w**2 / 2
-    lo = (a - shift) / w
-    diff = erfc(lo) if b is None else erf((b - shift) / w) - erf(lo)
-    return 0.5 * w * np.sqrt(np.pi) * np.exp(beta * c + (beta * w) ** 2 / 4) * diff
+    m = c + beta * w**2 / 2
+    a = np.asarray(a, dtype=float)
+    b = np.full_like(a, np.inf) if b is None else np.asarray(b, dtype=float)
+
+    def tail(x, side):
+        """The tail at x, or 0 at infinity and on the other side of Re m
+        (where the split puts both ends of a piece at Re m's clip)."""
+        use = np.isfinite(x) & (side * (x - m.real) >= 0)
+        x = np.where(use, x, m.real)
+        val = (0.5 * w * np.sqrt(np.pi) * np.exp(beta * x - ((x - c) / w) ** 2)
+               * wofz(side * 1j * (x - m) / w))
+        return np.where(use, val, 0.0)
+
+    split = np.clip(m.real, a, b)
+    return (tail(split, -1) - tail(a, -1)) + (tail(split, 1) - tail(b, 1))
 
 
 def r0_closed_form(k, f, s):
@@ -309,6 +329,18 @@ class TestHalfLine:
         grid_vals = half_line_apply_grid(res, f, s)
         assert np.max(np.abs(grid_vals - expect)) <= 1e-12 * np.max(np.abs(expect))
 
+    def test_no_overflow_at_large_im_sqrt_z(self):
+        # Im sqrt(z) = 100: Im sqrt(z) * s reaches 3000, where sin(ks) alone
+        # overflows; r0 f at s = 30 is about 9.4e-18
+        res = HalfLineResolvent(-1e4 + 1j)
+        s = np.array([0.5, 1.0, 5.0, 30.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = half_line_apply_grid(res, ExpDecay(1.0), s)
+        expect = r0_closed_form(res.sqrt_z, ExpDecay(1.0), s)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
     @pytest.mark.parametrize("rate", [1e-6, 1e-320])
     def test_panel_bound(self, rate):
         # the range 40/rate, 4e7 or inf, needs more panels than the bound
@@ -321,7 +353,7 @@ class TestHalfLine:
         # at z = -4 + 0.1i, Im sqrt(z) = 2 and a tail integral taken as a
         # difference of two over (0, inf) loses 1e-10 of |r0 f|
         s = np.linspace(0.25, 7.75, 31)
-        for z in (1 + 1j, -4 + 0.1j):
+        for z in (1 + 1j, -4 + 0.1j, -400 + 1j):
             res = HalfLineResolvent(z)
             grid_vals = half_line_apply_grid(res, f, s)
             assert np.max(np.abs(grid_vals - r0_closed_form(res.sqrt_z, f, s))) < 1e-12

@@ -21,8 +21,10 @@ imported, never written to.
 ``--diff`` compares two such directories file by file where outputs are
 not byte-identical: each file whose text matches once every number is
 masked gets the largest relative change |a - b| / max(|a|, |b|) over its
-numbers, with the line it sits on; any other difference is reported as
-such.
+numbers, with the line it sits on, and a ``.json`` file also the largest
+change per key path (``tolerances.solve_residual``, ``rows[].mismatch``,
+list items folded into ``[]``), so a key whose definition changed does not
+hide the others; any other difference is reported as such.
 """
 
 from __future__ import annotations
@@ -76,6 +78,16 @@ def run_step(main, outdir: Path, label: str, argv: list[str]) -> int:
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
 
 
+def relative_change(x: float, y: float) -> float:
+    """|x - y| / max(|x|, |y|); 0 for equal numbers or two NaNs, inf when
+    only one side is finite."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
 def numeric_change(old: str, new: str) -> tuple[float, int] | None:
     """Largest relative change between the numbers of two texts and its
     1-based line, or None when they differ other than in their numbers."""
@@ -83,14 +95,31 @@ def numeric_change(old: str, new: str) -> tuple[float, int] | None:
         return None
     worst, line = 0.0, 0
     for a, b in zip(NUMBER.finditer(old), NUMBER.finditer(new)):
-        x, y = float(a.group()), float(b.group())
-        if x == y or (math.isnan(x) and math.isnan(y)):
-            continue
-        finite = math.isfinite(x) and math.isfinite(y)
-        rel = abs(x - y) / max(abs(x), abs(y)) if finite else math.inf
+        rel = relative_change(float(a.group()), float(b.group()))
         if rel > worst:
             worst, line = rel, old.count("\n", 0, a.start()) + 1
     return worst, line
+
+
+def json_changes(old: str, new: str) -> dict[str, float]:
+    """Largest relative change per key path of two JSON texts that differ
+    only in their numbers; list items share their list's path plus ``[]``."""
+    changes: dict[str, float] = {}
+
+    def walk(a, b, path: str) -> None:
+        if isinstance(a, dict):
+            for key in a:
+                walk(a[key], b[key], f"{path}.{key}" if path else key)
+        elif isinstance(a, list):
+            for x, y in zip(a, b):
+                walk(x, y, f"{path}[]")
+        elif isinstance(a, (int, float)) and not isinstance(a, bool):
+            rel = relative_change(float(a), float(b))
+            if rel > 0.0:
+                changes[path] = max(changes.get(path, 0.0), rel)
+
+    walk(json.loads(old), json.loads(new), "")
+    return changes
 
 
 def diff_outputs(dir_a: Path, dir_b: Path) -> int:
@@ -115,6 +144,9 @@ def diff_outputs(dir_a: Path, dir_b: Path) -> int:
             status = 1
         else:
             print(f"max rel {change[0]:.2e} (line {change[1]})  {name}")
+            if name.suffix == ".json":
+                for path, rel in sorted(json_changes(old, new).items()):
+                    print(f"    max rel {rel:.2e}  {path}")
     return status
 
 

@@ -20,16 +20,21 @@ lambda_k - lambda_n = (4/h_u^2) sin((k-n) pi h_u/2) sin((k+n) pi h_u/2)
 over delta^2, which cancels nothing and is exactly 0 at k = n, so a thin
 guide costs the mode-n resolvent no digits (the shift is the discrete
 lambda_n, so neither is the comparison polluted by the O(h_u^2)/delta^2
-defect of T_h).  The edge data lie in mode n alone, and each edge line is
-M scalar chains, one per mode.  The metric 1/g and the potential W are
-diagonal in u, so the J+1 interface and vertex lines form a
-block-tridiagonal strip of real symmetric blocks S diag(.) S plus a complex
-diagonal per mode.  The edges' Schur complement on the interface lines is
-the diagonal -w_s^2 g_near of the chains' unit response g, and sparse LU
-factors only the (J+1)*M strip, in its natural block order, which fills
-nothing.  One step of iterative refinement and the componentwise backward
-error max |b - A y| / (|A| |y| + |b|) (``FDSolution.solve_residual``) are
-taken against this structured operator.
+defect of T_h).  The edge data lie in mode n alone, and each edge is M
+scalar chains, one per mode.  Mode n's chain keeps every edge line.  The
+chain of any other mode k sees only its interface value, so its response
+falls like rho_k^l, rho_k the decaying root of its recurrence; past
+l ln|rho_k| <= -760 it is below the smallest subnormal, exactly 0, and the
+chain ends there.  The metric 1/g and the potential W are diagonal in u, so
+the J+1 interface and vertex lines form a block-tridiagonal strip of real
+symmetric blocks S diag(.) S plus a complex diagonal per mode.  The edges'
+Schur complement on the interface lines is the diagonal -w_s^2 g_near of
+the chains' unit response g, and sparse LU factors only the (J+1)*M strip,
+in its natural block order, which fills nothing.  One step of iterative
+refinement and the componentwise backward error
+max |b - A y| / (|A| |y| + |b|) (``FDSolution.solve_residual``) are taken
+against this structured operator, the latter over every row: a cut that is
+too short shows as the residual of the first line past it.
 """
 
 from __future__ import annotations
@@ -65,7 +70,9 @@ H_U = 1.0 / 32
 H_S = 1.0 / 64
 # Largest 2-D grid, 2.2 times the benchmark's refined bump grid (437,661); the
 # edge length -ln(tol)/Im sqrt(z), and so the grid, grows without bound.  The
-# edge lines cost a few complex values per unknown.
+# returned field costs a complex value per unknown; the solve holds one per
+# chain line, mode n's L and some hundred per other mode (5-11% of the edge
+# unknowns on the benchmark grids).
 MAX_FD_UNKNOWNS = 1_000_000
 # Most entries in the strip's dense M x M blocks, M^2 (3J + 1), 3.3 times the
 # benchmark's refined bump grid: at about 50 bytes an entry, near 500 MB.
@@ -236,34 +243,111 @@ def _line_weights(grid: WaveguideGrid) -> np.ndarray:
     return w
 
 
+# A chain's unit response falls like rho_k^l; past e^-760 it lies below the
+# smallest subnormal (e^-744.4), so it is exactly 0 in floating point.
+CUT_LOG = -760.0
+
+
+def _live_lines(chain_diag: np.ndarray, w_s: float, n: int, L: int) -> np.ndarray:
+    """Lines each mode's edge chain keeps: all L for mode n, which carries
+    the data, else the fewest l >= 1 with l ln|rho_k| <= ``CUT_LOG`` (all L
+    for an open channel, |rho_k| near 1).  rho_k, the decaying root of
+    w_s rho^2 + c_k rho + w_s = 0, is taken by Vieta as -q / (1 + sqrt(1 - q^2))
+    with q = 2 w_s / c_k: the principal root has a real part >= 0, so the sum
+    cancels nothing, and on a thin guide q is tiny, so nothing overflows."""
+    q = 2.0 * w_s / chain_diag
+    decay = np.maximum(-np.log(np.abs(q / (1.0 + np.sqrt(1.0 - q * q)))), 0.0)
+    with np.errstate(divide="ignore"):
+        live = np.minimum(np.maximum(np.ceil(-CUT_LOG / decay), 1.0), L).astype(int)
+    live[n - 1] = L
+    return live
+
+
 @dataclass(frozen=True)
 class _SineSystem:
-    """The 2-D system in the sine basis, on (n_lines, n_u) arrays."""
+    """The 2-D system in the sine basis.  Its unknowns are packed in one
+    vector: edge 1's chains, edge 2's chains (mode k's ``live[k]`` lines,
+    outward from the interface, mode after mode), then the J + 1 strip lines
+    (J + 1, M).  Every chain line past a cut is exactly 0."""
 
     grid: WaveguideGrid
+    n: int
     strip: sp.csc_matrix     # real symmetric blocks of the J + 1 strip lines
     strip_diag: np.ndarray   # (J + 1, M) mode diagonal of the strip lines
-    chain_diag: np.ndarray   # (M,) mode diagonal of every edge line
+    chain_diag: np.ndarray   # (N,) mode diagonal of every chain line
+    chain_off: np.ndarray    # (N - 1,) w_s within a chain, 0 between chains
     w_s: float               # edge line to each s-neighbour line
+    live: np.ndarray         # (M,) lines each mode's chain keeps on an edge
+    start: np.ndarray        # (M,) offset of each mode's chain in an edge
     sine: np.ndarray         # S
+
+    def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of a packed vector: the chains (2, N) and the strip (J + 1, M)."""
+        N = len(self.chain_diag)
+        return v[: 2 * N].reshape(2, N), v[2 * N:].reshape(self.grid.n_vertex + 1, -1)
 
     def apply(self, y: np.ndarray, absolute: bool = False) -> np.ndarray:
         """A y, or |A| |y| (blocks and mode diagonal apart) if ``absolute``."""
-        K, J, M = self.grid.n_edge, self.grid.n_vertex, self.grid.n_u
-        strip, d, e, w_s = self.strip, self.strip_diag, self.chain_diag, self.w_s
+        J = self.grid.n_vertex
+        strip, d, c, off, w_s = self.strip, self.strip_diag, self.chain_diag, self.chain_off, self.w_s
         if absolute:
-            strip, d, e, w_s, y = abs(strip), np.abs(d), np.abs(e), abs(w_s), np.abs(y)
-        out = e * y
-        out[1:] += w_s * y[:-1]
-        out[:-1] += w_s * y[1:]
-        lines = slice(K - 1, K + J)
-        x = y[lines].reshape(-1, 1)
+            strip, d, c, off, w_s, y = abs(strip), np.abs(d), np.abs(c), np.abs(off), abs(w_s), np.abs(y)
+        chains, lines = self.split(y)
+        out = np.empty_like(y)
+        out_chains, out_lines = self.split(out)
+        x = lines.reshape(-1, 1)
         if not absolute:  # real and imaginary parts as two columns: no complex copy of strip
             x = x.view(float)
-        out[lines] = (strip @ x).view(y.dtype).reshape(J + 1, M) + d * y[lines]
-        if K > 1:  # the interface lines' edge neighbours
-            out[[K - 1, K + J - 1]] += w_s * y[[K - 2, K + J]]
+        out_lines[:] = (strip @ x).view(y.dtype).reshape(lines.shape) + d * lines
+        if not len(c):
+            return out
+        out_lines[[0, J]] += w_s * chains[:, self.start]
+        out_chains[:] = c * chains
+        # each row adds its s-neighbours in the order of their line index, as
+        # the operator on whole lines rounds: edge 1's chains run toward
+        # line 0, so there the outer neighbour comes first
+        for o, y_e, x_e, outer_first in ((out_chains[0], chains[0], lines[0], True),
+                                         (out_chains[1], chains[1], lines[J], False)):
+            if outer_first:
+                o[:-1] += off * y_e[1:]
+            o[1:] += off * y_e[:-1]
+            o[self.start] += w_s * x_e
+            if not outer_first:
+                o[:-1] += off * y_e[1:]
         return out
+
+    def backward_error(self, y: np.ndarray, b: np.ndarray) -> float:
+        """Componentwise backward error max |b - A y| / (|A| |y| + |b|) over
+        every row of the full system.  Past a cut only the first dropped line
+        is not 0/0: its residual is w_s times the chain's last value, which
+        reads 1 unless it is under the floor.  The chains of the modes k != n
+        decay into subnormals, which carry no relative digits, so the
+        denominators are floored at tiny/eps."""
+        floor = np.finfo(float).tiny / np.finfo(float).eps
+        denom = np.maximum(self.apply(y, absolute=True) + np.abs(b), floor)
+        resid = np.max(np.abs(b - self.apply(y)) / denom)
+        cut = self.live < self.grid.n_edge - 1
+        last = self.split(y)[0][:, (self.start + self.live - 1)[cut]]
+        spill = np.abs(self.w_s * last) / np.maximum(abs(self.w_s) * np.abs(last), floor)
+        return float(max(resid, spill.max(initial=0.0)))
+
+    def physical(self, y: np.ndarray) -> np.ndarray:
+        """psi = y S on every line, (n_lines, M).  Past the longest chain of
+        the modes k != n only mode n is nonzero, and there psi = y_n S_n."""
+        grid, n, S = self.grid, self.n, self.sine
+        K, J, M = grid.n_edge, grid.n_vertex, grid.n_u
+        L = K - 1
+        chains, lines = self.split(y)
+        psi = np.empty((grid.n_lines, M), dtype=complex)
+        psi[L: K + J] = lines @ S
+        mode = np.repeat(np.arange(M), self.live)
+        edges = np.zeros((2, L, M), dtype=complex)  # lines outward from the interface
+        edges[:, np.arange(len(mode)) - self.start[mode], mode] = chains
+        head = np.delete(self.live, n - 1).max()
+        for edge, psi_e in zip(edges, (psi[:L][::-1], psi[K + J:])):
+            psi_e[:head] = edge[:head] @ S
+            psi_e[head:] = edge[head:, n - 1, None] * S[n - 1]
+        return psi
 
 
 def _sine_system(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
@@ -304,7 +388,14 @@ def _sine_system(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
     indices = np.concatenate([np.tile(np.arange(a, b, dtype=np.int32), M)
                               for a, b in zip(lo, hi)])
     strip = sp.csc_matrix((data, indices, indptr), shape=((J + 1) * M,) * 2)
-    return _SineSystem(grid, strip, strip_diag, hs * mode + 2.0 * hu / hs, -hu / hs, sine)
+
+    chain_diag, w_s = hs * mode + 2.0 * hu / hs, -hu / hs
+    live = _live_lines(chain_diag, w_s, n, K - 1)
+    start = np.cumsum(live) - live
+    # a chain ends at its cut or at its Dirichlet line
+    chain_off = np.where(np.isin(np.arange(1, live.sum()), start), 0.0, w_s)
+    return _SineSystem(grid, n, strip, strip_diag, np.repeat(chain_diag, live), chain_off,
+                       w_s, live, start, sine)
 
 
 def _with_diagonal(strip: sp.csc_matrix, diag: np.ndarray) -> sp.csc_matrix:
@@ -316,16 +407,22 @@ def _with_diagonal(strip: sp.csc_matrix, diag: np.ndarray) -> sp.csc_matrix:
     return sp.csc_matrix((data, strip.indices, strip.indptr), shape=strip.shape)
 
 
-def _rhs(grid: WaveguideGrid, n: int, f1, f2) -> np.ndarray:
-    """Edge data f_j chi_n in the sine basis, where they lie in mode n alone."""
+def _rhs(system: _SineSystem, f1, f2) -> np.ndarray:
+    """Edge data f_j chi_n in the sine basis, where they lie in mode n alone,
+    packed as the unknowns."""
+    grid, n = system.grid, system.n
     K, J = grid.n_edge, grid.n_vertex
-    b = np.zeros((grid.n_lines, grid.n_u), dtype=complex)
-    for f, iface, step in ((f1, K - 1, -1), (f2, K + J - 1, 1)):
+    b = np.zeros(2 * len(system.chain_diag) + (J + 1) * grid.n_u, dtype=complex)
+    chains, lines = system.split(b)
+    first = system.start[n - 1]
+    for f, edge, iface in ((f1, 0, 0), (f2, 1, J)):
         if f is None:
             continue
         values = np.asarray(f(np.arange(K) * grid.h_s), dtype=float)
         values[0] /= 2.0
-        b[iface + step * np.arange(K), n - 1] = grid.h_s * math.sqrt(grid.h_u) * values
+        values = grid.h_s * math.sqrt(grid.h_u) * values
+        lines[iface, n - 1] = values[0]
+        chains[edge, first: first + K - 1] = values[1:]
     return b
 
 
@@ -375,50 +472,46 @@ def _unflatten(grid: WaveguideGrid, psi: np.ndarray) -> WaveguideField:
 
 
 def _block_solve(system: _SineSystem, b: np.ndarray) -> np.ndarray:
-    """A^-1 b by exact elimination of the edge lines, with one step of
+    """A^-1 b by exact elimination of the edge chains, with one step of
     iterative refinement against ``system.apply``.
 
-    Each edge's L = n_edge - 1 lines, ordered outward from its interface
-    line, are M chains of length L, the same on both edges and factored
-    once.  A chain's solution is p - w_s g x_k, where x is its interface
-    line, p solves the chain for the data and g for a unit at its
-    interface end.
+    Mode k's chain runs over its ``live[k]`` lines outward from the
+    interface line, the same on both edges; all chains are one tridiagonal
+    system, factored once.  The data lie in mode n, whose chain keeps all
+    L = n_edge - 1 lines; every other chain sees only its interface value,
+    and its response, about rho_k^l, is exactly 0 past its cut, so no line
+    dropped there would hold a nonzero.  A chain's solution is p - w_s g x_k,
+    where x is its interface line, p solves the chain for the data and g for
+    a unit at its interface end.
     """
-    grid, w_s = system.grid, system.w_s
-    K, J, M = grid.n_edge, grid.n_vertex, grid.n_u
-    L = K - 1
+    grid, w_s, live, start = system.grid, system.w_s, system.live, system.start
+    J, M = grid.n_vertex, grid.n_u
+    N = len(system.chain_diag)
     diag = system.strip_diag.copy()
-    if L:
-        edge_lines = np.array([np.arange(L - 1, -1, -1), K + J + np.arange(L)])
-        at = edge_lines[:, None, :] * M + np.arange(M)[:, None]  # (2, M, L) in r
-        off = np.full(M * L - 1, w_s, dtype=complex)
-        off[L - 1::L] = 0.0  # a chain ends at its Dirichlet line
-        factors = lapack.zgttrf(off, np.repeat(system.chain_diag, L), off.copy(),
-                                overwrite_dl=1, overwrite_d=1, overwrite_du=1)[:-1]
+    if N:
+        off = system.chain_off.astype(complex)
+        factors = lapack.zgttrf(off, system.chain_diag, off.copy())[:-1]
 
         def chains(rhs):
-            """Solve the chains of each edge in rhs, shape (edges, M, L)."""
-            x = lapack.zgttrs(*factors, rhs.reshape(len(rhs), -1).T)[0]
-            return x.T.reshape(rhs.shape)
+            """Solve the chains of each edge in rhs, shape (edges, N)."""
+            return lapack.zgttrs(*factors, rhs.T)[0].T
 
-        unit = np.zeros((1, M, L), dtype=complex)
-        unit[..., 0] = 1.0
-        g = chains(unit)  # the same on both edges
-        diag[[0, J]] -= w_s**2 * g[0, :, 0]
+        unit = np.zeros((1, N), dtype=complex)
+        unit[0, start] = 1.0
+        g = chains(unit)[0]  # the same on both edges
+        diag[[0, J]] -= w_s**2 * g[start]
     lu = spla.splu(_with_diagonal(system.strip, diag), permc_spec="NATURAL")
 
     def solve(r):
-        if not L:
-            return lu.solve(r.ravel()).reshape(r.shape)
-        p = chains(r.ravel()[at])
-        rhs = r[L: K + J].copy()
-        rhs[[0, J]] -= w_s * p[..., 0]
+        if not N:
+            return lu.solve(r)
+        r_chains, r_lines = system.split(r)
+        p = chains(r_chains)
+        rhs = r_lines.copy()
+        rhs[[0, J]] -= w_s * p[:, start]
         x = lu.solve(rhs.ravel()).reshape(J + 1, M)
-        p -= g * (w_s * x[[0, J], :, None])
-        y = np.empty_like(r)
-        y[L: K + J] = x
-        y.ravel()[at] = p
-        return y
+        p -= g * np.repeat(w_s * x[[0, J]], live, axis=1)
+        return np.concatenate([p.ravel(), x.ravel()])
 
     y = solve(b)
     return y + solve(b - system.apply(y))
@@ -437,16 +530,11 @@ def fd_resolvent(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
         raise OracleError(
             f"edge truncation error {trunc:.2e} exceeds bound; increase s_max")
     system = _sine_system(grid, profile, n, z)
-    b = _rhs(grid, n, f1, f2)
+    b = _rhs(system, f1, f2)
     y = _block_solve(system, b)
-    # Componentwise backward error of the solved system.  The chains of the
-    # modes k != n decay into subnormals, which carry no relative digits, so
-    # the denominators |A||y| + |b| are floored at tiny/eps.
-    floor = np.finfo(float).tiny / np.finfo(float).eps
-    denom = np.maximum(system.apply(y, absolute=True) + np.abs(b), floor)
-    resid = float(np.max(np.abs(b - system.apply(y)) / denom))
+    resid = system.backward_error(y, b)
     if not resid <= SOLVE_RESIDUAL_TOL:
         raise OracleError(f"sparse solve backward error {resid:.2e} above tolerance")
-    psi = (y @ system.sine).ravel()
+    psi = system.physical(y).ravel()
     return FDSolution(grid, profile, n, complex(z), _unflatten(grid, psi),
                       resid, _energy_norm(grid, psi))

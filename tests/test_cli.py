@@ -405,6 +405,23 @@ class TestOracleCompare:
         assert report["mismatch"] < 0.2
         assert report["grid"]["unknowns"] > 0
 
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        argv = ["oracle-compare", "--profile", "zero", "--z", "0,4", "--epsilon", "0.25",
+                "--h-u", "0.0625", "--h-s", "0.0625", "--f1", "gaussian:2,0.4"]
+        reports = []
+        for extra, code in ((["--refine"], 0), (["--no-such-flag"], 2), ([], 0)):
+            out = tmp_path / f"oracle{len(reports)}.json"
+            assert main([*argv, *extra, "--out", str(out)]) == code
+            if code == 0:
+                reports.append(json.loads(out.read_text()))
+        assert builds == [1]
+        assert reports[0]["refinement_factor"] is not None
+        assert reports[1]["refinement_factor"] is None
+
     def test_half_line_panel_bound_before_fd_solve(self, tmp_path, monkeypatch):
         # exp:1e-6 reaches to 40/rate = 4e7: 1.6e8 panels, which once ran out
         # of memory after the FD solve

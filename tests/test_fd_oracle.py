@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from wglimit import CurvatureProfile, GaussianPulse, assemble, fd_vertex_eigen, oracle_report
 from wglimit.cli import main
 from wglimit.fd_oracle import (
+    CUT_LOG,
     MAX_FD_UNKNOWNS,
     SOLVE_RESIDUAL_TOL,
     FDSolution,
@@ -306,6 +308,30 @@ class TestEdgeElimination:
         fd_resolvent(grid, bump05, 1, Z4, F_G, F_G2)
         assert rows == [(grid.n_vertex + 1) * grid.n_u]
         assert rows[0] < grid.n_unknowns / 10
+
+    def test_chains_keep_only_their_live_lines(self, bump05, monkeypatch):
+        # z = i puts the edge ends at s = 26, far past where the modes k != n
+        # underflow; each such chain keeps the fewest lines l with
+        # rho_k^l <= e^CUT_LOG, rho_k its decaying root
+        sizes = []
+        zgttrf = lapack.zgttrf
+
+        def counting_zgttrf(dl, d, du, *args, **kwargs):
+            sizes.append(len(d))
+            return zgttrf(dl, d, du, *args, **kwargs)
+
+        monkeypatch.setattr(lapack, "zgttrf", counting_zgttrf)
+        grid = WaveguideGrid.build(0.25, 0.25**3, 1j, h_u=1 / 16, h_s=1 / 64)
+        fd_resolvent(grid, bump05, 1, 1j, F_G, F_G2)
+        hu, hs, M, L = grid.h_u, grid.h_s, grid.n_u, grid.n_edge - 1
+        lam = (2.0 / hu * np.sin(np.arange(1, M + 1) * math.pi * hu / 2)) ** 2
+        live = [L]
+        for gap in lam[1:] - lam[0]:
+            c = hs * hu * (gap / grid.delta**2 - 1j) + 2.0 * hu / hs
+            rho = 1.0 / np.max(np.abs(np.roots([-hu / hs, c, -hu / hs])))
+            live.append(min(L, max(1, math.ceil(CUT_LOG / math.log(rho)))))
+        assert sizes == [sum(live)]
+        assert sizes[0] < M * L / 5
 
 
 class TestThinGuide:

@@ -490,6 +490,15 @@ def oracle_report(profile: CurvatureProfile, z: complex, epsilon: float,
         # sampled on the u-nodes, chi_n vanishes (n = n_u + 1) or aliases
         raise ConfigError(f"transverse index n = {n} exceeds the {grid.n_u} modes "
                           f"of the u-grid with h_u = {grid.h_u}")
+    # a mode k < n with kappa_k^2 > 0 propagates along the edges (an open channel);
+    # past h_s^2 kappa_k^2 = 4 the 3-point s-stencil has no wave for it, only a sawtooth
+    kappa_sq = -grid.mode_gaps(n)[: n - 1] / delta**2 + z.real
+    if n > 1 and (ratio := grid.h_s**2 * kappa_sq.max()) > 4.0:
+        raise ConfigError(
+            f"transverse index n = {n}: the open channel k = {int(kappa_sq.argmax()) + 1} has "
+            f"h_s^2 ((lambda_n - lambda_k)/delta^2 + Re z) = {ratio:.4g} > 4 at h_s = {grid.h_s}, "
+            f"where the 3-point s-stencil carries no wave; h_s <= "
+            f"{2.0 / math.sqrt(kappa_sq.max()):.4g} passes")
     fnorm = data_norm(f1, f2)
     _check_data_norm(fnorm)
     sol = assemble(profile, n, z, epsilon, delta, f1, f2)

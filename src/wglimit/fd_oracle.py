@@ -29,12 +29,12 @@ chain ends there.  The metric 1/g and the potential W are diagonal in u, so
 the J+1 interface and vertex lines form a block-tridiagonal strip of real
 symmetric blocks S diag(.) S plus a complex diagonal per mode.  The edges'
 Schur complement on the interface lines is the diagonal -w_s^2 g_near of
-the chains' unit response g, and sparse LU factors only the (J+1)*M strip,
-in its natural block order, which fills nothing.  One step of iterative
-refinement and the componentwise backward error
-max |b - A y| / (|A| |y| + |b|) (``FDSolution.solve_residual``) are taken
-against this structured operator, the latter over every row: a cut that is
-too short shows as the residual of the first line past it.
+the chains' unit response g, and a block LU (LAPACK getrf/getrs on each
+dense M x M block, line by line, which fills nothing) factors only the
+(J+1)*M strip.  One step of iterative refinement and the componentwise
+backward error max |b - A y| / (|A| |y| + |b|) (``FDSolution.solve_residual``)
+are taken against this structured operator, the latter over every row: a
+cut that is too short shows as the residual of the first line past it.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  perfbench/spans.py traces spla.splu here
 from scipy.linalg import eigh_tridiagonal, lapack
 
 from .profile import CurvatureProfile, geometry_fields
@@ -74,8 +73,9 @@ H_S = 1.0 / 64
 # chain line, mode n's L and some hundred per other mode (5-11% of the edge
 # unknowns on the benchmark grids).
 MAX_FD_UNKNOWNS = 1_000_000
-# Most entries in the strip's dense M x M blocks, M^2 (3J + 1), 3.3 times the
-# benchmark's refined bump grid: at about 50 bytes an entry, near 500 MB.
+# Most entries in the strip's dense M x M blocks, M^2 (3J + 1), 3.3 times the benchmark's
+# refined bump grid: 21 bytes an entry (real diag, off, |diag|, |off|; complex LU of U_j and
+# U_j^-1 C_j: 64 bytes per M^2 and line), near 215 MB.
 MAX_FD_STRIP_ENTRIES = 10_000_000
 
 
@@ -202,6 +202,11 @@ class WaveguideGrid:
         return WaveguideGrid(self.epsilon, self.delta, self.s_max, self.h_s / 2,
                              self.h_u)
 
+    def mode_gaps(self, n: int) -> np.ndarray:
+        """lambda_k - lambda_n of the u-stencil, k = 1..n_u (module docstring)."""
+        k, half = np.arange(1, self.n_u + 1), math.pi * self.h_u / 2
+        return (4.0 / self.h_u**2) * np.sin((k - n) * half) * np.sin((k + n) * half)
+
     @property
     def u_nodes(self) -> np.ndarray:
         return (np.arange(self.n_u) + 1) * self.h_u
@@ -272,7 +277,9 @@ class _SineSystem:
 
     grid: WaveguideGrid
     n: int
-    strip: sp.csc_matrix     # real symmetric blocks of the J + 1 strip lines
+    diag: np.ndarray         # (J + 1, M, M) real symmetric block of each strip line
+    off: np.ndarray          # (J, M, M) real symmetric block between lines j, j + 1
+    abs_blocks: tuple        # |diag| and |off|, for the backward error
     strip_diag: np.ndarray   # (J + 1, M) mode diagonal of the strip lines
     chain_diag: np.ndarray   # (N,) mode diagonal of every chain line
     chain_off: np.ndarray    # (N - 1,) w_s within a chain, 0 between chains
@@ -289,31 +296,27 @@ class _SineSystem:
     def apply(self, y: np.ndarray, absolute: bool = False) -> np.ndarray:
         """A y, or |A| |y| (blocks and mode diagonal apart) if ``absolute``."""
         J = self.grid.n_vertex
-        strip, d, c, off, w_s = self.strip, self.strip_diag, self.chain_diag, self.chain_off, self.w_s
+        (a, a_off), d, c, off, w_s = ((self.diag, self.off), self.strip_diag,
+                                      self.chain_diag, self.chain_off, self.w_s)
         if absolute:
-            strip, d, c, off, w_s, y = abs(strip), np.abs(d), np.abs(c), np.abs(off), abs(w_s), np.abs(y)
+            (a, a_off), d, c, off, w_s, y = (self.abs_blocks, np.abs(d), np.abs(c),
+                                             np.abs(off), abs(w_s), np.abs(y))
         chains, lines = self.split(y)
         out = np.empty_like(y)
         out_chains, out_lines = self.split(out)
-        x = lines.reshape(-1, 1)
-        if not absolute:  # real and imaginary parts as two columns: no complex copy of strip
-            x = x.view(float)
-        out_lines[:] = (strip @ x).view(y.dtype).reshape(lines.shape) + d * lines
+        # a complex line as its (re, im) columns: real products, no complex copy of the blocks
+        x = lines[..., None] if absolute else lines.view(float).reshape(J + 1, -1, 2)
+        prod = a @ x
+        prod[:-1] += a_off @ x[1:]
+        prod[1:] += a_off @ x[:-1]
+        out_lines[:] = prod.reshape(J + 1, -1).view(y.dtype) + d * lines
         if not len(c):
             return out
         out_lines[[0, J]] += w_s * chains[:, self.start]
         out_chains[:] = c * chains
-        # each row adds its s-neighbours in the order of their line index, as
-        # the operator on whole lines rounds: edge 1's chains run toward
-        # line 0, so there the outer neighbour comes first
-        for o, y_e, x_e, outer_first in ((out_chains[0], chains[0], lines[0], True),
-                                         (out_chains[1], chains[1], lines[J], False)):
-            if outer_first:
-                o[:-1] += off * y_e[1:]
-            o[1:] += off * y_e[:-1]
-            o[self.start] += w_s * x_e
-            if not outer_first:
-                o[:-1] += off * y_e[1:]
+        out_chains[:, :-1] += off * chains[:, 1:]
+        out_chains[:, 1:] += off * chains[:, :-1]
+        out_chains[:, self.start] += w_s * lines[[0, J]]
         return out
 
     def backward_error(self, y: np.ndarray, b: np.ndarray) -> float:
@@ -352,18 +355,14 @@ class _SineSystem:
 
 def _sine_system(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
                  z: complex) -> _SineSystem:
-    """The system of transverse mode n at z.  Line l carries
-    w_l h_u (gap/delta^2 - z) on each mode (``_line_weights``); edge lines
-    add 2 h_u/h_s and w_s = -h_u/h_s to each neighbour, interface lines
-    h_u/h_s.  The strip's CSC arrays are written block column by block
-    column, whose row blocks j-1, j, j+1 are one contiguous range."""
+    """The system of transverse mode n at z.  Line l carries w_l h_u (gap/delta^2 - z)
+    on each mode (``_line_weights``); edge lines add 2 h_u/h_s and
+    w_s = -h_u/h_s to each neighbour, interface lines h_u/h_s."""
     eps, hs, hu = grid.epsilon, grid.h_s, grid.h_u
     K, J, M = grid.n_edge, grid.n_vertex, grid.n_u
     k = np.arange(1, M + 1)
     sine = math.sqrt(2.0 * hu) * np.sin(np.outer(k, k) * (math.pi * hu))
-    gap = (4.0 / hu**2) * np.sin((k - n) * (math.pi * hu / 2)) \
-        * np.sin((k + n) * (math.pi * hu / 2))  # lambda_k - lambda_n, no cancellation
-    mode = hu * (gap / grid.delta**2 - z)
+    mode = hu * (grid.mode_gaps(n) / grid.delta**2 - z)
     strip_diag = _line_weights(grid)[K - 1: K + J, None] * mode
     strip_diag[[0, J]] += hu / hs
 
@@ -376,35 +375,13 @@ def _sine_system(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
     # diag[j] sits on strip line j, off[j] couples lines j and j + 1
     diag, off = (hu / (eps * hs) * ((sine * v[:, None, :]) @ sine) for v in (on, -amid))
 
-    data = np.empty(M * M * (3 * J + 1))
-    head, body, tail = np.split(data, [2 * M * M, M * M * (3 * J - 1)])
-    head, body, tail = head.reshape(M, 2, M), body.reshape(J - 1, M, 3, M), tail.reshape(M, 2, M)
-    head[:, 0], head[:, 1] = diag[0], off[0]
-    body[:, :, 0], body[:, :, 1], body[:, :, 2] = off[:-1], diag[1:J], off[1:]
-    tail[:, 0], tail[:, 1] = off[-1], diag[J]
-    lo = np.maximum(np.arange(J + 1) - 1, 0) * M
-    hi = np.minimum(np.arange(J + 1) + 2, J + 1) * M
-    indptr = np.concatenate([[0], np.cumsum(np.repeat(hi - lo, M))]).astype(np.int32)
-    indices = np.concatenate([np.tile(np.arange(a, b, dtype=np.int32), M)
-                              for a, b in zip(lo, hi)])
-    strip = sp.csc_matrix((data, indices, indptr), shape=((J + 1) * M,) * 2)
-
     chain_diag, w_s = hs * mode + 2.0 * hu / hs, -hu / hs
     live = _live_lines(chain_diag, w_s, n, K - 1)
     start = np.cumsum(live) - live
     # a chain ends at its cut or at its Dirichlet line
     chain_off = np.where(np.isin(np.arange(1, live.sum()), start), 0.0, w_s)
-    return _SineSystem(grid, n, strip, strip_diag, np.repeat(chain_diag, live), chain_off,
-                       w_s, live, start, sine)
-
-
-def _with_diagonal(strip: sp.csc_matrix, diag: np.ndarray) -> sp.csc_matrix:
-    """strip + diag(diag), complex, on strip's index arrays (each column's
-    rows are one contiguous range, so its diagonal is its row - first row)."""
-    data = strip.data.astype(complex)
-    start = strip.indptr[:-1]
-    data[start + np.arange(len(start)) - strip.indices[start]] += diag.ravel()
-    return sp.csc_matrix((data, strip.indices, strip.indptr), shape=strip.shape)
+    return _SineSystem(grid, n, diag, off, (np.abs(diag), np.abs(off)), strip_diag,
+                       np.repeat(chain_diag, live), chain_off, w_s, live, start, sine)
 
 
 def _rhs(system: _SineSystem, f1, f2) -> np.ndarray:
@@ -461,14 +438,40 @@ def _energy_norm(grid: WaveguideGrid, psi: np.ndarray) -> float:
 
 
 def _unflatten(grid: WaveguideGrid, psi: np.ndarray) -> WaveguideField:
-    K, J, M = grid.n_edge, grid.n_vertex, grid.n_u
-    lines = psi.reshape(grid.n_lines, M)
-    edge1 = np.zeros((K + 1, M), dtype=complex)
-    edge2 = np.zeros((K + 1, M), dtype=complex)
-    edge1[: K, :] = lines[K - 1 - np.arange(K), :]
-    edge2[: K, :] = lines[K + J - 1 + np.arange(K), :]
-    vertex = lines[K - 1 + np.arange(J + 1), :].copy()
-    return WaveguideField(grid, edge1, edge2, vertex)
+    K, J = grid.n_edge, grid.n_vertex
+    lines = psi.reshape(grid.n_lines, grid.n_u)
+    end = np.zeros((1, grid.n_u), dtype=complex)  # the Dirichlet line at s_max
+    return WaveguideField(grid, np.vstack([lines[K - 1::-1], end]),
+                          np.vstack([lines[K + J - 1:], end]), lines[K - 1: K + J].copy())
+
+
+def _strip_factor(diag: np.ndarray, off: np.ndarray, d: np.ndarray):
+    """solve(r) = x, both (J + 1, M), for the strip of blocks D_j = diag[j] + diag(d[j])
+    and C_j = off[j] on both sides of them.  Block LU: U_0 = D_0, U_j = D_j - C_{j-1} G_{j-1}
+    and G_j = U_j^-1 C_j, by getrf and getrs; forward w_j = U_j^-1 (r_j - C_{j-1} w_{j-1}),
+    back x_J = w_J and x_j = w_j - G_j x_{j+1}.  A real block times a complex one is one
+    real product on the (re, im) columns of the complex one."""
+    J, M = off.shape[0], diag.shape[1]
+    factors, gain = [], np.empty((J, M, M), dtype=complex)
+    u = diag[0].astype(complex)
+    for j in range(J + 1):
+        u.flat[:: M + 1] += d[j]
+        factors.append(lapack.zgetrf(u)[:2])
+        if j < J:
+            gain[j] = lapack.zgetrs(*factors[j], off[j])[0]
+            u = diag[j + 1] - (off[j] @ gain[j].view(float)).view(complex)
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        w, rhs = np.empty((J + 1, M), dtype=complex), r[0]
+        for j in range(J + 1):
+            w[j] = lapack.zgetrs(*factors[j], rhs)[0]
+            if j < J:
+                rhs = r[j + 1] - (off[j] @ w[j].view(float).reshape(M, 2)).ravel().view(complex)
+        for j in range(J - 1, -1, -1):
+            w[j] -= gain[j] @ w[j + 1]
+        return w
+
+    return solve
 
 
 def _block_solve(system: _SineSystem, b: np.ndarray) -> np.ndarray:
@@ -477,16 +480,13 @@ def _block_solve(system: _SineSystem, b: np.ndarray) -> np.ndarray:
 
     Mode k's chain runs over its ``live[k]`` lines outward from the
     interface line, the same on both edges; all chains are one tridiagonal
-    system, factored once.  The data lie in mode n, whose chain keeps all
-    L = n_edge - 1 lines; every other chain sees only its interface value,
-    and its response, about rho_k^l, is exactly 0 past its cut, so no line
-    dropped there would hold a nonzero.  A chain's solution is p - w_s g x_k,
-    where x is its interface line, p solves the chain for the data and g for
-    a unit at its interface end.
+    system, factored once.  A chain's solution is p - w_s g x_k, where x is
+    its interface line, p solves the chain for the data and g for a unit at
+    its interface end.  The strip, with the chains' Schur complement
+    -w_s^2 g on its interface lines, is solved by ``_strip_factor``.
     """
     grid, w_s, live, start = system.grid, system.w_s, system.live, system.start
-    J, M = grid.n_vertex, grid.n_u
-    N = len(system.chain_diag)
+    J, M, N = grid.n_vertex, grid.n_u, len(system.chain_diag)
     diag = system.strip_diag.copy()
     if N:
         off = system.chain_off.astype(complex)
@@ -500,16 +500,16 @@ def _block_solve(system: _SineSystem, b: np.ndarray) -> np.ndarray:
         unit[0, start] = 1.0
         g = chains(unit)[0]  # the same on both edges
         diag[[0, J]] -= w_s**2 * g[start]
-    lu = spla.splu(_with_diagonal(system.strip, diag), permc_spec="NATURAL")
+    strip = _strip_factor(system.diag, system.off, diag)
 
     def solve(r):
         if not N:
-            return lu.solve(r)
+            return strip(r.reshape(J + 1, M)).ravel()
         r_chains, r_lines = system.split(r)
         p = chains(r_chains)
         rhs = r_lines.copy()
         rhs[[0, J]] -= w_s * p[:, start]
-        x = lu.solve(rhs.ravel()).reshape(J + 1, M)
+        x = strip(rhs)
         p -= g * np.repeat(w_s * x[[0, J]], live, axis=1)
         return np.concatenate([p.ravel(), x.ravel()])
 
@@ -534,7 +534,7 @@ def fd_resolvent(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
     y = _block_solve(system, b)
     resid = system.backward_error(y, b)
     if not resid <= SOLVE_RESIDUAL_TOL:
-        raise OracleError(f"sparse solve backward error {resid:.2e} above tolerance")
+        raise OracleError(f"solve backward error {resid:.2e} above tolerance")
     psi = system.physical(y).ravel()
     return FDSolution(grid, profile, n, complex(z), _unflatten(grid, psi),
                       resid, _energy_norm(grid, psi))

@@ -207,6 +207,8 @@ class TestSweepCommands:
         ["oracle-compare", "--h-s", "0"],
         ["oracle-compare", "--h-u", "0.03125", "--n", "32"],  # chi_32 vanishes on the nodes
         ["oracle-compare", "--h-u", "0.03125", "--n", "40"],  # aliases to mode 24
+        # mode 1 is an open channel with h_s^2 kappa^2 = 9.9 > 4: no discrete wave
+        ["oracle-compare", "--n", "2"],
         ["kernel", "--mode", "series", "--n-terms", "0"],
         ["kernel", "--mode", "series", "--n-terms", "-5"],
         ["kernel", "--grid", "0"],
@@ -404,6 +406,15 @@ class TestOracleCompare:
         assert report["case"] == "2"
         assert report["mismatch"] < 0.2
         assert report["grid"]["unknowns"] > 0
+
+    def test_open_channel_resolved_in_s(self, tmp_path, capsys):
+        # at delta = eps mode 1 of --n 2 propagates with h_s^2 kappa^2 = 0.08
+        out = tmp_path / "oracle.json"
+        argv = ["oracle-compare", "--profile", "bump:0.5", "--n", "2", "--f1", "gaussian:3,0.5"]
+        assert main([*argv, "--epsilon", "0.3", "--delta", "0.3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["mismatch"] < 0.1
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "h_s <= 0.009944 passes" in capsys.readouterr().err
 
     def test_one_parser_serves_every_call(self, tmp_path, monkeypatch):
         builds = []

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
@@ -19,6 +20,7 @@ from wglimit.fd_oracle import (
     WaveguideField,
     WaveguideGrid,
     _sine_system,
+    _strip_factor,
     _unflatten,
     fd_resolvent,
     suggest_edge_length,
@@ -114,9 +116,24 @@ class TestFDResolvent:
             fd_resolvent(grid, bump05, 1, Z4, F_G, None)
 
     def test_scaled_operator_symmetry(self, bump05):
-        # the strip's blocks are symmetric; its mode diagonal is a diagonal
-        strip = _sine_system(small_grid(), bump05, 1, Z4).strip
-        assert abs(strip - strip.T).max() <= 1e-14 * abs(strip).max()
+        # every diagonal and off-diagonal block of the strip is symmetric;
+        # its mode diagonal is a diagonal
+        grid = small_grid()
+        system = _sine_system(grid, bump05, 1, Z4)
+        J, M = grid.n_vertex, grid.n_u
+        assert system.diag.shape == (J + 1, M, M) and system.off.shape == (J, M, M)
+        for blocks in (system.diag, system.off):
+            assert np.abs(blocks - blocks.transpose(0, 2, 1)).max() <= 1e-14 * np.abs(blocks).max()
+
+    def test_apply_matches_dense_operator(self, bump05):
+        # A y and |A| |y| against the matrix built out of the dense blocks,
+        # the chains and their couplings to the interface lines
+        system = _sine_system(small_grid(), bump05, 1, Z4)
+        a, abs_a = operator_matrix(system), operator_matrix(system, absolute=True)
+        y = [1.0, 1j] @ np.random.default_rng(0).standard_normal((2, a.shape[0]))
+        assert np.allclose(system.apply(y), a @ y, rtol=0.0,
+                           atol=1e-13 * abs(a).max() * np.abs(y).max())
+        assert np.allclose(system.apply(y, absolute=True), abs_a @ np.abs(y), rtol=1e-13, atol=0.0)
 
     def test_resolvent_bound(self, bump05):
         grid = small_grid()
@@ -264,6 +281,28 @@ def assemble_physical(grid: WaveguideGrid, profile, n: int, z: complex, f1, f2):
     return a, b
 
 
+def operator_matrix(system, absolute: bool = False) -> sp.csr_matrix:
+    """The packed sine-basis system as one matrix, from its parts: the strip
+    dense out of its blocks, the chains and their interface couplings.  With
+    ``absolute`` each part is taken in modulus first, the blocks apart from
+    the mode diagonal, as the backward error reads |A|."""
+    J, M = system.grid.n_vertex, system.grid.n_u
+    mod = np.abs if absolute else np.asarray
+    strip = np.zeros(((J + 1) * M,) * 2, dtype=complex)
+    for j in range(J + 1):
+        rows = slice(j * M, (j + 1) * M)
+        strip[rows, rows] = mod(system.diag[j]) + np.diag(mod(system.strip_diag[j]))
+        if j < J:
+            nxt = slice(rows.start + M, rows.stop + M)
+            strip[rows, nxt] = strip[nxt, rows] = mod(system.off[j])
+    off, N = mod(system.chain_off), len(system.chain_diag)
+    chain = sp.diags([off, mod(system.chain_diag), off], [-1, 0, 1])
+    couple = [sp.coo_matrix((np.full(M, mod(system.w_s)), (system.start, line * M + np.arange(M))),
+                            shape=(N, (J + 1) * M)) for line in (0, J)]
+    return sp.bmat([[chain, None, couple[0]], [None, chain, couple[1]],
+                    [couple[0].T, couple[1].T, strip]], format="csr")
+
+
 def assert_matches_direct_solve(fd: FDSolution, profile, f1, f2, rel: float) -> None:
     """fd's field equals spsolve of the physical-basis system, line block by line block."""
     grid = fd.grid
@@ -296,18 +335,19 @@ class TestEdgeElimination:
         assert_matches_direct_solve(fd, bump05, f1, F_G2, rel=1e-12)
 
     def test_lu_sees_only_the_vertex_strip(self, bump05, monkeypatch):
-        rows = []
-        splu = spla.splu
+        # one M x M block per strip line, nothing from the edges
+        shapes = []
+        zgetrf = lapack.zgetrf
 
-        def counting_splu(a, *args, **kwargs):
-            rows.append(a.shape[0])
-            return splu(a, *args, **kwargs)
+        def counting_zgetrf(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return zgetrf(a, *args, **kwargs)
 
-        monkeypatch.setattr(spla, "splu", counting_splu)
+        monkeypatch.setattr(lapack, "zgetrf", counting_zgetrf)
         grid = small_grid()
         fd_resolvent(grid, bump05, 1, Z4, F_G, F_G2)
-        assert rows == [(grid.n_vertex + 1) * grid.n_u]
-        assert rows[0] < grid.n_unknowns / 10
+        assert shapes == [(grid.n_u, grid.n_u)] * (grid.n_vertex + 1)
+        assert (grid.n_vertex + 1) * grid.n_u < grid.n_unknowns / 10
 
     def test_chains_keep_only_their_live_lines(self, bump05, monkeypatch):
         # z = i puts the edge ends at s = 26, far past where the modes k != n
@@ -334,6 +374,30 @@ class TestEdgeElimination:
         assert sizes[0] < M * L / 5
 
 
+class TestStripFactor:
+    @pytest.mark.parametrize("lines", [2, 3, 17])  # 2: J = 1, the interface lines only
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_matches_dense_solve(self, lines, m):
+        # real symmetric blocks plus a complex diagonal with a positive
+        # imaginary part: complex symmetric and, like the resolvent at
+        # Im z != 0, nonsingular, Schur complements included
+        rng = np.random.default_rng(10 * lines + m)
+        diag, off = (b + b.transpose(0, 2, 1) for b in
+                     (rng.standard_normal((lines, m, m)), rng.standard_normal((lines - 1, m, m))))
+        d = rng.standard_normal((lines, m)) + 1j * (0.5 + rng.random((lines, m)))
+        r = rng.standard_normal((lines, m)) + 1j * rng.standard_normal((lines, m))
+        a = np.zeros((lines * m,) * 2, dtype=complex)
+        for j in range(lines):
+            a[j * m: (j + 1) * m, j * m: (j + 1) * m] = diag[j] + np.diag(d[j])
+            if j + 1 < lines:
+                a[j * m: (j + 1) * m, (j + 1) * m: (j + 2) * m] = off[j]
+                a[(j + 1) * m: (j + 2) * m, j * m: (j + 1) * m] = off[j]
+        want = scipy.linalg.solve(a, r.ravel())
+        got = _strip_factor(diag, off, d)(r)
+        assert got.shape == (lines, m)
+        assert np.linalg.norm(got.ravel() - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestThinGuide:
     """delta = eps^3 puts 1/delta^2 near 1e12 at eps = 0.0094; the mode-n
     resolvent must keep the h_s floor it has at eps = 0.3."""
@@ -347,11 +411,11 @@ class TestThinGuide:
         assert hat[0.0094] <= 2.0 * hat[0.3]
 
     def test_backward_error_gate_fires(self, bump05, monkeypatch, tmp_path):
-        # a strip LU of 1.01 A leaves, after the one refinement step, a
-        # backward error far above the tolerance (a constant factor over the
-        # whole solve would be cancelled by the refinement)
-        splu = spla.splu
-        monkeypatch.setattr(spla, "splu", lambda a, *args, **kw: splu(1.01 * a, *args, **kw))
+        # a strip factor of blocks 1.01 U_j leaves, after the one refinement
+        # step, a backward error far above the tolerance (a constant factor
+        # over the whole solve would be cancelled by the refinement)
+        zgetrf = lapack.zgetrf
+        monkeypatch.setattr(lapack, "zgetrf", lambda a, *args, **kw: zgetrf(1.01 * a, *args, **kw))
         with pytest.raises(OracleError, match="backward error"):
             fd_resolvent(small_grid(), bump05, 1, Z4, F_G, None)
         argv = ["oracle-compare", "--profile", "bump:0.5", "--z", "0,1", "--epsilon", "0.3",

@@ -49,11 +49,14 @@ AMPLITUDE_CAP = 0.999
 # Resonance tuning needs amplitudes ~6; geometry is then restricted to
 # rho < 1/amplitude instead of the uniform rho <= 1.
 TUNED_AMPLITUDE_CAP = 8.0
-# Newton steps allowed when polishing a tuned amplitude on the Taylor
-# Wronskian at w = 0, and the |lambda| = |W_0/W_1| at which it stops.
-# From the Galerkin root it takes one or two.
+# Steps and last step of the bracketed Newton iteration on the Galerkin
+# eigenvalue (about five), then Newton steps of the polish on the Wronskian
+# at w = 0 and the |lambda| = |W_0/W_1| at which it stops (one step: tuned:2
+# reaches 5e-16, a half amplitude ulp times the slope -0.94 plus rounding).
+_BRACKET_STEPS = 60
+_BRACKET_TOL = 1e-13
 _NEWTON_STEPS = 4
-_RESONANCE_FLOOR = 1e-13
+_RESONANCE_FLOOR = 2e-15
 
 
 class ProfileError(ValueError):
@@ -114,14 +117,6 @@ class CurvatureProfile:
         """gamma and its first two derivatives, vectorised over s."""
         if order not in (0, 1, 2):
             raise ProfileError("order must be 0, 1 or 2")
-        if order == 0 and isinstance(s, float):
-            # The shooting right-hand side calls this once per evaluation;
-            # np.exp keeps it bitwise equal to the array path below.
-            if self.kind == "zero":
-                return 0.0
-            if abs(s) < 1.0:
-                return self.amplitude * float(np.exp(1.0 - 1.0 / (1.0 - s * s)))
-            return 0.0 * self.amplitude
         s = np.asarray(s, dtype=float)
         out = np.zeros_like(s)
         if self.kind == "zero":
@@ -310,16 +305,14 @@ def _amplitude_slope(profile: CurvatureProfile) -> float:
 def _tuned_amplitude(target_index: int) -> float:
     """Root of lambda_{target_index}(amplitude) = 0 over the bump family.
 
-    brentq on the cosine-Galerkin eigenvalue, bracketed on a 16-point
-    amplitude grid, gives the root to ~1e-12.  Newton steps with the
-    Hellmann-Feynman slope then polish it on lambda = -W_0/W_1 from the
-    Taylor coefficients of the Wronskian at w = 0, the cached solve the
-    vertex kernel reads, and the amplitude they return is the one whose
-    |lambda| they checked: the kernel's pole sits at w = 0 to the tuning
-    residue.
+    Newton steps with the Hellmann-Feynman slope on the cosine-Galerkin
+    eigenvalue, bisecting a 16-point amplitude grid's bracket when a step
+    leaves it, give the root to ~1e-12.  Newton steps then polish it on
+    lambda = -W_0/W_1 from a one-sided 2-term solve about w = 0, the first
+    two Taylor coefficients of the Wronskian the vertex kernel reads, and
+    return the amplitude whose |lambda| they checked: the kernel's pole
+    sits at w = 0 to the tuning residue.
     """
-    from scipy.optimize import brentq
-
     # Lazy import: the eigenvalue solver depends on this module.
     from . import vertex_spectrum as vs
 
@@ -330,8 +323,7 @@ def _tuned_amplitude(target_index: int) -> float:
 
     def galerkin_lam(amp: float) -> float:
         prof = CurvatureProfile("tuned_bump", amp, target_index)
-        lams = vs._galerkin_eigenpairs(prof, target_index + 1)[0]
-        return float(lams[target_index - 1])
+        return float(vs._galerkin_eigenpairs(prof, target_index + 1)[0][target_index - 1])
 
     grid = np.linspace(0.5, TUNED_AMPLITUDE_CAP, 16)
     vals = [galerkin_lam(float(amp)) for amp in grid]
@@ -341,11 +333,18 @@ def _tuned_amplitude(target_index: int) -> float:
             f"no amplitude in (0, {TUNED_AMPLITUDE_CAP}] brackets a zero of "
             f"eigenvalue {target_index}"
         )
-    amp = brentq(galerkin_lam, grid[k], grid[k + 1], xtol=1e-13, rtol=8.9e-16)
+    amp, lo, hi = float(grid[k]), float(grid[k]), float(grid[k + 1])
+    for _ in range(_BRACKET_STEPS):
+        lam = galerkin_lam(amp)
+        lo, hi = (amp, hi) if lam * vals[k] > 0.0 else (lo, amp)
+        new = amp - lam / _amplitude_slope(CurvatureProfile("tuned_bump", amp, target_index))
+        amp, last = (new if lo < new < hi else 0.5 * (lo + hi)), amp
+        if abs(amp - last) <= _BRACKET_TOL:
+            break
     for _ in range(_NEWTON_STEPS):
-        prof = CurvatureProfile("tuned_bump", float(amp), target_index)
-        wr = vs.taylor_shooting(prof).wronskian
-        lam = -wr[0] / wr[1]
+        prof = CurvatureProfile("tuned_bump", amp, target_index)
+        wr = vs._coefficient_solve(prof, 0.0, 2, "the tuning solve").states[-1, :, 1]
+        lam = -float(wr[0] / wr[1])
         if abs(lam) <= _RESONANCE_FLOOR:
             return prof.amplitude
         amp -= lam / _amplitude_slope(prof)

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .coupling import CouplingCoefficients, solve_coupling_from_kernel
 from .kernels import (
@@ -37,9 +36,8 @@ from .kernels import (
     vertex_kernel_at,
 )
 from .profile import CurvatureProfile, geometry_residual_fields
-from .vertex_spectrum import (DEFAULT_ZERO_TOLERANCE, VERTEX_GRID_POINTS, CaseLabel,
-                              EigenFunction, ShootingSolution, _panel_nodes, _TaylorSide,
-                              spectrum_for_case)
+from .vertex_spectrum import (DEFAULT_ZERO_TOLERANCE, CaseLabel, EigenFunction,
+                              ShootingSolution, _panel_nodes, _TaylorSide, spectrum_for_case)
 
 __all__ = [
     "ApproxSolution",
@@ -234,9 +232,8 @@ class ResidualQuadrature:
         u_pts, u_wts = _panel_nodes(0.0, 1.0, panels[1], quadrature_order)
         dnorm = None
         if case.resonant:
-            grid = np.linspace(-1.0, 1.0, VERTEX_GRID_POINTS)
-            dv = _star_function(profile, case).derivative(grid)
-            dnorm = float(np.sqrt(simpson(dv * dv, x=grid)))
+            star = _star_function(profile, case)
+            dnorm = float(np.sqrt(star.rule[1] @ star.derivative(star.rule[0]) ** 2))
         return ResidualQuadrature(profile, n, f1, f2, case, quadrature_order, tuple(panels),
                                   s_pts, s_wts, u_pts, u_wts, chi_mode(n, u_pts) ** 2,
                                   data_norm(f1, f2), dnorm)
@@ -336,12 +333,12 @@ def vertex_subtracted_norms(sol: ApproxSolution) -> dict:
     if not sol.case.resonant:
         raise ValueError("subtracted norms are defined for the resonant case only")
     ystar, contraction = _star_function(sol.profile, sol.case), _contraction(sol)
-    grid = np.linspace(-1.0, 1.0, VERTEX_GRID_POINTS)
-    phi, dphi = sol.vertex_profile(grid)
-    diff = phi + (contraction / (sol.epsilon * sol.z)) * ystar.value(grid)
-    ddiff = dphi + (contraction / (sol.epsilon * sol.z)) * ystar.derivative(grid)
-    norm = float(np.sqrt(simpson(np.abs(diff) ** 2, x=grid)))
-    dnorm = float(np.sqrt(simpson(np.abs(ddiff) ** 2, x=grid)))
+    nodes, weights = ystar.rule
+    phi, dphi = sol.vertex_profile(nodes)
+    diff = phi + (contraction / (sol.epsilon * sol.z)) * ystar.value(nodes)
+    ddiff = dphi + (contraction / (sol.epsilon * sol.z)) * ystar.derivative(nodes)
+    norm = float(np.sqrt(weights @ np.abs(diff) ** 2))
+    dnorm = float(np.sqrt(weights @ np.abs(ddiff) ** 2))
     xi_sum = float(abs(sol.coeffs.xi[0]) + abs(sol.coeffs.xi[1]))
     scale = sol.epsilon * xi_sum
     return {

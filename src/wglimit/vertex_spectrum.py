@@ -26,6 +26,10 @@ the root of that Wronskian polynomial within half the Galerkin gap, so
 the Galerkin count fixes the order; the eigenfunction is zeta there,
 from the same solve.  Its end values alpha1 = y(-1), alpha2 = y(+1) feed
 the weighted Kirchhoff projector when zero is (numerically) an eigenvalue.
+
+Every solve is 8-stage Gauss-Legendre collocation on equal panels (E. Hairer,
+S. P. Norsett and G. Wanner, Solving ODEs I), built for all panels at once;
+the collocation polynomial is the dense output.
 """
 
 from __future__ import annotations
@@ -35,10 +39,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss, legvander
 from numpy.polynomial.polynomial import polyval
-from scipy.integrate import simpson, solve_ivp
 from scipy.linalg import eigh
-from scipy.special import roots_legendre
 
 from .profile import CurvatureProfile
 
@@ -61,10 +64,6 @@ __all__ = [
 ]
 
 DEFAULT_ZERO_TOLERANCE = 1e-9
-# Points of the uniform Simpson grid on [-1, 1] for eigenfunction norms.
-VERTEX_GRID_POINTS = 4001
-_SHOOT_RTOL = 1e-10
-_SHOOT_ATOL = 1e-13
 # Taylor coefficients w^0 .. w^(SERIES_TERMS-1) of the shooting solutions,
 # used for |w| <= SERIES_RADIUS.  For gamma = 0 the tail after K terms is
 # about (4|w|)^K / (2K)!: 2e-24 at the radius, and on every profile class
@@ -78,25 +77,30 @@ SERIES_RADIUS = 0.25
 _EIGEN_TERMS = 4
 _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-14
-# Tolerances of both coefficient solves (about w = 0 and about each g).
-_SERIES_RTOL = 1e-13
-_SERIES_ATOL = 1e-16
-# Right-hand-side evaluations allowed per integration.  The work grows like
-# sqrt(|z|); the largest solve of the test suite and the README examples
-# takes under 2000.  The cap admits |z| up to about 1.1e6 at _SHOOT_RTOL and
-# eigenvalue solves up to about 2.2e5 (the first 300) at _SERIES_RTOL.
-MAX_SHOOT_NFEV = 100_000
-# Largest eigenvalues() count.  The work per eigenvalue grows like its index:
-# 50 on bump:0.5 takes about 15 s on a 2-core VM; the shooting cap admits 300.
+# Collocation stages per panel.  A solve about c takes 2 sqrt(max|V - c|)
+# panels (h sqrt|V - c| <= 1), at least _MIN_PANELS for the bump's ends (on
+# tuned:2, 32 leave 1.4e-13 in W_0).  The cap admits |z| up to about 1.1e6.
+_STAGES = 8
+_MIN_PANELS = 64
+MAX_SHOOT_PANELS = 2100
+# Largest eigenvalues() count.  The work per eigenvalue grows like the
+# square root of its size: 50 on bump:0.5 take about 0.2 s on a 2-core VM.
 MAX_EIGENVALUE_COUNT = 50
 
 
 class IntegrationError(RuntimeError):
-    """The shooting integrator failed (step underflow or stiffness)."""
+    """A shooting solve needs more than MAX_SHOOT_PANELS or overflows."""
 
 
 class SpectrumError(RuntimeError):
     """Eigenvalue search could not locate the requested spectrum."""
+
+
+def __getattr__(name):  # only perfbench/spans.py reads it; ROADMAP item 7 deletes it
+    if name != "solve_ivp":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import solve_ivp
+    return solve_ivp
 
 
 @dataclass(frozen=True)
@@ -150,51 +154,101 @@ class ShootingSolution:
         return np.array([[self.eta(-1.0), 1.0], [1.0, self.zeta(1.0)]]) / self.wronskian
 
 
-def _coefficient_ivp(profile: CurvatureProfile, centre, terms: int, s0: float, s1: float,
-                     rtol: float, atol: float, what: str):
-    """The shooting equation as Taylor coefficients about a centre c,
-
-        y_k'' = (V - c) y_k - y_{k-1},  k < terms,  V = -gamma^2/4,
-
-    from s0 to s1 with y_0(s0) = 1 and all other start data zero, at dense
-    output and in at most MAX_SHOOT_NFEV right-hand-side evaluations.  The
-    shooting solution at c + d is sum_k d^k y_k; a complex c gives a
-    complex solve.
-    """
-    nfev = 0
-
-    def rhs(s, y):
-        nonlocal nfev
-        nfev += 1
-        if nfev > MAX_SHOOT_NFEV:
-            raise IntegrationError(f"{what} needs more than "
-                                   f"{MAX_SHOOT_NFEV} right-hand-side evaluations")
-        # Python scalars: faster than array operations at these sizes, and
-        # numpy's complex array loops round differently from scalar products.
-        y = y.tolist()
-        shift = -0.25 * profile.gamma(s) ** 2 - centre
-        return y[terms:] + [shift * y[0]] + [shift * y[k] - y[k - 1] for k in range(1, terms)]
-
-    y0 = np.zeros(2 * terms, dtype=type(centre))
-    y0[0] = 1.0
-    sol = solve_ivp(rhs, (s0, s1), y0, method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True)
-    if not sol.success:
-        raise IntegrationError(f"{what} failed: {sol.message}")
-    return sol
+def _basis_integrals(theta: np.ndarray) -> np.ndarray:
+    """a_j(theta) = integral_0^theta l_j for the Lagrange basis l_j on the
+    stage nodes c: the Gauss rule gives l_j = b_j sum_n (2n + 1) P_n(2c_j - 1)
+    P_n(2t - 1) exactly, and each Legendre P_n integrates in closed form."""
+    legendre = legvander(2.0 * theta - 1.0, _STAGES)
+    return (theta[:, None] + 0.5 * (legendre[:, 2:] - legendre[:, :-2]) @ _LEGENDRE) * _WEIGHTS
 
 
-def shoot(profile: CurvatureProfile, z: complex,
-          rtol: float = _SHOOT_RTOL, atol: float = _SHOOT_ATOL) -> ShootingSolution:
+# Stage nodes c and weights b on [0, 1], P_n(2c - 1) for 0 < n < _STAGES,
+# and the collocation tableau A = a(c).
+_NODES, _WEIGHTS = leggauss(_STAGES)
+_LEGENDRE = legvander(_NODES, _STAGES - 1)[:, 1:].T
+_NODES, _WEIGHTS = 0.5 * (_NODES + 1.0), 0.5 * _WEIGHTS
+_TABLEAU = _basis_integrals(_NODES)
+_TABLEAU_SQ = _TABLEAU @ _TABLEAU
+_gauss_rule = lru_cache(maxsize=None)(leggauss)  # callers only read the arrays
+
+
+def _panel_count(qmax: float) -> int:
+    return max(_MIN_PANELS, math.ceil(2.0 * math.sqrt(qmax)))
+
+
+@dataclass(frozen=True, eq=False)
+class CoefficientSolution:
+    """Dense coefficients s -> (y_0..y_{K-1}, y_0'..y_{K-1}'), shape (2K,) +
+    shape(s); a mirrored solve runs in t = -s.  (y_k, y_k') at the panel ends
+    in t, and y_k'' at each panel's stages (zero past the far end)."""
+
+    edges: np.ndarray
+    states: np.ndarray  # (P + 1, K, 2)
+    forcing: np.ndarray  # (P + 1, K, _STAGES)
+    mirrored: bool
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        t = (-s if self.mirrored else s).ravel()
+        p = np.searchsorted(self.edges[1:], t, side="right")
+        h = self.edges[1] - self.edges[0]
+        theta = (t - self.edges[p]) / h
+        y, dy = self.states[p].transpose(2, 0, 1)
+        if theta.any():  # off the panel ends
+            a, f = _basis_integrals(theta), self.forcing[p]
+            y = y + (h * theta)[:, None] * dy + h * h * np.einsum("ns,nks->nk", a @ _TABLEAU, f)
+            dy = dy + h * np.einsum("ns,nks->nk", a, f)
+        return np.concatenate([y, -dy if self.mirrored else dy], axis=1).T.reshape(-1, *s.shape)
+
+
+def _coefficient_solve(profile: CurvatureProfile, centre, terms: int, what: str,
+                       mirrored: bool = False) -> CoefficientSolution:
+    """The Taylor coefficients about c, y_k'' = (V - c) y_k - y_{k-1} for
+    k < terms, with y_0 = 1 and all other start data zero at s = -1 (+1
+    when mirrored): the shooting solution at c + d is sum_k d^k y_k."""
+    panels = _panel_count(profile.sup_gamma**2 / 4.0 + abs(centre))
+    if panels > MAX_SHOOT_PANELS:
+        raise IntegrationError(f"{what} needs {panels} panels, more than {MAX_SHOOT_PANELS}")
+    edges = np.linspace(-1.0, 1.0, panels + 1)
+    h = edges[1] - edges[0]
+    t = edges[:-1, None] + h * _NODES
+    q = -0.25 * profile.gamma(-t if mirrored else t) ** 2 - centre
+    # Term k's stage values from its start data and term k - 1's stages:
+    # (I - h^2 A^2 diag q) Y_k = y_k + h c y_k' - h^2 A^2 Y_{k-1}.
+    inv = np.linalg.inv(np.eye(_STAGES) - h * h * _TABLEAU_SQ * q[:, None, :])
+    stages = [inv @ np.stack([np.ones(_STAGES), h * _NODES], axis=1)]
+    for _ in range(1, terms):
+        stages.append(-h * h * inv @ (_TABLEAU_SQ @ stages[-1]))
+    # y'' at the stages of term j + m from the start data of term j, block
+    # lower-triangular Toeplitz in (k, j): the stage y'' are response @ state.
+    blocks = [q[..., None] * y - prev for y, prev in zip(stages, [0.0] + stages)]
+    lag = np.subtract.outer(np.arange(terms), np.arange(terms))
+    response = np.stack(blocks + [0.0 * blocks[0]])[np.where(lag < 0, terms, lag)]
+    response = response.transpose(2, 0, 3, 1, 4)  # (P, K, stage, K, 2)
+    # The panel map: y(1) = y + h y' + h^2 (b (1 - c)) . F, y'(1) = y' + h b . F.
+    ends = np.stack([h * h * _WEIGHTS * (1.0 - _NODES), h * _WEIGHTS])
+    maps = np.einsum("is,pksjn->pkijn", ends, response).reshape(panels, 2 * terms, 2 * terms)
+    maps += np.kron(np.eye(terms), [[1.0, h], [0.0, 1.0]])
+    states = np.zeros((panels + 1, 2 * terms), dtype=q.dtype)
+    states[0, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in range(panels):
+            states[p + 1] = maps[p] @ states[p]
+        forcing = response.reshape(panels, terms * _STAGES, -1) @ states[:-1, :, None]
+    forcing = np.pad(forcing.reshape(panels, terms, _STAGES), ((0, 1), (0, 0), (0, 0)))
+    if not (np.isfinite(states).all() and np.isfinite(forcing).all()):
+        raise IntegrationError(f"{what} overflowed")
+    return CoefficientSolution(edges, states.reshape(panels + 1, terms, 2), forcing, mirrored)
+
+
+def shoot(profile: CurvatureProfile, z: complex) -> ShootingSolution:
     """Both shooting solutions with dense output over [-1, 1]: the 1-term
     coefficient solves about z."""
     z = complex(z)
-    left, right = (_coefficient_ivp(profile, z, 1, s0, -s0, rtol, atol, f"shooting at z={z}")
-                   for s0 in (-1.0, 1.0))
+    left, right = (_coefficient_solve(profile, z, 1, f"shooting at z={z}", mirrored)
+                   for mirrored in (False, True))
     # At s = +1 the right solution is exactly (1, 0), so Wv = zeta'(+1).
-    wr = complex(left.y[1, -1])
-    mesh = np.union1d(left.t, right.t[::-1])
-    return ShootingSolution(z, left.sol, right.sol, wr, mesh)
+    return ShootingSolution(z, left, right, complex(left.states[-1, 0, 1]), left.edges)
 
 
 @dataclass(frozen=True)
@@ -203,7 +257,7 @@ class _TaylorSide:
     coefficients (y_0..y_{K-1}, y_0'..y_{K-1}') about c and the powers
     d^0..d^(K-1)."""
 
-    coefficients: object  # scipy OdeSolution
+    coefficients: CoefficientSolution
     powers: np.ndarray
 
     def __call__(self, s):
@@ -225,8 +279,8 @@ class TaylorShooting:
     hold eta_k(-1), zeta_k(+1) and W_k = zeta_k'(+1), k < SERIES_TERMS.
     """
 
-    left: object
-    right: object
+    left: CoefficientSolution
+    right: CoefficientSolution
     eta_start: np.ndarray
     zeta_end: np.ndarray
     wronskian: np.ndarray
@@ -255,15 +309,12 @@ class TaylorShooting:
 @lru_cache(maxsize=8)
 def taylor_shooting(profile: CurvatureProfile) -> TaylorShooting:
     """The Taylor coefficients of both shooting solutions (cached)."""
-    left, right = (_coefficient_ivp(profile, 0.0, SERIES_TERMS, s0, -s0, _SERIES_RTOL,
-                                    _SERIES_ATOL, "the Taylor coefficient solve")
-                   for s0 in (-1.0, 1.0))
-    end = left.sol(1.0)
-    arrays = (right.sol(-1.0)[:SERIES_TERMS], end[:SERIES_TERMS], end[SERIES_TERMS:],
-              np.union1d(left.t, right.t[::-1]))
+    left, right = (_coefficient_solve(profile, 0.0, SERIES_TERMS, "the Taylor solve", mirrored)
+                   for mirrored in (False, True))
+    arrays = (right.states[-1, :, 0], *left.states[-1].T, left.edges)
     for arr in arrays:
         arr.setflags(write=False)
-    return TaylorShooting(left.sol, right.sol, *arrays)
+    return TaylorShooting(left, right, *arrays)
 
 
 def wronskian_values(solution: ShootingSolution, s) -> np.ndarray:
@@ -282,17 +333,15 @@ def _free_eigenvalue(n):
 def _free_mode_values(s: np.ndarray, n_basis: int) -> np.ndarray:
     """Matrix of the Neumann cosine modes, shape (len(s), n_basis)."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty((s.size, n_basis))
+    out = np.cos(np.arange(n_basis) * np.pi * (s[:, None] + 1.0) / 2.0)
     out[:, 0] = 1.0 / math.sqrt(2.0)
-    for k in range(2, n_basis + 1):
-        out[:, k - 1] = np.cos((k - 1) * np.pi * (s + 1.0) / 2.0)
     return out
 
 
 def _gauss_panels(lo: np.ndarray, hi: np.ndarray, order: int):
     """Gauss-Legendre nodes and weights of the given order on each panel
     [lo_i, hi_i], as two arrays of shape (panels, order)."""
-    nodes, weights = roots_legendre(order)
+    nodes, weights = _gauss_rule(order)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     return mid[:, None] + half[:, None] * nodes[None, :], half[:, None] * weights[None, :]
@@ -305,6 +354,13 @@ def _panel_nodes(a: float, b: float, panels: int, order: int):
     return pts.ravel(), wts.ravel()
 
 
+@lru_cache(maxsize=4)
+def _galerkin_basis(n_basis: int):
+    """The Galerkin rule (200 panels of 10 Gauss nodes) and the cosine basis on it."""
+    pts, wts = _panel_nodes(-1.0, 1.0, 200, 10)
+    return pts, wts, _free_mode_values(pts, n_basis)
+
+
 @lru_cache(maxsize=8)
 def _galerkin_eigenpairs(profile: CurvatureProfile, n_modes: int):
     """Lowest ``n_modes`` eigenpairs of the vertex Hamiltonian in the cosine basis.
@@ -314,8 +370,7 @@ def _galerkin_eigenpairs(profile: CurvatureProfile, n_modes: int):
     and the free Neumann eigenvalues mu of that basis.
     """
     n_basis = n_modes + 60
-    pts, wts = _panel_nodes(-1.0, 1.0, 200, 10)
-    basis = _free_mode_values(pts, n_basis)
+    pts, wts, basis = _galerkin_basis(n_basis)
     v = -0.25 * profile.gamma(pts) ** 2
     ham = basis.T @ (basis * (wts * v)[:, None])
     mu = _free_eigenvalue(np.arange(1, n_basis + 1))
@@ -337,8 +392,9 @@ class EigenFunction:
 
     n: int
     lam: float
-    _sol: object  # callable: s -> (zeta, zeta') at s
-    scale: float  # sign/norm applied to zeta
+    _sol: _TaylorSide
+    scale: float  # 1 / ||zeta||; zeta(-1) = 1 fixes the sign
+    rule: tuple  # Gauss nodes and weights on [-1, 1]: its solve's stage nodes
 
     def value(self, s):
         return self._sol(np.asarray(s))[0] * self.scale
@@ -356,13 +412,10 @@ class EigenFunction:
 
 
 def _eigenfunction(n: int, lam: float, side: _TaylorSide) -> EigenFunction:
-    """Normalise zeta, signed positive at s = -1 when that value is
-    resolvable, else at the first resolvable grid point."""
-    grid = np.linspace(-1.0, 1.0, VERTEX_GRID_POINTS)
-    vals = side(grid)[0]
-    norm = float(np.sqrt(simpson(vals * vals, x=grid)))
-    anchor = vals[np.argmax(np.abs(vals) > 1e-8 * float(np.max(np.abs(vals))))]
-    return EigenFunction(n, lam, side, math.copysign(1.0 / norm, anchor))
+    """Normalise zeta by its stage values and Gauss weights."""
+    rule = _panel_nodes(-1.0, 1.0, len(side.coefficients.edges) - 1, _STAGES)
+    vals = side(rule[0])[0]
+    return EigenFunction(n, lam, side, 1.0 / math.sqrt(rule[1] @ (vals * vals)), rule)
 
 
 def _eigenpair(profile: CurvatureProfile, galerkin: np.ndarray, k: int) -> EigenFunction:
@@ -378,9 +431,8 @@ def _eigenpair(profile: CurvatureProfile, galerkin: np.ndarray, k: int) -> Eigen
     g = float(galerkin[k])
     upper = 0.5 * float(galerkin[k + 1] - g)
     lower = 0.5 * float(g - galerkin[k - 1]) if k > 0 else upper
-    sol = _coefficient_ivp(profile, g, _EIGEN_TERMS, -1.0, 1.0, _SERIES_RTOL, _SERIES_ATOL,
-                           f"the eigenvalue {k + 1} solve")
-    wr = sol.y[_EIGEN_TERMS:, -1]
+    sol = _coefficient_solve(profile, g, _EIGEN_TERMS, f"the eigenvalue {k + 1} solve")
+    wr = sol.states[-1, :, 1]
     slope = wr[1:] * np.arange(1, _EIGEN_TERMS)
     d = 0.0
     for _ in range(_NEWTON_STEPS):
@@ -390,7 +442,7 @@ def _eigenpair(profile: CurvatureProfile, galerkin: np.ndarray, k: int) -> Eigen
             break
         if abs(step) <= _NEWTON_TOL * max(1.0, abs(g)):
             return _eigenfunction(k + 1, g + d,
-                                  _TaylorSide(sol.sol, d ** np.arange(_EIGEN_TERMS)))
+                                  _TaylorSide(sol, d ** np.arange(_EIGEN_TERMS)))
     raise SpectrumError(f"no shooting root within the Galerkin gap around "
                         f"eigenvalue {k + 1} ({g:.6g})")
 

@@ -166,7 +166,7 @@ def test_criterion_6_structural_identities(bump05, zero_profile):
         assert check_potential_identity(bump05, 0.3, grid) <= 1e-8
 
         sol_sh = shoot(bump05, 1 + 1j)
-        wv = wronskian_values(sol_sh, sol_sh.mesh)
+        wv = wronskian_values(sol_sh, np.union1d(sol_sh.mesh, np.linspace(-1, 1, 2001)))
         assert np.max(np.abs(wv - sol_sh.wronskian)) / abs(sol_sh.wronskian) <= 1e-8
 
         from wglimit.kernels import ExpDecay

@@ -61,7 +61,7 @@ class TestKernelCommand:
         def no_shooting(*args, **kwargs):
             raise AssertionError("the series route must not integrate")
 
-        monkeypatch.setattr(vertex_spectrum, "solve_ivp", no_shooting)
+        monkeypatch.setattr(vertex_spectrum, "_coefficient_solve", no_shooting)
         assert main(["kernel", "--profile", "bump:0.5", "--z", "1,1", "--grid", "3",
                      "--mode", "series", "--out", str(tmp_path / "k.csv")]) == 0
 
@@ -69,6 +69,20 @@ class TestKernelCommand:
         # the free Neumann kernel overflows in cmath; a discarded shoot used to fail first
         assert main(["kernel", "--profile", "zero", "--z=-1e6,1", "--mode", "series",
                      "--out", str(tmp_path / "k.csv")]) == 3
+
+    @pytest.mark.parametrize("z", ["-2e5,1", "-1e6,1"])
+    def test_shooting_overflow_exit_code(self, tmp_path, z):
+        # zeta grows like exp(2 sqrt(-z)) and overflows; nothing is written
+        out = tmp_path / "k.csv"
+        assert main(["kernel", "--profile", "zero", f"--z={z}", "--out", str(out)]) == 3
+        assert not out.exists() or not any(
+            word in out.read_text().lower() for word in ("nan", "inf"))
+
+    def test_shooting_at_the_largest_admitted_z(self, tmp_path):
+        out = tmp_path / "k.csv"
+        assert main(["kernel", "--profile", "zero", "--z=1e6,1", "--grid", "3",
+                     "--out", str(out)]) == 0
+        assert np.isfinite(np.array(read_csv(out)[1:], dtype=float)).all()
 
     def test_shooting_cap_exit_code(self, tmp_path):
         # about 1e9 right-hand-side evaluations uncapped; the cap stops it
@@ -262,7 +276,8 @@ class TestSweepCommands:
                      "--eps-grid", "0.5,0.25", "--out", str(out)]) == 0
         failures = json.loads((tmp_path / "cap.csv.json").read_text())["failures"]
         assert len(failures) == 2
-        assert all("right-hand-side evaluations" in f["error"] for f in failures)
+        cap = f"more than {vertex_spectrum.MAX_SHOOT_PANELS}"
+        assert all(cap in f["error"] for f in failures)
 
     def test_real_p_accepted(self, tmp_path):
         out = tmp_path / "p.csv"

@@ -210,7 +210,7 @@ class TestTaylorRoute:
         for arg in (0.5, 1.3, 2.9):
             w = radius * cmath.exp(1j * arg)
             taylor = vertex_kernel_at(profile, w)
-            ref = shoot(profile, w, rtol=1e-13, atol=1e-16)
+            ref = shoot(profile, w)
             # corners * Wv is the numerator N(w) = [[eta(-1), 1], [1, zeta(+1)]]
             num, ref_num = taylor.corners() * taylor.wronskian, ref.corners() * ref.wronskian
             scale = np.max(np.abs(ref_num))

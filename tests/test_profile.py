@@ -240,6 +240,22 @@ class TestTuneToResonance:
         wr = taylor_shooting(tuned2).wronskian
         assert abs(wr[0] / wr[1]) <= 1e-13
 
+    def test_two_term_wronskian_is_the_taylor_one(self, tuned2):
+        # the tuning polish reads W_0, W_1 from a one-sided 2-term solve
+        from wglimit.vertex_spectrum import _coefficient_solve, taylor_shooting
+
+        two = _coefficient_solve(tuned2, 0.0, 2, "test").states[-1, :, 1]
+        assert np.max(np.abs(two - taylor_shooting(tuned2).wronskian[:2])) <= 1e-15
+
+    def test_tuning_adds_at_most_one_taylor_solve(self, bump05):
+        from wglimit import profile
+        from wglimit.vertex_spectrum import taylor_shooting
+
+        profile._tuned_amplitude.cache_clear()
+        taylor_shooting.cache_clear()
+        tune_to_resonance(bump05, 2)
+        assert taylor_shooting.cache_info().currsize <= 1
+
     def test_classifies_as_resonant(self, tuned2):
         from wglimit.vertex_spectrum import classify
 

@@ -5,7 +5,6 @@ import struct
 
 import numpy as np
 import pytest
-from scipy.integrate import OdeSolution
 
 import wglimit.residual as residual
 from wglimit import (
@@ -25,7 +24,7 @@ from wglimit.residual import (
     residual_field,
     vertex_subtracted_norms,
 )
-from wglimit.vertex_spectrum import taylor_shooting
+from wglimit.vertex_spectrum import CoefficientSolution, taylor_shooting
 
 from conftest import log_slope, plain_geometry
 
@@ -270,14 +269,14 @@ class TestQuadratureTable:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(residual, name, counted)
         n_nodes = residual.QUADRATURE_PANELS[0] * residual.QUADRATURE_ORDER
-        call = OdeSolution.__call__
+        call = CoefficientSolution.__call__
 
-        def dense(self, t):
-            if np.size(t) == n_nodes:
+        def dense(self, s):
+            if np.size(s) == n_nodes:
                 counts["dense"].append(self)
-            return call(self, t)
+            return call(self, s)
 
-        monkeypatch.setattr(OdeSolution, "__call__", dense)
+        monkeypatch.setattr(CoefficientSolution, "__call__", dense)
         return counts
 
     def test_fixed_ratio_sweep_builds_the_tables_once(self, bump05, counts):

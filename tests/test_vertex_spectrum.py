@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import cmath
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +17,17 @@ from wglimit.cli import main
 from wglimit.profile import _amplitude_slope
 from wglimit.vertex_spectrum import (
     MAX_EIGENVALUE_COUNT,
+    IntegrationError,
     SpectrumError,
     _galerkin_eigenpairs,
     _eigenpair,
     classify_case,
     eigenvalue_by_index,
+    taylor_shooting,
     wronskian_values,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 NEUMANN = [0.0, np.pi**2 / 4, np.pi**2, 9 * np.pi**2 / 4]
 
@@ -50,8 +58,9 @@ class TestShoot:
         assert abs(sol.eta_prime(1.0)) < 1e-12
 
     def test_wronskian_constancy(self, bump05):
+        # the panel ends and the dense output between them
         sol = shoot(bump05, 1 + 0.5j)
-        w = wronskian_values(sol, sol.mesh)
+        w = wronskian_values(sol, np.union1d(sol.mesh, np.linspace(-1, 1, 2001)))
         ref = sol.wronskian
         assert np.max(np.abs(w - ref)) / abs(ref) < 1e-8
 
@@ -73,6 +82,59 @@ class TestShoot:
         sq = cmath.sqrt(w)
         exact = -sq * cmath.sin(2 * sq)
         assert abs(sol.wronskian - exact) / abs(exact) < 1e-9
+
+
+class TestCollocation:
+    def test_tuned_wronskian_offset_against_mpmath(self):
+        # W_0 = zeta_0'(+1) at this amplitude is +1.041e-13 from a 30-digit
+        # mpmath odefun run; an adaptive DOP853 solve at rtol 1e-13 gave
+        # -7.96e-16
+        profile = CurvatureProfile("tuned_bump", 6.104017588677615, 2)
+        assert taylor_shooting(profile).wronskian[0] == pytest.approx(1.041e-13, abs=2e-15)
+
+    def test_halving_the_panels(self, bump05, monkeypatch):
+        z = 1e6 + 1j
+        fine = (shoot(bump05, z).wronskian, eigenvalue_by_index(bump05, 50))
+        panels = vertex_spectrum._panel_count
+        monkeypatch.setattr(vertex_spectrum, "_panel_count", lambda q: panels(q) // 2)
+        coarse = (shoot(bump05, z).wronskian, eigenvalue_by_index(bump05, 50))
+        for a, b in zip(fine, coarse):
+            assert abs(a - b) <= 1e-10 * abs(a)
+
+    def test_panel_cap_raises_before_any_work(self, zero_profile, monkeypatch):
+        monkeypatch.setattr(np.linalg, "inv", None)
+        with pytest.raises(IntegrationError, match="panels"):
+            shoot(zero_profile, 1e12)
+
+    def test_dense_output_is_the_collocation_polynomial(self, bump05):
+        # at the panel ends it reads the swept states; at the stage nodes
+        # it satisfies the equation zeta'' = (V - z) zeta
+        z = 3.0 + 1j
+        sol = shoot(bump05, z)
+        left = sol.zeta_sol
+        assert np.array_equal(left(sol.mesh), left.states[:, 0].T)
+        h = sol.mesh[1] - sol.mesh[0]
+        nodes = (sol.mesh[:-1, None] + h * vertex_spectrum._NODES).ravel()
+        q = -0.25 * bump05.gamma(nodes) ** 2 - z
+        assert np.max(np.abs(left.forcing[:-1, 0].ravel() - q * sol.zeta(nodes))) < 1e-12
+
+    def test_no_integrator_import(self, tmp_path):
+        # scipy.integrate, .special, .optimize and .sparse are not loaded
+        # by the CLI, a tuned spectrum or a coupling sweep
+        script = f"""
+import sys
+from wglimit.cli import main
+assert main(["spectrum", "--profile", "tuned:2", "--out", r"{tmp_path / 's.csv'}"]) == 0
+assert main(["coupling", "--profile", "bump:0.5", "--z", "0,1", "--eps-grid",
+             "2^-3..2^-5", "--p1", "1,0", "--out", r"{tmp_path / 'c.csv'}"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[:2] in (
+    ["scipy", "integrate"], ["scipy", "special"], ["scipy", "optimize"], ["scipy", "sparse"])))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip().splitlines()[-1] == "[]"
 
 
 class TestEigenvalues:
@@ -128,12 +190,14 @@ class TestEigenvalues:
                 - fn.lam * fn.value(grid)
             assert np.sqrt(np.mean(resid**2)) < 1e-7
 
-    def test_wronskian_vanishes_at_eigenvalues(self, bump05):
+    def test_wronskian_vanishes_at_eigenvalues(self, bump05, monkeypatch):
         spec = eigenvalues(bump05, 4, 1e-9)
+        # measure on twice the panels so that integration noise does not
+        # mask the root quality
+        panels = vertex_spectrum._panel_count
+        monkeypatch.setattr(vertex_spectrum, "_panel_count", lambda q: 2 * panels(q))
         for lam in spec.eigenvalues:
-            # measure with the refinement-grade integrator so integration
-            # noise does not mask the root quality
-            sol = shoot(bump05, float(lam), rtol=1e-12, atol=1e-14)
+            sol = shoot(bump05, float(lam))
             assert abs(sol.wronskian) < 1e-10 * max(1.0, abs(lam))
 
     def test_spectrum_continuity_in_amplitude(self):
@@ -153,9 +217,9 @@ class TestEigenvalues:
     def test_one_solve_per_eigenpair(self, monkeypatch):
         vertex_spectrum._shooting_eigenpairs.cache_clear()
         calls = []
-        ivp = vertex_spectrum.solve_ivp
-        monkeypatch.setattr(vertex_spectrum, "solve_ivp",
-                            lambda *args, **kw: calls.append(1) or ivp(*args, **kw))
+        solve = vertex_spectrum._coefficient_solve
+        monkeypatch.setattr(vertex_spectrum, "_coefficient_solve",
+                            lambda *args, **kw: calls.append(1) or solve(*args, **kw))
         eigenvalues(CurvatureProfile.bump(0.4321), 5)
         assert len(calls) == 5
 

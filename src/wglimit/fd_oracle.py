@@ -35,6 +35,9 @@ dense M x M block, line by line, which fills nothing) factors only the
 backward error max |b - A y| / (|A| |y| + |b|) (``FDSolution.solve_residual``)
 are taken against this structured operator, the latter over every row: a
 cut that is too short shows as the residual of the first line past it.
+
+LAPACK comes from scipy.linalg, imported by the solvers at their first call:
+importing this module (and so the CLI) loads no scipy.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, lapack
 
 from .profile import CurvatureProfile, geometry_fields
 from .residual import chi_mode
@@ -118,6 +120,7 @@ class FDEigenResult:
 
 def _tridiag_eigen(profile: CurvatureProfile, grid: Grid1D, count: int,
                    vectors: bool):
+    from scipy.linalg import eigh_tridiagonal  # at first use: analytic commands never load scipy
     h = grid.h
     pts = grid.points
     v = -0.25 * profile.gamma(pts) ** 2
@@ -457,6 +460,7 @@ def _strip_factor(diag: np.ndarray, off: np.ndarray, d: np.ndarray):
     and G_j = U_j^-1 C_j, by getrf and getrs; forward w_j = U_j^-1 (r_j - C_{j-1} w_{j-1}),
     back x_J = w_J and x_j = w_j - G_j x_{j+1}.  A real block times a complex one is one
     real product on the (re, im) columns of the complex one."""
+    from scipy.linalg import lapack  # at first use: analytic commands never load scipy
     J, M = off.shape[0], diag.shape[1]
     factors, gain = [], np.empty((J, M, M), dtype=complex)
     u = diag[0].astype(complex)
@@ -491,6 +495,7 @@ def _block_solve(system: _SineSystem, b: np.ndarray) -> np.ndarray:
     its interface end.  The strip, with the chains' Schur complement
     -w_s^2 g on its interface lines, is solved by ``_strip_factor``.
     """
+    from scipy.linalg import lapack  # at first use: analytic commands never load scipy
     grid, w_s, live, start = system.grid, system.w_s, system.live, system.start
     J, M, N = grid.n_vertex, grid.n_u, len(system.chain_diag)
     diag = system.strip_diag.copy()

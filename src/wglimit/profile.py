@@ -325,8 +325,12 @@ def _tuned_amplitude(target_index: int) -> float:
         prof = CurvatureProfile("tuned_bump", amp, target_index)
         return float(vs._galerkin_eigenpairs(prof, target_index + 1)[0][target_index - 1])
 
+    # gamma = A b, so the Galerkin Hamiltonian at A is A^2 P_1 + diag(mu), P_1
+    # that of -b^2/4: the grid's eigenvalues are one batched solve.
     grid = np.linspace(0.5, TUNED_AMPLITUDE_CAP, 16)
-    vals = [galerkin_lam(float(amp)) for amp in grid]
+    unit, mu = vs._galerkin_matrices(CurvatureProfile("tuned_bump", 1.0, target_index),
+                                     target_index + 1)
+    vals = np.linalg.eigvalsh(grid[:, None, None] ** 2 * unit + np.diag(mu))[:, target_index - 1]
     k = next((k for k in range(len(grid) - 1) if vals[k] * vals[k + 1] <= 0.0), None)
     if k is None:
         raise ProfileError(

@@ -41,7 +41,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 from numpy.polynomial.polynomial import polyval
-from scipy.linalg import eigh
 
 from .profile import CurvatureProfile
 
@@ -361,6 +360,16 @@ def _galerkin_basis(n_basis: int):
     return pts, wts, _free_mode_values(pts, n_basis)
 
 
+def _galerkin_matrices(profile: CurvatureProfile, n_modes: int):
+    """The Galerkin Hamiltonian for the lowest ``n_modes`` eigenpairs as P + diag(mu):
+    P the matrix of the potential -gamma^2/4 in n_modes + 60 cosines, mu their free
+    Neumann eigenvalues."""
+    n_basis = n_modes + 60
+    pts, wts, basis = _galerkin_basis(n_basis)
+    v = -0.25 * profile.gamma(pts) ** 2
+    return basis.T @ (basis * (wts * v)[:, None]), _free_eigenvalue(np.arange(1, n_basis + 1))
+
+
 @lru_cache(maxsize=8)
 def _galerkin_eigenpairs(profile: CurvatureProfile, n_modes: int):
     """Lowest ``n_modes`` eigenpairs of the vertex Hamiltonian in the cosine basis.
@@ -369,13 +378,9 @@ def _galerkin_eigenpairs(profile: CurvatureProfile, n_modes: int):
     coefficient columns in the orthonormal cosine basis of size n_basis,
     and the free Neumann eigenvalues mu of that basis.
     """
-    n_basis = n_modes + 60
-    pts, wts, basis = _galerkin_basis(n_basis)
-    v = -0.25 * profile.gamma(pts) ** 2
-    ham = basis.T @ (basis * (wts * v)[:, None])
-    mu = _free_eigenvalue(np.arange(1, n_basis + 1))
-    ham[np.diag_indices_from(ham)] += mu
-    lams, coef = eigh(ham)
+    potential, mu = _galerkin_matrices(profile, n_modes)
+    lams, coef = np.linalg.eigh(potential + np.diag(mu))
+    n_basis = len(mu)
     # Align eigenvector signs with the free modes they perturb.
     for n in range(n_basis):
         if coef[n, n] < 0:

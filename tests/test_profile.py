@@ -256,6 +256,18 @@ class TestTuneToResonance:
         tune_to_resonance(bump05, 2)
         assert taylor_shooting.cache_info().currsize <= 1
 
+    def test_amplitude_grid_is_one_batched_solve(self, bump05):
+        # the 16-point scan takes no per-amplitude Galerkin eigensolve, and
+        # the tuned amplitude is unchanged
+        from wglimit import profile
+        from wglimit.vertex_spectrum import _galerkin_eigenpairs
+
+        profile._tuned_amplitude.cache_clear()
+        _galerkin_eigenpairs.cache_clear()
+        tune_to_resonance(bump05, 2)
+        assert _galerkin_eigenpairs.cache_info().misses <= 8
+        assert profile._tuned_amplitude(2) == 6.104017588677533
+
     def test_classifies_as_resonant(self, tuned2):
         from wglimit.vertex_spectrum import classify
 

@@ -194,14 +194,15 @@ def geometry_residual_fields(profile: CurvatureProfile, s, u, ratio: float) -> d
     gam2 = profile.gamma(s, 2)
     b = u * ratio * gam
     a = 1.0 + b
-    inv_g_minus_1 = -b * (2.0 + b) / (a * a)
+    two_plus_b, a_sq, a_cube = 2.0 + b, a * a, a**3
+    inv_g_minus_1 = -b * two_plus_b / a_sq
     urg1 = u * ratio * gam1
     w_plus = (
-        0.25 * gam * gam * b * (2.0 + b) / (a * a)
-        + 0.5 * (u * ratio * gam2) / a**3
+        0.25 * gam * gam * b * two_plus_b / a_sq
+        + 0.5 * (u * ratio * gam2) / a_cube
         - 1.25 * urg1 * urg1 / a**4
     )
-    ds_inv_g = -2.0 * urg1 / a**3
+    ds_inv_g = -2.0 * urg1 / a_cube
     return {
         "inv_g_minus_1": inv_g_minus_1,
         "w_plus_quarter_gamma_sq": w_plus,

@@ -19,6 +19,18 @@ collapses to first-order data only:
                + (W + gamma^2/4) phi - (d/ds 1/g) phi'] * chi_n(u),
 
 and the energy-space residual norm is eps^(-3/2) ||R||_{L2(V)}.
+
+At a fixed ratio delta/eps the bracket is a phi + b (eps^2 z phi) - c phi'
+with real columns a = (1/g - 1) gamma^2/4 + (W + gamma^2/4), b = 1/g - 1
+and c = d/ds(1/g) that do not depend on eps.  So the u-sum of the tensor
+Gauss rule at an s-node is ||R(s) X(s)||^2, with X = (phi, eps^2 z phi,
+-phi') and R(s) the 3x3 R factor of the columns on the u-nodes scaled by
+sqrt(u-weight chi_n^2): ``residual_norms`` factors once per ratio, and each
+point then costs O(S) instead of O(S U).  R comes from a QR, not from the
+Gram matrix, because to first order in the ratio all three columns are
+u * ratio times a function of s, so they are nearly collinear, and a Gram
+quadratic form loses digits to the square of their condition number where
+||R X||^2, like the pointwise sum, loses them to its first power.
 """
 
 from __future__ import annotations
@@ -48,7 +60,6 @@ __all__ = [
     "data_norm",
     "residual_field",
     "residual_norms",
-    "vertex_subtracted_norms",
 ]
 
 MIN_QUADRATURE_ORDER = 4
@@ -196,12 +207,13 @@ class ResidualQuadrature:
     profile, transverse index, edge data, case and quadrature rule; a
     sweep builds one for all its points.
 
-    Nodes, weights, chi_n^2, the data norm and, in the resonant case,
-    ||y*'|| are fixed at build.  Two tables are memoised on their input:
-    the Taylor coefficients at the s-nodes on the coefficient solutions
-    they come from (a shot kernel is evaluated at the nodes instead), and
-    the geometry fields on the exact float ratio delta/eps of the last
-    point, so a power-rule sweep recomputes them at every point.
+    Per sweep (at build): nodes, weights, sqrt(u-weights chi_n^2), the data
+    norm and, in the resonant case, ||y*'||.  Per Taylor coefficient solve:
+    its values at the s-nodes (a shot kernel is evaluated at the nodes at
+    every point instead).  Per ratio delta/eps, as an exact float: the
+    geometry fields and from them the R factors, so a power-rule sweep
+    refactors at every point.  Per point ``residual_norms`` adds only
+    (phi, phi') at the s-nodes and sum_s w_s ||R(s) X(s)||^2.
     """
 
     profile: CurvatureProfile
@@ -215,12 +227,16 @@ class ResidualQuadrature:
     s_wts: np.ndarray
     u_pts: np.ndarray
     u_wts: np.ndarray
-    chi_sq: np.ndarray
+    u_scale: np.ndarray  # sqrt(u_wts chi_n^2)
     data_norm: float
     star_derivative_norm: float | None
-    # memos: (ratio, its geometry fields) and (left, right, their node values)
-    _fields: tuple = field(default=(None, None), init=False, repr=False)
+    # memos: (ratio, its R factors, its fields) and (left, right, their node values)
+    _factors: tuple = field(default=(None,) * 3, init=False, repr=False)
     _sides: tuple = field(default=(None,) * 4, init=False, repr=False)
+    _columns: np.ndarray = field(init=False, repr=False)  # (S, 3, U), rewritten per ratio
+
+    def __post_init__(self) -> None:
+        self._columns = np.empty((self.s_pts.size, 3, self.u_pts.size))
 
     @staticmethod
     def build(profile: CurvatureProfile, n: int, f1, f2, case: CaseLabel,
@@ -235,7 +251,8 @@ class ResidualQuadrature:
             star = _star_function(profile, case)
             dnorm = float(np.sqrt(star.rule[1] @ star.derivative(star.rule[0]) ** 2))
         return ResidualQuadrature(profile, n, f1, f2, case, quadrature_order, tuple(panels),
-                                  s_pts, s_wts, u_pts, u_wts, chi_mode(n, u_pts) ** 2,
+                                  s_pts, s_wts, u_pts, u_wts,
+                                  np.sqrt(u_wts * chi_mode(n, u_pts) ** 2),
                                   data_norm(f1, f2), dnorm)
 
     def serves(self, sol: ApproxSolution, quadrature_order: int, panels) -> bool:
@@ -244,12 +261,24 @@ class ResidualQuadrature:
                 == (sol.profile, sol.n, sol.f1, sol.f2, sol.case)
                 and (self.quadrature_order, self.panels) == (quadrature_order, tuple(panels)))
 
-    def fields(self, ratio: float) -> dict:
-        """The geometry fields on the node grid at this ratio."""
-        if self._fields[0] != ratio:
-            self._fields = (ratio, geometry_residual_fields(
-                self.profile, self.s_pts[:, None], self.u_pts[None, :], ratio))
-        return self._fields[1]
+    def factors(self, ratio: float) -> np.ndarray:
+        """R(s) at this ratio, shape (S, 3, 3): at each s-node, the R factor
+        of the columns (a, b, c) of the module docstring on the u-nodes,
+        scaled by sqrt(u_wts chi_n^2) and written into one (S, 3, U) array."""
+        if self._factors[0] != ratio:
+            f = geometry_residual_fields(self.profile, self.s_pts[:, None],
+                                         self.u_pts[None, :], ratio)
+            cols = self._columns
+            np.multiply(f["inv_g_minus_1"], 0.25 * f["gamma_sq"], out=cols[:, 0])
+            cols[:, 0] += f["w_plus_quarter_gamma_sq"]
+            cols[:, 0] *= self.u_scale
+            np.multiply(f["inv_g_minus_1"], self.u_scale, out=cols[:, 1])
+            np.multiply(f["ds_inv_g"], self.u_scale, out=cols[:, 2])
+            # f stays referenced until the next ratio's fields exist: freed
+            # at once, malloc returns their pages to the system and the next
+            # ratio faults them back in (about 1200 page faults on the default rule)
+            self._factors = (ratio, np.linalg.qr(cols.transpose(0, 2, 1), mode="r"), f)
+        return self._factors[1]
 
     def vertex_profile(self, sol: ApproxSolution):
         """(phi, phi') of sol at the s-nodes, bit for bit its own values."""
@@ -281,7 +310,9 @@ class ResidualReport:
 def residual_norms(sol: ApproxSolution, quadrature_order: int = QUADRATURE_ORDER,
                    panels: tuple[int, int] = QUADRATURE_PANELS, *,
                    table: ResidualQuadrature | None = None) -> ResidualReport:
-    """Tensor Gauss-Legendre norm of the residual over the vertex strip.
+    """Tensor Gauss-Legendre norm of the residual over the vertex strip,
+    summed as sum_s w_s ||R(s) X(s)||^2 from the table's R factors at
+    delta/eps and X = (phi, eps^2 z phi, -phi') at the s-nodes.
 
     ``table`` holds the eps-independent work; a sweep passes the one it
     built for all its points, and without it a fresh one is built.
@@ -291,12 +322,10 @@ def residual_norms(sol: ApproxSolution, quadrature_order: int = QUADRATURE_ORDER
                                          quadrature_order, panels)
     elif not table.serves(sol, quadrature_order, panels):
         raise ValueError("the quadrature table was built for another solution or rule")
-    fields = table.fields(sol.ratio)
     phi, dphi = table.vertex_profile(sol)
-    bulk = _bulk(sol, fields, phi[:, None], dphi[:, None])
-    integrand = (np.abs(bulk) ** 2) * table.chi_sq[None, :]
-    l2_sq = float(np.einsum("i,ij,j->", table.s_wts, integrand, table.u_wts))
-    l2 = float(np.sqrt(max(l2_sq, 0.0)))
+    x = np.stack((phi, sol.epsilon**2 * sol.z * phi, -dphi), axis=1)
+    rx = table.factors(sol.ratio) @ np.stack((x.real, x.imag), axis=2)
+    l2 = float(np.sqrt(table.s_wts @ np.sum(rx * rx, axis=(1, 2))))
     hnorm = sol.epsilon ** (-1.5) * l2
 
     xi_abs = (float(abs(sol.coeffs.xi[0])), float(abs(sol.coeffs.xi[1])))
@@ -321,29 +350,3 @@ def residual_norms(sol: ApproxSolution, quadrature_order: int = QUADRATURE_ORDER
         epsilon=sol.epsilon,
         delta=sol.delta,
     )
-
-
-def vertex_subtracted_norms(sol: ApproxSolution) -> dict:
-    """Norms of the vertex profile minus its resonant principal part.
-
-    The principal part is  -(1/eps)(y*(s)/z)(xi . alpha) chi_n(u); the
-    returned ratios divide by eps (|xi1| + |xi2|), the scale the
-    difference is controlled by.
-    """
-    if not sol.case.resonant:
-        raise ValueError("subtracted norms are defined for the resonant case only")
-    ystar, contraction = _star_function(sol.profile, sol.case), _contraction(sol)
-    nodes, weights = ystar.rule
-    phi, dphi = sol.vertex_profile(nodes)
-    diff = phi + (contraction / (sol.epsilon * sol.z)) * ystar.value(nodes)
-    ddiff = dphi + (contraction / (sol.epsilon * sol.z)) * ystar.derivative(nodes)
-    norm = float(np.sqrt(weights @ np.abs(diff) ** 2))
-    dnorm = float(np.sqrt(weights @ np.abs(ddiff) ** 2))
-    xi_sum = float(abs(sol.coeffs.xi[0]) + abs(sol.coeffs.xi[1]))
-    scale = sol.epsilon * xi_sum
-    return {
-        "diff_norm": norm,
-        "diff_deriv_norm": dnorm,
-        "ratio": norm / scale if scale > 0 else 0.0,
-        "deriv_ratio": dnorm / scale if scale > 0 else 0.0,
-    }

@@ -22,7 +22,6 @@ from wglimit.residual import (
     chi_mode,
     data_norm,
     residual_field,
-    vertex_subtracted_norms,
 )
 from wglimit.vertex_spectrum import CoefficientSolution, taylor_shooting
 
@@ -160,32 +159,6 @@ class TestResidualNorms:
         assert max(ratios) / min(ratios) <= 3.0
 
 
-class TestVertexSubtractedNorms:
-    def test_case1_rejected(self, bump05):
-        sol = assemble(bump05, 1, Z, 0.2, 0.02, F1, None)
-        with pytest.raises(ValueError):
-            vertex_subtracted_norms(sol)
-
-    def test_zero_data(self, zero_profile):
-        sol = assemble(zero_profile, 1, Z, 0.1, 0.01, None, None)
-        out = vertex_subtracted_norms(sol)
-        assert out["diff_norm"] == 0.0 and out["ratio"] == 0.0
-
-    def test_bounded_along_sweep(self, zero_profile):
-        ratios = []
-        for k in range(3, 9):
-            sol = assemble(zero_profile, 1, Z, 2.0**-k, 0.1 * 2.0**-k, F1, None)
-            out = vertex_subtracted_norms(sol)
-            ratios.append(max(out["ratio"], out["deriv_ratio"]))
-        assert max(ratios) <= 2.0 * max(ratios[0], 1e-12)
-
-    def test_tuned_regression_value(self, tuned2):
-        # first-run calibration: finite ratio recorded for regression
-        sol = assemble(tuned2, 1, Z, 0.1, 0.01, F1, None)
-        out = vertex_subtracted_norms(sol)
-        assert 0.0 < out["ratio"] < 10.0
-
-
 def test_data_norm_closed_form():
     # ||exp(-s)||^2 = 1/2 over the half line
     assert data_norm(F1, None) == pytest.approx(np.sqrt(0.5), abs=1e-12)
@@ -230,6 +203,7 @@ class TestQuadratureTable:
         (tuple(2.0**-k for k in range(3, 8)), ("power", 2.0)),
         ((0.9, 0.3, 0.2, 0.1, 0.07), ("ratio", 0.1)),
     ]
+    RULES = [(residual.QUADRATURE_ORDER, residual.QUADRATURE_PANELS), (6, (32, 8))]
 
     @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05", "tuned2"])
     @pytest.mark.parametrize("eps_grid, delta_rule", SWEEPS)
@@ -244,6 +218,30 @@ class TestQuadratureTable:
                                        table=ctx.residual)
             direct = residual_norms(sol, cfg.quadrature_order, cfg.quadrature_panels)
             assert _bits(via_table) == _bits(direct)
+
+    @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05", "tuned2"])
+    @pytest.mark.parametrize("eps_grid, delta_rule", SWEEPS)
+    @pytest.mark.parametrize("order, panels", RULES)
+    def test_factored_norm_matches_pointwise_gauss_sum(self, profile_name, eps_grid,
+                                                       delta_rule, order, panels, request):
+        # sum_s w_s ||R(s) X(s)||^2 against the same tensor rule summed node
+        # by node over |residual_field|^2 (chi_n inside the field)
+        profile = request.getfixturevalue(profile_name)
+        cfg = dataclasses.replace(_residual_config(profile, eps_grid, delta_rule),
+                                  quadrature_order=order, quadrature_panels=panels)
+        ctx = SweepContext.build(cfg)
+        table = ctx.residual
+        for eps in eps_grid:
+            sol = _assemble(ctx, eps, delta_for(delta_rule, eps))
+            l2 = residual_norms(sol, order, panels, table=table).residual_l2_V
+            values = residual_field(sol, table.s_pts[:, None], table.u_pts[None, :])
+            brute = np.sqrt(table.s_wts @ np.abs(values) ** 2 @ table.u_wts)
+            if profile_name == "zero_profile":
+                assert not table.factors(sol.ratio).any()
+                assert l2 == 0.0
+            else:
+                assert brute > 0.0
+                assert abs(l2 - brute) <= 1e-13 * brute
 
     def test_third_grid_moves_the_ratio(self):
         grid, (_, r) = self.SWEEPS[2]

@@ -24,7 +24,10 @@ masked gets the largest relative change |a - b| / max(|a|, |b|) over its
 numbers, with the line it sits on, and a ``.json`` file also the largest
 change per key path (``tolerances.solve_residual``, ``rows[].mismatch``,
 list items folded into ``[]``), so a key whose definition changed does not
-hide the others; any other difference is reported as such.
+hide the others; any other difference is reported as such.  The last line
+sums up: the largest relative change of all, the number of files compared
+and of those byte-identical, and the file and key of that change (its
+line, outside ``.json``).
 """
 
 from __future__ import annotations
@@ -123,30 +126,43 @@ def json_changes(old: str, new: str) -> dict[str, float]:
 
 
 def diff_outputs(dir_a: Path, dir_b: Path) -> int:
-    """Print one line per file of two output directories; 1 if any differs
-    other than in its numbers or exists on one side only."""
+    """Print one line per file of two output directories and a summary
+    line; 1 if any differs other than in its numbers or exists on one side
+    only."""
     names_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
     names_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
-    status = 0
+    status = compared = identical = 0
+    worst = (0.0, None, None)  # relative change, file, key
     for name in sorted(names_a | names_b):
         if name not in names_a or name not in names_b:
             print(f"only in {dir_a if name in names_a else dir_b}: {name}")
             status = 1
             continue
+        compared += 1
         old = (dir_a / name).read_text(encoding="utf-8")
         new = (dir_b / name).read_text(encoding="utf-8")
         if old == new:
+            identical += 1
             print(f"identical  {name}")
             continue
         change = numeric_change(old, new)
         if change is None:
             print(f"text differs  {name}")
             status = 1
-        else:
-            print(f"max rel {change[0]:.2e} (line {change[1]})  {name}")
-            if name.suffix == ".json":
-                for path, rel in sorted(json_changes(old, new).items()):
-                    print(f"    max rel {rel:.2e}  {path}")
+            continue
+        print(f"max rel {change[0]:.2e} (line {change[1]})  {name}")
+        key = f"line {change[1]}"
+        if name.suffix == ".json":
+            keys = json_changes(old, new)
+            for path, rel in sorted(keys.items()):
+                print(f"    max rel {rel:.2e}  {path}")
+            if keys:
+                key = max(keys, key=keys.get)
+        if change[0] > worst[0]:
+            worst = (change[0], name, key)
+    where = f": {worst[1]} {worst[2]}" if worst[1] else ""
+    print(f"max rel {worst[0]:.2e} of {compared} files compared "
+          f"({identical} byte-identical){where}")
     return status
 
 

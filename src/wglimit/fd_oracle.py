@@ -27,14 +27,18 @@ falls like rho_k^l, rho_k the decaying root of its recurrence; past
 l ln|rho_k| <= -760 it is below the smallest subnormal, exactly 0, and the
 chain ends there.  The metric 1/g and the potential W are diagonal in u, so
 the J+1 interface and vertex lines form a block-tridiagonal strip of real
-symmetric blocks S diag(.) S plus a complex diagonal per mode.  The edges'
-Schur complement on the interface lines is the diagonal -w_s^2 g_near of
-the chains' unit response g, and a block LU (LAPACK getrf/getrs on each
-dense M x M block, line by line, which fills nothing) factors only the
-(J+1)*M strip.  One step of iterative refinement and the componentwise
-backward error max |b - A y| / (|A| |y| + |b|) (``FDSolution.solve_residual``)
-are taken against this structured operator, the latter over every row: a
-cut that is too short shows as the residual of the first line past it.
+symmetric blocks S diag(.) S, each assembled as Toeplitz minus Hankel from
+cosine sums, plus a complex diagonal per mode.  The edges' Schur complement
+on the interface lines is the diagonal -w_s^2 g_near of the chains' unit
+response g, and a twisted block LU (LAPACK getrf/getrs on each dense M x M
+block, from both ends in to the middle line, which fills nothing) factors
+only the (J+1)*M strip.  The vertex nodes are antisymmetric to the last bit,
+so an even profile's strip is its own mirror image, and at even J the two
+halves of the factorisation are one: half the lines are factored.  One step
+of iterative refinement and the componentwise backward error
+max |b - A y| / (|A| |y| + |b|) (``FDSolution.solve_residual``) are taken
+against this structured operator, the latter over every row: a cut that is
+too short shows as the residual of the first line past it.
 
 LAPACK comes from scipy.linalg, imported by the solvers at their first call:
 importing this module (and so the CLI) loads no scipy.
@@ -76,7 +80,8 @@ H_S = 1.0 / 64
 MAX_FD_UNKNOWNS = 1_000_000
 # Most entries in the strip's dense M x M blocks, M^2 (3J + 1), 3.3 times the benchmark's
 # refined bump grid: 21 bytes an entry (real diag, off, |diag|, |off|; complex LU of U_j and
-# U_j^-1 C_j: 64 bytes per M^2 and line), near 215 MB.
+# U_j^-1 C_j: 64 bytes per M^2 and line), near 215 MB.  That is the worst case, an
+# asymmetric strip; a mirrored one keeps the complex factors of about half its lines.
 MAX_FD_STRIP_ENTRIES = 10_000_000
 
 
@@ -226,7 +231,9 @@ class WaveguideGrid:
 
     @property
     def vertex_s(self) -> np.ndarray:
-        return -1.0 + np.arange(self.n_vertex + 1) * self.h_s
+        """h_s (j - J/2): antisymmetric to the last bit for every J, so an even
+        profile's strip is its own mirror image (``_strip_factor``)."""
+        return self.h_s * (np.arange(self.n_vertex + 1) - self.n_vertex / 2)
 
     @property
     def n_lines(self) -> int:
@@ -362,6 +369,22 @@ class _SineSystem:
         return psi
 
 
+def _sine_blocks(v: np.ndarray, hu: float) -> np.ndarray:
+    """S diag(v_j) S for each row v_j of v, (L, M) -> (L, M, M), as Toeplitz minus
+    Hankel: by 2 sin a sin b = cos(a - b) - cos(a + b), entry (i, k) is
+    T(|i - k|) - T(i + k), T(m) = h_u sum_l v_l cos(m l pi h_u), and one product
+    gives T at m = -(M - 1)..2M, of which both are strided views.  A mirrored v (rows
+    reversed) gives mirrored blocks, bit for bit: the product runs on its first half,
+    since BLAS may round equal rows differently by their position."""
+    M, rows = v.shape[1], np.arange(len(v))
+    if np.array_equal(v, v[::-1]):
+        rows = np.minimum(rows, rows[::-1])
+    k, m = np.arange(1, M + 1), np.abs(np.arange(1 - M, 2 * M + 1))
+    t = (v[: rows.max() + 1] @ (hu * np.cos(np.outer(k, m) * (math.pi * hu))))[rows]
+    t = np.lib.stride_tricks.sliding_window_view(t, M, axis=1)
+    return t[:, :M, ::-1] - t[:, M + 1:]
+
+
 def _sine_system(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
                  z: complex) -> _SineSystem:
     """The system of transverse mode n at z.  Line l carries w_l h_u (gap/delta^2 - z)
@@ -375,14 +398,15 @@ def _sine_system(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
     strip_diag = _line_weights(grid)[K - 1: K + J, None] * mode
     strip_diag[[0, J]] += hu / hs
 
-    sigma, u, ratio = grid.vertex_s[:, None], grid.u_nodes[None, :], grid.delta / eps
-    amid = geometry_fields(profile, sigma[:-1] + 0.5 * hs, u, ratio)["inv_g"]
-    w_pot = geometry_fields(profile, sigma[1:-1], u, ratio)["W"]
+    u, ratio = grid.u_nodes[None, :], grid.delta / eps
+    s_mid = hs * (np.arange(J) - (J - 1) / 2)  # h_s (j - J/2 + 1/2), antisymmetric as vertex_s
+    amid = geometry_fields(profile, s_mid[:, None], u, ratio)["inv_g"]
+    w_pot = geometry_fields(profile, grid.vertex_s[1:-1, None], u, ratio)["W"]
     on = np.empty((J + 1, M))
     on[[0, J]] = amid[[0, -1]]
     on[1:J] = amid[:-1] + amid[1:] + hs**2 * w_pot
     # diag[j] sits on strip line j, off[j] couples lines j and j + 1
-    diag, off = (hu / (eps * hs) * ((sine * v[:, None, :]) @ sine) for v in (on, -amid))
+    diag, off = (_sine_blocks(hu / (eps * hs) * v, hu) for v in (on, -amid))
 
     chain_diag, w_s = hs * mode + 2.0 * hu / hs, -hu / hs
     live = _live_lines(chain_diag, w_s, n, K - 1)
@@ -456,30 +480,52 @@ def _unflatten(grid: WaveguideGrid, psi: np.ndarray) -> WaveguideField:
 
 def _strip_factor(diag: np.ndarray, off: np.ndarray, d: np.ndarray):
     """solve(r) = x, both (J + 1, M), for the strip of blocks D_j = diag[j] + diag(d[j])
-    and C_j = off[j] on both sides of them.  Block LU: U_0 = D_0, U_j = D_j - C_{j-1} G_{j-1}
-    and G_j = U_j^-1 C_j, by getrf and getrs; forward w_j = U_j^-1 (r_j - C_{j-1} w_{j-1}),
-    back x_J = w_J and x_j = w_j - G_j x_{j+1}.  A real block times a complex one is one
-    real product on the (re, im) columns of the complex one."""
+    and C_j = off[j] on both sides of them.  Twisted block LU, met at line m = J // 2:
+    lines 0..m-1 by U_0 = D_0, U_j = D_j - C_{j-1} G_{j-1} and G_j = U_j^-1 C_j (getrf,
+    getrs), lines J..m+1 by the same sweep on the mirrored strip (every array reversed),
+    and Z = D_m - C_{m-1} G_{m-1} - C_m H_{m+1} on line m.  When J is even and the
+    mirrored arrays equal the originals, the second sweep is the first: half the lines
+    are factored.  The solve runs forward from both ends, solves Z, and substitutes
+    back outward.  A real block times a complex one is one real product on the
+    (re, im) columns of the complex one."""
     from scipy.linalg import lapack  # at first use: analytic commands never load scipy
     J, M = off.shape[0], diag.shape[1]
-    factors, gain = [], np.empty((J, M, M), dtype=complex)
-    u = diag[0].astype(complex)
-    for j in range(J + 1):
-        u.flat[:: M + 1] += d[j]
-        factors.append(lapack.zgetrf(u)[:2])
-        if j < J:
+    m, flips = J // 2, (slice(None), slice(None, None, -1))
+
+    def sweep(diag, off, d, count):
+        """LU of the first ``count`` lines, their G_j, and C G of the last."""
+        factors, gain = [], np.empty((count, M, M), dtype=complex)
+        schur = np.zeros((M, M), dtype=complex)
+        for j in range(count):
+            u = diag[j] - schur
+            u.flat[:: M + 1] += d[j]
+            factors.append(lapack.zgetrf(u)[:2])
             gain[j] = lapack.zgetrs(*factors[j], off[j])[0]
-            u = diag[j + 1] - (off[j] @ gain[j].view(float)).view(complex)
+            schur = (off[j] @ gain[j].view(float)).view(complex)
+        return factors, gain, schur
+
+    top = sweep(diag, off, d, m)
+    mirrored = diag[::-1], off[::-1], d[::-1]
+    same = 2 * m == J and all(map(np.array_equal, mirrored, (diag, off, d)))
+    halves = (top, top if same else sweep(*mirrored, J - m))
+    z = diag[m] - halves[0][2] - halves[1][2]
+    z.flat[:: M + 1] += d[m]
+    middle = lapack.zgetrf(z)[:2]
 
     def solve(r: np.ndarray) -> np.ndarray:
-        w, rhs = np.empty((J + 1, M), dtype=complex), r[0]
-        for j in range(J + 1):
-            w[j] = lapack.zgetrs(*factors[j], rhs)[0]
-            if j < J:
-                rhs = r[j + 1] - (off[j] @ w[j].view(float).reshape(M, 2)).ravel().view(complex)
-        for j in range(J - 1, -1, -1):
-            w[j] -= gain[j] @ w[j + 1]
-        return w
+        x, rhs = np.empty((J + 1, M), dtype=complex), r[m].copy()
+        for (factors, _, _), flip in zip(halves, flips):
+            x_h, r_h, c, cw = x[flip], r[flip], off[flip], 0.0
+            for j, lu in enumerate(factors):
+                x_h[j] = lapack.zgetrs(*lu, r_h[j] - cw)[0]
+                cw = (c[j] @ x_h[j].view(float).reshape(M, 2)).ravel().view(complex)
+            rhs -= cw
+        x[m] = lapack.zgetrs(*middle, rhs)[0]
+        for (_, gain, _), flip in zip(halves, flips):
+            x_h = x[flip]
+            for j in range(len(gain) - 1, -1, -1):
+                x_h[j] -= gain[j] @ x_h[j + 1]
+        return x
 
     return solve
 

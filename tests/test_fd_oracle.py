@@ -19,6 +19,7 @@ from wglimit.fd_oracle import (
     OracleError,
     WaveguideField,
     WaveguideGrid,
+    _sine_blocks,
     _sine_system,
     _strip_factor,
     _unflatten,
@@ -36,6 +37,23 @@ F_G2 = GaussianPulse(center=1.5, width=0.3)
 
 def small_grid(eps=0.25, delta=0.25**3, h=1.0 / 16) -> WaveguideGrid:
     return WaveguideGrid.build(eps, delta, Z4, h_u=h, h_s=h)
+
+
+def small_grid_hs(h_s: float) -> WaveguideGrid:
+    """``small_grid`` with its own s-step."""
+    return WaveguideGrid.build(0.25, 0.25**3, Z4, h_u=1.0 / 16, h_s=h_s)
+
+
+def count_zgetrf(monkeypatch) -> list:
+    """The shapes of the matrices that zgetrf factors from now on."""
+    shapes, zgetrf = [], lapack.zgetrf
+
+    def counting_zgetrf(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return zgetrf(a, *args, **kwargs)
+
+    monkeypatch.setattr(lapack, "zgetrf", counting_zgetrf)
+    return shapes
 
 
 class TestVertexEigen:
@@ -335,19 +353,35 @@ class TestEdgeElimination:
         assert_matches_direct_solve(fd, bump05, f1, F_G2, rel=1e-12)
 
     def test_lu_sees_only_the_vertex_strip(self, bump05, monkeypatch):
-        # one M x M block per strip line, nothing from the edges
-        shapes = []
-        zgetrf = lapack.zgetrf
-
-        def counting_zgetrf(a, *args, **kwargs):
-            shapes.append(a.shape)
-            return zgetrf(a, *args, **kwargs)
-
-        monkeypatch.setattr(lapack, "zgetrf", counting_zgetrf)
+        # M x M blocks of the strip only, nothing from the edges: the even
+        # profile's strip is its own mirror image at even J, so J/2 + 1 of them
+        shapes = count_zgetrf(monkeypatch)
         grid = small_grid()
         fd_resolvent(grid, bump05, 1, Z4, F_G, F_G2)
-        assert shapes == [(grid.n_u, grid.n_u)] * (grid.n_vertex + 1)
+        assert shapes == [(grid.n_u, grid.n_u)] * (grid.n_vertex // 2 + 1)
         assert (grid.n_vertex + 1) * grid.n_u < grid.n_unknowns / 10
+
+    def test_odd_vertex_lines_match_direct_solve(self, bump05, monkeypatch):
+        # J = 17: the two sweeps of the twisted LU differ in length, both run,
+        # and every line is factored once
+        shapes = count_zgetrf(monkeypatch)
+        grid = small_grid_hs(2 / 17)
+        fd = fd_resolvent(grid, bump05, 1, Z4, F_G, F_G2)
+        assert shapes == [(grid.n_u, grid.n_u)] * (grid.n_vertex + 1) == [(15, 15)] * 18
+        assert_matches_direct_solve(fd, bump05, F_G, F_G2, rel=1e-9)
+
+    def test_non_dyadic_step_keeps_the_mirror(self, bump05, monkeypatch):
+        # h_s = 2/96 is not a power of 2, yet the nodes h_s (j - J/2) are
+        # antisymmetric to the last bit, so the even profile's strip is its own
+        # mirror image and half of it is factored
+        grid = small_grid_hs(2 / 96)
+        system = _sine_system(grid, bump05, 1, Z4)
+        assert np.array_equal(-grid.vertex_s[::-1], grid.vertex_s)
+        for a in (system.diag, system.off, system.strip_diag):
+            assert np.array_equal(a[::-1], a)
+        shapes = count_zgetrf(monkeypatch)
+        fd_resolvent(grid, bump05, 1, Z4, F_G, None)
+        assert len(shapes) == grid.n_vertex // 2 + 1 == 49
 
     def test_chains_keep_only_their_live_lines(self, bump05, monkeypatch):
         # z = i puts the edge ends at s = 26, far past where the modes k != n
@@ -375,16 +409,21 @@ class TestEdgeElimination:
 
 
 class TestStripFactor:
-    @pytest.mark.parametrize("lines", [2, 3, 17])  # 2: J = 1, the interface lines only
+    @pytest.mark.parametrize("lines", [2, 3, 17, 18])  # 2: J = 1, the interface lines only
     @pytest.mark.parametrize("m", [1, 3, 8])
-    def test_matches_dense_solve(self, lines, m):
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_matches_dense_solve(self, lines, m, mirrored, monkeypatch):
         # real symmetric blocks plus a complex diagonal with a positive
         # imaginary part: complex symmetric and, like the resolvent at
-        # Im z != 0, nonsingular, Schur complements included
+        # Im z != 0, nonsingular, Schur complements included.  A mirrored
+        # strip (line j equal to line J - j) is factored only to its middle
+        # line when J is even.
         rng = np.random.default_rng(10 * lines + m)
         diag, off = (b + b.transpose(0, 2, 1) for b in
                      (rng.standard_normal((lines, m, m)), rng.standard_normal((lines - 1, m, m))))
         d = rng.standard_normal((lines, m)) + 1j * (0.5 + rng.random((lines, m)))
+        if mirrored:
+            diag, off, d = (a + a[::-1] for a in (diag, off, d))
         r = rng.standard_normal((lines, m)) + 1j * rng.standard_normal((lines, m))
         a = np.zeros((lines * m,) * 2, dtype=complex)
         for j in range(lines):
@@ -393,9 +432,30 @@ class TestStripFactor:
                 a[j * m: (j + 1) * m, (j + 1) * m: (j + 2) * m] = off[j]
                 a[(j + 1) * m: (j + 2) * m, j * m: (j + 1) * m] = off[j]
         want = scipy.linalg.solve(a, r.ravel())
+        shapes = count_zgetrf(monkeypatch)
         got = _strip_factor(diag, off, d)(r)
         assert got.shape == (lines, m)
         assert np.linalg.norm(got.ravel() - want) <= 1e-12 * np.linalg.norm(want)
+        J = lines - 1
+        assert len(shapes) == (J // 2 + 1 if mirrored and J % 2 == 0 else J + 1)
+
+    @pytest.mark.parametrize("m", [1, 3, 15, 31, 63])
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_toeplitz_minus_hankel_blocks(self, m, mirrored):
+        # S diag(v) S from cosine sums against the plain product, and equal
+        # rows of a mirrored v give equal blocks, bit for bit
+        rng = np.random.default_rng(m)
+        v = rng.standard_normal((129, m)) + 1.0
+        if mirrored:
+            v = v + v[::-1]
+        hu = 1.0 / (m + 1)
+        k = np.arange(1, m + 1)
+        S = math.sqrt(2.0 * hu) * np.sin(np.outer(k, k) * (math.pi * hu))
+        want = (S * v[:, None, :]) @ S
+        got = _sine_blocks(v, hu)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(got, got.transpose(0, 2, 1))
+        assert np.array_equal(got[::-1], got) == mirrored
 
 
 class TestThinGuide:

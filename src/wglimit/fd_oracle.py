@@ -38,7 +38,11 @@ halves of the factorisation are one: half the lines are factored.  One step
 of iterative refinement and the componentwise backward error
 max |b - A y| / (|A| |y| + |b|) (``FDSolution.solve_residual``) are taken
 against this structured operator, the latter over every row: a cut that is
-too short shows as the residual of the first line past it.
+too short shows as the residual of the first line past it.  The report is
+read in the same basis, and no line is mapped back to the u-nodes: as
+S_nj = sqrt(h_u) chi_n(u_j), the mode-n edge projection h_u (y S) . chi_n of
+a line y is sqrt(h_u) y_n, and as S is orthogonal, sum_j |(y S)_j|^2 =
+sum_k |y_k|^2, so the energy norm sums the packed solution's squares.
 
 LAPACK comes from scipy.linalg, imported by the solvers at their first call:
 importing this module (and so the CLI) loads no scipy.
@@ -52,14 +56,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .profile import CurvatureProfile, geometry_fields
-from .residual import chi_mode
 
 __all__ = [
     "FDEigenResult",
     "FDSolution",
     "Grid1D",
     "OracleError",
-    "WaveguideField",
     "WaveguideGrid",
     "fd_resolvent",
     "fd_vertex_eigen",
@@ -74,9 +76,8 @@ H_U = 1.0 / 32
 H_S = 1.0 / 64
 # Largest 2-D grid, 2.2 times the benchmark's refined bump grid (437,661); the
 # edge length -ln(tol)/Im sqrt(z), and so the grid, grows without bound.  The
-# returned field costs a complex value per unknown; the solve holds one per
-# chain line, mode n's L and some hundred per other mode (5-11% of the edge
-# unknowns on the benchmark grids).
+# solve holds a complex value per chain line, mode n's L and some hundred per
+# other mode (5-11% of the edge unknowns on the benchmark grids).
 MAX_FD_UNKNOWNS = 1_000_000
 # Most entries in the strip's dense M x M blocks, M^2 (3J + 1), 3.3 times the benchmark's
 # refined bump grid: 21 bytes an entry (real diag, off, |diag|, |off|; complex LU of U_j and
@@ -94,6 +95,14 @@ def __getattr__(name):  # only perfbench/spans.py reads it; ROADMAP item 7 delet
 
 class OracleError(RuntimeError):
     pass
+
+
+def _steps(length: float, h: float, name: str) -> float:
+    """length / h, refused when not finite: a step that small makes no grid."""
+    count = float(length) / h
+    if not math.isfinite(count):
+        raise ValueError(f"{name} = {h:.3g} is too small: {length:.3g}/{name} is not finite")
+    return count
 
 
 # ----------------------------------------------------------------------
@@ -186,13 +195,13 @@ class WaveguideGrid:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta <= self.epsilon <= 1.0:
             raise ValueError("need 0 < delta <= epsilon <= 1")
-        m = round(1.0 / self.h_u) - 1
+        m = round(_steps(1.0, self.h_u, "h_u")) - 1
         if m < 2 or abs((m + 1) * self.h_u - 1.0) > 1e-12:
             raise ValueError("h_u must divide 1")
-        k = round(self.s_max / self.h_s)
+        k = round(_steps(self.s_max, self.h_s, "h_s"))
         if abs(k * self.h_s - self.s_max) > 1e-9:
             raise ValueError("h_s must divide s_max")
-        j = round(2.0 / self.h_s)
+        j = round(_steps(2.0, self.h_s, "h_s"))
         if abs(j * self.h_s - 2.0) > 1e-12:
             raise ValueError("h_s must divide 2")
         object.__setattr__(self, "n_u", m)
@@ -202,13 +211,17 @@ class WaveguideGrid:
             raise ValueError(f"grid of {self.n_unknowns:.3g} unknowns exceeds {MAX_FD_UNKNOWNS}")
         if (entries := m * m * (3 * j + 1)) > MAX_FD_STRIP_ENTRIES:
             raise ValueError(f"vertex strip of {entries:.3g} block entries exceeds {MAX_FD_STRIP_ENTRIES}")
+        # |mode gap| < 4/h_u^2: where that over delta^2 is not finite, the mode diagonals may be
+        if not math.isfinite(4.0 / self.h_u**2 / self.delta / self.delta):
+            raise ValueError(f"delta = {self.delta:.3g} is too small: (4/h_u^2)/delta^2, "
+                             f"the largest mode gap over delta^2, is not finite")
 
     @staticmethod
     def build(epsilon: float, delta: float, z: complex, h_u: float = H_U,
               h_s: float = H_S) -> "WaveguideGrid":
         if not (h_u > 0.0 and h_s > 0.0):
             raise ValueError("grid steps must be positive")
-        s_max = math.ceil(suggest_edge_length(z) / h_s) * h_s
+        s_max = math.ceil(_steps(suggest_edge_length(z), h_s, "h_s")) * h_s
         return WaveguideGrid(epsilon, delta, s_max, h_s, h_u)
 
     def refined(self) -> "WaveguideGrid":
@@ -244,23 +257,11 @@ class WaveguideGrid:
         return self.n_lines * self.n_u
 
 
-@dataclass(frozen=True)
-class WaveguideField:
-    """Fields on the waveguide grid; edge rows run outward from the vertex."""
-
-    grid: WaveguideGrid
-    edge1: np.ndarray   # (n_edge + 1, n_u)
-    edge2: np.ndarray
-    vertex: np.ndarray  # (n_vertex + 1, n_u)
-
-
 def _line_weights(grid: WaveguideGrid) -> np.ndarray:
-    """s-weight of each chain line: h_s on edge lines, eps*h_s on vertex
-    lines and their mean on the two interface lines."""
-    K, J = grid.n_edge, grid.n_vertex
-    w = np.full(grid.n_lines, grid.h_s)
-    w[K: K + J - 1] = grid.epsilon * grid.h_s
-    w[[K - 1, K + J - 1]] = 0.5 * (grid.h_s + grid.epsilon * grid.h_s)
+    """s-weight of each strip line: eps*h_s on vertex lines and its mean with
+    the edge lines' h_s on the two interface lines."""
+    w = np.full(grid.n_vertex + 1, grid.epsilon * grid.h_s)
+    w[[0, -1]] = 0.5 * (grid.h_s + grid.epsilon * grid.h_s)
     return w
 
 
@@ -302,7 +303,6 @@ class _SineSystem:
     w_s: float               # edge line to each s-neighbour line
     live: np.ndarray         # (M,) lines each mode's chain keeps on an edge
     start: np.ndarray        # (M,) offset of each mode's chain in an edge
-    sine: np.ndarray         # S
 
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Views of a packed vector: the chains (2, N) and the strip (J + 1, M)."""
@@ -350,24 +350,6 @@ class _SineSystem:
         spill = np.abs(self.w_s * last) / np.maximum(abs(self.w_s) * np.abs(last), floor)
         return float(max(resid, spill.max(initial=0.0)))
 
-    def physical(self, y: np.ndarray) -> np.ndarray:
-        """psi = y S on every line, (n_lines, M).  Past the longest chain of
-        the modes k != n only mode n is nonzero, and there psi = y_n S_n."""
-        grid, n, S = self.grid, self.n, self.sine
-        K, J, M = grid.n_edge, grid.n_vertex, grid.n_u
-        L = K - 1
-        chains, lines = self.split(y)
-        psi = np.empty((grid.n_lines, M), dtype=complex)
-        psi[L: K + J] = lines @ S
-        mode = np.repeat(np.arange(M), self.live)
-        edges = np.zeros((2, L, M), dtype=complex)  # lines outward from the interface
-        edges[:, np.arange(len(mode)) - self.start[mode], mode] = chains
-        head = np.delete(self.live, n - 1).max()
-        for edge, psi_e in zip(edges, (psi[:L][::-1], psi[K + J:])):
-            psi_e[:head] = edge[:head] @ S
-            psi_e[head:] = edge[head:, n - 1, None] * S[n - 1]
-        return psi
-
 
 def _sine_blocks(v: np.ndarray, hu: float) -> np.ndarray:
     """S diag(v_j) S for each row v_j of v, (L, M) -> (L, M, M), as Toeplitz minus
@@ -388,14 +370,12 @@ def _sine_blocks(v: np.ndarray, hu: float) -> np.ndarray:
 def _sine_system(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
                  z: complex) -> _SineSystem:
     """The system of transverse mode n at z.  Line l carries w_l h_u (gap/delta^2 - z)
-    on each mode (``_line_weights``); edge lines add 2 h_u/h_s and
-    w_s = -h_u/h_s to each neighbour, interface lines h_u/h_s."""
+    on each mode, w_l = h_s on edge lines (``_line_weights`` on the strip); edge
+    lines add 2 h_u/h_s and w_s = -h_u/h_s to each neighbour, interface lines h_u/h_s."""
     eps, hs, hu = grid.epsilon, grid.h_s, grid.h_u
     K, J, M = grid.n_edge, grid.n_vertex, grid.n_u
-    k = np.arange(1, M + 1)
-    sine = math.sqrt(2.0 * hu) * np.sin(np.outer(k, k) * (math.pi * hu))
     mode = hu * (grid.mode_gaps(n) / grid.delta**2 - z)
-    strip_diag = _line_weights(grid)[K - 1: K + J, None] * mode
+    strip_diag = _line_weights(grid)[:, None] * mode
     strip_diag[[0, J]] += hu / hs
 
     u, ratio = grid.u_nodes[None, :], grid.delta / eps
@@ -414,7 +394,7 @@ def _sine_system(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
     # a chain ends at its cut or at its Dirichlet line
     chain_off = np.where(np.isin(np.arange(1, live.sum()), start), 0.0, w_s)
     return _SineSystem(grid, n, diag, off, (np.abs(diag), np.abs(off)), strip_diag,
-                       np.repeat(chain_diag, live), chain_off, w_s, live, start, sine)
+                       np.repeat(chain_diag, live), chain_off, w_s, live, start)
 
 
 def _rhs(system: _SineSystem, f1, f2) -> np.ndarray:
@@ -438,22 +418,17 @@ def _rhs(system: _SineSystem, f1, f2) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FDSolution:
-    """Discrete resolvent application on the waveguide grid."""
+    """Discrete resolvent application on the waveguide grid, as the report reads it."""
 
     grid: WaveguideGrid
-    profile: CurvatureProfile
     n: int
-    z: complex
-    field: WaveguideField
+    projections: np.ndarray  # (2, n_edge + 1) (chi_n, psi) per edge s-node, outward
     solve_residual: float
     energy_norm: float  # discrete norm of the flat-measure energy space
 
-    def edge_projection(self, edge: int, n: int | None = None) -> np.ndarray:
-        """(chi_n, psi_edge) per s node, by midpoint u-quadrature."""
-        n = self.n if n is None else n
-        values = self.field.edge1 if edge == 1 else self.field.edge2
-        chi = chi_mode(n, self.grid.u_nodes)
-        return self.grid.h_u * (values @ chi)
+    def edge_projection(self, edge: int) -> np.ndarray:
+        """(chi_n, psi_edge) per s node, by midpoint u-quadrature: sqrt(h_u) y_n."""
+        return self.projections[edge - 1]
 
 
 def trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
@@ -461,21 +436,6 @@ def trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
     w = np.full(n_nodes, h)
     w[0] = w[-1] = h / 2.0
     return w
-
-
-def _energy_norm(grid: WaveguideGrid, psi: np.ndarray) -> float:
-    """Energy norm of a chain vector: line weights times the u-step."""
-    lines = psi.reshape(grid.n_lines, grid.n_u)
-    w = _line_weights(grid)
-    return float(np.sqrt(grid.h_u * np.sum(w[:, None] * np.abs(lines) ** 2)))
-
-
-def _unflatten(grid: WaveguideGrid, psi: np.ndarray) -> WaveguideField:
-    K, J = grid.n_edge, grid.n_vertex
-    lines = psi.reshape(grid.n_lines, grid.n_u)
-    end = np.zeros((1, grid.n_u), dtype=complex)  # the Dirichlet line at s_max
-    return WaveguideField(grid, np.vstack([lines[K - 1::-1], end]),
-                          np.vstack([lines[K + J - 1:], end]), lines[K - 1: K + J].copy())
 
 
 def _strip_factor(diag: np.ndarray, off: np.ndarray, d: np.ndarray):
@@ -592,6 +552,11 @@ def fd_resolvent(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
     resid = system.backward_error(y, b)
     if not resid <= SOLVE_RESIDUAL_TOL:
         raise OracleError(f"solve backward error {resid:.2e} above tolerance")
-    psi = system.physical(y).ravel()
-    return FDSolution(grid, profile, n, complex(z), _unflatten(grid, psi),
-                      resid, _energy_norm(grid, psi))
+    chains, lines = system.split(y)
+    K, first = grid.n_edge, system.start[n - 1]
+    proj = np.zeros((2, K + 1), dtype=complex)  # 0 on the Dirichlet line at s_max
+    proj[:, 0] = lines[[0, grid.n_vertex], n - 1]
+    proj[:, 1:K] = chains[:, first: first + K - 1]
+    energy = grid.h_u * (grid.h_s * np.sum(np.abs(chains) ** 2)
+                         + _line_weights(grid) @ np.sum(np.abs(lines) ** 2, axis=1))
+    return FDSolution(grid, n, math.sqrt(grid.h_u) * proj, resid, float(np.sqrt(energy)))

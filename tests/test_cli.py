@@ -431,6 +431,22 @@ class TestOracleCompare:
         assert main([*argv, "--out", str(out)]) == 2
         assert "h_s <= 0.009944 passes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--h-u", "1e-320"], "h_u = 1e-320 is too small"),
+        (["--h-s", "1e-320"], "h_s = 1e-320 is too small"),
+        (["--delta", "1e-160"], "delta = 1e-160 is too small"),
+        (["--delta-power", "400"], "delta = 7.06e-210 is too small"),  # 0.3^400
+    ])
+    def test_tiny_step_or_delta_exit_code(self, tmp_path, capsys, argv, message):
+        # 1/h or (4/h_u^2)/delta^2 is not finite: refused before rounding or any solve
+        assert main(["oracle-compare", *argv, "--out", str(tmp_path / "o.json")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_small_delta_fails_the_backward_error_gate(self, tmp_path, capsys):
+        # (4/h_u^2)/delta^2 = 4.1e303 is finite, so the solve runs, and misses the gate
+        assert main(["oracle-compare", "--delta", "1e-150", "--out", str(tmp_path / "o.json")]) == 3
+        assert "backward error" in capsys.readouterr().err
+
     def test_one_parser_serves_every_call(self, tmp_path, monkeypatch):
         builds = []
         build = cli.build_parser

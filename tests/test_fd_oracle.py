@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from wglimit import CurvatureProfile, GaussianPulse, assemble, fd_vertex_eigen, oracle_report
+from wglimit import GaussianPulse, assemble, fd_vertex_eigen, oracle_report
 from wglimit.cli import main
 from wglimit.fd_oracle import (
     CUT_LOG,
@@ -17,12 +17,12 @@ from wglimit.fd_oracle import (
     SOLVE_RESIDUAL_TOL,
     FDSolution,
     OracleError,
-    WaveguideField,
     WaveguideGrid,
+    _block_solve,
+    _rhs,
     _sine_blocks,
     _sine_system,
     _strip_factor,
-    _unflatten,
     fd_resolvent,
     suggest_edge_length,
     trapezoid_weights,
@@ -42,6 +42,27 @@ def small_grid(eps=0.25, delta=0.25**3, h=1.0 / 16) -> WaveguideGrid:
 def small_grid_hs(h_s: float) -> WaveguideGrid:
     """``small_grid`` with its own s-step."""
     return WaveguideGrid.build(0.25, 0.25**3, Z4, h_u=1.0 / 16, h_s=h_s)
+
+
+def sine_matrix(hu: float) -> np.ndarray:
+    """S_jk = sqrt(2 h_u) sin(jk pi h_u) on the u-nodes: S = S^T = S^-1."""
+    k = np.arange(1, round(1.0 / hu))
+    return math.sqrt(2.0 * hu) * np.sin(np.outer(k, k) * (math.pi * hu))
+
+
+def sine_lines(grid: WaveguideGrid, profile, n: int, z: complex, f1, f2) -> np.ndarray:
+    """The packed sine-basis solution of ``fd_resolvent`` on every line,
+    (n_lines, M) in the physical line order, 0 past each chain's cut."""
+    system = _sine_system(grid, profile, n, z)
+    chains, lines = system.split(_block_solve(system, _rhs(system, f1, f2)))
+    K, J, M = grid.n_edge, grid.n_vertex, grid.n_u
+    out = np.zeros((grid.n_lines, M), dtype=complex)
+    out[K - 1: K + J] = lines
+    mode = np.repeat(np.arange(M), system.live)
+    outward = np.arange(len(mode)) - system.start[mode]
+    out[K - 2 - outward, mode] = chains[0]  # edge 1 runs to line 0
+    out[K + J + outward, mode] = chains[1]
+    return out
 
 
 def count_zgetrf(monkeypatch) -> list:
@@ -108,6 +129,19 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="block entries exceeds"):
             WaveguideGrid(0.3, 0.027, 26.0, 1 / 16, 1 / 512)
 
+    @pytest.mark.parametrize("h_u, h_s, name", [(1e-320, 1 / 16, "h_u"), (1 / 16, 1e-320, "h_s")])
+    def test_tiny_step_rejected(self, h_u, h_s, name):
+        # 1/h is not finite: refused before it is rounded
+        with pytest.raises(ValueError, match=f"{name} = 1e-320 is too small"):
+            WaveguideGrid(0.25, 0.01, 10.0, h_s, h_u)
+
+    @pytest.mark.parametrize("delta", [1e-160, 1e-200, 5e-324])
+    def test_tiny_delta_rejected(self, delta):
+        # (4/h_u^2)/delta^2 is not finite: the mode diagonals would be inf
+        with pytest.raises(ValueError, match="delta = .* is too small"):
+            WaveguideGrid(0.25, delta, 10.0, 1 / 16, 1 / 16)
+        WaveguideGrid(0.25, 1e-150, 10.0, 1 / 16, 1 / 16)
+
     def test_suggest_edge_length(self):
         s = suggest_edge_length(1j)
         assert np.exp(-np.sqrt(0.5) * s) <= 1e-8 * 1.0001
@@ -121,8 +155,9 @@ class TestFDResolvent:
     def test_zero_data_zero_field(self, bump05):
         grid = small_grid()
         fd = fd_resolvent(grid, bump05, 1, Z4, None, None)
-        assert np.max(np.abs(fd.field.vertex)) == 0.0
-        assert np.max(np.abs(fd.field.edge1)) == 0.0
+        assert fd.projections.shape == (2, grid.n_edge + 1)
+        assert np.max(np.abs(fd.projections)) == 0.0
+        assert fd.energy_norm == 0.0  # a sum of squares over every line
 
     def test_real_z_rejected(self, bump05):
         with pytest.raises(OracleError):
@@ -159,24 +194,6 @@ class TestFDResolvent:
         xi_norm = data_norm(F_G, None)  # transverse mode is normalised
         assert fd.energy_norm <= xi_norm / abs(Z4.imag) * 1.05
 
-    def test_energy_norm_matches_field_trapezoid(self, bump05):
-        # the chain-vector norm equals trapezoid sums over the stored field:
-        # each interface line gets h_s/2 from its edge and eps*h_s/2 from the vertex
-        grid = small_grid()
-        fd = fd_resolvent(grid, bump05, 1, Z4, F_G, None)
-        f = fd.field
-        w_edge = trapezoid_weights(grid.n_edge + 1, grid.h_s)[:, None]
-        w_vert = grid.epsilon * trapezoid_weights(grid.n_vertex + 1, grid.h_s)[:, None]
-        sq = grid.h_u * (np.sum(w_edge * np.abs(f.edge1) ** 2)
-                         + np.sum(w_edge * np.abs(f.edge2) ** 2)
-                         + np.sum(w_vert * np.abs(f.vertex) ** 2))
-        assert fd.energy_norm == pytest.approx(np.sqrt(sq), rel=1e-12)
-
-    def test_interface_continuity_encoded(self, bump05):
-        fd = fd_resolvent(small_grid(), bump05, 1, Z4, F_G, None)
-        assert np.allclose(fd.field.edge1[0], fd.field.vertex[0], atol=1e-14)
-        assert np.allclose(fd.field.edge2[0], fd.field.vertex[-1], atol=1e-14)
-
     def test_zero_profile_matches_trial_field(self, zero_profile):
         # the trial field is the exact resolvent at gamma = 0, so the
         # discrete mismatch is pure discretisation error
@@ -212,11 +229,11 @@ class TestFDResolvent:
         assert 3.0 <= errs[0] / errs[1] <= 5.0
 
     def test_transverse_mode_exactness(self, zero_profile):
-        # for gamma = 0 the discrete field stays in the driven mode
-        fd = fd_resolvent(small_grid(), zero_profile, 2, Z4, F_G, None)
-        other = fd.edge_projection(1, n=1)
-        driven = fd.edge_projection(1, n=2)
-        assert np.max(np.abs(other)) < 1e-12 * max(np.max(np.abs(driven)), 1e-30)
+        # for gamma = 0 the discrete field stays in the driven mode, on every line
+        y = sine_lines(small_grid(), zero_profile, 2, Z4, F_G, None)
+        driven = np.max(np.abs(y[:, 1]))
+        assert driven > 0.0
+        assert np.max(np.abs(np.delete(y, 1, axis=1))) < 1e-12 * driven
 
 
 def assemble_physical(grid: WaveguideGrid, profile, n: int, z: complex, f1, f2):
@@ -321,15 +338,43 @@ def operator_matrix(system, absolute: bool = False) -> sp.csr_matrix:
                     [couple[0].T, couple[1].T, strip]], format="csr")
 
 
-def assert_matches_direct_solve(fd: FDSolution, profile, f1, f2, rel: float) -> None:
-    """fd's field equals spsolve of the physical-basis system, line block by line block."""
-    grid = fd.grid
-    a, b = assemble_physical(grid, profile, fd.n, fd.z, f1, f2)
-    ref = _unflatten(grid, spla.spsolve(a, b))
-    for name in ("edge1", "vertex", "edge2"):
-        got, want = getattr(fd.field, name), getattr(ref, name)
-        assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want), name
+def assert_matches_direct_solve(fd: FDSolution, profile, z: complex, f1, f2,
+                                rel: float) -> None:
+    """The packed sine-basis solution equals spsolve of the physical-basis
+    system mapped line by line into the sine basis (psi S), cut zeros included,
+    line block by line block; fd's edge projections and energy norm equal the
+    reference's h_u psi . chi_n and trapezoid energy."""
+    grid, n = fd.grid, fd.n
+    K, J, M = grid.n_edge, grid.n_vertex, grid.n_u
+    a, b = assemble_physical(grid, profile, n, z, f1, f2)
+    psi = spla.spsolve(a, b).reshape(grid.n_lines, M)
+    S = sine_matrix(grid.h_u)
+    got, want = sine_lines(grid, profile, n, z, f1, f2), psi @ S
+    # each block holds its interface lines, as the edge and vertex fields do
+    for name, rows in (("edge1", slice(0, K)), ("vertex", slice(K - 1, K + J)),
+                       ("edge2", slice(K + J - 1, None))):
+        assert np.linalg.norm(got[rows] - want[rows]) <= rel * np.linalg.norm(want[rows]), name
     assert fd.solve_residual <= SOLVE_RESIDUAL_TOL
+
+    end = np.zeros((1, M))  # the Dirichlet line at s_max
+    edges = (np.vstack([psi[K - 1::-1], end]), np.vstack([psi[K + J - 1:], end]))
+    chi = chi_mode(n, grid.u_nodes)
+    for e, edge in enumerate(edges, 1):
+        want = grid.h_u * (edge @ chi)
+        assert np.linalg.norm(fd.edge_projection(e) - want) <= rel * np.linalg.norm(want), e
+
+    # each interface line gets h_s/2 from its edge and eps*h_s/2 from the vertex
+    w_edge = trapezoid_weights(K + 1, grid.h_s)
+    w_vert = grid.epsilon * trapezoid_weights(J + 1, grid.h_s)
+
+    def trapezoid_energy(lines):
+        sq = np.sum(np.abs(lines) ** 2, axis=1)
+        return math.sqrt(grid.h_u * (w_edge[:K] @ sq[K - 1::-1] + w_vert @ sq[K - 1: K + J]
+                                     + w_edge[:K] @ sq[K + J - 1:]))
+
+    assert fd.energy_norm == pytest.approx(trapezoid_energy(psi), rel=rel)
+    # Parseval: the norm of the packed solution is that of its lines mapped back
+    assert fd.energy_norm == pytest.approx(trapezoid_energy(got @ S), rel=1e-12)
 
 
 class TestEdgeElimination:
@@ -338,7 +383,7 @@ class TestEdgeElimination:
     def test_matches_direct_solve(self, request, profile, n):
         profile = request.getfixturevalue(profile)
         fd = fd_resolvent(small_grid(), profile, n, Z4, F_G, F_G2)
-        assert_matches_direct_solve(fd, profile, F_G, F_G2, rel=1e-9)
+        assert_matches_direct_solve(fd, profile, Z4, F_G, F_G2, rel=1e-9)
 
     @pytest.mark.parametrize("n_edge", [1, 2])
     def test_one_edge_line_or_none(self, bump05, n_edge):
@@ -349,8 +394,8 @@ class TestEdgeElimination:
         assert grid.n_edge == n_edge
         f1 = GaussianPulse(center=0.1, width=0.5)
         fd = fd_resolvent(grid, bump05, 1, z, f1, F_G2)
-        assert np.max(np.abs(fd.field.edge1[: n_edge])) > 0.0
-        assert_matches_direct_solve(fd, bump05, f1, F_G2, rel=1e-12)
+        assert np.max(np.abs(fd.edge_projection(1)[: n_edge])) > 0.0
+        assert_matches_direct_solve(fd, bump05, z, f1, F_G2, rel=1e-12)
 
     def test_lu_sees_only_the_vertex_strip(self, bump05, monkeypatch):
         # M x M blocks of the strip only, nothing from the edges: the even
@@ -368,7 +413,7 @@ class TestEdgeElimination:
         grid = small_grid_hs(2 / 17)
         fd = fd_resolvent(grid, bump05, 1, Z4, F_G, F_G2)
         assert shapes == [(grid.n_u, grid.n_u)] * (grid.n_vertex + 1) == [(15, 15)] * 18
-        assert_matches_direct_solve(fd, bump05, F_G, F_G2, rel=1e-9)
+        assert_matches_direct_solve(fd, bump05, Z4, F_G, F_G2, rel=1e-9)
 
     def test_non_dyadic_step_keeps_the_mirror(self, bump05, monkeypatch):
         # h_s = 2/96 is not a power of 2, yet the nodes h_s (j - J/2) are
@@ -449,8 +494,7 @@ class TestStripFactor:
         if mirrored:
             v = v + v[::-1]
         hu = 1.0 / (m + 1)
-        k = np.arange(1, m + 1)
-        S = math.sqrt(2.0 * hu) * np.sin(np.outer(k, k) * (math.pi * hu))
+        S = sine_matrix(hu)
         want = (S * v[:, None, :]) @ S
         got = _sine_blocks(v, hu)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -483,34 +527,15 @@ class TestThinGuide:
         assert main(argv) == 3
 
 
-def hand_solution(grid: WaveguideGrid, edge1, edge2, n: int) -> FDSolution:
-    """An FDSolution wrapping given edge fields (zero vertex field)."""
-    vertex = np.zeros((grid.n_vertex + 1, grid.n_u))
-    field = WaveguideField(grid, edge1, edge2, vertex)
-    return FDSolution(grid, CurvatureProfile.zero(), n, 1j, field, 0.0, 0.0)
-
-
 class TestEdgeProjection:
-    def test_adjoint(self):
-        # ((g1,g2), P psi)_G == (P* (g1,g2), psi) with shared quadrature
-        grid = WaveguideGrid(1.0, 1.0, 5.0, 0.05, 1.0 / 64)
-        h_u, u, s = grid.h_u, grid.u_nodes, grid.edge_s
-        n = 2
-        psi = [np.outer(np.exp(-s) * np.cos(3 * s), np.sin(np.pi * u))
-               + 0.5 * np.outer(np.exp(-0.5 * s), np.sin(2 * np.pi * u))
-               for _ in range(2)]
-        g = [np.exp(-s), np.cos(s) * np.exp(-s)]
-        sol = hand_solution(grid, psi[0], psi[1], n)
-        lhs = sum(np.trapezoid(g[j] * sol.edge_projection(j + 1), s) for j in range(2))
-        chi = chi_mode(n, u)
-        rhs = sum(np.trapezoid((g[j][:, None] * chi[None, :] * psi[j]).sum(axis=1) * h_u, s)
-                  for j in range(2))
-        assert lhs == pytest.approx(rhs, abs=1e-8)
-
-    def test_discrete_orthonormality(self):
-        grid = WaveguideGrid(1.0, 1.0, 2.0, 1.0, 1.0 / 32)
-        field = np.outer(np.ones(3), chi_mode(2, grid.u_nodes))
-        sol = hand_solution(grid, field, field, 2)
-        assert np.allclose(sol.edge_projection(1), 1.0, atol=1e-12)
-        assert np.allclose(sol.edge_projection(2), 1.0, atol=1e-12)
-        assert np.allclose(sol.edge_projection(1, n=1), 0.0, atol=1e-12)
+    @pytest.mark.parametrize("hu", [1 / 16, 1 / 32, 1 / 64])
+    def test_sine_coefficient_is_the_projection(self, hu):
+        # S_nj = sqrt(h_u) chi_n(u_j) and S orthogonal: the midpoint u-quadrature
+        # h_u (y S) . chi_n of a line is sqrt(h_u) y_n, which the report reads
+        rng = np.random.default_rng(round(1 / hu))
+        M = round(1 / hu) - 1
+        y = rng.standard_normal((20, M)) + 1j * rng.standard_normal((20, M))
+        u = hu * np.arange(1, M + 1)
+        for n in (1, 2, 7, M):
+            quadrature = hu * ((y @ sine_matrix(hu)) @ chi_mode(n, u))
+            assert np.abs(quadrature - math.sqrt(hu) * y[:, n - 1]).max() <= 1e-14

@@ -230,7 +230,7 @@ class ExperimentConfig:
                 **optional,
             )
             cfg.validate()  # inside: a malformed edge-data spec fails here
-        except (AttributeError, KeyError, TypeError, ValueError, ProfileError) as exc:
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError, ProfileError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
         return cfg
 

@@ -21,28 +21,30 @@ over delta^2, which cancels nothing and is exactly 0 at k = n, so a thin
 guide costs the mode-n resolvent no digits (the shift is the discrete
 lambda_n, so neither is the comparison polluted by the O(h_u^2)/delta^2
 defect of T_h).  The edge data lie in mode n alone, and each edge is M
-scalar chains, one per mode.  Mode n's chain keeps every edge line.  The
-chain of any other mode k sees only its interface value, so its response
-falls like rho_k^l, rho_k the decaying root of its recurrence; past
-l ln|rho_k| <= -760 it is below the smallest subnormal, exactly 0, and the
-chain ends there.  The metric 1/g and the potential W are diagonal in u, so
-the J+1 interface and vertex lines form a block-tridiagonal strip of real
-symmetric blocks S diag(.) S, each assembled as Toeplitz minus Hankel from
-cosine sums, plus a complex diagonal per mode.  The edges' Schur complement
-on the interface lines is the diagonal -w_s^2 g_near of the chains' unit
-response g, and a twisted block LU (LAPACK getrf/getrs on each dense M x M
-block, from both ends in to the middle line, which fills nothing) factors
-only the (J+1)*M strip.  The vertex nodes are antisymmetric to the last bit,
-so an even profile's strip is its own mirror image, and at even J the two
-halves of the factorisation are one: half the lines are factored.  One step
-of iterative refinement and the componentwise backward error
+scalar chains, one per mode, closed by a Dirichlet line.  Mode n's chain
+keeps its K - 1 lines.  Any other mode's chain carries no data: for its
+interface value x_k it is x_k (rho_k^l - rho_k^(2K-l)) / (1 - rho_k^(2K)),
+rho_k the decaying root of its recurrence, and it leaves the unknowns in
+closed form (``_edge_modes``), the discrete transparent condition of Arnold,
+Ehrhardt and Sofronov (Commun. Math. Sci. 1, 2003) on the truncated edge.
+The metric 1/g and the potential W are diagonal in u, so the J+1 interface
+and vertex lines form a block-tridiagonal strip of real symmetric blocks
+S diag(.) S, each assembled as Toeplitz minus Hankel from cosine sums, plus
+a complex diagonal per mode.  The edges' Schur complement on the interface
+lines is diagonal: w_s t_k per mode k != n and -w_s^2 g_1 for mode n's chain
+of unit response g.  A twisted block LU (LAPACK getrf/getrs on each dense
+M x M block, from both ends in to the middle line, which fills nothing)
+factors only the (J+1)*M strip.  The vertex nodes are antisymmetric to the
+last bit, so an even profile's strip is its own mirror image, and at even J
+the two halves of the factorisation are one: half the lines are factored.
+One step of iterative refinement and the componentwise backward error
 max |b - A y| / (|A| |y| + |b|) (``FDSolution.solve_residual``) are taken
-against this structured operator, the latter over every row: a cut that is
-too short shows as the residual of the first line past it.  The report is
-read in the same basis, and no line is mapped back to the u-nodes: as
-S_nj = sqrt(h_u) chi_n(u_j), the mode-n edge projection h_u (y S) . chi_n of
-a line y is sqrt(h_u) y_n, and as S is orthogonal, sum_j |(y S)_j|^2 =
-sum_k |y_k|^2, so the energy norm sums the packed solution's squares.
+against this structured operator, over every row that holds a computed
+value.  The report is read in the same basis, and no line is mapped back
+to the u-nodes: as S_nj = sqrt(h_u) chi_n(u_j), the mode-n edge projection
+h_u (y S) . chi_n of a line y is sqrt(h_u) y_n, and as S is orthogonal,
+sum_j |(y S)_j|^2 = sum_k |y_k|^2, so the energy norm sums the squares of
+the unknowns and the closed-form chains' E_k |x_k|^2.
 
 LAPACK comes from scipy.linalg, imported by the solvers at their first call:
 importing this module (and so the CLI) loads no scipy.
@@ -76,8 +78,7 @@ H_U = 1.0 / 32
 H_S = 1.0 / 64
 # Largest 2-D grid, 2.2 times the benchmark's refined bump grid (437,661); the
 # edge length -ln(tol)/Im sqrt(z), and so the grid, grows without bound.  The
-# solve holds a complex value per chain line, mode n's L and some hundred per
-# other mode (5-11% of the edge unknowns on the benchmark grids).
+# solve holds the strip's (J + 1) M values and 2(K - 1) chain values, mode n's.
 MAX_FD_UNKNOWNS = 1_000_000
 # Most entries in the strip's dense M x M blocks, M^2 (3J + 1), 3.3 times the benchmark's
 # refined bump grid: 21 bytes an entry (real diag, off, |diag|, |off|; complex LU of U_j and
@@ -265,32 +266,40 @@ def _line_weights(grid: WaveguideGrid) -> np.ndarray:
     return w
 
 
-# A chain's unit response falls like rho_k^l; past e^-760 it lies below the
-# smallest subnormal (e^-744.4), so it is exactly 0 in floating point.
-CUT_LOG = -760.0
+def _geometric(x: np.ndarray, count: int) -> np.ndarray:
+    """sum_(j < count) e^(j x) as expm1(count x) / expm1(x): nothing cancels near x = 0."""
+    d = np.expm1(x)
+    return np.divide(np.expm1(count * x), d, out=np.full_like(d, count), where=d != 0)
 
 
-def _live_lines(chain_diag: np.ndarray, w_s: float, n: int, L: int) -> np.ndarray:
-    """Lines each mode's edge chain keeps: all L for mode n, which carries
-    the data, else the fewest l >= 1 with l ln|rho_k| <= ``CUT_LOG`` (all L
-    for an open channel, |rho_k| near 1).  rho_k, the decaying root of
-    w_s rho^2 + c_k rho + w_s = 0, is taken by Vieta as -q / (1 + sqrt(1 - q^2))
-    with q = 2 w_s / c_k: the principal root has a real part >= 0, so the sum
-    cancels nothing, and on a thin guide q is tiny, so nothing overflows."""
-    q = 2.0 * w_s / chain_diag
-    decay = np.maximum(-np.log(np.abs(q / (1.0 + np.sqrt(1.0 - q * q)))), 0.0)
-    with np.errstate(divide="ignore"):
-        live = np.minimum(np.maximum(np.ceil(-CUT_LOG / decay), 1.0), L).astype(int)
-    live[n - 1] = L
-    return live
+def _edge_modes(shift: np.ndarray, w_s: float, K: int):
+    """Interface response t and energy E of each mode's data-free edge chain
+    w_s y_(l-1) + c y_l + w_s y_(l+1) = 0 (l = 1..K-1, y_0 = x, y_K = 0, c = shift - 2 w_s):
+    y_l = x (rho^l - rho^(2K-l)) / (1 - rho^(2K)), rho its decaying root, so y_1 = t x with
+    t = rho (1 - P) / (1 - rho^2 P), P = rho^(2(K-1)), and sum_l |y_l|^2 = E |x|^2 with E =
+    [(q + q^(K+1)) sum_(j<K-1) q^j - 2 q^K Re sum_(j=1..K-1) e^(-2ij theta)] / |1 - rho^(2K)|^2,
+    q = |rho|^2, theta = arg rho.  rho = -v / (1 + sqrt(1 - v^2)), v = 2 w_s / c (Vieta): the
+    principal root has a real part >= 0 and 1 - v^2 = (shift / c) (shift - 4 w_s) / c, so
+    nothing cancels, though |rho| be near 1, and on a thin guide nothing overflows; the
+    powers are exponentials of log rho, which only underflow."""
+    c = shift - 2.0 * w_s
+    log_rho = np.log(-2.0 * w_s / c / (1.0 + np.sqrt(shift / c * ((shift - 4.0 * w_s) / c))))
+    rho, P = np.exp(log_rho), np.exp(2 * (K - 1) * log_rho)
+    t = rho * (1.0 - P) / (1.0 - rho * rho * P)
+    log_q, turn = 2.0 * log_rho.real, -2j * log_rho.imag
+    power = np.exp(np.multiply.outer([1, K, K + 1], log_q))  # q, q^K, q^(K+1)
+    cross = (np.exp(turn) * _geometric(turn, K - 1)).real
+    energy = ((power[0] + power[2]) * _geometric(log_q, K - 1) - 2.0 * power[1] * cross) \
+        / np.abs(1.0 - np.exp(2 * K * log_rho)) ** 2
+    return t, energy
 
 
 @dataclass(frozen=True)
 class _SineSystem:
-    """The 2-D system in the sine basis.  Its unknowns are packed in one
-    vector: edge 1's chains, edge 2's chains (mode k's ``live[k]`` lines,
-    outward from the interface, mode after mode), then the J + 1 strip lines
-    (J + 1, M).  Every chain line past a cut is exactly 0."""
+    """The 2-D system in the sine basis.  Its unknowns are packed in one vector:
+    mode n's chains on edges 1 and 2 (2, K - 1), outward from the interface, then
+    the J + 1 strip lines (J + 1, M).  Each other mode's edge chains leave in closed
+    form (``_edge_modes``) as w_s t_k on its mode of both interface lines."""
 
     grid: WaveguideGrid
     n: int
@@ -298,25 +307,23 @@ class _SineSystem:
     off: np.ndarray          # (J, M, M) real symmetric block between lines j, j + 1
     abs_blocks: tuple        # |diag| and |off|, for the backward error
     strip_diag: np.ndarray   # (J + 1, M) mode diagonal of the strip lines
-    chain_diag: np.ndarray   # (N,) mode diagonal of every chain line
-    chain_off: np.ndarray    # (N - 1,) w_s within a chain, 0 between chains
+    edge_gain: np.ndarray    # (M,) w_s t_k on each interface line, 0 for mode n
+    edge_energy: np.ndarray  # (M,) E_k of each edge chain per |x_k|^2, 0 for mode n
+    chain_diag: complex      # mode n's diagonal on every chain line
     w_s: float               # edge line to each s-neighbour line
-    live: np.ndarray         # (M,) lines each mode's chain keeps on an edge
-    start: np.ndarray        # (M,) offset of each mode's chain in an edge
 
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Views of a packed vector: the chains (2, N) and the strip (J + 1, M)."""
-        N = len(self.chain_diag)
-        return v[: 2 * N].reshape(2, N), v[2 * N:].reshape(self.grid.n_vertex + 1, -1)
+        """Views of a packed vector: the chains (2, K - 1) and the strip (J + 1, M)."""
+        L = self.grid.n_edge - 1
+        return v[: 2 * L].reshape(2, L), v[2 * L:].reshape(self.grid.n_vertex + 1, -1)
 
     def apply(self, y: np.ndarray, absolute: bool = False) -> np.ndarray:
-        """A y, or |A| |y| (blocks and mode diagonal apart) if ``absolute``."""
-        J = self.grid.n_vertex
-        (a, a_off), d, c, off, w_s = ((self.diag, self.off), self.strip_diag,
-                                      self.chain_diag, self.chain_off, self.w_s)
+        """A y, or |A| |y| (blocks, mode diagonal and edge gain apart) if ``absolute``."""
+        J, n = self.grid.n_vertex, self.n
+        parts = (self.diag, self.off), self.strip_diag, self.edge_gain, self.chain_diag, self.w_s, y
         if absolute:
-            (a, a_off), d, c, off, w_s, y = (self.abs_blocks, np.abs(d), np.abs(c),
-                                             np.abs(off), abs(w_s), np.abs(y))
+            parts = (self.abs_blocks, *map(np.abs, parts[1:]))
+        (a, a_off), d, gain, c, w_s, y = parts
         chains, lines = self.split(y)
         out = np.empty_like(y)
         out_chains, out_lines = self.split(out)
@@ -326,29 +333,25 @@ class _SineSystem:
         prod[:-1] += a_off @ x[1:]
         prod[1:] += a_off @ x[:-1]
         out_lines[:] = prod.reshape(J + 1, -1).view(y.dtype) + d * lines
-        if not len(c):
+        out_lines[[0, J]] += gain * lines[[0, J]]
+        if not chains.size:
             return out
-        out_lines[[0, J]] += w_s * chains[:, self.start]
+        out_lines[[0, J], n - 1] += w_s * chains[:, 0]
         out_chains[:] = c * chains
-        out_chains[:, :-1] += off * chains[:, 1:]
-        out_chains[:, 1:] += off * chains[:, :-1]
-        out_chains[:, self.start] += w_s * lines[[0, J]]
+        out_chains[:, :-1] += w_s * chains[:, 1:]
+        out_chains[:, 1:] += w_s * chains[:, :-1]
+        out_chains[:, 0] += w_s * lines[[0, J], n - 1]
         return out
 
     def backward_error(self, y: np.ndarray, b: np.ndarray) -> float:
-        """Componentwise backward error max |b - A y| / (|A| |y| + |b|) over
-        every row of the full system.  Past a cut only the first dropped line
-        is not 0/0: its residual is w_s times the chain's last value, which
-        reads 1 unless it is under the floor.  The chains of the modes k != n
-        decay into subnormals, which carry no relative digits, so the
-        denominators are floored at tiny/eps."""
+        """Componentwise backward error max |b - A y| / (|A| |y| + |b|) over every
+        row that holds a computed value, mode n's chains and the strip; the term
+        w_s t_k x_k of a closed-form chain is apart in |A| |y|, as |w_s| |y_1|.  A mode
+        the data do not reach (k != n on a flat profile) is 0 or subnormal, with no
+        relative digits, so the denominators are floored at tiny/eps."""
         floor = np.finfo(float).tiny / np.finfo(float).eps
         denom = np.maximum(self.apply(y, absolute=True) + np.abs(b), floor)
-        resid = np.max(np.abs(b - self.apply(y)) / denom)
-        cut = self.live < self.grid.n_edge - 1
-        last = self.split(y)[0][:, (self.start + self.live - 1)[cut]]
-        spill = np.abs(self.w_s * last) / np.maximum(abs(self.w_s) * np.abs(last), floor)
-        return float(max(resid, spill.max(initial=0.0)))
+        return float(np.max(np.abs(b - self.apply(y)) / denom))
 
 
 def _sine_blocks(v: np.ndarray, hu: float) -> np.ndarray:
@@ -388,13 +391,11 @@ def _sine_system(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
     # diag[j] sits on strip line j, off[j] couples lines j and j + 1
     diag, off = (_sine_blocks(hu / (eps * hs) * v, hu) for v in (on, -amid))
 
-    chain_diag, w_s = hs * mode + 2.0 * hu / hs, -hu / hs
-    live = _live_lines(chain_diag, w_s, n, K - 1)
-    start = np.cumsum(live) - live
-    # a chain ends at its cut or at its Dirichlet line
-    chain_off = np.where(np.isin(np.arange(1, live.sum()), start), 0.0, w_s)
+    w_s = -hu / hs
+    t, energy = _edge_modes(hs * mode, w_s, K)
+    t[n - 1] = energy[n - 1] = 0.0  # mode n's chain carries the data: it stays unknown
     return _SineSystem(grid, n, diag, off, (np.abs(diag), np.abs(off)), strip_diag,
-                       np.repeat(chain_diag, live), chain_off, w_s, live, start)
+                       w_s * t, energy, hs * mode[n - 1] - 2.0 * w_s, w_s)
 
 
 def _rhs(system: _SineSystem, f1, f2) -> np.ndarray:
@@ -402,9 +403,8 @@ def _rhs(system: _SineSystem, f1, f2) -> np.ndarray:
     packed as the unknowns."""
     grid, n = system.grid, system.n
     K, J = grid.n_edge, grid.n_vertex
-    b = np.zeros(2 * len(system.chain_diag) + (J + 1) * grid.n_u, dtype=complex)
+    b = np.zeros(2 * (K - 1) + (J + 1) * grid.n_u, dtype=complex)
     chains, lines = system.split(b)
-    first = system.start[n - 1]
     for f, edge, iface in ((f1, 0, 0), (f2, 1, J)):
         if f is None:
             continue
@@ -412,7 +412,7 @@ def _rhs(system: _SineSystem, f1, f2) -> np.ndarray:
         values[0] /= 2.0
         values = grid.h_s * math.sqrt(grid.h_u) * values
         lines[iface, n - 1] = values[0]
-        chains[edge, first: first + K - 1] = values[1:]
+        chains[edge] = values[1:]
     return b
 
 
@@ -491,43 +491,42 @@ def _strip_factor(diag: np.ndarray, off: np.ndarray, d: np.ndarray):
 
 
 def _block_solve(system: _SineSystem, b: np.ndarray) -> np.ndarray:
-    """A^-1 b by exact elimination of the edge chains, with one step of
+    """A^-1 b by exact elimination of mode n's edge chains, with one step of
     iterative refinement against ``system.apply``.
 
-    Mode k's chain runs over its ``live[k]`` lines outward from the
-    interface line, the same on both edges; all chains are one tridiagonal
-    system, factored once.  A chain's solution is p - w_s g x_k, where x is
-    its interface line, p solves the chain for the data and g for a unit at
-    its interface end.  The strip, with the chains' Schur complement
-    -w_s^2 g on its interface lines, is solved by ``_strip_factor``.
-    """
+    Mode n's chain runs over the K - 1 edge lines outward from the interface
+    line, one constant tridiagonal on both edges, factored once.  Its solution
+    is p - w_s g x_n, x_n its interface value, p its solution for the data and g
+    for a unit at its interface end.  The strip, with the Schur complement
+    -w_s^2 g_1 of mode n and w_s t_k of each other mode on its interface lines,
+    is solved by ``_strip_factor``."""
     from scipy.linalg import lapack  # at first use: analytic commands never load scipy
-    grid, w_s, live, start = system.grid, system.w_s, system.live, system.start
-    J, M, N = grid.n_vertex, grid.n_u, len(system.chain_diag)
+    grid, n, w_s = system.grid, system.n, system.w_s
+    J, M, L = grid.n_vertex, grid.n_u, grid.n_edge - 1
     diag = system.strip_diag.copy()
-    if N:
-        off = system.chain_off.astype(complex)
-        factors = lapack.zgttrf(off, system.chain_diag, off.copy())[:-1]
+    diag[[0, J]] += system.edge_gain
+    if L:
+        c, off = system.chain_diag, np.full(L - 1, w_s, dtype=complex)
+        # the wrapper of zgttrf takes no single line, whose solve is a division
+        factors = lapack.zgttrf(off, np.full(L, c), off.copy())[:-1] if L > 1 else None
 
         def chains(rhs):
-            """Solve the chains of each edge in rhs, shape (edges, N)."""
-            return lapack.zgttrs(*factors, rhs.T)[0].T
+            """Solve the chain of each edge in rhs, shape (edges, L)."""
+            return lapack.zgttrs(*factors, rhs.T)[0].T if factors else rhs / c
 
-        unit = np.zeros((1, N), dtype=complex)
-        unit[0, start] = 1.0
-        g = chains(unit)[0]  # the same on both edges
-        diag[[0, J]] -= w_s**2 * g[start]
+        g = chains(np.eye(1, L, dtype=complex))[0]  # the same on both edges
+        diag[[0, J], n - 1] -= w_s**2 * g[0]
     strip = _strip_factor(system.diag, system.off, diag)
 
     def solve(r):
-        if not N:
+        if not L:
             return strip(r.reshape(J + 1, M)).ravel()
         r_chains, r_lines = system.split(r)
         p = chains(r_chains)
         rhs = r_lines.copy()
-        rhs[[0, J]] -= w_s * p[:, start]
+        rhs[[0, J], n - 1] -= w_s * p[:, 0]
         x = strip(rhs)
-        p -= g * np.repeat(w_s * x[[0, J]], live, axis=1)
+        p -= np.outer(w_s * x[[0, J], n - 1], g)
         return np.concatenate([p.ravel(), x.ravel()])
 
     y = solve(b)
@@ -544,8 +543,7 @@ def fd_resolvent(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
     sq = np.lib.scimath.sqrt(complex(z))
     trunc = math.exp(-abs(sq.imag) * grid.s_max)
     if trunc > 10.0 * TRUNCATION_TOL:
-        raise OracleError(
-            f"edge truncation error {trunc:.2e} exceeds bound; increase s_max")
+        raise OracleError(f"edge truncation error {trunc:.2e} exceeds bound; increase s_max")
     system = _sine_system(grid, profile, n, z)
     b = _rhs(system, f1, f2)
     y = _block_solve(system, b)
@@ -553,10 +551,11 @@ def fd_resolvent(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
     if not resid <= SOLVE_RESIDUAL_TOL:
         raise OracleError(f"solve backward error {resid:.2e} above tolerance")
     chains, lines = system.split(y)
-    K, first = grid.n_edge, system.start[n - 1]
+    K, J = grid.n_edge, grid.n_vertex
     proj = np.zeros((2, K + 1), dtype=complex)  # 0 on the Dirichlet line at s_max
-    proj[:, 0] = lines[[0, grid.n_vertex], n - 1]
-    proj[:, 1:K] = chains[:, first: first + K - 1]
-    energy = grid.h_u * (grid.h_s * np.sum(np.abs(chains) ** 2)
-                         + _line_weights(grid) @ np.sum(np.abs(lines) ** 2, axis=1))
+    proj[:, 0] = lines[[0, J], n - 1]
+    proj[:, 1:K] = chains
+    squares = np.abs(lines) ** 2
+    edges = np.sum(np.abs(chains) ** 2) + system.edge_energy @ (squares[0] + squares[J])
+    energy = grid.h_u * (grid.h_s * edges + _line_weights(grid) @ squares.sum(axis=1))
     return FDSolution(grid, n, math.sqrt(grid.h_u) * proj, resid, float(np.sqrt(energy)))

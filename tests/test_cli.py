@@ -308,7 +308,10 @@ class TestSweepCommands:
                                             ("quadrature_panels", [64]),
                                             ("quadrature_panels", [257, 64]),
                                             ("quadrature_order", 33),
-                                            ("zero_tolerance", -1)])
+                                            ("zero_tolerance", -1),
+                                            ("delta_rule", ["power"]),  # lists too short
+                                            ("z", [0]),
+                                            ("p", [[1, 0]])])
     def test_run_bad_residual_setting_exit_code(self, tmp_path, key, value):
         cfg = {
             "profile": {"kind": "bump", "amplitude": 0.5},

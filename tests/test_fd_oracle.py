@@ -12,13 +12,13 @@ from scipy.linalg import lapack
 from wglimit import GaussianPulse, assemble, fd_vertex_eigen, oracle_report
 from wglimit.cli import main
 from wglimit.fd_oracle import (
-    CUT_LOG,
     MAX_FD_UNKNOWNS,
     SOLVE_RESIDUAL_TOL,
     FDSolution,
     OracleError,
     WaveguideGrid,
     _block_solve,
+    _edge_modes,
     _rhs,
     _sine_blocks,
     _sine_system,
@@ -50,18 +50,39 @@ def sine_matrix(hu: float) -> np.ndarray:
     return math.sqrt(2.0 * hu) * np.sin(np.outer(k, k) * (math.pi * hu))
 
 
+def edge_shifts(grid: WaveguideGrid, n: int, z: complex) -> np.ndarray:
+    """Each mode's shift h_s h_u (gap/delta^2 - z) on an edge line, whose
+    diagonal is that plus 2 h_u/h_s."""
+    hu = grid.h_u
+    lam = (2.0 / hu * np.sin(np.arange(1, grid.n_u + 1) * math.pi * hu / 2)) ** 2
+    return grid.h_s * hu * ((lam - lam[n - 1]) / grid.delta**2 - z)
+
+
+def decaying_root(shift: complex, w_s: float) -> complex:
+    """The root of w_s rho^2 + (shift - 2 w_s) rho + w_s = 0 inside the unit
+    circle, as 1 over the larger root (the roots' product is 1; the small one
+    carries no digits)."""
+    roots = np.roots([w_s, shift - 2.0 * w_s, w_s])
+    return 1.0 / roots[np.argmax(np.abs(roots))]
+
+
 def sine_lines(grid: WaveguideGrid, profile, n: int, z: complex, f1, f2) -> np.ndarray:
-    """The packed sine-basis solution of ``fd_resolvent`` on every line,
-    (n_lines, M) in the physical line order, 0 past each chain's cut."""
+    """The sine-basis solution of ``fd_resolvent`` on every line, (n_lines, M)
+    in the physical line order: the packed unknowns, and each data-free edge
+    chain of a mode k != n rebuilt from its interface value x_k as
+    x_k (rho^l - rho^(2K-l)) / (1 - rho^(2K)), rho its decaying root."""
     system = _sine_system(grid, profile, n, z)
     chains, lines = system.split(_block_solve(system, _rhs(system, f1, f2)))
-    K, J, M = grid.n_edge, grid.n_vertex, grid.n_u
-    out = np.zeros((grid.n_lines, M), dtype=complex)
+    K, J = grid.n_edge, grid.n_vertex
+    out = np.zeros((grid.n_lines, grid.n_u), dtype=complex)
     out[K - 1: K + J] = lines
-    mode = np.repeat(np.arange(M), system.live)
-    outward = np.arange(len(mode)) - system.start[mode]
-    out[K - 2 - outward, mode] = chains[0]  # edge 1 runs to line 0
-    out[K + J + outward, mode] = chains[1]
+    rho = np.array([decaying_root(e, system.w_s) for e in edge_shifts(grid, n, z)])
+    l = np.arange(1, K)[:, None]
+    shape = (rho**l - rho ** (2 * K - l)) / (1.0 - rho ** (2 * K))
+    outward = (K - 1 - l.ravel(), K + J - 1 + l.ravel())  # edge 1 runs to line 0
+    for edge, (rows, iface) in enumerate(zip(outward, (0, J))):
+        out[rows] = lines[iface] * shape
+        out[rows, n - 1] = chains[edge]
     return out
 
 
@@ -318,9 +339,10 @@ def assemble_physical(grid: WaveguideGrid, profile, n: int, z: complex, f1, f2):
 
 def operator_matrix(system, absolute: bool = False) -> sp.csr_matrix:
     """The packed sine-basis system as one matrix, from its parts: the strip
-    dense out of its blocks, the chains and their interface couplings.  With
-    ``absolute`` each part is taken in modulus first, the blocks apart from
-    the mode diagonal, as the backward error reads |A|."""
+    dense out of its blocks and edge gains, mode n's chains and their interface
+    couplings.  With ``absolute`` each part is taken in modulus first, the
+    blocks apart from the mode diagonal and the edge gain, as the backward
+    error reads |A|."""
     J, M = system.grid.n_vertex, system.grid.n_u
     mod = np.abs if absolute else np.asarray
     strip = np.zeros(((J + 1) * M,) * 2, dtype=complex)
@@ -330,18 +352,21 @@ def operator_matrix(system, absolute: bool = False) -> sp.csr_matrix:
         if j < J:
             nxt = slice(rows.start + M, rows.stop + M)
             strip[rows, nxt] = strip[nxt, rows] = mod(system.off[j])
-    off, N = mod(system.chain_off), len(system.chain_diag)
-    chain = sp.diags([off, mod(system.chain_diag), off], [-1, 0, 1])
-    couple = [sp.coo_matrix((np.full(M, mod(system.w_s)), (system.start, line * M + np.arange(M))),
-                            shape=(N, (J + 1) * M)) for line in (0, J)]
+        if j in (0, J):
+            strip[rows, rows] += np.diag(mod(system.edge_gain))
+    L = system.grid.n_edge - 1
+    off = np.full(L - 1, mod(system.w_s))
+    chain = sp.diags([off, np.full(L, mod(system.chain_diag)), off], [-1, 0, 1])
+    couple = [sp.coo_matrix(([mod(system.w_s)], ([0], [line * M + system.n - 1])),
+                            shape=(L, (J + 1) * M)) for line in (0, J)]
     return sp.bmat([[chain, None, couple[0]], [None, chain, couple[1]],
                     [couple[0].T, couple[1].T, strip]], format="csr")
 
 
 def assert_matches_direct_solve(fd: FDSolution, profile, z: complex, f1, f2,
                                 rel: float) -> None:
-    """The packed sine-basis solution equals spsolve of the physical-basis
-    system mapped line by line into the sine basis (psi S), cut zeros included,
+    """The sine-basis solution on every line equals spsolve of the
+    physical-basis system mapped line by line into the sine basis (psi S),
     line block by line block; fd's edge projections and energy norm equal the
     reference's h_u psi . chi_n and trapezoid energy."""
     grid, n = fd.grid, fd.n
@@ -373,7 +398,7 @@ def assert_matches_direct_solve(fd: FDSolution, profile, z: complex, f1, f2,
                                      + w_edge[:K] @ sq[K + J - 1:]))
 
     assert fd.energy_norm == pytest.approx(trapezoid_energy(psi), rel=rel)
-    # Parseval: the norm of the packed solution is that of its lines mapped back
+    # Parseval: the norm of the sine-basis solution is that of its lines mapped back
     assert fd.energy_norm == pytest.approx(trapezoid_energy(got @ S), rel=1e-12)
 
 
@@ -396,6 +421,14 @@ class TestEdgeElimination:
         fd = fd_resolvent(grid, bump05, 1, z, f1, F_G2)
         assert np.max(np.abs(fd.edge_projection(1)[: n_edge])) > 0.0
         assert_matches_direct_solve(fd, bump05, z, f1, F_G2, rel=1e-12)
+
+    def test_thick_guide_edge_modes_hold_energy(self, bump05):
+        # eps = delta = 1: the modes k != n decay slowly along the edges, and
+        # their closed-form chains hold 1.4e-9 of the energy, which the 1e-12
+        # Parseval check sees
+        grid = WaveguideGrid.build(1.0, 1.0, Z4, h_u=1 / 16, h_s=1 / 16)
+        fd = fd_resolvent(grid, bump05, 1, Z4, F_G, F_G2)
+        assert_matches_direct_solve(fd, bump05, Z4, F_G, F_G2, rel=1e-9)
 
     def test_lu_sees_only_the_vertex_strip(self, bump05, monkeypatch):
         # M x M blocks of the strip only, nothing from the edges: the even
@@ -428,12 +461,10 @@ class TestEdgeElimination:
         fd_resolvent(grid, bump05, 1, Z4, F_G, None)
         assert len(shapes) == grid.n_vertex // 2 + 1 == 49
 
-    def test_chains_keep_only_their_live_lines(self, bump05, monkeypatch):
-        # z = i puts the edge ends at s = 26, far past where the modes k != n
-        # underflow; each such chain keeps the fewest lines l with
-        # rho_k^l <= e^CUT_LOG, rho_k its decaying root
-        sizes = []
-        zgttrf = lapack.zgttrf
+    def test_one_chain_of_edge_lines(self, bump05, monkeypatch):
+        # z = i puts the edge ends at s = 26: only mode n's chain of K - 1 lines
+        # is factored, once for both edges; the other modes leave in closed form
+        sizes, zgttrf = [], lapack.zgttrf
 
         def counting_zgttrf(dl, d, du, *args, **kwargs):
             sizes.append(len(d))
@@ -442,15 +473,57 @@ class TestEdgeElimination:
         monkeypatch.setattr(lapack, "zgttrf", counting_zgttrf)
         grid = WaveguideGrid.build(0.25, 0.25**3, 1j, h_u=1 / 16, h_s=1 / 64)
         fd_resolvent(grid, bump05, 1, 1j, F_G, F_G2)
-        hu, hs, M, L = grid.h_u, grid.h_s, grid.n_u, grid.n_edge - 1
-        lam = (2.0 / hu * np.sin(np.arange(1, M + 1) * math.pi * hu / 2)) ** 2
-        live = [L]
-        for gap in lam[1:] - lam[0]:
-            c = hs * hu * (gap / grid.delta**2 - 1j) + 2.0 * hu / hs
-            rho = 1.0 / np.max(np.abs(np.roots([-hu / hs, c, -hu / hs])))
-            live.append(min(L, max(1, math.ceil(CUT_LOG / math.log(rho)))))
-        assert sizes == [sum(live)]
-        assert sizes[0] < M * L / 5
+        assert sizes == [grid.n_edge - 1] == [1667]
+
+
+class TestEdgeModes:
+    """t and E of ``_edge_modes`` against a banded LU solve of the whole chain
+    w_s y_(l-1) + c y_l + w_s y_(l+1) = 0 for y_0 = 1, y_K = 0."""
+
+    @staticmethod
+    def chain_solve(shift: complex, w_s: float, K: int) -> tuple[complex, float]:
+        """y_1 and sum |y_l|^2 of the chain of diagonal shift - 2 w_s."""
+        rhs = np.zeros(K - 1, dtype=complex)
+        rhs[0] = -w_s
+        bands = np.array([np.full(K - 1, w_s), np.full(K - 1, shift - 2.0 * w_s),
+                          np.full(K - 1, w_s)], dtype=complex)
+        y = scipy.linalg.solve_banded((1, 1), bands, rhs)
+        return y[0], float(np.sum(np.abs(y) ** 2))
+
+    def assert_matches_chains(self, grid: WaveguideGrid, n: int, z: complex, rel: float):
+        shift, w_s = edge_shifts(grid, n, z), -grid.h_u / grid.h_s
+        t, energy = _edge_modes(shift, w_s, grid.n_edge)
+        for k in range(grid.n_u):
+            want_t, want_e = self.chain_solve(shift[k], w_s, grid.n_edge)
+            assert abs(t[k] - want_t) <= rel * abs(want_t), k
+            assert energy[k] == pytest.approx(want_e, rel=rel, abs=0.0), k
+        return shift, w_s
+
+    def test_fast_decay(self):
+        # |rho| below 0.03 on every mode k != n: P = rho^(2(K-1)) underflows to 0
+        grid = small_grid()
+        shift, w_s = self.assert_matches_chains(grid, 1, Z4, rel=1e-14)
+        rho = np.abs([decaying_root(e, w_s) for e in shift[1:]])
+        assert rho.max() < 0.03 and rho.max() ** (2 * grid.n_edge - 2) == 0.0
+
+    def test_slow_decay(self):
+        # eps = delta = 1: mode 1 decays like e^(-Im sqrt(z) s) over the whole edge
+        grid = WaveguideGrid.build(1.0, 1.0, 1j, h_u=1 / 16, h_s=1 / 16)
+        shift, w_s = self.assert_matches_chains(grid, 1, 1j, rel=1e-14)
+        assert abs(decaying_root(shift[0], w_s)) > 0.95
+
+    def test_open_channel(self):
+        # n = 2 at h_s = 1/128: mode 1 propagates, damped only by Im z, and
+        # |rho^(2K)| = 0.81 keeps the reflection from the Dirichlet end
+        grid = WaveguideGrid.build(0.3, 0.027, 1j, h_u=1 / 32, h_s=1 / 128)
+        # (the closed form's powers carry K times the rounding of rho: 6e-13 here)
+        shift, w_s = self.assert_matches_chains(grid, 2, 1j, rel=1e-11)
+        assert abs(decaying_root(shift[0], w_s) ** (2 * grid.n_edge)) == pytest.approx(0.81, abs=0.01)
+
+    def test_no_edge_lines(self):
+        # K = 1: the Dirichlet line is the interface line's neighbour
+        t, energy = _edge_modes(edge_shifts(small_grid(), 1, Z4), -16.0, 1)
+        assert not t.any() and not energy.any()
 
 
 class TestStripFactor:

@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .coupling import SingularSystemError
 from .experiments import (
+    DEFAULT_WINDOW_POLICY,
     ConfigError,
     ExperimentConfig,
     FitError,
@@ -222,7 +223,7 @@ def _add_sweep_flags(sub, coupling: bool) -> None:
     sub.add_argument("--z", default="0,1", help="RE,IM")
     sub.add_argument("--eps-grid", default="2^-6..2^-14")
     sub.add_argument("--delta-rule", default="power:1.5")
-    sub.add_argument("--window-policy", default="drop:2")
+    sub.add_argument("--window-policy", default=DEFAULT_WINDOW_POLICY)
     sub.add_argument("--out", required=True)
     if coupling:
         sub.add_argument("--p1", default="1,0")

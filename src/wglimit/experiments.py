@@ -43,7 +43,7 @@ from .kernels import (
     boundary_derivatives,
     vertex_kernel_at,
 )
-from .profile import CurvatureProfile, ProfileError
+from .profile import CurvatureProfile, ProfileError, _check_ratio
 from .residual import (MAX_QUADRATURE_NODES, MIN_QUADRATURE_ORDER, QUADRATURE_ORDER,
                        QUADRATURE_PANELS, ResidualQuadrature, assemble, data_norm,
                        residual_norms)
@@ -67,6 +67,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 MIN_FIT_POINTS = 4
 DEFAULT_EPS_GRID = tuple(2.0**-k for k in range(6, 15))  # 2^-6 .. 2^-14
+DEFAULT_WINDOW_POLICY = "drop:2"
 POINT_ERRORS = (NearEigenvalueError, SingularSystemError, IntegrationError,
                 SpectrumError, KernelError, ProfileError, OverflowError)
 
@@ -149,7 +150,7 @@ class ExperimentConfig:
     quadrature_panels: tuple[int, int] = QUADRATURE_PANELS
     quadrature_order: int = QUADRATURE_ORDER
     zero_tolerance: float = DEFAULT_ZERO_TOLERANCE
-    window_policy: str = "drop:2"
+    window_policy: str = DEFAULT_WINDOW_POLICY
 
     def validate(self) -> None:
         if self.metric not in METRICS:
@@ -274,7 +275,7 @@ def _drop_count(window_policy) -> int | None:
     return int(match.group(1))
 
 
-def fit_slope(eps, values, window_policy: str = "stabilize") -> SlopeFit:
+def fit_slope(eps, values, window_policy: str = DEFAULT_WINDOW_POLICY) -> SlopeFit:
     """Log-log OLS slope of values against eps on a stabilised window.
 
     Rows must be ordered by decreasing eps.  Policy ``drop:k`` discards
@@ -333,6 +334,9 @@ class SweepContext:
             projector = resonant_projector(config.profile, config.zero_tolerance)
         residual = None
         if config.metric == "residual":
+            # no point is admissible if the smallest positive delta/eps breaks the profile's bound
+            ratios = [delta_for(config.delta_rule, eps) / eps for eps in config.eps_grid]
+            _check_ratio(config.profile, min((r for r in ratios if r > 0.0), default=0.0))
             residual = ResidualQuadrature.build(config.profile, config.n, f1, f2, case,
                                                 config.quadrature_order,
                                                 config.quadrature_panels)

@@ -76,14 +76,18 @@ SOLVE_RESIDUAL_TOL = 1e-10
 # Default transverse and longitudinal steps of the 2-D oracle grid.
 H_U = 1.0 / 32
 H_S = 1.0 / 64
+# Fewest s-steps of an edge: mode n's chain then has the 3 lines that scipy's
+# gttrf wrapper takes at least.  ``WaveguideGrid.build`` pads s_max up to it.
+MIN_EDGE_STEPS = 4
 # Largest 2-D grid, 2.2 times the benchmark's refined bump grid (437,661); the
 # edge length -ln(tol)/Im sqrt(z), and so the grid, grows without bound.  The
 # solve holds the strip's (J + 1) M values and 2(K - 1) chain values, mode n's.
 MAX_FD_UNKNOWNS = 1_000_000
 # Most entries in the strip's dense M x M blocks, M^2 (3J + 1), 3.3 times the benchmark's
-# refined bump grid: 21 bytes an entry (real diag, off, |diag|, |off|; complex LU of U_j and
-# U_j^-1 C_j: 64 bytes per M^2 and line), near 215 MB.  That is the worst case, an
-# asymmetric strip; a mirrored one keeps the complex factors of about half its lines.
+# refined bump grid: 16 bytes an entry (real diag and off; complex LU of U_j and U_j^-1 C_j:
+# 48 bytes per M^2 and line), near 160 MB.  That is the worst case, an asymmetric strip; a
+# mirrored one keeps the complex factors of about half its lines.  |diag| and |off|, 16
+# bytes per M^2 and line, live only in the backward error, after the factors are freed.
 MAX_FD_STRIP_ENTRIES = 10_000_000
 
 
@@ -133,8 +137,7 @@ class FDEigenResult:
     grid: Grid1D
 
 
-def _tridiag_eigen(profile: CurvatureProfile, grid: Grid1D, count: int,
-                   vectors: bool):
+def _tridiag_eigen(profile: CurvatureProfile, grid: Grid1D, count: int):
     from scipy.linalg import eigh_tridiagonal  # at first use: analytic commands never load scipy
     h = grid.h
     pts = grid.points
@@ -143,12 +146,7 @@ def _tridiag_eigen(profile: CurvatureProfile, grid: Grid1D, count: int,
     d[0] -= 1.0 / h**2
     d[-1] -= 1.0 / h**2
     e = np.full(grid.n - 1, -1.0) / h**2
-    if vectors:
-        w, vecs = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
-        return w, vecs
-    w = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1),
-                         eigvals_only=True)
-    return w, None
+    return eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
 
 
 def fd_vertex_eigen(profile: CurvatureProfile, n_points: int, count: int) -> FDEigenResult:
@@ -157,8 +155,8 @@ def fd_vertex_eigen(profile: CurvatureProfile, n_points: int, count: int) -> FDE
         raise OracleError("need at least 200 mesh points")
     coarse = Grid1D(n_points)
     fine = Grid1D(2 * n_points)
-    w_c, _ = _tridiag_eigen(profile, coarse, count, vectors=False)
-    w_f, vecs = _tridiag_eigen(profile, fine, count, vectors=True)
+    w_c, _ = _tridiag_eigen(profile, coarse, count)
+    w_f, vecs = _tridiag_eigen(profile, fine, count)
     lams = (4.0 * w_f - w_c) / 3.0
     vecs = vecs / math.sqrt(fine.h)
     for k in range(count):
@@ -202,6 +200,8 @@ class WaveguideGrid:
         k = round(_steps(self.s_max, self.h_s, "h_s"))
         if abs(k * self.h_s - self.s_max) > 1e-9:
             raise ValueError("h_s must divide s_max")
+        if k < MIN_EDGE_STEPS:
+            raise ValueError(f"an edge of {k} s-steps is shorter than {MIN_EDGE_STEPS}")
         j = round(_steps(2.0, self.h_s, "h_s"))
         if abs(j * self.h_s - 2.0) > 1e-12:
             raise ValueError("h_s must divide 2")
@@ -222,7 +222,7 @@ class WaveguideGrid:
               h_s: float = H_S) -> "WaveguideGrid":
         if not (h_u > 0.0 and h_s > 0.0):
             raise ValueError("grid steps must be positive")
-        s_max = math.ceil(_steps(suggest_edge_length(z), h_s, "h_s")) * h_s
+        s_max = max(math.ceil(_steps(suggest_edge_length(z), h_s, "h_s")), MIN_EDGE_STEPS) * h_s
         return WaveguideGrid(epsilon, delta, s_max, h_s, h_u)
 
     def refined(self) -> "WaveguideGrid":
@@ -299,13 +299,13 @@ class _SineSystem:
     """The 2-D system in the sine basis.  Its unknowns are packed in one vector:
     mode n's chains on edges 1 and 2 (2, K - 1), outward from the interface, then
     the J + 1 strip lines (J + 1, M).  Each other mode's edge chains leave in closed
-    form (``_edge_modes``) as w_s t_k on its mode of both interface lines."""
+    form (``_edge_modes``) as w_s t_k on its mode of both interface lines.  Only the
+    real blocks are held: ``apply`` forms |A| where it reads it."""
 
     grid: WaveguideGrid
     n: int
     diag: np.ndarray         # (J + 1, M, M) real symmetric block of each strip line
     off: np.ndarray          # (J, M, M) real symmetric block between lines j, j + 1
-    abs_blocks: tuple        # |diag| and |off|, for the backward error
     strip_diag: np.ndarray   # (J + 1, M) mode diagonal of the strip lines
     edge_gain: np.ndarray    # (M,) w_s t_k on each interface line, 0 for mode n
     edge_energy: np.ndarray  # (M,) E_k of each edge chain per |x_k|^2, 0 for mode n
@@ -320,10 +320,8 @@ class _SineSystem:
     def apply(self, y: np.ndarray, absolute: bool = False) -> np.ndarray:
         """A y, or |A| |y| (blocks, mode diagonal and edge gain apart) if ``absolute``."""
         J, n = self.grid.n_vertex, self.n
-        parts = (self.diag, self.off), self.strip_diag, self.edge_gain, self.chain_diag, self.w_s, y
-        if absolute:
-            parts = (self.abs_blocks, *map(np.abs, parts[1:]))
-        (a, a_off), d, gain, c, w_s, y = parts
+        parts = self.diag, self.off, self.strip_diag, self.edge_gain, self.chain_diag, self.w_s, y
+        a, a_off, d, gain, c, w_s, y = map(np.abs, parts) if absolute else parts
         chains, lines = self.split(y)
         out = np.empty_like(y)
         out_chains, out_lines = self.split(out)
@@ -334,8 +332,6 @@ class _SineSystem:
         prod[1:] += a_off @ x[:-1]
         out_lines[:] = prod.reshape(J + 1, -1).view(y.dtype) + d * lines
         out_lines[[0, J]] += gain * lines[[0, J]]
-        if not chains.size:
-            return out
         out_lines[[0, J], n - 1] += w_s * chains[:, 0]
         out_chains[:] = c * chains
         out_chains[:, :-1] += w_s * chains[:, 1:]
@@ -345,7 +341,8 @@ class _SineSystem:
 
     def backward_error(self, y: np.ndarray, b: np.ndarray) -> float:
         """Componentwise backward error max |b - A y| / (|A| |y| + |b|) over every
-        row that holds a computed value, mode n's chains and the strip; the term
+        row that holds a computed value, mode n's chains and the strip, with |A|
+        taken of the blocks for this one product; the term
         w_s t_k x_k of a closed-form chain is apart in |A| |y|, as |w_s| |y_1|.  A mode
         the data do not reach (k != n on a flat profile) is 0 or subnormal, with no
         relative digits, so the denominators are floored at tiny/eps."""
@@ -377,7 +374,7 @@ def _sine_system(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
     lines add 2 h_u/h_s and w_s = -h_u/h_s to each neighbour, interface lines h_u/h_s."""
     eps, hs, hu = grid.epsilon, grid.h_s, grid.h_u
     K, J, M = grid.n_edge, grid.n_vertex, grid.n_u
-    mode = hu * (grid.mode_gaps(n) / grid.delta**2 - z)
+    mode = hu * (grid.mode_gaps(n) / grid.delta**2 - complex(z))  # complex at real z too
     strip_diag = _line_weights(grid)[:, None] * mode
     strip_diag[[0, J]] += hu / hs
 
@@ -394,8 +391,8 @@ def _sine_system(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
     w_s = -hu / hs
     t, energy = _edge_modes(hs * mode, w_s, K)
     t[n - 1] = energy[n - 1] = 0.0  # mode n's chain carries the data: it stays unknown
-    return _SineSystem(grid, n, diag, off, (np.abs(diag), np.abs(off)), strip_diag,
-                       w_s * t, energy, hs * mode[n - 1] - 2.0 * w_s, w_s)
+    return _SineSystem(grid, n, diag, off, strip_diag, w_s * t, energy,
+                       hs * mode[n - 1] - 2.0 * w_s, w_s)
 
 
 def _rhs(system: _SineSystem, f1, f2) -> np.ndarray:
@@ -494,33 +491,30 @@ def _block_solve(system: _SineSystem, b: np.ndarray) -> np.ndarray:
     """A^-1 b by exact elimination of mode n's edge chains, with one step of
     iterative refinement against ``system.apply``.
 
-    Mode n's chain runs over the K - 1 edge lines outward from the interface
-    line, one constant tridiagonal on both edges, factored once.  Its solution
+    Mode n's chain runs over the K - 1 >= 3 edge lines outward from the interface
+    line, one constant tridiagonal on both edges, factored once by LAPACK gttrf
+    (``MIN_EDGE_STEPS`` keeps every edge long enough for it).  Its solution
     is p - w_s g x_n, x_n its interface value, p its solution for the data and g
     for a unit at its interface end.  The strip, with the Schur complement
     -w_s^2 g_1 of mode n and w_s t_k of each other mode on its interface lines,
     is solved by ``_strip_factor``."""
     from scipy.linalg import lapack  # at first use: analytic commands never load scipy
     grid, n, w_s = system.grid, system.n, system.w_s
-    J, M, L = grid.n_vertex, grid.n_u, grid.n_edge - 1
+    J, L = grid.n_vertex, grid.n_edge - 1
+    off = np.full(L - 1, w_s, dtype=complex)
+    factors = lapack.zgttrf(off, np.full(L, system.chain_diag), off.copy())[:-1]
+
+    def chains(rhs):
+        """Solve the chain of each edge in rhs, shape (edges, L)."""
+        return lapack.zgttrs(*factors, rhs.T)[0].T
+
+    g = chains(np.eye(1, L, dtype=complex))[0]  # the same on both edges
     diag = system.strip_diag.copy()
     diag[[0, J]] += system.edge_gain
-    if L:
-        c, off = system.chain_diag, np.full(L - 1, w_s, dtype=complex)
-        # the wrapper of zgttrf takes no single line, whose solve is a division
-        factors = lapack.zgttrf(off, np.full(L, c), off.copy())[:-1] if L > 1 else None
-
-        def chains(rhs):
-            """Solve the chain of each edge in rhs, shape (edges, L)."""
-            return lapack.zgttrs(*factors, rhs.T)[0].T if factors else rhs / c
-
-        g = chains(np.eye(1, L, dtype=complex))[0]  # the same on both edges
-        diag[[0, J], n - 1] -= w_s**2 * g[0]
+    diag[[0, J], n - 1] -= w_s**2 * g[0]
     strip = _strip_factor(system.diag, system.off, diag)
 
     def solve(r):
-        if not L:
-            return strip(r.reshape(J + 1, M)).ravel()
         r_chains, r_lines = system.split(r)
         p = chains(r_chains)
         rhs = r_lines.copy()
@@ -536,8 +530,6 @@ def _block_solve(system: _SineSystem, b: np.ndarray) -> np.ndarray:
 def fd_resolvent(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
                  z: complex, f1, f2) -> FDSolution:
     """Solve the discrete shifted resolvent equation with data (f1, f2)."""
-    if complex(z).imag == 0.0:
-        raise OracleError("z must have nonzero imaginary part")
     if not 1 <= n <= grid.n_u:
         raise ValueError(f"transverse index n = {n} outside the {grid.n_u} modes of the u-grid")
     sq = np.lib.scimath.sqrt(complex(z))

@@ -4,7 +4,6 @@ import csv
 import json
 import shlex
 import time
-import warnings
 from datetime import timedelta
 from pathlib import Path
 
@@ -266,9 +265,42 @@ class TestSweepCommands:
         assert time.perf_counter() - start < 1.0
 
     def test_negative_real_z_oracle_exit_code(self, tmp_path):
-        # documented: the FD oracle needs Im z != 0, a numerical failure
-        assert main(["oracle-compare", "--z=-1,0",
-                     "--out", str(tmp_path / "x.json")]) == 3
+        # the FD system is well posed off [0, inf): z = -1 reads as z = -1 + 1e-12 i
+        reports = []
+        for z in ("-1,0", "-1,1e-12"):
+            out = tmp_path / f"{z}.json"
+            assert main(["oracle-compare", f"--z={z}", "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        exact, near = reports
+        assert (exact["grid"], exact["case"]) == (near["grid"], near["case"])
+        assert exact["norms"] == pytest.approx(near["norms"], rel=1e-12)
+        for key in ("mismatch", "hat_vs_discrete"):
+            assert exact[key] == pytest.approx(near[key], rel=1e-12)
+
+    def test_shortest_edge_oracle_exit_code(self, tmp_path):
+        # Im sqrt(z) = 450 asks for 2.6 s-steps of edge; the grid keeps 4
+        out = tmp_path / "x.json"
+        assert main(["oracle-compare", "--z=-202500,1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["grid"]["s_max"] == 4 / 64
+
+    @pytest.mark.parametrize("rule", ["fixed-ratio:0.2", "power:1"])
+    def test_residual_sweep_without_admissible_point_exit_code(self, tmp_path, capsys, rule):
+        # tuned:2 has sup|gamma| = 6.104: even the grid's smallest delta/eps breaks
+        # ratio * sup|gamma| < 1, so no point could run
+        out = tmp_path / "res.csv"
+        assert main(["residual-sweep", "--profile", "tuned:2", "--eps-grid", "2^-2..2^-8",
+                     "--delta-rule", rule, "--f1", "exp:1", "--out", str(out)]) == 2
+        assert "too large for amplitude" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_residual_sweep_partly_admissible(self, tmp_path):
+        # power:1.5: delta/eps = eps^0.5 passes the bound at the 3 smallest eps only
+        out = tmp_path / "res.csv"
+        assert main(["residual-sweep", "--profile", "tuned:2", "--eps-grid", "2^-2..2^-8",
+                     "--delta-rule", "power:1.5", "--f1", "exp:1", "--out", str(out)]) == 0
+        result = json.loads((tmp_path / "res.csv.json").read_text())
+        assert [row["epsilon"] for row in result["rows"]] == [2.0**-6, 2.0**-7, 2.0**-8]
+        assert len(result["failures"]) == 4
 
     def test_shooting_cap_is_a_point_failure(self, tmp_path):
         out = tmp_path / "cap.csv"
@@ -474,10 +506,8 @@ class TestOracleCompare:
             raise AssertionError("FD solve started")
 
         monkeypatch.setattr(experiments, "fd_resolvent", no_solve)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the data norm's quadrature warns
-            assert main(["oracle-compare", "--f1", "exp:1e-6",
-                         "--out", str(tmp_path / "o.json")]) == 2
+        assert main(["oracle-compare", "--f1", "exp:1e-6",
+                     "--out", str(tmp_path / "o.json")]) == 2
 
 
 # A bounded CLI input space: small counts and grids, <= 4-point eps grids and
@@ -535,8 +565,6 @@ class TestExitCodeProperty:
     @settings(max_examples=60, deadline=timedelta(seconds=20), derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_exit_code_is_0_2_or_3(self, tmp_path, argv):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main([*argv, "--out", str(tmp_path / "out.csv")])
+        code = main([*argv, "--out", str(tmp_path / "out.csv")])
         event(f"{argv[0]} exit {code}")
         assert code in (0, 2, 3)

@@ -42,6 +42,12 @@ class TestFitSlope:
         fit = fit_slope(eps, np.full_like(eps, 3.0), window_policy="drop:0")
         assert abs(fit.slope) < 1e-12
 
+    def test_default_window_policy_is_the_sweeps(self):
+        eps = np.array([2.0**-k for k in range(3, 12)])
+        vals = eps * (1 + 0.1 * eps)
+        assert fit_slope(eps, vals) == fit_slope(eps, vals, "drop:2")
+        assert ExperimentConfig(CurvatureProfile.zero()).window_policy == "drop:2"
+
     def test_insufficient_points(self):
         with pytest.raises(FitError):
             fit_slope([0.5, 0.25, 0.125], [1, 2, 3])

@@ -13,6 +13,7 @@ from wglimit import GaussianPulse, assemble, fd_vertex_eigen, oracle_report
 from wglimit.cli import main
 from wglimit.fd_oracle import (
     MAX_FD_UNKNOWNS,
+    MIN_EDGE_STEPS,
     SOLVE_RESIDUAL_TOL,
     FDSolution,
     OracleError,
@@ -410,16 +411,35 @@ class TestEdgeElimination:
         fd = fd_resolvent(small_grid(), profile, n, Z4, F_G, F_G2)
         assert_matches_direct_solve(fd, profile, Z4, F_G, F_G2, rel=1e-9)
 
-    @pytest.mark.parametrize("n_edge", [1, 2])
-    def test_one_edge_line_or_none(self, bump05, n_edge):
-        # Im sqrt(z) ~ 89 and 141 keep the truncation guard quiet on s_max = h, 2h
+    @pytest.mark.parametrize("profile", ["zero_profile", "bump05", "tuned2"])
+    def test_negative_real_z_matches_direct_solve(self, request, profile):
+        # z = -4: every rho_k is real, so the energy's cross sum is _geometric at x = 0
+        profile, z = request.getfixturevalue(profile), -4.0
+        grid = WaveguideGrid.build(0.25, 0.25**3, z, h_u=1 / 16, h_s=1 / 16)
+        t, _ = _edge_modes(edge_shifts(grid, 1, z), -grid.h_u / grid.h_s, grid.n_edge)
+        assert not t.imag.any()
+        fd = fd_resolvent(grid, profile, 1, z, F_G, F_G2)
+        assert_matches_direct_solve(fd, profile, z, F_G, F_G2, rel=1e-9)
+
+    def test_build_pads_short_edges(self):
+        # Im sqrt(z) ~ 141 asks for 0.13 = 1.04 h of edge; the grid keeps 4 steps
+        grid = WaveguideGrid.build(0.5, 0.5**3, -2e4 + 1j, h_u=1 / 8, h_s=1 / 8)
+        assert grid.n_edge == MIN_EDGE_STEPS == 4
+        assert grid.s_max == 4 / 8
+
+    @pytest.mark.parametrize("n_edge", [1, 2, 3])
+    def test_short_edge_rejected(self, n_edge):
+        with pytest.raises(ValueError, match=f"edge of {n_edge} s-steps is shorter than 4"):
+            WaveguideGrid(0.5, 0.5**3, n_edge / 8, 1 / 8, 1 / 8)
+
+    @pytest.mark.parametrize("z", [-8000.0 + 1j, -2e4 + 1j, -2e4, -202500.0 + 1j])
+    def test_shortest_edge_matches_direct_solve(self, bump05, z):
+        # Im sqrt(z) >= 89 keeps the truncation guard quiet on s_max = 4h
         h = 1 / 8
-        z = -8000.0 + 1j if n_edge == 2 else -2e4 + 1j
-        grid = WaveguideGrid(0.5, 0.5**3, n_edge * h, h, h)
-        assert grid.n_edge == n_edge
+        grid = WaveguideGrid(0.5, 0.5**3, MIN_EDGE_STEPS * h, h, h)
         f1 = GaussianPulse(center=0.1, width=0.5)
         fd = fd_resolvent(grid, bump05, 1, z, f1, F_G2)
-        assert np.max(np.abs(fd.edge_projection(1)[: n_edge])) > 0.0
+        assert np.max(np.abs(fd.edge_projection(1)[:MIN_EDGE_STEPS])) > 0.0
         assert_matches_direct_solve(fd, bump05, z, f1, F_G2, rel=1e-12)
 
     def test_thick_guide_edge_modes_hold_energy(self, bump05):

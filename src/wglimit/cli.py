@@ -46,6 +46,10 @@ NUMERICAL_ERRORS = (NearEigenvalueError, SingularSystemError, IntegrationError,
 # Largest `kernel --grid` (grid^2 CSV rows) and `kernel --n-terms`.
 MAX_KERNEL_GRID = 1001
 MAX_SERIES_TERMS = 2000
+# Largest `kernel --mode series` work grid^2 n_terms (n_terms + 60): each of the
+# grid rows multiplies (grid x (n_terms + 60)) by ((n_terms + 60) x n_terms) cosine
+# values.  It admits the default terms on the largest grid, about 40 s on a 2-core VM.
+MAX_SERIES_WORK = MAX_KERNEL_GRID**2 * SERIES_DEFAULT_TERMS * (SERIES_DEFAULT_TERMS + 60)
 # Largest B of `--eps-grid 2^-A..2^-B`: 2^-1075 rounds to 0.
 MAX_EPS_EXPONENT = 1074
 
@@ -129,7 +133,7 @@ def _cmd_spectrum(args) -> int:
     ]
     _write_csv(args.out, ["n", "lambda", "y_at_minus1", "y_at_plus1"], rows)
     print(f"wrote {args.out} ({args.count} eigenvalues, "
-          f"case={'2' if spec.resonant else '1'})")
+          f"case={'2' if spec.case.resonant else '1'})")
     return 0
 
 
@@ -138,6 +142,10 @@ def _cmd_kernel(args) -> int:
         raise ConfigError(f"--grid must lie in [1, {MAX_KERNEL_GRID}], got {args.grid}")
     if not 1 <= args.n_terms <= MAX_SERIES_TERMS:
         raise ConfigError(f"--n-terms must lie in [1, {MAX_SERIES_TERMS}], got {args.n_terms}")
+    work = args.grid**2 * args.n_terms * (args.n_terms + 60)
+    if args.mode == "series" and work > MAX_SERIES_WORK:
+        raise ConfigError(f"--mode series asks for grid^2 n_terms (n_terms + 60) = {work:.3g}, "
+                          f"more than {MAX_SERIES_WORK:.3g}")
     profile = _parse_profile(args.profile)
     z = _parse_z(args.z)
     if args.mode == "series":

@@ -143,10 +143,10 @@ def solve_coupling_from_kernel(kernel: ShootingSolution, z: complex, epsilon: fl
     return CouplingCoefficients(complex(z), float(epsilon), p, q, xi, case, back)
 
 
-def solve_coupling(profile: CurvatureProfile, z: complex, epsilon: float, p,
-                   zero_tolerance: float = DEFAULT_ZERO_TOLERANCE) -> CouplingCoefficients:
+def solve_coupling(profile: CurvatureProfile, z: complex, epsilon: float,
+                   p) -> CouplingCoefficients:
     """Boundary constants (q, xi) for data derivatives p at the vertex."""
-    case = classify(profile, zero_tolerance)
+    case = classify(profile)
     kernel = vertex_kernel_at(profile, epsilon**2 * z)
     return solve_coupling_from_kernel(kernel, z, epsilon, p, case)
 

@@ -102,16 +102,18 @@ def edge_function_from_spec(spec: dict | None):
     kind = spec.get("type")
     if kind == "exp":
         f = ExpDecay(rate=float(spec.get("rate", 1.0)))
-        ok = f.rate > 0.0
+        ok, keys = f.rate > 0.0, {"rate"}
     elif kind == "gaussian":
         f = GaussianPulse(center=float(spec.get("center", 3.0)),
                           width=float(spec.get("width", 0.5)))
-        ok = f.width > 0.0
+        ok, keys = f.width > 0.0, {"center", "width"}
     elif kind == "indicator":
         f = Indicator(lo=float(spec.get("lo", 0.0)), hi=float(spec.get("hi", 1.0)))
-        ok = f.lo < f.hi
+        ok, keys = f.lo < f.hi, {"lo", "hi"}
     else:
         raise ConfigError(f"unknown edge function spec {spec!r}")
+    if unknown := sorted(set(spec) - keys - {"type"}):
+        raise ConfigError(f"edge function {spec!r} has unknown keys {unknown}")
     if not (ok and all(math.isfinite(v) for v in vars(f).values())):
         raise ConfigError(f"edge function {spec!r} needs finite values, "
                           "rate > 0, width > 0 and lo < hi")
@@ -122,6 +124,9 @@ def edge_function_from_spec(spec: dict | None):
 _OPTIONAL_KEYS = (("metric", None), ("n", None), ("f1", None), ("f2", None),
                   ("quadrature_panels", tuple), ("quadrature_order", None),
                   ("zero_tolerance", float), ("window_policy", None))
+# Every key a config may hold; ``seed``, which older configs carry, is ignored.
+_CONFIG_KEYS = {"schema_version", "seed", "profile", "z", "eps_grid", "delta_rule", "p",
+                *(key for key, _ in _OPTIONAL_KEYS)}
 
 
 def _is_int(value) -> bool:
@@ -176,6 +181,11 @@ class ExperimentConfig:
                 raise ConfigError("ratio rule needs 0 < r <= 1")
         else:
             raise ConfigError(f"unknown delta rule {kind!r}")
+        if self.metric != "coupling":  # the coupling metric reads no delta
+            zero = [e for e in self.eps_grid if not delta_for(self.delta_rule, e) > 0.0]
+            if zero:
+                raise ConfigError(f"delta rule {kind}:{value} underflows to delta = 0 at "
+                                  f"eps = {zero[0]:.6g}; metric {self.metric!r} needs delta > 0")
         if self.f1 is None and self.f2 is None and (self.metric != "coupling" or self.p is None):
             raise ConfigError(f"metric {self.metric!r} needs edge data f1/f2 (or, for coupling, p)")
         for spec in (self.f1, self.f2):
@@ -215,6 +225,8 @@ class ExperimentConfig:
     @staticmethod
     def from_json_dict(d: dict) -> "ExperimentConfig":
         try:
+            if unknown := sorted(set(d) - _CONFIG_KEYS):
+                raise ConfigError(f"unknown keys {unknown}")
             profile = CurvatureProfile.from_json_fragment(d["profile"])
             z = complex(d["z"][0], d["z"][1])
             p = d.get("p")  # a missing p means: take p from the edge data
@@ -334,9 +346,9 @@ class SweepContext:
             projector = resonant_projector(config.profile, config.zero_tolerance)
         residual = None
         if config.metric == "residual":
-            # no point is admissible if the smallest positive delta/eps breaks the profile's bound
-            ratios = [delta_for(config.delta_rule, eps) / eps for eps in config.eps_grid]
-            _check_ratio(config.profile, min((r for r in ratios if r > 0.0), default=0.0))
+            # no point is admissible if the smallest delta/eps breaks the profile's bound
+            _check_ratio(config.profile, min(delta_for(config.delta_rule, eps) / eps
+                                             for eps in config.eps_grid))
             residual = ResidualQuadrature.build(config.profile, config.n, f1, f2, case,
                                                 config.quadrature_order,
                                                 config.quadrature_panels)

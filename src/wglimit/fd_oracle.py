@@ -62,7 +62,6 @@ from .profile import CurvatureProfile, geometry_fields
 __all__ = [
     "FDEigenResult",
     "FDSolution",
-    "Grid1D",
     "OracleError",
     "WaveguideGrid",
     "fd_resolvent",
@@ -115,54 +114,41 @@ def _steps(length: float, h: float, name: str) -> float:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Grid1D:
-    """Midpoint mesh on [-1, 1]; Neumann ends close by mirrored ghosts."""
-
-    n: int
-
-    @property
-    def h(self) -> float:
-        return 2.0 / self.n
-
-    @property
-    def points(self) -> np.ndarray:
-        return -1.0 + (np.arange(self.n) + 0.5) * self.h
-
-
-@dataclass(frozen=True)
 class FDEigenResult:
     lams: np.ndarray          # Richardson-extrapolated eigenvalues
-    lams_coarse: np.ndarray   # raw eigenvalues of the n-mesh
-    vectors: np.ndarray       # columns: L2-normalised eigenvectors on `grid`
-    grid: Grid1D
+    lams_coarse: np.ndarray   # raw eigenvalues of the n-point mesh
+    vectors: np.ndarray       # columns: L2-normalised eigenvectors on the 2n-point mesh
+    h: float                  # the 2n-point mesh's step, 1/n
 
 
-def _tridiag_eigen(profile: CurvatureProfile, grid: Grid1D, count: int):
+def _tridiag_eigen(profile: CurvatureProfile, n: int, count: int):
+    """The lowest ``count`` eigenpairs on the n-point midpoint mesh of [-1, 1],
+    step h = 2/n, whose Neumann ends close by mirrored ghosts."""
     from scipy.linalg import eigh_tridiagonal  # at first use: analytic commands never load scipy
-    h = grid.h
-    pts = grid.points
-    v = -0.25 * profile.gamma(pts) ** 2
-    d = np.full(grid.n, 2.0) / h**2 + v
+    h = 2.0 / n
+    v = -0.25 * profile.gamma(-1.0 + (np.arange(n) + 0.5) * h) ** 2
+    d = np.full(n, 2.0) / h**2 + v
     d[0] -= 1.0 / h**2
     d[-1] -= 1.0 / h**2
-    e = np.full(grid.n - 1, -1.0) / h**2
+    e = np.full(n - 1, -1.0) / h**2
     return eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
 
 
 def fd_vertex_eigen(profile: CurvatureProfile, n_points: int, count: int) -> FDEigenResult:
-    """First ``count`` eigenpairs by central differences with extrapolation."""
+    """First ``count`` eigenpairs by central differences on the n_points- and
+    2 n_points-point midpoint meshes, the eigenvalues Richardson-extrapolated
+    and the eigenvectors those of the fine mesh, of step h = 1/n_points."""
     if n_points < 200:
         raise OracleError("need at least 200 mesh points")
-    coarse = Grid1D(n_points)
-    fine = Grid1D(2 * n_points)
-    w_c, _ = _tridiag_eigen(profile, coarse, count)
-    w_f, vecs = _tridiag_eigen(profile, fine, count)
+    w_c, _ = _tridiag_eigen(profile, n_points, count)
+    w_f, vecs = _tridiag_eigen(profile, 2 * n_points, count)
     lams = (4.0 * w_f - w_c) / 3.0
-    vecs = vecs / math.sqrt(fine.h)
+    h = 1.0 / n_points
+    vecs = vecs / math.sqrt(h)
     for k in range(count):
         if vecs[0, k] < 0:
             vecs[:, k] = -vecs[:, k]
-    return FDEigenResult(lams, w_c, vecs, fine)
+    return FDEigenResult(lams, w_c, vecs, h)
 
 
 # ----------------------------------------------------------------------

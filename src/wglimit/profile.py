@@ -149,6 +149,8 @@ class CurvatureProfile:
             kind = frag["kind"]
         except (TypeError, KeyError) as exc:
             raise ProfileError(f"malformed profile fragment {frag!r}") from exc
+        if unknown := sorted(set(frag) - {"kind", "amplitude", "target_index"}):
+            raise ProfileError(f"profile fragment {frag!r} has unknown keys {unknown}")
         return CurvatureProfile(
             kind,
             float(frag.get("amplitude", 0.0)),

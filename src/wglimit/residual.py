@@ -48,8 +48,7 @@ from .kernels import (
     vertex_kernel_at,
 )
 from .profile import CurvatureProfile, geometry_residual_fields
-from .vertex_spectrum import (DEFAULT_ZERO_TOLERANCE, CaseLabel, EigenFunction,
-                              ShootingSolution, _panel_nodes, _TaylorSide, spectrum_for_case)
+from .vertex_spectrum import CaseLabel, ShootingSolution, _panel_nodes, spectrum_for_case
 
 __all__ = [
     "ApproxSolution",
@@ -151,11 +150,11 @@ class ApproxSolution:
 
 
 def assemble(profile: CurvatureProfile, n: int, z: complex, epsilon: float,
-             delta: float, f1, f2, zero_tolerance: float = DEFAULT_ZERO_TOLERANCE, *,
-             p: np.ndarray | None = None,
+             delta: float, f1, f2, *, p: np.ndarray | None = None,
              case: CaseLabel | None = None) -> ApproxSolution:
-    """Build the trial field for edge data (f1 chi_n, f2 chi_n, 0); p and
-    case, which do not depend on epsilon, are computed unless given."""
+    """Build the trial field for edge data (f1 chi_n, f2 chi_n, 0).  p and
+    case do not depend on epsilon: a sweep passes its own; else p comes from
+    the data, and case from the spectrum at the default zero tolerance."""
     if not 0.0 < delta <= epsilon <= 1.0:
         raise ValueError(f"need 0 < delta <= epsilon <= 1, got {delta}, {epsilon}")
     if n < 1:
@@ -164,7 +163,7 @@ def assemble(profile: CurvatureProfile, n: int, z: complex, epsilon: float,
     if p is None:
         p = boundary_derivatives(res0, f1, f2)
     if case is None:
-        case = spectrum_for_case(profile, zero_tolerance).case
+        case = spectrum_for_case(profile).case
     kernel = vertex_kernel_at(profile, epsilon**2 * z)
     coeffs = solve_coupling_from_kernel(kernel, z, epsilon, p, case)
     return ApproxSolution(profile, n, complex(z), float(epsilon), float(delta),
@@ -190,12 +189,6 @@ def residual_field(sol: ApproxSolution, s, u):
     return _bulk(sol, fields, phi, dphi) * chi_mode(sol.n, u)
 
 
-def _star_function(profile: CurvatureProfile, case: CaseLabel) -> EigenFunction:
-    """y*, the zero-mode of a resonant case."""
-    # eigenfunctions do not depend on the zero tolerance; the case fixes the index
-    return spectrum_for_case(profile).eigenfunction(case.n_star)
-
-
 def _contraction(sol: ApproxSolution) -> complex:
     """xi . alpha, the amplitude of the resonant principal part."""
     return sol.coeffs.xi[0] * sol.case.alpha1 + sol.coeffs.xi[1] * sol.case.alpha2
@@ -208,11 +201,11 @@ class ResidualQuadrature:
     sweep builds one for all its points.
 
     Per sweep (at build): nodes, weights, sqrt(u-weights chi_n^2), the data
-    norm and, in the resonant case, ||y*'||.  Per Taylor coefficient solve:
-    its values at the s-nodes (a shot kernel is evaluated at the nodes at
-    every point instead).  Per ratio delta/eps, as an exact float: the
-    geometry fields and from them the R factors, so a power-rule sweep
-    refactors at every point.  Per point ``residual_norms`` adds only
+    norm and, in the resonant case, ||y*'||.  Per coefficient solve: its
+    values at the s-nodes (a kernel shot at eps^2 z is its own solve and
+    misses them).  Per ratio delta/eps, as an exact float: the geometry
+    fields and from them the R factors, so a power-rule sweep refactors at
+    every point.  Per point ``residual_norms`` adds only
     (phi, phi') at the s-nodes and sum_s w_s ||R(s) X(s)||^2.
     """
 
@@ -248,7 +241,9 @@ class ResidualQuadrature:
         u_pts, u_wts = _panel_nodes(0.0, 1.0, panels[1], quadrature_order)
         dnorm = None
         if case.resonant:
-            star = _star_function(profile, case)
+            # y*, the zero-mode: eigenfunctions do not depend on the zero
+            # tolerance, and the case fixes its index
+            star = spectrum_for_case(profile).functions[case.n_star - 1]
             dnorm = float(np.sqrt(star.rule[1] @ star.derivative(star.rule[0]) ** 2))
         return ResidualQuadrature(profile, n, f1, f2, case, quadrature_order, tuple(panels),
                                   s_pts, s_wts, u_pts, u_wts,
@@ -283,8 +278,6 @@ class ResidualQuadrature:
     def vertex_profile(self, sol: ApproxSolution):
         """(phi, phi') of sol at the s-nodes, bit for bit its own values."""
         k = sol.kernel
-        if not isinstance(k.zeta_sol, _TaylorSide):  # shot at eps^2 z
-            return sol.vertex_profile(self.s_pts)
         left, right = k.zeta_sol.coefficients, k.eta_sol.coefficients
         if self._sides[0] is not left or self._sides[1] is not right:
             self._sides = (left, right, left(self.s_pts), right(self.s_pts))

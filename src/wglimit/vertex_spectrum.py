@@ -107,12 +107,14 @@ class ShootingSolution:
     """Dense shooting output at one complex spectral parameter.
 
     Away from the eigenvalues it is the vertex kernel
-    r(z; s, s') = zeta(min(s, s')) eta(max(s, s')) / Wv.
+    r(z; s, s') = zeta(min(s, s')) eta(max(s, s')) / Wv.  Each side is a
+    series of coefficient solves on the panel ends ``mesh``: 1 term about z
+    when shot, SERIES_TERMS about 0 from ``taylor_shooting``.
     """
 
     z: complex
-    zeta_sol: object  # callable: s -> (zeta, zeta') at s
-    eta_sol: object
+    zeta_sol: _TaylorSide  # s -> (zeta, zeta') at s
+    eta_sol: _TaylorSide
     wronskian: complex
     mesh: np.ndarray
 
@@ -242,12 +244,14 @@ def _coefficient_solve(profile: CurvatureProfile, centre, terms: int, what: str,
 
 def shoot(profile: CurvatureProfile, z: complex) -> ShootingSolution:
     """Both shooting solutions with dense output over [-1, 1]: the 1-term
-    coefficient solves about z."""
+    coefficient solves about z, each a series with the one power d^0 = 1."""
     z = complex(z)
     left, right = (_coefficient_solve(profile, z, 1, f"shooting at z={z}", mirrored)
                    for mirrored in (False, True))
     # At s = +1 the right solution is exactly (1, 0), so Wv = zeta'(+1).
-    return ShootingSolution(z, left, right, complex(left.states[-1, 0, 1]), left.edges)
+    one = np.ones(1)
+    return ShootingSolution(z, _TaylorSide(left, one), _TaylorSide(right, one),
+                            complex(left.states[-1, 0, 1]), left.edges)
 
 
 @dataclass(frozen=True)
@@ -283,14 +287,13 @@ class TaylorShooting:
     eta_start: np.ndarray
     zeta_end: np.ndarray
     wronskian: np.ndarray
-    mesh: np.ndarray
 
     def at(self, w: complex) -> ShootingSolution:
         """Both shooting solutions at w as polynomials in w."""
         powers = complex(w) ** np.arange(SERIES_TERMS)
         return ShootingSolution(complex(w), _TaylorSide(self.left, powers),
                                 _TaylorSide(self.right, powers),
-                                complex(powers @ self.wronskian), self.mesh)
+                                complex(powers @ self.wronskian), self.left.edges)
 
     def pole_parts(self) -> tuple[np.ndarray, np.ndarray]:
         """Residue and regular part of the corner matrix at a pole at w = 0.
@@ -310,8 +313,8 @@ def taylor_shooting(profile: CurvatureProfile) -> TaylorShooting:
     """The Taylor coefficients of both shooting solutions (cached)."""
     left, right = (_coefficient_solve(profile, 0.0, SERIES_TERMS, "the Taylor solve", mirrored)
                    for mirrored in (False, True))
-    arrays = (right.states[-1, :, 0], *left.states[-1].T, left.edges)
-    for arr in arrays:
+    arrays = (right.states[-1, :, 0], *left.states[-1].T)
+    for arr in (*arrays, left.edges):
         arr.setflags(write=False)
     return TaylorShooting(left, right, *arrays)
 
@@ -472,24 +475,13 @@ class CaseLabel:
 
 @dataclass(frozen=True)
 class VertexSpectrum:
-    """Eigenvalues, eigenfunctions and the resonance classification."""
+    """Eigenvalues, eigenfunctions and the resonance classification: the
+    n-th eigenfunction is ``functions[n - 1]``, and a resonant case's
+    zero-mode ``functions[case.n_star - 1]``."""
 
     eigenvalues: np.ndarray
     functions: tuple[EigenFunction, ...]
     case: CaseLabel
-
-    @property
-    def resonant(self) -> bool:
-        return self.case.resonant
-
-    def eigenfunction(self, n: int) -> EigenFunction:
-        return self.functions[n - 1]
-
-    @property
-    def star_function(self) -> EigenFunction:
-        if not self.case.resonant:
-            raise SpectrumError("generic spectrum has no zero-mode")
-        return self.functions[self.case.n_star - 1]
 
 
 @lru_cache(maxsize=64)

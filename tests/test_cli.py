@@ -256,6 +256,8 @@ class TestSweepCommands:
         ["coupling", "--profile", "tuned:1000000000"],
         ["kernel", "--grid", "1002"],
         ["kernel", "--mode", "series", "--n-terms", "2001"],
+        ["kernel", "--mode", "series", "--grid", "1001", "--n-terms", "201"],
+        ["kernel", "--mode", "series", "--grid", "1001", "--n-terms", "2000"],  # ran > 5 min
         ["coupling", "--eps-grid", "2^-3..2^-1075"],  # 2^-1075 rounds to 0
     ])
     def test_size_over_bound_exit_code(self, tmp_path, argv):
@@ -263,6 +265,39 @@ class TestSweepCommands:
         start = time.perf_counter()
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("argv", [
+        ["graph-limit", "--profile", "bump:0.5", "--eps-grid", "2^-700..2^-720"],
+        ["residual-sweep", "--f1", "exp:1", "--eps-grid", "0.1,1e-100,1e-250"],
+    ])
+    def test_delta_underflow_exit_code(self, tmp_path, monkeypatch, capsys, argv):
+        # power:1.5 gives delta = 0 below eps = 2^-716 (and at 1e-250): the points
+        # above it used to run before the sweep exited 2 from the first such point
+        def no_point(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        for metric in experiments.METRICS:
+            monkeypatch.setitem(experiments.METRICS, metric, no_point)
+        assert main([*argv, "--out", str(tmp_path / "s.csv")]) == 2
+        assert "underflows to delta = 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("key, value, unknown", [
+        ("f1", {"type": "gaussian", "centre": 5.0, "width": 0.5}, "centre"),
+        ("window_polcy", "stabilize", "window_polcy"),
+        ("profile", {"kind": "bump", "amplitude": 0.5, "target": 3}, "target"),
+    ])
+    def test_run_unknown_json_key_exit_code(self, tmp_path, capsys, key, value, unknown):
+        # each was ignored: the Gaussian ran at its default center 3.0, the window at
+        # drop:2 and the bump untuned, while the output echoed the key
+        cfg = dict(TestReadmeExamples.CONFIG, metric="graph-limit", p=None,
+                   f1={"type": "gaussian", "center": 5.0, "width": 0.5})
+        cfg[key] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert unknown in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_negative_real_z_oracle_exit_code(self, tmp_path):
         # the FD system is well posed off [0, inf): z = -1 reads as z = -1 + 1e-12 i
@@ -520,7 +555,8 @@ def choice(valid, invalid):
 PROFILES = choice(["zero", "bump:0.5", "bump:-0.8", "tuned:2"],
                   ["bump:1.5", "bump:nan", "tuned:1", "tuned:3", "wiggle:1"])
 ZS = choice(["0,1", "1,1", "-1,0.5"], ["-1,0", "4,0", "0,0", "nan,1", "1"])
-EPS_GRIDS = choice(["2^-3..2^-6", "2^-5..2^-8", "0.25,0.125,0.0625", "0.5"],
+EPS_GRIDS = choice(["2^-3..2^-6", "2^-5..2^-8", "0.25,0.125,0.0625", "0.5",
+                    "2^-700..2^-720"],
                    ["2^-4..2^-2", "0.1,0.2", "0.5,0", "2", "nan"])
 DELTA_RULES = choice(["power:1.5", "fixed-ratio:0.1"],
                      ["fixed-ratio:2", "power:0.5", "power:inf", "ratio:0.1"])
@@ -564,7 +600,14 @@ class TestExitCodeProperty:
     @given(argv=ARGVS)
     @settings(max_examples=60, deadline=timedelta(seconds=20), derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_exit_code_is_0_2_or_3(self, tmp_path, argv):
-        code = main([*argv, "--out", str(tmp_path / "out.csv")])
+    def test_exit_code_is_0_2_or_3(self, tmp_path, monkeypatch, argv):
+        # and a sweep that exits 2 does so before any point
+        points = []
+        with monkeypatch.context() as patch:
+            for metric, point in experiments.METRICS.items():
+                patch.setitem(experiments.METRICS, metric,
+                              lambda *args, point=point: points.append(1) or point(*args))
+            code = main([*argv, "--out", str(tmp_path / "out.csv")])
         event(f"{argv[0]} exit {code}")
         assert code in (0, 2, 3)
+        assert code != 2 or not points

@@ -164,6 +164,32 @@ class TestConfig:
         d["seed"] = 7
         assert ExperimentConfig.from_json_dict(json.loads(json.dumps(d))) == cfg
 
+    def test_unknown_config_key_rejected(self):
+        # a misspelled key used to be dropped, and the sweep ran with the default
+        d = ExperimentConfig(profile=ZERO).to_json_dict()
+        d["window_polcy"] = "stabilize"
+        with pytest.raises(ConfigError, match="window_polcy"):
+            ExperimentConfig.from_json_dict(json.loads(json.dumps(d)))
+
+    def test_unknown_edge_data_key_rejected(self):
+        # "centre" was echoed in the output config while the Gaussian ran at center 3.0
+        spec = {"type": "gaussian", "centre": 5.0, "width": 0.5}
+        with pytest.raises(ConfigError, match="centre"):
+            edge_function_from_spec(spec)
+        with pytest.raises(ConfigError, match="centre"):
+            ExperimentConfig(profile=ZERO, metric="graph-limit", f1=spec, p=None).validate()
+
+    @pytest.mark.parametrize("metric", ["residual", "graph-limit"])
+    def test_delta_underflow_rejected(self, metric):
+        # power:1.5 gives delta = 0 from eps = 2^-717 on; the coupling metric reads no delta
+        grid = dyadic(700, 720)
+        with pytest.raises(ConfigError, match="underflows to delta = 0 at eps = 1.45042e-216"):
+            ExperimentConfig(profile=ZERO, metric=metric, eps_grid=grid, p=None,
+                             f1={"type": "exp"}).validate()
+        ExperimentConfig(profile=ZERO, metric=metric, eps_grid=dyadic(700, 716), p=None,
+                         f1={"type": "exp"}).validate()
+        ExperimentConfig(profile=ZERO, eps_grid=grid).validate()
+
     def test_edge_function_specs(self):
         assert edge_function_from_spec(None) is None
         f = edge_function_from_spec({"type": "gaussian", "center": 2.0, "width": 0.3})

@@ -125,7 +125,7 @@ class TestVertexEigen:
 
     def test_vectors_l2_normalised(self, bump05):
         fd = fd_vertex_eigen(bump05, 500, 3)
-        h = fd.grid.h
+        h = fd.h
         for k in range(3):
             assert abs(h * np.sum(fd.vectors[:, k] ** 2) - 1.0) < 1e-12
 

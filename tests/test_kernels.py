@@ -276,7 +276,7 @@ class TestKernelDerivative:
         from wglimit.vertex_spectrum import spectrum_for_case
 
         spec = spectrum_for_case(tuned2)
-        ystar = spec.star_function
+        ystar = spec.functions[spec.case.n_star - 1]
         grid = np.linspace(-1, 1, 2001)
         dstar = ystar.derivative(grid)
         for endpoint, alpha in ((-1, spec.case.alpha1), (1, spec.case.alpha2)):

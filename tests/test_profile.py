@@ -92,6 +92,11 @@ class TestConstruction:
         with pytest.raises(ProfileError):
             CurvatureProfile.from_json_fragment(frag)
 
+    def test_unknown_key_rejected(self):
+        # "target" used to be dropped, and the fragment ran as an untuned bump
+        with pytest.raises(ProfileError, match=r"unknown keys \['target'\]"):
+            CurvatureProfile.from_json_fragment({"kind": "bump", "amplitude": 0.5, "target": 3})
+
     def test_json_round_trip(self, bump05, tuned2):
         for prof in (CurvatureProfile.zero(), bump05, tuned2):
             frag = json.loads(json.dumps(prof.to_json_fragment()))

@@ -112,7 +112,7 @@ class TestCollocation:
         # it satisfies the equation zeta'' = (V - z) zeta
         z = 3.0 + 1j
         sol = shoot(bump05, z)
-        left = sol.zeta_sol
+        left = sol.zeta_sol.coefficients
         assert np.array_equal(left(sol.mesh), left.states[:, 0].T)
         h = sol.mesh[1] - sol.mesh[0]
         nodes = (sol.mesh[:-1, None] + h * vertex_spectrum._NODES).ravel()
@@ -152,16 +152,17 @@ class TestEigenvalues:
     def test_neumann_spectrum(self, zero_profile):
         spec = eigenvalues(zero_profile, 4, 1e-9)
         assert np.max(np.abs(spec.eigenvalues - NEUMANN)) < 1e-9
-        assert spec.resonant and spec.case.n_star == 1
+        assert spec.case.resonant and spec.case.n_star == 1
         assert spec.case.alpha1 == pytest.approx(1 / np.sqrt(2), abs=1e-9)
         assert spec.case.alpha2 == pytest.approx(1 / np.sqrt(2), abs=1e-9)
         grid = np.linspace(-1, 1, 17)
-        assert np.allclose(spec.star_function.value(grid), 1 / np.sqrt(2), atol=1e-9)
+        assert np.allclose(spec.functions[spec.case.n_star - 1].value(grid), 1 / np.sqrt(2),
+                           atol=1e-9)
 
     def test_bump_is_generic(self, bump05):
         spec = eigenvalues(bump05, 4, 1e-9)
         assert spec.eigenvalues[0] < 0.0
-        assert not spec.resonant
+        assert not spec.case.resonant
 
     def test_free_bracketing_bound(self, bump05):
         # lambda_n in [mu_n - sup(gamma^2/4), mu_n]

@@ -107,14 +107,17 @@ def sqrt_upper(z: complex) -> complex:
 # Free Neumann kernel on (-1, 1)
 # ----------------------------------------------------------------------
 
-def neumann_free_kernel(z: complex, s: float, sp: float) -> complex:
-    """Closed-form Neumann resolvent kernel of -d^2/ds^2 on (-1, 1)."""
+def neumann_free_kernel(z: complex, s, sp):
+    """Closed-form Neumann resolvent kernel of -d^2/ds^2 on (-1, 1) over broadcast
+    s, s' (a complex for scalars).  Its denominator is cmath's, so a z past range
+    raises OverflowError; a finite one bounds each cosine, <= cosh(2 Im sqrt(z))."""
     sq = sqrt_upper(z)
     den = sq * cmath.sin(2.0 * sq)
     if abs(den) < WRONSKIAN_FLOOR:
         raise NearEigenvalueError(f"z={z} too close to a Neumann eigenvalue")
-    lo, hi = (s, sp) if s <= sp else (sp, s)
-    return -cmath.cos(sq * (lo + 1.0)) * cmath.cos(sq * (hi - 1.0)) / den
+    lo, hi = np.minimum(s, sp), np.maximum(s, sp)
+    out = -np.cos(sq * (lo + 1.0)) * np.cos(sq * (hi - 1.0)) / den
+    return complex(out) if out.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------
@@ -136,29 +139,28 @@ def vertex_kernel_at(profile: CurvatureProfile, z: complex) -> ShootingSolution:
 
 def series_kernel(profile: CurvatureProfile, z: complex, s, sp,
                   n_terms: int = SERIES_DEFAULT_TERMS):
-    """r(z; s, s') from the eigenfunction expansion truncated at n_terms.
+    """r(z; s, s') from the eigenfunction expansion truncated at n_terms, over
+    broadcast s, s' (a complex for scalars).
 
     The free part is resummed through the closed-form Neumann kernel
     (plain truncation leaves an O(1/n_terms) tail at the corners, far
-    above the accuracy this independent route is used for).
+    above the accuracy this independent route is used for).  The modes are
+    formed once on the distinct points, and the cost is two matrix products
+    of distinct(s) x distinct(s') entries, a grid's size.
     """
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     z = complex(z)
+    base = neumann_free_kernel(z, s, sp)
     lams, coef, n_basis, mu = _galerkin_eigenpairs(profile, n_terms)
-    cs = _free_mode_values(s, n_basis)
-    csp = _free_mode_values(sp, n_basis)
-    pert = ((cs @ coef) / (lams - z)[None, :] * (csp @ coef)).sum(axis=1)
-    free = (cs[:, :n_terms] / (mu[:n_terms] - z)[None, :] * csp[:, :n_terms]).sum(axis=1)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    sp_arr = np.atleast_1d(np.asarray(sp, dtype=float))
-    base = np.array([
-        neumann_free_kernel(z, float(a), float(b))
-        for a, b in zip(np.broadcast_to(s_arr, pert.shape),
-                        np.broadcast_to(sp_arr, pert.shape))
-    ])
-    out = base + pert - free
-    return complex(out[0]) if np.isscalar(s) or np.ndim(s) == 0 else out
+    pts, inv = np.unique(np.broadcast_arrays(s, sp), return_inverse=True)
+    (rows, i), (cols, j) = (np.unique(k, return_inverse=True) for k in inv.reshape(2, -1))
+    modes = _free_mode_values(pts, n_basis)
+    amp, free = modes @ coef, modes[:, :n_terms]
+    part = (amp[rows] / (lams - z)) @ amp[cols].T \
+        - (free[rows] / (mu[:n_terms] - z)) @ free[cols].T
+    out = base + part[i, j].reshape(np.shape(base))
+    return complex(out) if out.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------

@@ -151,11 +151,11 @@ class CurvatureProfile:
             raise ProfileError(f"malformed profile fragment {frag!r}") from exc
         if unknown := sorted(set(frag) - {"kind", "amplitude", "target_index"}):
             raise ProfileError(f"profile fragment {frag!r} has unknown keys {unknown}")
-        return CurvatureProfile(
-            kind,
-            float(frag.get("amplitude", 0.0)),
-            frag.get("target_index"),
-        )
+        try:
+            amplitude = float(frag.get("amplitude", 0.0))
+        except (TypeError, ValueError) as exc:
+            raise ProfileError(f"profile amplitude {frag['amplitude']!r} is not a number") from exc
+        return CurvatureProfile(kind, amplitude, frag.get("target_index"))
 
 
 @dataclass(frozen=True)

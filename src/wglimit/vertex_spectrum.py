@@ -132,12 +132,12 @@ class ShootingSolution:
         return self.eta_sol(np.asarray(s))[1]
 
     def value(self, s, sp):
-        """The kernel r(z; s, s') (vectorised over broadcast s, s')."""
-        s = np.asarray(s, dtype=float)
-        sp = np.asarray(sp, dtype=float)
-        lo, hi = np.broadcast_arrays(np.minimum(s, sp), np.maximum(s, sp))
-        out = self.zeta(lo.ravel()) * self.eta(hi.ravel()) / self.wronskian
-        out = np.asarray(out).reshape(lo.shape)
+        """The kernel r(z; s, s') over broadcast s, s' (a complex for scalars), from zeta
+        and eta run once per distinct min/max value; each entry has a one-point call's bits."""
+        lo, hi = np.minimum(s, sp), np.maximum(s, sp)
+        pts, inv = np.unique(np.stack([lo, hi]), return_inverse=True)
+        i, j = inv.reshape(2, *lo.shape)
+        out = self.zeta(pts)[i] * self.eta(pts)[j] / self.wronskian
         return complex(out) if out.ndim == 0 else out
 
     def s_derivative(self, s, endpoint: int):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from wglimit import cli, experiments, vertex_spectrum
+from wglimit import cli, experiments, kernels, vertex_spectrum
 from wglimit.cli import _parse_eps_grid, main
 from wglimit.experiments import ConfigError
 
@@ -55,6 +55,30 @@ class TestKernelCommand:
         out = tmp_path / "kernel.csv"
         assert main(["kernel", "--profile", "zero", "--z", "0,0",
                      "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize("profile, z", [("tuned:2", "0.1,0.1"), ("bump:0.5", "-3,0.5")])
+    def test_grid_is_the_per_row_value_bit_for_bit(self, tmp_path, profile, z):
+        # one call on the whole grid (Taylor route at |z| <= SERIES_RADIUS, else
+        # shot) writes the bits of a call per grid row
+        out = tmp_path / "k.csv"
+        assert main(["kernel", f"--profile={profile}", f"--z={z}", "--grid", "31",
+                     "--out", str(out)]) == 0
+        sol = kernels.vertex_kernel_at(cli._parse_profile(profile), cli._parse_z(z))
+        grid = np.linspace(-1.0, 1.0, 31)
+        expect = np.concatenate([sol.value(np.full(31, s), grid) for s in grid])
+        rows = np.array(read_csv(out)[1:], dtype=float)
+        assert rows[:, 2].tobytes() == expect.real.tobytes()
+        assert rows[:, 3].tobytes() == expect.imag.tobytes()
+
+    def test_series_mode_forms_the_modes_once(self, tmp_path, monkeypatch):
+        # the per-row loop formed them twice per grid row
+        calls = []
+        modes = kernels._free_mode_values
+        monkeypatch.setattr(kernels, "_free_mode_values",
+                            lambda s, n: calls.append(len(s)) or modes(s, n))
+        assert main(["kernel", "--profile", "bump:0.5", "--z", "1,1", "--grid", "7",
+                     "--mode", "series", "--out", str(tmp_path / "k.csv")]) == 0
+        assert len(calls) == 1 and calls[0] <= 7
 
     def test_series_mode_does_not_shoot(self, tmp_path, monkeypatch):
         def no_shooting(*args, **kwargs):
@@ -256,8 +280,6 @@ class TestSweepCommands:
         ["coupling", "--profile", "tuned:1000000000"],
         ["kernel", "--grid", "1002"],
         ["kernel", "--mode", "series", "--n-terms", "2001"],
-        ["kernel", "--mode", "series", "--grid", "1001", "--n-terms", "201"],
-        ["kernel", "--mode", "series", "--grid", "1001", "--n-terms", "2000"],  # ran > 5 min
         ["coupling", "--eps-grid", "2^-3..2^-1075"],  # 2^-1075 rounds to 0
     ])
     def test_size_over_bound_exit_code(self, tmp_path, argv):
@@ -265,6 +287,19 @@ class TestSweepCommands:
         start = time.perf_counter()
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
         assert time.perf_counter() - start < 1.0
+
+    def test_json_twin_directory_exit_code(self, tmp_path, monkeypatch):
+        # OUT.json used to be opened only after every point ran and OUT was written
+        def no_point(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        for metric in experiments.METRICS:
+            monkeypatch.setitem(experiments.METRICS, metric, no_point)
+        out = tmp_path / "r.csv"
+        (tmp_path / "r.csv.json").mkdir()
+        assert main(["coupling", "--eps-grid", "0.25,0.125,0.0625,0.03125",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["graph-limit", "--profile", "bump:0.5", "--eps-grid", "2^-700..2^-720"],
@@ -552,8 +587,10 @@ def choice(valid, invalid):
     return st.sampled_from(valid * 8 + invalid)
 
 
-PROFILES = choice(["zero", "bump:0.5", "bump:-0.8", "tuned:2"],
-                  ["bump:1.5", "bump:nan", "tuned:1", "tuned:3", "wiggle:1"])
+PROFILES = choice(["zero", "bump:0.5", "bump:-0.8", "tuned:2",
+                   '{"kind":"bump","amplitude":0.5}'],
+                  ["bump:1.5", "bump:nan", "tuned:1", "tuned:3", "wiggle:1",
+                   '{"kind":"bump","amplitude":null}', '{"kind":"bump","amplitude":[0.5]}'])
 ZS = choice(["0,1", "1,1", "-1,0.5"], ["-1,0", "4,0", "0,0", "nan,1", "1"])
 EPS_GRIDS = choice(["2^-3..2^-6", "2^-5..2^-8", "0.25,0.125,0.0625", "0.5",
                     "2^-700..2^-720"],

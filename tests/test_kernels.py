@@ -123,8 +123,8 @@ class TestVertexKernel:
     def test_zero_profile_reduces_to_free(self, zero_profile):
         kernel = vertex_kernel_at(zero_profile, 1j)
         grid = np.linspace(-1, 1, 21)
-        err = max(abs(kernel.value(s, sp) - neumann_free_kernel(1j, s, sp))
-                  for s in grid for sp in grid)
+        s, sp = grid[:, None], grid[None, :]
+        err = np.max(np.abs(kernel.value(s, sp) - neumann_free_kernel(1j, s, sp)))
         assert err < 1e-8
 
     def test_symmetry(self, bump05):
@@ -142,6 +142,17 @@ class TestVertexKernel:
         ks_corners = np.array([[series_kernel(profile, z, a, b, n_terms=200)
                                 for b in (-1.0, 1.0)] for a in (-1.0, 1.0)])
         assert np.max(np.abs(kw.corners() - ks_corners)) < 1e-6
+
+    @pytest.mark.parametrize("profile_name", ["bump05", "tuned2"])
+    def test_series_grid_matches_scalar_calls(self, profile_name, request):
+        # the grid call sums the expansion as matrix products, a scalar call per
+        # point pair in another order
+        profile = request.getfixturevalue(profile_name)
+        z, grid = -2 + 0.5j, np.linspace(-1.0, 1.0, 9)
+        matrix = series_kernel(profile, z, grid[:, None], grid[None, :], n_terms=120)
+        scalar = [[series_kernel(profile, z, a, b, n_terms=120) for b in grid] for a in grid]
+        assert all(type(v) is complex for row in scalar for v in row)
+        assert np.max(np.abs(matrix - np.array(scalar)) / np.abs(scalar)) < 1e-13
 
     def test_near_eigenvalue_guard(self, zero_profile):
         with pytest.raises(NearEigenvalueError):
@@ -168,7 +179,7 @@ class TestVertexKernel:
         for s, sp in rng.uniform(-1, 1, size=(10, 2)):
             def integrand(t):
                 t = np.atleast_1d(t)
-                r0 = np.array([neumann_free_kernel(z, s, tv) for tv in t])
+                r0 = neumann_free_kernel(z, s, t)
                 rv = kernel.value(t, np.full_like(t, sp))
                 return r0 * (-0.25 * bump05.gamma(t) ** 2) * rv
 

@@ -97,6 +97,12 @@ class TestConstruction:
         with pytest.raises(ProfileError, match=r"unknown keys \['target'\]"):
             CurvatureProfile.from_json_fragment({"kind": "bump", "amplitude": 0.5, "target": 3})
 
+    @pytest.mark.parametrize("amplitude", [None, [0.5], "half"])
+    def test_non_numeric_amplitude_rejected(self, amplitude):
+        # null and [0.5] used to escape as a bare TypeError (exit 1 from the CLI)
+        with pytest.raises(ProfileError, match="amplitude"):
+            CurvatureProfile.from_json_fragment({"kind": "bump", "amplitude": amplitude})
+
     def test_json_round_trip(self, bump05, tuned2):
         for prof in (CurvatureProfile.zero(), bump05, tuned2):
             frag = json.loads(json.dumps(prof.to_json_fragment()))

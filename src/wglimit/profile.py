@@ -53,8 +53,10 @@ TUNED_AMPLITUDE_CAP = 8.0
 # eigenvalue (about five), then Newton steps of the polish on the Wronskian
 # at w = 0 and the |lambda| = |W_0/W_1| at which it stops (one step: tuned:2
 # reaches 5e-16, a half amplitude ulp times the slope -0.94 plus rounding).
+# The last step stays above the floor of the u |H| ~ 1e-12 rounding in lambda_K
+# (|H| ~ 1e4), where steps only wander; Newton steps below 1e-10 land on it.
 _BRACKET_STEPS = 60
-_BRACKET_TOL = 1e-13
+_BRACKET_TOL = 1e-10
 _NEWTON_STEPS = 4
 _RESONANCE_FLOOR = 2e-15
 
@@ -324,10 +326,6 @@ def _tuned_amplitude(target_index: int) -> float:
         raise ProfileError(f"eigenvalue {target_index} stays positive for every "
                            f"amplitude in (0, {TUNED_AMPLITUDE_CAP}]")
 
-    def galerkin_lam(amp: float) -> float:
-        prof = CurvatureProfile("tuned_bump", amp, target_index)
-        return float(vs._galerkin_eigenpairs(prof, target_index + 1)[0][target_index - 1])
-
     # gamma = A b, so the Galerkin Hamiltonian at A is A^2 P_1 + diag(mu), P_1
     # that of -b^2/4: the grid's eigenvalues are one batched solve.
     grid = np.linspace(0.5, TUNED_AMPLITUDE_CAP, 16)
@@ -342,9 +340,10 @@ def _tuned_amplitude(target_index: int) -> float:
         )
     amp, lo, hi = float(grid[k]), float(grid[k]), float(grid[k + 1])
     for _ in range(_BRACKET_STEPS):
-        lam = galerkin_lam(amp)
+        prof = CurvatureProfile("tuned_bump", amp, target_index)
+        lam = float(vs._galerkin_eigenpairs(prof, target_index + 1)[0][target_index - 1])
         lo, hi = (amp, hi) if lam * vals[k] > 0.0 else (lo, amp)
-        new = amp - lam / _amplitude_slope(CurvatureProfile("tuned_bump", amp, target_index))
+        new = amp - lam / _amplitude_slope(prof)
         amp, last = (new if lo < new < hi else 0.5 * (lo + hi)), amp
         if abs(amp - last) <= _BRACKET_TOL:
             break

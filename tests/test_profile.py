@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from wglimit.profile import (
 )
 
 from conftest import log_slope, plain_geometry
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def central_diff(f, s, h=1e-5):
@@ -268,16 +274,28 @@ class TestTuneToResonance:
         assert taylor_shooting.cache_info().currsize <= 1
 
     def test_amplitude_grid_is_one_batched_solve(self, bump05):
-        # the 16-point scan takes no per-amplitude Galerkin eigensolve, and
-        # the tuned amplitude is unchanged
+        # the 16-point scan takes no per-amplitude Galerkin eigensolve, the
+        # bracket stops at its noise floor after about five, and the tuned
+        # amplitude is unchanged
         from wglimit import profile
         from wglimit.vertex_spectrum import _galerkin_eigenpairs
 
         profile._tuned_amplitude.cache_clear()
         _galerkin_eigenpairs.cache_clear()
         tune_to_resonance(bump05, 2)
-        assert _galerkin_eigenpairs.cache_info().misses <= 8
-        assert profile._tuned_amplitude(2) == 6.104017588677533
+        assert _galerkin_eigenpairs.cache_info().misses <= 6
+        assert profile._tuned_amplitude(2) == 6.104017588677534
+
+    def test_amplitude_independent_of_blas_threads(self):
+        # the Galerkin matrix is one FFT, not a BLAS product whose rounding
+        # depends on the thread count
+        script = "from wglimit.profile import _tuned_amplitude; print(repr(_tuned_amplitude(2)))"
+        path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+        amps = {subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                               text=True, env=dict(os.environ, PYTHONPATH=path,
+                                                   OPENBLAS_NUM_THREADS=threads)).stdout
+                for threads in ("1", "2")}
+        assert amps == {"6.104017588677534\n"}
 
     def test_classifies_as_resonant(self, tuned2):
         from wglimit.vertex_spectrum import classify

@@ -316,7 +316,7 @@ class TestGalerkinPolish:
     def test_eigenpairs_match_scipy_eigh(self, profile_name, request):
         # numpy's eigh against scipy's on the same Galerkin Hamiltonian, the
         # eigenvalues relative to the largest compared (tuned2's lambda_2 is
-        # -9e-13 and the two differ by 1.6e-12 on it, 1.5e-16 of |H| = 1e4)
+        # 3.4e-12 from numpy and -1.9e-12 from scipy, 5e-16 of |H| = 1e4 apart)
         profile = request.getfixturevalue(profile_name)
         lams, coef, _, mu = _galerkin_eigenpairs(profile, 6)
         want, vecs = scipy.linalg.eigh(vertex_spectrum._galerkin_matrices(profile, 6)[0]
@@ -324,6 +324,26 @@ class TestGalerkinPolish:
         vecs *= np.where(np.diagonal(vecs) < 0.0, -1.0, 1.0)
         assert np.max(np.abs(lams - want[:6])) <= 1e-12 * np.max(np.abs(want[:6]))
         assert np.max(np.abs(coef - vecs[:, :6])) <= 1e-10
+
+    def test_galerkin_matrix_against_direct_quadrature(self, bump05):
+        # entries of the transform-built matrix against composite Gauss on the
+        # products of cosines, 16 nodes per period of the highest product
+        x, w = np.polynomial.legendre.leggauss(16)
+        half = 1.0 / 4096
+        s = (np.linspace(-1.0 + half, 1.0 - half, 4096)[:, None] + half * x).ravel()
+        weighted = np.tile(half * w, 4096) * -0.25 * bump05.gamma(s) ** 2
+
+        def modes(j):
+            out = np.cos(np.asarray(j)[..., None] * (np.pi * (s + 1.0) / 2.0))
+            out[np.asarray(j) == 0] = np.sqrt(0.5)
+            return out
+
+        small = vertex_spectrum._galerkin_matrices(bump05, 6)[0]
+        want = modes(np.arange(66)) ** 2 @ weighted
+        assert np.max(np.abs(np.diagonal(small) - want)) <= 1e-15
+        big = vertex_spectrum._galerkin_matrices(bump05, 2000)[0]
+        for j, k in [(0, 2), (1, 3), (3, 7), (2000, 2058), (2000, 2059), (2059, 2059)]:
+            assert abs(big[j, k] - modes(j) * modes(k) @ weighted) <= 1e-15
 
     def test_galerkin_arrays_read_only(self, bump05):
         lams, coef, _, mu = _galerkin_eigenpairs(bump05, 4)

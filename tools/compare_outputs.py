@@ -18,6 +18,11 @@ captured stdout and exit code to ``<label>.stdout``.  Comparing two
 checkouts is then ``diff -r OUTDIR_A OUTDIR_B``.  ``perfbench`` is only
 imported, never written to.
 
+Before numpy is imported, ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` are set to 1, as ``perfbench/run.py`` sets them for its
+children: a BLAS product's rounding can depend on its thread count, so
+outputs written on machines with different core counts could differ.
+
 ``--diff`` compares two such directories file by file where outputs are
 not byte-identical: each file whose text matches once every number is
 masked gets the largest relative change |a - b| / max(|a|, |b|) over its
@@ -176,6 +181,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.diff:
         return diff_outputs(args.checkout, args.outdir)
+    # before wglimit imports numpy (module docstring)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
     checkout = args.checkout.resolve()
     sys.path[:0] = [str(checkout / "src"), str(checkout)]
     from wglimit.cli import main as cli_main

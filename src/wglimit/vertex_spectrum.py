@@ -151,8 +151,12 @@ class ShootingSolution:
 
     def corners(self) -> np.ndarray:
         """The 2x2 matrix r(z; +-1, +-1).  The dense output returns the
-        initial values at the first node, so zeta(-1) = eta(+1) = 1 exactly."""
-        return np.array([[self.eta(-1.0), 1.0], [1.0, self.zeta(1.0)]]) / self.wronskian
+        initial values at the first node, so zeta(-1) = eta(+1) = 1 exactly.
+        eta(-1) and zeta(+1) are the last panel-end states' values, with the
+        dense output's bits (a mirrored side's y' row, unread, keeps its sign)."""
+        eta, zeta = (side.combine(side.coefficients.states[-1].T.ravel())[0]
+                     for side in (self.eta_sol, self.zeta_sol))
+        return np.array([[eta, 1.0], [1.0, zeta]]) / self.wronskian
 
 
 def _basis_integrals(theta: np.ndarray) -> np.ndarray:
@@ -209,7 +213,7 @@ def _coefficient_solve(profile: CurvatureProfile, centre, terms: int, what: str,
     when mirrored): the shooting solution at c + d is sum_k d^k y_k."""
     panels = _panel_count(profile.sup_gamma**2 / 4.0 + abs(centre))
     if panels > MAX_SHOOT_PANELS:
-        raise IntegrationError(f"{what} needs {panels} panels, more than {MAX_SHOOT_PANELS}")
+        raise IntegrationError(f"{what} needs {panels:.3g} panels, more than {MAX_SHOOT_PANELS}")
     edges = np.linspace(-1.0, 1.0, panels + 1)
     h = edges[1] - edges[0]
     t = edges[:-1, None] + h * _NODES
@@ -220,15 +224,19 @@ def _coefficient_solve(profile: CurvatureProfile, centre, terms: int, what: str,
     stages = [inv @ np.stack([np.ones(_STAGES), h * _NODES], axis=1)]
     for _ in range(1, terms):
         stages.append(-h * h * inv @ (_TABLEAU_SQ @ stages[-1]))
-    # y'' at the stages of term j + m from the start data of term j, block
+    # y'' at the stages of term j + l from the start data of term j, block
     # lower-triangular Toeplitz in (k, j): the stage y'' are response @ state.
-    blocks = [q[..., None] * y - prev for y, prev in zip(stages, [0.0] + stages)]
-    lag = np.subtract.outer(np.arange(terms), np.arange(terms))
-    response = np.stack(blocks + [0.0 * blocks[0]])[np.where(lag < 0, terms, lag)]
-    response = response.transpose(2, 0, 3, 1, 4)  # (P, K, stage, K, 2)
-    # The panel map: y(1) = y + h y' + h^2 (b (1 - c)) . F, y'(1) = y' + h b . F.
+    blocks = np.stack([q[..., None] * y - prev for y, prev in zip(stages, [0.0] + stages)])
+    # The panel map: y(1) = y + h y' + h^2 (b (1 - c)) . F, y'(1) = y' + h b . F,
+    # formed once per lag l and written to the blocks (k, k - l).
     ends = np.stack([h * h * _WEIGHTS * (1.0 - _NODES), h * _WEIGHTS])
-    maps = np.einsum("is,pksjn->pkijn", ends, response).reshape(panels, 2 * terms, 2 * terms)
+    lag_maps = np.einsum("is,lpsn->lpin", ends, blocks)
+    maps = np.zeros((panels, terms, 2, terms, 2), dtype=q.dtype)
+    response = np.zeros((panels, terms, _STAGES, terms, 2), dtype=q.dtype)
+    for lag in range(terms):
+        k = np.arange(lag, terms)
+        maps[:, k, :, k - lag], response[:, k, :, k - lag] = lag_maps[lag], blocks[lag]
+    maps = maps.reshape(panels, 2 * terms, 2 * terms)
     maps += np.kron(np.eye(terms), [[1.0, h], [0.0, 1.0]])
     states = np.zeros((panels + 1, 2 * terms), dtype=q.dtype)
     states[0, 0] = 1.0

@@ -114,6 +114,13 @@ class TestKernelCommand:
                      "--out", str(tmp_path / "k.csv")]) == 3
         assert time.perf_counter() - start < 15.0
 
+    def test_panel_cap_message_is_short(self, tmp_path, capsys):
+        # the panel count was printed as a 151-digit integer
+        assert main(["kernel", "--profile=bump:0.5", "--z=1e300,1", "--grid", "5",
+                     "--out", str(tmp_path / "k.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "needs 2e+150 panels, more than" in err and len(err) < 120
+
     def test_csv_cells_read_back(self, tmp_path):
         # numpy 2 floats used to be written as np.float64(...)
         kernel = tmp_path / "k.csv"
@@ -132,6 +139,20 @@ class TestKernelCommand:
 
 
 class TestSweepCommands:
+    def test_one_series_solve_per_side(self, tmp_path, monkeypatch):
+        # the SERIES_TERMS-term Taylor coefficients are solved once per profile and
+        # side, and shared by every command and sweep point in the process
+        vertex_spectrum.taylor_shooting.cache_clear()
+        terms, solve = [], vertex_spectrum._coefficient_solve
+        monkeypatch.setattr(vertex_spectrum, "_coefficient_solve",
+                            lambda prof, c, k, *a: terms.append(k) or solve(prof, c, k, *a))
+        common = ["--profile=tuned:2", "--z=0.2,0.9", "--eps-grid", "2^-4..2^-6",
+                  "--delta-rule", "fixed-ratio:0.08"]
+        for argv in (["coupling"], ["residual-sweep", "--f1", "exp:1"],
+                     ["graph-limit", "--f1", "gaussian:3.2,0.45"]):
+            assert main([*argv, *common, "--out", str(tmp_path / f"{argv[0]}.csv")]) == 0
+        assert terms.count(vertex_spectrum.SERIES_TERMS) == 2
+
     def test_coupling(self, tmp_path):
         out = tmp_path / "coupling.csv"
         assert main(["coupling", "--profile", "zero", "--z", "0,1",

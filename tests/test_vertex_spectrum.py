@@ -18,10 +18,16 @@ from wglimit.cli import main
 from wglimit.profile import _amplitude_slope
 from wglimit.vertex_spectrum import (
     MAX_EIGENVALUE_COUNT,
+    SERIES_RADIUS,
     IntegrationError,
     SpectrumError,
+    _NODES,
+    _STAGES,
+    _TABLEAU_SQ,
+    _WEIGHTS,
     _galerkin_eigenpairs,
     _eigenpair,
+    _panel_count,
     classify_case,
     eigenvalue_by_index,
     taylor_shooting,
@@ -31,6 +37,39 @@ from wglimit.vertex_spectrum import (
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 NEUMANN = [0.0, np.pi**2 / 4, np.pi**2, 9 * np.pi**2 / 4]
+
+
+@pytest.fixture(scope="module")
+def bump_edge():
+    return CurvatureProfile.bump(-0.999)
+
+
+def full_contraction_solve(profile, centre, terms, mirrored):
+    """(states, forcing) of the coefficient solve with the panel maps contracted
+    over the full (P, K, stage, K, 2) response, all K^2 blocks (test-side oracle)."""
+    panels = _panel_count(profile.sup_gamma**2 / 4.0 + abs(centre))
+    edges = np.linspace(-1.0, 1.0, panels + 1)
+    h = edges[1] - edges[0]
+    t = edges[:-1, None] + h * _NODES
+    q = -0.25 * profile.gamma(-t if mirrored else t) ** 2 - centre
+    inv = np.linalg.inv(np.eye(_STAGES) - h * h * _TABLEAU_SQ * q[:, None, :])
+    stages = [inv @ np.stack([np.ones(_STAGES), h * _NODES], axis=1)]
+    for _ in range(1, terms):
+        stages.append(-h * h * inv @ (_TABLEAU_SQ @ stages[-1]))
+    blocks = [q[..., None] * y - prev for y, prev in zip(stages, [0.0] + stages)]
+    lag = np.subtract.outer(np.arange(terms), np.arange(terms))
+    response = np.stack(blocks + [0.0 * blocks[0]])[np.where(lag < 0, terms, lag)]
+    response = response.transpose(2, 0, 3, 1, 4)  # (P, K, stage, K, 2)
+    ends = np.stack([h * h * _WEIGHTS * (1.0 - _NODES), h * _WEIGHTS])
+    maps = np.einsum("is,pksjn->pkijn", ends, response).reshape(panels, 2 * terms, 2 * terms)
+    maps += np.kron(np.eye(terms), [[1.0, h], [0.0, 1.0]])
+    states = np.zeros((panels + 1, 2 * terms), dtype=q.dtype)
+    states[0, 0] = 1.0
+    for p in range(panels):
+        states[p + 1] = maps[p] @ states[p]
+    forcing = response.reshape(panels, terms * _STAGES, -1) @ states[:-1, :, None]
+    forcing = np.pad(forcing.reshape(panels, terms, _STAGES), ((0, 1), (0, 0), (0, 0)))
+    return states.reshape(panels + 1, terms, 2), forcing
 
 
 class TestShoot:
@@ -118,6 +157,48 @@ class TestCollocation:
         nodes = (sol.mesh[:-1, None] + h * vertex_spectrum._NODES).ravel()
         q = -0.25 * bump05.gamma(nodes) ** 2 - z
         assert np.max(np.abs(left.forcing[:-1, 0].ravel() - q * sol.zeta(nodes))) < 1e-12
+
+    @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05", "bump_edge", "tuned2"])
+    @pytest.mark.parametrize("terms", [1, 2, 4, 12])
+    def test_lag_blocks_match_the_full_contraction(self, profile_name, terms, request):
+        # the K lag blocks give the bits of the K x K block contraction
+        profile = request.getfixturevalue(profile_name)
+        for centre in (0.0, 2.4674, -0.3, 0.3 + 0.5j, -40 + 3j, 5900.0):
+            for mirrored in (False, True):
+                sol = vertex_spectrum._coefficient_solve(profile, centre, terms, "test", mirrored)
+                states, forcing = full_contraction_solve(profile, centre, terms, mirrored)
+                assert sol.states.tobytes() == states.tobytes()
+                assert sol.forcing.tobytes() == forcing.tobytes()
+
+    @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05", "bump_edge", "tuned2"])
+    def test_corners_are_the_dense_end_values(self, profile_name, request, rng):
+        # corners() reads the last panel-end states; the dense output gives the same bits
+        profile = request.getfixturevalue(profile_name)
+        taylor = taylor_shooting(profile)
+        for w in SERIES_RADIUS * rng.uniform(-1, 1, 40) * np.exp(2j * np.pi * rng.random(40)):
+            for sol in (taylor.at(w), shoot(profile, 40 * w)):
+                dense = np.array([[sol.eta(-1.0), 1.0], [1.0, sol.zeta(1.0)]]) / sol.wronskian
+                assert sol.corners().tobytes() == dense.tobytes()
+
+    def test_taylor_coefficients_independent_of_blas_threads(self):
+        # no product in the solves or the eigenpairs rounds by the BLAS thread count
+        script = """
+import hashlib
+from wglimit import CurvatureProfile, eigenvalues, tune_to_resonance
+from wglimit.vertex_spectrum import taylor_shooting
+for prof in (CurvatureProfile.zero(), CurvatureProfile.bump(0.5), CurvatureProfile.bump(-0.999),
+             tune_to_resonance(CurvatureProfile.bump(0.5), 2)):
+    t = taylor_shooting(prof)
+    arrays = (t.left.states, t.left.forcing, t.right.states, t.right.forcing,
+              eigenvalues(prof, 8).eigenvalues)
+    print(hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
+"""
+        path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+        digests = {subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                                  text=True, env=dict(os.environ, PYTHONPATH=path,
+                                                      OPENBLAS_NUM_THREADS=threads)).stdout
+                   for threads in ("1", "2")}
+        assert len(digests) == 1 and len(digests.pop().split()) == 4
 
     def test_no_integrator_import(self, tmp_path):
         # the CLI and its five analytic commands load no scipy module; the

@@ -70,6 +70,8 @@ def _parse_z(text: str) -> complex:
     z = complex(float(re), float(im))
     if not cmath.isfinite(z):
         raise ConfigError(f"complex number {text!r} is not finite")
+    if math.isinf(math.hypot(z.real, z.imag)):  # where abs(z) raises OverflowError
+        raise ConfigError(f"complex number {text!r} has a modulus too large for a float")
     return z
 
 

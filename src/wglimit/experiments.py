@@ -88,9 +88,12 @@ def _check_data_norm(norm: float) -> None:
 
 
 def _check_z(z: complex) -> None:
-    """z must be finite and off [0, inf), where the edge resolvent is undefined."""
+    """z must be finite, with a finite modulus, and off [0, inf), where the
+    edge resolvent is undefined."""
     if not cmath.isfinite(z):
         raise ConfigError(f"z = {z} is not finite")
+    if math.isinf(math.hypot(z.real, z.imag)):  # where abs(z) raises OverflowError
+        raise ConfigError(f"z = {z} has a modulus too large for a float")
     if z.imag == 0.0 and z.real >= 0.0:
         raise ConfigError(f"z = {z} lies on [0, inf), the spectrum of the edges")
 

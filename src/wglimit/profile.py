@@ -189,6 +189,10 @@ def geometry_residual_fields(profile: CurvatureProfile, s, u, ratio: float) -> d
     All three fields are O(ratio); they are assembled from b = u*rho*gamma
     directly (1/g - 1 = -b(2+b)/a^2 etc.) so they stay accurate down to
     ratio ~ 1e-12 where the naive differences would lose all digits.
+
+    The terms are formed in place in the order of the plain expressions
+    (``a**3``, ``a**4``, products left to right), so they keep their bits
+    without their temporaries.
     """
     _check_ratio(profile, ratio)
     s = np.asarray(s, dtype=float)
@@ -199,14 +203,26 @@ def geometry_residual_fields(profile: CurvatureProfile, s, u, ratio: float) -> d
     b = u * ratio * gam
     a = 1.0 + b
     two_plus_b, a_sq, a_cube = 2.0 + b, a * a, a**3
-    inv_g_minus_1 = -b * two_plus_b / a_sq
+    a_4 = a
+    a_4 **= 4  # in place: a is not read again
+    inv_g_minus_1 = -b
+    inv_g_minus_1 *= two_plus_b
+    inv_g_minus_1 /= a_sq
+    w_plus = 0.25 * gam * gam * b
+    w_plus *= two_plus_b
+    w_plus /= a_sq
+    term = u * ratio * gam2
+    term *= 0.5
+    term /= a_cube
+    w_plus += term
     urg1 = u * ratio * gam1
-    w_plus = (
-        0.25 * gam * gam * b * two_plus_b / a_sq
-        + 0.5 * (u * ratio * gam2) / a_cube
-        - 1.25 * urg1 * urg1 / a**4
-    )
-    ds_inv_g = -2.0 * urg1 / a_cube
+    term = 1.25 * urg1
+    term *= urg1
+    term /= a_4
+    w_plus -= term
+    ds_inv_g = urg1
+    ds_inv_g *= -2.0
+    ds_inv_g /= a_cube
     return {
         "inv_g_minus_1": inv_g_minus_1,
         "w_plus_quarter_gamma_sq": w_plus,

@@ -194,6 +194,17 @@ def _contraction(sol: ApproxSolution) -> complex:
     return sol.coeffs.xi[0] * sol.case.alpha1 + sol.coeffs.xi[1] * sol.case.alpha2
 
 
+def _mirrored(profile: CurvatureProfile, s: np.ndarray) -> bool:
+    """Whether s is -s[::-1] and gamma, gamma', gamma'' are even, odd and
+    even on it, all bit for bit (signed zeros included)."""
+    def same(x, y):
+        return np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+    return same(s, -s[::-1]) and all(
+        same(g[::-1], -g if k == 1 else g)
+        for k, g in ((k, np.asarray(profile.gamma(s, k))) for k in range(3)))
+
+
 @dataclass(eq=False)
 class ResidualQuadrature:
     """What ``residual_norms`` reads that does not depend on eps, for one
@@ -201,12 +212,18 @@ class ResidualQuadrature:
     sweep builds one for all its points.
 
     Per sweep (at build): nodes, weights, sqrt(u-weights chi_n^2), the data
-    norm and, in the resonant case, ||y*'||.  Per coefficient solve: its
-    values at the s-nodes (a kernel shot at eps^2 z is its own solve and
-    misses them).  Per ratio delta/eps, as an exact float: the geometry
-    fields and from them the R factors, so a power-rule sweep refactors at
-    every point.  Per point ``residual_norms`` adds only
-    (phi, phi') at the s-nodes and sum_s w_s ||R(s) X(s)||^2.
+    norm, in the resonant case ||y*'||, and whether the strip mirrors: the
+    s-nodes are bitwise s = -s[::-1] and gamma, gamma' and gamma'' are even,
+    odd and even there bit for bit.  Per coefficient solve: its values at
+    the s-nodes (a kernel shot at eps^2 z is its own solve and misses them).
+    Per ratio delta/eps, as an exact float: the geometry fields and from
+    them the R factors, so a power-rule sweep refactors at every point.  On
+    a mirrored strip both are built on the first half of the s-nodes: the
+    columns a and b are even in s and c is odd, bit for bit, and Householder
+    QR is linear in the last column, which no reflector before its own is
+    built from, so the second half is the first reversed with R's third
+    column negated.  Per point ``residual_norms`` adds only (phi, phi') at
+    the s-nodes and sum_s w_s ||R(s) X(s)||^2.
     """
 
     profile: CurvatureProfile
@@ -223,13 +240,17 @@ class ResidualQuadrature:
     u_scale: np.ndarray  # sqrt(u_wts chi_n^2)
     data_norm: float
     star_derivative_norm: float | None
-    # memos: (ratio, its R factors, its fields) and (left, right, their node values)
+    # memos: (ratio, its R factors, its fields) and (left, right, their node tables)
     _factors: tuple = field(default=(None,) * 3, init=False, repr=False)
     _sides: tuple = field(default=(None,) * 4, init=False, repr=False)
-    _columns: np.ndarray = field(init=False, repr=False)  # (S, 3, U), rewritten per ratio
+    # (S, 3, U), or (S/2, 3, U) on a mirrored strip; rewritten per ratio
+    _columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._columns = np.empty((self.s_pts.size, 3, self.u_pts.size))
+        rows = self.s_pts.size
+        if _mirrored(self.profile, self.s_pts):
+            rows //= 2
+        self._columns = np.empty((rows, 3, self.u_pts.size))
 
     @staticmethod
     def build(profile: CurvatureProfile, n: int, f1, f2, case: CaseLabel,
@@ -259,30 +280,41 @@ class ResidualQuadrature:
     def factors(self, ratio: float) -> np.ndarray:
         """R(s) at this ratio, shape (S, 3, 3): at each s-node, the R factor
         of the columns (a, b, c) of the module docstring on the u-nodes,
-        scaled by sqrt(u_wts chi_n^2) and written into one (S, 3, U) array."""
+        scaled by sqrt(u_wts chi_n^2) and written into one (rows, 3, U)
+        array, rows = S/2 on a mirrored strip (class docstring)."""
         if self._factors[0] != ratio:
-            f = geometry_residual_fields(self.profile, self.s_pts[:, None],
-                                         self.u_pts[None, :], ratio)
             cols = self._columns
+            rows = cols.shape[0]
+            f = geometry_residual_fields(self.profile, self.s_pts[:rows, None],
+                                         self.u_pts[None, :], ratio)
             np.multiply(f["inv_g_minus_1"], 0.25 * f["gamma_sq"], out=cols[:, 0])
             cols[:, 0] += f["w_plus_quarter_gamma_sq"]
             cols[:, 0] *= self.u_scale
             np.multiply(f["inv_g_minus_1"], self.u_scale, out=cols[:, 1])
             np.multiply(f["ds_inv_g"], self.u_scale, out=cols[:, 2])
-            # f stays referenced until the next ratio's fields exist: freed
-            # at once, malloc returns their pages to the system and the next
-            # ratio faults them back in (about 1200 page faults on the default rule)
-            self._factors = (ratio, np.linalg.qr(cols.transpose(0, 2, 1), mode="r"), f)
+            # f stays referenced until the next ratio's fields exist: freed at
+            # once, their pages go back to the system and the next ratio faults
+            # them in again (about 500 minor faults a ratio on the default rule,
+            # about 150 with f kept)
+            r = np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
+            if rows < self.s_pts.size:
+                r = np.concatenate([r, r[::-1]])
+                r[rows:, :, 2] *= -1.0
+            self._factors = (ratio, r, f)
         return self._factors[1]
 
     def vertex_profile(self, sol: ApproxSolution):
-        """(phi, phi') of sol at the s-nodes, bit for bit its own values."""
+        """(phi, phi') of sol at the s-nodes, bit for bit its own values:
+        each side's node values are held as its ``table``, so a point pays
+        only the product with its powers."""
         k = sol.kernel
-        left, right = k.zeta_sol.coefficients, k.eta_sol.coefficients
-        if self._sides[0] is not left or self._sides[1] is not right:
-            self._sides = (left, right, left(self.s_pts), right(self.s_pts))
-        return sol._vertex_profile_from(k.eta_sol.combine(self._sides[3]),
-                                        k.zeta_sol.combine(self._sides[2]))
+        sides = (k.zeta_sol, k.eta_sol)
+        coefficients = tuple(side.coefficients for side in sides)
+        if any(held is not c for held, c in zip(self._sides, coefficients)):
+            self._sides = (*coefficients, *(side.table(c(self.s_pts))
+                                            for side, c in zip(sides, coefficients)))
+        zeta, eta = (side.contract(table) for side, table in zip(sides, self._sides[2:]))
+        return sol._vertex_profile_from(eta, zeta)
 
 
 @dataclass(frozen=True)

@@ -233,9 +233,9 @@ def _coefficient_solve(profile: CurvatureProfile, centre, terms: int, what: str,
     lag_maps = np.einsum("is,lpsn->lpin", ends, blocks)
     maps = np.zeros((panels, terms, 2, terms, 2), dtype=q.dtype)
     response = np.zeros((panels, terms, _STAGES, terms, 2), dtype=q.dtype)
-    for lag in range(terms):
-        k = np.arange(lag, terms)
-        maps[:, k, :, k - lag], response[:, k, :, k - lag] = lag_maps[lag], blocks[lag]
+    for lag in range(terms):  # the diagonal views (k, k - lag), written through
+        np.einsum("pkikn->pkin", maps[:, lag:, :, :terms - lag])[...] = lag_maps[lag][:, None]
+        np.einsum("pkskn->pksn", response[:, lag:, :, :terms - lag])[...] = blocks[lag][:, None]
     maps = maps.reshape(panels, 2 * terms, 2 * terms)
     maps += np.kron(np.eye(terms), [[1.0, h], [0.0, 1.0]])
     states = np.zeros((panels + 1, 2 * terms), dtype=q.dtype)
@@ -275,10 +275,22 @@ class _TaylorSide:
         return self.combine(self.coefficients(s))
 
     def combine(self, y):
-        """(y, y') from the coefficient values ``self.coefficients(s)``, so a
-        caller that holds them for fixed s pays only the sum over powers."""
-        y = y.reshape(2, len(self.powers), *y.shape[1:])
-        return np.tensordot(self.powers, y, axes=(0, 1))
+        """(y, y') from the coefficient values ``self.coefficients(s)``."""
+        return self.contract(self.table(y)).reshape(2, *y.shape[1:])
+
+    def table(self, y) -> np.ndarray:
+        """The coefficient values ``self.coefficients(s)`` at N points as the
+        (K, 2N) matrix that ``contract`` multiplies by the powers, cast as the
+        product casts it, so a caller that holds it for fixed s pays only that
+        product.  The layout is tensordot's: a copy in C order for N > 1, a
+        transposed view for N = 1, whose product rounds differently."""
+        terms = len(self.powers)
+        y = y.reshape(2, terms, -1).transpose(1, 0, 2).reshape(terms, -1)
+        return y.astype(np.result_type(self.powers, y), copy=False)
+
+    def contract(self, table: np.ndarray) -> np.ndarray:
+        """(y, y') at the N points of ``table``, shape (2, N)."""
+        return np.dot(self.powers[None], table).reshape(2, -1)
 
 
 @dataclass(frozen=True)

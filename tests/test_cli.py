@@ -241,6 +241,21 @@ class TestSweepCommands:
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
 
     @pytest.mark.parametrize("argv", [
+        ["kernel", "--profile=bump:0.5", "--z=1.7e308,1.7e308"],
+        ["kernel", "--profile=bump:0.5", "--z=1.7e308,1.7e308", "--mode", "series"],
+        ["coupling", "--profile=bump:0.5", "--z=-1.7e308,1.7e308"],
+        ["oracle-compare", "--profile=zero", "--z=-1.7e308,1.7e308", "--f1", "exp:1"],
+    ], ids=["kernel", "kernel-series", "coupling", "oracle-compare"])
+    def test_z_of_infinite_modulus_exit_code(self, tmp_path, capsys, argv):
+        # both parts finite, |z| overflows: kernel exited 3 on abs(z), coupling
+        # exited 0 with every point failed
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "1.7e308,1.7e308" in err and "modulus" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
         ["coupling", "--profile", "zero", "--z", "4,0"],
         ["coupling", "--profile", "zero", "--z", "0,0"],
         ["graph-limit", "--profile", "zero", "--z", "4,0"],
@@ -506,10 +521,18 @@ def readme_examples() -> list[list[str]]:
             if line.startswith("wglimit ")]
 
 
+def example_ids(examples: list[list[str]]) -> list[str]:
+    """Test ids: a command's first example is named by the command, a later
+    one also by its position."""
+    commands = [argv[0] for argv in examples]
+    return [cmd if commands.index(cmd) == i else f"{cmd}-{i}" for i, cmd in enumerate(commands)]
+
+
 class TestReadmeExamples:
     """The README's CLI examples are the end-to-end contract: each one runs."""
 
     EXAMPLES = readme_examples()
+    IDS = example_ids(EXAMPLES)
     # the config file the ``run`` example reads: a small coupling sweep
     CONFIG = {
         "profile": {"kind": "zero", "amplitude": 0.0},
@@ -521,11 +544,11 @@ class TestReadmeExamples:
     }
 
     def test_every_subcommand_has_an_example(self):
-        assert sorted(argv[0] for argv in self.EXAMPLES) == sorted(
+        assert sorted({argv[0] for argv in self.EXAMPLES}) == sorted(
             ["spectrum", "kernel", "coupling", "residual-sweep", "graph-limit",
              "oracle-compare", "run"])
 
-    @pytest.mark.parametrize("argv", EXAMPLES, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", EXAMPLES, ids=IDS)
     def test_example_runs(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "config.json").write_text(json.dumps(self.CONFIG))

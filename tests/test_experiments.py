@@ -91,6 +91,7 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("z", complex(float("nan"), 1.0)),
         ("z", complex(1.0, float("inf"))),
+        ("z", complex(-1.7e308, 1.7e308)),  # finite parts, |z| overflows
         ("p", (complex(float("nan"), 0.0), 0j)),
         ("eps_grid", (0.25, float("nan"), 0.0625)),
         ("delta_rule", ("power", float("nan"))),

@@ -222,6 +222,49 @@ class TestResidualFields:
             assert np.allclose(g[key], plain[key], atol=1e-14)
         assert np.allclose(g["g"] * plain["inv_g"], 1.0, atol=1e-14)
 
+    @staticmethod
+    def expression_fields(profile, s, u, ratio):
+        """The fields as plain expressions with their temporaries, the form
+        the in-place assembly must match bit for bit (test-side reference)."""
+        s = np.asarray(s, dtype=float)
+        u = np.asarray(u, dtype=float)
+        gam = profile.gamma(s, 0)
+        gam1 = profile.gamma(s, 1)
+        gam2 = profile.gamma(s, 2)
+        b = u * ratio * gam
+        a = 1.0 + b
+        two_plus_b, a_sq, a_cube = 2.0 + b, a * a, a**3
+        inv_g_minus_1 = -b * two_plus_b / a_sq
+        urg1 = u * ratio * gam1
+        w_plus = (
+            0.25 * gam * gam * b * two_plus_b / a_sq
+            + 0.5 * (u * ratio * gam2) / a_cube
+            - 1.25 * urg1 * urg1 / a**4
+        )
+        ds_inv_g = -2.0 * urg1 / a_cube
+        return {
+            "inv_g_minus_1": inv_g_minus_1,
+            "w_plus_quarter_gamma_sq": w_plus,
+            "ds_inv_g": ds_inv_g,
+            "gamma_sq": gam * gam,
+        }
+
+    @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05", "tuned2"])
+    @pytest.mark.parametrize("ratio", [1e-9, 0.013, 0.1])
+    def test_in_place_terms_keep_the_expression_bits(self, profile_name, ratio, rng, request):
+        profile = request.getfixturevalue(profile_name)
+        s = rng.uniform(-1.0, 1.0, 37)
+        u = rng.uniform(0.0, 1.0, 11)
+        for args in ((s[:, None], u[None, :]), (s, rng.uniform(0.0, 1.0, 37)),
+                     (s, 0.4), (0.3, u), (0.3, 0.4), (-0.7, 1.0)):
+            got = geometry_residual_fields(profile, *args, ratio)
+            expect = self.expression_fields(profile, *args, ratio)
+            assert got.keys() == expect.keys()
+            for key, value in expect.items():
+                assert type(got[key]) is type(value), key
+                assert np.shape(got[key]) == np.shape(value), key
+                assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), key
+
     def test_accurate_at_tiny_ratio(self, bump05):
         # the dedicated assembly stays O(ratio) where naive differencing
         # would be pure cancellation noise

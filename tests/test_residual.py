@@ -8,6 +8,7 @@ import pytest
 
 import wglimit.residual as residual
 from wglimit import (
+    CurvatureProfile,
     ExperimentConfig,
     ExpDecay,
     GaussianPulse,
@@ -17,13 +18,19 @@ from wglimit import (
     run_sweep,
 )
 from wglimit.experiments import SweepContext, _assemble, delta_for
+from wglimit.profile import geometry_residual_fields
 from wglimit.residual import (
     ResidualQuadrature,
     chi_mode,
     data_norm,
     residual_field,
 )
-from wglimit.vertex_spectrum import CoefficientSolution, taylor_shooting
+from wglimit.vertex_spectrum import (
+    SERIES_TERMS,
+    CoefficientSolution,
+    spectrum_for_case,
+    taylor_shooting,
+)
 
 from conftest import log_slope, plain_geometry
 
@@ -187,6 +194,35 @@ def _bits(report) -> list:
     return out
 
 
+def full_strip_factors(table: ResidualQuadrature, ratio: float) -> np.ndarray:
+    """R(s) on every s-node: the fields and one QR per node on the whole
+    strip, as the table built them before it used the mirror (test-side
+    reference)."""
+    f = geometry_residual_fields(table.profile, table.s_pts[:, None],
+                                 table.u_pts[None, :], ratio)
+    cols = np.empty((table.s_pts.size, 3, table.u_pts.size))
+    np.multiply(f["inv_g_minus_1"], 0.25 * f["gamma_sq"], out=cols[:, 0])
+    cols[:, 0] += f["w_plus_quarter_gamma_sq"]
+    cols[:, 0] *= table.u_scale
+    np.multiply(f["inv_g_minus_1"], table.u_scale, out=cols[:, 1])
+    np.multiply(f["ds_inv_g"], table.u_scale, out=cols[:, 2])
+    return np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
+
+
+@dataclasses.dataclass(frozen=True)
+class ShiftedBump(CurvatureProfile):
+    """A bump moved to s = 0.1, so gamma is not even in s (test-local)."""
+
+    def gamma(self, s, order: int = 0):
+        return super().gamma(np.asarray(s, dtype=float) - 0.1, order)
+
+
+def _ratios(profile) -> list[float]:
+    """From 1e-9 up to the profile's bound ratio * sup|gamma| < 1 (or 1)."""
+    top = min(1.0, 0.999 / profile.sup_gamma) if profile.sup_gamma else 1.0
+    return [1e-9, 1e-5, 0.013, 0.1, top]
+
+
 def _residual_config(profile, eps_grid, delta_rule) -> ExperimentConfig:
     return ExperimentConfig(profile=profile, metric="residual", z=1j, eps_grid=eps_grid,
                             delta_rule=delta_rule, p=None,
@@ -242,6 +278,62 @@ class TestQuadratureTable:
             else:
                 assert brute > 0.0
                 assert abs(l2 - brute) <= 1e-13 * brute
+
+    @pytest.mark.parametrize("profile", [CurvatureProfile.zero(), CurvatureProfile.bump(0.5),
+                                         CurvatureProfile.bump(-0.9), "tuned2"],
+                             ids=["zero", "bump:0.5", "bump:-0.9", "tuned:2"])
+    @pytest.mark.parametrize("order, panels", RULES)
+    def test_mirrored_factors_are_the_full_strip_qr(self, profile, order, panels, request):
+        # the default rules' s-nodes mirror bit for bit, and so does gamma on
+        # them, except the zero profile's gamma' (+0.0 where -0.0 is odd)
+        if profile == "tuned2":
+            profile = request.getfixturevalue(profile)
+        case = spectrum_for_case(profile).case
+        table = ResidualQuadrature.build(profile, 1, F1, None, case, order, panels)
+        half = table.s_pts.size // 2
+        assert table._columns.shape[0] == (table.s_pts.size if profile.kind == "zero" else half)
+        for ratio in _ratios(profile):
+            got = table.factors(ratio)
+            assert got.shape == (table.s_pts.size, 3, 3)
+            assert got.tobytes() == full_strip_factors(table, ratio).tobytes()
+
+    @pytest.mark.parametrize("profile_name", ["bump05", "tuned2"])
+    @pytest.mark.parametrize("order, panels", [(4, (3, 4)), (8, (48, 16))])
+    def test_unmirrored_nodes_take_the_full_strip(self, profile_name, order, panels, request):
+        # the s-nodes mirror bit for bit at power-of-two panel counts (all of
+        # 1 to 256 checked), not at these
+        profile = request.getfixturevalue(profile_name)
+        table = ResidualQuadrature.build(profile, 1, F1, None,
+                                         spectrum_for_case(profile).case, order, panels)
+        assert not np.array_equal(table.s_pts, -table.s_pts[::-1])
+        assert table._columns.shape[0] == table.s_pts.size
+        for ratio in _ratios(profile):
+            assert table.factors(ratio).tobytes() == full_strip_factors(table, ratio).tobytes()
+
+    @pytest.mark.parametrize("order, panels", RULES)
+    def test_uneven_profile_takes_the_full_strip(self, bump05, order, panels):
+        profile = ShiftedBump("bump", 0.5)
+        table = ResidualQuadrature.build(profile, 1, F1, None,
+                                         spectrum_for_case(bump05).case, order, panels)
+        assert np.array_equal(table.s_pts, -table.s_pts[::-1])
+        assert table._columns.shape[0] == table.s_pts.size
+        for ratio in _ratios(profile):
+            assert table.factors(ratio).tobytes() == full_strip_factors(table, ratio).tobytes()
+
+    @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05", "tuned2"])
+    @pytest.mark.parametrize("eps", [0.1, 0.9])
+    def test_vertex_profile_is_the_solution_s_own(self, profile_name, eps, request):
+        # eps = 0.1 at z = i reads the cached Taylor series (|w| = 0.01); at
+        # eps = 0.9, |w| = 0.81 > 0.25 and the kernel is a 1-term shot
+        profile = request.getfixturevalue(profile_name)
+        sol = assemble(profile, 1, Z, eps, 0.1 * eps, F1, None)
+        assert len(sol.kernel.zeta_sol.powers) == (1 if eps == 0.9 else SERIES_TERMS)
+        table = ResidualQuadrature.build(profile, 1, F1, None, sol.case)
+        for _ in range(2):  # a fresh and a cached node table
+            got = table.vertex_profile(sol)
+            expect = sol.vertex_profile(table.s_pts)
+            assert got.dtype == expect.dtype and got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
 
     def test_third_grid_moves_the_ratio(self):
         grid, (_, r) = self.SWEEPS[2]

@@ -180,6 +180,23 @@ class TestCollocation:
                 dense = np.array([[sol.eta(-1.0), 1.0], [1.0, sol.zeta(1.0)]]) / sol.wronskian
                 assert sol.corners().tobytes() == dense.tobytes()
 
+    @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05", "tuned2"])
+    def test_combine_is_the_tensordot_sum_over_powers(self, profile_name, request, rng):
+        # combine's table and product keep the bits and dtype of the plain sum
+        # over powers: complex powers on real Taylor values, real powers on a
+        # shot's complex values and on an eigenfunction's real ones
+        profile = request.getfixturevalue(profile_name)
+        sides = [taylor_shooting(profile).at(0.1 - 0.2j).zeta_sol, shoot(profile, 3 + 1j).eta_sol,
+                 eigenvalues(profile, 2).functions[1]._sol]
+        for side in sides:
+            for s in (0.37, -1.0, rng.uniform(-1, 1, 9), rng.uniform(-1, 1, (3, 4))):
+                y = side.coefficients(np.asarray(s))
+                plain = np.tensordot(side.powers, y.reshape(2, len(side.powers), *y.shape[1:]),
+                                     axes=(0, 1))
+                got = side.combine(y)
+                assert got.dtype == plain.dtype and got.shape == plain.shape
+                assert got.tobytes() == plain.tobytes()
+
     def test_taylor_coefficients_independent_of_blas_threads(self):
         # no product in the solves or the eigenpairs rounds by the BLAS thread count
         script = """

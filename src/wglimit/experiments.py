@@ -164,8 +164,11 @@ class ExperimentConfig:
         if self.metric not in METRICS:
             raise ConfigError(f"unknown metric {self.metric!r}")
         _check_z(self.z)
-        if self.p is not None and not all(cmath.isfinite(c) for c in self.p):
-            raise ConfigError(f"p = {self.p} is not finite")
+        if self.p is not None:
+            if not all(cmath.isfinite(c) for c in self.p):
+                raise ConfigError(f"p = {self.p} is not finite")
+            if math.isinf(math.hypot(*(x for c in self.p for x in (c.real, c.imag)))):
+                raise ConfigError(f"p = {self.p} has a 2-norm too large for a float")
         if not self.eps_grid:
             raise ConfigError("eps_grid must be nonempty")
         eps = np.asarray(self.eps_grid, dtype=float)
@@ -363,11 +366,17 @@ class SweepContext:
 def _coupling_point(ctx: SweepContext, eps: float, delta: float) -> dict:
     cfg = ctx.config
     kernel = vertex_kernel_at(cfg.profile, eps**2 * cfg.z)
-    coeffs = solve_coupling_from_kernel(kernel, cfg.z, eps, ctx.p, ctx.case)
-    dev = asymptotic_deviation(coeffs, ctx.projector)
+    # a p near overflow can overflow the solve or the norms: the point fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = solve_coupling_from_kernel(kernel, cfg.z, eps, ctx.p, ctx.case)
+        dev = asymptotic_deviation(coeffs, ctx.projector)
     row = {"dev_q": dev.dev_q, "dev_xi": dev.dev_xi}
     if dev.dev_xi_naive is not None:
         row["dev_xi_naive"] = dev.dev_xi_naive
+    if not (np.isfinite(coeffs.q).all() and np.isfinite(coeffs.xi).all()
+            and all(map(math.isfinite, row.values()))):
+        raise OverflowError(f"the coupling solve at eps = {eps:.6g} overflowed: "
+                            "q, xi or the deviations are not finite")
     return row
 
 

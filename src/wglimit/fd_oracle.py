@@ -430,7 +430,14 @@ def _strip_factor(diag: np.ndarray, off: np.ndarray, d: np.ndarray):
     mirrored arrays equal the originals, the second sweep is the first: half the lines
     are factored.  The solve runs forward from both ends, solves Z, and substitutes
     back outward.  A real block times a complex one is one real product on the
-    (re, im) columns of the complex one."""
+    (re, im) columns of the complex one.
+
+    Every getrs of the solve takes two right-hand sides: on a mirrored strip line j's
+    and line J - j's, which share their LU, else one padded with a zero column.  A
+    1-column getrs takes an OpenBLAS path whose rounding depends on the thread count;
+    the 2-column one gives the one-thread bits at any count.  So the solve's bits do
+    not depend on the thread count wherever getrf's do not: up to M = 63 (at M = 127
+    they do).  The products stay one per column: a 2-column one rounds differently."""
     from scipy.linalg import lapack  # at first use: analytic commands never load scipy
     J, M = off.shape[0], diag.shape[1]
     m, flips = J // 2, (slice(None), slice(None, None, -1))
@@ -455,15 +462,25 @@ def _strip_factor(diag: np.ndarray, off: np.ndarray, d: np.ndarray):
     z.flat[:: M + 1] += d[m]
     middle = lapack.zgetrf(z)[:2]
 
+    # the forward sweeps: both ends on the one set of LU factors, or each on its own
+    sweeps = [(top[0], flips)] if same else [(h[0], (flip,)) for h, flip in zip(halves, flips)]
+    pair = np.zeros((M, 2), dtype=complex, order="F")  # getrs' two right-hand sides
+
     def solve(r: np.ndarray) -> np.ndarray:
         x, rhs = np.empty((J + 1, M), dtype=complex), r[m].copy()
-        for (factors, _, _), flip in zip(halves, flips):
-            x_h, r_h, c, cw = x[flip], r[flip], off[flip], 0.0
+        for factors, ends in sweeps:
+            views, cw = [(x[flip], r[flip], off[flip]) for flip in ends], [0.0] * len(ends)
             for j, lu in enumerate(factors):
-                x_h[j] = lapack.zgetrs(*lu, r_h[j] - cw)[0]
-                cw = (c[j] @ x_h[j].view(float).reshape(M, 2)).ravel().view(complex)
-            rhs -= cw
-        x[m] = lapack.zgetrs(*middle, rhs)[0]
+                for k, (_, r_h, _) in enumerate(views):
+                    np.subtract(r_h[j], cw[k], out=pair[:, k])
+                y = lapack.zgetrs(*lu, pair)[0]
+                for k, (x_h, _, c) in enumerate(views):
+                    x_h[j] = y[:, k]
+                    cw[k] = (c[j] @ x_h[j].view(float).reshape(M, 2)).ravel().view(complex)
+            for w in cw:
+                rhs -= w
+        pair[:, 0], pair[:, 1] = rhs, 0.0
+        x[m] = lapack.zgetrs(*middle, pair)[0][:, 0]
         for (_, gain, _), flip in zip(halves, flips):
             x_h = x[flip]
             for j in range(len(gain) - 1, -1, -1):

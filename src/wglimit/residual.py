@@ -194,15 +194,16 @@ def _contraction(sol: ApproxSolution) -> complex:
     return sol.coeffs.xi[0] * sol.case.alpha1 + sol.coeffs.xi[1] * sol.case.alpha2
 
 
-def _mirrored(profile: CurvatureProfile, s: np.ndarray) -> bool:
-    """Whether s is -s[::-1] and gamma, gamma', gamma'' are even, odd and
-    even on it, all bit for bit (signed zeros included)."""
-    def same(x, y):
-        return np.array_equal(x.view(np.uint64), y.view(np.uint64))
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether two float arrays are equal bit for bit (signed zeros included)."""
+    return np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
-    return same(s, -s[::-1]) and all(
-        same(g[::-1], -g if k == 1 else g)
-        for k, g in ((k, np.asarray(profile.gamma(s, k))) for k in range(3)))
+
+def _even_on(profile: CurvatureProfile, s: np.ndarray) -> bool:
+    """Whether gamma, gamma', gamma'' are even, odd and even on the mirrored
+    nodes s, bit for bit."""
+    return all(_same_bits(g[::-1], -g if k == 1 else g)
+               for k, g in ((k, np.asarray(profile.gamma(s, k))) for k in range(3)))
 
 
 @dataclass(eq=False)
@@ -215,7 +216,9 @@ class ResidualQuadrature:
     norm, in the resonant case ||y*'||, and whether the strip mirrors: the
     s-nodes are bitwise s = -s[::-1] and gamma, gamma' and gamma'' are even,
     odd and even there bit for bit.  Per coefficient solve: its values at
-    the s-nodes (a kernel shot at eps^2 z is its own solve and misses them).
+    the s-nodes (a kernel shot at eps^2 z is its own solve and misses them);
+    on mirrored s-nodes a mirrored pair's right values are its left values
+    read backwards, with the y' rows negated (``vertex_profile``).
     Per ratio delta/eps, as an exact float: the geometry fields and from
     them the R factors, so a power-rule sweep refactors at every point.  On
     a mirrored strip both are built on the first half of the s-nodes: the
@@ -245,10 +248,12 @@ class ResidualQuadrature:
     _sides: tuple = field(default=(None,) * 4, init=False, repr=False)
     # (S, 3, U), or (S/2, 3, U) on a mirrored strip; rewritten per ratio
     _columns: np.ndarray = field(init=False, repr=False)
+    _nodes_mirror: bool = field(init=False, repr=False)  # s_pts is -s_pts[::-1]
 
     def __post_init__(self) -> None:
+        self._nodes_mirror = _same_bits(self.s_pts, -self.s_pts[::-1])
         rows = self.s_pts.size
-        if _mirrored(self.profile, self.s_pts):
+        if self._nodes_mirror and _even_on(self.profile, self.s_pts):
             rows //= 2
         self._columns = np.empty((rows, 3, self.u_pts.size))
 
@@ -264,8 +269,7 @@ class ResidualQuadrature:
         if case.resonant:
             # y*, the zero-mode: eigenfunctions do not depend on the zero
             # tolerance, and the case fixes its index
-            star = spectrum_for_case(profile).functions[case.n_star - 1]
-            dnorm = float(np.sqrt(star.rule[1] @ star.derivative(star.rule[0]) ** 2))
+            dnorm = spectrum_for_case(profile).functions[case.n_star - 1].derivative_norm
         return ResidualQuadrature(profile, n, f1, f2, case, quadrature_order, tuple(panels),
                                   s_pts, s_wts, u_pts, u_wts,
                                   np.sqrt(u_wts * chi_mode(n, u_pts) ** 2),
@@ -306,13 +310,22 @@ class ResidualQuadrature:
     def vertex_profile(self, sol: ApproxSolution):
         """(phi, phi') of sol at the s-nodes, bit for bit its own values:
         each side's node values are held as its ``table``, so a point pays
-        only the product with its powers."""
+        only the product with its powers.  When the s-nodes mirror and the
+        right solution is the left one read in t = -s (``mirror_of_left``),
+        its values are the left's with the columns reversed and the y' rows
+        negated."""
         k = sol.kernel
         sides = (k.zeta_sol, k.eta_sol)
-        coefficients = tuple(side.coefficients for side in sides)
+        left, right = coefficients = tuple(side.coefficients for side in sides)
         if any(held is not c for held, c in zip(self._sides, coefficients)):
-            self._sides = (*coefficients, *(side.table(c(self.s_pts))
-                                            for side, c in zip(sides, coefficients)))
+            zeta = left(self.s_pts)
+            if self._nodes_mirror and right.mirror_of_left:
+                eta = zeta[:, ::-1].copy()
+                terms = len(eta) // 2
+                np.negative(eta[terms:], out=eta[terms:])
+            else:
+                eta = right(self.s_pts)
+            self._sides = (*coefficients, k.zeta_sol.table(zeta), k.eta_sol.table(eta))
         zeta, eta = (side.contract(table) for side, table in zip(sides, self._sides[2:]))
         return sol._vertex_profile_from(eta, zeta)
 

@@ -185,12 +185,15 @@ def _panel_count(qmax: float) -> int:
 class CoefficientSolution:
     """Dense coefficients s -> (y_0..y_{K-1}, y_0'..y_{K-1}'), shape (2K,) +
     shape(s); a mirrored solve runs in t = -s.  (y_k, y_k') at the panel ends
-    in t, and y_k'' at each panel's stages (zero past the far end)."""
+    in t, and y_k'' at each panel's stages (zero past the far end).  The right
+    solve of a mirrored pair (``_coefficient_pair``) holds its left solve's
+    arrays, read in t = -s, and says so by ``mirror_of_left``."""
 
     edges: np.ndarray
     states: np.ndarray  # (P + 1, K, 2)
     forcing: np.ndarray  # (P + 1, K, _STAGES)
     mirrored: bool
+    mirror_of_left: bool = False
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -206,18 +209,32 @@ class CoefficientSolution:
         return np.concatenate([y, -dy if self.mirrored else dy], axis=1).T.reshape(-1, *s.shape)
 
 
-def _coefficient_solve(profile: CurvatureProfile, centre, terms: int, what: str,
-                       mirrored: bool = False) -> CoefficientSolution:
-    """The Taylor coefficients about c, y_k'' = (V - c) y_k - y_{k-1} for
-    k < terms, with y_0 = 1 and all other start data zero at s = -1 (+1
-    when mirrored): the shooting solution at c + d is sum_k d^k y_k."""
+def _stage_nodes(profile: CurvatureProfile, centre, what: str):
+    """The panel ends of a solve about c and each panel's stage nodes."""
     panels = _panel_count(profile.sup_gamma**2 / 4.0 + abs(centre))
     if panels > MAX_SHOOT_PANELS:
         raise IntegrationError(f"{what} needs {panels:.3g} panels, more than {MAX_SHOOT_PANELS}")
     edges = np.linspace(-1.0, 1.0, panels + 1)
-    h = edges[1] - edges[0]
-    t = edges[:-1, None] + h * _NODES
-    q = -0.25 * profile.gamma(-t if mirrored else t) ** 2 - centre
+    return edges, edges[:-1, None] + (edges[1] - edges[0]) * _NODES
+
+
+def _stage_potential(profile: CurvatureProfile, centre, t: np.ndarray) -> np.ndarray:
+    """V - c at the stage nodes t."""
+    return -0.25 * profile.gamma(t) ** 2 - centre
+
+
+def _coefficient_solve(profile: CurvatureProfile, centre, terms: int, what: str,
+                       mirrored: bool = False, stages=None) -> CoefficientSolution:
+    """The Taylor coefficients about c, y_k'' = (V - c) y_k - y_{k-1} for
+    k < terms, with y_0 = 1 and all other start data zero at s = -1 (+1
+    when mirrored): the shooting solution at c + d is sum_k d^k y_k.
+    ``stages``, when given, is the panel ends and the stage potential (in
+    t = -s when mirrored) that ``_stage_nodes`` and ``_stage_potential`` give."""
+    if stages is None:
+        edges, t = _stage_nodes(profile, centre, what)
+        stages = edges, _stage_potential(profile, centre, -t if mirrored else t)
+    edges, q = stages
+    panels, h = len(edges) - 1, edges[1] - edges[0]
     # Term k's stage values from its start data and term k - 1's stages:
     # (I - h^2 A^2 diag q) Y_k = y_k + h c y_k' - h^2 A^2 Y_{k-1}.
     inv = np.linalg.inv(np.eye(_STAGES) - h * h * _TABLEAU_SQ * q[:, None, :])
@@ -250,12 +267,24 @@ def _coefficient_solve(profile: CurvatureProfile, centre, terms: int, what: str,
     return CoefficientSolution(edges, states.reshape(panels + 1, terms, 2), forcing, mirrored)
 
 
+def _coefficient_pair(profile: CurvatureProfile, centre, terms: int, what: str):
+    """The left and the mirrored right coefficient solves about c.  When the
+    right's stage potential is the left's bit for bit (every even profile),
+    its solve would repeat the left's arithmetic, so it is one solve: the
+    right shares the left's edges, states and forcing, read in t = -s."""
+    edges, t = _stage_nodes(profile, centre, what)
+    q_left, q_right = (_stage_potential(profile, centre, x) for x in (t, -t))
+    left = _coefficient_solve(profile, centre, terms, what, False, (edges, q_left))
+    if q_left.tobytes() == q_right.tobytes():
+        return left, CoefficientSolution(left.edges, left.states, left.forcing, True, True)
+    return left, _coefficient_solve(profile, centre, terms, what, True, (edges, q_right))
+
+
 def shoot(profile: CurvatureProfile, z: complex) -> ShootingSolution:
     """Both shooting solutions with dense output over [-1, 1]: the 1-term
     coefficient solves about z, each a series with the one power d^0 = 1."""
     z = complex(z)
-    left, right = (_coefficient_solve(profile, z, 1, f"shooting at z={z}", mirrored)
-                   for mirrored in (False, True))
+    left, right = _coefficient_pair(profile, z, 1, f"shooting at z={z}")
     # At s = +1 the right solution is exactly (1, 0), so Wv = zeta'(+1).
     one = np.ones(1)
     return ShootingSolution(z, _TaylorSide(left, one), _TaylorSide(right, one),
@@ -331,8 +360,7 @@ class TaylorShooting:
 @lru_cache(maxsize=8)
 def taylor_shooting(profile: CurvatureProfile) -> TaylorShooting:
     """The Taylor coefficients of both shooting solutions (cached)."""
-    left, right = (_coefficient_solve(profile, 0.0, SERIES_TERMS, "the Taylor solve", mirrored)
-                   for mirrored in (False, True))
+    left, right = _coefficient_pair(profile, 0.0, SERIES_TERMS, "the Taylor solve")
     arrays = (right.states[-1, :, 0], *left.states[-1].T)
     for arr in (*arrays, left.edges):
         arr.setflags(write=False)
@@ -423,7 +451,7 @@ class EigenFunction:
     lam: float
     _sol: _TaylorSide
     scale: float  # 1 / ||zeta||; zeta(-1) = 1 fixes the sign
-    rule: tuple  # Gauss nodes and weights on [-1, 1]: its solve's stage nodes
+    derivative_norm: float  # ||y'||, by the Gauss rule on its solve's stage nodes
 
     def value(self, s):
         return self._sol(np.asarray(s))[0] * self.scale
@@ -441,10 +469,12 @@ class EigenFunction:
 
 
 def _eigenfunction(n: int, lam: float, side: _TaylorSide) -> EigenFunction:
-    """Normalise zeta by its stage values and Gauss weights."""
+    """Normalise zeta by its stage values and Gauss weights, and take the
+    norm of its derivative from the same values."""
     rule = _panel_nodes(-1.0, 1.0, len(side.coefficients.edges) - 1, _STAGES)
-    vals = side(rule[0])[0]
-    return EigenFunction(n, lam, side, 1.0 / math.sqrt(rule[1] @ (vals * vals)), rule)
+    vals, slopes = side(rule[0])
+    scale = 1.0 / math.sqrt(rule[1] @ (vals * vals))
+    return EigenFunction(n, lam, side, scale, float(np.sqrt(rule[1] @ (slopes * scale) ** 2)))
 
 
 def _eigenpair(profile: CurvatureProfile, galerkin: np.ndarray, k: int) -> EigenFunction:

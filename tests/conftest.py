@@ -1,9 +1,20 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from wglimit import CurvatureProfile, tune_to_resonance
+
+
+@dataclasses.dataclass(frozen=True)
+class ShiftedBump(CurvatureProfile):
+    """A bump moved to s = 0.1, so gamma is not even in s: every profile the
+    library builds is even."""
+
+    def gamma(self, s, order: int = 0):
+        return super().gamma(np.asarray(s, dtype=float) - 0.1, order)
 
 
 @pytest.fixture(scope="session")

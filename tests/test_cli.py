@@ -140,8 +140,9 @@ class TestKernelCommand:
 
 class TestSweepCommands:
     def test_one_series_solve_per_side(self, tmp_path, monkeypatch):
-        # the SERIES_TERMS-term Taylor coefficients are solved once per profile and
-        # side, and shared by every command and sweep point in the process
+        # the SERIES_TERMS-term Taylor coefficients are solved once per profile (an even
+        # profile's right side is its left one mirrored), and shared by every
+        # command and sweep point in the process
         vertex_spectrum.taylor_shooting.cache_clear()
         terms, solve = [], vertex_spectrum._coefficient_solve
         monkeypatch.setattr(vertex_spectrum, "_coefficient_solve",
@@ -151,7 +152,7 @@ class TestSweepCommands:
         for argv in (["coupling"], ["residual-sweep", "--f1", "exp:1"],
                      ["graph-limit", "--f1", "gaussian:3.2,0.45"]):
             assert main([*argv, *common, "--out", str(tmp_path / f"{argv[0]}.csv")]) == 0
-        assert terms.count(vertex_spectrum.SERIES_TERMS) == 2
+        assert terms.count(vertex_spectrum.SERIES_TERMS) == 1
 
     def test_coupling(self, tmp_path):
         out = tmp_path / "coupling.csv"
@@ -505,6 +506,39 @@ class TestSweepCommands:
         (tmp_path / "config.json").write_text(json.dumps(TestReadmeExamples.CONFIG))
         assert main([*argv, "--out", str(tmp_path / "missing" / "x.csv")]) == 2
         assert main([*argv, "--out", str(tmp_path)]) == 2  # a directory, not a file
+
+    @pytest.mark.parametrize("p1", ["1e308,1e308", "1e307,0"])
+    def test_overflowing_p_fails_every_point(self, tmp_path, capsys, p1):
+        # |p| is finite, but the solve or its norms overflow: every point used
+        # to be written as a row of NaN, with numpy's overflow warnings on stderr
+        out = tmp_path / "c.csv"
+        assert main(["coupling", "--profile", "zero", f"--p1={p1}", "--eps-grid", "2^-6..2^-9",
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "4 point(s) failed" in captured.out and captured.err == ""
+        assert read_csv(out)[3][0] == "slope"  # no rows
+        failures = json.loads((tmp_path / "c.csv.json").read_text())["failures"]
+        assert len(failures) == 4 and all("not finite" in f["error"] for f in failures)
+
+    @pytest.mark.parametrize("p, code", [([[1.5e308, 0.0], [1.5e308, 0.0]], 2),
+                                         ([[1e307, 0.0], [0.0, 0.0]], 0)])
+    def test_run_config_p_near_overflow(self, tmp_path, capsys, p, code):
+        # a 2-norm that overflows is refused; a finite one that overflows the
+        # solve fails its points
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(TestReadmeExamples.CONFIG, p=p)))
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert "2-norm" in err and not out.exists()
+        else:
+            assert err == "" and len(json.loads(Path(f"{out}.json").read_text())["failures"]) == 4
+
+    def test_p_of_infinite_norm_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["coupling", "--profile", "zero", "--p1=1.5e308,0", "--p2=0,1.5e308",
+                     "--out", str(out)]) == 2
+        assert "2-norm" in capsys.readouterr().err and not out.exists()
 
     def test_run_malformed_config(self, tmp_path):
         cfg_path = tmp_path / "bad.json"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
-from compare_outputs import diff_outputs  # noqa: E402
+from compare_outputs import diff_outputs, main  # noqa: E402
 
 
 def test_json_diff_reports_each_key_path(tmp_path, capsys):
@@ -25,3 +25,35 @@ def test_json_diff_reports_each_key_path(tmp_path, capsys):
     assert per_key.keys() == {"tolerances.solve_residual", "mismatch", "rows[].x"}
     assert per_key["mismatch"] == 1.0e-9
     assert per_key["rows[].x"] == 1.0e-7
+
+
+def write_sides(root: Path, files_a: dict, files_b: dict) -> tuple[Path, Path]:
+    """Two output directories holding the given {name: text} files; ``--diff``
+    on them exits as ``main`` returns."""
+    for side, files in (("a", files_a), ("b", files_b)):
+        (root / side).mkdir()
+        for name, text in files.items():
+            (root / side / name).write_text(text, encoding="utf-8")
+    return root / "a", root / "b"
+
+
+def test_diff_fails_on_a_file_of_one_side(tmp_path, capsys):
+    a, b = write_sides(tmp_path, {"x.csv": "1\n", "y.csv": "2\n"}, {"x.csv": "1\n"})
+    assert main(["--diff", str(a), str(b)]) == 1
+    assert f"only in {a}: y.csv" in capsys.readouterr().out.splitlines()
+
+
+def test_diff_fails_on_text_beyond_its_numbers(tmp_path, capsys):
+    a, b = write_sides(tmp_path, {"x.stdout": "dev_q: slope=1.0\nexit 0\n"},
+                       {"x.stdout": "dev_xi: slope=1.0\nexit 0\n"})
+    assert main(["--diff", str(a), str(b)]) == 1
+    assert "text differs  x.stdout" in capsys.readouterr().out.splitlines()
+
+
+def test_diff_passes_a_numbers_only_change(tmp_path, capsys):
+    a, b = write_sides(tmp_path, {"x.csv": "eps,dev\n0.5,2.0\n", "y.csv": "same\n"},
+                       {"x.csv": "eps,dev\n0.5,2.5\n", "y.csv": "same\n"})
+    assert main(["--diff", str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "max rel 2.00e-01 (line 2)  x.csv" in lines
+    assert lines[-1] == "max rel 2.00e-01 of 2 files compared (1 byte-identical): x.csv line 2"

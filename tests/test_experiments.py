@@ -93,6 +93,7 @@ class TestConfig:
         ("z", complex(1.0, float("inf"))),
         ("z", complex(-1.7e308, 1.7e308)),  # finite parts, |z| overflows
         ("p", (complex(float("nan"), 0.0), 0j)),
+        ("p", (complex(1.5e308, 0.0), complex(0.0, 1.5e308))),  # finite entries, |p| overflows
         ("eps_grid", (0.25, float("nan"), 0.0625)),
         ("delta_rule", ("power", float("nan"))),
         ("delta_rule", ("power", float("inf"))),
@@ -238,6 +239,18 @@ class TestRunSweep:
         res = run_sweep(cfg)
         assert abs(res.slopes["dev_q"].slope - 1.0) < 0.15
         assert abs(res.slopes["dev_xi"].slope - 2.0) < 0.2
+
+    @pytest.mark.parametrize("p", [(1e308 + 1e308j, 0j), (1e307 + 0j, 0j)])
+    @pytest.mark.parametrize("resonant", [False, True])
+    def test_overflowing_coupling_points_fail(self, p, resonant, tuned2):
+        # |p| is finite, but the solve or the norms overflow: each point is a
+        # failure, not a row of NaN, and no RuntimeWarning escapes (an error here)
+        cfg = ExperimentConfig(profile=tuned2 if resonant else ZERO, z=1j,
+                               eps_grid=dyadic(6, 9), p=p)
+        res = run_sweep(cfg)
+        assert res.rows == () and res.slopes == {}
+        assert [f["epsilon"] for f in res.failures] == list(dyadic(6, 9))
+        assert all("not finite" in f["error"] for f in res.failures)
 
     def test_point_failures_recorded(self, tuned2):
         # early points violate the tuned profile's aspect-ratio bound and

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from wglimit.fd_oracle import (
 from wglimit.profile import geometry_fields
 from wglimit.residual import chi_mode, data_norm
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 Z4 = 4j  # faster decay -> short truncated edges for module-level tests
 F_G = GaussianPulse(center=2.0, width=0.4)
 F_G2 = GaussianPulse(center=1.5, width=0.3)
@@ -546,6 +551,33 @@ class TestEdgeModes:
         assert not t.any() and not energy.any()
 
 
+def random_strip(lines: int, m: int, mirrored: bool):
+    """Real symmetric blocks plus a complex diagonal with a positive imaginary
+    part, and a right-hand side; with line j equal to line J - j if mirrored."""
+    rng = np.random.default_rng(10 * lines + m)
+    diag, off = (b + b.transpose(0, 2, 1) for b in
+                 (rng.standard_normal((lines, m, m)), rng.standard_normal((lines - 1, m, m))))
+    d = rng.standard_normal((lines, m)) + 1j * (0.5 + rng.random((lines, m)))
+    if mirrored:
+        diag, off, d = (a + a[::-1] for a in (diag, off, d))
+    r = rng.standard_normal((lines, m)) + 1j * rng.standard_normal((lines, m))
+    return diag, off, d, r
+
+
+ORACLE_THREADS_SCRIPT = """
+import hashlib, sys
+from wglimit.cli import main
+for h_u in ("0.03125", "0.015625"):  # M = 31 and 63
+    for h_s in ("0.015625", "0.11764705882352941"):  # J = 128 (mirrored strip) and 17
+        out = f"{sys.argv[1]}/oracle-{h_u}-{h_s}.json"
+        assert main(["oracle-compare", "--profile=tuned:2", "--z=0.3,0.7", "--epsilon=0.3",
+                     f"--h-u={h_u}", f"--h-s={h_s}", "--f1=gaussian:3,0.5", "--refine",
+                     f"--out={out}"]) == 0
+        with open(out, "rb") as fh:
+            print(hashlib.sha256(fh.read()).hexdigest(), file=sys.stderr)
+"""
+
+
 class TestStripFactor:
     @pytest.mark.parametrize("lines", [2, 3, 17, 18])  # 2: J = 1, the interface lines only
     @pytest.mark.parametrize("m", [1, 3, 8])
@@ -556,13 +588,7 @@ class TestStripFactor:
         # Im z != 0, nonsingular, Schur complements included.  A mirrored
         # strip (line j equal to line J - j) is factored only to its middle
         # line when J is even.
-        rng = np.random.default_rng(10 * lines + m)
-        diag, off = (b + b.transpose(0, 2, 1) for b in
-                     (rng.standard_normal((lines, m, m)), rng.standard_normal((lines - 1, m, m))))
-        d = rng.standard_normal((lines, m)) + 1j * (0.5 + rng.random((lines, m)))
-        if mirrored:
-            diag, off, d = (a + a[::-1] for a in (diag, off, d))
-        r = rng.standard_normal((lines, m)) + 1j * rng.standard_normal((lines, m))
+        diag, off, d, r = random_strip(lines, m, mirrored)
         a = np.zeros((lines * m,) * 2, dtype=complex)
         for j in range(lines):
             a[j * m: (j + 1) * m, j * m: (j + 1) * m] = diag[j] + np.diag(d[j])
@@ -576,6 +602,33 @@ class TestStripFactor:
         assert np.linalg.norm(got.ravel() - want) <= 1e-12 * np.linalg.norm(want)
         J = lines - 1
         assert len(shapes) == (J // 2 + 1 if mirrored and J % 2 == 0 else J + 1)
+
+    @pytest.mark.parametrize("lines", [2, 17, 18])
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_every_solve_getrs_takes_two_columns(self, lines, mirrored, monkeypatch):
+        # a 1-column getrs rounds by the BLAS thread count: on a mirrored strip
+        # lines j and J - j share one call, any other right-hand side is padded
+        diag, off, d, r = random_strip(lines, 3, mirrored)
+        strip = _strip_factor(diag, off, d)
+        shapes, zgetrs = [], lapack.zgetrs
+        monkeypatch.setattr(lapack, "zgetrs",
+                            lambda lu, piv, b, *a, **kw: shapes.append(np.shape(b))
+                            or zgetrs(lu, piv, b, *a, **kw))
+        strip(r)
+        J = lines - 1
+        assert shapes == [(3, 2)] * (J // 2 + 1 if mirrored and J % 2 == 0 else J + 1)
+
+    def test_oracle_report_independent_of_blas_threads(self, tmp_path):
+        # the same report bytes at one and two OpenBLAS threads, M <= 63
+        path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+        digests = []
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            digests.append(subprocess.run(
+                [sys.executable, "-c", ORACLE_THREADS_SCRIPT, str(tmp_path / threads)],
+                check=True, capture_output=True, text=True,
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)).stderr)
+        assert len(digests[0].split()) == 4 and digests[0] == digests[1]
 
     @pytest.mark.parametrize("m", [1, 3, 15, 31, 63])
     @pytest.mark.parametrize("mirrored", [False, True])

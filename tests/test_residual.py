@@ -32,7 +32,7 @@ from wglimit.vertex_spectrum import (
     taylor_shooting,
 )
 
-from conftest import log_slope, plain_geometry
+from conftest import ShiftedBump, log_slope, plain_geometry
 
 Z = 1j
 F1 = ExpDecay(rate=1.0)
@@ -209,14 +209,6 @@ def full_strip_factors(table: ResidualQuadrature, ratio: float) -> np.ndarray:
     return np.linalg.qr(cols.transpose(0, 2, 1), mode="r")
 
 
-@dataclasses.dataclass(frozen=True)
-class ShiftedBump(CurvatureProfile):
-    """A bump moved to s = 0.1, so gamma is not even in s (test-local)."""
-
-    def gamma(self, s, order: int = 0):
-        return super().gamma(np.asarray(s, dtype=float) - 0.1, order)
-
-
 def _ratios(profile) -> list[float]:
     """From 1e-9 up to the profile's bound ratio * sup|gamma| < 1 (or 1)."""
     top = min(1.0, 0.999 / profile.sup_gamma) if profile.sup_gamma else 1.0
@@ -335,6 +327,37 @@ class TestQuadratureTable:
             assert got.dtype == expect.dtype and got.shape == expect.shape
             assert got.tobytes() == expect.tobytes()
 
+    @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05", "tuned2"])
+    @pytest.mark.parametrize("eps", [0.1, 0.9])
+    @pytest.mark.parametrize("order, panels", RULES + [(4, (3, 4))])
+    def test_right_table_is_the_evaluated_one(self, profile_name, eps, order, panels, request):
+        # on mirrored s-nodes the right side's table comes from the left's node
+        # values; it equals the table of its own dense values, layout included
+        profile = request.getfixturevalue(profile_name)
+        sol = assemble(profile, 1, Z, eps, 0.1 * eps, F1, None)
+        table = ResidualQuadrature.build(profile, 1, F1, None, sol.case, order, panels)
+        table.vertex_profile(sol)
+        eta = sol.kernel.eta_sol
+        assert eta.coefficients.mirror_of_left
+        assert eta.coefficients.states is sol.kernel.zeta_sol.coefficients.states
+        expect = eta.table(eta.coefficients(table.s_pts))
+        got = table._sides[3]
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.flags.c_contiguous and got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("eps", [0.1, 0.9])
+    def test_uneven_profile_evaluates_the_right_side(self, bump05, eps, counts):
+        # an uneven profile's right side is its own solve, evaluated at the nodes
+        profile = ShiftedBump("bump", 0.5)
+        sol = assemble(profile, 1, Z, eps, 0.1 * eps, F1, None,
+                       case=spectrum_for_case(bump05).case)
+        left, right = sol.kernel.zeta_sol.coefficients, sol.kernel.eta_sol.coefficients
+        assert not right.mirror_of_left and right.states is not left.states
+        table = ResidualQuadrature.build(profile, 1, F1, None, sol.case)
+        got = table.vertex_profile(sol)
+        assert counts["dense"] == [left, right]
+        assert got.tobytes() == sol.vertex_profile(table.s_pts).tobytes()
+
     def test_third_grid_moves_the_ratio(self):
         grid, (_, r) = self.SWEEPS[2]
         assert any(r * e / e != r for e in grid)
@@ -376,8 +399,9 @@ class TestQuadratureTable:
         taylor = taylor_shooting(bump05)
         assert counts["geometry"] == 1
         assert counts["data_norm"] == 1
-        for side in (taylor.left, taylor.right):
-            assert sum(sol is side for sol in counts["dense"]) == 1
+        # the mirrored right side's node values are the left's read backwards
+        assert sum(sol is taylor.left for sol in counts["dense"]) == 1
+        assert not any(sol is taylor.right for sol in counts["dense"])
 
     def test_power_rule_sweep_recomputes_the_geometry(self, bump05, counts):
         grid = tuple(2.0**-k for k in range(3, 9))

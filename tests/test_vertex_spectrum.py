@@ -34,6 +34,8 @@ from wglimit.vertex_spectrum import (
     wronskian_values,
 )
 
+from conftest import ShiftedBump
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 NEUMANN = [0.0, np.pi**2 / 4, np.pi**2, 9 * np.pi**2 / 4]
@@ -244,6 +246,89 @@ run("oracle-compare", "--profile", "zero", "--z", "0,4", "--epsilon", "0.25",
         out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert "scipy modules: []" in out.splitlines()
+
+
+def count_solves(monkeypatch) -> list:
+    """The term count of every coefficient solve made from here on."""
+    terms, solve = [], vertex_spectrum._coefficient_solve
+    monkeypatch.setattr(vertex_spectrum, "_coefficient_solve",
+                        lambda prof, c, k, *a: terms.append(k) or solve(prof, c, k, *a))
+    return terms
+
+
+class TestMirroredPair:
+    """An even profile's right solve is its left one read in t = -s: one solve."""
+
+    PROFILES = ["zero_profile", "bump05", "bump_edge", "bump_neg", "tuned2"]
+    CENTRES = [0.0, 2.4674, 0.3 + 0.5j, -40 + 3j]
+
+    @pytest.fixture(scope="class")
+    def bump_neg(self):
+        return CurvatureProfile.bump(-0.586)
+
+    @pytest.mark.parametrize("profile_name", PROFILES)
+    @pytest.mark.parametrize("terms", [1, 4, 12])
+    def test_shared_right_is_the_mirrored_solve(self, profile_name, terms, request):
+        profile = request.getfixturevalue(profile_name)
+        for centre in self.CENTRES:
+            left, right = vertex_spectrum._coefficient_pair(profile, centre, terms, "test")
+            assert right.mirrored and not left.mirrored
+            assert right.mirror_of_left and not left.mirror_of_left
+            assert right.states is left.states and right.forcing is left.forcing
+            solo = vertex_spectrum._coefficient_solve(profile, centre, terms, "test", True)
+            assert right.edges.tobytes() == solo.edges.tobytes()
+            assert right.states.tobytes() == solo.states.tobytes()
+            assert right.forcing.tobytes() == solo.forcing.tobytes()
+
+    @pytest.mark.parametrize("profile_name", PROFILES)
+    def test_node_values_mirror(self, profile_name, request):
+        # on bitwise mirrored nodes eta is zeta reversed and eta' is -zeta' reversed
+        profile = request.getfixturevalue(profile_name)
+        s = vertex_spectrum._panel_nodes(-1.0, 1.0, 64, 8)[0]
+        assert np.array_equal(s, -s[::-1])
+        for sol in (taylor_shooting(profile).at(0.1 - 0.2j), shoot(profile, 3 + 1j)):
+            zeta, eta = sol.zeta_sol(s), sol.eta_sol(s)
+            assert eta[0].tobytes() == zeta[0][::-1].tobytes()
+            assert eta[1].tobytes() == (-zeta[1][::-1]).tobytes()
+            left, right = sol.zeta_sol.coefficients, sol.eta_sol.coefficients
+            terms = len(sol.zeta_sol.powers)
+            flipped = left(s)[:, ::-1].copy()
+            flipped[terms:] *= -1.0
+            assert right(s).tobytes() == flipped.tobytes()
+            corners = sol.corners()
+            assert corners[0, 0] == corners[1, 1]
+
+    def test_uneven_profile_takes_two_solves(self, monkeypatch):
+        profile = ShiftedBump("bump", 0.5)
+        terms = count_solves(monkeypatch)
+        for centre in (0.0, 3 + 1j):
+            left, right = vertex_spectrum._coefficient_pair(profile, centre, 4, "test")
+            assert right.states is not left.states and right.mirrored
+            assert not right.mirror_of_left
+            assert left.states.tobytes() != right.states.tobytes()
+        assert terms == [4, 4, 4, 4]
+        sol = shoot(profile, 3 + 1j)
+        assert sol.eta_sol.coefficients.states is not sol.zeta_sol.coefficients.states
+        dense = np.array([[sol.eta(-1.0), 1.0], [1.0, sol.zeta(1.0)]]) / sol.wronskian
+        assert sol.corners().tobytes() == dense.tobytes()
+        assert sol.corners()[0, 0] != sol.corners()[1, 1]
+
+    def test_cold_taylor_solve_is_one_solve(self, tuned2, monkeypatch):
+        taylor_shooting.cache_clear()
+        terms = count_solves(monkeypatch)
+        taylor = taylor_shooting(tuned2)
+        assert terms == [vertex_spectrum.SERIES_TERMS]
+        assert taylor.right.states is taylor.left.states
+
+    @pytest.mark.parametrize("profile_name", PROFILES)
+    def test_derivative_norm_is_the_rule_sum(self, profile_name, request):
+        # ||y'|| from the normalising call's values: the bits of the norm taken
+        # from a second evaluation of the derivative at the stage nodes
+        profile = request.getfixturevalue(profile_name)
+        for fn in eigenvalues(profile, 4).functions:
+            panels = len(fn._sol.coefficients.edges) - 1
+            rule = vertex_spectrum._panel_nodes(-1.0, 1.0, panels, _STAGES)
+            assert fn.derivative_norm == float(np.sqrt(rule[1] @ fn.derivative(rule[0]) ** 2))
 
 
 class TestEigenvalues:

@@ -23,7 +23,6 @@ from functools import cache, partial
 import numpy as np
 
 from . import __version__
-from .coupling import SingularSystemError
 from .experiments import (
     DEFAULT_WINDOW_POLICY,
     ConfigError,
@@ -35,14 +34,12 @@ from .experiments import (
     run_sweep,
 )
 from .fd_oracle import H_S, H_U, OracleError
-from .kernels import (SERIES_DEFAULT_TERMS, KernelError, NearEigenvalueError, series_kernel,
-                      vertex_kernel_at)
+from .kernels import SERIES_DEFAULT_TERMS, KernelError, series_kernel, vertex_kernel_at
 from .profile import CurvatureProfile, ProfileError, tune_to_resonance
 from .vertex_spectrum import DEFAULT_ZERO_TOLERANCE, IntegrationError, SpectrumError, eigenvalues
 
 VALIDATION_ERRORS = (ConfigError, ProfileError, FitError, ValueError)
-NUMERICAL_ERRORS = (NearEigenvalueError, SingularSystemError, IntegrationError,
-                    SpectrumError, KernelError, OracleError, OverflowError)
+NUMERICAL_ERRORS = (KernelError, IntegrationError, SpectrumError, OracleError, OverflowError)
 # Largest `kernel --grid` (grid^2 CSV rows, streamed) and `kernel --n-terms`; each
 # route evaluates a grid point once (2000 series terms on 1001 points: 11 s, 2 vCPUs).
 MAX_KERNEL_GRID = 1001

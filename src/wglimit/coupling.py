@@ -1,12 +1,15 @@
-"""Vertex coupling system: the 2x2 matrix of kernel corner values, the
-boundary constants (q, xi) it determines, and their small-eps behaviour.
+"""Vertex coupling system: the boundary constants (q, xi) that the kernel
+corners determine, and their small-eps behaviour.
 
 Substituting xi_j = p_j + i sqrt(z) q_j into the corner relation
-q = eps * L_eps * xi  gives the closed 2x2 system
+q = eps * L_eps * xi  gives  q = (1 - sigma L_eps)^(-1) eps L_eps p  with
+sigma = i eps sqrt(z) and L_eps = N/W the matrix of r(eps^2 z; +-1, +-1).  As
+det N = W D (``ShootingSolution``), Cayley-Hamilton removes the inverse:
 
-    q = (1 - i eps sqrt(z) L_eps)^(-1) eps L_eps p,
+    q = eps (N - sigma D) p / (W - sigma tr N + sigma^2 D),
 
-with L_eps the matrix of r(eps^2 z; +-1, +-1).  In the resonant case the
+one formula for both cases, which forms no 1/W and cancels nothing at a
+resonance, where W ~ eps^2.  In the resonant case the
 limiting behaviour is governed by the rank-one projector
 
     P0 = [[a1^2, a1 a2], [a1 a2, a2^2]] / (a1^2 + a2^2),
@@ -37,20 +40,12 @@ __all__ = [
     "CouplingCoefficients",
     "DeviationReport",
     "KirchhoffProjector",
-    "SingularSystemError",
     "asymptotic_deviation",
     "kirchhoff_projector",
     "resonant_projector",
     "solve_coupling",
     "solve_coupling_from_kernel",
 ]
-
-DET_GUARD = 1e-12
-
-
-class SingularSystemError(RuntimeError):
-    """The 2x2 coupling system is numerically singular."""
-
 
 @dataclass(frozen=True)
 class KirchhoffProjector:
@@ -104,7 +99,8 @@ def resonant_projector(profile: CurvatureProfile,
 
 @dataclass(frozen=True)
 class CouplingCoefficients:
-    """Solved boundary constants at one (z, eps) pair."""
+    """Solved boundary constants at one (z, eps) pair; ``back_residual`` is
+    |det N - W D|, the rounding of the identity the solve rests on."""
 
     z: complex
     epsilon: float
@@ -115,32 +111,21 @@ class CouplingCoefficients:
     back_residual: float
 
 
-def _solve_2x2(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) < DET_GUARD:
-        raise SingularSystemError(f"|det|={abs(det):.2e} below guard {DET_GUARD}")
-    return np.array([
-        (m[1, 1] * rhs[0] - m[0, 1] * rhs[1]) / det,
-        (m[0, 0] * rhs[1] - m[1, 0] * rhs[0]) / det,
-    ])
-
-
 def solve_coupling_from_kernel(kernel: ShootingSolution, z: complex, epsilon: float,
                                p, case: CaseLabel) -> CouplingCoefficients:
-    """Solve the coupling system given a kernel already placed at eps^2 z."""
+    """Solve the coupling system given a kernel already placed at eps^2 z, in
+    the closed form of the module docstring; a q that is not finite (a
+    singular system, or a p near overflow) raises OverflowError."""
     p = np.asarray(p, dtype=complex)
     sq = sqrt_upper(z)
-    lam = kernel.corners()
-    m = np.eye(2) - 1j * epsilon * sq * lam
-    rhs = epsilon * (lam @ p)
-    q = _solve_2x2(m, rhs)
-    # One refinement step: near the resonance the system scale grows like
-    # 1/(eps z) and the raw closed-form solve leaves a residual at that
-    # scale times machine precision.
-    q = q + _solve_2x2(m, rhs - m @ q)
-    xi = p + 1j * sq * q
-    back = float(np.linalg.norm(m @ q - rhs))
-    return CouplingCoefficients(complex(z), float(epsilon), p, q, xi, case, back)
+    sigma = 1j * epsilon * sq
+    n, w, d = kernel.corner_numerator(), kernel.wronskian, kernel.dirichlet
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q = epsilon * (n @ p - sigma * d * p) / (w - sigma * (n[0, 0] + n[1, 1]) + sigma**2 * d)
+    if not np.isfinite(q).all():
+        raise OverflowError(f"the coupling solve at eps = {epsilon:.6g}: q is not finite")
+    back = float(abs(n[0, 0] * n[1, 1] - 1.0 - w * d))
+    return CouplingCoefficients(complex(z), float(epsilon), p, q, p + 1j * sq * q, case, back)
 
 
 def solve_coupling(profile: CurvatureProfile, z: complex, epsilon: float,
@@ -167,30 +152,34 @@ def asymptotic_deviation(coeffs: CouplingCoefficients,
     Generic case (no projector): the limits are q -> 0, xi -> p.
     Resonant case: q -> (i/sqrt(z)) P0 p, and xi is compared against
     P0perp p - eps (i sqrt(z)/(a1^2+a2^2)) P0 p; dev_xi_naive keeps the
-    first-order term in, which decays one order slower.
+    first-order term in, which decays one order slower.  p, q and xi are scaled
+    by the power of two that brings max |p| into [1/2, 1), exactly, so that the
+    norms, which square the entries, do not overflow at a large p.
     """
     resonant = coeffs.case.resonant
     if resonant and projector is None:
         raise ValueError("resonant coefficients need the Kirchhoff projector")
     if not resonant and projector is not None:
         raise ValueError("generic coefficients take no projector")
-    pnorm = float(np.linalg.norm(coeffs.p))
+    e = np.frexp(np.max(np.abs(coeffs.p)))[1]
+    p, q, xi = (np.ldexp(x.view(float), -e).view(complex)
+                for x in (coeffs.p, coeffs.q, coeffs.xi))
+    pnorm = float(np.linalg.norm(p))
     if pnorm == 0.0:
         return DeviationReport(0.0, 0.0, 0.0 if resonant else None)
     sq = sqrt_upper(coeffs.z)
     if not resonant:
-        dev_q = float(np.linalg.norm(coeffs.q)) / pnorm
-        dev_xi = float(np.linalg.norm(coeffs.xi - coeffs.p)) / pnorm
-        return DeviationReport(dev_q, dev_xi)
+        return DeviationReport(float(np.linalg.norm(q)) / pnorm,
+                               float(np.linalg.norm(xi - p)) / pnorm)
     lam0 = projector.lambda0
     perp = projector.lambda0_perp
     nsq = projector.weight_norm_sq
-    q_limit = (1j / sq) * (lam0 @ coeffs.p)
-    dev_q = float(np.linalg.norm(coeffs.q - q_limit)) / pnorm
+    q_limit = (1j / sq) * (lam0 @ p)
+    dev_q = float(np.linalg.norm(q - q_limit)) / pnorm
     first_order = -lam0 / nsq
     if projector.perp_correction is not None:
         first_order = first_order + projector.perp_correction
-    xi_first = coeffs.epsilon * 1j * sq * (first_order @ coeffs.p)
-    dev_xi = float(np.linalg.norm(coeffs.xi - perp @ coeffs.p - xi_first)) / pnorm
-    dev_xi_naive = float(np.linalg.norm(coeffs.xi - perp @ coeffs.p)) / pnorm
+    xi_first = coeffs.epsilon * 1j * sq * (first_order @ p)
+    dev_xi = float(np.linalg.norm(xi - perp @ p - xi_first)) / pnorm
+    dev_xi_naive = float(np.linalg.norm(xi - perp @ p)) / pnorm
     return DeviationReport(dev_q, dev_xi, dev_xi_naive)

@@ -297,6 +297,7 @@ class _SineSystem:
     edge_energy: np.ndarray  # (M,) E_k of each edge chain per |x_k|^2, 0 for mode n
     chain_diag: complex      # mode n's diagonal on every chain line
     w_s: float               # edge line to each s-neighbour line
+    mirrored: bool           # line j's blocks are line J - j's, bit for bit
 
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Views of a packed vector: the chains (2, K - 1) and the strip (J + 1, M)."""
@@ -337,15 +338,15 @@ class _SineSystem:
         return float(np.max(np.abs(b - self.apply(y)) / denom))
 
 
-def _sine_blocks(v: np.ndarray, hu: float) -> np.ndarray:
+def _sine_blocks(v: np.ndarray, hu: float, mirrored: bool) -> np.ndarray:
     """S diag(v_j) S for each row v_j of v, (L, M) -> (L, M, M), as Toeplitz minus
     Hankel: by 2 sin a sin b = cos(a - b) - cos(a + b), entry (i, k) is
     T(|i - k|) - T(i + k), T(m) = h_u sum_l v_l cos(m l pi h_u), and one product
-    gives T at m = -(M - 1)..2M, of which both are strided views.  A mirrored v (rows
-    reversed) gives mirrored blocks, bit for bit: the product runs on its first half,
-    since BLAS may round equal rows differently by their position."""
+    gives T at m = -(M - 1)..2M, of which both are strided views.  A ``mirrored`` v
+    (rows reversed, bit for bit) gives mirrored blocks, bit for bit: the product runs
+    on its first half, since BLAS may round equal rows differently by their position."""
     M, rows = v.shape[1], np.arange(len(v))
-    if np.array_equal(v, v[::-1]):
+    if mirrored:
         rows = np.minimum(rows, rows[::-1])
     k, m = np.arange(1, M + 1), np.abs(np.arange(1 - M, 2 * M + 1))
     t = (v[: rows.max() + 1] @ (hu * np.cos(np.outer(k, m) * (math.pi * hu))))[rows]
@@ -372,13 +373,14 @@ def _sine_system(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
     on[[0, J]] = amid[[0, -1]]
     on[1:J] = amid[:-1] + amid[1:] + hs**2 * w_pot
     # diag[j] sits on strip line j, off[j] couples lines j and j + 1
-    diag, off = (_sine_blocks(hu / (eps * hs) * v, hu) for v in (on, -amid))
+    mirrored = all(np.array_equal(v, v[::-1]) for v in (on, amid))
+    diag, off = (_sine_blocks(hu / (eps * hs) * v, hu, mirrored) for v in (on, -amid))
 
     w_s = -hu / hs
     t, energy = _edge_modes(hs * mode, w_s, K)
     t[n - 1] = energy[n - 1] = 0.0  # mode n's chain carries the data: it stays unknown
     return _SineSystem(grid, n, diag, off, strip_diag, w_s * t, energy,
-                       hs * mode[n - 1] - 2.0 * w_s, w_s)
+                       hs * mode[n - 1] - 2.0 * w_s, w_s, mirrored)
 
 
 def _rhs(system: _SineSystem, f1, f2) -> np.ndarray:
@@ -421,16 +423,16 @@ def trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
     return w
 
 
-def _strip_factor(diag: np.ndarray, off: np.ndarray, d: np.ndarray):
+def _strip_factor(diag: np.ndarray, off: np.ndarray, d: np.ndarray, mirrored: bool):
     """solve(r) = x, both (J + 1, M), for the strip of blocks D_j = diag[j] + diag(d[j])
     and C_j = off[j] on both sides of them.  Twisted block LU, met at line m = J // 2:
     lines 0..m-1 by U_0 = D_0, U_j = D_j - C_{j-1} G_{j-1} and G_j = U_j^-1 C_j (getrf,
     getrs), lines J..m+1 by the same sweep on the mirrored strip (every array reversed),
     and Z = D_m - C_{m-1} G_{m-1} - C_m H_{m+1} on line m.  When J is even and the
-    mirrored arrays equal the originals, the second sweep is the first: half the lines
-    are factored.  The solve runs forward from both ends, solves Z, and substitutes
-    back outward.  A real block times a complex one is one real product on the
-    (re, im) columns of the complex one.
+    blocks (``mirrored``, as ``_SineSystem`` records) and d equal themselves reversed,
+    the second sweep is the first: half the lines are factored.  The solve runs
+    forward from both ends, solves Z, and substitutes back outward.  A real block
+    times a complex one is one real product on the (re, im) columns of the complex one.
 
     Every getrs of the solve takes two right-hand sides: on a mirrored strip line j's
     and line J - j's, which share their LU, else one padded with a zero column.  A
@@ -455,9 +457,8 @@ def _strip_factor(diag: np.ndarray, off: np.ndarray, d: np.ndarray):
         return factors, gain, schur
 
     top = sweep(diag, off, d, m)
-    mirrored = diag[::-1], off[::-1], d[::-1]
-    same = 2 * m == J and all(map(np.array_equal, mirrored, (diag, off, d)))
-    halves = (top, top if same else sweep(*mirrored, J - m))
+    same = mirrored and 2 * m == J and np.array_equal(d[::-1], d)
+    halves = (top, top if same else sweep(diag[::-1], off[::-1], d[::-1], J - m))
     z = diag[m] - halves[0][2] - halves[1][2]
     z.flat[:: M + 1] += d[m]
     middle = lapack.zgetrf(z)[:2]
@@ -515,7 +516,7 @@ def _block_solve(system: _SineSystem, b: np.ndarray) -> np.ndarray:
     diag = system.strip_diag.copy()
     diag[[0, J]] += system.edge_gain
     diag[[0, J], n - 1] -= w_s**2 * g[0]
-    strip = _strip_factor(system.diag, system.off, diag)
+    strip = _strip_factor(system.diag, system.off, diag, system.mirrored)
 
     def solve(r):
         r_chains, r_lines = system.split(r)

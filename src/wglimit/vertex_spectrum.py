@@ -109,13 +109,17 @@ class ShootingSolution:
     Away from the eigenvalues it is the vertex kernel
     r(z; s, s') = zeta(min(s, s')) eta(max(s, s')) / Wv.  Each side is a
     series of coefficient solves on the panel ends ``mesh``: 1 term about z
-    when shot, SERIES_TERMS about 0 from ``taylor_shooting``.
+    when shot, SERIES_TERMS about 0 from ``taylor_shooting``.  ``dirichlet`` is
+    D = chi(+1) for chi(-1) = 0, chi'(-1) = 1; the Wronskian of chi and phi,
+    phi(1) = 0, phi'(1) = 1, gives D = -phi(-1).  The unit-determinant transfer
+    matrix gives eta(-1) = chi'(+1), so det N = eta(-1) zeta(+1) - 1 = Wv D.
     """
 
     z: complex
     zeta_sol: _TaylorSide  # s -> (zeta, zeta') at s
     eta_sol: _TaylorSide
     wronskian: complex
+    dirichlet: complex
     mesh: np.ndarray
 
     def zeta(self, s):
@@ -149,14 +153,15 @@ class ShootingSolution:
         out = np.asarray(prime(s.ravel()) / self.wronskian).reshape(s.shape)
         return complex(out) if out.ndim == 0 else out
 
-    def corners(self) -> np.ndarray:
-        """The 2x2 matrix r(z; +-1, +-1).  The dense output returns the
-        initial values at the first node, so zeta(-1) = eta(+1) = 1 exactly.
-        eta(-1) and zeta(+1) are the last panel-end states' values, with the
-        dense output's bits (a mirrored side's y' row, unread, keeps its sign)."""
+    def corner_numerator(self) -> np.ndarray:
+        """N = [[eta(-1), 1], [1, zeta(+1)]], Wv times the kernel's corner values
+        r(z; +-1, +-1).  The dense output returns the initial values at the
+        first node, so zeta(-1) = eta(+1) = 1 exactly.  eta(-1) and zeta(+1)
+        are the last panel-end states' values, with the dense output's bits (a
+        mirrored side's y' row, unread, keeps its sign)."""
         eta, zeta = (side.combine(side.coefficients.states[-1].T.ravel())[0]
                      for side in (self.eta_sol, self.zeta_sol))
-        return np.array([[eta, 1.0], [1.0, zeta]]) / self.wronskian
+        return np.array([[eta, 1.0], [1.0, zeta]])
 
 
 def _basis_integrals(theta: np.ndarray) -> np.ndarray:
@@ -187,13 +192,15 @@ class CoefficientSolution:
     shape(s); a mirrored solve runs in t = -s.  (y_k, y_k') at the panel ends
     in t, and y_k'' at each panel's stages (zero past the far end).  The right
     solve of a mirrored pair (``_coefficient_pair``) holds its left solve's
-    arrays, read in t = -s, and says so by ``mirror_of_left``."""
+    arrays, read in t = -s, and says so by ``mirror_of_left``.  A pair's left
+    solve holds ``dirichlet``: chi_k(+1) from chi_0(-1) = 0, chi_0'(-1) = 1."""
 
     edges: np.ndarray
     states: np.ndarray  # (P + 1, K, 2)
     forcing: np.ndarray  # (P + 1, K, _STAGES)
     mirrored: bool
     mirror_of_left: bool = False
+    dirichlet: np.ndarray | None = None  # (K,)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -224,12 +231,15 @@ def _stage_potential(profile: CurvatureProfile, centre, t: np.ndarray) -> np.nda
 
 
 def _coefficient_solve(profile: CurvatureProfile, centre, terms: int, what: str,
-                       mirrored: bool = False, stages=None) -> CoefficientSolution:
+                       mirrored: bool = False, stages=None,
+                       dirichlet: bool = False) -> CoefficientSolution:
     """The Taylor coefficients about c, y_k'' = (V - c) y_k - y_{k-1} for
     k < terms, with y_0 = 1 and all other start data zero at s = -1 (+1
     when mirrored): the shooting solution at c + d is sum_k d^k y_k.
     ``stages``, when given, is the panel ends and the stage potential (in
-    t = -s when mirrored) that ``_stage_nodes`` and ``_stage_potential`` give."""
+    t = -s when mirrored) that ``_stage_nodes`` and ``_stage_potential`` give.
+    With ``dirichlet`` the start data (0, 1) also step through the panel maps,
+    by their own products: a 2-column one would round the states differently."""
     if stages is None:
         edges, t = _stage_nodes(profile, centre, what)
         stages = edges, _stage_potential(profile, centre, -t if mirrored else t)
@@ -257,14 +267,18 @@ def _coefficient_solve(profile: CurvatureProfile, centre, terms: int, what: str,
     maps += np.kron(np.eye(terms), [[1.0, h], [0.0, 1.0]])
     states = np.zeros((panels + 1, 2 * terms), dtype=q.dtype)
     states[0, 0] = 1.0
+    chi = np.eye(1, 2 * terms, 1, dtype=q.dtype)[0]  # chi_0 = 0, chi_0' = 1
     with np.errstate(over="ignore", invalid="ignore"):
         for p in range(panels):
             states[p + 1] = maps[p] @ states[p]
+        for step in maps if dirichlet else ():
+            chi = step @ chi
         forcing = response.reshape(panels, terms * _STAGES, -1) @ states[:-1, :, None]
     forcing = np.pad(forcing.reshape(panels, terms, _STAGES), ((0, 1), (0, 0), (0, 0)))
-    if not (np.isfinite(states).all() and np.isfinite(forcing).all()):
+    if not all(np.isfinite(x).all() for x in (states, forcing, chi)):
         raise IntegrationError(f"{what} overflowed")
-    return CoefficientSolution(edges, states.reshape(panels + 1, terms, 2), forcing, mirrored)
+    return CoefficientSolution(edges, states.reshape(panels + 1, terms, 2), forcing, mirrored,
+                               dirichlet=chi[::2] if dirichlet else None)
 
 
 def _coefficient_pair(profile: CurvatureProfile, centre, terms: int, what: str):
@@ -274,7 +288,7 @@ def _coefficient_pair(profile: CurvatureProfile, centre, terms: int, what: str):
     right shares the left's edges, states and forcing, read in t = -s."""
     edges, t = _stage_nodes(profile, centre, what)
     q_left, q_right = (_stage_potential(profile, centre, x) for x in (t, -t))
-    left = _coefficient_solve(profile, centre, terms, what, False, (edges, q_left))
+    left = _coefficient_solve(profile, centre, terms, what, False, (edges, q_left), True)
     if q_left.tobytes() == q_right.tobytes():
         return left, CoefficientSolution(left.edges, left.states, left.forcing, True, True)
     return left, _coefficient_solve(profile, centre, terms, what, True, (edges, q_right))
@@ -288,7 +302,7 @@ def shoot(profile: CurvatureProfile, z: complex) -> ShootingSolution:
     # At s = +1 the right solution is exactly (1, 0), so Wv = zeta'(+1).
     one = np.ones(1)
     return ShootingSolution(z, _TaylorSide(left, one), _TaylorSide(right, one),
-                            complex(left.states[-1, 0, 1]), left.edges)
+                            complex(left.states[-1, 0, 1]), complex(left.dirichlet[0]), left.edges)
 
 
 @dataclass(frozen=True)
@@ -327,8 +341,9 @@ class TaylorShooting:
     """The Taylor coefficients in w of both shooting solutions of a profile.
 
     ``left`` and ``right`` are the dense solutions of the real coefficient
-    systems of zeta and eta; ``eta_start``, ``zeta_end`` and ``wronskian``
-    hold eta_k(-1), zeta_k(+1) and W_k = zeta_k'(+1), k < SERIES_TERMS.
+    systems of zeta and eta; ``eta_start``, ``zeta_end``, ``wronskian`` and
+    ``dirichlet`` hold eta_k(-1), zeta_k(+1), W_k = zeta_k'(+1) and D_k =
+    chi_k(+1) (``ShootingSolution``), k < SERIES_TERMS.
     """
 
     left: CoefficientSolution
@@ -336,13 +351,14 @@ class TaylorShooting:
     eta_start: np.ndarray
     zeta_end: np.ndarray
     wronskian: np.ndarray
+    dirichlet: np.ndarray
 
     def at(self, w: complex) -> ShootingSolution:
         """Both shooting solutions at w as polynomials in w."""
         powers = complex(w) ** np.arange(SERIES_TERMS)
         return ShootingSolution(complex(w), _TaylorSide(self.left, powers),
-                                _TaylorSide(self.right, powers),
-                                complex(powers @ self.wronskian), self.left.edges)
+                                _TaylorSide(self.right, powers), complex(powers @ self.wronskian),
+                                complex(powers @ self.dirichlet), self.left.edges)
 
     def pole_parts(self) -> tuple[np.ndarray, np.ndarray]:
         """Residue and regular part of the corner matrix at a pole at w = 0.
@@ -361,7 +377,7 @@ class TaylorShooting:
 def taylor_shooting(profile: CurvatureProfile) -> TaylorShooting:
     """The Taylor coefficients of both shooting solutions (cached)."""
     left, right = _coefficient_pair(profile, 0.0, SERIES_TERMS, "the Taylor solve")
-    arrays = (right.states[-1, :, 0], *left.states[-1].T)
+    arrays = (right.states[-1, :, 0], *left.states[-1].T, left.dirichlet)
     for arr in (*arrays, left.edges):
         arr.setflags(write=False)
     return TaylorShooting(left, right, *arrays)

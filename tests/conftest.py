@@ -37,6 +37,11 @@ def rng():
     return np.random.default_rng(20260810)
 
 
+def corners(sol) -> np.ndarray:
+    """The kernel's corner values r(z; +-1, +-1) = N / Wv of a shooting solution."""
+    return sol.corner_numerator() / sol.wronskian
+
+
 def log_slope(x, y):
     """Plain least-squares log-log slope (test-side oracle)."""
     x = np.log(np.asarray(x, dtype=float))

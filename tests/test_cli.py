@@ -507,13 +507,14 @@ class TestSweepCommands:
         assert main([*argv, "--out", str(tmp_path / "missing" / "x.csv")]) == 2
         assert main([*argv, "--out", str(tmp_path)]) == 2  # a directory, not a file
 
-    @pytest.mark.parametrize("p1", ["1e308,1e308", "1e307,0"])
-    def test_overflowing_p_fails_every_point(self, tmp_path, capsys, p1):
-        # |p| is finite, but the solve or its norms overflow: every point used
-        # to be written as a row of NaN, with numpy's overflow warnings on stderr
+    @pytest.mark.parametrize("p", ["1e308,0", "0,-1e308"])
+    def test_overflowing_p_fails_every_point(self, tmp_path, capsys, p):
+        # |p| is finite, but N p overflows in the solve (N ~ [[1, 1], [1, 1]] on
+        # zero): every point used to be written as a row of NaN, with numpy's
+        # overflow warnings on stderr
         out = tmp_path / "c.csv"
-        assert main(["coupling", "--profile", "zero", f"--p1={p1}", "--eps-grid", "2^-6..2^-9",
-                     "--out", str(out)]) == 0
+        assert main(["coupling", "--profile", "zero", f"--p1={p}", f"--p2={p}",
+                     "--eps-grid", "2^-6..2^-9", "--out", str(out)]) == 0
         captured = capsys.readouterr()
         assert "4 point(s) failed" in captured.out and captured.err == ""
         assert read_csv(out)[3][0] == "slope"  # no rows
@@ -521,7 +522,7 @@ class TestSweepCommands:
         assert len(failures) == 4 and all("not finite" in f["error"] for f in failures)
 
     @pytest.mark.parametrize("p, code", [([[1.5e308, 0.0], [1.5e308, 0.0]], 2),
-                                         ([[1e307, 0.0], [0.0, 0.0]], 0)])
+                                         ([[1e308, 0.0], [1e308, 0.0]], 0)])
     def test_run_config_p_near_overflow(self, tmp_path, capsys, p, code):
         # a 2-norm that overflows is refused; a finite one that overflows the
         # solve fails its points
@@ -533,6 +534,21 @@ class TestSweepCommands:
             assert "2-norm" in err and not out.exists()
         else:
             assert err == "" and len(json.loads(Path(f"{out}.json").read_text())["failures"]) == 4
+
+    @pytest.mark.parametrize("p1", ["1e160,0", "4.149515568880993e180,0"])  # 2^600
+    def test_large_p_writes_rows(self, tmp_path, p1):
+        # the deviations are ratios of norms: p, q and xi are scaled by a power of
+        # two before the norms square them, so a p of 2^600 writes the rows of p = 1
+        # bit for bit (every point past |p| ~ 1.3e154 used to fail)
+        rows = {}
+        for p in ("1,0", p1):
+            out = tmp_path / f"{p}.csv"
+            assert main(["coupling", "--profile", "zero", f"--p1={p}", "--eps-grid", "2^-6..2^-9",
+                         "--out", str(out)]) == 0
+            payload = json.loads(Path(f"{out}.json").read_text())
+            assert payload["failures"] == [] and len(payload["rows"]) == 4
+            rows[p] = payload["rows"]
+        assert (rows[p1] == rows["1,0"]) == p1.startswith("4.1")
 
     def test_p_of_infinite_norm_exit_code(self, tmp_path, capsys):
         out = tmp_path / "c.csv"

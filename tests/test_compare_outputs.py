@@ -27,6 +27,21 @@ def test_json_diff_reports_each_key_path(tmp_path, capsys):
     assert per_key["rows[].x"] == 1.0e-7
 
 
+def test_json_diff_names_the_epsilon_of_each_largest_move(tmp_path, capsys):
+    rows = [{"epsilon": 0.5, "dev_q": 1.0, "dev_xi": 1.0},
+            {"epsilon": 0.25, "dev_q": 1.0, "dev_xi": 1.0}]
+    moved = [{"epsilon": 0.5, "dev_q": 1.0 + 1e-9, "dev_xi": 1.0 + 1e-6},
+             {"epsilon": 0.25, "dev_q": 1.0 + 1e-7, "dev_xi": 1.0}]
+    a, b = write_sides(tmp_path, {"c.json": json.dumps({"rows": rows, "version": 1.0})},
+                       {"c.json": json.dumps({"rows": moved, "version": 2.0})})
+    assert main(["--diff", str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "    max rel 1.00e-07 at epsilon 0.25  rows[].dev_q" in lines
+    assert "    max rel 1.00e-06 at epsilon 0.5  rows[].dev_xi" in lines
+    assert "    max rel 5.00e-01  version" in lines
+    assert lines[-1].endswith(": c.json version")
+
+
 def write_sides(root: Path, files_a: dict, files_b: dict) -> tuple[Path, Path]:
     """Two output directories holding the given {name: text} files; ``--diff``
     on them exits as ``main`` returns."""

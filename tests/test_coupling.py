@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wglimit import kirchhoff_projector, resonant_projector, solve_coupling, vertex_kernel_at
-from wglimit.coupling import (
-    SingularSystemError,
-    asymptotic_deviation,
-    solve_coupling_from_kernel,
-)
-from wglimit.kernels import series_kernel, sqrt_upper
-from wglimit.vertex_spectrum import CaseLabel, spectrum_for_case, taylor_shooting
+from wglimit import (CurvatureProfile, kirchhoff_projector, resonant_projector, solve_coupling,
+                     vertex_kernel_at)
+from wglimit.coupling import asymptotic_deviation, solve_coupling_from_kernel
+from wglimit.graph_limit import limit_comparison
+from wglimit.kernels import ExpDecay, series_kernel, sqrt_upper
+from wglimit.residual import assemble
+from wglimit.vertex_spectrum import CaseLabel, shoot, spectrum_for_case, taylor_shooting
 
-from conftest import log_slope
+from conftest import ShiftedBump, corners, log_slope
 
 Z = 1j
 SQ = sqrt_upper(Z)
@@ -27,7 +26,7 @@ class TestLambdaEps:
     def test_zero_profile_closed_corners(self, zero_profile):
         eps = 0.05
         w = eps**2 * Z
-        lam = vertex_kernel_at(zero_profile, w).corners()
+        lam = corners(vertex_kernel_at(zero_profile, w))
         sq = cmath.sqrt(w)
         diag = -cmath.cos(2 * sq) / (sq * cmath.sin(2 * sq))
         off = -1.0 / (sq * cmath.sin(2 * sq))
@@ -35,12 +34,12 @@ class TestLambdaEps:
         assert np.max(np.abs(lam - expect)) < 1e-8 * abs(diag)
 
     def test_symmetry(self, bump05):
-        lam = vertex_kernel_at(bump05, 0.04j).corners()
+        lam = corners(vertex_kernel_at(bump05, 0.04j))
         assert abs(lam[0, 1] - lam[1, 0]) < 1e-9
 
     def test_series_corners_agree(self, bump05):
         w = 0.04j
-        lam_w = vertex_kernel_at(bump05, w).corners()
+        lam_w = corners(vertex_kernel_at(bump05, w))
         lam_s = np.array([[series_kernel(bump05, w, a, b) for b in (-1.0, 1.0)]
                           for a in (-1.0, 1.0)])
         assert np.max(np.abs(lam_w - lam_s)) < 1e-6
@@ -106,14 +105,66 @@ class TestSolveCoupling:
                 assert np.allclose(coeffs.xi, coeffs.p + 1j * SQ * coeffs.q,
                                    atol=1e-15)
 
-    def test_singular_system_guard(self):
-        class StubKernel:
-            def corners(self):
-                # makes 1 - i eps sqrt(z) L exactly singular
-                return np.eye(2) / (1j * 0.1 * SQ)
+    def test_singular_system_raises(self):
+        sigma = 1j * 0.1 * SQ
 
-        with pytest.raises(SingularSystemError):
+        class StubKernel:
+            # N = I, D = 0 and W = 2 sigma: the denominator W - sigma tr N + sigma^2 D
+            # is exactly 0, as is det(1 - sigma L) with L = N / W
+            wronskian, dirichlet = 2.0 * sigma, 0.0
+
+            def corner_numerator(self):
+                return np.eye(2, dtype=complex)
+
+        with pytest.raises(OverflowError, match="not finite"):
             solve_coupling_from_kernel(StubKernel(), Z, 0.1, P10, CaseLabel(False))
+
+
+class TestClosedForm:
+    """q = eps (N - sigma D) p / (W - sigma tr N + sigma^2 D) rests on det N = W D."""
+
+    PROFILES = {"zero": CurvatureProfile.zero(), "bump:0.5": CurvatureProfile.bump(0.5),
+                "bump:-0.9": CurvatureProfile.bump(-0.9), "shifted": ShiftedBump("bump", 0.5)}
+
+    @pytest.mark.parametrize("name", [*PROFILES, "tuned:2"])
+    def test_det_n_is_w_times_d(self, name, tuned2):
+        # the Taylor route for |w| <= 0.25, the shot one beyond; relative to the
+        # scale |eta(-1) zeta(+1)| + 1 of det N's own rounding
+        profile = tuned2 if name == "tuned:2" else self.PROFILES[name]
+        taylor = taylor_shooting(profile)
+        sols = [taylor.at(w) for w in (0.0, 1e-6j, 0.1j, -0.25, 0.25, 0.2 + 0.1j, -0.1 - 0.17j)]
+        sols += [shoot(profile, z) for z in (0.3 + 0.1j, 0.3 + 0.7j, 30 + 1j, 900 + 1j, -40 + 3j)]
+        for sol in sols:
+            n = sol.corner_numerator()
+            det = n[0, 0] * n[1, 1] - 1.0
+            scale = abs(n[0, 0] * n[1, 1]) + 1.0
+            assert abs(det - sol.wronskian * sol.dirichlet) <= 1e-14 * scale
+
+    def test_agrees_with_the_inverse_on_a_generic_profile(self, bump05):
+        for eps in (0.3, 2.0**-6, 2.0**-12):
+            kernel = vertex_kernel_at(bump05, eps**2 * Z)
+            lam = corners(kernel)
+            want = np.linalg.solve(np.eye(2) - 1j * eps * SQ * lam, eps * (lam @ P10))
+            got = solve_coupling_from_kernel(kernel, Z, eps, P10, CaseLabel(False)).q
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_one_ulp_of_p_moves_resonant_rows_by_rounding(self, tuned2):
+        # at a resonance L = N / W ~ 1/eps^2, and a solve through (1 - sigma L)^-1
+        # amplifies one ulp of p by about 1/eps^2; the closed form forms no 1/W
+        case = spectrum_for_case(tuned2).case
+        proj = resonant_projector(tuned2)
+        for z in (1j, 0.3 + 0.7j, -0.2 + 1.1j):
+            for p in (P10, np.array([1.0, 0.3], dtype=complex)):
+                near = p * (1.0 - 2.0**-53)
+                for eps in (2.0**-20, 2.0**-22):  # |W| below the kernel's floor at 2^-22
+                    kernel = taylor_shooting(tuned2).at(eps**2 * z)
+                    dev_q = [asymptotic_deviation(solve_coupling_from_kernel(
+                        kernel, z, eps, x, case), proj).dev_q for x in (p, near)]
+                    assert abs(dev_q[1] - dev_q[0]) <= 1e-8 * dev_q[0]
+                eps = 2.0**-16
+                norm = [limit_comparison(assemble(tuned2, 1, z, eps, 0.08 * eps, ExpDecay(), None,
+                                                  p=x, case=case)) for x in (p, near)]
+                assert abs(norm[1] - norm[0]) <= 1e-9 * norm[0]
 
 
 class TestAsymptoticDeviation:
@@ -158,7 +209,7 @@ class TestAsymptoticDeviation:
         coefs = []
         for e in eps:
             kernel = vertex_kernel_at(zero_profile, e**2 * Z)
-            lam = kernel.corners()
+            lam = corners(kernel)
             m = np.linalg.solve(np.eye(2) - 1j * e * SQ * lam, e * lam)
             coefs.append((m - 1j * proj.lambda0 / SQ) / e)
         fitted = np.mean(coefs[-3:], axis=0)

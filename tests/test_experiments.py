@@ -240,12 +240,13 @@ class TestRunSweep:
         assert abs(res.slopes["dev_q"].slope - 1.0) < 0.15
         assert abs(res.slopes["dev_xi"].slope - 2.0) < 0.2
 
-    @pytest.mark.parametrize("p", [(1e308 + 1e308j, 0j), (1e307 + 0j, 0j)])
-    @pytest.mark.parametrize("resonant", [False, True])
-    def test_overflowing_coupling_points_fail(self, p, resonant, tuned2):
-        # |p| is finite, but the solve or the norms overflow: each point is a
-        # failure, not a row of NaN, and no RuntimeWarning escapes (an error here)
-        cfg = ExperimentConfig(profile=tuned2 if resonant else ZERO, z=1j,
+    @pytest.mark.parametrize("tuned, p", [(False, (1e308, 1e308)), (False, (-1e308j, -1e308j)),
+                                          (True, (1e308, -1e308)), (True, (1e308j, -1e308j))])
+    def test_overflowing_coupling_points_fail(self, p, tuned, tuned2):
+        # |p| is finite, but N p overflows in the solve (N ~ [[1, 1], [1, 1]] on
+        # zero, [[-1, 1], [1, -1]] on tuned:2): each point is a failure, not a
+        # row of NaN, and no RuntimeWarning escapes (an error here)
+        cfg = ExperimentConfig(profile=tuned2 if tuned else ZERO, z=1j,
                                eps_grid=dyadic(6, 9), p=p)
         res = run_sweep(cfg)
         assert res.rows == () and res.slopes == {}

@@ -35,6 +35,8 @@ from wglimit.fd_oracle import (
 from wglimit.profile import geometry_fields
 from wglimit.residual import chi_mode, data_norm
 
+from conftest import ShiftedBump
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 Z4 = 4j  # faster decay -> short truncated edges for module-level tests
 F_G = GaussianPulse(center=2.0, width=0.4)
@@ -204,6 +206,13 @@ class TestFDResolvent:
         assert system.diag.shape == (J + 1, M, M) and system.off.shape == (J, M, M)
         for blocks in (system.diag, system.off):
             assert np.abs(blocks - blocks.transpose(0, 2, 1)).max() <= 1e-14 * np.abs(blocks).max()
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_mirrored_flag_is_the_block_comparison(self, bump05, even):
+        # the flag the strip factor reads, from the line arrays, against the blocks
+        profile = bump05 if even else ShiftedBump("bump", 0.5)
+        system = _sine_system(small_grid(), profile, 1, Z4)
+        assert system.mirrored == blocks_mirrored(system.diag, system.off) == even
 
     def test_apply_matches_dense_operator(self, bump05):
         # A y and |A| |y| against the matrix built out of the dense blocks,
@@ -564,6 +573,12 @@ def random_strip(lines: int, m: int, mirrored: bool):
     return diag, off, d, r
 
 
+def blocks_mirrored(*blocks) -> bool:
+    """Whether every block array equals itself reversed, bit for bit: the flag
+    ``_SineSystem`` takes from its line arrays, here from the bare blocks."""
+    return all(np.array_equal(b[::-1], b) for b in blocks)
+
+
 ORACLE_THREADS_SCRIPT = """
 import hashlib, sys
 from wglimit.cli import main
@@ -597,7 +612,7 @@ class TestStripFactor:
                 a[(j + 1) * m: (j + 2) * m, j * m: (j + 1) * m] = off[j]
         want = scipy.linalg.solve(a, r.ravel())
         shapes = count_zgetrf(monkeypatch)
-        got = _strip_factor(diag, off, d)(r)
+        got = _strip_factor(diag, off, d, blocks_mirrored(diag, off))(r)
         assert got.shape == (lines, m)
         assert np.linalg.norm(got.ravel() - want) <= 1e-12 * np.linalg.norm(want)
         J = lines - 1
@@ -609,7 +624,7 @@ class TestStripFactor:
         # a 1-column getrs rounds by the BLAS thread count: on a mirrored strip
         # lines j and J - j share one call, any other right-hand side is padded
         diag, off, d, r = random_strip(lines, 3, mirrored)
-        strip = _strip_factor(diag, off, d)
+        strip = _strip_factor(diag, off, d, blocks_mirrored(diag, off))
         shapes, zgetrs = [], lapack.zgetrs
         monkeypatch.setattr(lapack, "zgetrs",
                             lambda lu, piv, b, *a, **kw: shapes.append(np.shape(b))
@@ -642,7 +657,7 @@ class TestStripFactor:
         hu = 1.0 / (m + 1)
         S = sine_matrix(hu)
         want = (S * v[:, None, :]) @ S
-        got = _sine_blocks(v, hu)
+        got = _sine_blocks(v, hu, blocks_mirrored(v))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert np.array_equal(got, got.transpose(0, 2, 1))
         assert np.array_equal(got[::-1], got) == mirrored

@@ -21,6 +21,8 @@ from wglimit.kernels import (
 )
 from wglimit.vertex_spectrum import SERIES_RADIUS, SERIES_TERMS, shoot, taylor_shooting
 
+from conftest import corners
+
 
 def panel_quad(fn, a, b, breakpoints=(), panels=64, order=8):
     """Composite Gauss-Legendre with forced panel breaks (test oracle)."""
@@ -141,7 +143,7 @@ class TestVertexKernel:
             assert abs(kw.value(s, sp) - series_kernel(profile, z, s, sp, n_terms=200)) < 1e-6
         ks_corners = np.array([[series_kernel(profile, z, a, b, n_terms=200)
                                 for b in (-1.0, 1.0)] for a in (-1.0, 1.0)])
-        assert np.max(np.abs(kw.corners() - ks_corners)) < 1e-6
+        assert np.max(np.abs(corners(kw) - ks_corners)) < 1e-6
 
     @pytest.mark.parametrize("profile_name", ["bump05", "tuned2"])
     def test_series_grid_matches_scalar_calls(self, profile_name, request):
@@ -167,10 +169,10 @@ class TestVertexKernel:
     @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05", "tuned2"])
     @pytest.mark.parametrize("z", [1j, 1 + 1j, -2 + 0.5j, 30 - 4j, 1e-6j, 1e-3 - 1e-8j])
     def test_corners_are_the_endpoint_values(self, profile_name, z, request):
-        # corners() reads eta(-1) and zeta(+1) only; zeta(-1) = eta(+1) = 1 exactly
+        # corner_numerator reads eta(-1) and zeta(+1) only; zeta(-1) = eta(+1) = 1 exactly
         kernel = vertex_kernel_at(request.getfixturevalue(profile_name), z)
         four = np.array([[kernel.value(a, b) for b in (-1.0, 1.0)] for a in (-1.0, 1.0)])
-        assert kernel.corners().tobytes() == four.tobytes()
+        assert corners(kernel).tobytes() == four.tobytes()
 
     def test_resolvent_identity(self, bump05, rng):
         # r = r0 - r0 (-gamma^2/4) r at scattered points, by quadrature
@@ -222,17 +224,18 @@ class TestTaylorRoute:
             w = radius * cmath.exp(1j * arg)
             taylor = vertex_kernel_at(profile, w)
             ref = shoot(profile, w)
-            # corners * Wv is the numerator N(w) = [[eta(-1), 1], [1, zeta(+1)]]
-            num, ref_num = taylor.corners() * taylor.wronskian, ref.corners() * ref.wronskian
+            # the numerator N(w) = [[eta(-1), 1], [1, zeta(+1)]], Wv and D = chi(+1)
+            num, ref_num = taylor.corner_numerator(), ref.corner_numerator()
             scale = np.max(np.abs(ref_num))
             assert np.max(np.abs(num - ref_num)) <= 1e-12 * scale
             assert abs(taylor.wronskian - ref.wronskian) <= 1e-12 * scale
+            assert abs(taylor.dirichlet - ref.dirichlet) <= 1e-12 * scale
             if profile_name == "tuned2" and radius < SERIES_RADIUS / 4:
                 # at the pole both routes carry ~1e-13 absolute noise in
                 # Wv ~ 1.37 w, so the corners themselves are ill-conditioned
                 continue
-            err = np.max(np.abs(taylor.corners() - ref.corners()))
-            assert err <= 1e-12 * np.max(np.abs(ref.corners()))
+            err = np.max(np.abs(corners(taylor) - corners(ref)))
+            assert err <= 1e-12 * np.max(np.abs(corners(ref)))
 
     def test_shoots_only_outside_the_radius(self, bump05, monkeypatch):
         calls = []
@@ -252,7 +255,7 @@ class TestTaylorRoute:
     def test_terms_cover_twice_the_radius(self, profile_name, request):
         # the last term kept is below 1e-16 of the leading one at 2 * radius
         taylor = taylor_shooting(request.getfixturevalue(profile_name))
-        for coef in (taylor.eta_start, taylor.zeta_end, taylor.wronskian):
+        for coef in (taylor.eta_start, taylor.zeta_end, taylor.wronskian, taylor.dirichlet):
             last = abs(coef[-1]) * (2 * SERIES_RADIUS) ** (SERIES_TERMS - 1)
             assert last <= 1e-16 * np.max(np.abs(coef[:2]))
 

@@ -34,7 +34,7 @@ from wglimit.vertex_spectrum import (
     wronskian_values,
 )
 
-from conftest import ShiftedBump
+from conftest import ShiftedBump, corners
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -84,6 +84,16 @@ class TestShoot:
         assert abs(sol.zeta(1.0)) < 1e-10
         assert abs(sol.wronskian - (-sq * np.sin(2 * sq))) < 1e-10
         assert abs(sol.wronskian + np.pi / 4) < 1e-10
+
+    @pytest.mark.parametrize("w", [0.0, 0.2j, -0.25, 3 + 1j, 400 - 2j, -30 + 1j])
+    def test_zero_profile_dirichlet_end(self, zero_profile, w):
+        # chi(s) = sin(sqrt(w)(s+1))/sqrt(w), so D = sin(2 sqrt(w))/sqrt(w), 2 at w = 0;
+        # the Taylor route inside the radius, the shot beyond it
+        sol = taylor_shooting(zero_profile).at(w) if abs(w) <= SERIES_RADIUS \
+            else shoot(zero_profile, w)
+        sq = np.sqrt(complex(w))
+        exact = 2.0 if w == 0 else np.sin(2 * sq) / sq
+        assert abs(sol.dirichlet - exact) <= 1e-12 * max(1.0, abs(exact))
 
     def test_zero_profile_at_zero_energy(self, zero_profile):
         sol = shoot(zero_profile, 0.0)
@@ -174,13 +184,13 @@ class TestCollocation:
 
     @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05", "bump_edge", "tuned2"])
     def test_corners_are_the_dense_end_values(self, profile_name, request, rng):
-        # corners() reads the last panel-end states; the dense output gives the same bits
+        # corner_numerator reads the last panel-end states; the dense output gives the same bits
         profile = request.getfixturevalue(profile_name)
         taylor = taylor_shooting(profile)
         for w in SERIES_RADIUS * rng.uniform(-1, 1, 40) * np.exp(2j * np.pi * rng.random(40)):
             for sol in (taylor.at(w), shoot(profile, 40 * w)):
                 dense = np.array([[sol.eta(-1.0), 1.0], [1.0, sol.zeta(1.0)]]) / sol.wronskian
-                assert sol.corners().tobytes() == dense.tobytes()
+                assert corners(sol).tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05", "tuned2"])
     def test_combine_is_the_tensordot_sum_over_powers(self, profile_name, request, rng):
@@ -276,6 +286,11 @@ class TestMirroredPair:
             assert right.mirror_of_left and not left.mirror_of_left
             assert right.states is left.states and right.forcing is left.forcing
             solo = vertex_spectrum._coefficient_solve(profile, centre, terms, "test", True)
+            # stepping the Dirichlet start data leaves the left solve's bits alone
+            plain = vertex_spectrum._coefficient_solve(profile, centre, terms, "test")
+            assert plain.dirichlet is None and left.dirichlet.shape == (terms,)
+            assert left.states.tobytes() == plain.states.tobytes()
+            assert left.forcing.tobytes() == plain.forcing.tobytes()
             assert right.edges.tobytes() == solo.edges.tobytes()
             assert right.states.tobytes() == solo.states.tobytes()
             assert right.forcing.tobytes() == solo.forcing.tobytes()
@@ -295,8 +310,8 @@ class TestMirroredPair:
             flipped = left(s)[:, ::-1].copy()
             flipped[terms:] *= -1.0
             assert right(s).tobytes() == flipped.tobytes()
-            corners = sol.corners()
-            assert corners[0, 0] == corners[1, 1]
+            n = sol.corner_numerator()
+            assert n[0, 0] == n[1, 1]
 
     def test_uneven_profile_takes_two_solves(self, monkeypatch):
         profile = ShiftedBump("bump", 0.5)
@@ -310,8 +325,8 @@ class TestMirroredPair:
         sol = shoot(profile, 3 + 1j)
         assert sol.eta_sol.coefficients.states is not sol.zeta_sol.coefficients.states
         dense = np.array([[sol.eta(-1.0), 1.0], [1.0, sol.zeta(1.0)]]) / sol.wronskian
-        assert sol.corners().tobytes() == dense.tobytes()
-        assert sol.corners()[0, 0] != sol.corners()[1, 1]
+        assert corners(sol).tobytes() == dense.tobytes()
+        assert corners(sol)[0, 0] != corners(sol)[1, 1]
 
     def test_cold_taylor_solve_is_one_solve(self, tuned2, monkeypatch):
         taylor_shooting.cache_clear()

@@ -29,7 +29,8 @@ masked gets the largest relative change |a - b| / max(|a|, |b|) over its
 numbers, with the line it sits on, and a ``.json`` file also the largest
 change per key path (``tolerances.solve_residual``, ``rows[].mismatch``,
 list items folded into ``[]``), so a key whose definition changed does not
-hide the others; any other difference is reported as such.  The last line
+hide the others, with the ``epsilon`` of the sweep row that holds it; any
+other difference is reported as such.  The last line
 sums up: the largest relative change of all, the number of files compared
 and of those byte-identical, and the file and key of that change (its
 line, outside ``.json``).
@@ -109,24 +110,25 @@ def numeric_change(old: str, new: str) -> tuple[float, int] | None:
     return worst, line
 
 
-def json_changes(old: str, new: str) -> dict[str, float]:
+def json_changes(old: str, new: str) -> dict[str, tuple[float, float | None]]:
     """Largest relative change per key path of two JSON texts that differ
-    only in their numbers; list items share their list's path plus ``[]``."""
-    changes: dict[str, float] = {}
+    only in their numbers, and the ``epsilon`` of the list item (a sweep
+    row) it sits in, or None; list items share their list's path plus ``[]``."""
+    changes: dict[str, tuple[float, float | None]] = {}
 
-    def walk(a, b, path: str) -> None:
+    def walk(a, b, path: str, eps) -> None:
         if isinstance(a, dict):
             for key in a:
-                walk(a[key], b[key], f"{path}.{key}" if path else key)
+                walk(a[key], b[key], f"{path}.{key}" if path else key, eps)
         elif isinstance(a, list):
             for x, y in zip(a, b):
-                walk(x, y, f"{path}[]")
+                walk(x, y, f"{path}[]", x.get("epsilon", eps) if isinstance(x, dict) else eps)
         elif isinstance(a, (int, float)) and not isinstance(a, bool):
             rel = relative_change(float(a), float(b))
-            if rel > 0.0:
-                changes[path] = max(changes.get(path, 0.0), rel)
+            if rel > changes.get(path, (0.0,))[0]:
+                changes[path] = (rel, eps)
 
-    walk(json.loads(old), json.loads(new), "")
+    walk(json.loads(old), json.loads(new), "", None)
     return changes
 
 
@@ -159,10 +161,11 @@ def diff_outputs(dir_a: Path, dir_b: Path) -> int:
         key = f"line {change[1]}"
         if name.suffix == ".json":
             keys = json_changes(old, new)
-            for path, rel in sorted(keys.items()):
-                print(f"    max rel {rel:.2e}  {path}")
+            for path, (rel, eps) in sorted(keys.items()):
+                at = "" if eps is None else f" at epsilon {eps!r}"
+                print(f"    max rel {rel:.2e}{at}  {path}")
             if keys:
-                key = max(keys, key=keys.get)
+                key = max(keys, key=lambda k: keys[k][0])
         if change[0] > worst[0]:
             worst = (change[0], name, key)
     where = f": {worst[1]} {worst[2]}" if worst[1] else ""

@@ -34,7 +34,8 @@ from .experiments import (
     run_sweep,
 )
 from .fd_oracle import H_S, H_U, OracleError
-from .kernels import SERIES_DEFAULT_TERMS, KernelError, series_kernel, vertex_kernel_at
+from .kernels import (SERIES_DEFAULT_TERMS, WRONSKIAN_FLOOR, KernelError, NearEigenvalueError,
+                      series_kernel, vertex_kernel_at)
 from .profile import CurvatureProfile, ProfileError, tune_to_resonance
 from .vertex_spectrum import DEFAULT_ZERO_TOLERANCE, IntegrationError, SpectrumError, eigenvalues
 
@@ -140,8 +141,10 @@ def _cmd_kernel(args) -> int:
         raise ConfigError(f"--n-terms must lie in [1, {MAX_SERIES_TERMS}], got {args.n_terms}")
     profile = _parse_profile(args.profile)
     z = _parse_z(args.z)
-    kernel = partial(series_kernel, profile, z, n_terms=args.n_terms) \
-        if args.mode == "series" else vertex_kernel_at(profile, z).value
+    sol = None if args.mode == "series" else vertex_kernel_at(profile, z)
+    if sol is not None and abs(sol.wronskian) < WRONSKIAN_FLOOR:  # r = zeta eta / Wv
+        raise NearEigenvalueError(f"|Wv| = {abs(sol.wronskian):.2e} at z={z}: kernel undefined")
+    kernel = partial(series_kernel, profile, z, n_terms=args.n_terms) if sol is None else sol.value
     grid = np.linspace(-1.0, 1.0, args.grid)
     vals = kernel(grid[:, None], grid[None, :])
     rows = ((s, sp, v.real, v.imag) for s, row in zip(grid, vals) for sp, v in zip(grid, row))

@@ -9,7 +9,9 @@ det N = W D (``ShootingSolution``), Cayley-Hamilton removes the inverse:
     q = eps (N - sigma D) p / (W - sigma tr N + sigma^2 D),
 
 one formula for both cases, which forms no 1/W and cancels nothing at a
-resonance, where W ~ eps^2.  In the resonant case the
+resonance, where W ~ eps^2.  Its denominator is shared with the vertex
+profile (``residual``), whose end values phi(-1), phi(+1) are q: the
+solve keeps gain = eps / (W - sigma tr N + sigma^2 D).  In the resonant case the
 limiting behaviour is governed by the rank-one projector
 
     P0 = [[a1^2, a1 a2], [a1 a2, a2^2]] / (a1^2 + a2^2),
@@ -99,7 +101,8 @@ def resonant_projector(profile: CurvatureProfile,
 
 @dataclass(frozen=True)
 class CouplingCoefficients:
-    """Solved boundary constants at one (z, eps) pair; ``back_residual`` is
+    """Solved boundary constants at one (z, eps) pair: the closed form's sigma
+    and gain = eps / (W - sigma tr N + sigma^2 D), and ``back_residual``,
     |det N - W D|, the rounding of the identity the solve rests on."""
 
     z: complex
@@ -109,6 +112,8 @@ class CouplingCoefficients:
     xi: np.ndarray
     case: CaseLabel
     back_residual: float
+    sigma: complex
+    gain: complex
 
 
 def solve_coupling_from_kernel(kernel: ShootingSolution, z: complex, epsilon: float,
@@ -121,11 +126,14 @@ def solve_coupling_from_kernel(kernel: ShootingSolution, z: complex, epsilon: fl
     sigma = 1j * epsilon * sq
     n, w, d = kernel.corner_numerator(), kernel.wronskian, kernel.dirichlet
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        q = epsilon * (n @ p - sigma * d * p) / (w - sigma * (n[0, 0] + n[1, 1]) + sigma**2 * d)
+        den = w - sigma * (n[0, 0] + n[1, 1]) + sigma**2 * d
+        q = epsilon * (n @ p - sigma * d * p) / den
+        gain = epsilon / den
     if not np.isfinite(q).all():
         raise OverflowError(f"the coupling solve at eps = {epsilon:.6g}: q is not finite")
     back = float(abs(n[0, 0] * n[1, 1] - 1.0 - w * d))
-    return CouplingCoefficients(complex(z), float(epsilon), p, q, p + 1j * sq * q, case, back)
+    return CouplingCoefficients(complex(z), float(epsilon), p, q, p + 1j * sq * q, case, back,
+                                sigma, gain)
 
 
 def solve_coupling(profile: CurvatureProfile, z: complex, epsilon: float,
@@ -142,7 +150,6 @@ class DeviationReport:
 
     dev_q: float
     dev_xi: float
-    dev_xi_naive: float | None = None
 
 
 def asymptotic_deviation(coeffs: CouplingCoefficients,
@@ -151,8 +158,9 @@ def asymptotic_deviation(coeffs: CouplingCoefficients,
 
     Generic case (no projector): the limits are q -> 0, xi -> p.
     Resonant case: q -> (i/sqrt(z)) P0 p, and xi is compared against
-    P0perp p - eps (i sqrt(z)/(a1^2+a2^2)) P0 p; dev_xi_naive keeps the
-    first-order term in, which decays one order slower.  p, q and xi are scaled
+    P0perp p - eps (i sqrt(z)/(a1^2+a2^2)) P0 p plus the perpendicular
+    first-order term (xi - P0perp p alone is i sqrt(z) (q - q_limit), which
+    dev_q already measures).  p, q and xi are scaled
     by the power of two that brings max |p| into [1/2, 1), exactly, so that the
     norms, which square the entries, do not overflow at a large p.
     """
@@ -166,7 +174,7 @@ def asymptotic_deviation(coeffs: CouplingCoefficients,
                 for x in (coeffs.p, coeffs.q, coeffs.xi))
     pnorm = float(np.linalg.norm(p))
     if pnorm == 0.0:
-        return DeviationReport(0.0, 0.0, 0.0 if resonant else None)
+        return DeviationReport(0.0, 0.0)
     sq = sqrt_upper(coeffs.z)
     if not resonant:
         return DeviationReport(float(np.linalg.norm(q)) / pnorm,
@@ -181,5 +189,4 @@ def asymptotic_deviation(coeffs: CouplingCoefficients,
         first_order = first_order + projector.perp_correction
     xi_first = coeffs.epsilon * 1j * sq * (first_order @ p)
     dev_xi = float(np.linalg.norm(xi - perp @ p - xi_first)) / pnorm
-    dev_xi_naive = float(np.linalg.norm(xi - perp @ p)) / pnorm
-    return DeviationReport(dev_q, dev_xi, dev_xi_naive)
+    return DeviationReport(dev_q, dev_xi)

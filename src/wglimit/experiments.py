@@ -62,7 +62,7 @@ __all__ = [
     "run_sweep",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 MIN_FIT_POINTS = 4
 DEFAULT_EPS_GRID = tuple(2.0**-k for k in range(6, 15))  # 2^-6 .. 2^-14
 DEFAULT_WINDOW_POLICY = "drop:2"
@@ -368,8 +368,6 @@ def _coupling_point(ctx: SweepContext, eps: float, delta: float) -> dict:
         coeffs = solve_coupling_from_kernel(kernel, cfg.z, eps, ctx.p, ctx.case)
         dev = asymptotic_deviation(coeffs, ctx.projector)
     row = {"dev_q": dev.dev_q, "dev_xi": dev.dev_xi}
-    if dev.dev_xi_naive is not None:
-        row["dev_xi_naive"] = dev.dev_xi_naive
     if not (np.isfinite(coeffs.xi).all() and all(map(math.isfinite, row.values()))):
         raise OverflowError(f"the coupling solve at eps = {eps:.6g} overflowed: "
                             "xi or the deviations are not finite")

@@ -7,7 +7,9 @@ problem and their Wronskian Wv,
     r(z; s, s') = zeta(z; min) * eta(z; max) / Wv(z),
 
 valid for z away from the eigenvalues; ``vertex_kernel_at`` returns the
-shooting solution, which evaluates it.  For |z| <= SERIES_RADIUS the
+shooting solution, which evaluates it.  Only the ``kernel`` subcommand forms
+that quotient and refuses |Wv| < WRONSKIAN_FLOOR: the sweeps' closed forms
+(``coupling``, ``residual``) form no 1/Wv.  For |z| <= SERIES_RADIUS the
 solution is the profile's cached Taylor series in z; farther out it is
 shot at z.  A second, independent route,
 ``series_kernel``, evaluates the eigenfunction expansion
@@ -126,15 +128,8 @@ def neumann_free_kernel(z: complex, s, sp):
 
 def vertex_kernel_at(profile: CurvatureProfile, z: complex) -> ShootingSolution:
     """The shooting solution at z, which is the vertex kernel there: from
-    the Taylor series in z when |z| <= SERIES_RADIUS, else shot at z.
-
-    Raises NearEigenvalueError when |Wv| is below WRONSKIAN_FLOOR.
-    """
-    sol = taylor_shooting(profile).at(z) if abs(z) <= SERIES_RADIUS else shoot(profile, z)
-    if abs(sol.wronskian) < WRONSKIAN_FLOOR:
-        raise NearEigenvalueError(
-            f"|Wronskian|={abs(sol.wronskian):.2e} at z={sol.z}; kernel undefined")
-    return sol
+    the Taylor series in z when |z| <= SERIES_RADIUS, else shot at z."""
+    return taylor_shooting(profile).at(z) if abs(z) <= SERIES_RADIUS else shoot(profile, z)
 
 
 def series_kernel(profile: CurvatureProfile, z: complex, s, sp,

@@ -5,13 +5,18 @@ field consists of edge profiles
 
     x_j(s) = (r0(z) f_j)(s) + q_j exp(i sqrt(z) s)
 
-and a vertex profile
+and a vertex profile phi, joined so that values and eps-scaled normal
+derivatives match at the interfaces: with sigma = i eps sqrt(z),
+phi' + sigma phi = -eps p_1 at s = -1 and phi' - sigma phi = eps p_2 at +1.
+In the closed form of the coupling (``coupling``),
 
-    phi(s) = eps [xi_1 r(eps^2 z; s, -1) + xi_2 r(eps^2 z; s, +1)],
+    phi = eps [p_1 (eta - sigma psi) + p_2 (zeta - sigma chi)] / (Wv - sigma tr N + sigma^2 D),
 
-joined so that values match and the eps-scaled normal derivatives match
-at the two interfaces.  The edge equations are satisfied identically, so
-the full residual lives in the vertex strip.  Because phi solves
+chi and psi the Dirichlet partners of the shooting solutions zeta and eta
+at eps^2 z (``ShootingSolution``).  p_1's bracket meets the condition at +1
+and p_2's the one at -1, phi(-1), phi(+1) are q, and no 1/Wv is formed, so
+a resonance (Wv ~ eps^2) costs nothing.  The edge equations are satisfied
+identically, so the full residual lives in the vertex strip.  Because phi solves
 phi'' = (-gamma^2/4 - eps^2 z) phi in the interior, the residual field
 collapses to first-order data only:
 
@@ -112,22 +117,19 @@ class ApproxSolution:
         return self.coeffs.case
 
     def vertex_profile(self, s):
-        """(phi, phi') at s, phi = eps [xi1 r(.; s, -1) + xi2 r(.; s, +1)],
-        from one dense evaluation of each shooting solution."""
-        k = self.kernel
+        """(phi, phi') at s in the closed form of the module docstring, from
+        one dense evaluation of each side's stacked solve."""
         s = np.asarray(s)
-        return self._vertex_profile_from(k.eta_sol(s), k.zeta_sol(s))
+        return self._vertex_profile_from(*(side(s) for side in
+                                           self.kernel.robin_sides(self.coeffs.sigma)))
 
-    def _vertex_profile_from(self, eta, zeta):
-        """(phi, phi') from (eta, eta') and (zeta, zeta') at the same points."""
-        xi = self.coeffs.xi
-        return self.epsilon * (xi[0] * eta + xi[1] * zeta) / self.kernel.wronskian
+    def _vertex_profile_from(self, right, left):
+        """(phi, phi') from the right and left sides' values at the same points."""
+        p = self.coeffs.p
+        return self.coeffs.gain * (p[0] * right + p[1] * left)
 
     def phi(self, s):
         return self.vertex_profile(s)[0]
-
-    def phi_prime(self, s):
-        return self.vertex_profile(s)[1]
 
     def edge_profile(self, edge: int, s):
         """x_j(s) at edge coordinates s of edge j = 1 or 2 (a complex for a
@@ -142,11 +144,9 @@ class ApproxSolution:
         q = self.coeffs.q  # the edge fields at s = 0, where r0 f vanishes
         xi = self.coeffs.xi
         scale = max(1.0, float(np.max(np.abs(xi))), float(np.max(np.abs(q))))
-        val1 = abs(q[0] - self.phi(-1.0)) / scale
-        val2 = abs(q[1] - self.phi(1.0)) / scale
-        der1 = abs(xi[0] + self.phi_prime(-1.0) / self.epsilon) / scale
-        der2 = abs(xi[1] - self.phi_prime(1.0) / self.epsilon) / scale
-        return {"value": (val1, val2), "derivative": (der1, der2)}
+        phi, dphi = self.vertex_profile(np.array([-1.0, 1.0]))
+        return {"value": tuple(np.abs(q - phi) / scale),
+                "derivative": tuple(np.abs([-1.0, 1.0] * xi - dphi / self.epsilon) / scale)}
 
 
 def assemble(profile: CurvatureProfile, n: int, z: complex, epsilon: float,
@@ -215,10 +215,11 @@ class ResidualQuadrature:
     Per sweep (at build): nodes, weights, sqrt(u-weights chi_n^2), the data
     norm, in the resonant case ||y*'||, and whether the strip mirrors: the
     s-nodes are bitwise s = -s[::-1] and gamma, gamma' and gamma'' are even,
-    odd and even there bit for bit.  Per coefficient solve: its values at
-    the s-nodes (a kernel shot at eps^2 z is its own solve and misses them);
-    on mirrored s-nodes a mirrored pair's right values are its left values
-    read backwards, with the y' rows negated (``vertex_profile``).
+    odd and even there bit for bit.  Per coefficient solve: its stacked
+    values (the solution and its Dirichlet partner) at the s-nodes (a kernel
+    shot at eps^2 z is its own solve and misses them); on mirrored s-nodes a
+    mirrored pair's right values are its left values read backwards, with
+    the y' rows negated (``vertex_profile``).
     Per ratio delta/eps, as an exact float: the geometry fields and from
     them the R factors, so a power-rule sweep refactors at every point.  On
     a mirrored strip both are built on the first half of the s-nodes: the
@@ -243,7 +244,7 @@ class ResidualQuadrature:
     u_scale: np.ndarray  # sqrt(u_wts chi_n^2)
     data_norm: float
     star_derivative_norm: float | None
-    # memos: (ratio, its R factors, its fields) and (left, right, their node tables)
+    # memos: (ratio, its R factors, its fields) and (right, left, their node tables)
     _factors: tuple = field(default=(None,) * 3, init=False, repr=False)
     _sides: tuple = field(default=(None,) * 4, init=False, repr=False)
     # (S, 3, U), or (S/2, 3, U) on a mirrored strip; rewritten per ratio
@@ -309,25 +310,24 @@ class ResidualQuadrature:
 
     def vertex_profile(self, sol: ApproxSolution):
         """(phi, phi') of sol at the s-nodes, bit for bit its own values:
-        each side's node values are held as its ``table``, so a point pays
-        only the product with its powers.  When the s-nodes mirror and the
-        right solution is the left one read in t = -s (``mirror_of_left``),
-        its values are the left's with the columns reversed and the y' rows
-        negated."""
-        k = sol.kernel
-        sides = (k.zeta_sol, k.eta_sol)
-        left, right = coefficients = tuple(side.coefficients for side in sides)
+        each side's stacked node values are held as its ``table``, so a point
+        pays only the product with its powers (d^k, -sigma d^k).  When the
+        s-nodes mirror and the right solve is the left one read in t = -s (it
+        holds the left's arrays), its values are the left's with the columns
+        reversed and the y' rows negated: psi is to chi as eta is to zeta."""
+        sides = sol.kernel.robin_sides(sol.coeffs.sigma)
+        right, left = coefficients = tuple(side.coefficients for side in sides)
         if any(held is not c for held, c in zip(self._sides, coefficients)):
             zeta = left(self.s_pts)
-            if self._nodes_mirror and right.mirror_of_left:
+            if self._nodes_mirror and right.states is left.states:
                 eta = zeta[:, ::-1].copy()
                 terms = len(eta) // 2
                 np.negative(eta[terms:], out=eta[terms:])
             else:
                 eta = right(self.s_pts)
-            self._sides = (*coefficients, k.zeta_sol.table(zeta), k.eta_sol.table(eta))
-        zeta, eta = (side.contract(table) for side, table in zip(sides, self._sides[2:]))
-        return sol._vertex_profile_from(eta, zeta)
+            self._sides = (*coefficients, sides[0].table(eta), sides[1].table(zeta))
+        return sol._vertex_profile_from(*(side.contract(table)
+                                          for side, table in zip(sides, self._sides[2:])))
 
 
 @dataclass(frozen=True)

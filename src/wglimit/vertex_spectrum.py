@@ -109,10 +109,11 @@ class ShootingSolution:
     Away from the eigenvalues it is the vertex kernel
     r(z; s, s') = zeta(min(s, s')) eta(max(s, s')) / Wv.  Each side is a
     series of coefficient solves on the panel ends ``mesh``: 1 term about z
-    when shot, SERIES_TERMS about 0 from ``taylor_shooting``.  ``dirichlet`` is
-    D = chi(+1) for chi(-1) = 0, chi'(-1) = 1; the Wronskian of chi and phi,
-    phi(1) = 0, phi'(1) = 1, gives D = -phi(-1).  The unit-determinant transfer
-    matrix gives eta(-1) = chi'(+1), so det N = eta(-1) zeta(+1) - 1 = Wv D.
+    when shot, SERIES_TERMS about 0 from ``taylor_shooting``.  Each side's solve
+    holds its Dirichlet partner: chi(-1) = 0, chi'(-1) = 1 and psi(+1) = 0,
+    psi'(+1) = -1.  Their Wronskian gives D = chi(+1) = psi(-1) (``dirichlet``),
+    and the unit-determinant transfer matrix gives eta(-1) = chi'(+1), so
+    det N = eta(-1) zeta(+1) - 1 = Wv D.
     """
 
     z: complex
@@ -126,14 +127,8 @@ class ShootingSolution:
         """zeta values at s (vectorised)."""
         return self.zeta_sol(np.asarray(s))[0]
 
-    def zeta_prime(self, s):
-        return self.zeta_sol(np.asarray(s))[1]
-
     def eta(self, s):
         return self.eta_sol(np.asarray(s))[0]
-
-    def eta_prime(self, s):
-        return self.eta_sol(np.asarray(s))[1]
 
     def value(self, s, sp):
         """The kernel r(z; s, s') over broadcast s, s' (a complex for scalars), from zeta
@@ -144,14 +139,12 @@ class ShootingSolution:
         out = self.zeta(pts)[i] * self.eta(pts)[j] / self.wronskian
         return complex(out) if out.ndim == 0 else out
 
-    def s_derivative(self, s, endpoint: int):
-        """d/ds r(z; s, endpoint) from the stored shooting derivatives."""
-        if endpoint not in (-1, 1):
-            raise ValueError("endpoint must be -1 or +1")
-        s = np.asarray(s, dtype=float)
-        prime = self.zeta_prime if endpoint == 1 else self.eta_prime
-        out = np.asarray(prime(s.ravel()) / self.wronskian).reshape(s.shape)
-        return complex(out) if out.ndim == 0 else out
+    def robin_sides(self, sigma: complex) -> tuple[_TaylorSide, _TaylorSide]:
+        """eta - sigma psi and zeta - sigma chi, s -> (y, y'): each side's
+        stacked solve with the powers (d^k, -sigma d^k)."""
+        return tuple(_TaylorSide(side.coefficients.stacked,
+                                 np.concatenate([side.powers, -sigma * side.powers]))
+                     for side in (self.eta_sol, self.zeta_sol))
 
     def corner_numerator(self) -> np.ndarray:
         """N = [[eta(-1), 1], [1, zeta(+1)]], Wv times the kernel's corner values
@@ -192,15 +185,14 @@ class CoefficientSolution:
     shape(s); a mirrored solve runs in t = -s.  (y_k, y_k') at the panel ends
     in t, and y_k'' at each panel's stages (zero past the far end).  The right
     solve of a mirrored pair (``_coefficient_pair``) holds its left solve's
-    arrays, read in t = -s, and says so by ``mirror_of_left``.  A pair's left
-    solve holds ``dirichlet``: chi_k(+1) from chi_0(-1) = 0, chi_0'(-1) = 1."""
+    arrays, read in t = -s.  A pair's solves also hold ``stacked``, of 2K terms:
+    y_k, then chi_k of the Dirichlet partner, chi_0 = 0 and chi_0' = 1 at the start."""
 
     edges: np.ndarray
     states: np.ndarray  # (P + 1, K, 2)
     forcing: np.ndarray  # (P + 1, K, _STAGES)
     mirrored: bool
-    mirror_of_left: bool = False
-    dirichlet: np.ndarray | None = None  # (K,)
+    stacked: CoefficientSolution | None = None
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -232,14 +224,14 @@ def _stage_potential(profile: CurvatureProfile, centre, t: np.ndarray) -> np.nda
 
 def _coefficient_solve(profile: CurvatureProfile, centre, terms: int, what: str,
                        mirrored: bool = False, stages=None,
-                       dirichlet: bool = False) -> CoefficientSolution:
+                       partner: bool = False) -> CoefficientSolution:
     """The Taylor coefficients about c, y_k'' = (V - c) y_k - y_{k-1} for
     k < terms, with y_0 = 1 and all other start data zero at s = -1 (+1
     when mirrored): the shooting solution at c + d is sum_k d^k y_k.
     ``stages``, when given, is the panel ends and the stage potential (in
     t = -s when mirrored) that ``_stage_nodes`` and ``_stage_potential`` give.
-    With ``dirichlet`` the start data (0, 1) also step through the panel maps,
-    by their own products: a 2-column one would round the states differently."""
+    With ``partner`` the start data y_0' = 1 of the Dirichlet partner step
+    through the same panel maps, and the solution holds both as ``stacked``."""
     if stages is None:
         edges, t = _stage_nodes(profile, centre, what)
         stages = edges, _stage_potential(profile, centre, -t if mirrored else t)
@@ -265,33 +257,36 @@ def _coefficient_solve(profile: CurvatureProfile, centre, terms: int, what: str,
         np.einsum("pkskn->pksn", response[:, lag:, :, :terms - lag])[...] = blocks[lag][:, None]
     maps = maps.reshape(panels, 2 * terms, 2 * terms)
     maps += np.kron(np.eye(terms), [[1.0, h], [0.0, 1.0]])
-    states = np.zeros((panels + 1, 2 * terms), dtype=q.dtype)
-    states[0, 0] = 1.0
-    chi = np.eye(1, 2 * terms, 1, dtype=q.dtype)[0]  # chi_0 = 0, chi_0' = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p in range(panels):
-            states[p + 1] = maps[p] @ states[p]
-        for step in maps if dirichlet else ():
-            chi = step @ chi
-        forcing = response.reshape(panels, terms * _STAGES, -1) @ states[:-1, :, None]
-    forcing = np.pad(forcing.reshape(panels, terms, _STAGES), ((0, 1), (0, 0), (0, 0)))
-    if not all(np.isfinite(x).all() for x in (states, forcing, chi)):
-        raise IntegrationError(f"{what} overflowed")
-    return CoefficientSolution(edges, states.reshape(panels + 1, terms, 2), forcing, mirrored,
-                               dirichlet=chi[::2] if dirichlet else None)
+    solves = []
+    for start in (0, 1)[:1 + partner]:  # y_0 = 1, then y_0' = 1; one product each keeps y's bits
+        states = np.zeros((panels + 1, 2 * terms), dtype=q.dtype)
+        states[0, start] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in range(panels):
+                states[p + 1] = maps[p] @ states[p]
+            forcing = response.reshape(panels, terms * _STAGES, -1) @ states[:-1, :, None]
+        forcing = np.pad(forcing.reshape(panels, terms, _STAGES), ((0, 1), (0, 0), (0, 0)))
+        if not (np.isfinite(states).all() and np.isfinite(forcing).all()):
+            raise IntegrationError(f"{what} overflowed")
+        solves.append((states.reshape(panels + 1, terms, 2), forcing))
+    stacked = CoefficientSolution(edges, *(np.concatenate(pair, axis=1) for pair in zip(*solves)),
+                                  mirrored) if partner else None
+    return CoefficientSolution(edges, *solves[0], mirrored, stacked)
 
 
 def _coefficient_pair(profile: CurvatureProfile, centre, terms: int, what: str):
-    """The left and the mirrored right coefficient solves about c.  When the
-    right's stage potential is the left's bit for bit (every even profile),
-    its solve would repeat the left's arithmetic, so it is one solve: the
-    right shares the left's edges, states and forcing, read in t = -s."""
+    """The left and the mirrored right coefficient solves about c, each with
+    its Dirichlet partner.  When the right's stage potential is the left's bit
+    for bit (every even profile), its solve would repeat the left's
+    arithmetic, so it is one solve: the right shares the left's edges, states
+    and forcing, and its partner the left's partner's, read in t = -s."""
     edges, t = _stage_nodes(profile, centre, what)
     q_left, q_right = (_stage_potential(profile, centre, x) for x in (t, -t))
     left = _coefficient_solve(profile, centre, terms, what, False, (edges, q_left), True)
-    if q_left.tobytes() == q_right.tobytes():
-        return left, CoefficientSolution(left.edges, left.states, left.forcing, True, True)
-    return left, _coefficient_solve(profile, centre, terms, what, True, (edges, q_right))
+    if q_left.tobytes() != q_right.tobytes():
+        return left, _coefficient_solve(profile, centre, terms, what, True, (edges, q_right), True)
+    stacked = CoefficientSolution(left.edges, left.stacked.states, left.stacked.forcing, True)
+    return left, CoefficientSolution(left.edges, left.states, left.forcing, True, stacked)
 
 
 def shoot(profile: CurvatureProfile, z: complex) -> ShootingSolution:
@@ -302,7 +297,8 @@ def shoot(profile: CurvatureProfile, z: complex) -> ShootingSolution:
     # At s = +1 the right solution is exactly (1, 0), so Wv = zeta'(+1).
     one = np.ones(1)
     return ShootingSolution(z, _TaylorSide(left, one), _TaylorSide(right, one),
-                            complex(left.states[-1, 0, 1]), complex(left.dirichlet[0]), left.edges)
+                            complex(left.states[-1, 0, 1]), complex(left.stacked.states[-1, 1, 0]),
+                            left.edges)
 
 
 @dataclass(frozen=True)
@@ -377,7 +373,8 @@ class TaylorShooting:
 def taylor_shooting(profile: CurvatureProfile) -> TaylorShooting:
     """The Taylor coefficients of both shooting solutions (cached)."""
     left, right = _coefficient_pair(profile, 0.0, SERIES_TERMS, "the Taylor solve")
-    arrays = (right.states[-1, :, 0], *left.states[-1].T, left.dirichlet)
+    dirichlet = left.stacked.states[-1, SERIES_TERMS:, 0]
+    arrays = (right.states[-1, :, 0], *left.states[-1].T, dirichlet)
     for arr in (*arrays, left.edges):
         arr.setflags(write=False)
     return TaylorShooting(left, right, *arrays)

@@ -167,6 +167,16 @@ class TestSweepCommands:
         assert abs(slope - 1.0) < 0.15
         assert (tmp_path / "coupling.csv.json").exists()
 
+    @pytest.mark.parametrize("command", ["coupling", "graph-limit", "residual-sweep"])
+    def test_resonant_sweep_below_the_wronskian_floor(self, tmp_path, command):
+        # |W| = 7.8e-14 and 1.9e-14 at 2^-22 and 2^-23: both points failed while
+        # the sweeps refused |W| < WRONSKIAN_FLOOR
+        out = tmp_path / "sweep.csv"
+        assert main([command, "--profile", "tuned:2", "--z", "0,1",
+                     "--eps-grid", "2^-14..2^-23", "--out", str(out)]) == 0
+        payload = json.loads((tmp_path / "sweep.csv.json").read_text())
+        assert len(payload["rows"]) == 10 and payload["failures"] == []
+
     def test_json_out_keeps_the_csv(self, tmp_path):
         # the JSON twin used to overwrite an --out that ends in .json
         out = tmp_path / "sw.json"
@@ -174,7 +184,7 @@ class TestSweepCommands:
                      "--eps-grid", "2^-6..2^-10", "--out", str(out)]) == 0
         rows = read_csv(out)
         assert rows[2][:2] == ["epsilon", "delta"] and rows[-2][0] == "slope"
-        assert len([float(cell) for row in rows[3:-2] for cell in row]) == 5 * 5
+        assert len([float(cell) for row in rows[3:-2] for cell in row]) == 5 * 4
         assert json.loads((tmp_path / "sw.json.json").read_text())["rows"]
 
     def test_residual_sweep(self, tmp_path):

@@ -294,7 +294,7 @@ class TestRunSweep:
         path = tmp_path / "sweep.json"
         run_sweep(cfg).to_json(path)
         payload = json.loads(path.read_text())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
         assert payload["config"]["metric"] == "graph-limit"
         assert "comparison_norm" in payload["slopes"]
         assert len(payload["rows"]) == 6

@@ -675,6 +675,27 @@ class TestThinGuide:
                for eps in (0.3, 0.0094)}
         assert hat[0.0094] <= 2.0 * hat[0.3]
 
+    def test_vertex_strip_is_the_vertex_profile(self, zero_profile, bump05, tuned2):
+        # sqrt(h_u) times the mode-n strip line against phi at the vertex nodes,
+        # z = i and delta = eps^3: on zero the FD error, second order in h_s; on
+        # bump:0.5 the model error, which falls with eps.  tuned:2 is printed and
+        # not asserted: the width detuning of its zero mode dominates there.
+        f1 = GaussianPulse(3.0, 0.5)
+
+        def strip_error(profile, eps, h_s):
+            grid = WaveguideGrid.build(eps, eps**3, 1j, h_u=1 / 32, h_s=h_s)
+            system = _sine_system(grid, profile, 1, 1j)
+            lines = system.split(_block_solve(system, _rhs(system, f1, None)))[1]
+            phi = assemble(profile, 1, 1j, eps, eps**3, f1, None).phi(grid.vertex_s)
+            return float(np.max(np.abs(math.sqrt(grid.h_u) * lines[:, 0] - phi)))
+
+        coarse, fine = (strip_error(zero_profile, 0.0375, h_s) for h_s in (1 / 256, 1 / 512))
+        assert coarse <= 1e-7 and fine <= coarse / 2
+        bump = [strip_error(bump05, eps, 1 / 256) for eps in (0.0375, 0.0094, 0.0023)]
+        assert bump[0] <= 4e-5 and bump[1] <= 1e-6 and bump[2] <= 1e-8
+        print(f"tuned:2 strip error at eps = 0.0023, h_s = 1/256: "
+              f"{strip_error(tuned2, 0.0023, 1 / 256):.2g}")
+
     def test_backward_error_gate_fires(self, bump05, monkeypatch, tmp_path):
         # a strip factor of blocks 1.01 U_j leaves, after the one refinement
         # step, a backward error far above the tolerance (a constant factor

@@ -9,7 +9,9 @@ from scipy.special import roots_legendre, wofz
 
 from wglimit import ExpDecay, GaussianPulse, Indicator, neumann_free_kernel, vertex_kernel_at
 from wglimit import kernels
+from wglimit.cli import build_parser
 from wglimit.kernels import (
+    WRONSKIAN_FLOOR,
     HalfLineResolvent,
     KernelError,
     NearEigenvalueError,
@@ -156,9 +158,14 @@ class TestVertexKernel:
         assert all(type(v) is complex for row in scalar for v in row)
         assert np.max(np.abs(matrix - np.array(scalar)) / np.abs(scalar)) < 1e-13
 
-    def test_near_eigenvalue_guard(self, zero_profile):
+    def test_near_eigenvalue_guard(self, zero_profile, tmp_path):
+        # only the kernel command's r = zeta eta / Wv refuses a point below the
+        # floor; the shooting solution itself, which the sweeps read, is returned
+        assert abs(vertex_kernel_at(zero_profile, 0.0).wronskian) < WRONSKIAN_FLOOR
+        args = build_parser().parse_args(["kernel", "--profile", "zero", "--z", "0,0",
+                                          "--out", str(tmp_path / "k.csv")])
         with pytest.raises(NearEigenvalueError):
-            vertex_kernel_at(zero_profile, 0.0)
+            args.func(args)
 
     @pytest.mark.parametrize("n_terms", [0, -5])
     def test_term_count_below_one_rejected(self, bump05, n_terms):
@@ -260,19 +267,25 @@ class TestTaylorRoute:
             assert last <= 1e-16 * np.max(np.abs(coef[:2]))
 
 
+def s_derivative(kernel, s, endpoint: int):
+    """d/ds r(z; s, endpoint): zeta'(s)/Wv at endpoint +1, eta'(s)/Wv at -1."""
+    side = kernel.zeta_sol if endpoint == 1 else kernel.eta_sol
+    return side(np.asarray(s, dtype=float))[1] / kernel.wronskian
+
+
 class TestKernelDerivative:
     def test_endpoint_relations(self, bump05):
         kernel = vertex_kernel_at(bump05, 1 + 1j)
-        assert kernel.s_derivative(1.0, 1) == pytest.approx(1.0, abs=1e-9)
-        assert kernel.s_derivative(-1.0, -1) == pytest.approx(-1.0, abs=1e-9)
-        assert abs(kernel.s_derivative(1.0, -1)) < 1e-9
-        assert abs(kernel.s_derivative(-1.0, 1)) < 1e-9
+        assert s_derivative(kernel, 1.0, 1) == pytest.approx(1.0, abs=1e-9)
+        assert s_derivative(kernel, -1.0, -1) == pytest.approx(-1.0, abs=1e-9)
+        assert abs(s_derivative(kernel, 1.0, -1)) < 1e-9
+        assert abs(s_derivative(kernel, -1.0, 1)) < 1e-9
 
     def test_matches_finite_difference(self, bump05):
         kernel = vertex_kernel_at(bump05, 1 + 1j)
         h = 1e-5
         fd = (kernel.value(0.2 + h, -1.0) - kernel.value(0.2 - h, -1.0)) / (2 * h)
-        assert abs(kernel.s_derivative(0.2, -1) - fd) < 1e-6
+        assert abs(s_derivative(kernel, 0.2, -1) - fd) < 1e-6
 
     def test_free_derivative_l2_bounded_along_sweep(self, zero_profile):
         # || d/ds r(eps^2 z; ., +-1) ||_L2 stays bounded as eps -> 0
@@ -281,7 +294,7 @@ class TestKernelDerivative:
             norms = []
             for k in range(3, 9):
                 kernel = vertex_kernel_at(zero_profile, (2.0**-k) ** 2 * 1j)
-                d = kernel.s_derivative(grid, endpoint)
+                d = s_derivative(kernel, grid, endpoint)
                 norms.append(np.sqrt(np.trapezoid(np.abs(d) ** 2, grid)))
             assert max(norms) <= 2.0 * max(norms[0], 1e-12)
 
@@ -298,7 +311,7 @@ class TestKernelDerivative:
             for k in range(3, 8):
                 w = (2.0**-k) ** 2 * 1j
                 kernel = vertex_kernel_at(tuned2, w)
-                d = kernel.s_derivative(grid, endpoint) + dstar * alpha / w
+                d = s_derivative(kernel, grid, endpoint) + dstar * alpha / w
                 norms.append(np.sqrt(np.trapezoid(np.abs(d) ** 2, grid)))
             assert max(norms) <= 2.0 * norms[0]
 

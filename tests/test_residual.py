@@ -18,6 +18,7 @@ from wglimit import (
     run_sweep,
 )
 from wglimit.experiments import SweepContext, _assemble, delta_for
+from wglimit.kernels import sqrt_upper
 from wglimit.profile import geometry_residual_fields
 from wglimit.residual import (
     ResidualQuadrature,
@@ -28,6 +29,7 @@ from wglimit.residual import (
 from wglimit.vertex_spectrum import (
     SERIES_TERMS,
     CoefficientSolution,
+    _TaylorSide,
     spectrum_for_case,
     taylor_shooting,
 )
@@ -74,6 +76,59 @@ class TestAssemble:
         defects = sol.interface_defects()
         assert max(defects["value"]) < 1e-9
         assert max(defects["derivative"]) < 1e-8
+
+
+def _cauchy_profile(sol, s):
+    """phi from the left Cauchy data, q1 zeta - eps xi1 chi (test-side
+    reference), accurate while the shooting solutions stay O(1)."""
+    zeta = sol.kernel.zeta_sol
+    chi = _TaylorSide(zeta.coefficients.stacked, np.concatenate([0.0 * zeta.powers, zeta.powers]))
+    return sol.coeffs.q[0] * zeta(s) - sol.epsilon * sol.coeffs.xi[0] * chi(s)
+
+
+class TestVertexProfileClosedForm:
+    """phi = eps [p1 (eta - sigma psi) + p2 (zeta - sigma chi)] / (W - sigma tr N
+    + sigma^2 D) in each regime: large |eps^2 z|, a resonance, where W -> 0,
+    and a Dirichlet eigenvalue, where D = 0."""
+
+    S = np.linspace(-1.0, 1.0, 101)
+    F2 = ExpDecay(rate=2.0, coefficient=0.5)
+
+    @pytest.mark.parametrize("z", [-400 + 1j, 400j])
+    def test_large_w_on_the_flat_guide(self, zero_profile, z):
+        # at eps = 1 on gamma = 0 the strip continues the edges, so phi is the
+        # outgoing pair -(p1 e^(ik(s+1)) + p2 e^(ik(1-s)))/(2ik), k = sqrt(z)
+        sol = assemble(zero_profile, 1, z, 1.0, 0.5, F1, self.F2)
+        p, k = sol.coeffs.p, sqrt_upper(z)
+        waves = np.array([np.exp(1j * k * (self.S + 1)), np.exp(1j * k * (1 - self.S))])
+        exact = -(p[0] * waves[0] + p[1] * waves[1]) / (2j * k)
+        slope = -(p[0] * waves[0] - p[1] * waves[1]) / 2
+        phi, dphi = sol.vertex_profile(self.S)
+        assert np.max(np.abs(phi - exact)) <= 1e-12 * np.max(np.abs(exact))
+        assert np.max(np.abs(dphi - slope)) <= 1e-12 * np.max(np.abs(slope))
+
+    @pytest.mark.parametrize("k", range(16, 24))
+    def test_resonance_needs_no_wronskian(self, tuned2, k):
+        # |W| falls to 2e-14 at 2^-23, where the former eps (xi1 eta + xi2 zeta)/W
+        # was off by 2.4e-8 of max|phi|
+        eps = 2.0**-k
+        sol = assemble(tuned2, 1, Z, eps, eps**1.5, F1, None)
+        phi = sol.vertex_profile(self.S)
+        assert np.max(np.abs(phi - _cauchy_profile(sol, self.S))) <= 1e-13 * np.max(np.abs(phi))
+        defects = sol.interface_defects()
+        assert max(defects["value"] + defects["derivative"]) <= 1e-13
+
+    @pytest.mark.parametrize("eps", [1.0, 0.5])
+    def test_dirichlet_eigenvalue(self, tuned2, eps):
+        # w = eps^2 z at tuned:2's Dirichlet eigenvalue, where D = chi(+1) = 0 and a
+        # form (q2 chi + q1 psi)/D loses 9e-4
+        w = -4.853989234961234
+        sol = assemble(tuned2, 1, w / eps**2, eps, 0.1 * eps, F1, self.F2)
+        assert abs(sol.kernel.dirichlet) < 1e-11
+        phi = sol.vertex_profile(self.S)
+        assert np.max(np.abs(phi - _cauchy_profile(sol, self.S))) <= 1e-13 * np.max(np.abs(phi))
+        defects = sol.interface_defects()
+        assert max(defects["value"] + defects["derivative"]) <= 1e-13
 
 
 class TestResidualField:
@@ -337,11 +392,10 @@ class TestQuadratureTable:
         sol = assemble(profile, 1, Z, eps, 0.1 * eps, F1, None)
         table = ResidualQuadrature.build(profile, 1, F1, None, sol.case, order, panels)
         table.vertex_profile(sol)
-        eta = sol.kernel.eta_sol
-        assert eta.coefficients.mirror_of_left
-        assert eta.coefficients.states is sol.kernel.zeta_sol.coefficients.states
+        eta, zeta = sol.kernel.robin_sides(sol.coeffs.sigma)
+        assert eta.coefficients.states is zeta.coefficients.states
         expect = eta.table(eta.coefficients(table.s_pts))
-        got = table._sides[3]
+        got = table._sides[2]
         assert got.dtype == expect.dtype and got.shape == expect.shape
         assert got.flags.c_contiguous and got.tobytes() == expect.tobytes()
 
@@ -351,8 +405,8 @@ class TestQuadratureTable:
         profile = ShiftedBump("bump", 0.5)
         sol = assemble(profile, 1, Z, eps, 0.1 * eps, F1, None,
                        case=spectrum_for_case(bump05).case)
-        left, right = sol.kernel.zeta_sol.coefficients, sol.kernel.eta_sol.coefficients
-        assert not right.mirror_of_left and right.states is not left.states
+        right, left = (side.coefficients for side in sol.kernel.robin_sides(sol.coeffs.sigma))
+        assert right.states is not left.states
         table = ResidualQuadrature.build(profile, 1, F1, None, sol.case)
         got = table.vertex_profile(sol)
         assert counts["dense"] == [left, right]
@@ -400,8 +454,8 @@ class TestQuadratureTable:
         assert counts["geometry"] == 1
         assert counts["data_norm"] == 1
         # the mirrored right side's node values are the left's read backwards
-        assert sum(sol is taylor.left for sol in counts["dense"]) == 1
-        assert not any(sol is taylor.right for sol in counts["dense"])
+        assert sum(sol is taylor.left.stacked for sol in counts["dense"]) == 1
+        assert not any(sol is taylor.right.stacked for sol in counts["dense"])
 
     def test_power_rule_sweep_recomputes_the_geometry(self, bump05, counts):
         grid = tuple(2.0**-k for k in range(3, 9))

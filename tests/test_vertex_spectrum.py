@@ -105,9 +105,9 @@ class TestShoot:
     def test_initial_conditions(self, bump05):
         sol = shoot(bump05, 1 + 0.5j)
         assert sol.zeta(-1.0) == pytest.approx(1.0)
-        assert abs(sol.zeta_prime(-1.0)) < 1e-12
+        assert abs(sol.zeta_sol(-1.0)[1]) < 1e-12
         assert sol.eta(1.0) == pytest.approx(1.0)
-        assert abs(sol.eta_prime(1.0)) < 1e-12
+        assert abs(sol.eta_sol(1.0)[1]) < 1e-12
 
     def test_wronskian_constancy(self, bump05):
         # the panel ends and the dense output between them
@@ -283,17 +283,23 @@ class TestMirroredPair:
         for centre in self.CENTRES:
             left, right = vertex_spectrum._coefficient_pair(profile, centre, terms, "test")
             assert right.mirrored and not left.mirrored
-            assert right.mirror_of_left and not left.mirror_of_left
             assert right.states is left.states and right.forcing is left.forcing
-            solo = vertex_spectrum._coefficient_solve(profile, centre, terms, "test", True)
-            # stepping the Dirichlet start data leaves the left solve's bits alone
+            # the partners too: psi is chi read in t = -s
+            assert right.stacked.mirrored and not left.stacked.mirrored
+            assert right.stacked.states is left.stacked.states
+            assert right.stacked.forcing is left.stacked.forcing
+            solo = vertex_spectrum._coefficient_solve(profile, centre, terms, "test", True,
+                                                      None, True)
+            # stepping the Dirichlet start data leaves the solve's own bits alone
             plain = vertex_spectrum._coefficient_solve(profile, centre, terms, "test")
-            assert plain.dirichlet is None and left.dirichlet.shape == (terms,)
-            assert left.states.tobytes() == plain.states.tobytes()
-            assert left.forcing.tobytes() == plain.forcing.tobytes()
-            assert right.edges.tobytes() == solo.edges.tobytes()
-            assert right.states.tobytes() == solo.states.tobytes()
-            assert right.forcing.tobytes() == solo.forcing.tobytes()
+            assert plain.stacked is None and left.stacked.states.shape[1] == 2 * terms
+            for own in (left, left.stacked):
+                assert own.states[:, :terms].tobytes() == plain.states.tobytes()
+                assert own.forcing[:, :terms].tobytes() == plain.forcing.tobytes()
+            for shared, own in ((right, solo), (right.stacked, solo.stacked)):
+                assert shared.edges.tobytes() == own.edges.tobytes()
+                assert shared.states.tobytes() == own.states.tobytes()
+                assert shared.forcing.tobytes() == own.forcing.tobytes()
 
     @pytest.mark.parametrize("profile_name", PROFILES)
     def test_node_values_mirror(self, profile_name, request):
@@ -307,11 +313,31 @@ class TestMirroredPair:
             assert eta[1].tobytes() == (-zeta[1][::-1]).tobytes()
             left, right = sol.zeta_sol.coefficients, sol.eta_sol.coefficients
             terms = len(sol.zeta_sol.powers)
-            flipped = left(s)[:, ::-1].copy()
-            flipped[terms:] *= -1.0
-            assert right(s).tobytes() == flipped.tobytes()
+            # psi runs in t = -s as eta does: the stacked values mirror too
+            for a, b, rows in ((left, right, terms), (left.stacked, right.stacked, 2 * terms)):
+                flipped = a(s)[:, ::-1].copy()
+                flipped[rows:] *= -1.0
+                assert b(s).tobytes() == flipped.tobytes()
             n = sol.corner_numerator()
             assert n[0, 0] == n[1, 1]
+
+    @pytest.mark.parametrize("uneven", [False, True])
+    def test_dirichlet_partners(self, tuned2, uneven):
+        # chi(-1) = 0, chi'(-1) = 1 and psi(+1) = 0, psi'(+1) = -1 exactly; the
+        # Wronskians with the other solutions give chi(+1) = psi(-1) = D,
+        # chi'(+1) = eta(-1) and psi'(-1) = -zeta(+1)
+        profile = ShiftedBump("bump", 0.5) if uneven else tuned2
+        for sol in (taylor_shooting(profile).at(0.1 - 0.2j), shoot(profile, 3 + 1j)):
+            chi, psi = (vertex_spectrum._TaylorSide(
+                side.coefficients.stacked, np.concatenate([0.0 * side.powers, side.powers]))
+                for side in (sol.zeta_sol, sol.eta_sol))
+            assert tuple(chi(-1.0)) == (0.0, 1.0) and tuple(psi(1.0)) == (0.0, -1.0)
+            (chi_end, chi_slope), (psi_end, psi_slope) = chi(1.0), psi(-1.0)
+            scale = max(1.0, abs(sol.dirichlet))
+            assert abs(chi_end - sol.dirichlet) <= 1e-15 * scale
+            assert abs(psi_end - sol.dirichlet) <= 1e-13 * scale
+            assert abs(chi_slope - sol.eta(-1.0)) <= 1e-13 * max(1.0, abs(chi_slope))
+            assert abs(psi_slope + sol.zeta(1.0)) <= 1e-13 * max(1.0, abs(psi_slope))
 
     def test_uneven_profile_takes_two_solves(self, monkeypatch):
         profile = ShiftedBump("bump", 0.5)
@@ -319,7 +345,7 @@ class TestMirroredPair:
         for centre in (0.0, 3 + 1j):
             left, right = vertex_spectrum._coefficient_pair(profile, centre, 4, "test")
             assert right.states is not left.states and right.mirrored
-            assert not right.mirror_of_left
+            assert right.stacked.states is not left.stacked.states and right.stacked.mirrored
             assert left.states.tobytes() != right.states.tobytes()
         assert terms == [4, 4, 4, 4]
         sol = shoot(profile, 3 + 1j)

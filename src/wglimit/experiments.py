@@ -31,7 +31,7 @@ from .coupling import (
     solve_coupling_from_kernel,
 )
 from .fd_oracle import H_S, H_U, TRUNCATION_TOL, WaveguideGrid, fd_resolvent, trapezoid_weights
-from .graph_limit import apply_resolvent_grid, boundary_limits, limit_comparison, limit_resolvent
+from .graph_limit import boundary_limits, edge_amplitudes, limit_comparison, limit_resolvent
 from .kernels import (
     ExpDecay,
     GaussianPulse,
@@ -39,6 +39,7 @@ from .kernels import (
     Indicator,
     KernelError,
     boundary_derivatives,
+    edge_field,
     vertex_kernel_at,
 )
 from .profile import CurvatureProfile, ProfileError, _check_ratio
@@ -525,11 +526,12 @@ def oracle_report(profile: CurvatureProfile, z: complex, epsilon: float,
     _check_data_norm(fnorm)
     sol = assemble(profile, n, z, epsilon, delta, f1, f2)
     res = limit_resolvent(sol.case, z)
-    # the limit's edge values before any solve: their half-line panel bound,
-    # the same for the trial field's, is checked here
-    limit = [apply_resolvent_grid(res, f1, f2, grid.edge_s, e) for e in (1, 2)]
+    # the limit's and the trial field's edge values before any solve, on one r0 f per
+    # edge (both read r0(z) and the same data): their half-line panel bound is checked here
+    r0, q_limit = sol.resolvent0, edge_amplitudes(res, sol.resolvent0, f1, f2)
+    limit, trial = zip(*(edge_field(r0, f, (q_limit[e], sol.coeffs.q[e]), grid.edge_s)
+                         for e, f in enumerate((f1, f2))))
     fd = fd_resolvent(grid, profile, n, z, f1, f2)
-    trial = [sol.edge_profile(e, grid.edge_s) for e in (1, 2)]
 
     def edge_l2_sq(fd_sol, values) -> float:
         """Squared distance of the FD edge projections from values per edge."""

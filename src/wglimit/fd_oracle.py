@@ -29,14 +29,18 @@ closed form (``_edge_modes``), the discrete transparent condition of Arnold,
 Ehrhardt and Sofronov (Commun. Math. Sci. 1, 2003) on the truncated edge.
 The metric 1/g and the potential W are diagonal in u, so the J+1 interface
 and vertex lines form a block-tridiagonal strip of real symmetric blocks
-S diag(.) S, each assembled as Toeplitz minus Hankel from cosine sums, plus
-a complex diagonal per mode.  The edges' Schur complement on the interface
-lines is diagonal: w_s t_k per mode k != n and -w_s^2 g_1 for mode n's chain
-of unit response g.  A twisted block LU (LAPACK getrf/getrs on each dense
-M x M block, from both ends in to the middle line, which fills nothing)
-factors only the (J+1)*M strip.  The vertex nodes are antisymmetric to the
-last bit, so an even profile's strip is its own mirror image, and at even J
-the two halves of the factorisation are one: half the lines are factored.
+S diag(.) S, each Toeplitz minus Hankel in one row of cosine sums, plus a
+complex diagonal per mode.  Only those rows are held: a block is formed
+where it is read (``_SineBlocks``), once per line in the factor and a chunk
+of lines at a time in the operator product.  The edges' Schur complement on
+the interface lines is diagonal: w_s t_k per mode k != n and -w_s^2 g_1 for
+mode n's chain of unit response g.  A twisted block LU (LAPACK getrf/getrs
+on each dense M x M block, from both ends in to the middle line, which
+fills nothing) factors only the (J+1)*M strip, and its LU and gain slabs
+are about all the memory the solve holds.  The vertex nodes are
+antisymmetric to the last bit, so an even profile's strip is its own mirror
+image, and at even J the two halves of the factorisation are one: half the
+lines are factored.
 One step of iterative refinement and the componentwise backward error
 max |b - A y| / (|A| |y| + |b|) (``FDSolution.solve_residual``) are taken
 against this structured operator, over every row that holds a computed
@@ -83,11 +87,13 @@ MIN_EDGE_STEPS = 4
 # solve holds the strip's (J + 1) M values and 2(K - 1) chain values, mode n's.
 MAX_FD_UNKNOWNS = 1_000_000
 # Most entries in the strip's dense M x M blocks, M^2 (3J + 1), 3.3 times the benchmark's
-# refined bump grid: 16 bytes an entry (real diag and off; complex LU of U_j and U_j^-1 C_j:
-# 48 bytes per M^2 and line), near 160 MB.  That is the worst case, an asymmetric strip; a
-# mirrored one keeps the complex factors of about half its lines.  |diag| and |off|, 16
-# bytes per M^2 and line, live only in the backward error, after the factors are freed.
+# refined bump grid.  The blocks are formed where they are read, from their cosine sums
+# (``_SineBlocks``, 48 M bytes a line), so the strip holds its factors: the complex LU of
+# U_j and U_j^-1 C_j, about 32 bytes per M^2 and factored line, 107 MB for an
+# asymmetric strip at the cap; a mirrored one factors about half its lines.
 MAX_FD_STRIP_ENTRIES = 10_000_000
+# Strip lines whose blocks ``_SineSystem.apply`` forms at once, 16 M^2 bytes a line
+APPLY_CHUNK_LINES = 16
 
 
 def __getattr__(name):  # only perfbench/spans.py reads it; ROADMAP item 7 deletes it
@@ -280,18 +286,43 @@ def _edge_modes(shift: np.ndarray, w_s: float, K: int):
     return t, energy
 
 
+class _SineBlocks:
+    """A stack of blocks S diag(v_j) S held as the rows of cosine sums T of v_j
+    (``_sine_blocks``): block j, T(|i - k|) - T(i + k), is formed where it is read.
+    ``[j]`` forms block j, ``[lo:hi]`` and ``[::-1]`` give the stack of those rows,
+    and ``np.asarray`` forms every block at once, each with the same bits."""
+
+    def __init__(self, windows: np.ndarray):
+        self.windows = windows  # (L, 2M + 1, M): window w of row j holds T at m = w - M + 1..w
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return _SineBlocks(self.windows[key])
+        return self._form(self.windows[key])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.asarray(self._form(self.windows), dtype)
+
+    @staticmethod
+    def _form(t: np.ndarray) -> np.ndarray:
+        M = t.shape[-1]
+        return t[..., :M, ::-1] - t[..., M + 1:, :]
+
+
 @dataclass(frozen=True)
 class _SineSystem:
     """The 2-D system in the sine basis.  Its unknowns are packed in one vector:
     mode n's chains on edges 1 and 2 (2, K - 1), outward from the interface, then
     the J + 1 strip lines (J + 1, M).  Each other mode's edge chains leave in closed
-    form (``_edge_modes``) as w_s t_k on its mode of both interface lines.  Only the
-    real blocks are held: ``apply`` forms |A| where it reads it."""
+    form (``_edge_modes``) as w_s t_k on its mode of both interface lines.  The real
+    blocks are held as their cosine sums (``_SineBlocks``), 3M values a line and stack,
+    and formed where they are read: line by line in the strip factor and
+    ``APPLY_CHUNK_LINES`` lines at a time in ``apply``, which takes |A| of each chunk."""
 
     grid: WaveguideGrid
     n: int
-    diag: np.ndarray         # (J + 1, M, M) real symmetric block of each strip line
-    off: np.ndarray          # (J, M, M) real symmetric block between lines j, j + 1
+    diag: _SineBlocks        # (J + 1, M, M) real symmetric block of each strip line
+    off: _SineBlocks         # (J, M, M) real symmetric block between lines j, j + 1
     strip_diag: np.ndarray   # (J + 1, M) mode diagonal of the strip lines
     edge_gain: np.ndarray    # (M,) w_s t_k on each interface line, 0 for mode n
     edge_energy: np.ndarray  # (M,) E_k of each edge chain per |x_k|^2, 0 for mode n
@@ -306,52 +337,74 @@ class _SineSystem:
 
     def apply(self, y: np.ndarray, absolute: bool = False) -> np.ndarray:
         """A y, or |A| |y| (blocks, mode diagonal and edge gain apart) if ``absolute``."""
+        return self._apply(y, (absolute,))[0]
+
+    def _apply(self, y: np.ndarray, moduli: tuple[bool, ...]) -> list[np.ndarray]:
+        """``apply(y, absolute)`` for each flag of moduli, in one pass over the blocks:
+        each chunk of lines forms its blocks once and takes their modulus once.  Line j
+        adds D_j x_j, then C_j x_(j+1), then C_(j-1) x_(j-1), as one product each, in
+        every chunk: the bits do not depend on where the chunks end."""
         J, n = self.grid.n_vertex, self.n
-        parts = self.diag, self.off, self.strip_diag, self.edge_gain, self.chain_diag, self.w_s, y
-        a, a_off, d, gain, c, w_s, y = map(np.abs, parts) if absolute else parts
-        chains, lines = self.split(y)
-        out = np.empty_like(y)
-        out_chains, out_lines = self.split(out)
+        parts = self.strip_diag, self.edge_gain, self.chain_diag, self.w_s, y
+        terms = [tuple(map(np.abs, parts)) if absolute else parts for absolute in moduli]
+        lines = [self.split(t[-1])[1] for t in terms]
         # a complex line as its (re, im) columns: real products, no complex copy of the blocks
-        x = lines[..., None] if absolute else lines.view(float).reshape(J + 1, -1, 2)
-        prod = a @ x
-        prod[:-1] += a_off @ x[1:]
-        prod[1:] += a_off @ x[:-1]
-        out_lines[:] = prod.reshape(J + 1, -1).view(y.dtype) + d * lines
-        out_lines[[0, J]] += gain * lines[[0, J]]
-        out_lines[[0, J], n - 1] += w_s * chains[:, 0]
-        out_chains[:] = c * chains
-        out_chains[:, :-1] += w_s * chains[:, 1:]
-        out_chains[:, 1:] += w_s * chains[:, :-1]
-        out_chains[:, 0] += w_s * lines[[0, J], n - 1]
-        return out
+        xs = [v[..., None] if absolute else v.view(float).reshape(J + 1, -1, 2)
+              for v, absolute in zip(lines, moduli)]
+        prods = [np.empty_like(x) for x in xs]
+        for lo in range(0, J + 1, APPLY_CHUNK_LINES):
+            hi, c0 = min(lo + APPLY_CHUNK_LINES, J + 1), max(lo - 1, 0)
+            top, low = min(hi, J), max(lo, 1)  # the lines with a neighbour above, below
+            blocks = np.asarray(self.diag[lo:hi]), np.asarray(self.off[c0:top])
+            for x, prod, absolute in zip(xs, prods, moduli):
+                a, c = map(np.abs, blocks) if absolute else blocks
+                prod[lo:hi] = a @ x[lo:hi]
+                prod[lo:top] += c[lo - c0:] @ x[lo + 1: top + 1]
+                prod[low:hi] += c[low - 1 - c0: hi - 1 - c0] @ x[low - 1: hi - 1]
+        outs = []
+        for prod, (d, gain, c, w_s, y) in zip(prods, terms):
+            chains, lines = self.split(y)
+            out = np.empty_like(y)
+            out_chains, out_lines = self.split(out)
+            out_lines[:] = prod.reshape(J + 1, -1).view(y.dtype) + d * lines
+            out_lines[[0, J]] += gain * lines[[0, J]]
+            out_lines[[0, J], n - 1] += w_s * chains[:, 0]
+            out_chains[:] = c * chains
+            out_chains[:, :-1] += w_s * chains[:, 1:]
+            out_chains[:, 1:] += w_s * chains[:, :-1]
+            out_chains[:, 0] += w_s * lines[[0, J], n - 1]
+            outs.append(out)
+        return outs
 
     def backward_error(self, y: np.ndarray, b: np.ndarray) -> float:
         """Componentwise backward error max |b - A y| / (|A| |y| + |b|) over every
-        row that holds a computed value, mode n's chains and the strip, with |A|
-        taken of the blocks for this one product; the term
-        w_s t_k x_k of a closed-form chain is apart in |A| |y|, as |w_s| |y_1|.  A mode
-        the data do not reach (k != n on a flat profile) is 0 or subnormal, with no
-        relative digits, so the denominators are floored at tiny/eps."""
+        row that holds a computed value, mode n's chains and the strip.  A y and
+        |A| |y| are read in one pass over the blocks, |A| taken of each chunk of
+        them, not of the whole strip; the term w_s t_k x_k of a closed-form chain
+        is apart in |A| |y|, as |w_s| |y_1|.  A mode the data do not reach (k != n
+        on a flat profile) is 0 or subnormal, with no relative digits, so the
+        denominators are floored at tiny/eps."""
         floor = np.finfo(float).tiny / np.finfo(float).eps
-        denom = np.maximum(self.apply(y, absolute=True) + np.abs(b), floor)
-        return float(np.max(np.abs(b - self.apply(y)) / denom))
+        a_y, abs_a_y = self._apply(y, (False, True))
+        denom = np.maximum(abs_a_y + np.abs(b), floor)
+        return float(np.max(np.abs(b - a_y) / denom))
 
 
-def _sine_blocks(v: np.ndarray, hu: float, mirrored: bool) -> np.ndarray:
+def _sine_blocks(v: np.ndarray, hu: float, mirrored: bool) -> _SineBlocks:
     """S diag(v_j) S for each row v_j of v, (L, M) -> (L, M, M), as Toeplitz minus
     Hankel: by 2 sin a sin b = cos(a - b) - cos(a + b), entry (i, k) is
     T(|i - k|) - T(i + k), T(m) = h_u sum_l v_l cos(m l pi h_u), and one product
-    gives T at m = -(M - 1)..2M, of which both are strided views.  A ``mirrored`` v
-    (rows reversed, bit for bit) gives mirrored blocks, bit for bit: the product runs
-    on its first half, since BLAS may round equal rows differently by their position."""
+    gives T at m = -(M - 1)..2M, of which both are strided views.  Only the (L, 3M)
+    table of T is held: ``_SineBlocks`` forms each block from it where it is read.  A
+    ``mirrored`` v (rows reversed, bit for bit) gives mirrored blocks, bit for bit: the
+    product runs on its first half, since BLAS may round equal rows differently by
+    their position."""
     M, rows = v.shape[1], np.arange(len(v))
     if mirrored:
         rows = np.minimum(rows, rows[::-1])
     k, m = np.arange(1, M + 1), np.abs(np.arange(1 - M, 2 * M + 1))
     t = (v[: rows.max() + 1] @ (hu * np.cos(np.outer(k, m) * (math.pi * hu))))[rows]
-    t = np.lib.stride_tricks.sliding_window_view(t, M, axis=1)
-    return t[:, :M, ::-1] - t[:, M + 1:]
+    return _SineBlocks(np.lib.stride_tricks.sliding_window_view(t, M, axis=1))
 
 
 def _sine_system(grid: WaveguideGrid, profile: CurvatureProfile, n: int,
@@ -423,15 +476,20 @@ def trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
     return w
 
 
-def _strip_factor(diag: np.ndarray, off: np.ndarray, d: np.ndarray, mirrored: bool):
+def _strip_factor(diag, off, d: np.ndarray, mirrored: bool):
     """solve(r) = x, both (J + 1, M), for the strip of blocks D_j = diag[j] + diag(d[j])
-    and C_j = off[j] on both sides of them.  Twisted block LU, met at line m = J // 2:
+    and C_j = off[j] on both sides of them.  diag and off are indexable stacks: arrays or
+    the ``_SineBlocks`` of a system, whose blocks are formed here once per line and
+    sweep.  Twisted block LU, met at line m = J // 2:
     lines 0..m-1 by U_0 = D_0, U_j = D_j - C_{j-1} G_{j-1} and G_j = U_j^-1 C_j (getrf,
     getrs), lines J..m+1 by the same sweep on the mirrored strip (every array reversed),
     and Z = D_m - C_{m-1} G_{m-1} - C_m H_{m+1} on line m.  When J is even and the
     blocks (``mirrored``, as ``_SineSystem`` records) and d equal themselves reversed,
-    the second sweep is the first: half the lines are factored.  The solve runs
-    forward from both ends, solves Z, and substitutes back outward.  A real block
+    the second sweep is the first: half the lines are factored.  A sweep writes each
+    U_j in Fortran order into one slab of its lines, where getrf factors it, and keeps
+    its G_j in a second: 32 M^2 bytes a factored line, about all the strip holds.  The
+    solve runs forward from both ends, solves Z, and substitutes back outward; on a
+    mirrored strip both ends read one C_j, formed once per line.  A real block
     times a complex one is one real product on the (re, im) columns of the complex one.
 
     Every getrs of the solve takes two right-hand sides: on a mirrored strip line j's
@@ -441,19 +499,20 @@ def _strip_factor(diag: np.ndarray, off: np.ndarray, d: np.ndarray, mirrored: bo
     not depend on the thread count wherever getrf's do not: up to M = 63 (at M = 127
     they do).  The products stay one per column: a 2-column one rounds differently."""
     from scipy.linalg import lapack  # at first use: analytic commands never load scipy
-    J, M = off.shape[0], diag.shape[1]
+    J, M = d.shape[0] - 1, d.shape[1]
     m, flips = J // 2, (slice(None), slice(None, None, -1))
 
     def sweep(diag, off, d, count):
         """LU of the first ``count`` lines, their G_j, and C G of the last."""
-        factors, gain = [], np.empty((count, M, M), dtype=complex)
-        schur = np.zeros((M, M), dtype=complex)
+        lu, gain = (np.empty((count, M, M), dtype=complex) for _ in range(2))
+        factors, schur = [], np.zeros((M, M), dtype=complex)
         for j in range(count):
-            u = diag[j] - schur
-            u.flat[:: M + 1] += d[j]
-            factors.append(lapack.zgetrf(u)[:2])
-            gain[j] = lapack.zgetrs(*factors[j], off[j])[0]
-            schur = (off[j] @ gain[j].view(float)).view(complex)
+            c = off[j]
+            np.subtract(diag[j], schur, out=lu[j].T)  # U_j in Fortran order: lu[j] holds U_j^T
+            lu[j].flat[:: M + 1] += d[j]
+            factors.append(lapack.zgetrf(lu[j].T, overwrite_a=True)[:2])
+            gain[j] = lapack.zgetrs(*factors[j], c)[0]
+            schur = (c @ gain[j].view(float)).view(complex)
         return factors, gain, schur
 
     top = sweep(diag, off, d, m)
@@ -463,21 +522,23 @@ def _strip_factor(diag: np.ndarray, off: np.ndarray, d: np.ndarray, mirrored: bo
     z.flat[:: M + 1] += d[m]
     middle = lapack.zgetrf(z)[:2]
 
-    # the forward sweeps: both ends on the one set of LU factors, or each on its own
-    sweeps = [(top[0], flips)] if same else [(h[0], (flip,)) for h, flip in zip(halves, flips)]
+    # the forward sweeps: both ends on the one set of LU factors and of C_j (line J - 1 - j's
+    # is line j's, bit for bit), or each on its own
+    sweeps = [(top[0], flips, off)] if same else \
+        [(h[0], (flip,), off[flip]) for h, flip in zip(halves, flips)]
     pair = np.zeros((M, 2), dtype=complex, order="F")  # getrs' two right-hand sides
 
     def solve(r: np.ndarray) -> np.ndarray:
         x, rhs = np.empty((J + 1, M), dtype=complex), r[m].copy()
-        for factors, ends in sweeps:
-            views, cw = [(x[flip], r[flip], off[flip]) for flip in ends], [0.0] * len(ends)
+        for factors, ends, off_h in sweeps:
+            views, cw = [(x[flip], r[flip]) for flip in ends], [0.0] * len(ends)
             for j, lu in enumerate(factors):
-                for k, (_, r_h, _) in enumerate(views):
+                for k, (_, r_h) in enumerate(views):
                     np.subtract(r_h[j], cw[k], out=pair[:, k])
-                y = lapack.zgetrs(*lu, pair)[0]
-                for k, (x_h, _, c) in enumerate(views):
+                y, c = lapack.zgetrs(*lu, pair)[0], off_h[j]
+                for k, (x_h, _) in enumerate(views):
                     x_h[j] = y[:, k]
-                    cw[k] = (c[j] @ x_h[j].view(float).reshape(M, 2)).ravel().view(complex)
+                    cw[k] = (c @ x_h[j].view(float).reshape(M, 2)).ravel().view(complex)
             for w in cw:
                 rhs -= w
         pair[:, 0], pair[:, 1] = rhs, 0.0

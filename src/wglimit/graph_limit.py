@@ -87,9 +87,15 @@ def apply_resolvent_grid(res: GraphResolvent, f1, f2, s, edge: int):
     if edge not in (1, 2):
         raise ValueError(f"edge must be 1 or 2, got {edge!r}")
     r0 = HalfLineResolvent(res.z)
-    q = 0.0 if res.projector is None else \
-        graph_q(res, boundary_derivatives(r0, f1, f2))[edge - 1]
-    return edge_field(r0, f1 if edge == 1 else f2, q, s)
+    return edge_field(r0, f1 if edge == 1 else f2, edge_amplitudes(res, r0, f1, f2)[edge - 1], s)
+
+
+def edge_amplitudes(res: GraphResolvent, r0: HalfLineResolvent, f1, f2) -> tuple:
+    """The outgoing amplitude q_j on each edge of the graph resolvent for data
+    (f1, f2), r0 = r0(res.z): 0.0 when decoupled, which reads no data."""
+    if res.projector is None:
+        return 0.0, 0.0
+    return tuple(graph_q(res, boundary_derivatives(r0, f1, f2)))
 
 
 def limit_comparison(sol: ApproxSolution) -> float:

@@ -328,11 +328,14 @@ def _h(k: complex, t):
     return -0.5j * np.expm1(2j * k * t)
 
 
-def edge_field(res: HalfLineResolvent, f, q: complex, s):
+def edge_field(res: HalfLineResolvent, f, q, s):
     """r0(z) f + q exp(i sqrt(z) s) at edge points s (a complex for a
-    scalar s, bit for bit the 1-point grid's value); f may be None."""
+    scalar s, bit for bit the 1-point grid's value); f may be None.  A tuple
+    of amplitudes q gives a list of fields, one per amplitude, on one r0 f."""
     s = np.asarray(s, dtype=float)
     base = np.zeros(s.size, dtype=complex) if f is None else \
         half_line_apply_grid(res, f, s.ravel())
-    out = (base + q * np.exp(1j * res.sqrt_z * s.ravel())).reshape(s.shape)
-    return complex(out) if out.ndim == 0 else out
+    wave = np.exp(1j * res.sqrt_z * s.ravel())
+    out = [(base + a * wave).reshape(s.shape) for a in (q if isinstance(q, tuple) else (q,))]
+    out = [complex(v) if v.ndim == 0 else v for v in out]
+    return out if isinstance(q, tuple) else out[0]

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from scipy.linalg import lapack
 from wglimit import GaussianPulse, assemble, fd_vertex_eigen, oracle_report
 from wglimit.cli import main
 from wglimit.fd_oracle import (
+    APPLY_CHUNK_LINES,
     MAX_FD_UNKNOWNS,
     MIN_EDGE_STEPS,
     SOLVE_RESIDUAL_TOL,
@@ -32,7 +34,7 @@ from wglimit.fd_oracle import (
     suggest_edge_length,
     trapezoid_weights,
 )
-from wglimit.profile import geometry_fields
+from wglimit.profile import CurvatureProfile, geometry_fields
 from wglimit.residual import chi_mode, data_norm
 
 from conftest import ShiftedBump
@@ -203,8 +205,9 @@ class TestFDResolvent:
         grid = small_grid()
         system = _sine_system(grid, bump05, 1, Z4)
         J, M = grid.n_vertex, grid.n_u
-        assert system.diag.shape == (J + 1, M, M) and system.off.shape == (J, M, M)
-        for blocks in (system.diag, system.off):
+        diag, off = np.asarray(system.diag), np.asarray(system.off)
+        assert diag.shape == (J + 1, M, M) and off.shape == (J, M, M)
+        for blocks in (diag, off):
             assert np.abs(blocks - blocks.transpose(0, 2, 1)).max() <= 1e-14 * np.abs(blocks).max()
 
     @pytest.mark.parametrize("even", [False, True])
@@ -212,7 +215,8 @@ class TestFDResolvent:
         # the flag the strip factor reads, from the line arrays, against the blocks
         profile = bump05 if even else ShiftedBump("bump", 0.5)
         system = _sine_system(small_grid(), profile, 1, Z4)
-        assert system.mirrored == blocks_mirrored(system.diag, system.off) == even
+        blocks = np.asarray(system.diag), np.asarray(system.off)
+        assert system.mirrored == blocks_mirrored(*blocks) == even
 
     def test_apply_matches_dense_operator(self, bump05):
         # A y and |A| |y| against the matrix built out of the dense blocks,
@@ -489,7 +493,7 @@ class TestEdgeElimination:
         grid = small_grid_hs(2 / 96)
         system = _sine_system(grid, bump05, 1, Z4)
         assert np.array_equal(-grid.vertex_s[::-1], grid.vertex_s)
-        for a in (system.diag, system.off, system.strip_diag):
+        for a in (np.asarray(system.diag), np.asarray(system.off), system.strip_diag):
             assert np.array_equal(a[::-1], a)
         shapes = count_zgetrf(monkeypatch)
         fd_resolvent(grid, bump05, 1, Z4, F_G, None)
@@ -657,10 +661,86 @@ class TestStripFactor:
         hu = 1.0 / (m + 1)
         S = sine_matrix(hu)
         want = (S * v[:, None, :]) @ S
-        got = _sine_blocks(v, hu, blocks_mirrored(v))
+        got = np.asarray(_sine_blocks(v, hu, blocks_mirrored(v)))
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert np.array_equal(got, got.transpose(0, 2, 1))
         assert np.array_equal(got[::-1], got) == mirrored
+
+
+def dense_apply(system, y: np.ndarray, absolute: bool = False) -> np.ndarray:
+    """``_SineSystem.apply`` on the materialised blocks, in whole-strip products:
+    line j adds D_j x_j, then C_j x_(j+1), then C_(j-1) x_(j-1)."""
+    J, n = system.grid.n_vertex, system.n
+    parts = (np.asarray(system.diag), np.asarray(system.off), system.strip_diag,
+             system.edge_gain, system.chain_diag, system.w_s, y)
+    a, a_off, d, gain, c, w_s, y = map(np.abs, parts) if absolute else parts
+    chains, lines = system.split(y)
+    out = np.empty_like(y)
+    out_chains, out_lines = system.split(out)
+    x = lines[..., None] if absolute else lines.view(float).reshape(J + 1, -1, 2)
+    prod = a @ x
+    prod[:-1] += a_off @ x[1:]
+    prod[1:] += a_off @ x[:-1]
+    out_lines[:] = prod.reshape(J + 1, -1).view(y.dtype) + d * lines
+    out_lines[[0, J]] += gain * lines[[0, J]]
+    out_lines[[0, J], n - 1] += w_s * chains[:, 0]
+    out_chains[:] = c * chains
+    out_chains[:, :-1] += w_s * chains[:, 1:]
+    out_chains[:, 1:] += w_s * chains[:, :-1]
+    out_chains[:, 0] += w_s * lines[[0, J], n - 1]
+    return out
+
+
+class TestLazyBlocks:
+    """The strip's blocks are formed where they are read: by chunks of
+    ``APPLY_CHUNK_LINES`` lines in ``apply`` and line by line in the factor.
+    Every product and sum is the one on the materialised blocks, bit for bit."""
+
+    @pytest.mark.parametrize("lines", sorted({2, 3, APPLY_CHUNK_LINES - 1, APPLY_CHUNK_LINES,
+                                              APPLY_CHUNK_LINES + 1, 2 * APPLY_CHUNK_LINES + 1}))
+    @pytest.mark.parametrize("even", [True, False])
+    def test_chunk_edges_bit_for_bit(self, bump05, lines, even):
+        profile = bump05 if even else ShiftedBump("bump", 0.5)
+        system = _sine_system(small_grid_hs(2 / (lines - 1)), profile, 1, Z4)
+        assert system.grid.n_vertex + 1 == lines
+        size = 2 * (system.grid.n_edge - 1) + lines * system.grid.n_u
+        y, b = [1.0, 1j] @ np.random.default_rng(lines).standard_normal((2, 2, size))
+        assert np.array_equal(system.apply(y), dense_apply(system, y))
+        assert np.array_equal(system.apply(y, absolute=True), dense_apply(system, y, True))
+        floor = np.finfo(float).tiny / np.finfo(float).eps
+        denom = np.maximum(dense_apply(system, y, True) + np.abs(b), floor)
+        want = float(np.max(np.abs(b - dense_apply(system, y)) / denom))
+        assert system.backward_error(y, b) == want
+
+    @pytest.mark.parametrize("lines", [2, 17, 18])
+    @pytest.mark.parametrize("even", [True, False])
+    def test_strip_factor_on_lazy_blocks(self, bump05, lines, even):
+        # the factor forms each block from its cosine sums as np.asarray does
+        profile = bump05 if even else ShiftedBump("bump", 0.5)
+        system = _sine_system(small_grid_hs(2 / (lines - 1)), profile, 1, Z4)
+        re, im = np.random.default_rng(lines).standard_normal((2, lines, system.grid.n_u))
+        r = re + 1j * im
+        lazy = _strip_factor(system.diag, system.off, system.strip_diag, system.mirrored)
+        dense = _strip_factor(np.asarray(system.diag), np.asarray(system.off),
+                              system.strip_diag, system.mirrored)
+        assert np.array_equal(lazy(r), dense(r))
+
+    def test_resolvent_peak_memory_is_the_factors(self):
+        # the refined bump grid of the fd-oracle benchmark (M = 63, J = 256): one
+        # warm solve allocates its LU and gain slabs, 32 M^2 (J//2 + 1) bytes on this
+        # mirrored strip, and little else
+        profile, z = CurvatureProfile.bump(-0.586), complex(-0.149, -0.8635)
+        grid = WaveguideGrid.build(0.3, 0.3**3, z, h_u=1 / 64, h_s=1 / 64).refined()
+        M, J = grid.n_u, grid.n_vertex
+        assert (M, J) == (63, 256)
+        fd_resolvent(grid, profile, 1, z, F_G, None)
+        tracemalloc.start()
+        try:
+            fd_resolvent(grid, profile, 1, z, F_G, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * M**2 * (J // 2 + 1) + 6 * 2**20
 
 
 class TestThinGuide:

@@ -175,7 +175,8 @@ def _build_config(args) -> ExperimentConfig:
         p2 = _parse_z(args.p2)
         kwargs["p"] = (p1, p2)
     else:
-        kwargs["n"] = args.n
+        if metric == "residual":  # the only metric that reads chi_n
+            kwargs["n"] = args.n
         kwargs["f1"] = _parse_edge_fn(args.f1)
         kwargs["f2"] = _parse_edge_fn(args.f2)
         kwargs["p"] = None
@@ -216,20 +217,22 @@ def _cmd_oracle_compare(args) -> int:
     return 0
 
 
-def _add_sweep_flags(sub, coupling: bool) -> None:
+def _add_sweep_flags(sub, metric: str) -> None:
     sub.add_argument("--profile", default="zero")
     sub.add_argument("--z", default="0,1", help="RE,IM")
     sub.add_argument("--eps-grid", default="2^-6..2^-14")
     sub.add_argument("--delta-rule", default="power:1.5")
     sub.add_argument("--window-policy", default=DEFAULT_WINDOW_POLICY)
     sub.add_argument("--out", required=True)
-    if coupling:
+    if metric == "coupling":
         sub.add_argument("--p1", default="1,0")
         sub.add_argument("--p2", default="0,0")
     else:
-        sub.add_argument("--n", type=int, default=1)
+        if metric == "residual":
+            sub.add_argument("--n", type=int, default=1)
         sub.add_argument("--f1", default="gaussian:3,0.5")
         sub.add_argument("--f2", default="none")
+    sub.set_defaults(func=_cmd_sweep, metric=metric)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,17 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     kp.add_argument("--out", required=True)
     kp.set_defaults(func=_cmd_kernel)
 
-    cp = subs.add_parser("coupling", help="coupling deviation sweep")
-    _add_sweep_flags(cp, coupling=True)
-    cp.set_defaults(func=_cmd_sweep, metric="coupling")
-
-    rp = subs.add_parser("residual-sweep", help="residual norm sweep")
-    _add_sweep_flags(rp, coupling=False)
-    rp.set_defaults(func=_cmd_sweep, metric="residual")
-
-    gp = subs.add_parser("graph-limit", help="graph resolvent comparison sweep")
-    _add_sweep_flags(gp, coupling=False)
-    gp.set_defaults(func=_cmd_sweep, metric="graph-limit")
+    _add_sweep_flags(subs.add_parser("coupling", help="coupling deviation sweep"), "coupling")
+    _add_sweep_flags(subs.add_parser("residual-sweep", help="residual norm sweep"), "residual")
+    _add_sweep_flags(subs.add_parser("graph-limit", help="graph resolvent comparison sweep"),
+                     "graph-limit")
 
     op = subs.add_parser("oracle-compare", help="FD oracle vs graph limit")
     op.add_argument("--profile", default="zero")

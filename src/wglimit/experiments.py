@@ -4,7 +4,10 @@ A sweep walks eps down a strictly decreasing grid, pairs it with a width
 delta through a rule (fixed ratio delta = r*eps or power delta = eps^a),
 evaluates one ``METRICS`` point function per point on a ``SweepContext``
 that holds everything eps-independent (built once per sweep), and fits
-log-log slopes on a stabilised window.
+log-log slopes on a stabilised window.  A coupling or graph-limit point
+is the kernel at eps^2 z and the closed-form coupling solve, and no more:
+its row is a reduction of the coefficients (q, xi, p); only a residual
+point assembles the trial field.
 Results persist as CSV (rows plus a trailing slope summary) and JSON;
 both embed the fully resolved config so outputs are self-describing and
 bitwise reproducible.  ``oracle_report`` is the oracle-compare report.
@@ -25,13 +28,14 @@ import numpy as np
 
 from . import __version__
 from .coupling import (
+    CouplingCoefficients,
     KirchhoffProjector,
     asymptotic_deviation,
     resonant_projector,
     solve_coupling_from_kernel,
 )
 from .fd_oracle import H_S, H_U, TRUNCATION_TOL, WaveguideGrid, fd_resolvent, trapezoid_weights
-from .graph_limit import boundary_limits, edge_amplitudes, limit_comparison, limit_resolvent
+from .graph_limit import boundary_limits, graph_q, limit_comparison, limit_resolvent
 from .kernels import (
     ExpDecay,
     GaussianPulse,
@@ -196,6 +200,9 @@ class ExperimentConfig:
             edge_function_from_spec(spec)
         if not _is_int(self.n) or self.n < 1:
             raise ConfigError(f"transverse index n must be an integer >= 1, got {self.n!r}")
+        if self.n != 1 and self.metric != "residual":  # their rows do not depend on n
+            raise ConfigError(f"metric {self.metric!r} reads no transverse mode; "
+                              f"n must be 1, got {self.n}")
         if not _is_int(self.quadrature_order) or self.quadrature_order < MIN_QUADRATURE_ORDER:
             raise ConfigError(f"quadrature order must be an integer >= {MIN_QUADRATURE_ORDER}, "
                               f"got {self.quadrature_order!r}")
@@ -361,12 +368,19 @@ class SweepContext:
         return SweepContext(config, case, f1, f2, p, projector, residual)
 
 
-def _coupling_point(ctx: SweepContext, eps: float, delta: float) -> dict:
+def _solve_point(ctx: SweepContext, eps: float) -> CouplingCoefficients:
+    """The coupling coefficients at eps: the kernel at eps^2 z, then the
+    closed-form solve."""
     cfg = ctx.config
     kernel = vertex_kernel_at(cfg.profile, eps**2 * cfg.z)
-    # a p near overflow can overflow q (the solve raises) or xi: the point fails
+    # a p near overflow can overflow q (the solve raises) or xi
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = solve_coupling_from_kernel(kernel, cfg.z, eps, ctx.p, ctx.case)
+        return solve_coupling_from_kernel(kernel, cfg.z, eps, ctx.p, ctx.case)
+
+
+def _coupling_point(ctx: SweepContext, eps: float, delta: float) -> dict:
+    coeffs = _solve_point(ctx, eps)
+    with np.errstate(over="ignore", invalid="ignore"):
         dev = asymptotic_deviation(coeffs, ctx.projector)
     row = {"dev_q": dev.dev_q, "dev_xi": dev.dev_xi}
     if not (np.isfinite(coeffs.xi).all() and all(map(math.isfinite, row.values()))):
@@ -375,15 +389,12 @@ def _coupling_point(ctx: SweepContext, eps: float, delta: float) -> dict:
     return row
 
 
-def _assemble(ctx: SweepContext, eps: float, delta: float):
-    cfg = ctx.config
-    return assemble(cfg.profile, cfg.n, cfg.z, eps, delta, ctx.f1, ctx.f2,
-                    p=ctx.p, case=ctx.case)
-
-
 def _residual_point(ctx: SweepContext, eps: float, delta: float) -> dict:
-    rep = residual_norms(_assemble(ctx, eps, delta), ctx.config.quadrature_order,
-                         ctx.config.quadrature_panels, table=ctx.residual)
+    cfg = ctx.config
+    sol = assemble(cfg.profile, cfg.n, cfg.z, eps, delta, ctx.f1, ctx.f2,
+                   p=ctx.p, case=ctx.case)
+    rep = residual_norms(sol, cfg.quadrature_order, cfg.quadrature_panels,
+                         table=ctx.residual)
     bound = rep.bound_case2 if ctx.case.resonant else rep.bound_case1
     return {
         "residual_Hnorm": rep.residual_Hnorm,
@@ -395,9 +406,9 @@ def _residual_point(ctx: SweepContext, eps: float, delta: float) -> dict:
 
 
 def _graph_limit_point(ctx: SweepContext, eps: float, delta: float) -> dict:
-    sol = _assemble(ctx, eps, delta)
-    row = {"comparison_norm": limit_comparison(sol)}
-    lims = boundary_limits(sol)
+    coeffs = _solve_point(ctx, eps)
+    row = {"comparison_norm": limit_comparison(coeffs)}
+    lims = boundary_limits(coeffs)
     if ctx.case.resonant:
         row.update(lims)  # kirchhoff_value_defect, kirchhoff_flux_defect
     else:
@@ -525,10 +536,9 @@ def oracle_report(profile: CurvatureProfile, z: complex, epsilon: float,
     fnorm = data_norm(f1, f2)
     _check_data_norm(fnorm)
     sol = assemble(profile, n, z, epsilon, delta, f1, f2)
-    res = limit_resolvent(sol.case, z)
     # the limit's and the trial field's edge values before any solve, on one r0 f per
     # edge (both read r0(z) and the same data): their half-line panel bound is checked here
-    r0, q_limit = sol.resolvent0, edge_amplitudes(res, sol.resolvent0, f1, f2)
+    r0, q_limit = sol.resolvent0, graph_q(limit_resolvent(sol.case, z), sol.coeffs.p)
     limit, trial = zip(*(edge_field(r0, f, (q_limit[e], sol.coeffs.q[e]), grid.edge_s)
                          for e, f in enumerate((f1, f2))))
     fd = fd_resolvent(grid, profile, n, z, f1, f2)

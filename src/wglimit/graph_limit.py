@@ -9,11 +9,13 @@ vertex appear as collapse limits:
     P0 x'(0) = 0, resolvent  r0(z) f_j + q_j exp(i sqrt(z) s)  with
     q = (i/sqrt(z)) P0 p  and  p_j = (r0(z) f_j)'(0).
 
-The limit a trial field is compared with is read from the field's own
-case label (``limit_resolvent(sol.case, sol.z)``), so a solution cannot
-be paired with the wrong limit.  The comparison reduces analytically:
-the r0 parts cancel edgewise, leaving pure outgoing tails whose L2 norm
-is |q_eps - q| / sqrt(2 Im sqrt(z)) per edge.
+The comparison with the limit reads only the coupling coefficients of the
+point (``CouplingCoefficients``: z, p, q, xi and the case label), no trial
+field.  The limit is the one of their own case label
+(``limit_resolvent(coeffs.case, coeffs.z)``), so a solution cannot be
+paired with the wrong limit, and the comparison reduces analytically: the
+r0 parts cancel edgewise, leaving pure outgoing tails whose L2 norm is
+|q_eps - q| / sqrt(2 Im sqrt(z)) per edge.
 """
 
 from __future__ import annotations
@@ -22,14 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import KirchhoffProjector, kirchhoff_projector
-from .kernels import (
-    HalfLineResolvent,
-    boundary_derivatives,
-    edge_field,
-    sqrt_upper,
-)
-from .residual import ApproxSolution
+from .coupling import CouplingCoefficients, KirchhoffProjector, kirchhoff_projector
+from .kernels import HalfLineResolvent, boundary_derivatives, edge_field, sqrt_upper
 from .vertex_spectrum import CaseLabel
 
 __all__ = [
@@ -87,47 +83,41 @@ def apply_resolvent_grid(res: GraphResolvent, f1, f2, s, edge: int):
     if edge not in (1, 2):
         raise ValueError(f"edge must be 1 or 2, got {edge!r}")
     r0 = HalfLineResolvent(res.z)
-    return edge_field(r0, f1 if edge == 1 else f2, edge_amplitudes(res, r0, f1, f2)[edge - 1], s)
+    q = 0.0  # the outgoing amplitude; decoupled, the data are not read
+    if res.projector is not None:
+        q = graph_q(res, boundary_derivatives(r0, f1, f2))[edge - 1]
+    return edge_field(r0, f1 if edge == 1 else f2, q, s)
 
 
-def edge_amplitudes(res: GraphResolvent, r0: HalfLineResolvent, f1, f2) -> tuple:
-    """The outgoing amplitude q_j on each edge of the graph resolvent for data
-    (f1, f2), r0 = r0(res.z): 0.0 when decoupled, which reads no data."""
-    if res.projector is None:
-        return 0.0, 0.0
-    return tuple(graph_q(res, boundary_derivatives(r0, f1, f2)))
+def limit_comparison(coeffs: CouplingCoefficients) -> float:
+    """L2 distance (both edges) between the trial and the limit edge profiles
+    of the point whose coupling coefficients these are.
 
-
-def limit_comparison(sol: ApproxSolution) -> float:
-    """L2 distance (both edges) between the trial and the limit edge profiles.
-
-    The limit is the one of the solution's case.  The r0 parts agree
+    The limit is the one of the coefficients' case.  The r0 parts agree
     identically, so the distance is carried by the outgoing tails:
     ||(q_eps - q) exp(i sqrt(z) .)||  per edge.
     """
-    q_g = graph_q(limit_resolvent(sol.case, sol.z), sol.coeffs.p)
-    sq = sol.resolvent0.sqrt_z
-    tail_sq = 1.0 / (2.0 * sq.imag)
-    diff = sol.coeffs.q - q_g
+    q_g = graph_q(limit_resolvent(coeffs.case, coeffs.z), coeffs.p)
+    tail_sq = 1.0 / (2.0 * sqrt_upper(coeffs.z).imag)
+    diff = coeffs.q - q_g
     return float(np.sqrt(float(np.sum(np.abs(diff) ** 2)) * tail_sq))
 
 
-def boundary_limits(sol: ApproxSolution) -> dict:
-    """Vertex boundary-value diagnostics of the edge profiles.
+def boundary_limits(coeffs: CouplingCoefficients) -> dict:
+    """Vertex boundary-value diagnostics of the edge profiles, whose values
+    and derivatives at the vertex are q and xi.
 
     Generic case: both boundary values must vanish in the limit while
     the derivatives approach p.  Resonant case: the weighted-Kirchhoff
     combinations a2 x1(0) - a1 x2(0) and a1 x1'(0) + a2 x2'(0) vanish.
     """
-    q = sol.coeffs.q
-    xi = sol.coeffs.xi
-    p = sol.coeffs.p
-    if not sol.case.resonant:
+    q, xi, p = coeffs.q, coeffs.xi, coeffs.p
+    if not coeffs.case.resonant:
         return {
             "value_defects": (float(abs(q[0])), float(abs(q[1]))),
             "derivative_defects": (float(abs(xi[0] - p[0])), float(abs(xi[1] - p[1]))),
         }
-    a1, a2 = sol.case.alpha1, sol.case.alpha2
+    a1, a2 = coeffs.case.alpha1, coeffs.case.alpha2
     return {
         "kirchhoff_value_defect": float(abs(a2 * q[0] - a1 * q[1])),
         "kirchhoff_flux_defect": float(abs(a1 * xi[0] + a2 * xi[1])),

@@ -40,6 +40,7 @@ quadratic form loses digits to the square of their condition number where
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,7 @@ __all__ = [
     "assemble",
     "chi_mode",
     "data_norm",
+    "max_transverse_index",
     "residual_field",
     "residual_norms",
 ]
@@ -73,6 +75,25 @@ QUADRATURE_ORDER = 8
 # Largest rule a sweep config may ask for: 16 times the default's nodes.
 MAX_QUADRATURE_NODES = 16 * (QUADRATURE_PANELS[0] * QUADRATURE_ORDER
                              * QUADRATURE_PANELS[1] * QUADRATURE_ORDER)
+# Error of the u-rule on chi_n^2 that max_transverse_index admits.
+CHI_TOLERANCE = 1e-10
+
+
+def max_transverse_index(u_panels: int, order: int) -> int:
+    """The largest n (at least 1) whose chi_n^2 = 1 - cos(2 n pi u) the
+    u-rule of u_panels Gauss panels of this order integrates to CHI_TOLERANCE.
+
+    On a panel of width h the order-m rule errs on f by at most
+    (h/2) c_m (h/2)^(2m) max |f^(2m)|, c_m = 2^(2m+1) (m!)^4 / ((2m+1) ((2m)!)^3);
+    over the panels of [0, 1] and for cos(2 n pi u) that is at most
+    c_m kappa^(2m) / 2 with kappa = n pi / u_panels, the half-phase per panel.
+    n must keep c_m kappa^(2m) <= CHI_TOLERANCE (a factor 2 to spare for a
+    smooth weight such as exp(u)).  The default rule admits n <= 15.
+    """
+    log_c = ((2 * order + 1) * math.log(2.0) + 4.0 * math.lgamma(order + 1)
+             - math.log(2 * order + 1) - 3.0 * math.lgamma(2 * order + 1))
+    kappa = math.exp((math.log(CHI_TOLERANCE) - log_c) / (2 * order))
+    return max(1, math.floor(u_panels * kappa / math.pi))
 
 
 def chi_mode(n: int, u):
@@ -264,6 +285,11 @@ class ResidualQuadrature:
               panels: tuple[int, int] = QUADRATURE_PANELS) -> "ResidualQuadrature":
         if quadrature_order < MIN_QUADRATURE_ORDER:
             raise ValueError(f"quadrature order must be >= {MIN_QUADRATURE_ORDER}")
+        if n > (top := max_transverse_index(panels[1], quadrature_order)):
+            # a higher mode oscillates too fast for the u-rule: sum w chi_n^2 drifts from 1
+            raise ValueError(f"transverse index n = {n} exceeds {top}, the largest whose "
+                             f"chi_n^2 the u-rule of {panels[1]} panels of order "
+                             f"{quadrature_order} integrates to {CHI_TOLERANCE:g}")
         s_pts, s_wts = _panel_nodes(-1.0, 1.0, panels[0], quadrature_order)
         u_pts, u_wts = _panel_nodes(0.0, 1.0, panels[1], quadrature_order)
         dnorm = None

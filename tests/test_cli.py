@@ -364,6 +364,41 @@ class TestSweepCommands:
         assert "underflows to delta = 0" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, message", [
+        (["graph-limit", "--n", "2"], "unrecognized arguments: --n 2"),
+        (["coupling", "--n", "2"], "unrecognized arguments: --n 2"),
+        # 16 u-panels of order 8 integrate chi_n^2 to 1e-10 up to n = 15
+        (["residual-sweep", "--f1", "exp:1", "--n", "128"], "n = 128 exceeds 15"),
+    ])
+    def test_transverse_index_exit_code(self, tmp_path, monkeypatch, capsys, argv, message):
+        # graph-limit rows used to ignore --n and write it into their config
+        def no_point(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        for metric in experiments.METRICS:
+            monkeypatch.setitem(experiments.METRICS, metric, no_point)
+        assert main([*argv, "--out", str(tmp_path / "s.csv")]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("metric", ["coupling", "graph-limit"])
+    def test_run_transverse_index_off_residual_exit_code(self, tmp_path, monkeypatch, capsys,
+                                                          metric):
+        def no_point(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        for name in experiments.METRICS:
+            monkeypatch.setitem(experiments.METRICS, name, no_point)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "profile": {"kind": "bump", "amplitude": 0.5}, "metric": metric, "z": [0.0, 1.0],
+            "eps_grid": [0.25, 0.125, 0.0625, 0.03125], "delta_rule": ["ratio", 0.1],
+            "f1": {"type": "exp", "rate": 1.0}, "n": 2}))
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "reads no transverse mode; n must be 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value, unknown", [
         ("f1", {"type": "gaussian", "centre": 5.0, "width": 0.5}, "centre"),
         ("window_polcy", "stabilize", "window_polcy"),
@@ -713,8 +748,9 @@ def _sweep_argv(command):
     if command == "coupling":
         extra = st.tuples(ZS, ZS).map(lambda p: ["--p1", p[0], "--p2", p[1]])
     else:
-        extra = st.tuples(choice(["1", "2"], ["0"]), EDGES, EDGES).map(
-            lambda a: ["--n", a[0], "--f1", a[1], "--f2", a[2]])
+        extra = st.tuples(EDGES, EDGES).map(lambda a: ["--f1", a[0], "--f2", a[1]])
+    if command == "residual-sweep":  # the one sweep that reads chi_n
+        extra = st.tuples(choice(["1", "2"], ["0"]), extra).map(lambda a: ["--n", a[0], *a[1]])
     return st.tuples(common, extra).map(lambda a: [
         command, f"--profile={a[0][0]}", f"--z={a[0][1]}", "--eps-grid", a[0][2],
         "--delta-rule", a[0][3], "--window-policy", a[0][4], *a[1]])

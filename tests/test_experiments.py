@@ -1,21 +1,28 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import wglimit.experiments as experiments
+import wglimit.kernels as kernels
+import wglimit.residual as residual
 import wglimit.vertex_spectrum as vertex_spectrum
-from wglimit import CurvatureProfile, ExperimentConfig, run_sweep
+from wglimit import CurvatureProfile, ExperimentConfig, GaussianPulse, run_sweep
+from wglimit.coupling import solve_coupling_from_kernel
 from wglimit.experiments import (
     ConfigError,
     FitError,
+    SweepContext,
     delta_for,
     edge_function_from_spec,
     fit_slope,
     oracle_report,
 )
+from wglimit.graph_limit import boundary_limits, limit_comparison
+from wglimit.kernels import vertex_kernel_at
 
 ZERO = CurvatureProfile.zero()
 
@@ -223,6 +230,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json_dict(json.loads(json.dumps(d)))
 
+    @pytest.mark.parametrize("metric", ["coupling", "graph-limit"])
+    def test_transverse_index_only_on_residual(self, metric):
+        # neither metric reads chi_n: an n of 2 changed no row, yet was written
+        # into the output's config
+        cfg = ExperimentConfig(profile=ZERO, metric=metric, n=2, p=None,
+                               f1={"type": "exp", "rate": 1.0})
+        with pytest.raises(ConfigError, match="reads no transverse mode"):
+            cfg.validate()
+        dataclasses.replace(cfg, n=1).validate()
+        dataclasses.replace(cfg, metric="residual").validate()
+
     def test_missing_optional_keys_take_defaults(self):
         # edge data is required (p is not given); every other key is optional
         d = {"profile": {"kind": "zero"}, "z": [0.0, 1.0], "f1": {"type": "exp"},
@@ -299,6 +317,40 @@ class TestRunSweep:
         assert "comparison_norm" in payload["slopes"]
         assert len(payload["rows"]) == 6
 
+    @pytest.mark.parametrize("profile_name", ["bump05", "tuned2"])
+    def test_graph_limit_rows_reduce_the_coupling_solve(self, monkeypatch, profile_name,
+                                                        request):
+        # a graph-limit point is the kernel at eps^2 z and the closed-form solve;
+        # it assembles no trial field
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph-limit point assembled a trial field")
+
+        monkeypatch.setattr(experiments, "assemble", refuse)
+        monkeypatch.setattr(residual, "assemble", refuse)
+        profile = request.getfixturevalue(profile_name)
+        cfg = ExperimentConfig(profile=profile, metric="graph-limit", z=0.3 + 0.7j,
+                               eps_grid=dyadic(3, 9), delta_rule=("ratio", 0.1), p=None,
+                               f1={"type": "gaussian", "center": 3.0, "width": 0.5},
+                               f2={"type": "exp", "rate": 2.0})
+        result = run_sweep(cfg)
+        assert not result.failures and len(result.rows) == len(cfg.eps_grid)
+        ctx = SweepContext.build(cfg)
+        assert ctx.case.resonant == (profile_name == "tuned2")
+        for row in result.rows:
+            eps = row["epsilon"]
+            coeffs = solve_coupling_from_kernel(vertex_kernel_at(profile, eps**2 * cfg.z),
+                                                cfg.z, eps, ctx.p, ctx.case)
+            expect = {"comparison_norm": limit_comparison(coeffs)}
+            lims = boundary_limits(coeffs)
+            if ctx.case.resonant:
+                expect.update(lims)
+            else:
+                expect["value_defect_1"], expect["value_defect_2"] = lims["value_defects"]
+                expect["deriv_defect_1"], expect["deriv_defect_2"] = lims["derivative_defects"]
+            got = {key: value.hex() for key, value in row.items()
+                   if key not in ("epsilon", "delta")}
+            assert got == {key: value.hex() for key, value in expect.items()}
+
     def test_resonant_projector_once_per_sweep(self, monkeypatch, tuned2):
         calls = []
 
@@ -344,3 +396,18 @@ class TestRunSweep:
         assert len(result.rows) == 4 and not result.failures
         assert vertex_spectrum.classify(near, 1e-3).resonant
         assert sorted(calls) == [0, 1, 2, 3]
+
+
+class TestOracleReport:
+    @pytest.mark.parametrize("data", [(GaussianPulse(3.0, 0.5), None),
+                                      (GaussianPulse(3.0, 0.5), GaussianPulse(2.5, 0.4))])
+    def test_one_p_quadrature_per_data_record(self, monkeypatch, data):
+        # the limit's amplitudes read the trial field's p: on the resonant zero
+        # profile the report once ran the p quadrature a second time
+        calls = []
+        quadrature = kernels.boundary_derivative
+        monkeypatch.setattr(kernels, "boundary_derivative",
+                            lambda *args: calls.append(args[1]) or quadrature(*args))
+        report = oracle_report(ZERO, 1j, 0.25, 0.25**3, *data, h_u=1 / 8, h_s=1 / 4)
+        assert report["case"] == "2"
+        assert calls == [f for f in data if f is not None]

@@ -17,7 +17,7 @@ from wglimit import (
     residual_norms,
     run_sweep,
 )
-from wglimit.experiments import SweepContext, _assemble, delta_for
+from wglimit.experiments import SweepContext, delta_for
 from wglimit.kernels import sqrt_upper
 from wglimit.profile import geometry_residual_fields
 from wglimit.residual import (
@@ -29,6 +29,7 @@ from wglimit.residual import (
 from wglimit.vertex_spectrum import (
     SERIES_TERMS,
     CoefficientSolution,
+    _panel_nodes,
     _TaylorSide,
     spectrum_for_case,
     taylor_shooting,
@@ -177,6 +178,28 @@ class TestResidualNorms:
         with pytest.raises(ValueError):
             residual_norms(sol, quadrature_order=3)
 
+    @pytest.mark.parametrize("u_panels, order", [(8, 8), (16, 4), (16, 8), (32, 8)])
+    def test_transverse_index_bound_resolves_the_mode(self, u_panels, order):
+        # sum w exp(u) chi_n^2 against its integral (e - 1) w^2 / (1 + w^2),
+        # w = 2 n pi, for every n the rule admits; the exp(u) weight keeps the
+        # rule's symmetry from cancelling its error
+        u, w = _panel_nodes(0.0, 1.0, u_panels, order)
+        top = residual.max_transverse_index(u_panels, order)
+        for n in range(1, top + 1):
+            exact = (np.e - 1.0) * (2 * n * np.pi) ** 2 / (1.0 + (2 * n * np.pi) ** 2)
+            assert abs(w @ (np.exp(u) * chi_mode(n, u) ** 2) - exact) <= 1e-10 * exact
+
+    def test_transverse_index_bound_refuses(self, bump05):
+        # the default rule: sum w chi_n^2 reads 1.042 at n = 64 and 0.645 at n = 128
+        top = residual.max_transverse_index(residual.QUADRATURE_PANELS[1],
+                                            residual.QUADRATURE_ORDER)
+        assert top == 15
+        case = assemble(bump05, 1, Z, 0.2, 0.02, F1, None).case
+        assert ResidualQuadrature.build(bump05, top, F1, None, case).n == top
+        for n in (top + 1, 128):
+            with pytest.raises(ValueError, match=f"n = {n} exceeds 15"):
+                ResidualQuadrature.build(bump05, n, F1, None, case)
+
     def test_zero_profile_exact(self, zero_profile):
         sol = assemble(zero_profile, 1, Z, 0.1, 0.01, F1, None)
         assert residual_norms(sol).residual_Hnorm <= 1e-10
@@ -276,6 +299,13 @@ def _residual_config(profile, eps_grid, delta_rule) -> ExperimentConfig:
                             f1={"type": "exp", "rate": 1.0})
 
 
+def _sweep_solution(ctx: SweepContext, eps: float):
+    """The trial field a residual sweep assembles at eps, with its p and case."""
+    cfg = ctx.config
+    return assemble(cfg.profile, cfg.n, cfg.z, eps, delta_for(cfg.delta_rule, eps),
+                    ctx.f1, ctx.f2, p=ctx.p, case=ctx.case)
+
+
 class TestQuadratureTable:
     # (eps grid, delta rule): a power-of-two grid at a fixed ratio, where the
     # geometry fields are built once; a power rule, where the ratio changes
@@ -296,7 +326,7 @@ class TestQuadratureTable:
         cfg = _residual_config(profile, eps_grid, delta_rule)
         ctx = SweepContext.build(cfg)
         for eps in eps_grid:
-            sol = _assemble(ctx, eps, delta_for(delta_rule, eps))
+            sol = _sweep_solution(ctx, eps)
             via_table = residual_norms(sol, cfg.quadrature_order, cfg.quadrature_panels,
                                        table=ctx.residual)
             direct = residual_norms(sol, cfg.quadrature_order, cfg.quadrature_panels)
@@ -315,7 +345,7 @@ class TestQuadratureTable:
         ctx = SweepContext.build(cfg)
         table = ctx.residual
         for eps in eps_grid:
-            sol = _assemble(ctx, eps, delta_for(delta_rule, eps))
+            sol = _sweep_solution(ctx, eps)
             l2 = residual_norms(sol, order, panels, table=table).residual_l2_V
             values = residual_field(sol, table.s_pts[:, None], table.u_pts[None, :])
             brute = np.sqrt(table.s_wts @ np.abs(values) ** 2 @ table.u_wts)

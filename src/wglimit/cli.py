@@ -37,7 +37,8 @@ from .fd_oracle import H_S, H_U, OracleError
 from .kernels import (SERIES_DEFAULT_TERMS, WRONSKIAN_FLOOR, KernelError, NearEigenvalueError,
                       series_kernel, vertex_kernel_at)
 from .profile import CurvatureProfile, ProfileError, tune_to_resonance
-from .vertex_spectrum import DEFAULT_ZERO_TOLERANCE, IntegrationError, SpectrumError, eigenvalues
+from .vertex_spectrum import (DEFAULT_ZERO_TOLERANCE, IntegrationError, SpectrumError,
+                              _count_for_classification, classify, eigenvalues)
 
 VALIDATION_ERRORS = (ConfigError, ProfileError, FitError, ValueError)
 NUMERICAL_ERRORS = (KernelError, IntegrationError, SpectrumError, OracleError, OverflowError)
@@ -128,9 +129,12 @@ def _cmd_spectrum(args) -> int:
          spec.functions[n].at_plus1)
         for n in range(args.count)
     ]
+    # classify's case; a count that covers the eigenvalues it reads already holds it
+    case = spec.case
+    if args.count < _count_for_classification(profile):
+        case = classify(profile, args.tol)
     _write_csv(args.out, ["n", "lambda", "y_at_minus1", "y_at_plus1"], rows)
-    print(f"wrote {args.out} ({args.count} eigenvalues, "
-          f"case={'2' if spec.case.resonant else '1'})")
+    print(f"wrote {args.out} ({args.count} eigenvalues, case={'2' if case.resonant else '1'})")
     return 0
 
 

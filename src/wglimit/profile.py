@@ -365,7 +365,7 @@ def _tuned_amplitude(target_index: int) -> float:
             break
     for _ in range(_NEWTON_STEPS):
         prof = CurvatureProfile("tuned_bump", amp, target_index)
-        wr = vs._coefficient_solve(prof, 0.0, 2, "the tuning solve").states[-1, :, 1]
+        wr = vs._coefficient_solve(prof, [0.0], 2, "the tuning solve")[0].states[-1, :, 1]
         lam = -float(wr[0] / wr[1])
         if abs(lam) <= _RESONANCE_FLOOR:
             return prof.amplitude

@@ -21,7 +21,8 @@ s = +1.  This coefficient system is the one shooting equation here:
 ``shoot`` is its 1-term solve about z, ``taylor_shooting`` its 12-term
 solve about 0 (near w = 0 every shooting solution is then a polynomial
 in w), and each eigenpair a 4-term solve about its cosine-Galerkin
-eigenvalue (the eigendata the series kernel uses).  The eigenvalue is
+eigenvalue (the eigendata the series kernel uses), stacked with the others
+of its panel count.  The eigenvalue is
 the root of that Wronskian polynomial within half the Galerkin gap, so
 the Galerkin count fixes the order; the eigenfunction is zeta there,
 from the same solve.  Its end values alpha1 = y(-1), alpha2 = y(+1) feed
@@ -196,47 +197,69 @@ class CoefficientSolution:
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        t = (-s if self.mirrored else s).ravel()
-        p = np.searchsorted(self.edges[1:], t, side="right")
+        nodes = _dense_nodes(self.edges, (-s if self.mirrored else s).ravel())
+        return self.at_nodes(nodes).reshape(-1, *s.shape)
+
+    def at_nodes(self, nodes: tuple) -> np.ndarray:
+        """The coefficients at the N points of ``_dense_nodes(self.edges, t)``,
+        shape (2K, N): a solve that shares its edges shares the node table."""
+        p, theta, a = nodes
         h = self.edges[1] - self.edges[0]
-        theta = (t - self.edges[p]) / h
         y, dy = self.states[p].transpose(2, 0, 1)
-        if theta.any():  # off the panel ends
-            a, f = _basis_integrals(theta), self.forcing[p]
-            y = y + (h * theta)[:, None] * dy + h * h * np.einsum("ns,nks->nk", a @ _TABLEAU, f)
-            dy = dy + h * np.einsum("ns,nks->nk", a, f)
-        return np.concatenate([y, -dy if self.mirrored else dy], axis=1).T.reshape(-1, *s.shape)
+        if a is not None:  # off the panel ends
+            f = self.forcing[p]
+            y = y + (h * theta)[:, None] * dy + h * h * np.einsum("ns,nks->nk", a[1], f)
+            dy = dy + h * np.einsum("ns,nks->nk", a[0], f)
+        return np.concatenate([y, -dy if self.mirrored else dy], axis=1).T
 
 
-def _stage_nodes(profile: CurvatureProfile, centre, what: str):
-    """The panel ends of a solve about c and each panel's stage nodes."""
-    panels = _panel_count(profile.sup_gamma**2 / 4.0 + abs(centre))
+def _dense_nodes(edges: np.ndarray, t: np.ndarray) -> tuple:
+    """Where the points t fall on the panel ends: each one's panel p and
+    theta = (t - edges[p]) / h, and, when any theta > 0, the basis integrals
+    a(theta) and a(theta) A of the dense output."""
+    p = np.searchsorted(edges[1:], t, side="right")
+    theta = (t - edges[p]) / (edges[1] - edges[0])
+    if not theta.any():
+        return p, theta, None
+    a = _basis_integrals(theta)
+    return p, theta, (a, a @ _TABLEAU)
+
+
+def _stage_nodes(profile: CurvatureProfile, centres, what: str):
+    """The panel ends of a solve about the centres c and each panel's stage
+    nodes; the panel count is set by the largest |c|."""
+    panels = _panel_count(profile.sup_gamma**2 / 4.0 + max(map(abs, centres)))
     if panels > MAX_SHOOT_PANELS:
         raise IntegrationError(f"{what} needs {panels:.3g} panels, more than {MAX_SHOOT_PANELS}")
     edges = np.linspace(-1.0, 1.0, panels + 1)
     return edges, edges[:-1, None] + (edges[1] - edges[0]) * _NODES
 
 
-def _stage_potential(profile: CurvatureProfile, centre, t: np.ndarray) -> np.ndarray:
-    """V - c at the stage nodes t."""
-    return -0.25 * profile.gamma(t) ** 2 - centre
+def _stage_potential(profile: CurvatureProfile, centres, t: np.ndarray) -> np.ndarray:
+    """V - c at the stage nodes t for each centre c, shape (C,) + t.shape."""
+    return -0.25 * profile.gamma(t) ** 2 - np.reshape(centres, (-1, 1, 1))
 
 
-def _coefficient_solve(profile: CurvatureProfile, centre, terms: int, what: str,
+def _coefficient_solve(profile: CurvatureProfile, centres, terms: int, what: str,
                        mirrored: bool = False, stages=None,
-                       partner: bool = False) -> CoefficientSolution:
-    """The Taylor coefficients about c, y_k'' = (V - c) y_k - y_{k-1} for
-    k < terms, with y_0 = 1 and all other start data zero at s = -1 (+1
-    when mirrored): the shooting solution at c + d is sum_k d^k y_k.
+                       partner: bool = False) -> list[CoefficientSolution]:
+    """The Taylor coefficients about each centre c of a stack that shares one
+    panel count, y_k'' = (V - c) y_k - y_{k-1} for k < terms, with y_0 = 1 and
+    all other start data zero at s = -1 (+1 when mirrored): the shooting
+    solution at c + d is sum_k d^k y_k.  A single centre is a stack of one.
+    The stage inverses, lag blocks and panel maps run once on the stack's
+    panels laid end to end, the panel recurrence and forcing once per panel
+    for the whole stack; each centre gets the arithmetic of a stack of one.
     ``stages``, when given, is the panel ends and the stage potential (in
     t = -s when mirrored) that ``_stage_nodes`` and ``_stage_potential`` give.
     With ``partner`` the start data y_0' = 1 of the Dirichlet partner step
-    through the same panel maps, and the solution holds both as ``stacked``."""
+    through the same panel maps, and each solution holds both as ``stacked``."""
     if stages is None:
-        edges, t = _stage_nodes(profile, centre, what)
-        stages = edges, _stage_potential(profile, centre, -t if mirrored else t)
+        edges, t = _stage_nodes(profile, centres, what)
+        stages = edges, _stage_potential(profile, centres, -t if mirrored else t)
     edges, q = stages
-    panels, h = len(edges) - 1, edges[1] - edges[0]
+    count, panels, h = len(q), len(edges) - 1, edges[1] - edges[0]
+    q = q.reshape(count * panels, _STAGES)
     # Term k's stage values from its start data and term k - 1's stages:
     # (I - h^2 A^2 diag q) Y_k = y_k + h c y_k' - h^2 A^2 Y_{k-1}.
     inv = np.linalg.inv(np.eye(_STAGES) - h * h * _TABLEAU_SQ * q[:, None, :])
@@ -250,28 +273,35 @@ def _coefficient_solve(profile: CurvatureProfile, centre, terms: int, what: str,
     # formed once per lag l and written to the blocks (k, k - l).
     ends = np.stack([h * h * _WEIGHTS * (1.0 - _NODES), h * _WEIGHTS])
     lag_maps = np.einsum("is,lpsn->lpin", ends, blocks)
-    maps = np.zeros((panels, terms, 2, terms, 2), dtype=q.dtype)
-    response = np.zeros((panels, terms, _STAGES, terms, 2), dtype=q.dtype)
+    maps = np.zeros((count * panels, terms, 2, terms, 2), dtype=q.dtype)
+    response = np.zeros((count * panels, terms, _STAGES, terms, 2), dtype=q.dtype)
     for lag in range(terms):  # the diagonal views (k, k - lag), written through
         np.einsum("pkikn->pkin", maps[:, lag:, :, :terms - lag])[...] = lag_maps[lag][:, None]
         np.einsum("pkskn->pksn", response[:, lag:, :, :terms - lag])[...] = blocks[lag][:, None]
-    maps = maps.reshape(panels, 2 * terms, 2 * terms)
+    maps = maps.reshape(count, panels, 2 * terms, 2 * terms)
     maps += np.kron(np.eye(terms), [[1.0, h], [0.0, 1.0]])
+    response = response.reshape(count * panels, terms * _STAGES, -1)
     solves = []
     for start in (0, 1)[:1 + partner]:  # y_0 = 1, then y_0' = 1; one product each keeps y's bits
-        states = np.zeros((panels + 1, 2 * terms), dtype=q.dtype)
-        states[0, start] = 1.0
+        states = np.zeros((panels + 1, count, 2 * terms), dtype=q.dtype)
+        states[0, :, start] = 1.0
+        views = list(states[..., None])  # each panel end's states, written in place
         with np.errstate(over="ignore", invalid="ignore"):
-            for p in range(panels):
-                states[p + 1] = maps[p] @ states[p]
-            forcing = response.reshape(panels, terms * _STAGES, -1) @ states[:-1, :, None]
-        forcing = np.pad(forcing.reshape(panels, terms, _STAGES), ((0, 1), (0, 0), (0, 0)))
+            for m, y, y_next in zip(maps.transpose(1, 0, 2, 3), views, views[1:]):
+                np.matmul(m, y, out=y_next)  # one matrix-vector product per centre
+            states = np.ascontiguousarray(states.transpose(1, 0, 2))
+            forcing = response @ states[:, :-1].reshape(count * panels, -1, 1)
+        forcing = np.pad(forcing.reshape(count, panels, terms, _STAGES),
+                         ((0, 0), (0, 1), (0, 0), (0, 0)))
         if not (np.isfinite(states).all() and np.isfinite(forcing).all()):
             raise IntegrationError(f"{what} overflowed")
-        solves.append((states.reshape(panels + 1, terms, 2), forcing))
-    stacked = CoefficientSolution(edges, *(np.concatenate(pair, axis=1) for pair in zip(*solves)),
-                                  mirrored) if partner else None
-    return CoefficientSolution(edges, *solves[0], mirrored, stacked)
+        solves.append((states.reshape(count, panels + 1, terms, 2), forcing))
+    stacked = [None] * count
+    if partner:
+        ys, fs = (np.concatenate(pair, axis=2) for pair in zip(*solves))
+        stacked = [CoefficientSolution(edges, ys[c], fs[c], mirrored) for c in range(count)]
+    ys, fs = solves[0]
+    return [CoefficientSolution(edges, ys[c], fs[c], mirrored, stacked[c]) for c in range(count)]
 
 
 def _coefficient_pair(profile: CurvatureProfile, centre, terms: int, what: str):
@@ -280,11 +310,12 @@ def _coefficient_pair(profile: CurvatureProfile, centre, terms: int, what: str):
     for bit (every even profile), its solve would repeat the left's
     arithmetic, so it is one solve: the right shares the left's edges, states
     and forcing, and its partner the left's partner's, read in t = -s."""
-    edges, t = _stage_nodes(profile, centre, what)
-    q_left, q_right = (_stage_potential(profile, centre, x) for x in (t, -t))
-    left = _coefficient_solve(profile, centre, terms, what, False, (edges, q_left), True)
+    edges, t = _stage_nodes(profile, [centre], what)
+    q_left, q_right = (_stage_potential(profile, [centre], x) for x in (t, -t))
+    left = _coefficient_solve(profile, [centre], terms, what, False, (edges, q_left), True)[0]
     if q_left.tobytes() != q_right.tobytes():
-        return left, _coefficient_solve(profile, centre, terms, what, True, (edges, q_right), True)
+        return left, _coefficient_solve(profile, [centre], terms, what, True, (edges, q_right),
+                                        True)[0]
     stacked = CoefficientSolution(left.edges, left.stacked.states, left.stacked.forcing, True)
     return left, CoefficientSolution(left.edges, left.states, left.forcing, True, stacked)
 
@@ -458,7 +489,10 @@ def _galerkin_eigenpairs(profile: CurvatureProfile, n_modes: int):
 
 @dataclass(frozen=True)
 class EigenFunction:
-    """Normalised eigenfunction: the left shooting solution at its eigenvalue."""
+    """Normalised eigenfunction: the left shooting solution at its eigenvalue,
+    sum_j d^j zeta_j from its 4-term solve.  Its end values are the first and
+    last panel-end states, read as ``ShootingSolution.corner_numerator`` reads
+    them, with the dense output's bits."""
 
     n: int
     lam: float
@@ -474,37 +508,20 @@ class EigenFunction:
 
     @property
     def at_minus1(self) -> float:
-        return float(self.value(-1.0))
+        return float(self._sol.combine(self._sol.coefficients.states[0].T.ravel())[0] * self.scale)
 
     @property
     def at_plus1(self) -> float:
-        return float(self.value(1.0))
+        return float(self._sol.combine(self._sol.coefficients.states[-1].T.ravel())[0] * self.scale)
 
 
-def _eigenfunction(n: int, lam: float, side: _TaylorSide) -> EigenFunction:
-    """Normalise zeta by its stage values and Gauss weights, and take the
-    norm of its derivative from the same values."""
-    rule = _panel_nodes(-1.0, 1.0, len(side.coefficients.edges) - 1, _STAGES)
-    vals, slopes = side(rule[0])
-    scale = 1.0 / math.sqrt(rule[1] @ (vals * vals))
-    return EigenFunction(n, lam, side, scale, float(np.sqrt(rule[1] @ (slopes * scale) ** 2)))
-
-
-def _eigenpair(profile: CurvatureProfile, galerkin: np.ndarray, k: int) -> EigenFunction:
-    """Eigenpair next to the Galerkin eigenvalue g = ``galerkin[k]``.
-
-    One dense solve of _EIGEN_TERMS coefficients about g gives the
-    Wronskian W(g + d) = sum_j W_j d^j, W_j = zeta_j'(+1).  Newton steps
-    from d = 0 take its root, and every step must stay within half the
-    gap to a neighbouring Galerkin eigenvalue (the lowest one borrows the
-    gap above it).  The eigenfunction is sum_j d^j zeta_j from the same
-    solve.
-    """
+def _wronskian_root(wr: np.ndarray, galerkin: np.ndarray, k: int) -> float:
+    """The root d of W(g + d) = sum_j W_j d^j next to g = ``galerkin[k]``:
+    Newton steps from d = 0, each within half the gap to a neighbouring
+    Galerkin eigenvalue (the lowest one borrows the gap above it)."""
     g = float(galerkin[k])
     upper = 0.5 * float(galerkin[k + 1] - g)
     lower = 0.5 * float(g - galerkin[k - 1]) if k > 0 else upper
-    sol = _coefficient_solve(profile, g, _EIGEN_TERMS, f"the eigenvalue {k + 1} solve")
-    wr = sol.states[-1, :, 1]
     slope = wr[1:] * np.arange(1, _EIGEN_TERMS)
     d = 0.0
     for _ in range(_NEWTON_STEPS):
@@ -513,18 +530,43 @@ def _eigenpair(profile: CurvatureProfile, galerkin: np.ndarray, k: int) -> Eigen
         if not -lower <= d <= upper:
             break
         if abs(step) <= _NEWTON_TOL * max(1.0, abs(g)):
-            return _eigenfunction(k + 1, g + d,
-                                  _TaylorSide(sol, d ** np.arange(_EIGEN_TERMS)))
+            return d
     raise SpectrumError(f"no shooting root within the Galerkin gap around "
                         f"eigenvalue {k + 1} ({g:.6g})")
 
 
+def _eigenpairs(profile: CurvatureProfile, galerkin: np.ndarray) -> tuple[EigenFunction, ...]:
+    """The eigenpairs next to the Galerkin eigenvalues g = ``galerkin[:-1]``: one
+    stacked solve of _EIGEN_TERMS coefficients per panel count, the root d of
+    each W(g + d) = sum_j W_j d^j, W_j = zeta_j'(+1), and the eigenfunction
+    sum_j d^j zeta_j, normalised on one node table per panel count (the Gauss
+    nodes, their panels and basis integrals), as is the norm of its derivative."""
+    sup_v = profile.sup_gamma**2 / 4.0
+    groups: dict[int, list[int]] = {}
+    for k in range(len(galerkin) - 1):
+        groups.setdefault(_panel_count(sup_v + abs(float(galerkin[k]))), []).append(k)
+    funcs = {}
+    for panels, ks in groups.items():
+        sols = _coefficient_solve(profile, [float(galerkin[k]) for k in ks], _EIGEN_TERMS,
+                                  f"the solve of eigenvalues {', '.join(str(k + 1) for k in ks)}")
+        rule = _panel_nodes(-1.0, 1.0, panels, _STAGES)
+        nodes = _dense_nodes(sols[0].edges, rule[0])
+        for k, sol in zip(ks, sols):
+            d = _wronskian_root(sol.states[-1, :, 1], galerkin, k)
+            side = _TaylorSide(sol, d ** np.arange(_EIGEN_TERMS))
+            vals, slopes = side.combine(sol.at_nodes(nodes))
+            scale = 1.0 / math.sqrt(rule[1] @ (vals * vals))
+            funcs[k] = EigenFunction(k + 1, float(galerkin[k]) + d, side, scale,
+                                     float(np.sqrt(rule[1] @ (slopes * scale) ** 2)))
+    return tuple(funcs[k] for k in range(len(galerkin) - 1))
+
+
 def eigenvalue_by_index(profile: CurvatureProfile, index: int) -> float:
-    """The index-th eigenvalue alone (1-based)."""
-    if index < 1:
-        raise ValueError("index must be >= 1")
-    galerkin = _galerkin_eigenpairs(profile, index + 1)[0]
-    return _eigenpair(profile, galerkin, index - 1).lam
+    """The index-th eigenvalue (1-based), 1 <= index <= MAX_EIGENVALUE_COUNT:
+    the last of the cached first ``index``."""
+    if not 1 <= index <= MAX_EIGENVALUE_COUNT:
+        raise ValueError(f"index must lie in [1, {MAX_EIGENVALUE_COUNT}], got {index}")
+    return _shooting_eigenpairs(profile, index)[0][index - 1]
 
 
 @dataclass(frozen=True)
@@ -550,9 +592,9 @@ class VertexSpectrum:
 
 @lru_cache(maxsize=64)
 def _shooting_eigenpairs(profile: CurvatureProfile, count: int):
-    """The first ``count`` shooting eigenvalues (read-only) and eigenfunctions."""
-    galerkin = _galerkin_eigenpairs(profile, count + 1)[0]
-    funcs = tuple(_eigenpair(profile, galerkin, k) for k in range(count))
+    """The first ``count`` shooting eigenvalues (read-only) and eigenfunctions,
+    from the (count + 1)-mode Galerkin eigenvalues (``_eigenpairs``)."""
+    funcs = _eigenpairs(profile, _galerkin_eigenpairs(profile, count + 1)[0])
     lams = np.array([fn.lam for fn in funcs])
     lams.setflags(write=False)
     return lams, funcs

@@ -66,5 +66,6 @@ def test_traced_steps_run(tmp_path):
     assert result["codes"] == [0] * len(STEPS), proc.stderr
     metrics = result["metrics"]
     for name in ("graph_limit.calls", "residual.quad_nodes", "fd_oracle.unknowns",
-                 "experiments.points"):
+                 "experiments.points", "vertex_spectrum.eigen_calls",
+                 "vertex_spectrum.classify_calls"):
         assert metrics[name] > 0, name

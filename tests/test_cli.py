@@ -35,6 +35,24 @@ class TestSpectrumCommand:
         assert lams == pytest.approx([0.0, np.pi**2 / 4, np.pi**2, 9 * np.pi**2 / 4],
                                      abs=1e-9)
 
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_case_is_the_classification(self, tmp_path, capsys, count):
+        # tuned:2's zero eigenvalue is lambda_2: --count 1 stops below it, and
+        # still prints the case that classify and every sweep use
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--profile", "tuned:2", "--count", str(count),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out} ({count} eigenvalues, case=2)\n"
+        assert len(read_csv(out)) == 1 + count
+
+    def test_covering_count_adds_no_solve(self, tmp_path, monkeypatch):
+        # a count that reaches the classification's reads its case from its own spectrum
+        calls = []
+        monkeypatch.setattr(cli, "classify", lambda *a: calls.append(a))
+        assert main(["spectrum", "--profile", "tuned:2", "--count", "4",
+                     "--out", str(tmp_path / "spec.csv")]) == 0
+        assert calls == []
+
 
 class TestKernelCommand:
     def test_grid_dump(self, tmp_path):

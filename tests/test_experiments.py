@@ -382,11 +382,15 @@ class TestRunSweep:
     def test_resonant_residual_sweep_solves_spectrum_once(self, monkeypatch, tuned2):
         # the sweep classifies at zero_tolerance 1e-3 and the resonant bound
         # reads the zero-mode at the default tolerance; both threshold one
-        # cached solve, so each of the 4 eigenpairs is solved once
-        calls = []
-        eigenpair = vertex_spectrum._eigenpair
-        monkeypatch.setattr(vertex_spectrum, "_eigenpair",
-                            lambda *args: calls.append(args[2]) or eigenpair(*args))
+        # cached solve, so each of the 4 eigenpairs' centres is solved once
+        calls, solve = [], vertex_spectrum._coefficient_solve
+
+        def counted(prof, centres, terms, *args):
+            if terms == vertex_spectrum._EIGEN_TERMS:
+                calls.extend(centres)
+            return solve(prof, centres, terms, *args)
+
+        monkeypatch.setattr(vertex_spectrum, "_coefficient_solve", counted)
         near = CurvatureProfile("tuned_bump", tuned2.amplitude * (1 + 2e-6), 2)
         cfg = ExperimentConfig(profile=near, metric="residual", z=1j,
                                eps_grid=dyadic(4, 7), delta_rule=("ratio", 0.1),
@@ -395,7 +399,8 @@ class TestRunSweep:
         result = run_sweep(cfg)
         assert len(result.rows) == 4 and not result.failures
         assert vertex_spectrum.classify(near, 1e-3).resonant
-        assert sorted(calls) == [0, 1, 2, 3]
+        galerkin = vertex_spectrum._galerkin_eigenpairs(near, 5)[0]
+        assert sorted(calls) == sorted(galerkin[:4])
 
 
 class TestOracleReport:

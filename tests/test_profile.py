@@ -304,7 +304,7 @@ class TestTuneToResonance:
         # the tuning polish reads W_0, W_1 from a one-sided 2-term solve
         from wglimit.vertex_spectrum import _coefficient_solve, taylor_shooting
 
-        two = _coefficient_solve(tuned2, 0.0, 2, "test").states[-1, :, 1]
+        two = _coefficient_solve(tuned2, [0.0], 2, "test")[0].states[-1, :, 1]
         assert np.max(np.abs(two - taylor_shooting(tuned2).wronskian[:2])) <= 1e-15
 
     def test_tuning_adds_at_most_one_taylor_solve(self, bump05):

@@ -26,7 +26,7 @@ from wglimit.vertex_spectrum import (
     _TABLEAU_SQ,
     _WEIGHTS,
     _galerkin_eigenpairs,
-    _eigenpair,
+    _eigenpairs,
     _panel_count,
     classify_case,
     eigenvalue_by_index,
@@ -149,7 +149,12 @@ class TestCollocation:
         fine = (shoot(bump05, z).wronskian, eigenvalue_by_index(bump05, 50))
         panels = vertex_spectrum._panel_count
         monkeypatch.setattr(vertex_spectrum, "_panel_count", lambda q: panels(q) // 2)
-        coarse = (shoot(bump05, z).wronskian, eigenvalue_by_index(bump05, 50))
+        # the spectrum is cached per (profile, count): cleared, or the fine value comes back
+        vertex_spectrum._shooting_eigenpairs.cache_clear()
+        try:
+            coarse = (shoot(bump05, z).wronskian, eigenvalue_by_index(bump05, 50))
+        finally:
+            vertex_spectrum._shooting_eigenpairs.cache_clear()
         for a, b in zip(fine, coarse):
             assert abs(a - b) <= 1e-10 * abs(a)
 
@@ -177,7 +182,8 @@ class TestCollocation:
         profile = request.getfixturevalue(profile_name)
         for centre in (0.0, 2.4674, -0.3, 0.3 + 0.5j, -40 + 3j, 5900.0):
             for mirrored in (False, True):
-                sol = vertex_spectrum._coefficient_solve(profile, centre, terms, "test", mirrored)
+                sol = vertex_spectrum._coefficient_solve(profile, [centre], terms, "test",
+                                                         mirrored)[0]
                 states, forcing = full_contraction_solve(profile, centre, terms, mirrored)
                 assert sol.states.tobytes() == states.tobytes()
                 assert sol.forcing.tobytes() == forcing.tobytes()
@@ -210,9 +216,11 @@ class TestCollocation:
                 assert got.tobytes() == plain.tobytes()
 
     def test_taylor_coefficients_independent_of_blas_threads(self):
-        # no product in the solves or the eigenpairs rounds by the BLAS thread count
+        # no product in the solves or the eigenpairs rounds by the BLAS thread count;
+        # bump:0.5's 50 eigenpairs take 30 stacked solves
         script = """
 import hashlib
+import numpy as np
 from wglimit import CurvatureProfile, eigenvalues, tune_to_resonance
 from wglimit.vertex_spectrum import taylor_shooting
 for prof in (CurvatureProfile.zero(), CurvatureProfile.bump(0.5), CurvatureProfile.bump(-0.999),
@@ -221,13 +229,18 @@ for prof in (CurvatureProfile.zero(), CurvatureProfile.bump(0.5), CurvatureProfi
     arrays = (t.left.states, t.left.forcing, t.right.states, t.right.forcing,
               eigenvalues(prof, 8).eigenvalues)
     print(hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
+spec = eigenvalues(CurvatureProfile.bump(0.5), 50)
+arrays = [spec.eigenvalues, *(np.array([fn.scale, fn.derivative_norm, fn.at_minus1, fn.at_plus1])
+                              for fn in spec.functions),
+          *(fn.value(np.linspace(-1.0, 1.0, 37)) for fn in spec.functions)]
+print(hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest())
 """
         path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
         digests = {subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
                                   text=True, env=dict(os.environ, PYTHONPATH=path,
                                                       OPENBLAS_NUM_THREADS=threads)).stdout
                    for threads in ("1", "2")}
-        assert len(digests) == 1 and len(digests.pop().split()) == 4
+        assert len(digests) == 1 and len(digests.pop().split()) == 5
 
     def test_no_integrator_import(self, tmp_path):
         # the CLI and its five analytic commands load no scipy module; the
@@ -288,10 +301,10 @@ class TestMirroredPair:
             assert right.stacked.mirrored and not left.stacked.mirrored
             assert right.stacked.states is left.stacked.states
             assert right.stacked.forcing is left.stacked.forcing
-            solo = vertex_spectrum._coefficient_solve(profile, centre, terms, "test", True,
-                                                      None, True)
+            solo = vertex_spectrum._coefficient_solve(profile, [centre], terms, "test", True,
+                                                      None, True)[0]
             # stepping the Dirichlet start data leaves the solve's own bits alone
-            plain = vertex_spectrum._coefficient_solve(profile, centre, terms, "test")
+            plain = vertex_spectrum._coefficient_solve(profile, [centre], terms, "test")[0]
             assert plain.stacked is None and left.stacked.states.shape[1] == 2 * terms
             for own in (left, left.stacked):
                 assert own.states[:, :terms].tobytes() == plain.states.tobytes()
@@ -450,14 +463,46 @@ class TestEigenvalues:
         sups = [np.max(np.abs(fn.value(grid))) for fn in spec.functions]
         assert max(sups) < 3.0
 
-    def test_one_solve_per_eigenpair(self, monkeypatch):
+    @pytest.mark.parametrize("amp, count, solves", [(0.4321, 5, 1), (0.5, 50, 30)])
+    def test_one_solve_per_panel_count(self, monkeypatch, amp, count, solves):
+        # one stacked solve per panel count, each eigenpair's centre in exactly one
         vertex_spectrum._shooting_eigenpairs.cache_clear()
         calls = []
         solve = vertex_spectrum._coefficient_solve
         monkeypatch.setattr(vertex_spectrum, "_coefficient_solve",
-                            lambda *args, **kw: calls.append(1) or solve(*args, **kw))
-        eigenvalues(CurvatureProfile.bump(0.4321), 5)
-        assert len(calls) == 5
+                            lambda prof, c, *a: calls.append(list(c)) or solve(prof, c, *a))
+        profile = CurvatureProfile.bump(amp)
+        eigenvalues(profile, count)
+        assert len(calls) == solves
+        galerkin = _galerkin_eigenpairs(profile, count + 1)[0][:count]
+        assert sorted(c for centres in calls for c in centres) == sorted(galerkin)
+
+    @pytest.mark.parametrize("profile_name, count", [("bump05", 50), ("tuned2", 4),
+                                                     ("zero_profile", 12)])
+    def test_stacked_eigenpairs_are_stacks_of_one(self, profile_name, count, request):
+        # each eigenpair of a stacked solve has the bits of a solve about its centre
+        # alone, and its normalisation on the shared node table those of its own
+        profile = request.getfixturevalue(profile_name)
+        vertex_spectrum._shooting_eigenpairs.cache_clear()
+        galerkin = _galerkin_eigenpairs(profile, count + 1)[0]
+        for k, fn in enumerate(eigenvalues(profile, count).functions):
+            sol = fn._sol.coefficients
+            solo = vertex_spectrum._coefficient_solve(profile, [float(galerkin[k])],
+                                                      vertex_spectrum._EIGEN_TERMS, "test")[0]
+            assert sol.edges.tobytes() == solo.edges.tobytes()
+            assert sol.states.tobytes() == solo.states.tobytes()
+            assert sol.forcing.tobytes() == solo.forcing.tobytes()
+            d = vertex_spectrum._wronskian_root(solo.states[-1, :, 1], galerkin, k)
+            assert fn.lam == float(galerkin[k]) + d
+            side = vertex_spectrum._TaylorSide(solo, d ** np.arange(vertex_spectrum._EIGEN_TERMS))
+            rule = vertex_spectrum._panel_nodes(-1.0, 1.0, len(solo.edges) - 1, _STAGES)
+            vals, slopes = side(rule[0])
+            scale = 1.0 / np.sqrt(rule[1] @ (vals * vals))
+            assert fn.scale == scale
+            assert fn.derivative_norm == float(np.sqrt(rule[1] @ (slopes * scale) ** 2))
+            # the end values read the panel-end states with the dense output's bits
+            assert fn.at_minus1 == float(fn.value(-1.0))
+            assert fn.at_plus1 == float(fn.value(1.0))
 
     def test_count_guard(self, zero_profile):
         with pytest.raises(ValueError):
@@ -527,14 +572,14 @@ class TestGalerkinPolish:
     def test_widened_bracket_finds_root(self, zero_profile):
         # a Galerkin value 1e-6 off: Newton steps from it still find the root
         galerkin = np.array([0.0, np.pi**2 / 4 + 1e-6, np.pi**2])
-        assert _eigenpair(zero_profile, galerkin, 1).lam == pytest.approx(np.pi**2 / 4,
-                                                                          abs=1e-12)
+        assert _eigenpairs(zero_profile, galerkin)[1].lam == pytest.approx(np.pi**2 / 4,
+                                                                           abs=1e-12)
 
     def test_no_root_in_gap_raises(self, zero_profile):
         # a fake Galerkin value at 1.0 between the Neumann eigenvalues 0
         # and pi^2/4: the Wronskian has no root within the half-gap
         with pytest.raises(SpectrumError):
-            _eigenpair(zero_profile, np.array([1.0, 2.0]), 0)
+            _eigenpairs(zero_profile, np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize("profile_name", ["zero_profile", "bump05", "tuned2"])
     def test_eigenpairs_match_scipy_eigh(self, profile_name, request):

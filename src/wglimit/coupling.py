@@ -9,9 +9,12 @@ det N = W D (``ShootingSolution``), Cayley-Hamilton removes the inverse:
     q = eps (N - sigma D) p / (W - sigma tr N + sigma^2 D),
 
 one formula for both cases, which forms no 1/W and cancels nothing at a
-resonance, where W ~ eps^2.  Its denominator is shared with the vertex
-profile (``residual``), whose end values phi(-1), phi(+1) are q: the
-solve keeps gain = eps / (W - sigma tr N + sigma^2 D).  In the resonant case the
+resonance, where W ~ eps^2.  ``solve_coupling`` places the kernel at eps^2 z
+and runs this formula (``solve_coupling_from_kernel``); every point solve,
+of a sweep, a trial field or the oracle report, goes through it.  Its
+denominator is shared with the vertex profile (``residual``), whose end
+values phi(-1), phi(+1) are q: the solve keeps the kernel and
+gain = eps / (W - sigma tr N + sigma^2 D).  In the resonant case the
 limiting behaviour is governed by the rank-one projector
 
     P0 = [[a1^2, a1 a2], [a1 a2, a2^2]] / (a1^2 + a2^2),
@@ -102,8 +105,10 @@ def resonant_projector(profile: CurvatureProfile,
 @dataclass(frozen=True)
 class CouplingCoefficients:
     """Solved boundary constants at one (z, eps) pair: the closed form's sigma
-    and gain = eps / (W - sigma tr N + sigma^2 D), and ``back_residual``,
-    |det N - W D|, the rounding of the identity the solve rests on."""
+    and gain = eps / (W - sigma tr N + sigma^2 D), ``back_residual``,
+    |det N - W D|, the rounding of the identity the solve rests on, and
+    ``kernel``, the vertex kernel at eps^2 z they were solved from (whose
+    Robin sides give the vertex profile, ``residual``)."""
 
     z: complex
     epsilon: float
@@ -114,13 +119,15 @@ class CouplingCoefficients:
     back_residual: float
     sigma: complex
     gain: complex
+    kernel: ShootingSolution
 
 
 def solve_coupling_from_kernel(kernel: ShootingSolution, z: complex, epsilon: float,
                                p, case: CaseLabel) -> CouplingCoefficients:
     """Solve the coupling system given a kernel already placed at eps^2 z, in
     the closed form of the module docstring; a q that is not finite (a
-    singular system, or a p near overflow) raises OverflowError."""
+    singular system, or a p near overflow) raises OverflowError; an xi that
+    overflows is left to the callers that read it."""
     p = np.asarray(p, dtype=complex)
     sq = sqrt_upper(z)
     sigma = 1j * epsilon * sq
@@ -129,17 +136,23 @@ def solve_coupling_from_kernel(kernel: ShootingSolution, z: complex, epsilon: fl
         den = w - sigma * (n[0, 0] + n[1, 1]) + sigma**2 * d
         q = epsilon * (n @ p - sigma * d * p) / den
         gain = epsilon / den
+        xi = p + 1j * sq * q
     if not np.isfinite(q).all():
         raise OverflowError(f"the coupling solve at eps = {epsilon:.6g}: q is not finite")
     back = float(abs(n[0, 0] * n[1, 1] - 1.0 - w * d))
-    return CouplingCoefficients(complex(z), float(epsilon), p, q, p + 1j * sq * q, case, back,
-                                sigma, gain)
+    return CouplingCoefficients(complex(z), float(epsilon), p, q, xi, case, back, sigma, gain,
+                                kernel)
 
 
-def solve_coupling(profile: CurvatureProfile, z: complex, epsilon: float,
-                   p) -> CouplingCoefficients:
-    """Boundary constants (q, xi) for data derivatives p at the vertex."""
-    case = classify(profile)
+def solve_coupling(profile: CurvatureProfile, z: complex, epsilon: float, p,
+                   case: CaseLabel | None = None) -> CouplingCoefficients:
+    """Boundary constants (q, xi) for data derivatives p at the vertex: the
+    vertex kernel placed at eps^2 z, then the closed form.  Every point solve
+    goes through here, so this is the one place that places the kernel.  case
+    does not depend on eps: a sweep passes its own; else it is
+    ``classify(profile)`` at the default zero tolerance."""
+    if case is None:
+        case = classify(profile)
     kernel = vertex_kernel_at(profile, epsilon**2 * z)
     return solve_coupling_from_kernel(kernel, z, epsilon, p, case)
 

@@ -5,9 +5,9 @@ delta through a rule (fixed ratio delta = r*eps or power delta = eps^a),
 evaluates one ``METRICS`` point function per point on a ``SweepContext``
 that holds everything eps-independent (built once per sweep), and fits
 log-log slopes on a stabilised window.  A coupling or graph-limit point
-is the kernel at eps^2 z and the closed-form coupling solve, and no more:
-its row is a reduction of the coefficients (q, xi, p); only a residual
-point assembles the trial field.
+is one ``coupling.solve_coupling`` (the kernel at eps^2 z and the closed
+form) and no more: its row is a reduction of the coefficients (q, xi, p);
+only a residual point assembles the trial field, on the same solve.
 Results persist as CSV (rows plus a trailing slope summary) and JSON;
 both embed the fully resolved config so outputs are self-describing and
 bitwise reproducible.  ``oracle_report`` is the oracle-compare report.
@@ -27,26 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .coupling import (
-    CouplingCoefficients,
-    KirchhoffProjector,
-    asymptotic_deviation,
-    resonant_projector,
-    solve_coupling_from_kernel,
-)
+from .coupling import KirchhoffProjector, asymptotic_deviation, resonant_projector, solve_coupling
 from .fd_oracle import H_S, H_U, TRUNCATION_TOL, WaveguideGrid, fd_resolvent, trapezoid_weights
 from .graph_limit import boundary_limits, graph_q, limit_comparison, limit_resolvent
-from .kernels import (
-    ExpDecay,
-    GaussianPulse,
-    HalfLineResolvent,
-    Indicator,
-    KernelError,
-    boundary_derivatives,
-    edge_field,
-    vertex_kernel_at,
-)
-from .profile import CurvatureProfile, ProfileError, _check_ratio
+from .kernels import (ExpDecay, GaussianPulse, HalfLineResolvent, Indicator, KernelError,
+                      boundary_derivatives, edge_field)
+from .profile import CurvatureProfile, ProfileError, _check_ratio, json_number
 from .residual import (MAX_QUADRATURE_NODES, MIN_QUADRATURE_ORDER, QUADRATURE_ORDER,
                        QUADRATURE_PANELS, ResidualQuadrature, assemble, data_norm,
                        residual_norms)
@@ -106,14 +92,14 @@ def edge_function_from_spec(spec: dict | None):
         return None
     kind = spec.get("type")
     if kind == "exp":
-        f = ExpDecay(rate=float(spec.get("rate", 1.0)))
+        f = ExpDecay(rate=json_number(spec.get("rate", 1.0)))
         ok, keys = f.rate > 0.0, {"rate"}
     elif kind == "gaussian":
-        f = GaussianPulse(center=float(spec.get("center", 3.0)),
-                          width=float(spec.get("width", 0.5)))
+        f = GaussianPulse(center=json_number(spec.get("center", 3.0)),
+                          width=json_number(spec.get("width", 0.5)))
         ok, keys = f.width > 0.0, {"center", "width"}
     elif kind == "indicator":
-        f = Indicator(lo=float(spec.get("lo", 0.0)), hi=float(spec.get("hi", 1.0)))
+        f = Indicator(lo=json_number(spec.get("lo", 0.0)), hi=json_number(spec.get("hi", 1.0)))
         ok, keys = f.lo < f.hi, {"lo", "hi"}
     else:
         raise ConfigError(f"unknown edge function spec {spec!r}")
@@ -128,7 +114,7 @@ def edge_function_from_spec(spec: dict | None):
 # Optional JSON keys and their value conversions; a missing key takes the default.
 _OPTIONAL_KEYS = (("metric", None), ("n", None), ("f1", None), ("f2", None),
                   ("quadrature_panels", tuple), ("quadrature_order", None),
-                  ("zero_tolerance", float), ("window_policy", None))
+                  ("zero_tolerance", json_number), ("window_policy", None))
 # Every key a config may hold; ``seed``, which older configs carry, is ignored.
 _CONFIG_KEYS = {"schema_version", "seed", "profile", "z", "eps_grid", "delta_rule", "p",
                 *(key for key, _ in _OPTIONAL_KEYS)}
@@ -137,6 +123,13 @@ _CONFIG_KEYS = {"schema_version", "seed", "profile", "z", "eps_grid", "delta_rul
 def _is_int(value) -> bool:
     """A plain integer: JSON's 1.7 and true are not."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _pair(value):
+    """A JSON list of exactly two entries; a longer one is not cut short."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{value!r} is not a list of two entries")
+    return value
 
 
 def csv_cell(value):
@@ -239,17 +232,18 @@ class ExperimentConfig:
             if unknown := sorted(set(d) - _CONFIG_KEYS):
                 raise ConfigError(f"unknown keys {unknown}")
             profile = CurvatureProfile.from_json_fragment(d["profile"])
-            z = complex(d["z"][0], d["z"][1])
+            z = complex(*map(json_number, _pair(d["z"])))
             p = d.get("p")  # a missing p means: take p from the edge data
             if p is not None:
-                p = (complex(p[0][0], p[0][1]), complex(p[1][0], p[1][1]))
+                p = tuple(complex(*map(json_number, _pair(c))) for c in _pair(p))
+            kind, value = _pair(d["delta_rule"])
             optional = {key: d[key] if convert is None else convert(d[key])
                         for key, convert in _OPTIONAL_KEYS if key in d}
             cfg = ExperimentConfig(
                 profile=profile,
                 z=z,
-                eps_grid=tuple(float(e) for e in d["eps_grid"]),
-                delta_rule=(d["delta_rule"][0], float(d["delta_rule"][1])),
+                eps_grid=tuple(map(json_number, d["eps_grid"])),
+                delta_rule=(kind, json_number(value)),
                 p=p,
                 **optional,
             )
@@ -368,18 +362,8 @@ class SweepContext:
         return SweepContext(config, case, f1, f2, p, projector, residual)
 
 
-def _solve_point(ctx: SweepContext, eps: float) -> CouplingCoefficients:
-    """The coupling coefficients at eps: the kernel at eps^2 z, then the
-    closed-form solve."""
-    cfg = ctx.config
-    kernel = vertex_kernel_at(cfg.profile, eps**2 * cfg.z)
-    # a p near overflow can overflow q (the solve raises) or xi
-    with np.errstate(over="ignore", invalid="ignore"):
-        return solve_coupling_from_kernel(kernel, cfg.z, eps, ctx.p, ctx.case)
-
-
 def _coupling_point(ctx: SweepContext, eps: float, delta: float) -> dict:
-    coeffs = _solve_point(ctx, eps)
+    coeffs = solve_coupling(ctx.config.profile, ctx.config.z, eps, ctx.p, ctx.case)
     with np.errstate(over="ignore", invalid="ignore"):
         dev = asymptotic_deviation(coeffs, ctx.projector)
     row = {"dev_q": dev.dev_q, "dev_xi": dev.dev_xi}
@@ -406,7 +390,7 @@ def _residual_point(ctx: SweepContext, eps: float, delta: float) -> dict:
 
 
 def _graph_limit_point(ctx: SweepContext, eps: float, delta: float) -> dict:
-    coeffs = _solve_point(ctx, eps)
+    coeffs = solve_coupling(ctx.config.profile, ctx.config.z, eps, ctx.p, ctx.case)
     row = {"comparison_norm": limit_comparison(coeffs)}
     lims = boundary_limits(coeffs)
     if ctx.case.resonant:

@@ -65,6 +65,13 @@ class ProfileError(ValueError):
     """Invalid profile construction or evaluation outside the valid range."""
 
 
+def json_number(value) -> float:
+    """A JSON number as a float, where float() would also read true and "0.5"."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class CurvatureProfile:
     """Curvature function gamma with exact derivatives.
@@ -154,7 +161,7 @@ class CurvatureProfile:
         if unknown := sorted(set(frag) - {"kind", "amplitude", "target_index"}):
             raise ProfileError(f"profile fragment {frag!r} has unknown keys {unknown}")
         try:
-            amplitude = float(frag.get("amplitude", 0.0))
+            amplitude = json_number(frag.get("amplitude", 0.0))
         except (TypeError, ValueError) as exc:
             raise ProfileError(f"profile amplitude {frag['amplitude']!r} is not a number") from exc
         return CurvatureProfile(kind, amplitude, frag.get("target_index"))

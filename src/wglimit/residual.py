@@ -45,16 +45,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import CouplingCoefficients, solve_coupling_from_kernel
-from .kernels import (
-    HalfLineResolvent,
-    _data_panels,
-    boundary_derivatives,
-    edge_field,
-    vertex_kernel_at,
-)
+from .coupling import CouplingCoefficients, solve_coupling
+from .kernels import HalfLineResolvent, _data_panels, boundary_derivatives, edge_field
 from .profile import CurvatureProfile, geometry_residual_fields
-from .vertex_spectrum import CaseLabel, ShootingSolution, _panel_nodes, spectrum_for_case
+from .vertex_spectrum import CaseLabel, _panel_nodes, spectrum_for_case
 
 __all__ = [
     "ApproxSolution",
@@ -116,7 +110,7 @@ def data_norm(f1, f2) -> float:
 
 @dataclass(frozen=True)
 class ApproxSolution:
-    """Assembled trial field with its coupling data."""
+    """Assembled trial field with its coupling data (the kernel at eps^2 z in them)."""
 
     profile: CurvatureProfile
     n: int
@@ -126,7 +120,6 @@ class ApproxSolution:
     f1: object
     f2: object
     coeffs: CouplingCoefficients
-    kernel: ShootingSolution
     resolvent0: HalfLineResolvent
 
     @property
@@ -142,7 +135,7 @@ class ApproxSolution:
         one dense evaluation of each side's stacked solve."""
         s = np.asarray(s)
         return self._vertex_profile_from(*(side(s) for side in
-                                           self.kernel.robin_sides(self.coeffs.sigma)))
+                                           self.coeffs.kernel.robin_sides(self.coeffs.sigma)))
 
     def _vertex_profile_from(self, right, left):
         """(phi, phi') from the right and left sides' values at the same points."""
@@ -173,9 +166,9 @@ class ApproxSolution:
 def assemble(profile: CurvatureProfile, n: int, z: complex, epsilon: float,
              delta: float, f1, f2, *, p: np.ndarray | None = None,
              case: CaseLabel | None = None) -> ApproxSolution:
-    """Build the trial field for edge data (f1 chi_n, f2 chi_n, 0).  p and
-    case do not depend on epsilon: a sweep passes its own; else p comes from
-    the data, and case from the spectrum at the default zero tolerance."""
+    """Build the trial field for edge data (f1 chi_n, f2 chi_n, 0) on ``solve_coupling``.
+    p and case do not depend on epsilon: a sweep passes its own; else p comes
+    from the data, and case is ``solve_coupling``'s default, ``classify``."""
     if not 0.0 < delta <= epsilon <= 1.0:
         raise ValueError(f"need 0 < delta <= epsilon <= 1, got {delta}, {epsilon}")
     if n < 1:
@@ -183,12 +176,9 @@ def assemble(profile: CurvatureProfile, n: int, z: complex, epsilon: float,
     res0 = HalfLineResolvent(complex(z))
     if p is None:
         p = boundary_derivatives(res0, f1, f2)
-    if case is None:
-        case = spectrum_for_case(profile).case
-    kernel = vertex_kernel_at(profile, epsilon**2 * z)
-    coeffs = solve_coupling_from_kernel(kernel, z, epsilon, p, case)
+    coeffs = solve_coupling(profile, z, epsilon, p, case)
     return ApproxSolution(profile, n, complex(z), float(epsilon), float(delta),
-                          f1, f2, coeffs, kernel, res0)
+                          f1, f2, coeffs, res0)
 
 
 def _bulk(sol: ApproxSolution, fields: dict, phi, dphi):
@@ -341,7 +331,7 @@ class ResidualQuadrature:
         s-nodes mirror and the right solve is the left one read in t = -s (it
         holds the left's arrays), its values are the left's with the columns
         reversed and the y' rows negated: psi is to chi as eta is to zeta."""
-        sides = sol.kernel.robin_sides(sol.coeffs.sigma)
+        sides = sol.coeffs.kernel.robin_sides(sol.coeffs.sigma)
         right, left = coefficients = tuple(side.coefficients for side in sides)
         if any(held is not c for held, c in zip(self._sides, coefficients)):
             zeta = left(self.s_pts)

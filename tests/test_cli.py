@@ -529,6 +529,29 @@ class TestSweepCommands:
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("z", [0.0, True]),
+        ("z", [0.0, 1.0, 9.0]),
+        ("p", [[True, 0.0], [0.0, 0.0]]),
+        ("p", [[1.0, 0.0, 9.0], [0.0, 0.0]]),
+        ("p", [[1.0, 0.0], [0.0, 0.0], [9.0, 9.0]]),
+        ("eps_grid", [True, 0.5, 0.25, 0.125]),
+        ("eps_grid", ["0.5", 0.25, 0.125, 0.0625]),
+        ("delta_rule", ["ratio", True]),
+        ("delta_rule", ["power", 1.5, 9.0]),
+        ("zero_tolerance", True),
+        ("profile", {"kind": "tuned_bump", "amplitude": True, "target_index": 2}),
+        ("f1", {"type": "exp", "rate": True}),
+    ])
+    def test_run_non_number_or_long_list_exit_code(self, tmp_path, capsys, key, value):
+        # each ran: true read as 1.0, "0.5" as 0.5, and a longer list was cut to
+        # its first two entries (z = [0, 1, 9] ran at z = i), while the output
+        # echoed the config as given
+        (tmp_path / "cfg.json").write_text(json.dumps({**TestReadmeExamples.CONFIG, key: value}))
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 2
+        assert "malformed config" in capsys.readouterr().err and not out.exists()
+
     @pytest.mark.parametrize("command", ["coupling", "residual-sweep", "graph-limit"])
     def test_sweep_takes_no_config(self, tmp_path, command):
         # only ``run`` reads a config; ``coupling --config`` ran whatever it held

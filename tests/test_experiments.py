@@ -6,12 +6,12 @@ import json
 import numpy as np
 import pytest
 
+import wglimit.coupling as coupling
 import wglimit.experiments as experiments
 import wglimit.kernels as kernels
 import wglimit.residual as residual
 import wglimit.vertex_spectrum as vertex_spectrum
 from wglimit import CurvatureProfile, ExperimentConfig, GaussianPulse, run_sweep
-from wglimit.coupling import solve_coupling_from_kernel
 from wglimit.experiments import (
     ConfigError,
     FitError,
@@ -22,7 +22,6 @@ from wglimit.experiments import (
     oracle_report,
 )
 from wglimit.graph_limit import boundary_limits, limit_comparison
-from wglimit.kernels import vertex_kernel_at
 
 ZERO = CurvatureProfile.zero()
 
@@ -320,8 +319,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("profile_name", ["bump05", "tuned2"])
     def test_graph_limit_rows_reduce_the_coupling_solve(self, monkeypatch, profile_name,
                                                         request):
-        # a graph-limit point is the kernel at eps^2 z and the closed-form solve;
-        # it assembles no trial field
+        # a graph-limit point is the coupling solve at eps, and it assembles no
+        # trial field
         def refuse(*args, **kwargs):
             raise AssertionError("a graph-limit point assembled a trial field")
 
@@ -338,8 +337,7 @@ class TestRunSweep:
         assert ctx.case.resonant == (profile_name == "tuned2")
         for row in result.rows:
             eps = row["epsilon"]
-            coeffs = solve_coupling_from_kernel(vertex_kernel_at(profile, eps**2 * cfg.z),
-                                                cfg.z, eps, ctx.p, ctx.case)
+            coeffs = coupling.solve_coupling(profile, cfg.z, eps, ctx.p, ctx.case)
             expect = {"comparison_norm": limit_comparison(coeffs)}
             lims = boundary_limits(coeffs)
             if ctx.case.resonant:
@@ -350,6 +348,30 @@ class TestRunSweep:
             got = {key: value.hex() for key, value in row.items()
                    if key not in ("epsilon", "delta")}
             assert got == {key: value.hex() for key, value in expect.items()}
+
+    @pytest.mark.parametrize("profile_name", ["bump05", "tuned2"])
+    def test_one_kernel_per_point_through_the_coupling_solve(self, monkeypatch, profile_name,
+                                                            request):
+        # coupling.solve_coupling is the one place that evaluates the kernel at
+        # eps^2 z: counted in ``coupling`` alone, it sees every sweep point and the
+        # oracle report once (experiments and residual used to bind their own copy)
+        calls = []
+        kernel_at = coupling.vertex_kernel_at
+        monkeypatch.setattr(coupling, "vertex_kernel_at",
+                            lambda profile, w: calls.append(w) or kernel_at(profile, w))
+        profile = request.getfixturevalue(profile_name)
+        z, grid, f1 = 0.3 + 0.7j, dyadic(3, 6), {"type": "exp", "rate": 1.0}
+        for metric in ("coupling", "graph-limit", "residual"):
+            calls.clear()
+            result = run_sweep(ExperimentConfig(profile=profile, metric=metric, z=z,
+                                                eps_grid=grid, delta_rule=("ratio", 0.1),
+                                                p=None, f1=f1))
+            assert not result.failures and len(result.rows) == len(grid)
+            assert calls == [eps**2 * z for eps in grid], metric
+        calls.clear()
+        oracle_report(profile, z, 0.25, 0.025, edge_function_from_spec(f1), None,
+                      h_u=1 / 8, h_s=1 / 4)
+        assert calls == [0.25**2 * z]
 
     def test_resonant_projector_once_per_sweep(self, monkeypatch, tuned2):
         calls = []

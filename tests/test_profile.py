@@ -103,11 +103,13 @@ class TestConstruction:
         with pytest.raises(ProfileError, match=r"unknown keys \['target'\]"):
             CurvatureProfile.from_json_fragment({"kind": "bump", "amplitude": 0.5, "target": 3})
 
-    @pytest.mark.parametrize("amplitude", [None, [0.5], "half"])
+    @pytest.mark.parametrize("amplitude", [None, [0.5], "half", "0.5", True])
     def test_non_numeric_amplitude_rejected(self, amplitude):
-        # null and [0.5] used to escape as a bare TypeError (exit 1 from the CLI)
+        # null and [0.5] used to escape as a bare TypeError (exit 1 from the CLI);
+        # "0.5" and true used to load as untuned amplitudes 0.5 and 1.0
         with pytest.raises(ProfileError, match="amplitude"):
-            CurvatureProfile.from_json_fragment({"kind": "bump", "amplitude": amplitude})
+            CurvatureProfile.from_json_fragment({"kind": "tuned_bump", "amplitude": amplitude,
+                                                 "target_index": 2})
 
     def test_json_round_trip(self, bump05, tuned2):
         for prof in (CurvatureProfile.zero(), bump05, tuned2):

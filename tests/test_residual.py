@@ -82,7 +82,7 @@ class TestAssemble:
 def _cauchy_profile(sol, s):
     """phi from the left Cauchy data, q1 zeta - eps xi1 chi (test-side
     reference), accurate while the shooting solutions stay O(1)."""
-    zeta = sol.kernel.zeta_sol
+    zeta = sol.coeffs.kernel.zeta_sol
     chi = _TaylorSide(zeta.coefficients.stacked, np.concatenate([0.0 * zeta.powers, zeta.powers]))
     return sol.coeffs.q[0] * zeta(s) - sol.epsilon * sol.coeffs.xi[0] * chi(s)
 
@@ -125,7 +125,7 @@ class TestVertexProfileClosedForm:
         # form (q2 chi + q1 psi)/D loses 9e-4
         w = -4.853989234961234
         sol = assemble(tuned2, 1, w / eps**2, eps, 0.1 * eps, F1, self.F2)
-        assert abs(sol.kernel.dirichlet) < 1e-11
+        assert abs(sol.coeffs.kernel.dirichlet) < 1e-11
         phi = sol.vertex_profile(self.S)
         assert np.max(np.abs(phi - _cauchy_profile(sol, self.S))) <= 1e-13 * np.max(np.abs(phi))
         defects = sol.interface_defects()
@@ -404,7 +404,7 @@ class TestQuadratureTable:
         # eps = 0.9, |w| = 0.81 > 0.25 and the kernel is a 1-term shot
         profile = request.getfixturevalue(profile_name)
         sol = assemble(profile, 1, Z, eps, 0.1 * eps, F1, None)
-        assert len(sol.kernel.zeta_sol.powers) == (1 if eps == 0.9 else SERIES_TERMS)
+        assert len(sol.coeffs.kernel.zeta_sol.powers) == (1 if eps == 0.9 else SERIES_TERMS)
         table = ResidualQuadrature.build(profile, 1, F1, None, sol.case)
         for _ in range(2):  # a fresh and a cached node table
             got = table.vertex_profile(sol)
@@ -422,7 +422,7 @@ class TestQuadratureTable:
         sol = assemble(profile, 1, Z, eps, 0.1 * eps, F1, None)
         table = ResidualQuadrature.build(profile, 1, F1, None, sol.case, order, panels)
         table.vertex_profile(sol)
-        eta, zeta = sol.kernel.robin_sides(sol.coeffs.sigma)
+        eta, zeta = sol.coeffs.kernel.robin_sides(sol.coeffs.sigma)
         assert eta.coefficients.states is zeta.coefficients.states
         expect = eta.table(eta.coefficients(table.s_pts))
         got = table._sides[2]
@@ -435,7 +435,8 @@ class TestQuadratureTable:
         profile = ShiftedBump("bump", 0.5)
         sol = assemble(profile, 1, Z, eps, 0.1 * eps, F1, None,
                        case=spectrum_for_case(bump05).case)
-        right, left = (side.coefficients for side in sol.kernel.robin_sides(sol.coeffs.sigma))
+        sides = sol.coeffs.kernel.robin_sides(sol.coeffs.sigma)
+        right, left = (side.coefficients for side in sides)
         assert right.states is not left.states
         table = ResidualQuadrature.build(profile, 1, F1, None, sol.case)
         got = table.vertex_profile(sol)

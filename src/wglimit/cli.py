@@ -56,8 +56,7 @@ def _parse_profile(text: str) -> CurvatureProfile:
     if text.startswith("bump:"):
         return CurvatureProfile.bump(float(text.split(":", 1)[1]))
     if text.startswith("tuned:"):
-        return tune_to_resonance(CurvatureProfile.bump(0.5),
-                                 int(text.split(":", 1)[1]))
+        return tune_to_resonance(int(text.split(":", 1)[1]))
     if text.startswith("{"):
         return CurvatureProfile.from_json_fragment(json.loads(text))
     raise ConfigError(f"cannot parse profile {text!r} "

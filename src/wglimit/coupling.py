@@ -14,8 +14,12 @@ and runs this formula (``solve_coupling_from_kernel``); every point solve,
 of a sweep, a trial field or the oracle report, goes through it.  Its
 denominator is shared with the vertex profile (``residual``), whose end
 values phi(-1), phi(+1) are q: the solve keeps the kernel and
-gain = eps / (W - sigma tr N + sigma^2 D).  In the resonant case the
-limiting behaviour is governed by the rank-one projector
+gain = eps / (W - sigma tr N + sigma^2 D).
+
+Both limits share one vertex condition, P0perp x(0) = 0 and P0 x'(0) = 0,
+and differ only in the rank of the projector P0 (``KirchhoffProjector``).
+In the generic case P0 = 0 (``DECOUPLED``: Dirichlet on both edges).  In
+the resonant case P0 is the rank-one projector
 
     P0 = [[a1^2, a1 a2], [a1 a2, a2^2]] / (a1^2 + a2^2),
 
@@ -23,11 +27,12 @@ with weights (a1, a2) the boundary values of the zero-mode.  Writing the
 corner matrix near the resonance as  -(a1^2+a2^2)/(eps^2 z) P0 + R0 + O(eps^2),
 the q-map expands as
 
-    i P0 / sqrt(z) + eps [ -P0/(a1^2+a2^2) + P0perp R0 P0perp ] + O(eps^2);
+    i P0 / sqrt(z) + eps F + O(eps^2),   F = -P0/(a1^2+a2^2) + P0perp R0 P0perp;
 
-both first-order blocks are real effects (checked against the exact
-zero-curvature closed form), and the deviations below subtract the full
-first-order term so the remainder is genuinely second order.
+both blocks of F are real effects (checked against the exact zero-curvature
+closed form), and the deviations below subtract the full first-order term so
+the remainder is genuinely second order.  Decoupled, q = O(eps) and F = 0:
+the same formulas measure q -> 0 and xi -> p.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .vertex_spectrum import (DEFAULT_ZERO_TOLERANCE, CaseLabel, ShootingSolutio
 
 __all__ = [
     "CouplingCoefficients",
+    "DECOUPLED",
     "DeviationReport",
     "KirchhoffProjector",
     "asymptotic_deviation",
@@ -54,23 +60,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KirchhoffProjector:
-    """Rank-one projector onto the weight vector (alpha1, alpha2).
+    """The vertex projector P0 of a limit's condition P0perp x(0) = 0,
+    P0 x'(0) = 0: of rank one onto the weights (a1, a2) for weighted
+    Kirchhoff, of rank zero (``DECOUPLED``) for Dirichlet on both edges.
 
-    ``perp_correction`` optionally carries the perpendicular block
-    P0perp R0 P0perp of the regular part of the kernel corners at the
-    resonance; it completes the first-order term of the coupling
-    expansion (see resonant_projector).
+    ``first_order`` is F of the coupling expansion (module docstring):
+    -P0/(a1^2 + a2^2), plus P0perp R0 P0perp from ``resonant_projector``;
+    0 when decoupled.  The arrays are read-only.
     """
 
-    alpha1: float
-    alpha2: float
     lambda0: np.ndarray
     lambda0_perp: np.ndarray
-    perp_correction: np.ndarray | None = None
+    first_order: np.ndarray
 
-    @property
-    def weight_norm_sq(self) -> float:
-        return self.alpha1**2 + self.alpha2**2
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+DECOUPLED = KirchhoffProjector(*_frozen(np.zeros((2, 2)), np.eye(2), np.zeros((2, 2))))
 
 
 def kirchhoff_projector(alpha1: float, alpha2: float) -> KirchhoffProjector:
@@ -79,27 +89,22 @@ def kirchhoff_projector(alpha1: float, alpha2: float) -> KirchhoffProjector:
         raise ValueError("weight vector (alpha1, alpha2) must be nonzero")
     lam0 = np.array([[alpha1 * alpha1, alpha1 * alpha2],
                      [alpha1 * alpha2, alpha2 * alpha2]]) / nsq
-    lam0.setflags(write=False)
-    perp = np.eye(2) - lam0
-    perp.setflags(write=False)
-    return KirchhoffProjector(alpha1, alpha2, lam0, perp)
+    return KirchhoffProjector(*_frozen(lam0, np.eye(2) - lam0, -lam0 / nsq))
 
 
 def resonant_projector(profile: CurvatureProfile,
                        zero_tolerance: float = DEFAULT_ZERO_TOLERANCE) -> KirchhoffProjector:
-    """Kirchhoff projector of a resonant profile, with the perpendicular
-    first-order correction P0perp R0 P0perp attached; R0 is the regular
-    part of the corner matrix at the pole, in closed form from the
-    profile's Taylor coefficients."""
+    """Kirchhoff projector of a resonant profile, whose first-order term
+    also carries P0perp R0 P0perp; R0 is the regular part of the corner
+    matrix at the pole, in closed form from the profile's Taylor
+    coefficients."""
     case = classify(profile, zero_tolerance)
     if not case.resonant:
         raise ValueError("profile is not resonant at this tolerance")
     proj = kirchhoff_projector(case.alpha1, case.alpha2)
     r0 = taylor_shooting(profile).pole_parts()[1]
-    perp = proj.lambda0_perp @ r0 @ proj.lambda0_perp
-    perp.setflags(write=False)
-    return KirchhoffProjector(proj.alpha1, proj.alpha2, proj.lambda0,
-                              proj.lambda0_perp, perp)
+    first = proj.first_order + proj.lambda0_perp @ r0 @ proj.lambda0_perp
+    return KirchhoffProjector(proj.lambda0, proj.lambda0_perp, *_frozen(first))
 
 
 @dataclass(frozen=True)
@@ -166,22 +171,18 @@ class DeviationReport:
 
 
 def asymptotic_deviation(coeffs: CouplingCoefficients,
-                         projector: KirchhoffProjector | None) -> DeviationReport:
-    """Deviation of q and xi from the case-dependent leading behaviour.
+                         projector: KirchhoffProjector) -> DeviationReport:
+    """Distance of q and xi from the limit whose vertex projector is given.
 
-    Generic case (no projector): the limits are q -> 0, xi -> p.
-    Resonant case: q -> (i/sqrt(z)) P0 p, and xi is compared against
-    P0perp p - eps (i sqrt(z)/(a1^2+a2^2)) P0 p plus the perpendicular
-    first-order term (xi - P0perp p alone is i sqrt(z) (q - q_limit), which
-    dev_q already measures).  p, q and xi are scaled
-    by the power of two that brings max |p| into [1/2, 1), exactly, so that the
-    norms, which square the entries, do not overflow at a large p.
+    q is compared against its limit (i/sqrt(z)) P0 p, and xi against
+    P0perp p + eps i sqrt(z) F p with F the projector's first-order term
+    (xi - P0perp p alone is i sqrt(z) (q - q_limit), which dev_q already
+    measures).  With ``DECOUPLED`` (P0 = 0) these are |q| and |xi - p|; any
+    pairing is measured, such as a resonant point's distance to the
+    decoupled limit.  p, q and xi are scaled by the power of two that brings
+    max |p| into [1/2, 1), exactly, so that the norms, which square the
+    entries, do not overflow at a large p.
     """
-    resonant = coeffs.case.resonant
-    if resonant and projector is None:
-        raise ValueError("resonant coefficients need the Kirchhoff projector")
-    if not resonant and projector is not None:
-        raise ValueError("generic coefficients take no projector")
     e = np.frexp(np.max(np.abs(coeffs.p)))[1]
     p, q, xi = (np.ldexp(x.view(float), -e).view(complex)
                 for x in (coeffs.p, coeffs.q, coeffs.xi))
@@ -189,17 +190,7 @@ def asymptotic_deviation(coeffs: CouplingCoefficients,
     if pnorm == 0.0:
         return DeviationReport(0.0, 0.0)
     sq = sqrt_upper(coeffs.z)
-    if not resonant:
-        return DeviationReport(float(np.linalg.norm(q)) / pnorm,
-                               float(np.linalg.norm(xi - p)) / pnorm)
-    lam0 = projector.lambda0
-    perp = projector.lambda0_perp
-    nsq = projector.weight_norm_sq
-    q_limit = (1j / sq) * (lam0 @ p)
-    dev_q = float(np.linalg.norm(q - q_limit)) / pnorm
-    first_order = -lam0 / nsq
-    if projector.perp_correction is not None:
-        first_order = first_order + projector.perp_correction
-    xi_first = coeffs.epsilon * 1j * sq * (first_order @ p)
-    dev_xi = float(np.linalg.norm(xi - perp @ p - xi_first)) / pnorm
+    dev_q = float(np.linalg.norm(q - (1j / sq) * (projector.lambda0 @ p))) / pnorm
+    xi_first = coeffs.epsilon * 1j * sq * (projector.first_order @ p)
+    dev_xi = float(np.linalg.norm(xi - projector.lambda0_perp @ p - xi_first)) / pnorm
     return DeviationReport(dev_q, dev_xi)

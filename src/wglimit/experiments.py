@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .coupling import KirchhoffProjector, asymptotic_deviation, resonant_projector, solve_coupling
+from .coupling import (DECOUPLED, KirchhoffProjector, asymptotic_deviation, resonant_projector,
+                       solve_coupling)
 from .fd_oracle import H_S, H_U, TRUNCATION_TOL, WaveguideGrid, fd_resolvent, trapezoid_weights
 from .graph_limit import boundary_limits, graph_q, limit_comparison, limit_resolvent
 from .kernels import (ExpDecay, GaussianPulse, HalfLineResolvent, Indicator, KernelError,
@@ -333,7 +334,7 @@ class SweepContext:
     f1: object
     f2: object
     p: np.ndarray
-    projector: KirchhoffProjector | None = None  # coupling metric, resonant case
+    projector: KirchhoffProjector = DECOUPLED  # resonant_projector for a resonant coupling sweep
     residual: ResidualQuadrature | None = None  # residual metric
 
     @staticmethod
@@ -345,7 +346,7 @@ class SweepContext:
             p = np.asarray(config.p, dtype=complex)
         else:
             p = boundary_derivatives(HalfLineResolvent(config.z), f1, f2)
-        projector = None
+        projector = DECOUPLED
         if config.metric == "coupling" and case.resonant:
             # depends on (profile, tolerance) only, so one per sweep is exact
             projector = resonant_projector(config.profile, config.zero_tolerance)

@@ -1,13 +1,15 @@
 """Limit operators on the two-edge graph and their resolvents.
 
 Two self-adjoint realizations of -d^2/ds^2 on two half-lines joined at a
-vertex appear as collapse limits:
+vertex appear as collapse limits.  Both have the vertex condition
+P0perp x(0) = 0, P0 x'(0) = 0 of a projector P0 (``KirchhoffProjector``),
+and one resolvent  r0(z) f_j + q_j exp(i sqrt(z) s)  with
+q = (i/sqrt(z)) P0 p  and  p_j = (r0(z) f_j)'(0):
 
-  * decoupled:  x1(0) = x2(0) = 0 (Dirichlet on both edges), resolvent
-    acts edgewise as r0(z);
-  * weighted Kirchhoff with weights (a1, a2):  P0perp x(0) = 0 and
-    P0 x'(0) = 0, resolvent  r0(z) f_j + q_j exp(i sqrt(z) s)  with
-    q = (i/sqrt(z)) P0 p  and  p_j = (r0(z) f_j)'(0).
+  * decoupled:  P0 = 0 (``DECOUPLED``), so x1(0) = x2(0) = 0 (Dirichlet on
+    both edges), q = 0 and the resolvent acts edgewise as r0(z);
+  * weighted Kirchhoff with weights (a1, a2):  P0 the rank-one projector
+    onto (a1, a2).
 
 The comparison with the limit reads only the coupling coefficients of the
 point (``CouplingCoefficients``: z, p, q, xi and the case label), no trial
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingCoefficients, KirchhoffProjector, kirchhoff_projector
+from .coupling import DECOUPLED, CouplingCoefficients, KirchhoffProjector, kirchhoff_projector
 from .kernels import HalfLineResolvent, boundary_derivatives, edge_field, sqrt_upper
 from .vertex_spectrum import CaseLabel
 
@@ -43,15 +45,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GraphResolvent:
-    """Resolvent of a limit operator at z: weighted Kirchhoff with its
-    projector, or decoupled when there is none."""
+    """Resolvent at z of the limit operator with vertex projector P0:
+    weighted Kirchhoff for rank one, decoupled for ``DECOUPLED``."""
 
     z: complex
-    projector: KirchhoffProjector | None = None
+    projector: KirchhoffProjector
 
 
 def decoupled_resolvent(z: complex) -> GraphResolvent:
-    return GraphResolvent(complex(z))
+    return GraphResolvent(complex(z), DECOUPLED)
 
 
 def kirchhoff_resolvent(z: complex, projector: KirchhoffProjector) -> GraphResolvent:
@@ -66,9 +68,7 @@ def limit_resolvent(case: CaseLabel, z: complex) -> GraphResolvent:
 
 
 def graph_q(res: GraphResolvent, p) -> np.ndarray:
-    """Outgoing amplitudes of the graph resolvent for data p: 0 or (i/sqrt(z)) P0 p."""
-    if res.projector is None:
-        return np.zeros(2, dtype=complex)
+    """Outgoing amplitudes of the graph resolvent for data p: (i/sqrt(z)) P0 p."""
     return (1j / sqrt_upper(res.z)) * (res.projector.lambda0 @ p)
 
 
@@ -83,9 +83,7 @@ def apply_resolvent_grid(res: GraphResolvent, f1, f2, s, edge: int):
     if edge not in (1, 2):
         raise ValueError(f"edge must be 1 or 2, got {edge!r}")
     r0 = HalfLineResolvent(res.z)
-    q = 0.0  # the outgoing amplitude; decoupled, the data are not read
-    if res.projector is not None:
-        q = graph_q(res, boundary_derivatives(r0, f1, f2))[edge - 1]
+    q = graph_q(res, boundary_derivatives(r0, f1, f2))[edge - 1]
     return edge_field(r0, f1 if edge == 1 else f2, q, s)
 
 

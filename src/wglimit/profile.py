@@ -382,7 +382,7 @@ def _tuned_amplitude(target_index: int) -> float:
         f"converge (last eigenvalue {lam:.3e})")
 
 
-def tune_to_resonance(base: CurvatureProfile, target_index: int) -> CurvatureProfile:
+def tune_to_resonance(target_index: int) -> CurvatureProfile:
     """Bump profile whose eigenvalue ``target_index`` sits at zero.
 
     The first eigenvalue cannot be tuned: any nonzero bump pushes it
@@ -390,8 +390,6 @@ def tune_to_resonance(base: CurvatureProfile, target_index: int) -> CurvaturePro
     lambda_2 >= pi^2/4 - sup(gamma^2)/4), so the result is a
     ``tuned_bump`` with geometry restricted to rho < 1/amplitude.
     """
-    if base.kind == "zero":
-        raise ProfileError("zero family has no amplitude to tune")
     if target_index < 2:
         raise ProfileError("target_index must be >= 2")
     amp = _tuned_amplitude(target_index)

@@ -29,7 +29,7 @@ def bump05():
 
 @pytest.fixture(scope="session")
 def tuned2():
-    return tune_to_resonance(CurvatureProfile.bump(0.5), 2)
+    return tune_to_resonance(2)
 
 
 @pytest.fixture(scope="session")

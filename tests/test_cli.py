@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
-import shlex
+import sys
 import time
 from datetime import timedelta
 from pathlib import Path
@@ -15,6 +15,10 @@ from hypothesis import strategies as st
 from wglimit import cli, experiments, kernels, vertex_spectrum
 from wglimit.cli import _parse_eps_grid, main
 from wglimit.experiments import ConfigError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+from compare_outputs import README_RUN_CONFIG, readme_examples  # noqa: E402
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -425,7 +429,7 @@ class TestSweepCommands:
     def test_run_unknown_json_key_exit_code(self, tmp_path, capsys, key, value, unknown):
         # each was ignored: the Gaussian ran at its default center 3.0, the window at
         # drop:2 and the bump untuned, while the output echoed the key
-        cfg = dict(TestReadmeExamples.CONFIG, metric="graph-limit", p=None,
+        cfg = dict(README_RUN_CONFIG, metric="graph-limit", p=None,
                    f1={"type": "gaussian", "center": 5.0, "width": 0.5})
         cfg[key] = value
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -547,7 +551,7 @@ class TestSweepCommands:
         # each ran: true read as 1.0, "0.5" as 0.5, and a longer list was cut to
         # its first two entries (z = [0, 1, 9] ran at z = i), while the output
         # echoed the config as given
-        (tmp_path / "cfg.json").write_text(json.dumps({**TestReadmeExamples.CONFIG, key: value}))
+        (tmp_path / "cfg.json").write_text(json.dumps({**README_RUN_CONFIG, key: value}))
         out = tmp_path / "o.csv"
         assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 2
         assert "malformed config" in capsys.readouterr().err and not out.exists()
@@ -574,7 +578,7 @@ class TestSweepCommands:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(cli, "run_sweep", disk_full)
-        (tmp_path / "config.json").write_text(json.dumps(TestReadmeExamples.CONFIG))
+        (tmp_path / "config.json").write_text(json.dumps(README_RUN_CONFIG))
         with pytest.raises(OSError):
             main(["run", "--config", str(tmp_path / "config.json"),
                   "--out", str(tmp_path / "o.csv")])
@@ -589,7 +593,7 @@ class TestSweepCommands:
         for name in ("eigenvalues", "run_sweep", "oracle_report"):
             monkeypatch.setattr(cli, name, no_work)
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "config.json").write_text(json.dumps(TestReadmeExamples.CONFIG))
+        (tmp_path / "config.json").write_text(json.dumps(README_RUN_CONFIG))
         assert main([*argv, "--out", str(tmp_path / "missing" / "x.csv")]) == 2
         assert main([*argv, "--out", str(tmp_path)]) == 2  # a directory, not a file
 
@@ -612,7 +616,7 @@ class TestSweepCommands:
     def test_run_config_p_near_overflow(self, tmp_path, capsys, p, code):
         # a 2-norm that overflows is refused; a finite one that overflows the
         # solve fails its points
-        (tmp_path / "cfg.json").write_text(json.dumps(dict(TestReadmeExamples.CONFIG, p=p)))
+        (tmp_path / "cfg.json").write_text(json.dumps(dict(README_RUN_CONFIG, p=p)))
         out = tmp_path / "o.csv"
         assert main(["run", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == code
         err = capsys.readouterr().err
@@ -649,14 +653,6 @@ class TestSweepCommands:
                      "--out", str(tmp_path / "o.csv")]) == 2
 
 
-def readme_examples() -> list[list[str]]:
-    """The ``wglimit`` commands of the README's CLI section, as argv lists."""
-    text = README.read_text(encoding="utf-8")
-    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
-            if line.startswith("wglimit ")]
-
-
 def example_ids(examples: list[list[str]]) -> list[str]:
     """Test ids: a command's first example is named by the command, a later
     one also by its position."""
@@ -667,17 +663,8 @@ def example_ids(examples: list[list[str]]) -> list[str]:
 class TestReadmeExamples:
     """The README's CLI examples are the end-to-end contract: each one runs."""
 
-    EXAMPLES = readme_examples()
+    EXAMPLES = readme_examples(README)
     IDS = example_ids(EXAMPLES)
-    # the config file the ``run`` example reads: a small coupling sweep
-    CONFIG = {
-        "profile": {"kind": "zero", "amplitude": 0.0},
-        "metric": "coupling",
-        "z": [0.0, 1.0],
-        "eps_grid": [2.0**-k for k in range(6, 10)],
-        "delta_rule": ["power", 1.5],
-        "p": [[1.0, 0.0], [0.0, 0.0]],
-    }
 
     def test_every_subcommand_has_an_example(self):
         assert sorted({argv[0] for argv in self.EXAMPLES}) == sorted(
@@ -687,7 +674,7 @@ class TestReadmeExamples:
     @pytest.mark.parametrize("argv", EXAMPLES, ids=IDS)
     def test_example_runs(self, tmp_path, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "config.json").write_text(json.dumps(self.CONFIG))
+        (tmp_path / "config.json").write_text(json.dumps(README_RUN_CONFIG))
         assert main(argv) == 0
         out = tmp_path / argv[argv.index("--out") + 1]
         assert out.exists()

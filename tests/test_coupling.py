@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wglimit import (CurvatureProfile, kirchhoff_projector, resonant_projector, solve_coupling,
                      vertex_kernel_at)
-from wglimit.coupling import asymptotic_deviation, solve_coupling_from_kernel
+from wglimit.coupling import DECOUPLED, asymptotic_deviation, solve_coupling_from_kernel
 from wglimit.graph_limit import limit_comparison
 from wglimit.kernels import ExpDecay, series_kernel, sqrt_upper
 from wglimit.residual import assemble
@@ -168,15 +168,6 @@ class TestClosedForm:
 
 
 class TestAsymptoticDeviation:
-    def test_projector_pairing_enforced(self, bump05, zero_profile):
-        c1 = solve_coupling(bump05, Z, 0.01, P10)
-        c2 = solve_coupling(zero_profile, Z, 0.01, P10)
-        proj = kirchhoff_projector(1.0, 1.0)
-        with pytest.raises(ValueError):
-            asymptotic_deviation(c1, proj)
-        with pytest.raises(ValueError):
-            asymptotic_deviation(c2, None)
-
     def test_null_input_convention(self, zero_profile):
         coeffs = solve_coupling(zero_profile, Z, 0.01, np.zeros(2))
         dev = asymptotic_deviation(coeffs, kirchhoff_projector(1.0, 1.0))
@@ -200,14 +191,45 @@ class TestAsymptoticDeviation:
 
     def test_case1_slope(self, bump05):
         eps = [2.0**-k for k in range(6, 15)]
-        dq = [asymptotic_deviation(solve_coupling(bump05, Z, e, P10), None).dev_q
+        dq = [asymptotic_deviation(solve_coupling(bump05, Z, e, P10), DECOUPLED).dev_q
               for e in eps]
         assert abs(log_slope(eps[2:], dq[2:]) - 1.0) < 0.15
+
+    @pytest.mark.parametrize("z", [Z, 0.3 + 0.7j, -2.0 + 0.1j])
+    @pytest.mark.parametrize("p", [P10, np.array([1.0, 0.3 + 2.0j]),
+                                   np.array([3e300, -1e299j])])
+    def test_generic_deviation_is_the_decoupled_distance(self, bump05, z, p):
+        # against P0 = 0 the one formula reads |q| and |xi - p|, bit for bit
+        def decoupled_distances(coeffs):
+            e = np.frexp(np.max(np.abs(coeffs.p)))[1]
+            p, q, xi = (np.ldexp(x.view(float), -e).view(complex)
+                        for x in (coeffs.p, coeffs.q, coeffs.xi))
+            pnorm = float(np.linalg.norm(p))
+            return float(np.linalg.norm(q)) / pnorm, float(np.linalg.norm(xi - p)) / pnorm
+
+        for eps in (2.0**-k for k in range(6, 15)):
+            coeffs = solve_coupling(bump05, z, eps, p)
+            dev = asymptotic_deviation(coeffs, DECOUPLED)
+            assert (dev.dev_q, dev.dev_xi) == decoupled_distances(coeffs)
+
+    def test_resonant_distance_to_the_decoupled_limit(self, tuned2):
+        # q -> (i/sqrt(z)) P0 p: the distance to q = 0 tends to |P0 p| / (|sqrt z| |p|)
+        p = np.array([1.0, 0.3], dtype=complex)
+        lam0 = resonant_projector(tuned2).lambda0
+        far = np.linalg.norm(lam0 @ p) / (abs(Z) ** 0.5 * np.linalg.norm(p))
+        for eps in (2.0**-6, 2.0**-10, 2.0**-14):
+            coeffs = solve_coupling(tuned2, Z, eps, p)
+            dev = asymptotic_deviation(coeffs, DECOUPLED)
+            assert np.isfinite(dev.dev_q) and np.isfinite(dev.dev_xi)
+            assert dev.dev_q == pytest.approx(np.linalg.norm(coeffs.q) / np.linalg.norm(p),
+                                              rel=1e-15)
+            assert dev.dev_xi == pytest.approx(
+                np.linalg.norm(coeffs.xi - p) / np.linalg.norm(p), rel=1e-15)
+        assert dev.dev_q == pytest.approx(far, rel=1e-3)
 
     def test_expansion_coefficient(self, zero_profile):
         # entrywise epsilon-coefficient of the q-map along the sweep
         proj = resonant_projector(zero_profile)
-        nsq = proj.weight_norm_sq
         eps = np.array([2.0**-k for k in range(8, 15)])
         coefs = []
         for e in eps:
@@ -217,11 +239,11 @@ class TestAsymptoticDeviation:
             coefs.append((m - 1j * proj.lambda0 / SQ) / e)
         fitted = np.mean(coefs[-3:], axis=0)
         lam0_block = proj.lambda0 @ fitted @ proj.lambda0
-        target = -proj.lambda0 / nsq
+        target = proj.lambda0 @ proj.first_order @ proj.lambda0  # -P0 / (a1^2 + a2^2)
         assert np.max(np.abs(lam0_block - target)) <= 0.05 * np.max(np.abs(target))
         # the perpendicular block is a real first-order effect; it must
         # match the regular corner part sandwiched by the complement
-        full_target = target + proj.perp_correction
+        full_target = proj.first_order
         assert np.max(np.abs(fitted - full_target)) <= 0.05 * np.max(np.abs(full_target))
 
     def test_lambda0_sign_invariance_via_spectrum(self, zero_profile):
@@ -250,8 +272,9 @@ class TestHelpers:
         profile = request.getfixturevalue(profile_name)
         case = spectrum_for_case(profile).case
         proj = kirchhoff_projector(case.alpha1, case.alpha2)
+        nsq = case.alpha1**2 + case.alpha2**2
         residue = taylor_shooting(profile).pole_parts()[0]
-        assert np.max(np.abs(residue + proj.weight_norm_sq * proj.lambda0)) < 1e-10
+        assert np.max(np.abs(residue + nsq * proj.lambda0)) < 1e-10
 
     def test_resonant_projector_rejects_generic(self, bump05):
         with pytest.raises(ValueError):

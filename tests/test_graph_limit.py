@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from wglimit import ExpDecay, assemble, kirchhoff_projector, pi_theta_projector
+from wglimit.coupling import DECOUPLED
 from wglimit.graph_limit import (
     apply_resolvent_grid,
     boundary_limits,
     decoupled_resolvent,
+    graph_q,
     kirchhoff_resolvent,
     limit_comparison,
     limit_resolvent,
@@ -164,7 +166,13 @@ class TestProjections:
 class TestLimitResolvent:
     def test_generic_case_decouples(self):
         res = limit_resolvent(CaseLabel(False), Z)
-        assert res.projector is None
+        assert res.projector is DECOUPLED
+
+    @pytest.mark.parametrize("z", [Z, 0.3 + 0.7j, -2.0 + 0.0j])
+    def test_decoupled_outgoing_amplitude_is_zero(self, z):
+        p = np.array([1.5 - 0.5j, -0.25 + 2.0j])
+        q = graph_q(decoupled_resolvent(z), p)
+        assert q.shape == (2,) and np.all(q == 0.0)
 
     def test_resonant_case_uses_weights(self, zero_profile):
         res = limit_resolvent(classify(zero_profile), Z)

@@ -276,19 +276,15 @@ class TestResidualFields:
 
 
 class TestTuneToResonance:
-    def test_zero_profile_rejected(self, zero_profile):
+    def test_index_one_rejected(self):
         with pytest.raises(ProfileError):
-            tune_to_resonance(zero_profile, 2)
-
-    def test_index_one_rejected(self, bump05):
-        with pytest.raises(ProfileError):
-            tune_to_resonance(bump05, 1)
+            tune_to_resonance(1)
 
     @pytest.mark.parametrize("index", [4, 10**9])
-    def test_index_above_three_rejected(self, bump05, index):
+    def test_index_above_three_rejected(self, index):
         # lambda_4 >= (3 pi/2)^2 - 8^2/4 > 0 at every amplitude up to the cap
         with pytest.raises(ProfileError, match="stays positive"):
-            tune_to_resonance(bump05, index)
+            tune_to_resonance(index)
 
     def test_tuned_eigenvalue_is_zero(self, tuned2):
         from wglimit.vertex_spectrum import eigenvalue_by_index
@@ -309,16 +305,16 @@ class TestTuneToResonance:
         two = _coefficient_solve(tuned2, [0.0], 2, "test")[0].states[-1, :, 1]
         assert np.max(np.abs(two - taylor_shooting(tuned2).wronskian[:2])) <= 1e-15
 
-    def test_tuning_adds_at_most_one_taylor_solve(self, bump05):
+    def test_tuning_adds_at_most_one_taylor_solve(self):
         from wglimit import profile
         from wglimit.vertex_spectrum import taylor_shooting
 
         profile._tuned_amplitude.cache_clear()
         taylor_shooting.cache_clear()
-        tune_to_resonance(bump05, 2)
+        tune_to_resonance(2)
         assert taylor_shooting.cache_info().currsize <= 1
 
-    def test_amplitude_grid_is_one_batched_solve(self, bump05):
+    def test_amplitude_grid_is_one_batched_solve(self):
         # the 16-point scan takes no per-amplitude Galerkin eigensolve, the
         # bracket stops at its noise floor after about five, and the tuned
         # amplitude is unchanged
@@ -327,7 +323,7 @@ class TestTuneToResonance:
 
         profile._tuned_amplitude.cache_clear()
         _galerkin_eigenpairs.cache_clear()
-        tune_to_resonance(bump05, 2)
+        tune_to_resonance(2)
         assert _galerkin_eigenpairs.cache_info().misses <= 6
         assert profile._tuned_amplitude(2) == 6.104017588677534
 

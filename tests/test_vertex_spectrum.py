@@ -224,7 +224,7 @@ import numpy as np
 from wglimit import CurvatureProfile, eigenvalues, tune_to_resonance
 from wglimit.vertex_spectrum import taylor_shooting
 for prof in (CurvatureProfile.zero(), CurvatureProfile.bump(0.5), CurvatureProfile.bump(-0.999),
-             tune_to_resonance(CurvatureProfile.bump(0.5), 2)):
+             tune_to_resonance(2)):
     t = taylor_shooting(prof)
     arrays = (t.left.states, t.left.forcing, t.right.states, t.right.forcing,
               eigenvalues(prof, 8).eigenvalues)

@@ -6,10 +6,10 @@ or ``python3 tools/compare_outputs.py --diff OUTDIR_A OUTDIR_B``.
 The steps run in this one interpreter through ``CHECKOUT``'s
 ``wglimit.cli.main`` (``CHECKOUT/src`` goes first on ``sys.path``):
 
-* the ``wglimit ...`` commands of the README's CLI section, parsed as
-  ``tests/test_cli.py::TestReadmeExamples`` parses them, into
-  ``OUTDIR/readme`` (the ``run`` example reads the same small coupling
-  config that test writes);
+* the ``wglimit ...`` commands of the README's CLI section, parsed by
+  ``readme_examples`` (which ``tests/test_cli.py::TestReadmeExamples``
+  also runs), into ``OUTDIR/readme`` (the ``run`` example reads
+  ``README_RUN_CONFIG``, a small coupling config);
 * every step of ``perfbench.workloads.make_steps`` for each workload and
   seed, into ``OUTDIR/<workload>-<seed>``.
 

@@ -23,6 +23,7 @@ r0 parts cancel edgewise, leaving pure outgoing tails whose L2 norm is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,10 +61,17 @@ def kirchhoff_resolvent(z: complex, projector: KirchhoffProjector) -> GraphResol
     return GraphResolvent(complex(z), projector)
 
 
+@lru_cache(maxsize=16)
+def _case_projector(case: CaseLabel) -> KirchhoffProjector:
+    """The weighted Kirchhoff projector of a resonant case, built once per case
+    (the record is frozen and its arrays are read-only, so it is shared)."""
+    return kirchhoff_projector(case.alpha1, case.alpha2)
+
+
 def limit_resolvent(case: CaseLabel, z: complex) -> GraphResolvent:
     """The limit operator's resolvent for a case: weighted Kirchhoff or decoupled."""
     if case.resonant:
-        return kirchhoff_resolvent(z, kirchhoff_projector(case.alpha1, case.alpha2))
+        return kirchhoff_resolvent(z, _case_projector(case))
     return decoupled_resolvent(z)
 
 

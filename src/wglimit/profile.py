@@ -329,17 +329,53 @@ def _amplitude_slope(profile: CurvatureProfile) -> float:
     return 2.0 * float(lams[k - 1] - mu @ (c * c)) / profile.amplitude
 
 
+def _grid_bracket(target_index: int) -> tuple[float, float, float]:
+    """The first bracket [grid[k], grid[k + 1]] of a zero of lambda_K,
+    K = target_index, on a 16-point amplitude grid, and lambda_K(grid[0]),
+    whose sign lambda_K keeps up to grid[k] and not at grid[k + 1].
+
+    With gamma = A b the Galerkin Hamiltonian at A is H(A) = A^2 P_1 + diag(mu),
+    P_1 that of -b^2/4.  P_1 is negative semidefinite, so by Weyl's inequality
+    lambda_K(A) does not increase with A > 0 and changes sign at most once along
+    the grid: bisecting the grid's indices finds the bracket a scan of all 16
+    would, from one eigensolve at each end and one per halving (six in all).
+    """
+    # Lazy import: the eigenvalue solver depends on this module.
+    from . import vertex_spectrum as vs
+
+    grid = np.linspace(0.5, TUNED_AMPLITUDE_CAP, 16)
+    unit, mu = vs._galerkin_matrices(CurvatureProfile("tuned_bump", 1.0, target_index),
+                                     target_index + 1)
+    free = np.diag(mu)
+
+    def eigenvalue(i: int) -> float:
+        return float(np.linalg.eigvalsh(grid[i] ** 2 * unit + free)[target_index - 1])
+
+    k, hi = 0, len(grid) - 1
+    first = eigenvalue(0)
+    if first != 0.0:
+        if eigenvalue(hi) * first > 0.0:
+            raise ProfileError(
+                f"no amplitude in (0, {TUNED_AMPLITUDE_CAP}] brackets a zero of "
+                f"eigenvalue {target_index}"
+            )
+        while hi - k > 1:
+            mid = (k + hi) // 2
+            k, hi = (mid, hi) if eigenvalue(mid) * first > 0.0 else (k, mid)
+    return float(grid[k]), float(grid[k + 1]), first
+
+
 @lru_cache(maxsize=16)
 def _tuned_amplitude(target_index: int) -> float:
     """Root of lambda_{target_index}(amplitude) = 0 over the bump family.
 
     Newton steps with the Hellmann-Feynman slope on the cosine-Galerkin
-    eigenvalue, bisecting a 16-point amplitude grid's bracket when a step
-    leaves it, give the root to ~1e-12.  Newton steps then polish it on
-    lambda = -W_0/W_1 from a one-sided 2-term solve about w = 0, the first
-    two Taylor coefficients of the Wronskian the vertex kernel reads, and
-    return the amplitude whose |lambda| they checked: the kernel's pole
-    sits at w = 0 to the tuning residue.
+    eigenvalue, bisecting a 16-point amplitude grid's bracket
+    (``_grid_bracket``) when a step leaves it, give the root to ~1e-12.
+    Newton steps then polish it on lambda = -W_0/W_1 from a one-sided 2-term
+    solve about w = 0, the first two Taylor coefficients of the Wronskian the
+    vertex kernel reads, and return the amplitude whose |lambda| they
+    checked: the kernel's pole sits at w = 0 to the tuning residue.
     """
     # Lazy import: the eigenvalue solver depends on this module.
     from . import vertex_spectrum as vs
@@ -348,24 +384,12 @@ def _tuned_amplitude(target_index: int) -> float:
     if vs._free_eigenvalue(target_index) > TUNED_AMPLITUDE_CAP**2 / 4.0:
         raise ProfileError(f"eigenvalue {target_index} stays positive for every "
                            f"amplitude in (0, {TUNED_AMPLITUDE_CAP}]")
-
-    # gamma = A b, so the Galerkin Hamiltonian at A is A^2 P_1 + diag(mu), P_1
-    # that of -b^2/4: the grid's eigenvalues are one batched solve.
-    grid = np.linspace(0.5, TUNED_AMPLITUDE_CAP, 16)
-    unit, mu = vs._galerkin_matrices(CurvatureProfile("tuned_bump", 1.0, target_index),
-                                     target_index + 1)
-    vals = np.linalg.eigvalsh(grid[:, None, None] ** 2 * unit + np.diag(mu))[:, target_index - 1]
-    k = next((k for k in range(len(grid) - 1) if vals[k] * vals[k + 1] <= 0.0), None)
-    if k is None:
-        raise ProfileError(
-            f"no amplitude in (0, {TUNED_AMPLITUDE_CAP}] brackets a zero of "
-            f"eigenvalue {target_index}"
-        )
-    amp, lo, hi = float(grid[k]), float(grid[k]), float(grid[k + 1])
+    lo, hi, first = _grid_bracket(target_index)
+    amp = lo
     for _ in range(_BRACKET_STEPS):
         prof = CurvatureProfile("tuned_bump", amp, target_index)
         lam = float(vs._galerkin_eigenpairs(prof, target_index + 1)[0][target_index - 1])
-        lo, hi = (amp, hi) if lam * vals[k] > 0.0 else (lo, amp)
+        lo, hi = (amp, hi) if lam * first > 0.0 else (lo, amp)
         new = amp - lam / _amplitude_slope(prof)
         amp, last = (new if lo < new < hi else 0.5 * (lo + hi)), amp
         if abs(amp - last) <= _BRACKET_TOL:

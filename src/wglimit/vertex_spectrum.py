@@ -166,14 +166,23 @@ def _basis_integrals(theta: np.ndarray) -> np.ndarray:
     return (theta[:, None] + 0.5 * (legendre[:, 2:] - legendre[:, :-2]) @ _LEGENDRE) * _WEIGHTS
 
 
+@lru_cache(maxsize=None)
+def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared: the
+    stage rule below and every composite rule (``_gauss_panels``) read them."""
+    rule = leggauss(order)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 # Stage nodes c and weights b on [0, 1], P_n(2c - 1) for 0 < n < _STAGES,
 # and the collocation tableau A = a(c).
-_NODES, _WEIGHTS = leggauss(_STAGES)
+_NODES, _WEIGHTS = _gauss_rule(_STAGES)
 _LEGENDRE = legvander(_NODES, _STAGES - 1)[:, 1:].T
 _NODES, _WEIGHTS = 0.5 * (_NODES + 1.0), 0.5 * _WEIGHTS
 _TABLEAU = _basis_integrals(_NODES)
 _TABLEAU_SQ = _TABLEAU @ _TABLEAU
-_gauss_rule = lru_cache(maxsize=None)(leggauss)  # callers only read the arrays
 
 
 def _panel_count(qmax: float) -> int:
@@ -476,15 +485,13 @@ def _galerkin_eigenpairs(profile: CurvatureProfile, n_modes: int):
     """
     potential, mu = _galerkin_matrices(profile, n_modes)
     lams, coef = np.linalg.eigh(potential + np.diag(mu))
-    n_basis = len(mu)
+    coef = coef[:, :n_modes]
     # Align eigenvector signs with the free modes they perturb.
-    for n in range(n_basis):
-        if coef[n, n] < 0:
-            coef[:, n] = -coef[:, n]
-    out = (lams[:n_modes], coef[:, :n_modes], mu)
+    np.negative(coef, out=coef, where=coef.diagonal() < 0)
+    out = (lams[:n_modes], coef, mu)
     for arr in out:
         arr.setflags(write=False)
-    return out[0], out[1], n_basis, out[2]
+    return out[0], out[1], len(mu), out[2]
 
 
 @dataclass(frozen=True)

@@ -178,3 +178,15 @@ class TestLimitResolvent:
         res = limit_resolvent(classify(zero_profile), Z)
         assert res.projector is not None and res.z == Z
         assert np.allclose(res.projector.lambda0, SYM.lambda0, atol=1e-9)
+
+    @pytest.mark.parametrize("profile_name", ["zero_profile", "tuned2"])
+    def test_one_projector_per_resonant_case(self, profile_name, request):
+        # the projector is built once per case and shared across z; its arrays
+        # are those kirchhoff_projector builds from the case's weights, bit for bit
+        case = classify(request.getfixturevalue(profile_name))
+        first, second = (limit_resolvent(case, z).projector for z in (Z, 0.3 + 0.7j))
+        assert first is second
+        fresh = kirchhoff_projector(case.alpha1, case.alpha2)
+        for name in ("lambda0", "lambda0_perp", "first_order"):
+            assert getattr(first, name).tobytes() == getattr(fresh, name).tobytes()
+            assert not getattr(first, name).flags.writeable

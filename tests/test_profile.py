@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -314,18 +315,48 @@ class TestTuneToResonance:
         tune_to_resonance(2)
         assert taylor_shooting.cache_info().currsize <= 1
 
-    def test_amplitude_grid_is_one_batched_solve(self):
-        # the 16-point scan takes no per-amplitude Galerkin eigensolve, the
+    def test_bisected_bracket_is_the_scan_bracket(self):
+        # oracle: lambda_2 on all 16 grid amplitudes in one stacked eigensolve,
+        # and the first adjacent pair whose product is not positive
+        from wglimit import profile
+        from wglimit.vertex_spectrum import _galerkin_matrices
+
+        grid = np.linspace(0.5, profile.TUNED_AMPLITUDE_CAP, 16)
+        unit, mu = _galerkin_matrices(CurvatureProfile("tuned_bump", 1.0, 2), 3)
+        vals = np.linalg.eigvalsh(grid[:, None, None] ** 2 * unit + np.diag(mu))[:, 1]
+        k = next(k for k in range(15) if vals[k] * vals[k + 1] <= 0.0)
+        lo, hi, first = profile._grid_bracket(2)
+        assert (k, lo, hi) == (11, grid[11], grid[12]) == (11, 6.0, 6.5)
+        assert np.sign(first) == np.sign(vals[k]) != 0.0
+
+    def test_amplitude_grid_is_six_single_solves(self, monkeypatch):
+        # the bracket bisection makes at most six eigvalsh calls, each on one
+        # matrix, and no per-amplitude Galerkin eigenpair solve; the Newton
         # bracket stops at its noise floor after about five, and the tuned
         # amplitude is unchanged
         from wglimit import profile
         from wglimit.vertex_spectrum import _galerkin_eigenpairs
 
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
         profile._tuned_amplitude.cache_clear()
         _galerkin_eigenpairs.cache_clear()
         tune_to_resonance(2)
+        assert 0 < len(shapes) <= 6
+        assert all(len(shape) == 2 for shape in shapes)
         assert _galerkin_eigenpairs.cache_info().misses <= 6
         assert profile._tuned_amplitude(2) == 6.104017588677534
+
+    def test_index_three_has_no_bracket(self, monkeypatch):
+        # lambda_3 stays positive on the grid: the two grid ends refuse it
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        with pytest.raises(ProfileError, match=re.escape(
+                "no amplitude in (0, 8.0] brackets a zero of eigenvalue 3")):
+            tune_to_resonance(3)
+        assert len(calls) == 2
 
     def test_amplitude_independent_of_blas_threads(self):
         # the Galerkin matrix is one FFT, not a BLAS product whose rounding

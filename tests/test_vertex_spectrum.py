@@ -620,6 +620,43 @@ class TestGalerkinPolish:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
+    @pytest.mark.parametrize("profile_name", ["zero", "bump:0.5", "bump:-0.586", "tuned2"])
+    @pytest.mark.parametrize("n_modes", [3, 5, 7])
+    def test_sign_alignment_is_the_column_loop(self, profile_name, n_modes, request):
+        # reference: numpy's eigh of the same matrix, each column negated in a
+        # loop where its diagonal entry is negative; equal bit for bit
+        profile = (request.getfixturevalue("tuned2") if profile_name == "tuned2"
+                   else CurvatureProfile.zero() if profile_name == "zero"
+                   else CurvatureProfile.bump(float(profile_name.split(":")[1])))
+        potential, mu = vertex_spectrum._galerkin_matrices(profile, n_modes)
+        want_lams, want = np.linalg.eigh(potential + np.diag(mu))
+        for n in range(len(mu)):
+            if want[n, n] < 0:
+                want[:, n] = -want[:, n]
+        lams, coef, n_basis, got_mu = _galerkin_eigenpairs(profile, n_modes)
+        assert n_basis == len(mu) and got_mu.tobytes() == mu.tobytes()
+        assert lams.tobytes() == want_lams[:n_modes].tobytes()
+        assert coef.tobytes() == np.ascontiguousarray(want[:, :n_modes]).tobytes()
+
+    def test_stage_rule_is_the_cached_gauss_rule(self):
+        # the import computes leggauss(8) once, through the cache every
+        # composite rule reads; the cached arrays are read-only
+        script = ("from wglimit import vertex_spectrum as vs\n"
+                  "before = vs._gauss_rule.cache_info()\n"
+                  "vs._panel_nodes(-1.0, 1.0, 4, 8)\n"
+                  "after = vs._gauss_rule.cache_info()\n"
+                  "print(before.misses, before.hits, after.misses, after.hits)")
+        path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+        out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+        assert out.split() == ["1", "0", "1", "1"]
+        nodes, weights = vertex_spectrum._gauss_rule(8)
+        assert nodes.tobytes() == np.polynomial.legendre.leggauss(8)[0].tobytes()
+        assert weights.tobytes() == np.polynomial.legendre.leggauss(8)[1].tobytes()
+        for arr in (nodes, weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     @pytest.mark.parametrize("amp", [3.0, None])
     def test_hellmann_feynman_slope(self, tuned2, amp):
         amp = tuned2.amplitude if amp is None else amp
